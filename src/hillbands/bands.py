@@ -4,8 +4,8 @@ A period-N chain has N closed spectral bands separated by N-1 gaps, some
 of which may be closed. The 2N band edges are the zeros of Delta -+ 2,
 equivalently the eigenvalues of the Bloch Hamiltonians at phase 0 and
 pi. Both routes are implemented: the Hermitian eigensolver route and
-polynomial root isolation on the discriminant; they must agree, and the
-acceptance suite holds them to that.
+bisection on the discriminant between Dirichlet eigenvalues; they must
+agree, and the acceptance suite holds them to that.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rootfinding
+from . import transfer
 from .discriminant import Discriminant
 
 
@@ -58,21 +58,58 @@ def band_edges_eig(op):
     )
 
 
-def band_edges_bisection(op, tol=1e-13, touch_rtol=1e-11):
-    """All 2N band edges via root isolation on (prod a)(Delta -+ 2).
+def band_edges_bisection(op, tol=1e-13):
+    """All 2N band edges by bisection on Delta -+ 2, evaluated by recurrence.
 
-    Closed gaps produce double zeros; the isolation routine reports
-    them with multiplicity, so the count always comes out to 2N.
+    Band j lies between consecutive Dirichlet eigenvalues mu_{j-1} and
+    mu_j, the outer ends bounded by -+(max|b| + 2 max a). Oriented by
+    the sign s_j = (-1)^(N-1-j) of Delta at its upper edge, s_j Delta
+    stays <= -2 on that bracket below the band, rises through the band
+    and stays >= 2 above it, so one bisection per edge, all 2N at once,
+    finds the crossings of -2 and +2.
+
+    A closed gap is a double zero, which bisection resolves only to
+    about sqrt(eps). So each gap's extremum c_j, the zero of Delta'
+    between the middles of its two bands, is bisected as well, and the
+    gap is closed, both edges set to c_j, when |Delta(c_j)| - 2 is
+    within the recurrence's rounding, 2 N eps max(1, |Delta(c_j)|).
     """
-    disc = Discriminant.from_operator(op)
-    upper = rootfinding.real_roots(disc.shifted_monic(2.0), tol, touch_rtol)
-    lower = rootfinding.real_roots(disc.shifted_monic(-2.0), tol, touch_rtol)
-    edges = np.sort(np.concatenate([upper, lower]))
-    if edges.size != 2 * op.period:
-        raise RuntimeError(
-            f"expected {2 * op.period} band edges, isolated {edges.size}"
-        )
-    return edges
+    n = op.period
+    bound = np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping)
+    mu = np.concatenate([[-bound], op.dirichlet_eigenvalues(), [bound]])
+    orient = (-1.0) ** (n - 1 - np.arange(n))
+    edge_orient = np.repeat(orient, 2)
+    level = np.tile([-2.0, 2.0], n)
+    edges = _bisect(
+        lambda lam: edge_orient * transfer.discriminant(op, lam)[0] >= level,
+        np.repeat(mu[:-1], 2),
+        np.repeat(mu[1:], 2),
+        tol,
+    )
+    middle = 0.5 * (edges[0::2] + edges[1::2])
+    crit = _bisect(
+        lambda lam: orient[:-1] * transfer.discriminant(op, lam)[1] <= 0.0,
+        middle[:-1],
+        middle[1:],
+        tol,
+    )
+    peak = np.abs(transfer.discriminant(op, crit)[0])
+    closed = peak - 2.0 <= 2.0 * n * np.finfo(float).eps * np.maximum(1.0, peak)
+    edges[1:-1:2][closed] = crit[closed]
+    edges[2::2][closed] = crit[closed]
+    return np.sort(edges)
+
+
+def _bisect(past, lo, hi, tol):
+    """Shrink brackets [lo, hi] onto the point where past(lam) turns true."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
+            break
+        right = past(mid)
+        lo = np.where(right, lo, mid)
+        hi = np.where(right, mid, hi)
+    return mid
 
 
 class BandStructure:
@@ -84,8 +121,8 @@ class BandStructure:
         The chain whose spectrum is described.
     method : {'eig', 'bisection'}
         How band edges are computed. 'eig' diagonalizes the Bloch
-        matrices at phases 0 and pi; 'bisection' isolates the real
-        zeros of the shifted discriminant.
+        matrices at phases 0 and pi; 'bisection' brackets the zeros
+        of Delta -+ 2 by Dirichlet eigenvalues and bisects them.
 
     Notes
     -----
@@ -165,39 +202,31 @@ class BandStructure:
         return rho
 
     def integrated_density(self, lam):
-        """Fraction of states at or below lam, in [0, 1], elementwise."""
+        """Fraction of states at or below lam, in [0, 1], elementwise.
+
+        A point on an upper band edge counts the band as filled; a point
+        on a lower edge counts as inside the band.
+        """
         lam = np.asarray(lam, dtype=float)
-        scalar = lam.ndim == 0
-        out = np.array(
-            [self._ids_scalar(x) for x in np.atleast_1d(lam)], dtype=float
-        )
-        if scalar:
-            return float(out[0])
-        return out
+        n = self.operator.period
+        k = np.searchsorted(self.edges, lam, side="right")
+        band = k // 2
+        # Delta alternates between +2 and -2 along the edge sequence,
+        # ending at +2 on the top edge, so the phase at band j's lower
+        # edge is exactly 0 when N - j is even and pi otherwise. Using
+        # the exact value avoids the sqrt-of-roundoff noise that
+        # evaluating arccos at a computed edge would introduce.
+        phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
+        partial = np.abs(self.bloch_phase(lam) - phase_lower) / np.pi
+        ids = (band + np.where(k % 2 == 1, partial, 0.0)) / n
+        if ids.ndim == 0:
+            return float(ids)
+        return ids
 
     def quasimomentum(self, lam):
         """Unreduced per-site momentum in [0, pi]: pi * IDS(lam)."""
         ids = self.integrated_density(lam)
         return np.pi * ids
-
-    def _ids_scalar(self, lam):
-        n = self.operator.period
-        filled = 0
-        for band in self.bands:
-            if lam >= band.upper:
-                filled += 1
-                continue
-            if lam < band.lower:
-                break
-            phase = self.bloch_phase(lam)
-            # Delta alternates between +2 and -2 along the edge sequence,
-            # ending at +2 on the top edge, so the phase at band j's lower
-            # edge is exactly 0 when N - j is even and pi otherwise. Using
-            # the exact value avoids the sqrt-of-roundoff noise that
-            # evaluating arccos at a computed edge would introduce.
-            phase_lower = 0.0 if (n - band.index) % 2 == 0 else np.pi
-            return (filled + abs(phase - phase_lower) / np.pi) / n
-        return filled / n
 
     def to_dict(self):
         return {

@@ -78,11 +78,8 @@ def _cmd_inverse(args):
 
 
 def _cmd_edges(args):
-    if args.hopping is not None:
-        op = inverse.recover_operator_from_edges(
-            args.periodic, args.antiperiodic, hopping=args.hopping)
-    else:
-        op = inverse.recover_operator_from_edges(args.periodic, args.antiperiodic)
+    op = inverse.recover_operator_from_edges(
+        args.periodic, args.antiperiodic, hopping=args.hopping)
     disc = inverse.discriminant_from_edges(args.periodic, args.antiperiodic)
     payload = {
         "hopping_product": disc.hopping_product,
@@ -98,8 +95,7 @@ def _cmd_edges(args):
 
 def _cmd_classes(args):
     classes = isospectral.enumerate_onsite_classes(
-        args.values, args.period, hopping=args.hopping[0] if len(args.hopping) == 1 else args.hopping,
-        decimals=args.decimals)
+        args.values, args.period, hopping=args.hopping, decimals=args.decimals)
     payload = {
         "alphabet": args.values,
         "period": args.period,

@@ -12,10 +12,10 @@ Delta(lam) = tr M(lam) is a degree-N polynomial with leading coefficient
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import polynomial as P
 
-from . import polynomials as poly
 from . import transfer
-from .chebyshev import chebyshev_t_coefficients
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,9 @@ class Discriminant:
     hopping_product: float
 
     def __post_init__(self):
-        c = poly.as_poly(self.coefficients).copy()
+        c = np.array(self.coefficients, dtype=float, ndmin=1)
+        if c.ndim != 1:
+            raise ValueError("coefficient array must be one-dimensional")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "hopping_product", float(self.hopping_product))
@@ -47,32 +49,23 @@ class Discriminant:
     @classmethod
     def free(cls, period, hopping=1.0, onsite=0.0):
         """Closed form for the constant chain, 2 T_N((lam - b)/(2a))."""
-        t = chebyshev_t_coefficients(period)
-        c = 2.0 * poly.affine_compose(t, 1.0 / (2.0 * hopping), -onsite / (2.0 * hopping))
-        return cls(c, float(hopping) ** period)
+        domain = [onsite - 2.0 * hopping, onsite + 2.0 * hopping]
+        t = Chebyshev.basis(period, domain=domain).convert(kind=Polynomial)
+        return cls(2.0 * t.coef, float(hopping) ** period)
 
     @property
     def degree(self):
         return self.coefficients.size - 1
 
     def __call__(self, lam):
-        return poly.evaluate(self.coefficients, lam)
+        return P.polyval(lam, self.coefficients)
 
     def derivative(self, lam):
-        return poly.evaluate(poly.derivative(self.coefficients), lam)
-
-    def derivative_coefficients(self):
-        return poly.derivative(self.coefficients)
+        return P.polyval(lam, P.polyder(self.coefficients))
 
     def monic_coefficients(self):
         """(prod a) * Delta: monic of degree N, second-highest term -sum(b)."""
         return self.hopping_product * self.coefficients
-
-    def shifted_monic(self, offset):
-        """(prod a) * (Delta - offset), still monic."""
-        c = self.monic_coefficients().copy()
-        c[0] -= self.hopping_product * offset
-        return c
 
     def coefficient_key(self, decimals=9):
         """Hashable rounded form; equal keys mean equal band structure."""

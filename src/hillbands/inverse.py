@@ -10,10 +10,9 @@ and their average is the monic discriminant.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import least_squares
 
-from . import polynomials as poly
-from . import rootfinding
 from . import transfer
 from .discriminant import Discriminant
 from .operators import PeriodicJacobi
@@ -81,33 +80,19 @@ def onsite_jacobian(op):
     """d(monic discriminant coefficients) / d(onsite), an N x N matrix.
 
     Row i, column j holds the lam^i coefficient of the derivative of
-    (prod a) * Delta with respect to onsite[j], computed exactly from
-    the cyclically split monodromy product: differentiating step j
-    leaves tr(L_j D_j' R_j) with D_j' = [[-1/a_j, 0], [0, 0]], so the
-    derivative polynomial is -(prod a / a_j) * (L_j R_j)[0, 0].
+    (prod a) * Delta = det(lam I - J(theta)) + 2 (prod a) cos theta with
+    respect to onsite[j]: minus the characteristic polynomial of the
+    open chain left when site j is deleted. On the chain relabelled to
+    start at site j + 1 that chain is sites 0 .. N-2, whose
+    characteristic polynomial is (prod a / a_j) times the monodromy
+    entry M[1, 0].
     """
     n = op.period
-    steps = [transfer.step_matrix_poly(op, j) for j in range(n)]
-    ident = [[np.array([1.0]), np.array([0.0])], [np.array([0.0]), np.array([1.0])]]
-
-    prefix = [ident]  # prefix[j] = A_{j-1} ... A_0
-    for j in range(n):
-        prefix.append(transfer._poly_mat_mul(steps[j], prefix[-1]))
-    suffix = [ident]  # suffix[j] = A_{N-1} ... A_{N-j}
-    for j in range(n):
-        suffix.append(transfer._poly_mat_mul(suffix[-1], steps[n - 1 - j]))
-
     pa = op.hopping_product()
     jac = np.zeros((n, n))
     for j in range(n):
-        left = prefix[j]
-        right = suffix[n - 1 - j]
-        entry = poly.add(
-            poly.multiply(left[0][0], right[0][0]),
-            poly.multiply(left[0][1], right[1][0]),
-        )
-        col = -(pa / op.hopping[j]) * entry
-        jac[: col.size, j] = col[:n]
+        minor = transfer.monodromy_coefficients(op.shifted(j + 1))[1, 0]
+        jac[:, j] = -(pa / op.hopping[j]) * minor[:n]
     return jac
 
 
@@ -172,10 +157,11 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
     if isinstance(target, Discriminant):
         coeffs = target.coefficients
     else:
-        coeffs = poly.as_poly(target)
-    if coeffs.size != n + 1:
+        coeffs = np.atleast_1d(np.asarray(target, dtype=float))
+    if coeffs.ndim != 1 or coeffs.size != n + 1:
         raise ValueError(
-            f"target degree {coeffs.size - 1} does not match period {n}"
+            f"target of shape {coeffs.shape} is not {n + 1} coefficients "
+            f"for period {n}"
         )
     pa = float(np.prod(a))
     if abs(coeffs[-1] * pa - 1.0) > 1e-6:
@@ -195,8 +181,9 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
         b = newton_solve(fun, jac, initial, tol=tol, max_iter=max_iter)
         return PeriodicJacobi(a, b)
 
-    guess = rootfinding.real_roots(monic_target)
-    if guess.size != n:
+    roots = P.polyroots(monic_target)
+    guess = np.sort(roots.real)
+    if np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
         # Not real-rooted, so certainly not a genuine discriminant;
         # still give Newton one attempt from the staggered trace split.
         center = -monic_target[n - 1] / n
@@ -255,8 +242,8 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
     if per.size != anti.size or per.size == 0:
         raise ValueError("need equally many periodic and antiperiodic eigenvalues")
-    p0 = poly.from_roots(per)
-    ppi = poly.from_roots(anti)
+    p0 = P.polyfromroots(per)
+    ppi = P.polyfromroots(anti)
     diff = p0 - ppi
     scale = np.max(np.abs(p0))
     if np.max(np.abs(diff[1:])) > rtol * scale:

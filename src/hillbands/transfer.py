@@ -1,86 +1,70 @@
-"""Transfer matrices for the three-term recurrence of a periodic chain.
+"""The three-term recurrence of a periodic chain, marched over one period.
 
-The eigenvalue equation H u = lam u is marched site to site by
+The eigenvalue equation H u = lam u reads
 
-    (u_{n+1}, u_n) = A_n(lam) (u_n, u_{n-1}),
-    A_n = [[(lam - b_n)/a_n, -a_{n-1}/a_n], [1, 0]],
+    u_{n+1} = ((lam - b_n) u_n - a_{n-1} u_{n-1}) / a_n,
 
-and the monodromy M(lam) = A_{N-1} ... A_0 carries a solution across one
-full period. det A_n = a_{n-1}/a_n telescopes, so det M = 1 identically.
-Entries of M are polynomials in lam; this module computes them both
-numerically at a point and symbolically as coefficient arrays.
+with a_{-1} = a_{N-1}. The monodromy M(lam) carries (u_0, u_{-1}) to
+(u_N, u_{N-1}); column 0 comes from the start (1, 0) and column 1 from
+(0, 1), so M[0, 0] = u_N and M[1, 1] = u_{N-1} of the respective
+starts. det M = 1 identically, and the Hill discriminant is tr M.
+
+This is the only place the recurrence runs. It is marched in two
+algebras: over ascending coefficient arrays in lam, where the entries
+M00, M01, M10, M11 are polynomials of degree N, N-1, N-1, N-2, and over
+arrays of lam values together with the lam-derivative.
 """
 
 import numpy as np
 
-from . import polynomials as poly
 
+def monodromy_coefficients(op):
+    """Ascending lam-coefficients of M, shape (2, 2, N + 1).
 
-def step_matrix(op, n, lam):
-    """A_n(lam) as a 2x2 array; n is taken mod the period."""
-    n = n % op.period
-    a_prev = op.hopping[n - 1]
-    a_cur = op.hopping[n]
-    return np.array(
-        [[(lam - op.onsite[n]) / a_cur, -a_prev / a_cur], [1.0, 0.0]]
-    )
-
-
-def monodromy(op, lam):
-    """Product A_{N-1} ... A_0 evaluated at lam."""
-    m = np.eye(2)
-    for n in range(op.period):
-        m = step_matrix(op, n, lam) @ m
-    return m
-
-
-def _poly_mat_mul(x, y):
-    out = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            acc = np.zeros(1)
-            for k in range(2):
-                acc = poly.add(acc, poly.multiply(x[i][k], y[k][j]))
-            out[i][j] = acc
-    return out
-
-
-def step_matrix_poly(op, n):
-    """A_n with entries as ascending coefficient arrays."""
-    n = n % op.period
-    a_prev = op.hopping[n - 1]
-    a_cur = op.hopping[n]
-    return [
-        [np.array([-op.onsite[n] / a_cur, 1.0 / a_cur]), np.array([-a_prev / a_cur])],
-        [np.array([1.0]), np.array([0.0])],
-    ]
-
-
-def monodromy_poly(op):
-    """Monodromy with polynomial entries, [[M00, M01], [M10, M11]].
-
-    Degrees are N, N-1, N-1, N-2 (period N). The trace is the Hill
-    discriminant; the zeros of M01 are the interior Dirichlet spectrum.
+    M[1, 0] is a_{N-1} / prod(a) times the characteristic polynomial
+    of the open chain on sites 0 .. N-2, the Dirichlet minor left when
+    site N-1 is deleted.
     """
-    m = [
-        [np.array([1.0]), np.array([0.0])],
-        [np.array([0.0]), np.array([1.0])],
-    ]
-    for n in range(op.period):
-        m = _poly_mat_mul(step_matrix_poly(op, n), m)
-    return m
+    n = op.period
+    a, b = op.hopping, op.onsite
+    cur = np.zeros((2, n + 1))  # u_k for the starts (1, 0) and (0, 1)
+    prev = np.zeros((2, n + 1))  # u_{k-1}
+    cur[0, 0] = 1.0
+    prev[1, 0] = 1.0
+    for k in range(n):
+        nxt = (-b[k] / a[k]) * cur
+        nxt[:, 1:] += (1.0 / a[k]) * cur[:, :-1]
+        nxt -= (a[k - 1] / a[k]) * prev
+        prev, cur = cur, nxt
+    return np.stack([cur, prev])
 
 
 def discriminant_coefficients(op):
-    """Ascending coefficients of trace M(lam), degree = period."""
-    m = monodromy_poly(op)
-    return poly.add(m[0][0], m[1][1])
+    """Ascending coefficients of Delta = tr M, degree = period."""
+    m = monodromy_coefficients(op)
+    return m[0, 0] + m[1, 1]
 
 
-def dirichlet_coefficients(op):
-    """Ascending coefficients of M01, degree = period - 1.
+def monodromy(op, lam):
+    """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape."""
+    lam = np.asarray(lam, dtype=float)
+    cur = np.zeros((2,) + lam.shape)
+    prev = np.zeros((2,) + lam.shape)
+    cur[0] = 1.0
+    prev[1] = 1.0
+    dcur = np.zeros_like(cur)
+    dprev = np.zeros_like(cur)
+    a, b = op.hopping, op.onsite
+    for k in range(op.period):
+        shift = lam - b[k]
+        nxt = (shift * cur - a[k - 1] * prev) / a[k]
+        dnxt = (cur + shift * dcur - a[k - 1] * dprev) / a[k]
+        prev, cur = cur, nxt
+        dprev, dcur = dcur, dnxt
+    return np.stack([cur, prev]), np.stack([dcur, dprev])
 
-    Up to normalization this is the characteristic polynomial of
-    the chain restricted to sites 1..N-1 with clamped ends.
-    """
-    return monodromy_poly(op)[0][1]
+
+def discriminant(op, lam):
+    """Delta(lam) and Delta'(lam) by the recurrence, elementwise."""
+    m, dm = monodromy(op, lam)
+    return m[0, 0] + m[1, 1], dm[0, 0] + dm[1, 1]

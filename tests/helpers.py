@@ -10,9 +10,3 @@ def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5))
         rng.uniform(*hop_range, period), rng.uniform(*onsite_range, period)
     )
 
-
-def numpy_real_roots(coeffs):
-    """Independent root oracle: companion-matrix eigenvalues via numpy."""
-    r = np.roots(np.asarray(coeffs, dtype=float)[::-1])
-    real = r[np.abs(r.imag) < 1e-8].real
-    return np.sort(real)

@@ -3,7 +3,7 @@
 Each test checks one headline guarantee of the package at a pinned
 tolerance and prints a single PASS/FAIL line (run with `pytest -s` to
 see them). Every expected value is produced by an independent oracle:
-numpy/scipy eigensolvers, quadrature, companion-matrix roots, finite
+numpy/scipy eigensolvers, quadrature, numpy's Chebyshev series, finite
 differences, or closed forms derived by hand - never by the code under
 test.
 """
@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
+from numpy.polynomial import Chebyshev, Polynomial
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
@@ -22,15 +23,12 @@ from hillbands import (
     PeriodicJacobi,
     band_edges_bisection,
     band_edges_eig,
-    chebyshev,
     discriminant_from_edges,
     enumerate_onsite_classes,
     isospectral_neighbors,
     orbit_distance,
-    polynomials as poly,
     recover_onsite,
     recover_operator_from_edges,
-    rootfinding,
 )
 from hillbands.cli import main as cli_main
 
@@ -75,8 +73,8 @@ def test_a02_free_chain_closed_form():
     worst_gap = 0.0
     for period in range(1, 11):
         disc = Discriminant.from_operator(PeriodicJacobi.free(period, a, b))
-        t = chebyshev.chebyshev_t_coefficients(period)
-        expected = 2.0 * poly.affine_compose(t, 1.0 / (2 * a), -b / (2 * a))
+        t = Chebyshev.basis(period, domain=[b - 2 * a, b + 2 * a])
+        expected = 2.0 * t.convert(kind=Polynomial).coef
         worst_coeff = max(worst_coeff, np.max(np.abs(disc.coefficients - expected)))
         bs = BandStructure(PeriodicJacobi.free(period, a, b))
         analytic = np.sort(
@@ -113,16 +111,17 @@ def test_a03_spectrum_membership():
 
 def test_a04_dual_route_band_edges():
     rng = np.random.default_rng(104)
+    chains = [random_operator(rng, period) for period in (*range(2, 25), 32, 64)]
+    chains.append(PeriodicJacobi.free(6, hopping=0.9, onsite=0.1))
+    chains += [
+        PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+        for period in range(1, 25)
+    ]
     worst = 0.0
-    for period in (2, 3, 5, 8):
-        op = random_operator(rng, period)
+    for op in chains:
         worst = max(
             worst, np.max(np.abs(band_edges_eig(op) - band_edges_bisection(op)))
         )
-    free = PeriodicJacobi.free(6, hopping=0.9, onsite=0.1)
-    worst = max(
-        worst, np.max(np.abs(band_edges_eig(free) - band_edges_bisection(free)))
-    )
     report("A04 dual-route band edges (eig vs bisection)", worst, 1e-9)
 
 
@@ -260,59 +259,72 @@ def test_a11_trace_identities():
     )
 
 
-def test_a12_chebyshev_identities():
-    x = np.linspace(-2.0, 2.0, 41)
-    worst_comp = max(
-        np.max(
-            np.abs(
-                chebyshev.chebyshev_t(m, chebyshev.chebyshev_t(n, x))
-                - chebyshev.chebyshev_t(m * n, x)
-            )
-        )
-        for m, n in ((2, 3), (3, 2), (2, 2), (4, 2))
-    )
-    report("A12a Chebyshev composition T_m(T_n) = T_mn", worst_comp, 1e-9)
+def chebyshev_t(n, x):
+    """T_n pointwise: cos(n arccos x) inside [-1, 1], cosh outside."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) <= 1.0
+    with np.errstate(invalid="ignore"):
+        cos_form = np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+        cosh_form = np.sign(x) ** n * np.cosh(n * np.arccosh(np.abs(x)))
+    return np.where(inside, cos_form, cosh_form)
 
-    y = np.linspace(-1.5, 1.5, 31)
-    worst_pell = max(
+
+def test_a12_chebyshev_identities():
+    # Delta of the constant chain is 2 T_N((lam - b) / 2a).
+    a, b = 0.8, -0.3
+    lam = np.linspace(b - 2.5 * a, b + 2.5 * a, 41)
+    worst_free = max(
         np.max(
-            np.abs(
-                chebyshev.chebyshev_t(n, y) ** 2
-                - (y**2 - 1.0) * chebyshev.chebyshev_u(n - 1, y) ** 2
-                - 1.0
-            )
+            np.abs(Discriminant.free(n, a, b)(lam) - 2.0 * chebyshev_t(n, (lam - b) / (2 * a)))
         )
-        for n in (1, 2, 4, 7)
+        for n in (1, 2, 3, 5, 8)
     )
-    report("A12b Pell identity T^2 - (x^2-1) U^2 = 1", worst_pell, 1e-9)
+    report("A12a free discriminant vs pointwise 2 T_N", worst_free, 1e-9)
+
+    # Repeating a cell m times composes its discriminant with 2 T_m(x / 2),
+    # because the m-fold monodromy is M^m and det M = 1. The cell's own
+    # Delta comes from det(lam I - J(pi/2)) = prod(a) Delta(lam).
+    rng = np.random.default_rng(112)
+    x = np.linspace(-2.5, 2.5, 31)
+    worst_tile = 0.0
+    for cell, m in ((1, 3), (2, 2), (3, 2), (2, 3), (4, 2)):
+        op = random_operator(rng, cell)
+        tiled = PeriodicJacobi(np.tile(op.hopping, m), np.tile(op.onsite, m))
+        bloch = op.floquet_matrix(np.pi / 2.0)
+        delta = [
+            np.linalg.det(lam * np.eye(cell) - bloch).real / op.hopping_product()
+            for lam in x
+        ]
+        expected = 2.0 * chebyshev_t(m, np.asarray(delta) / 2.0)
+        got = Discriminant.from_operator(tiled)(x)
+        worst_tile = max(
+            worst_tile, np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
+        )
+    report("A12b repeated cell gives 2 T_m(Delta / 2)", worst_tile, 1e-9)
 
     worst_coeff = 0.0
     for n in range(13):
         basis = np.zeros(n + 1)
         basis[n] = 1.0
-        worst_coeff = max(
-            worst_coeff,
-            np.max(np.abs(chebyshev.chebyshev_t_coefficients(n) - C.cheb2poly(basis))),
-        )
-    report("A12c coefficients vs numpy cheb2poly", worst_coeff, 1e-10)
+        free = Discriminant.free(n, hopping=0.5, onsite=0.0).coefficients
+        worst_coeff = max(worst_coeff, np.max(np.abs(free - 2.0 * C.cheb2poly(basis))))
+    report("A12c free coefficients vs numpy cheb2poly", worst_coeff, 1e-10)
 
 
 def test_a13_root_isolation_oracle():
-    rng = np.random.default_rng(113)
+    # Bisection must report every band edge, with closed gaps as double
+    # edges; for the constant chain they sit at b + 2a cos(k pi / N).
     worst = 0.0
-    for _ in range(20):
-        deg = int(rng.integers(1, 13))
-        roots = np.sort(rng.uniform(-5.0, 5.0, deg)) + 0.3 * np.arange(deg)
-        c = poly.scale(poly.from_roots(roots), rng.uniform(0.5, 2.0))
-        found = rootfinding.real_roots(c)
-        assert found.size == deg
-        worst = max(worst, np.max(np.abs(found - roots)))
-    report("A13a simple roots vs construction", worst, 1e-9)
-
-    double = poly.multiply(poly.from_roots([0.4, 0.4]), poly.from_roots([-1.0, 2.2]))
-    found = rootfinding.real_roots(double)
-    ok = found.size == 4 and np.allclose(found, [-1.0, 0.4, 0.4, 2.2], atol=1e-6)
-    report_bool("A13b double roots reported with multiplicity", ok)
+    doubles = True
+    for period in range(2, 13):
+        a, b = 0.6 + 0.1 * period, 0.05 * period - 0.3
+        edges = band_edges_bisection(PeriodicJacobi.free(period, a, b))
+        interior = [b + 2 * a * np.cos(k * np.pi / period) for k in range(1, period)]
+        analytic = np.sort(np.concatenate([[b - 2 * a, b + 2 * a], interior, interior]))
+        worst = max(worst, np.max(np.abs(edges - analytic)))
+        doubles &= edges.size == 2 * period and bool(np.all(edges[1:-1:2] == edges[2::2]))
+    report("A13a bisection edges vs the closed form", worst, 1e-9)
+    report_bool("A13b double edges reported with multiplicity", doubles)
 
 
 def test_a14_cli_json_equivalence(capsys):

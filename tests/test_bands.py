@@ -42,11 +42,28 @@ def test_edge_count_and_ordering(generic_bs):
 
 def test_dual_route_edges_agree():
     rng = np.random.default_rng(31)
-    for period in (1, 2, 3, 5, 8):
+    for period in (1, *range(2, 25), 32, 64):
         op = random_operator(rng, period)
         eig_edges = band_edges_eig(op)
         bis_edges = band_edges_bisection(op)
         assert np.allclose(eig_edges, bis_edges, atol=1e-10)
+    for period in range(1, 25):
+        op = PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+        assert np.allclose(band_edges_eig(op), band_edges_bisection(op), atol=1e-10)
+
+
+@pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89)])
+def test_harper_bisection_matches_eig(period, f_prev):
+    # Fibonacci approximants of the almost-Mathieu chain have open gaps
+    # as narrow as 1e-8, which the closed-gap test must leave open.
+    sites = np.arange(period)
+    for phi in (0.3, 2.1):
+        op = PeriodicJacobi(
+            np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi)
+        )
+        scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+        err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
+        assert err <= 1e-9 * scale
 
 
 def test_dual_route_with_closed_gaps():
@@ -157,6 +174,31 @@ def test_integrated_density_matches_truncation_counting(generic_op, generic_bs):
         assert generic_bs.integrated_density(lam) == pytest.approx(
             empirical, abs=5e-3
         )
+
+
+def test_integrated_density_matches_band_loop():
+    # Reference: walk the bands from the bottom, counting a band filled
+    # from its upper edge on and entering it at its lower edge.
+    def reference(bs, lam):
+        n = bs.operator.period
+        filled = 0
+        for band in bs.bands:
+            if lam >= band.upper:
+                filled += 1
+                continue
+            if lam < band.lower:
+                break
+            phase_lower = 0.0 if (n - band.index) % 2 == 0 else np.pi
+            return (filled + abs(bs.bloch_phase(lam) - phase_lower) / np.pi) / n
+        return filled / n
+
+    rng = np.random.default_rng(37)
+    for op in (random_operator(rng, 5), PeriodicJacobi.free(4, hopping=0.9, onsite=0.3)):
+        bs = BandStructure(op)
+        grid = np.concatenate([bs.edges, np.linspace(bs.edges[0] - 0.3, bs.edges[-1] + 0.3, 97)])
+        expected = [reference(bs, lam) for lam in grid]
+        assert np.array_equal(bs.integrated_density(grid), expected)
+        assert bs.integrated_density(grid[3]) == expected[3]
 
 
 def test_quasimomentum_scaling(generic_bs):

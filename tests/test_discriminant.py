@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hillbands import Discriminant, PeriodicJacobi, polynomials as poly
+from hillbands import Discriminant, PeriodicJacobi
 
 from helpers import random_operator
 
@@ -61,16 +61,6 @@ def test_monic_coefficients_leading_one():
     op = random_operator(rng, 5)
     monic = Discriminant.from_operator(op).monic_coefficients()
     assert monic[-1] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_shifted_monic_offsets_constant_term():
-    disc = Discriminant.from_operator(PeriodicJacobi([1.0, 1.3], [0.2, -0.2]))
-    minus_two = disc.shifted_monic(2.0)  # monic form of prod(a) * (Delta - 2)
-    base = disc.monic_coefficients()
-    assert minus_two[0] == pytest.approx(base[0] - 2.0 * disc.hopping_product)
-    assert np.allclose(minus_two[1:], base[1:])
-    roots = np.roots(minus_two[::-1])
-    assert np.allclose(np.sort(disc(np.sort(roots.real))), 2.0, atol=1e-9)
 
 
 def test_trace_coefficient():

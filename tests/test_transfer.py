@@ -2,47 +2,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
-from hillbands import PeriodicJacobi, polynomials as poly, transfer
+from hillbands import PeriodicJacobi, transfer
 
 from helpers import random_operator
 
 
-def test_step_matrix_advances_recurrence():
+def test_monodromy_advances_recurrence():
     op = PeriodicJacobi([1.0, 0.7, 1.3], [0.2, -0.4, 0.1])
     lam = 0.37
-    state = np.array([1.0, 0.5])  # (u_0, u_{-1})
     # Manual three-term recurrence with the same periodic hopping convention.
     a, b = op.hopping, op.onsite
     u = [0.5, 1.0]  # u_{-1}, u_0
     for n in range(3):
         a_prev = a[(n - 1) % 3]
         u.append(((lam - b[n]) * u[-1] - a_prev * u[-2]) / a[n])
-        state = transfer.step_matrix(op, n, lam) @ state
-    assert state == pytest.approx(np.array([u[-1], u[-2]]))
+    m, _ = transfer.monodromy(op, lam)
+    assert m @ np.array([1.0, 0.5]) == pytest.approx(np.array([u[-1], u[-2]]))
 
 
 def test_monodromy_det_is_one():
     rng = np.random.default_rng(2)
     for period in (1, 2, 5, 9):
         op = random_operator(rng, period)
-        for lam in (-1.7, 0.0, 2.3):
-            m = transfer.monodromy(op, lam)
-            assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
+        m, _ = transfer.monodromy(op, np.array([-1.7, 0.0, 2.3]))
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        assert det == pytest.approx(np.ones(3), abs=1e-12)
 
 
-def test_monodromy_poly_matches_numeric():
+def test_monodromy_coefficients_match_values():
     rng = np.random.default_rng(4)
     op = random_operator(rng, 6)
-    entries = transfer.monodromy_poly(op)
+    entries = transfer.monodromy_coefficients(op)
     lams = np.linspace(-3, 3, 11)
-    for lam in lams:
-        numeric = transfer.monodromy(op, lam)
-        for i in range(2):
-            for j in range(2):
-                assert poly.evaluate(entries[i][j], lam) == pytest.approx(
-                    numeric[i, j], rel=1e-10, abs=1e-10
-                )
+    values, slopes = transfer.monodromy(op, lams)
+    for i in range(2):
+        for j in range(2):
+            c = entries[i, j]
+            assert P.polyval(lams, c) == pytest.approx(values[i, j], rel=1e-10, abs=1e-10)
+            assert P.polyval(lams, P.polyder(c)) == pytest.approx(
+                slopes[i, j], rel=1e-10, abs=1e-10
+            )
 
 
 def test_discriminant_coefficients_degree_and_leading():
@@ -50,18 +51,18 @@ def test_discriminant_coefficients_degree_and_leading():
     for period in (1, 2, 4, 7):
         op = random_operator(rng, period)
         c = transfer.discriminant_coefficients(op)
-        assert poly.degree(c) == period
+        assert c.size == period + 1
         assert c[-1] == pytest.approx(1.0 / op.hopping_product(), rel=1e-12)
 
 
-def test_dirichlet_coefficients_roots_match_submatrix():
-    # The corner entry of the monodromy vanishes exactly at the eigenvalues
-    # of the chain restricted to one period with the first site removed.
+def test_dirichlet_minor_roots_match_submatrix():
+    # Relabelled to start at site 1, the corner entry M[1, 0] vanishes
+    # exactly at the eigenvalues of the chain with site 0 removed.
     rng = np.random.default_rng(8)
     op = random_operator(rng, 6)
-    c = transfer.dirichlet_coefficients(op)
+    c = transfer.monodromy_coefficients(op.shifted(1))[1, 0]
     expected = np.linalg.eigvalsh(op.dirichlet_matrix())
-    roots = np.sort(np.roots(np.asarray(c)[::-1]).real)
+    roots = np.sort(P.polyroots(c[:-1]).real)
     assert np.allclose(roots, expected, atol=1e-9)
 
 
@@ -74,6 +75,9 @@ def test_dirichlet_coefficients_roots_match_submatrix():
 def test_trace_equals_discriminant_polynomial(period, lam, seed):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, period)
-    tr = np.trace(transfer.monodromy(op, lam))
-    val = poly.evaluate(transfer.discriminant_coefficients(op), lam)
-    assert val == pytest.approx(tr, rel=1e-9, abs=1e-9)
+    m, _ = transfer.monodromy(op, lam)
+    delta, slope = transfer.discriminant(op, lam)
+    c = transfer.discriminant_coefficients(op)
+    assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
+    assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
+    assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
