@@ -1,9 +1,31 @@
+"""Chebyshev polynomials as the chain produces them.
+
+The constant chain with a = 1/2, b = 0 runs the Chebyshev recurrence
+u_{n+1} = 2 x u_n - u_{n-1}, so its monodromy over N sites holds
+Delta = 2 T_N(x) and M[1, 0] = U_{N-1}(x). These tests check the
+transfer march and `Discriminant.free` against the Chebyshev identities.
+"""
+
 import numpy as np
 import numpy.polynomial.chebyshev as C
 import pytest
+from numpy.polynomial import polynomial as P
 
-from hillbands import chebyshev as cheb
-from hillbands import polynomials as poly
+from hillbands import Discriminant, PeriodicJacobi, transfer
+
+
+def chebyshev_chain(n):
+    return PeriodicJacobi.free(n, 0.5, 0.0)
+
+
+def t_values(n, x):
+    """T_n(x) by the recurrence of the period-n chain."""
+    return 0.5 * transfer.discriminant(chebyshev_chain(n), x)[0]
+
+
+def u_values(n, x):
+    """U_n(x), the corner entry M[1, 0] of the period-(n + 1) chain."""
+    return transfer.monodromy(chebyshev_chain(n + 1), x)[0][1, 0]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -12,59 +34,73 @@ def test_t_coefficients_match_numpy(n):
     basis = np.zeros(n + 1)
     basis[n] = 1.0
     expected = C.cheb2poly(basis)
-    assert np.allclose(cheb.chebyshev_t_coefficients(n), expected, atol=1e-12)
+    free = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
+    assert np.allclose(free, expected, atol=1e-12)
+    if n >= 1:
+        marched = 0.5 * transfer.discriminant_coefficients(chebyshev_chain(n))
+        assert np.allclose(marched, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_u_coefficients_match_derivative_identity(n):
     # U_{n-1} = T_n' / n
-    t = cheb.chebyshev_t_coefficients(n)
-    expected = poly.scale(poly.derivative(t), 1.0 / n)
-    assert np.allclose(cheb.chebyshev_u_coefficients(n - 1), expected, atol=1e-12)
+    t = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
+    expected = P.polyder(t) / n
+    corner = transfer.monodromy_coefficients(chebyshev_chain(n))[1, 0]
+    assert corner[n] == 0.0
+    assert np.allclose(corner[:n], expected, atol=1e-12)
 
 
 def test_t_eval_inside_interval():
     x = np.linspace(-1, 1, 101)
-    for n in (0, 1, 2, 5, 11):
-        assert np.allclose(cheb.chebyshev_t(n, x), np.cos(n * np.arccos(x)), atol=1e-12)
+    assert np.allclose(0.5 * Discriminant.free(0, 0.5, 0.0)(x), 1.0, atol=1e-12)
+    for n in (1, 2, 5, 11):
+        assert np.allclose(t_values(n, x), np.cos(n * np.arccos(x)), atol=1e-12)
 
 
 def test_t_eval_outside_interval_matches_coefficients():
     x = np.array([-6.0, -1.5, 1.5, 3.0, 20.0])
     for n in (1, 2, 3, 7):
-        direct = poly.evaluate(cheb.chebyshev_t_coefficients(n), x)
-        assert np.allclose(cheb.chebyshev_t(n, x), direct, rtol=1e-10)
+        coefficients = 0.5 * transfer.discriminant_coefficients(chebyshev_chain(n))
+        closed = np.sign(x) ** n * np.cosh(n * np.arccosh(np.abs(x)))
+        assert np.allclose(t_values(n, x), P.polyval(x, coefficients), rtol=1e-10)
+        assert np.allclose(t_values(n, x), closed, rtol=1e-10)
 
 
 def test_u_eval_matches_coefficients_everywhere():
     x = np.concatenate([np.linspace(-0.99, 0.99, 21), [-4.0, -1.2, 1.2, 4.0]])
+    inside = np.abs(x) < 1.0
+    t = np.arccos(x[inside])
     for n in (0, 1, 2, 6):
-        direct = poly.evaluate(cheb.chebyshev_u_coefficients(n), x)
-        assert np.allclose(cheb.chebyshev_u(n, x), direct, rtol=1e-9)
+        corner = transfer.monodromy_coefficients(chebyshev_chain(n + 1))[1, 0]
+        assert np.allclose(u_values(n, x), P.polyval(x, corner), rtol=1e-9)
+        closed = np.sin((n + 1) * t) / np.sin(t)
+        assert np.allclose(u_values(n, x)[inside], closed, rtol=1e-9)
 
 
 def test_composition_identity():
-    # T_m(T_n(x)) = T_{mn}(x)
+    # T_m(T_n(x)) = T_{mn}(x): the period-mn chain is the period-n cell
+    # repeated m times.
     x = np.linspace(-2, 2, 41)
     for m, n in [(2, 3), (3, 2), (2, 2)]:
         assert np.allclose(
-            cheb.chebyshev_t(m, cheb.chebyshev_t(n, x)),
-            cheb.chebyshev_t(m * n, x),
+            t_values(m, t_values(n, x)),
+            t_values(m * n, x),
             rtol=1e-9,
             atol=1e-9,
         )
 
 
 def test_pell_identity():
-    # T_n^2 - (x^2 - 1) U_{n-1}^2 = 1
+    # T_n^2 - (x^2 - 1) U_{n-1}^2 = 1, det M = 1 for the Chebyshev chain
     x = np.linspace(-1.5, 1.5, 31)
     for n in (1, 2, 4, 7):
-        lhs = cheb.chebyshev_t(n, x) ** 2 - (x**2 - 1) * cheb.chebyshev_u(n - 1, x) ** 2
+        lhs = t_values(n, x) ** 2 - (x**2 - 1) * u_values(n - 1, x) ** 2
         assert np.allclose(lhs, 1.0, atol=1e-9)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        cheb.chebyshev_t_coefficients(-1)
+        Discriminant.free(-1)
     with pytest.raises(ValueError):
-        cheb.chebyshev_u_coefficients(-1)
+        PeriodicJacobi.free(0)

@@ -1,112 +1,48 @@
+"""Polynomial arithmetic of the discriminant.
+
+`Discriminant` holds Delta as an ascending power-basis coefficient
+array; these tests check its evaluation, derivative, monic scaling and
+the affine change of variable inside `Discriminant.free`.
+"""
+
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hillbands import polynomials as poly
-
-
-coeff_lists = st.lists(
-    st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
-)
-
-
-def test_trim_strips_trailing_zeros():
-    assert poly.trim([1.0, 2.0, 0.0, 0.0]).tolist() == [1.0, 2.0]
-    assert poly.as_poly([1.0, 0.0]).tolist() == [1.0, 0.0]  # no implicit trim
-
-
-def test_trim_relative_threshold():
-    assert poly.trim([1.0, 2.0, 1e-12], rtol=1e-9).tolist() == [1.0, 2.0]
-    assert poly.trim([1.0, 2.0, 1e-12]).size == 3  # exact by default
-
-
-def test_zero_polynomial():
-    z = poly.trim([0.0, 0.0])
-    assert z.tolist() == [0.0]
-    assert poly.is_zero(z)
-    assert poly.degree(z) == 0
-
-
-def test_add_subtract_roundtrip():
-    p = [1.0, 2.0, 3.0]
-    q = [0.5, -1.0]
-    s = poly.add(p, q)
-    assert np.allclose(poly.subtract(s, q), p)
-
-
-def test_multiply_known_product():
-    # (1 + x)(1 - x) = 1 - x^2
-    assert poly.multiply([1.0, 1.0], [1.0, -1.0]).tolist() == [1.0, 0.0, -1.0]
+from hillbands import Discriminant, PeriodicJacobi
 
 
 def test_derivative():
     # d/dx (1 + 2x + 3x^2) = 2 + 6x
-    assert poly.derivative([1.0, 2.0, 3.0]).tolist() == [2.0, 6.0]
-    assert poly.derivative([4.0]).tolist() == [0.0]
+    x = np.array([-1.0, 0.0, 2.0])
+    assert Discriminant([1.0, 2.0, 3.0], 1.0).derivative(x).tolist() == [-4.0, 2.0, 14.0]
+    assert Discriminant([4.0], 1.0).derivative(x).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_evaluate_matches_direct_sum():
     c = [1.0, -2.0, 0.5, 3.0]
     x = np.array([-1.3, 0.0, 0.7, 2.5])
     direct = sum(ck * x**k for k, ck in enumerate(c))
-    assert np.allclose(poly.evaluate(c, x), direct, rtol=1e-14)
-
-
-def test_divide_with_remainder():
-    # x^3 - 1 = (x - 1)(x^2 + x + 1) + 0
-    q, r = poly.divide([-1.0, 0.0, 0.0, 1.0], [-1.0, 1.0])
-    assert np.allclose(q, [1.0, 1.0, 1.0])
-    assert poly.is_zero(r)
-
-
-def test_divide_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        poly.divide([1.0, 1.0], [0.0])
+    assert np.allclose(Discriminant(c, 1.0)(x), direct, rtol=1e-14)
 
 
 def test_monic():
-    m = poly.monic([2.0, 4.0, 2.0])
-    assert np.allclose(m, [1.0, 2.0, 1.0])
+    # a = (2, 1), b = (0, 0): (prod a) Delta = lam^2 - a_0^2 - a_1^2
+    op = PeriodicJacobi([2.0, 1.0], [0.0, 0.0])
+    m = Discriminant.from_operator(op).monic_coefficients()
+    assert np.allclose(m, [-5.0, 0.0, 1.0])
 
 
 def test_from_roots_expands_product():
-    # (x - 1)(x - 2)(x + 3) = x^3 - 7x + 6
-    c = poly.from_roots([1.0, 2.0, -3.0])
-    assert np.allclose(c, [6.0, -7.0, 0.0, 1.0])
+    # Free chain, period 3: (prod a) Delta = lam^3 - 3 lam
+    # = (lam + sqrt 3) lam (lam - sqrt 3).
+    c = Discriminant.from_operator(PeriodicJacobi.free(3)).monic_coefficients()
+    assert np.allclose(c, [0.0, -3.0, 0.0, 1.0])
 
 
 def test_affine_compose_matches_pointwise():
-    p = [1.0, -1.0, 2.0, 0.5]
+    # free(N, a, b)(lam) = 2 T_N((lam - b) / (2a)) = free(N, 1/2, 0) at the
+    # rescaled point.
     alpha, beta = 0.7, -1.2
-    comp = poly.affine_compose(p, alpha, beta)
+    comp = Discriminant.free(3, alpha, beta)
+    base = Discriminant.free(3, 0.5, 0.0)
     x = np.linspace(-2, 2, 17)
-    assert np.allclose(
-        poly.evaluate(comp, x), poly.evaluate(p, alpha * x + beta), rtol=1e-13
-    )
-
-
-def test_cauchy_bound_contains_roots():
-    roots = [-3.0, 0.5, 4.0]
-    c = poly.from_roots(roots)
-    assert poly.cauchy_bound(c) > max(abs(r) for r in roots)
-
-
-def test_eval_scale_positive():
-    assert poly.eval_scale([1.0, -2.0], 3.0) == pytest.approx(7.0)
-
-
-@given(coeff_lists, coeff_lists)
-@settings(max_examples=60)
-def test_multiply_is_pointwise_product(p, q):
-    x = np.linspace(-1, 1, 7)
-    lhs = poly.evaluate(poly.multiply(p, q), x)
-    rhs = poly.evaluate(p, x) * poly.evaluate(q, x)
-    assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-
-
-@given(coeff_lists)
-@settings(max_examples=60)
-def test_add_with_negation_is_zero(p):
-    s = poly.add(p, poly.scale(p, -1.0))
-    assert poly.is_zero(poly.trim(s))
+    assert np.allclose(comp(x), base((x - beta) / (2.0 * alpha)), rtol=1e-13)

@@ -1,78 +1,42 @@
+"""Real roots of Delta -+ 2 found by `band_edges_bisection`.
+
+The band edges are the 2N real zeros of Delta -+ 2, with a closed gap a
+double zero. These tests hold the bisection route to known roots and
+to the companion-matrix roots of the discriminant coefficients.
+"""
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
-from hillbands import polynomials as poly, rootfinding as rf
-
-from helpers import numpy_real_roots
-
-
-def test_sturm_count_roots():
-    # (x-1)(x-2)(x-3): three roots in (0, 4), one in (1.5, 2.5).
-    c = poly.from_roots([1.0, 2.0, 3.0])
-    chain = rf.sturm_chain(c)
-    assert rf.sign_variations(chain, 0.0) - rf.sign_variations(chain, 4.0) == 3
-    assert rf.count_roots(c, 0.0, 4.0) == 3
-    assert rf.count_roots(c, 1.5, 2.5) == 1
-    assert rf.count_roots(c, 3.5, 9.0) == 0
-
-
-def test_refine_root_simple():
-    c = poly.from_roots([np.pi])
-    root = rf.refine_root(c, 2.0, 4.0, 1e-14)
-    assert root == pytest.approx(np.pi, abs=1e-12)
-
-
-def test_refine_root_requires_bracket():
-    c = poly.from_roots([0.0])
-    with pytest.raises(ValueError):
-        rf.refine_root(c, 1.0, 2.0, 1e-12)
-
-
-def test_real_roots_simple_cubic():
-    expected = np.array([-2.5, 0.25, 1.75])
-    found = rf.real_roots(poly.from_roots(expected))
-    assert np.allclose(found, expected, atol=1e-12)
+from hillbands import Discriminant, PeriodicJacobi, band_edges_bisection, band_edges_eig
 
 
 def test_real_roots_double_root_reported_twice():
-    # (x-1)^2 (x+2): the grazing critical point yields a doubled root.
-    c = poly.multiply(poly.from_roots([1.0, 1.0]), poly.from_roots([-2.0]))
-    found = rf.real_roots(c)
-    assert found.size == 3
-    assert np.allclose(found, [-2.0, 1.0, 1.0], atol=1e-7)
+    # Free chain, period 2: Delta = lam^2 - 2, so Delta + 2 has a double
+    # zero at 0 and Delta - 2 simple zeros at -+2.
+    found = band_edges_bisection(PeriodicJacobi.free(2))
+    assert found.size == 4
+    assert np.allclose(found, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_real_roots_two_double_roots():
-    c = poly.from_roots([-1.0, -1.0, 2.0, 2.0])
-    found = rf.real_roots(c)
-    assert found.size == 4
-    assert np.allclose(found, [-1.0, -1.0, 2.0, 2.0], atol=1e-7)
-
-
-def test_real_roots_linear_and_constant():
-    assert np.allclose(rf.real_roots([3.0, -1.5]), [2.0])
-    assert rf.real_roots([4.0]).size == 0
-
-
-def test_real_roots_quadratic_conditioning():
-    # Roots of very different magnitude: the paired formula keeps both accurate.
-    c = poly.from_roots([1e-8, 1e4])
-    found = rf.real_roots(c)
-    assert found[0] == pytest.approx(1e-8, rel=1e-6)
-    assert found[1] == pytest.approx(1e4, rel=1e-12)
-
-
-def test_real_roots_no_real_roots():
-    assert rf.real_roots([1.0, 0.0, 1.0]).size == 0  # x^2 + 1
+    # Free chain, period 3: Delta = lam^3 - 3 lam, double zeros of
+    # Delta -+ 2 at -1 and 1.
+    found = band_edges_bisection(PeriodicJacobi.free(3))
+    assert found.size == 6
+    assert np.allclose(found, [-2.0, -1.0, -1.0, 1.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_real_roots_close_pair_resolved():
-    expected = np.array([0.5, 0.5 + 1e-5])
-    found = rf.real_roots(poly.from_roots(expected))
-    assert found.size == 2
-    assert np.allclose(found, expected, atol=1e-9)
+    # a = (1, 1), b = (beta, -beta): edges -+beta, -+sqrt(beta^2 + 4); a
+    # gap of width 1e-5 stays open.
+    beta = 5e-6
+    outer = np.sqrt(beta**2 + 4.0)
+    found = band_edges_bisection(PeriodicJacobi([1.0, 1.0], [beta, -beta]))
+    assert found.size == 4
+    assert np.allclose(found, [-outer, -beta, beta, outer], atol=1e-9)
 
 
 @given(
@@ -84,14 +48,14 @@ def test_real_roots_close_pair_resolved():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_real_roots_matches_companion_oracle(roots, seed):
-    # Spread the roots so every pair is clearly simple; clusters tighter
-    # than the grazing-detection window are legitimately reported merged.
-    roots = [r + 0.25 * i for i, r in enumerate(sorted(roots))]
+def test_real_roots_matches_companion_oracle(onsite, seed):
     rng = np.random.default_rng(seed)
-    c = poly.scale(poly.from_roots(roots), rng.uniform(0.5, 2.0))
-    found = rf.real_roots(c)
-    oracle = numpy_real_roots(c)
-    assert found.size == len(roots)
+    op = PeriodicJacobi(rng.uniform(0.5, 2.0, len(onsite)), onsite)
+    c = Discriminant.from_operator(op).monic_coefficients()
+    shift = np.zeros_like(c)
+    shift[0] = 2.0 * op.hopping_product()
+    oracle = np.sort(np.concatenate([P.polyroots(c - shift), P.polyroots(c + shift)]).real)
+    found = band_edges_bisection(op)
+    assert found.size == 2 * op.period
     assert np.allclose(found, oracle, atol=1e-6)
-    assert np.allclose(found, np.sort(roots), atol=1e-6)
+    assert np.allclose(found, band_edges_eig(op), atol=1e-6)
