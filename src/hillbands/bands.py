@@ -3,9 +3,9 @@
 A period-N chain has N closed spectral bands separated by N-1 gaps, some
 of which may be closed. The 2N band edges are the zeros of Delta -+ 2,
 equivalently the eigenvalues of the Bloch Hamiltonians at phase 0 and
-pi. Both routes are implemented: the Hermitian eigensolver route and
-bisection on the discriminant between Dirichlet eigenvalues; they must
-agree, and the acceptance suite holds them to that.
+pi. Both routes are implemented: the Hermitian band-matrix eigensolver
+route and bisection on the discriminant between Dirichlet eigenvalues;
+they must agree, and the acceptance suite holds them to that.
 """
 
 from dataclasses import dataclass
@@ -50,12 +50,11 @@ class Gap:
 
 
 def band_edges_eig(op):
-    """All 2N band edges via eigvalsh of the Bloch matrices at 0 and pi."""
-    return np.sort(
-        np.concatenate(
-            [op.floquet_eigenvalues(0.0), op.floquet_eigenvalues(np.pi)]
-        )
-    )
+    """All 2N band edges: the periodic (theta = 0) and antiperiodic
+    (theta = pi) Bloch eigenvalues, each phase one real band-matrix
+    solve in O(N^2) (see PeriodicJacobi.floquet_eigenvalues).
+    """
+    return np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
 
 
 def band_edges_bisection(op, tol=1e-13):
@@ -120,7 +119,7 @@ class BandStructure:
     operator : PeriodicJacobi
         The chain whose spectrum is described.
     method : {'eig', 'bisection'}
-        How band edges are computed. 'eig' diagonalizes the Bloch
+        How band edges are computed. 'eig' solves the Bloch band
         matrices at phases 0 and pi; 'bisection' brackets the zeros
         of Delta -+ 2 by Dirichlet eigenvalues and bisects them.
 
@@ -134,7 +133,6 @@ class BandStructure:
 
     def __init__(self, operator, method="eig"):
         self.operator = operator
-        self.discriminant = Discriminant.from_operator(operator)
         if method == "eig":
             self.edges = band_edges_eig(operator)
         elif method == "bisection":
@@ -142,6 +140,12 @@ class BandStructure:
         else:
             raise ValueError(f"unknown method {method!r}")
         self.edges.setflags(write=False)
+
+    @cached_property
+    def discriminant(self):
+        """Coefficient form of Delta, built on first use; edges and
+        dispersion never need it."""
+        return Discriminant.from_operator(self.operator)
 
     @cached_property
     def bands(self):
@@ -173,12 +177,13 @@ class BandStructure:
         return np.arccos(np.clip(self.discriminant(lam) / 2.0, -1.0, 1.0))
 
     def dispersion(self, thetas):
-        """Band energies over Bloch phases; shape (N, len(thetas))."""
+        """Band energies over Bloch phases; shape (N, len(thetas)).
+
+        One O(N^2) band-matrix solve per phase, all sharing one folded
+        band built once (see PeriodicJacobi.floquet_eigenvalues).
+        """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        out = np.empty((self.operator.period, thetas.size))
-        for k, theta in enumerate(thetas):
-            out[:, k] = self.operator.floquet_eigenvalues(theta)
-        return out
+        return self.operator.floquet_eigenvalues(thetas.ravel()).T
 
     def density_of_states(self, lam):
         """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.

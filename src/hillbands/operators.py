@@ -13,6 +13,7 @@ gauge transformation that never changes the spectrum.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsbevd, dsterf, zhbevd
 
 
 @dataclass
@@ -64,7 +65,8 @@ class PeriodicJacobi:
         """N x N Bloch Hamiltonian for boundary phase u_{n+N} = e^{i theta} u_n.
 
         Hermitian for real theta; its eigenvalues are the N solutions of
-        discriminant(lam) = 2 cos(theta).
+        discriminant(lam) = 2 cos(theta). Dense, so O(N^3) to solve:
+        floquet_eigenvalues gets the same eigenvalues in O(N^2).
         """
         n = self.period
         J = np.zeros((n, n), dtype=complex)
@@ -80,8 +82,46 @@ class PeriodicJacobi:
         return J
 
     def floquet_eigenvalues(self, theta):
-        """Sorted eigenvalues of the Bloch Hamiltonian at phase theta."""
-        return np.linalg.eigvalsh(self.floquet_matrix(theta))
+        """Sorted eigenvalues of the Bloch Hamiltonian at phase theta.
+
+        Sites are taken in the folded order 0, N-1, 1, N-2, 2, ..., in
+        which every bond, the closing one included, joins sites at most
+        two apart. J(theta) is then a Hermitian band matrix of
+        half-bandwidth 2, stored as its 3 x N lower band and solved by
+        LAPACK's band solver in O(N^2): real ?sbevd when theta is a
+        multiple of pi, complex ?hbevd otherwise. The dense matrix is
+        never formed, and between phases only the closing-bond entry
+        changes. An array of phases gives shape theta.shape + (N,).
+        """
+        theta = np.asarray(theta, dtype=float)
+        a, b = self.hopping, self.onsite
+        n = self.period
+        if n == 1:
+            return b[0] + 2.0 * a[0] * np.cos(theta)[..., None]
+        order = np.empty(n, dtype=np.intp)
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+        band = np.zeros((3, n), order="F")
+        band[0] = b[order]
+        # Row 2 holds the bonds two positions apart, row 1 the one bond
+        # between the middle sites and, at (1, 0), the closing bond
+        # joining sites N-1 and 0; at N = 2 these last two are one entry.
+        band[2, :-2] = a[np.minimum(order[:-2], order[2:])]
+        band[1, n - 2] = a[min(order[-2], order[-1])]
+        open_corner = band[1, 0]
+        complex_band = band.astype(complex, order="F")
+        out = np.empty(theta.shape + (n,))
+        for index, phase in np.ndenumerate(theta):
+            if phase % np.pi == 0.0:
+                band[1, 0] = open_corner + a[-1] * np.cos(phase)
+                w, _, info = dsbevd(band, compute_v=0, lower=1, overwrite_ab=0)
+            else:
+                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
+                w, _, info = zhbevd(complex_band, compute_v=0, lower=1, overwrite_ab=0)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"band eigensolver failed (info {info})")
+            out[index] = w
+        return out
 
     def dirichlet_matrix(self):
         """Tridiagonal block on sites 1..N-1 (site 0 deleted).
@@ -101,10 +141,13 @@ class PeriodicJacobi:
         return d
 
     def dirichlet_eigenvalues(self):
-        d = self.dirichlet_matrix()
-        if d.size == 0:
-            return np.zeros(0)
-        return np.linalg.eigvalsh(d)
+        """Sorted eigenvalues of dirichlet_matrix(), by LAPACK ?sterf in O(N^2)."""
+        if self.period <= 2:
+            return self.onsite[1:].copy()  # at most one site, no bond
+        w, info = dsterf(self.onsite[1:], self.hopping[1:-1])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
+        return w
 
     def truncated_matrix(self, cells):
         """Dense Hamiltonian of `cells` repetitions with open ends."""

@@ -46,7 +46,11 @@ def discriminant_coefficients(op):
 
 
 def monodromy(op, lam):
-    """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape."""
+    """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape.
+
+    Raises ValueError when an entry overflows the float range, as it
+    does for weak bonds at long periods: |M| grows like prod|lam - b| / prod a.
+    """
     lam = np.asarray(lam, dtype=float)
     cur = np.zeros((2,) + lam.shape)
     prev = np.zeros((2,) + lam.shape)
@@ -55,12 +59,19 @@ def monodromy(op, lam):
     dcur = np.zeros_like(cur)
     dprev = np.zeros_like(cur)
     a, b = op.hopping, op.onsite
-    for k in range(op.period):
-        shift = lam - b[k]
-        nxt = (shift * cur - a[k - 1] * prev) / a[k]
-        dnxt = (cur + shift * dcur - a[k - 1] * dprev) / a[k]
-        prev, cur = cur, nxt
-        dprev, dcur = dcur, dnxt
+    try:
+        with np.errstate(over="raise"):
+            for k in range(op.period):
+                shift = lam - b[k]
+                nxt = (shift * cur - a[k - 1] * prev) / a[k]
+                dnxt = (cur + shift * dcur - a[k - 1] * dprev) / a[k]
+                prev, cur = cur, nxt
+                dprev, dcur = dcur, dnxt
+    except FloatingPointError:
+        raise ValueError(
+            f"transfer recurrence overflowed at site {k} of period {op.period}: "
+            "the monodromy exceeds the float range"
+        ) from None
     return np.stack([cur, prev]), np.stack([dcur, dprev])
 
 

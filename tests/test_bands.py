@@ -3,7 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from hillbands import BandStructure, PeriodicJacobi, band_edges_bisection, band_edges_eig
+from hillbands import (
+    BandStructure,
+    Discriminant,
+    PeriodicJacobi,
+    band_edges_bisection,
+    band_edges_eig,
+)
 
 from helpers import random_operator
 
@@ -124,6 +130,46 @@ def test_dispersion_reproduces_floquet(generic_op, generic_bs):
         assert np.allclose(
             table[:, i], generic_op.floquet_eigenvalues(theta), atol=1e-10
         )
+
+
+def test_dispersion_of_uniform_chain_matches_closed_form():
+    # Phase theta over the cell is theta / N per site, so band m sits at
+    # b + 2a cos((theta + 2 pi m) / N).
+    n, a, b = 400, 0.9, -0.2
+    thetas = np.array([0.0, 0.37, np.pi / 2, np.pi])
+    table = BandStructure(PeriodicJacobi.free(n, a, b)).dispersion(thetas)
+    m = np.arange(n)[:, None]
+    expected = np.sort(b + 2 * a * np.cos((thetas + 2 * np.pi * m) / n), axis=0)
+    assert np.max(np.abs(table - expected)) <= 1e-12 * max(1.0, abs(b) + 2 * a)
+
+
+def test_bloch_spectra_never_build_the_dense_matrix(monkeypatch):
+    # The Bloch spectra are band-matrix solves; a dense N x N matrix
+    # would bring back the O(N^3) eigensolve.
+    original = PeriodicJacobi.floquet_matrix
+
+    def guarded(self, theta):
+        if self.period >= 3:
+            raise AssertionError("dense Bloch matrix built")
+        return original(self, theta)
+
+    monkeypatch.setattr(PeriodicJacobi, "floquet_matrix", guarded)
+    for period in (2, 3, 8, 89):
+        op = random_operator(np.random.default_rng(period), period)
+        assert op.floquet_eigenvalues(0.37).shape == (period,)
+        assert band_edges_eig(op).shape == (2 * period,)
+        assert BandStructure(op).dispersion(np.linspace(0, np.pi, 5)).shape == (period, 5)
+
+
+def test_discriminant_built_only_on_first_use(generic_op):
+    bs = BandStructure(generic_op)
+    bs.dispersion([0.0, 1.0])
+    assert len(bs.gaps) == 2
+    assert "discriminant" not in bs.__dict__
+    assert bs.to_dict()["discriminant_coefficients"] == pytest.approx(
+        Discriminant.from_operator(generic_op).coefficients.tolist()
+    )
+    assert "discriminant" in bs.__dict__
 
 
 def test_density_of_states_normalization(generic_bs):

@@ -41,6 +41,17 @@ def test_bands_bisection_method(capsys):
     assert np.allclose(payload["edges"], bs.edges, atol=1e-9)
 
 
+def test_bands_bisection_overflow_exits_nonzero(capsys):
+    rng = np.random.default_rng(300)
+    onsite = ",".join(f"{x:.17g}" for x in rng.uniform(-1.5, 1.5, 300))
+    hopping = ",".join(f"{x:.17g}" for x in rng.uniform(0.05, 0.1, 300))
+    code, out, err = run_cli(
+        capsys, "bands", f"--onsite={onsite}", f"--hopping={hopping}", "--method", "bisection"
+    )
+    assert code == 1 and out == ""
+    assert "overflow" in err
+
+
 def test_dispersion_json(capsys):
     code, out, _ = run_cli(
         capsys, "dispersion", "--onsite", "0,0.5", "--samples", "5", "--json"

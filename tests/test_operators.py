@@ -85,6 +85,39 @@ def test_floquet_eigenvalues_real_and_sorted():
         assert np.all(np.diff(vals) >= 0)
 
 
+def _chain(kind, period):
+    rng = np.random.default_rng(period)
+    if kind == "random":
+        return random_operator(rng, period)
+    if kind == "harper":
+        sites = np.arange(period)
+        return PeriodicJacobi(
+            np.ones(period), 0.8 * np.cos(2 * np.pi * 0.618 * sites + 0.3)
+        )
+    # Uniform: every closed gap makes a double eigenvalue at theta = 0 or pi.
+    return PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+
+
+@pytest.mark.parametrize("kind", ["random", "harper", "uniform"])
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 24, 89, 610])
+def test_floquet_eigenvalues_match_dense(kind, period):
+    op = _chain(kind, period)
+    scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+    for theta in (0.0, np.pi / 2, 0.37, np.pi):
+        expected = np.linalg.eigvalsh(op.floquet_matrix(theta))
+        err = np.max(np.abs(op.floquet_eigenvalues(theta) - expected))
+        assert err <= 1e-12 * scale
+
+
+def test_floquet_eigenvalues_over_a_phase_array():
+    op = random_operator(np.random.default_rng(17), 7)
+    thetas = np.array([[0.0, 0.37], [np.pi / 2, np.pi]])
+    table = op.floquet_eigenvalues(thetas)
+    assert table.shape == (2, 2, 7)
+    for index, theta in np.ndenumerate(thetas):
+        assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
+
+
 def test_dirichlet_matrix_drops_first_site():
     op = PeriodicJacobi([1.0, 0.5, 2.0], [0.1, 0.2, 0.3])
     d = op.dirichlet_matrix()
@@ -97,6 +130,18 @@ def test_dirichlet_eigenvalues_oracle():
     op = random_operator(rng, 7)
     expected = np.linalg.eigvalsh(op.dirichlet_matrix())
     assert np.allclose(op.dirichlet_eigenvalues(), expected, atol=1e-12)
+
+
+def test_dirichlet_eigenvalues_match_dense_large():
+    op = random_operator(np.random.default_rng(610), 610)
+    scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+    expected = np.linalg.eigvalsh(op.dirichlet_matrix())
+    assert np.max(np.abs(op.dirichlet_eigenvalues() - expected)) <= 1e-12 * scale
+
+
+def test_dirichlet_eigenvalues_short_periods():
+    assert PeriodicJacobi([0.7], [0.3]).dirichlet_eigenvalues().size == 0
+    assert PeriodicJacobi([0.7, 1.1], [0.3, -0.4]).dirichlet_eigenvalues() == pytest.approx([-0.4])
 
 
 def test_truncated_matrix_tridiagonal():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from hillbands import PeriodicJacobi, transfer
+from hillbands import PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
 
 from helpers import random_operator
 
@@ -81,3 +81,27 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
     assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
     assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
+
+
+def _weak_bond_chain(period):
+    rng = np.random.default_rng(period)
+    return random_operator(rng, period, hop_range=(0.05, 0.1))
+
+
+def test_monodromy_overflow_raises():
+    # |M| grows like prod|lam - b| / prod a, past 1e308 at N = 300.
+    op = _weak_bond_chain(300)
+    with pytest.raises(ValueError, match="overflow"):
+        transfer.monodromy(op, np.array([0.0, 1.7]))
+
+
+def test_bisection_on_overflowing_chain_raises():
+    with pytest.raises(ValueError, match="overflow"):
+        band_edges_bisection(_weak_bond_chain(300))
+
+
+def test_bisection_on_weak_bonds_below_overflow_matches_eig():
+    op = _weak_bond_chain(100)
+    scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+    err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
+    assert err <= 1e-9 * scale
