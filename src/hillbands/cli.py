@@ -12,6 +12,7 @@ Every subcommand accepts --json for machine-readable output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,7 @@ def _csv_floats(text):
 def _add_chain_arguments(sub):
     sub.add_argument("--onsite", type=_csv_floats, required=True,
                      help="comma-separated site energies for one cell")
-    sub.add_argument("--hopping", type=_csv_floats, default=[1.0],
+    sub.add_argument("--hopping", type=_csv_floats, default=(1.0,),
                      help="comma-separated bond strengths (default 1)")
 
 
@@ -170,7 +171,7 @@ def build_parser():
                                         "over a finite alphabet")
     p.add_argument("--values", type=_csv_floats, required=True)
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--hopping", type=_csv_floats, default=[1.0])
+    p.add_argument("--hopping", type=_csv_floats, default=(1.0,))
     p.add_argument("--decimals", type=int, default=9)
     p.set_defaults(func=_cmd_classes)
 
@@ -188,8 +189,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process.
+
+    Parsing keeps no state in it: every call gets a fresh namespace, and
+    the defaults are immutable.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, RuntimeError) as exc:

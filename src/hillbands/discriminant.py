@@ -44,7 +44,10 @@ class Discriminant:
 
     @classmethod
     def from_operator(cls, op):
-        return cls(transfer.discriminant_coefficients(op), op.hopping_product())
+        return cls(
+            transfer.discriminant_coefficients(op.hopping, op.onsite),
+            op.hopping_product(),
+        )
 
     @classmethod
     def free(cls, period, hopping=1.0, onsite=0.0):

@@ -3,30 +3,46 @@
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
 N-to-N system solved here by damped Newton iteration with an analytic
-Jacobian. Band-edge data determines the discriminant directly: the
-monic polynomials built from the periodic and antiperiodic eigenvalues
-differ by the constant 4 * prod(a), which recovers the hopping product,
-and their average is the monic discriminant.
+Jacobian: the onsite columns of `transfer.coefficient_jacobian`, the
+Jacobian `isospectral` walks with too. Band-edge data determines the
+discriminant directly: the monic polynomials built from the periodic
+and antiperiodic eigenvalues differ by the constant 4 * prod(a), which
+recovers the hopping product, and their average is the monic
+discriminant.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.optimize import least_squares
 
 from . import transfer
 from .discriminant import Discriminant
 from .operators import PeriodicJacobi
 
 
+def least_squares(*args, **kwargs):
+    """`scipy.optimize.least_squares`, imported on first use.
+
+    `scipy.optimize` is slow to import and only the blind
+    `recover_onsite` needs it, so `import hillbands` does not load it.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
 def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     """Solve fun(x) = 0 by Newton iteration with backtracking.
+
+    A square Jacobian gives the Newton step; a rectangular one gives the
+    minimum-norm least-squares (Gauss-Newton) step, which for an
+    underdetermined system projects x onto the solution set.
 
     Parameters
     ----------
     fun : callable(x) -> ndarray
         Residual vector.
     jac : callable(x) -> ndarray
-        Jacobian matrix of fun at x.
+        Jacobian matrix of fun at x, square or not.
     x0 : array_like
         Starting point.
     tol : float
@@ -54,8 +70,12 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
             callback(k, x, norm)
         if norm < tol:
             return x
+        j = jac(x)
         try:
-            step = np.linalg.solve(jac(x), -fx)
+            if j.shape[0] == j.shape[1]:
+                step = np.linalg.solve(j, -fx)
+            else:
+                step = np.linalg.lstsq(j, -fx, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular Jacobian at iteration {k}") from exc
         t = 1.0
@@ -82,18 +102,12 @@ def onsite_jacobian(op):
     Row i, column j holds the lam^i coefficient of the derivative of
     (prod a) * Delta = det(lam I - J(theta)) + 2 (prod a) cos theta with
     respect to onsite[j]: minus the characteristic polynomial of the
-    open chain left when site j is deleted. On the chain relabelled to
-    start at site j + 1 that chain is sites 0 .. N-2, whose
-    characteristic polynomial is (prod a / a_j) times the monodromy
-    entry M[1, 0].
+    open chain left when site j is deleted. These are prod(a) times the
+    onsite columns of `transfer.coefficient_jacobian`, which marches the
+    N rotations of the chain together.
     """
     n = op.period
-    pa = op.hopping_product()
-    jac = np.zeros((n, n))
-    for j in range(n):
-        minor = transfer.monodromy_coefficients(op.shifted(j + 1))[1, 0]
-        jac[:, j] = -(pa / op.hopping[j]) * minor[:n]
-    return jac
+    return op.hopping_product() * transfer.coefficient_jacobian(op)[:n, n:]
 
 
 def _monic_numeric(op):

@@ -5,7 +5,9 @@ coefficient vector is a complete isospectrality invariant. Cyclic
 relabeling and reflection of the unit cell always preserve it; beyond
 that discrete symmetry there is a continuous family, generically of
 dimension one less than the period, explored here by walking the null
-space of the coefficient map and projecting back with Gauss-Newton.
+space of the coefficient map and projecting back with `newton_solve`'s
+Gauss-Newton steps, both on the analytic (log hopping, onsite) Jacobian
+`transfer.coefficient_jacobian` that `inverse` shares.
 
 Exhaustive enumeration over a finite alphabet of onsite energies splits
 the alphabet^N cube into isospectral classes; classes larger than a
@@ -17,8 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transfer
 from .discriminant import Discriminant
+from .inverse import newton_solve
 from .operators import PeriodicJacobi
+
+CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
 
 
 def dihedral_orbit(op, decimals=12):
@@ -104,11 +110,19 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
     if hopping.size == 1:
         hopping = np.full(period, hopping[0])
+    # Checks the period and the bonds; the alphabet is checked next.
+    PeriodicJacobi(hopping, np.zeros(period))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("alphabet values must be finite")
+    patterns = itertools.product(values, repeat=period)
     groups = {}
-    for pattern in itertools.product(values, repeat=period):
-        op = PeriodicJacobi(hopping, np.array(pattern))
-        key = Discriminant.from_operator(op).coefficient_key(decimals)
-        groups.setdefault(key, []).append(pattern)
+    while chunk := list(itertools.islice(patterns, CHUNK)):
+        coefficients = transfer.discriminant_coefficients(
+            np.broadcast_to(hopping, (len(chunk), period)), np.array(chunk)
+        )
+        # The same rounding as Discriminant.coefficient_key, row by row.
+        for pattern, key in zip(chunk, np.round(coefficients, decimals)):
+            groups.setdefault(tuple(key), []).append(pattern)
     classes = [
         IsospectralClass(key, tuple(members)) for key, members in groups.items()
     ]
@@ -125,38 +139,12 @@ def _unpack(x):
     return PeriodicJacobi(np.exp(x[:n]), x[n:])
 
 
-def _fd_jacobian(fun, x, h=1e-6):
-    f0 = fun(x)
-    jac = np.zeros((f0.size, x.size))
-    for j in range(x.size):
-        step = h * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += step
-        xm = x.copy()
-        xm[j] -= step
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * step)
-    return jac
-
-
-def _gauss_newton_project(fun, x, tol, max_iter=50):
-    for _ in range(max_iter):
-        fx = fun(x)
-        if np.max(np.abs(fx)) <= tol:
-            return x
-        jac = _fd_jacobian(fun, x)
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-        x = x + step
-    fx = fun(x)
-    if np.max(np.abs(fx)) <= tol:
-        return x
-    raise RuntimeError("projection onto the isospectral set stalled")
-
-
 def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
     """Walk the continuous isospectral family of a chain.
 
     Each step moves along a random direction in the null space of the
-    discriminant-coefficient map and projects back with Gauss-Newton,
+    discriminant-coefficient map, whose Jacobian in (log hopping,
+    onsite) is analytic, and projects back with Gauss-Newton,
     so every returned chain shares the starting band structure while
     being genuinely different (not a shift or reflection, generically).
 
@@ -185,11 +173,13 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
     def fun(x):
         return Discriminant.from_operator(_unpack(x)).coefficients - target
 
+    def jac(x):
+        return transfer.coefficient_jacobian(_unpack(x))
+
     x = _pack(op)
     out = []
     for _ in range(count):
-        jac = _fd_jacobian(fun, x)
-        _, s, vt = np.linalg.svd(jac)
+        _, s, vt = np.linalg.svd(jac(x))
         cutoff = s[0] * 1e-8 if s.size else 0.0
         rank = int(np.sum(s > cutoff))
         null = vt[rank:]
@@ -197,6 +187,6 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
             raise RuntimeError("no isospectral freedom at this chain")
         direction = null.T @ rng.standard_normal(null.shape[0])
         direction /= np.linalg.norm(direction)
-        x = _gauss_newton_project(fun, x + step * direction, tol)
+        x = newton_solve(fun, jac, x + step * direction, tol=tol)
         out.append(_unpack(x))
     return out

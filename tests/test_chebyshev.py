@@ -18,6 +18,12 @@ def chebyshev_chain(n):
     return PeriodicJacobi.free(n, 0.5, 0.0)
 
 
+def chebyshev_arrays(n):
+    """Hopping and onsite arrays of chebyshev_chain(n), for the coefficient march."""
+    op = chebyshev_chain(n)
+    return op.hopping, op.onsite
+
+
 def t_values(n, x):
     """T_n(x) by the recurrence of the period-n chain."""
     return 0.5 * transfer.discriminant(chebyshev_chain(n), x)[0]
@@ -37,7 +43,7 @@ def test_t_coefficients_match_numpy(n):
     free = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
     assert np.allclose(free, expected, atol=1e-12)
     if n >= 1:
-        marched = 0.5 * transfer.discriminant_coefficients(chebyshev_chain(n))
+        marched = 0.5 * transfer.discriminant_coefficients(*chebyshev_arrays(n))
         assert np.allclose(marched, expected, atol=1e-12)
 
 
@@ -46,7 +52,7 @@ def test_u_coefficients_match_derivative_identity(n):
     # U_{n-1} = T_n' / n
     t = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
     expected = P.polyder(t) / n
-    corner = transfer.monodromy_coefficients(chebyshev_chain(n))[1, 0]
+    corner = transfer.monodromy_coefficients(*chebyshev_arrays(n))[1, 0]
     assert corner[n] == 0.0
     assert np.allclose(corner[:n], expected, atol=1e-12)
 
@@ -61,7 +67,7 @@ def test_t_eval_inside_interval():
 def test_t_eval_outside_interval_matches_coefficients():
     x = np.array([-6.0, -1.5, 1.5, 3.0, 20.0])
     for n in (1, 2, 3, 7):
-        coefficients = 0.5 * transfer.discriminant_coefficients(chebyshev_chain(n))
+        coefficients = 0.5 * transfer.discriminant_coefficients(*chebyshev_arrays(n))
         closed = np.sign(x) ** n * np.cosh(n * np.arccosh(np.abs(x)))
         assert np.allclose(t_values(n, x), P.polyval(x, coefficients), rtol=1e-10)
         assert np.allclose(t_values(n, x), closed, rtol=1e-10)
@@ -72,7 +78,7 @@ def test_u_eval_matches_coefficients_everywhere():
     inside = np.abs(x) < 1.0
     t = np.arccos(x[inside])
     for n in (0, 1, 2, 6):
-        corner = transfer.monodromy_coefficients(chebyshev_chain(n + 1))[1, 0]
+        corner = transfer.monodromy_coefficients(*chebyshev_arrays(n + 1))[1, 0]
         assert np.allclose(u_values(n, x), P.polyval(x, corner), rtol=1e-9)
         closed = np.sin((n + 1) * t) / np.sin(t)
         assert np.allclose(u_values(n, x)[inside], closed, rtol=1e-9)

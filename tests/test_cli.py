@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hillbands import BandStructure, Discriminant, PeriodicJacobi
+from hillbands import BandStructure, Discriminant, PeriodicJacobi, cli, tightbinding
 from hillbands.cli import main
 
 
@@ -157,3 +161,43 @@ def test_error_paths_exit_nonzero(capsys):
 def test_bad_float_list_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["bands", "--onsite", "zero,one"])
+
+
+def test_consecutive_calls_share_no_state(capsys, monkeypatch):
+    # main reuses one parser; each call must still see only its own argv.
+    seen = []
+    build = tightbinding.band_structure
+
+    def spy(onsite, hopping=1.0, method="eig"):
+        seen.append((list(onsite), list(hopping), method))
+        return build(onsite, hopping, method=method)
+
+    monkeypatch.setattr(tightbinding, "band_structure", spy)
+    code, out, _ = run_cli(
+        capsys, "bands", "--onsite", "0,0.5", "--hopping", "0.5,2",
+        "--method", "bisection", "--json",
+    )
+    assert code == 0 and json.loads(out)["period"] == 2
+    code, out, _ = run_cli(capsys, "bands", "--onsite", "0,0.5")
+    assert code == 0 and out.startswith("period 2 chain")
+    assert seen == [([0.0, 0.5], [0.5, 2.0], "bisection"), ([0.0, 0.5], [1.0], "eig")]
+    assert cli._parser() is cli._parser()
+
+
+def test_bands_does_not_import_scipy_optimize():
+    # Only the blind inverse needs scipy.optimize; it is imported on first use.
+    script = (
+        "import sys\n"
+        "import hillbands\n"
+        "from hillbands import cli\n"
+        "assert cli.main(['bands', '--onsite', '0,0.5,-0.3', '--json']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip().splitlines()[-1] == "False"

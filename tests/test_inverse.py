@@ -9,6 +9,7 @@ from hillbands import (
     newton_solve,
     recover_onsite,
     recover_operator_from_edges,
+    transfer,
 )
 from hillbands.inverse import onsite_jacobian
 
@@ -159,3 +160,39 @@ def test_recover_operator_from_edges_with_known_hopping():
     assert np.allclose(found.onsite, op.onsite, atol=1e-8)
     with pytest.raises(ValueError):
         recover_operator_from_edges(per, anti, hopping=2.0 * op.hopping)
+
+
+def _repeated_cell(rng, cell, copies):
+    op = random_operator(rng, cell)
+    return PeriodicJacobi(np.tile(op.hopping, copies), np.tile(op.onsite, copies))
+
+
+def test_onsite_jacobian_matches_per_column_minors():
+    # Reference: column j marched alone on the chain relabelled to start
+    # at site j + 1, -(prod a / a_j) M[1, 0].
+    rng = np.random.default_rng(67)
+    chains = [random_operator(rng, n) for n in range(1, 25)]
+    chains += [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1, 1))
+               for n in range(1, 25)]
+    chains += [_repeated_cell(rng, cell, copies) for cell in (1, 2, 3, 4) for copies in (2, 3, 6)]
+    for op in chains:
+        n = op.period
+        expected = np.zeros((n, n))
+        for j in range(n):
+            shifted = op.shifted(j + 1)
+            minor = transfer.monodromy_coefficients(shifted.hopping, shifted.onsite)[1, 0]
+            expected[:, j] = -(op.hopping_product() / op.hopping[j]) * minor[:n]
+        err = np.max(np.abs(onsite_jacobian(op) - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_newton_solve_underdetermined_projects_onto_solution_set():
+    # One equation in two unknowns: the unit circle.
+    root = newton_solve(
+        lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+        lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+        [1.5, 0.5],
+    )
+    assert np.hypot(*root) == pytest.approx(1.0, abs=1e-12)
+    # Minimum-norm steps move along the gradient, here the ray through the start.
+    assert root[1] / root[0] == pytest.approx(1.0 / 3.0, rel=1e-9)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hillbands import (
     dihedral_orbit,
     enumerate_onsite_classes,
     isospectral_neighbors,
+    isospectral,
     orbit_distance,
 )
 
@@ -60,8 +63,6 @@ def test_enumeration_matches_eigenvalue_oracle():
     # phases 0 and pi computed with numpy's Hermitian solver.
     values, period = [0.0, 0.5, 1.0], 4
     classes = enumerate_onsite_classes(values, period)
-    import itertools
-
     groups = {}
     for pattern in itertools.product(values, repeat=period):
         op = PeriodicJacobi(np.ones(period), np.array(pattern))
@@ -107,3 +108,50 @@ def test_neighbors_deterministic_with_seed():
 def test_neighbors_period_one_has_no_freedom():
     with pytest.raises(RuntimeError):
         isospectral_neighbors(PeriodicJacobi([1.0], [0.5]), seed=0)
+
+
+@pytest.mark.parametrize("values, period", [([0.0, 1.0], 8), ([0.0, 1.0, 2.0], 5)])
+@pytest.mark.parametrize("chunk", [100, isospectral.CHUNK])
+def test_enumeration_matches_per_pattern_reference(monkeypatch, values, period, chunk):
+    # Reference: one discriminant per pattern, keyed as before batching.
+    monkeypatch.setattr(isospectral, "CHUNK", chunk)
+    hopping = np.array([1.0, 0.8, 1.3, 0.9, 1.1, 0.7, 1.2, 1.0][:period])
+    groups = {}
+    for pattern in itertools.product(values, repeat=period):
+        op = PeriodicJacobi(hopping, np.array(pattern))
+        key = Discriminant.from_operator(op).coefficient_key(9)
+        groups.setdefault(key, []).append(pattern)
+    expected = sorted(((key, tuple(m)) for key, m in groups.items()),
+                      key=lambda c: (-len(c[1]), c[0]))
+    found = enumerate_onsite_classes(values, period, hopping=hopping)
+    assert [(c.key, c.members) for c in found] == expected
+
+
+def test_enumeration_rejects_bad_input():
+    with pytest.raises(ValueError):
+        enumerate_onsite_classes([0.0, 1.0], 0)
+    with pytest.raises(ValueError):
+        enumerate_onsite_classes([0.0, np.nan], 3)
+    with pytest.raises(ValueError):
+        enumerate_onsite_classes([0.0, 1.0], 3, hopping=[1.0, -1.0, 1.0])
+
+
+def test_neighbors_step_costs_less_than_one_difference_jacobian(monkeypatch):
+    # A central-difference Jacobian in (log a, b) alone takes 4N + 1
+    # discriminants; the analytic one takes none.
+    rng = np.random.default_rng(71)
+    op = random_operator(rng, 8)
+    original = Discriminant.from_operator
+    calls = []
+
+    def counted(cls, chain):
+        calls.append(chain)
+        return original(chain)
+
+    monkeypatch.setattr(Discriminant, "from_operator", classmethod(counted))
+    found = isospectral_neighbors(op, count=1, seed=5)
+    monkeypatch.undo()
+    assert len(calls) < 4 * op.period + 1
+    assert Discriminant.from_operator(found[0]).allclose(
+        Discriminant.from_operator(op), atol=1e-8
+    )

@@ -34,7 +34,7 @@ def test_monodromy_det_is_one():
 def test_monodromy_coefficients_match_values():
     rng = np.random.default_rng(4)
     op = random_operator(rng, 6)
-    entries = transfer.monodromy_coefficients(op)
+    entries = transfer.monodromy_coefficients(op.hopping, op.onsite)
     lams = np.linspace(-3, 3, 11)
     values, slopes = transfer.monodromy(op, lams)
     for i in range(2):
@@ -50,7 +50,7 @@ def test_discriminant_coefficients_degree_and_leading():
     rng = np.random.default_rng(6)
     for period in (1, 2, 4, 7):
         op = random_operator(rng, period)
-        c = transfer.discriminant_coefficients(op)
+        c = transfer.discriminant_coefficients(op.hopping, op.onsite)
         assert c.size == period + 1
         assert c[-1] == pytest.approx(1.0 / op.hopping_product(), rel=1e-12)
 
@@ -60,7 +60,8 @@ def test_dirichlet_minor_roots_match_submatrix():
     # exactly at the eigenvalues of the chain with site 0 removed.
     rng = np.random.default_rng(8)
     op = random_operator(rng, 6)
-    c = transfer.monodromy_coefficients(op.shifted(1))[1, 0]
+    shifted = op.shifted(1)
+    c = transfer.monodromy_coefficients(shifted.hopping, shifted.onsite)[1, 0]
     expected = np.linalg.eigvalsh(op.dirichlet_matrix())
     roots = np.sort(P.polyroots(c[:-1]).real)
     assert np.allclose(roots, expected, atol=1e-9)
@@ -77,7 +78,7 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     op = random_operator(rng, period)
     m, _ = transfer.monodromy(op, lam)
     delta, slope = transfer.discriminant(op, lam)
-    c = transfer.discriminant_coefficients(op)
+    c = transfer.discriminant_coefficients(op.hopping, op.onsite)
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
     assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
     assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
@@ -105,3 +106,43 @@ def test_bisection_on_weak_bonds_below_overflow_matches_eig():
     scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
     err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
     assert err <= 1e-9 * scale
+
+
+def test_batched_coefficient_march_equals_single_chains():
+    # The batch runs the same elementwise operations as one chain at a time.
+    rng = np.random.default_rng(10)
+    for period in (1, 2, 5, 13):
+        hopping = rng.uniform(0.4, 1.8, (3, 4, period))
+        onsite = rng.uniform(-1.5, 1.5, (3, 4, period))
+        m = transfer.monodromy_coefficients(hopping, onsite)
+        c = transfer.discriminant_coefficients(hopping, onsite)
+        assert m.shape == (3, 4, 2, 2, period + 1)
+        assert c.shape == (3, 4, period + 1)
+        for i in range(3):
+            for j in range(4):
+                single = transfer.monodromy_coefficients(hopping[i, j], onsite[i, j])
+                assert np.array_equal(m[i, j], single)
+                assert np.array_equal(
+                    c[i, j], transfer.discriminant_coefficients(hopping[i, j], onsite[i, j])
+                )
+
+
+@pytest.mark.parametrize("period", range(1, 13))
+def test_coefficient_jacobian_matches_central_differences(period):
+    rng = np.random.default_rng(100 + period)
+    op = random_operator(rng, period)
+    x = np.concatenate([np.log(op.hopping), op.onsite])
+
+    def coefficients(x):
+        chain = PeriodicJacobi(np.exp(x[:period]), x[period:])
+        return transfer.discriminant_coefficients(chain.hopping, chain.onsite)
+
+    analytic = transfer.coefficient_jacobian(op)
+    assert analytic.shape == (period + 1, 2 * period)
+    fd = np.zeros_like(analytic)
+    for j in range(2 * period):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        step = np.zeros_like(x)
+        step[j] = h
+        fd[:, j] = (coefficients(x + step) - coefficients(x - step)) / (2.0 * h)
+    assert np.max(np.abs(analytic - fd)) <= 1e-7 * max(1.0, np.max(np.abs(analytic)))
