@@ -10,16 +10,20 @@ with a_{-1} = a_{N-1}. The monodromy M(lam) carries (u_0, u_{-1}) to
 starts. det M = 1 identically, and the Hill discriminant is tr M.
 
 This is the only place the recurrence runs. It is marched in two
-algebras: over ascending coefficient arrays in lam, where the entries
-M00, M01, M10, M11 are polynomials of degree N, N-1, N-1, N-2, and over
-arrays of lam values together with the lam-derivative. The coefficient
-march takes a batch of chains, hopping and onsite arrays with leading
-chain axes, and runs one loop of N steps for all of them; the
-discriminant of one chain, the classes of an alphabet and the Jacobian
-of a chain (one march over its N rotations) all come from it.
+algebras, one loop each: over ascending coefficient arrays in lam, where
+the entries M00, M01, M10, M11 are polynomials of degree N, N-1, N-1,
+N-2, and over arrays of lam values. The coefficient march takes a batch
+of chains, hopping and onsite arrays with leading chain axes, and runs
+one loop of N steps for all of them; the discriminant of one chain, the
+classes of an alphabet and the Jacobian of a chain (one march over its
+N rotations) all come from it. The value march carries the
+lam-derivative rows only for callers that need Delta', and keeps every
+row only for the rounding-error bound of Delta.
 """
 
 import numpy as np
+
+FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 
 
 def _march(hopping, onsite):
@@ -91,37 +95,109 @@ def coefficient_jacobian(op):
     return np.concatenate([prev[1] - cur[0], -prev[0] / a], axis=1)
 
 
+def _march_values(hopping, onsite, lam, slope=False, history=False):
+    """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
+
+    The factors (lam - b_k) / a_k are formed by one broadcast per block
+    of sites, at most FACTOR_BLOCK numbers so that a block stays in
+    cache, and a_{k-1} / a_k enters the loop as a Python float, so a
+    step is three array operations. With slope, each row carries its
+    lam-derivative on a leading (value, slope) axis, and the step adds
+    u_k / a_k to the slope part: two more operations.
+
+    Returns the list of rows, each of shape (2,) + lam.shape (one entry
+    per start), or (2, 2) + lam.shape with slope. It ends with u_{N-1},
+    u_N, and with history it holds every row from u_{-1} on.
+
+    Raises ValueError when an entry overflows the float range, as it
+    does for weak bonds at long periods: |M| grows like
+    prod|lam - b| / prod a.
+    """
+    lam = np.asarray(lam, dtype=float)
+    a = np.asarray(hopping, dtype=float)
+    b = np.asarray(onsite, dtype=float)
+    column = (-1,) + (1,) * lam.ndim
+    block = max(1, FACTOR_BLOCK // max(1, lam.size))
+    start = np.zeros((2, 2) + lam.shape)  # u_{-1}, u_0 of both starts
+    start[0, 1] = 1.0
+    start[1, 0] = 1.0
+    if slope:
+        start = np.stack([start, np.zeros_like(start)], axis=1)
+    rows = [start[0], start[1]]
+    k = 0
+    try:
+        with np.errstate(over="raise"):
+            back = (np.roll(a, 1) / a).tolist()
+            up = (1.0 / a).tolist()
+            for first in range(0, a.size, block):
+                sites = slice(first, first + block)
+                shifts = (lam - b[sites].reshape(column)) / a[sites].reshape(column)
+                for k, shift in enumerate(shifts, first):
+                    prev, cur = rows[-2], rows[-1]
+                    nxt = shift * cur
+                    nxt -= back[k] * prev
+                    if slope:
+                        nxt[1] += up[k] * cur[0]
+                    rows.append(nxt)
+                    if not history:
+                        del rows[0]
+    except FloatingPointError:
+        raise ValueError(
+            f"transfer recurrence overflowed at site {k} of period {a.size}: "
+            "the monodromy exceeds the float range"
+        ) from None
+    return rows
+
+
 def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape.
 
-    Raises ValueError when an entry overflows the float range, as it
-    does for weak bonds at long periods: |M| grows like prod|lam - b| / prod a.
+    One value march with the derivative rows; callers that need only
+    Delta use discriminant_value, which skips them. Raises ValueError
+    when an entry overflows the float range.
     """
-    lam = np.asarray(lam, dtype=float)
-    cur = np.zeros((2,) + lam.shape)
-    prev = np.zeros((2,) + lam.shape)
-    cur[0] = 1.0
-    prev[1] = 1.0
-    dcur = np.zeros_like(cur)
-    dprev = np.zeros_like(cur)
-    a, b = op.hopping, op.onsite
-    try:
-        with np.errstate(over="raise"):
-            for k in range(op.period):
-                shift = lam - b[k]
-                nxt = (shift * cur - a[k - 1] * prev) / a[k]
-                dnxt = (cur + shift * dcur - a[k - 1] * dprev) / a[k]
-                prev, cur = cur, nxt
-                dprev, dcur = dcur, dnxt
-    except FloatingPointError:
-        raise ValueError(
-            f"transfer recurrence overflowed at site {k} of period {op.period}: "
-            "the monodromy exceeds the float range"
-        ) from None
-    return np.stack([cur, prev]), np.stack([dcur, dprev])
+    prev, cur = _march_values(op.hopping, op.onsite, lam, slope=True)
+    m = np.stack([cur, prev])
+    return m[:, 0], m[:, 1]
 
 
 def discriminant(op, lam):
     """Delta(lam) and Delta'(lam) by the recurrence, elementwise."""
     m, dm = monodromy(op, lam)
     return m[0, 0] + m[1, 1], dm[0, 0] + dm[1, 1]
+
+
+def discriminant_value(op, lam):
+    """Delta(lam) alone by the recurrence, elementwise: no derivative rows."""
+    prev, cur = _march_values(op.hopping, op.onsite, lam)
+    return cur[0] + prev[1]
+
+
+def discriminant_rounding(op, lam):
+    """Delta(lam) and a first-order bound on its rounding error, elementwise.
+
+    Step k computes the row u_{k+1} of each start p with an error of at
+    most 2 eps (|lam - b_k| |u_k| + a_{k-1} |u_{k-1}|) / a_k, and that
+    error reaches tr M through P_k[p, 0], P_k = T_{N-1} ... T_{k+1} the
+    transfer over the sites after k. Marched backward, the rows of P_k
+    obey the recurrence of the reversed chain, so a second march of the
+    reversed chain gives |P_k[p, 0]| = a_k |v_{N-1-k}| / a_{N-1}, v its
+    rows. The bound is the sum of all these products, plus eps |Delta|
+    for the final sum. Unlike a fixed multiple of N eps it grows with
+    the cancellation inside the march, as in a cell repeated several
+    times whose transfer matrix is far from normal.
+    """
+    lam = np.asarray(lam, dtype=float)
+    a, b = op.hopping, op.onsite
+    n = op.period
+    u = np.stack(_march_values(a, b, lam, history=True))  # u[i] is u_{i-1}
+    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))
+    v = v[n:0:-1]  # v[k] is v_{N-1-k}
+    column = (-1, 1) + (1,) * lam.ndim  # sites, starts, lam
+    shifts = (lam - b.reshape(column)) / a.reshape(column)
+    local = np.abs(shifts) * np.abs(u[1:-1])
+    local += (np.roll(a, 1) / a).reshape(column) * np.abs(u[:-2])
+    reach = (a / a[-1]).reshape(column) * np.abs(v)
+    delta = u[-1, 0] + u[-2, 1]
+    eps = np.finfo(float).eps
+    return delta, eps * (2.0 * np.sum(local * reach, axis=(0, 1)) + np.abs(delta))

@@ -9,6 +9,9 @@ from hillbands import (
     PeriodicJacobi,
     band_edges_bisection,
     band_edges_eig,
+    bands,
+    dos_curve,
+    transfer,
 )
 
 from helpers import random_operator
@@ -58,18 +61,88 @@ def test_dual_route_edges_agree():
         assert np.allclose(band_edges_eig(op), band_edges_bisection(op), atol=1e-10)
 
 
+def _harper(period, f_prev, phi):
+    sites = np.arange(period)
+    return PeriodicJacobi(np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi))
+
+
+def _scale(op):
+    return max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+
+
 @pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89)])
 def test_harper_bisection_matches_eig(period, f_prev):
     # Fibonacci approximants of the almost-Mathieu chain have open gaps
     # as narrow as 1e-8, which the closed-gap test must leave open.
-    sites = np.arange(period)
     for phi in (0.3, 2.1):
-        op = PeriodicJacobi(
-            np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi)
-        )
-        scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+        op = _harper(period, f_prev, phi)
         err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
-        assert err <= 1e-9 * scale
+        assert err <= 1e-9 * _scale(op)
+
+
+def _halving(past, lo, hi, tol):
+    """The one-bit bisection that multisection replaced: the reference."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
+            break
+        right = past(mid)
+        lo = np.where(right, lo, mid)
+        hi = np.where(right, mid, hi)
+    return mid
+
+
+def test_multisection_matches_halving_reference(monkeypatch):
+    rng = np.random.default_rng(41)
+    chains = [random_operator(rng, n) for n in (1, 2, 5, 13, 24)]
+    chains += [
+        PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+        for n in (3, 8, 17, 24)
+    ]
+    chains += [_harper(89, 55, phi) for phi in (0.3, 2.1)]
+    multisected = [band_edges_bisection(op) for op in chains]
+    monkeypatch.setattr(bands, "_multisect", _halving)
+    for op, edges in zip(chains, multisected):
+        reference = band_edges_bisection(op)
+        # Where Delta -+ 2 has a near-double zero (the narrow open gaps
+        # of the Harper chain), the predicate is decided by rounding
+        # within rounding(Delta) / |Delta'| of the edge, and each method
+        # may stop anywhere in that interval.
+        _, slope = transfer.discriminant(op, reference)
+        _, rounding = transfer.discriminant_rounding(op, reference)
+        with np.errstate(divide="ignore"):
+            allowed = 1e-12 * _scale(op) + 2.0 * rounding / np.abs(slope)
+        assert np.all(np.abs(edges - reference) <= allowed)
+
+
+def test_bisection_marches_fewer_than_32_times(monkeypatch):
+    # 4 bits per pass: about 12 passes for the edges, 12 for the gap
+    # extrema and two marches for the rounding bound (91 at one bit).
+    calls = []
+    march = transfer._march_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    band_edges_bisection(random_operator(np.random.default_rng(24), 24))
+    assert len(calls) < 32
+
+
+def test_repeated_cell_gaps_close_exactly():
+    # Three copies of a 3-site cell: the gaps inside each band of the
+    # cell are closed. The transfer matrix of such a cell can be far
+    # from normal, so tr M cancels large entries at the gap extremum and
+    # its rounding exceeds any fixed multiple of N eps.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        cell = random_operator(rng, 3)
+        op = PeriodicJacobi(np.tile(cell.hopping, 3), np.tile(cell.onsite, 3))
+        edges = band_edges_bisection(op)
+        widths = edges[2::2] - edges[1:-1:2]
+        assert np.all(widths[[0, 1, 3, 4, 6, 7]] == 0.0)
+        assert np.max(np.abs(edges - band_edges_eig(op))) <= 1e-9
 
 
 def test_dual_route_with_closed_gaps():
@@ -284,3 +357,45 @@ def test_to_dict_round_trip(generic_bs):
     import json
 
     json.dumps(d)  # everything must be plain JSON-serializable types
+
+
+@pytest.mark.parametrize("period", [60, 100, 400])
+def test_uniform_chain_dos_and_ids_match_closed_forms(period):
+    # Per site, the uniform chain has IDS arccos((b - lam) / 2a) / pi and
+    # DOS 1 / (pi sqrt(4a^2 - (lam - b)^2)) on [b - 2a, b + 2a].
+    a, b = 0.9, -0.2
+    bs = BandStructure(PeriodicJacobi.free(period, a, b))
+    grid = np.linspace(b - 2 * a - 0.1, b + 2 * a + 0.1, 2001)
+    ids = np.arccos(np.clip((b - grid) / (2 * a), -1.0, 1.0)) / np.pi
+    assert np.max(np.abs(bs.integrated_density(grid) - ids)) <= 1e-10
+    far = np.abs(np.abs(grid - b) - 2 * a) > 1e-10
+    assert np.array_equal(bs.contains(grid)[far], (np.abs(grid - b) <= 2 * a)[far])
+
+    # Delta = 2 cos(N theta), lam = b + 2a cos(theta). Delta' and
+    # sqrt(4 - Delta^2) both vanish at the closed gaps, so there a
+    # rounding error dDelta turns into a relative DOS error of about
+    # 2 dDelta / (4 - Delta^2); the bound allows dDelta up to 1024 eps.
+    theta = np.arccos(np.clip((grid - b) / (2 * a), -1.0, 1.0))
+    levels = b + 2 * a * np.cos(np.pi * np.arange(period + 1) / period)
+    inside = np.abs(grid - b) < 2 * a
+    far = inside & (np.min(np.abs(grid[:, None] - levels), axis=1) >= 1e-6)
+    exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (grid[far] - b) ** 2))
+    rel = np.abs(bs.density_of_states(grid)[far] - exact) / exact
+    conditioning = 4.0 * np.sin(period * theta[far]) ** 2
+    assert np.all(rel <= 1e-9 + 2048 * np.finfo(float).eps / conditioning)
+    assert np.all(bs.density_of_states(grid)[~inside] == 0.0)
+
+
+def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op):
+    def refuse(cls, op):
+        raise AssertionError("coefficient form of Delta built")
+
+    monkeypatch.setattr(Discriminant, "from_operator", classmethod(refuse))
+    bs = BandStructure(generic_op)
+    grid = np.linspace(bs.edges[0] - 0.5, bs.edges[-1] + 0.5, 41)
+    bs.density_of_states(grid)
+    bs.integrated_density(grid)
+    bs.contains(grid)
+    bs.bloch_phase(grid)
+    dos_curve(bs, points=33)
+    assert "discriminant" not in bs.__dict__

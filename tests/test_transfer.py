@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,9 +81,41 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     m, _ = transfer.monodromy(op, lam)
     delta, slope = transfer.discriminant(op, lam)
     c = transfer.discriminant_coefficients(op.hopping, op.onsite)
+    assert transfer.discriminant_value(op, lam) == delta
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
     assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
     assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
+
+
+def _exact_discriminant(op, lam):
+    """tr M by the recurrence in exact rational arithmetic."""
+    a = [Fraction(x) for x in op.hopping]
+    b = [Fraction(x) for x in op.onsite]
+    lam = Fraction(lam)
+    cur, prev = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    for k in range(op.period):
+        nxt = [((lam - b[k]) * u - a[k - 1] * v) / a[k] for u, v in zip(cur, prev)]
+        prev, cur = cur, nxt
+    return cur[0] + prev[1]
+
+
+def test_rounding_bound_covers_the_exact_discriminant():
+    # Random chains and repeated cells, at the band edges, the gap
+    # middles and random energies, against exact arithmetic.
+    rng = np.random.default_rng(12)
+    chains = [random_operator(rng, period) for period in (1, 2, 5, 9, 16, 24)]
+    for copies in (2, 3, 5):
+        cell = random_operator(rng, 3)
+        chains.append(PeriodicJacobi(np.tile(cell.hopping, copies), np.tile(cell.onsite, copies)))
+    for op in chains:
+        edges = band_edges_eig(op)
+        lam = np.concatenate(
+            [edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)]
+        )
+        delta, bound = transfer.discriminant_rounding(op, lam)
+        assert np.array_equal(delta, transfer.discriminant_value(op, lam))
+        error = [abs(Fraction(d) - _exact_discriminant(op, x)) for d, x in zip(delta, lam)]
+        assert all(e <= Fraction(b) for e, b in zip(error, bound))
 
 
 def _weak_bond_chain(period):
@@ -94,6 +128,9 @@ def test_monodromy_overflow_raises():
     op = _weak_bond_chain(300)
     with pytest.raises(ValueError, match="overflow"):
         transfer.monodromy(op, np.array([0.0, 1.7]))
+    # A denormal bond overflows the site factors before the first step.
+    with pytest.raises(ValueError, match="overflow"):
+        transfer.discriminant_value(PeriodicJacobi([1e-310, 1.0], [0.0, 0.5]), 0.3)
 
 
 def test_bisection_on_overflowing_chain_raises():
