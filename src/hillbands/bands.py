@@ -129,11 +129,6 @@ def _multisect(past, lo, hi, tol):
     return mid
 
 
-def _phase(delta):
-    """arccos(Delta / 2), clipped so that edges give exactly 0 or pi."""
-    return np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
-
-
 class BandStructure:
     """Spectral data of a periodic chain.
 
@@ -197,7 +192,7 @@ class BandStructure:
         Meaningful on the spectrum; clipped outside so edges evaluate
         cleanly to 0 or pi.
         """
-        return _phase(transfer.discriminant_value(self.operator, lam))
+        return np.arccos(np.clip(transfer.discriminant_value(self.operator, lam) / 2.0, -1.0, 1.0))
 
     def dispersion(self, thetas):
         """Band energies over Bloch phases; shape (N, len(thetas)).
@@ -211,37 +206,43 @@ class BandStructure:
     def density_of_states(self, lam):
         """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.
 
-        Delta and Delta' come from one march of the recurrence. Zero off
-        the spectrum; integrates to exactly 1/N over each band. Diverges
+        M and M' come from one march of the recurrence. Zero off the
+        spectrum; integrates to exactly 1/N over each band. Diverges
         like an inverse square root at open-gap edges.
+
+        Since det M = 1, 4 - Delta^2 = -(M00 - M11)^2 - 4 M01 M10. Near
+        a closed gap M is close to +-I, Delta^2 cancels against 4, and
+        the second form keeps the relative accuracy; where M is far from
+        normal its entries cancel instead. Each point takes the form
+        whose first-order sensitivity to errors in M is smaller.
         """
-        return self._density(*transfer.discriminant(self.operator, lam))
-
-    def integrated_density(self, lam):
-        """Fraction of states at or below lam, in [0, 1], elementwise.
-
-        A point on an upper band edge counts the band as filled; a point
-        on a lower edge counts as inside the band. Delta comes from one
-        value march of the recurrence.
-        """
-        return self._integrated(lam, transfer.discriminant_value(self.operator, lam))
-
-    def _density(self, delta, slope):
-        """The DOS from Delta and Delta' at the same points."""
-        under = 4.0 - delta * delta
+        m, dm = transfer.monodromy(self.operator, lam)
+        delta = m[0, 0] + m[1, 1]
+        split = m[0, 0] - m[1, 1]
+        under = np.where(
+            np.abs(split) + np.abs(m[0, 1]) + np.abs(m[1, 0]) < np.abs(delta),
+            -(split * split + 4.0 * m[0, 1] * m[1, 0]),
+            4.0 - delta * delta,
+        )
         n = self.operator.period
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.where(
                 under > 0.0,
-                np.abs(slope) / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
+                np.abs(dm[0, 0] + dm[1, 1])
+                / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
                 0.0,
             )
         if rho.ndim == 0:
             return float(rho)
         return rho
 
-    def _integrated(self, lam, delta):
-        """The IDS at lam from Delta at the same points."""
+    def integrated_density(self, lam):
+        """Fraction of states at or below lam, in [0, 1], elementwise.
+
+        A point on an upper band edge counts the band as filled; a point
+        on a lower edge counts as inside the band. Delta comes from one
+        value march of the recurrence, through bloch_phase.
+        """
         lam = np.asarray(lam, dtype=float)
         n = self.operator.period
         k = np.searchsorted(self.edges, lam, side="right")
@@ -252,7 +253,7 @@ class BandStructure:
         # the exact value avoids the sqrt-of-roundoff noise that
         # evaluating arccos at a computed edge would introduce.
         phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
-        partial = np.abs(_phase(delta) - phase_lower) / np.pi
+        partial = np.abs(self.bloch_phase(lam) - phase_lower) / np.pi
         ids = (band + np.where(k % 2 == 1, partial, 0.0)) / n
         if ids.ndim == 0:
             return float(ids)

@@ -7,7 +7,6 @@ dictionaries ready for JSON.
 
 import numpy as np
 
-from . import transfer
 from .bands import BandStructure
 from .operators import PeriodicJacobi
 
@@ -36,14 +35,12 @@ def dos_curve(structure, points=512, pad=0.05):
     """Sampled density of states and integrated density over the spectrum.
 
     Returns (energies, dos, ids) arrays; the grid spans the spectrum
-    plus a fractional pad on each side. Both curves come from one march
-    of the recurrence for Delta and Delta' on the grid.
+    plus a fractional pad on each side.
     """
     lo, hi = structure.edges[0], structure.edges[-1]
     margin = pad * (hi - lo if hi > lo else 1.0)
     energies = np.linspace(lo - margin, hi + margin, points)
-    delta, slope = transfer.discriminant(structure.operator, energies)
-    return energies, structure._density(delta, slope), structure._integrated(energies, delta)
+    return energies, structure.density_of_states(energies), structure.integrated_density(energies)
 
 
 def gap_report(structure, tol=1e-9):

@@ -186,18 +186,31 @@ def discriminant_rounding(op, lam):
     for the final sum. Unlike a fixed multiple of N eps it grows with
     the cancellation inside the march, as in a cell repeated several
     times whose transfer matrix is far from normal.
+
+    Both marches keep their rows, and the products are summed site by
+    site, so no array of all sites' products is formed. Raises
+    ValueError when a march or the bound overflows the float range.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
-    u = np.stack(_march_values(a, b, lam, history=True))  # u[i] is u_{i-1}
-    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))
-    v = v[n:0:-1]  # v[k] is v_{N-1-k}
-    column = (-1, 1) + (1,) * lam.ndim  # sites, starts, lam
-    shifts = (lam - b.reshape(column)) / a.reshape(column)
-    local = np.abs(shifts) * np.abs(u[1:-1])
-    local += (np.roll(a, 1) / a).reshape(column) * np.abs(u[:-2])
-    reach = (a / a[-1]).reshape(column) * np.abs(v)
-    delta = u[-1, 0] + u[-2, 1]
-    eps = np.finfo(float).eps
-    return delta, eps * (2.0 * np.sum(local * reach, axis=(0, 1)) + np.abs(delta))
+    u = _march_values(a, b, lam, history=True)  # u[i] is u_{i-1}
+    v = _march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True)
+    back = np.roll(a, 1) / a
+    total = np.zeros((2,) + lam.shape)
+    k = 0
+    try:
+        with np.errstate(over="raise"):
+            for k in range(n):
+                local = np.abs((lam - b[k]) / a[k]) * np.abs(u[k + 1])
+                local += back[k] * np.abs(u[k])
+                local *= np.abs(v[n - k]) * (a[k] / a[-1])  # v[n - k] is v_{N-1-k}
+                total += local
+            delta = u[-1][0] + u[-2][1]
+            eps = np.finfo(float).eps
+            return delta, eps * (2.0 * (total[0] + total[1]) + np.abs(delta))
+    except FloatingPointError:
+        raise ValueError(
+            f"rounding bound overflowed at site {k} of period {n}: "
+            "it exceeds the float range"
+        ) from None

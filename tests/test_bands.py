@@ -14,7 +14,7 @@ from hillbands import (
     transfer,
 )
 
-from helpers import random_operator
+from helpers import exact_discriminant, random_operator
 
 
 @pytest.fixture(scope="module")
@@ -99,20 +99,22 @@ def test_multisection_matches_halving_reference(monkeypatch):
         PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
         for n in (3, 8, 17, 24)
     ]
-    chains += [_harper(89, 55, phi) for phi in (0.3, 2.1)]
-    multisected = [band_edges_bisection(op) for op in chains]
+    harper = [_harper(89, 55, phi) for phi in (0.3, 2.1)]
+    multisected = [band_edges_bisection(op) for op in chains + harper]
     monkeypatch.setattr(bands, "_multisect", _halving)
     for op, edges in zip(chains, multisected):
+        assert np.max(np.abs(edges - band_edges_bisection(op))) <= 1e-12 * _scale(op)
+    for op, edges in zip(harper, multisected[len(chains) :]):
         reference = band_edges_bisection(op)
         # Where Delta -+ 2 has a near-double zero (the narrow open gaps
         # of the Harper chain), the predicate is decided by rounding
         # within rounding(Delta) / |Delta'| of the edge, and each method
-        # may stop anywhere in that interval.
+        # may stop anywhere in that interval; that allowance is capped.
         _, slope = transfer.discriminant(op, reference)
         _, rounding = transfer.discriminant_rounding(op, reference)
         with np.errstate(divide="ignore"):
-            allowed = 1e-12 * _scale(op) + 2.0 * rounding / np.abs(slope)
-        assert np.all(np.abs(edges - reference) <= allowed)
+            conditioning = np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
+        assert np.all(np.abs(edges - reference) <= 1e-12 * _scale(op) + conditioning)
 
 
 def test_bisection_marches_fewer_than_32_times(monkeypatch):
@@ -371,19 +373,35 @@ def test_uniform_chain_dos_and_ids_match_closed_forms(period):
     far = np.abs(np.abs(grid - b) - 2 * a) > 1e-10
     assert np.array_equal(bs.contains(grid)[far], (np.abs(grid - b) <= 2 * a)[far])
 
-    # Delta = 2 cos(N theta), lam = b + 2a cos(theta). Delta' and
-    # sqrt(4 - Delta^2) both vanish at the closed gaps, so there a
-    # rounding error dDelta turns into a relative DOS error of about
-    # 2 dDelta / (4 - Delta^2); the bound allows dDelta up to 1024 eps.
-    theta = np.arccos(np.clip((grid - b) / (2 * a), -1.0, 1.0))
+    # Delta = 2 cos(N theta), lam = b + 2a cos(theta): the closed gaps
+    # sit at the levels theta = pi j / N, where Delta' and
+    # sqrt(4 - Delta^2) both vanish.
     levels = b + 2 * a * np.cos(np.pi * np.arange(period + 1) / period)
     inside = np.abs(grid - b) < 2 * a
     far = inside & (np.min(np.abs(grid[:, None] - levels), axis=1) >= 1e-6)
     exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (grid[far] - b) ** 2))
-    rel = np.abs(bs.density_of_states(grid)[far] - exact) / exact
-    conditioning = 4.0 * np.sin(period * theta[far]) ** 2
-    assert np.all(rel <= 1e-9 + 2048 * np.finfo(float).eps / conditioning)
+    assert np.all(np.abs(bs.density_of_states(grid)[far] - exact) <= 1e-9 * exact)
     assert np.all(bs.density_of_states(grid)[~inside] == 0.0)
+
+
+def _exact_density(op, lam):
+    """The DOS at lam from Delta and Delta' in exact rational arithmetic."""
+    delta, slope = exact_discriminant(op, lam)
+    return float(abs(slope)) / (op.period * np.pi * np.sqrt(float(4 - delta * delta)))
+
+
+def test_dos_matches_exact_arithmetic_inside_every_band():
+    # Inside the narrower bands of random chains the monodromy is far
+    # from normal: its entries reach 1e3 and more while |Delta| < 2, so
+    # forming 4 - Delta^2 from the entries alone would cancel them.
+    rng = np.random.default_rng(22)
+    for period in (10, 10, 12, 12, 12):
+        bs = BandStructure(random_operator(rng, period))
+        lam = np.concatenate(
+            [np.linspace(band.lower, band.upper, 10)[1:-1] for band in bs.bands]
+        )
+        exact = np.array([_exact_density(bs.operator, x) for x in lam])
+        assert np.all(np.abs(bs.density_of_states(lam) - exact) <= 1e-9 * exact)
 
 
 def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op):

@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as P
 
 from hillbands import PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
 
-from helpers import random_operator
+from helpers import exact_discriminant, random_operator
 
 
 def test_monodromy_advances_recurrence():
@@ -87,18 +87,6 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
 
 
-def _exact_discriminant(op, lam):
-    """tr M by the recurrence in exact rational arithmetic."""
-    a = [Fraction(x) for x in op.hopping]
-    b = [Fraction(x) for x in op.onsite]
-    lam = Fraction(lam)
-    cur, prev = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
-    for k in range(op.period):
-        nxt = [((lam - b[k]) * u - a[k - 1] * v) / a[k] for u, v in zip(cur, prev)]
-        prev, cur = cur, nxt
-    return cur[0] + prev[1]
-
-
 def test_rounding_bound_covers_the_exact_discriminant():
     # Random chains and repeated cells, at the band edges, the gap
     # middles and random energies, against exact arithmetic.
@@ -114,7 +102,7 @@ def test_rounding_bound_covers_the_exact_discriminant():
         )
         delta, bound = transfer.discriminant_rounding(op, lam)
         assert np.array_equal(delta, transfer.discriminant_value(op, lam))
-        error = [abs(Fraction(d) - _exact_discriminant(op, x)) for d, x in zip(delta, lam)]
+        error = [abs(Fraction(d) - exact_discriminant(op, x)[0]) for d, x in zip(delta, lam)]
         assert all(e <= Fraction(b) for e, b in zip(error, bound))
 
 
@@ -131,6 +119,11 @@ def test_monodromy_overflow_raises():
     # A denormal bond overflows the site factors before the first step.
     with pytest.raises(ValueError, match="overflow"):
         transfer.discriminant_value(PeriodicJacobi([1e-310, 1.0], [0.0, 0.5]), 0.3)
+    # The rounding bound can pass the float range where the march does not.
+    op = _weak_bond_chain(241)
+    transfer.discriminant_value(op, np.array([1.7]))
+    with pytest.raises(ValueError, match="overflow"):
+        transfer.discriminant_rounding(op, np.array([1.7]))
 
 
 def test_bisection_on_overflowing_chain_raises():
