@@ -147,17 +147,27 @@ class BandStructure:
     [E_{2j}, E_{2j+1}] and gap j is (E_{2j+1}, E_{2j+2}). The
     integrated density of states increases by exactly 1/N over each
     band and is flat across gaps.
+
+    The edges are computed on first use, not at construction, so a
+    caller that never reads them (dispersion alone) never solves for
+    them. An error of the edge route, such as the ValueError of a
+    recurrence that overflows on the bisection route, is raised at that
+    first access; an unknown method is still rejected here.
     """
 
     def __init__(self, operator, method="eig"):
-        self.operator = operator
-        if method == "eig":
-            self.edges = band_edges_eig(operator)
-        elif method == "bisection":
-            self.edges = band_edges_bisection(operator)
-        else:
+        if method not in ("eig", "bisection"):
             raise ValueError(f"unknown method {method!r}")
-        self.edges.setflags(write=False)
+        self.operator = operator
+        self.method = method
+
+    @cached_property
+    def edges(self):
+        """The 2N sorted band edges, by the chosen route on first use."""
+        route = band_edges_eig if self.method == "eig" else band_edges_bisection
+        edges = route(self.operator)
+        edges.setflags(write=False)
+        return edges
 
     @cached_property
     def discriminant(self):
@@ -182,9 +192,43 @@ class BandStructure:
     def open_gaps(self, tol=1e-9):
         return [g for g in self.gaps if g.is_open(tol)]
 
+    @cached_property
+    def _shut(self):
+        """shut[k] is true when an edge count of k falls in a gap no wider
+        than the rounding of the edges, N eps (max|b| + 2 max a): the eig
+        route leaves such a sliver between the edges of a closed gap.
+        """
+        op = self.operator
+        slack = op.period * np.finfo(float).eps * (
+            np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+        shut = np.zeros(self.edges.size + 1, dtype=bool)
+        shut[2:-1:2] = np.diff(self.edges)[1::2] <= slack
+        return shut
+
+    def _locate(self, lam, tol=0.0):
+        """Edge count and spectrum membership of lam, elementwise.
+
+        k is the number of edges at or below lam, so lam lies inside
+        band k // 2 when k is odd, and in a gap or off the spectrum when
+        it is even. inside is true in the closed bands widened by tol on
+        both sides, as in Band.contains: where k is odd or an edge lies
+        within tol of lam (on an edge at tol = 0, which also holds a band
+        of width 0). It is also true in a gap that is closed but for
+        rounding (see _shut).
+        """
+        k = np.searchsorted(self.edges, lam, side="right")
+        near = np.searchsorted(self.edges, lam - tol) < np.searchsorted(
+            self.edges, lam + tol, side="right")
+        return k, (k % 2 == 1) | near | self._shut[k]
+
     def contains(self, lam, tol=0.0):
-        """Spectrum membership, |Delta(lam)| <= 2, elementwise."""
-        return np.abs(transfer.discriminant_value(self.operator, lam)) <= 2.0 + tol
+        """Spectrum membership, elementwise, decided from the edges.
+
+        tol is an energy tolerance that widens each band on both sides.
+        No recurrence runs, so a band narrower than the rounding of
+        Delta still contains its own points.
+        """
+        return self._locate(lam, tol)[1]
 
     def bloch_phase(self, lam):
         """Reduced Bloch phase arccos(Delta/2) in [0, pi], elementwise.
@@ -206,9 +250,12 @@ class BandStructure:
     def density_of_states(self, lam):
         """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.
 
-        M and M' come from one march of the recurrence. Zero off the
-        spectrum; integrates to exactly 1/N over each band. Diverges
-        like an inverse square root at open-gap edges.
+        Zero off the spectrum; integrates to exactly 1/N over each band.
+        Diverges like an inverse square root at open-gap edges. M and M'
+        come from one march of the recurrence over the points in the
+        spectrum, as contains decides it from the edges; the DOS is
+        exactly 0 at all other points. The march is elementwise, so a
+        point's value does not depend on which others are marched.
 
         Since det M = 1, 4 - Delta^2 = -(M00 - M11)^2 - 4 M01 M10. Near
         a closed gap M is close to +-I, Delta^2 cancels against 4, and
@@ -216,7 +263,9 @@ class BandStructure:
         normal its entries cancel instead. Each point takes the form
         whose first-order sensitivity to errors in M is smaller.
         """
-        m, dm = transfer.monodromy(self.operator, lam)
+        lam = np.asarray(lam, dtype=float)
+        inside = self._locate(lam)[1]
+        m, dm = transfer.monodromy(self.operator, lam[inside])
         delta = m[0, 0] + m[1, 1]
         split = m[0, 0] - m[1, 1]
         under = np.where(
@@ -225,8 +274,9 @@ class BandStructure:
             4.0 - delta * delta,
         )
         n = self.operator.period
+        rho = np.zeros(lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(
+            rho[inside] = np.where(
                 under > 0.0,
                 np.abs(dm[0, 0] + dm[1, 1])
                 / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
@@ -240,20 +290,23 @@ class BandStructure:
         """Fraction of states at or below lam, in [0, 1], elementwise.
 
         A point on an upper band edge counts the band as filled; a point
-        on a lower edge counts as inside the band. Delta comes from one
-        value march of the recurrence, through bloch_phase.
+        on a lower edge counts as inside the band. Off the bands the IDS
+        sits on its plateau, read from the edges; only the points inside
+        the spectrum (see contains) are marched, for Delta alone, through
+        bloch_phase.
         """
         lam = np.asarray(lam, dtype=float)
         n = self.operator.period
-        k = np.searchsorted(self.edges, lam, side="right")
+        k, inside = self._locate(lam)
         band = k // 2
         # Delta alternates between +2 and -2 along the edge sequence,
         # ending at +2 on the top edge, so the phase at band j's lower
         # edge is exactly 0 when N - j is even and pi otherwise. Using
         # the exact value avoids the sqrt-of-roundoff noise that
         # evaluating arccos at a computed edge would introduce.
-        phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
-        partial = np.abs(self.bloch_phase(lam) - phase_lower) / np.pi
+        phase_lower = np.where((n - band[inside]) % 2 == 0, 0.0, np.pi)
+        partial = np.zeros(lam.shape)
+        partial[inside] = np.abs(self.bloch_phase(lam[inside]) - phase_lower) / np.pi
         ids = (band + np.where(k % 2 == 1, partial, 0.0)) / n
         if ids.ndim == 0:
             return float(ids)

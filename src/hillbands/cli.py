@@ -8,7 +8,8 @@
     hillbands classes --values 0,1 --period 4
     hillbands neighbors --onsite 0,0.7,-0.3 --count 2 --seed 1
 
-Every subcommand accepts --json for machine-readable output.
+Every subcommand accepts --json for machine-readable output: one line of
+compact JSON (pipe it through python -m json.tool to indent it).
 """
 
 import argparse
@@ -37,44 +38,52 @@ def _add_chain_arguments(sub):
 
 
 def _emit(args, payload, text):
+    """Write the payload under --json, else the text; both are zero-argument
+    callables, and only the one written is called. JSON goes out compact,
+    on one line, through the C encoder."""
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload()) + "\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text() + "\n")
 
 
 def _cmd_bands(args):
     bs = tightbinding.band_structure(args.onsite, args.hopping, method=args.method)
-    _emit(args, bs.to_dict(), tightbinding.gap_report(bs))
+    _emit(args, bs.to_dict, lambda: tightbinding.gap_report(bs))
 
 
 def _cmd_dispersion(args):
     bs = tightbinding.band_structure(args.onsite, args.hopping)
     thetas = np.linspace(0.0, np.pi, args.samples)
     energies = bs.dispersion(thetas)
-    payload = {"theta": thetas.tolist(), "bands": energies.tolist()}
-    lines = ["theta " + " ".join(f"band{j}" for j in range(energies.shape[0]))]
-    for k, theta in enumerate(thetas):
-        lines.append(f"{theta:.6f} " + " ".join(f"{e:.8f}" for e in energies[:, k]))
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = ["theta " + " ".join(f"band{j}" for j in range(energies.shape[0]))]
+        for k, theta in enumerate(thetas):
+            lines.append(f"{theta:.6f} " + " ".join(f"{e:.8f}" for e in energies[:, k]))
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"theta": thetas.tolist(), "bands": energies.tolist()}, text)
 
 
 def _cmd_dos(args):
     bs = tightbinding.band_structure(args.onsite, args.hopping)
     energies, rho, ids = tightbinding.dos_curve(bs, points=args.points)
-    payload = {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()}
-    lines = ["energy dos ids"]
-    for row in zip(energies, rho, ids):
-        lines.append("{:.8f} {:.8f} {:.8f}".format(*row))
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = ["energy dos ids"]
+        for row in zip(energies, rho, ids):
+            lines.append("{:.8f} {:.8f} {:.8f}".format(*row))
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()},
+          text)
 
 
 def _cmd_inverse(args):
     op = inverse.recover_onsite(np.asarray(args.coeffs), args.hopping)
-    payload = {"hopping": op.hopping.tolist(), "onsite": op.onsite.tolist()}
-    _emit(args, payload,
-          "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
+    _emit(args, lambda: {"hopping": op.hopping.tolist(), "onsite": op.onsite.tolist()},
+          lambda: "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
           + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
 
 
@@ -82,14 +91,14 @@ def _cmd_edges(args):
     op = inverse.recover_operator_from_edges(
         args.periodic, args.antiperiodic, hopping=args.hopping)
     disc = inverse.discriminant_from_edges(args.periodic, args.antiperiodic)
-    payload = {
-        "hopping_product": disc.hopping_product,
-        "discriminant_coefficients": disc.coefficients.tolist(),
-        "hopping": op.hopping.tolist(),
-        "onsite": op.onsite.tolist(),
-    }
-    _emit(args, payload,
-          f"hopping product: {disc.hopping_product:.10g}\n"
+    _emit(args,
+          lambda: {
+              "hopping_product": disc.hopping_product,
+              "discriminant_coefficients": disc.coefficients.tolist(),
+              "hopping": op.hopping.tolist(),
+              "onsite": op.onsite.tolist(),
+          },
+          lambda: f"hopping product: {disc.hopping_product:.10g}\n"
           + "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
           + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
 
@@ -97,38 +106,51 @@ def _cmd_edges(args):
 def _cmd_classes(args):
     classes = isospectral.enumerate_onsite_classes(
         args.values, args.period, hopping=args.hopping, decimals=args.decimals)
-    payload = {
-        "alphabet": args.values,
-        "period": args.period,
-        "class_count": len(classes),
-        "classes": [
-            {"size": c.size, "members": [list(m) for m in c.members]}
-            for c in classes
-        ],
-    }
-    lines = [f"{len(classes)} isospectral classes over {len(args.values)}^{args.period} patterns"]
-    for i, c in enumerate(classes):
-        shown = ", ".join(str(list(m)) for m in c.members[:4])
-        more = "" if c.size <= 4 else f" (+{c.size - 4} more)"
-        lines.append(f"class {i}: size {c.size}: {shown}{more}")
-    _emit(args, payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "alphabet": args.values,
+            "period": args.period,
+            "class_count": len(classes),
+            "classes": [
+                {"size": c.size, "members": [list(m) for m in c.members]}
+                for c in classes
+            ],
+        }
+
+    def text():
+        lines = [f"{len(classes)} isospectral classes over "
+                 f"{len(args.values)}^{args.period} patterns"]
+        for i, c in enumerate(classes):
+            shown = ", ".join(str(list(m)) for m in c.members[:4])
+            more = "" if c.size <= 4 else f" (+{c.size - 4} more)"
+            lines.append(f"class {i}: size {c.size}: {shown}{more}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
 
 
 def _cmd_neighbors(args):
     op = tightbinding.make_chain(args.onsite, args.hopping)
     found = isospectral.isospectral_neighbors(
         op, count=args.count, step=args.step, seed=args.seed)
-    payload = [
-        {"hopping": nb.hopping.tolist(), "onsite": nb.onsite.tolist(),
-         "orbit_distance": isospectral.orbit_distance(op, nb)}
-        for nb in found
-    ]
-    lines = []
-    for i, nb in enumerate(found):
-        lines.append(f"neighbor {i}:")
-        lines.append("  hopping: " + ", ".join(f"{a:.10g}" for a in nb.hopping))
-        lines.append("  onsite:  " + ", ".join(f"{b:.10g}" for b in nb.onsite))
-    _emit(args, payload, "\n".join(lines))
+
+    def payload():
+        return [
+            {"hopping": nb.hopping.tolist(), "onsite": nb.onsite.tolist(),
+             "orbit_distance": isospectral.orbit_distance(op, nb)}
+            for nb in found
+        ]
+
+    def text():
+        lines = []
+        for i, nb in enumerate(found):
+            lines.append(f"neighbor {i}:")
+            lines.append("  hopping: " + ", ".join(f"{a:.10g}" for a in nb.hopping))
+            lines.append("  onsite:  " + ", ".join(f"{b:.10g}" for b in nb.onsite))
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
 
 
 def build_parser():

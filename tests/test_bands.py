@@ -181,6 +181,37 @@ def test_gap_midpoints_outside_spectrum(generic_bs):
     assert not generic_bs.contains(generic_bs.edges[-1] + 1.0)
 
 
+def test_band_centres_of_random_long_chains_are_in_the_spectrum():
+    # At N = 64 bands are narrower than the rounding of Delta, so
+    # |Delta| <= 2 put a sixth of the band centres outside; the edges
+    # decide membership instead.
+    rng = np.random.default_rng(64)
+    for _ in range(10):
+        bs = BandStructure(random_operator(rng, 64))
+        centres = 0.5 * (bs.edges[0::2] + bs.edges[1::2])
+        assert np.all(bs.contains(centres))
+        mids = [0.5 * (g.lower + g.upper) for g in bs.open_gaps()]
+        assert not np.any(bs.contains(np.array(mids)))
+        assert not bs.contains(bs.edges[0] - 1.0)
+        assert not bs.contains(bs.edges[-1] + 1.0)
+
+
+def test_contains_tolerance_widens_each_band(generic_bs):
+    for band in generic_bs.bands:
+        for lam in (band.lower - 1e-3, band.upper + 1e-3):
+            assert not generic_bs.contains(lam)
+            assert generic_bs.contains(lam, tol=2e-3) == band.contains(lam, tol=2e-3)
+
+
+def test_closed_gaps_of_uniform_chains_are_in_the_spectrum():
+    # The eig route leaves slivers of a few ulp between the edges of a
+    # closed gap; a level inside one is still in the spectrum.
+    for period, a, b in ((60, 0.9, -0.2), (100, 0.9, -0.2), (64, 1.347, -1.318)):
+        bs = BandStructure(PeriodicJacobi.free(period, a, b))
+        levels = b + 2 * a * np.cos(np.pi * np.arange(1, period) / period)
+        assert np.all(bs.contains(levels))
+
+
 def test_dirichlet_interlacing(generic_op, generic_bs):
     # One Dirichlet eigenvalue sits in each closed gap [E_{2j+1}, E_{2j+2}].
     mu = generic_op.dirichlet_eigenvalues()
@@ -245,6 +276,47 @@ def test_discriminant_built_only_on_first_use(generic_op):
         Discriminant.from_operator(generic_op).coefficients.tolist()
     )
     assert "discriminant" in bs.__dict__
+
+
+def test_edges_solved_only_on_first_use(monkeypatch, generic_op):
+    def refuse(op):
+        raise AssertionError("band edges solved")
+
+    monkeypatch.setattr(bands, "band_edges_eig", refuse)
+    bs = BandStructure(generic_op)
+    assert bs.dispersion([0.0, 1.0]).shape == (3, 2)
+    assert "edges" not in bs.__dict__
+    with pytest.raises(AssertionError):
+        bs.edges
+    with pytest.raises(ValueError):
+        BandStructure(generic_op, method="bogus")
+
+
+def test_dos_curve_marches_only_in_band_points(monkeypatch):
+    bs = BandStructure(_harper(89, 55, 0.7))
+    marched = []
+    march = transfer._march_values
+
+    def counted(hopping, onsite, lam, **kwargs):
+        marched.append(np.size(lam))
+        return march(hopping, onsite, lam, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    energies, rho, ids = dos_curve(bs, points=512)
+    inside = np.searchsorted(bs.edges, energies, side="right") % 2 == 1
+    assert 0 < inside.sum() < 512
+    assert np.array_equal(bs.contains(energies), inside)
+    assert sum(marched) == 2 * inside.sum()
+
+    # The reference marches the whole grid; the march is elementwise.
+    def everywhere(self, lam, tol=0.0):
+        return np.searchsorted(self.edges, lam, side="right"), np.ones(np.shape(lam), bool)
+
+    monkeypatch.setattr(BandStructure, "_locate", everywhere)
+    _, rho_full, ids_full = dos_curve(bs, points=512)
+    assert np.array_equal(rho[inside], rho_full[inside])
+    assert np.all(rho[~inside] == 0.0)
+    assert np.array_equal(ids, ids_full)
 
 
 def test_density_of_states_normalization(generic_bs):

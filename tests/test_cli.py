@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillbands import BandStructure, Discriminant, PeriodicJacobi, cli, tightbinding
+from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, tightbinding
 from hillbands.cli import main
 
 
@@ -201,3 +201,92 @@ def test_bands_does_not_import_scipy_optimize():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+def run_both(capsys, *argv):
+    """Text and JSON output of the same call: (text lines, payload)."""
+    code, text, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1  # compact, one line
+    return text.splitlines(), json.loads(out)
+
+
+def printed(values, spec):
+    return [format(v, spec) for v in values]
+
+
+def test_dispersion_text_matches_json(capsys):
+    lines, payload = run_both(
+        capsys, "dispersion", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2",
+        "--samples", "7")
+    assert lines[0].split() == ["theta", "band0", "band1", "band2"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == printed(payload["theta"], ".6f")
+    for j, band in enumerate(payload["bands"]):
+        assert [row[1 + j] for row in rows] == printed(band, ".8f")
+
+
+def test_dos_text_matches_json(capsys):
+    lines, payload = run_both(
+        capsys, "dos", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2", "--points", "33")
+    assert lines[0] == "energy dos ids"
+    columns = list(zip(*(line.split() for line in lines[1:])))
+    for column, key in zip(columns, ("energy", "dos", "ids")):
+        assert list(column) == printed(payload[key], ".8f")
+
+
+def _values(line, label):
+    assert line.startswith(label)
+    return line[len(label):].strip().split(", ")
+
+
+def test_inverse_text_matches_json(capsys):
+    coeffs = Discriminant.from_operator(PeriodicJacobi([1.0, 1.0], [0.4, -0.4])).coefficients
+    lines, payload = run_both(
+        capsys, "inverse", "--coeffs=" + ",".join(f"{c:.17g}" for c in coeffs),
+        "--hopping", "1,1")
+    assert _values(lines[0], "onsite:") == printed(payload["onsite"], ".10g")
+    assert _values(lines[1], "hopping:") == printed(payload["hopping"], ".10g")
+
+
+def test_edges_text_matches_json(capsys):
+    op = PeriodicJacobi([1.0, 1.0, 1.0], [0.6, -0.2, 0.1])
+    per = ",".join(f"{x:.17g}" for x in op.floquet_eigenvalues(0.0))
+    anti = ",".join(f"{x:.17g}" for x in op.floquet_eigenvalues(np.pi))
+    lines, payload = run_both(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}")
+    assert _values(lines[0], "hopping product:") == printed([payload["hopping_product"]], ".10g")
+    assert _values(lines[1], "onsite:") == printed(payload["onsite"], ".10g")
+    assert _values(lines[2], "hopping:") == printed(payload["hopping"], ".10g")
+
+
+def test_classes_text_matches_json(capsys):
+    lines, payload = run_both(capsys, "classes", "--values", "0,1", "--period", "5")
+    assert lines[0] == f"{payload['class_count']} isospectral classes over 2^5 patterns"
+    assert len(lines) == 1 + payload["class_count"]
+    for i, (line, c) in enumerate(zip(lines[1:], payload["classes"])):
+        shown = ", ".join(str(m) for m in c["members"][:4])
+        more = "" if c["size"] <= 4 else f" (+{c['size'] - 4} more)"
+        assert line == f"class {i}: size {c['size']}: {shown}{more}"
+
+
+def test_neighbors_text_matches_json(capsys):
+    lines, payload = run_both(
+        capsys, "neighbors", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2",
+        "--count", "2", "--seed", "3")
+    assert len(lines) == 3 * len(payload) == 6
+    for i, nb in enumerate(payload):
+        assert lines[3 * i] == f"neighbor {i}:"
+        assert _values(lines[3 * i + 1], "  hopping:") == printed(nb["hopping"], ".10g")
+        assert _values(lines[3 * i + 2], "  onsite:") == printed(nb["onsite"], ".10g")
+
+
+def test_dispersion_never_solves_band_edges(capsys, monkeypatch):
+    def refuse(op):
+        raise AssertionError("band edges solved")
+
+    monkeypatch.setattr(bands, "band_edges_eig", refuse)
+    code, out, err = run_cli(capsys, "dispersion", "--onsite", "0,0.5", "--samples", "3", "--json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["bands"]) == 2
