@@ -216,6 +216,7 @@ class BandStructure:
         of width 0). It is also true in a gap that is closed but for
         rounding (see _shut).
         """
+        lam = np.asarray(lam, dtype=float)
         k = np.searchsorted(self.edges, lam, side="right")
         near = np.searchsorted(self.edges, lam - tol) < np.searchsorted(
             self.edges, lam + tol, side="right")

@@ -198,6 +198,7 @@ def test_band_centres_of_random_long_chains_are_in_the_spectrum():
 
 def test_contains_tolerance_widens_each_band(generic_bs):
     for band in generic_bs.bands:
+        assert np.all(generic_bs.contains([band.lower, band.upper]))
         for lam in (band.lower - 1e-3, band.upper + 1e-3):
             assert not generic_bs.contains(lam)
             assert generic_bs.contains(lam, tol=2e-3) == band.contains(lam, tol=2e-3)
