@@ -171,8 +171,8 @@ class BandStructure:
 
     @cached_property
     def discriminant(self):
-        """Coefficient form of Delta, built on first use. Only to_dict
-        needs it: edges, dispersion, DOS and IDS never do."""
+        """Delta by its Chebyshev node values, built on first use. Only
+        to_dict needs it: edges, dispersion, DOS and IDS never do."""
         return Discriminant.from_operator(self.operator)
 
     @cached_property
@@ -328,5 +328,5 @@ class BandStructure:
             "band_widths": [b.width for b in self.bands],
             "gaps": [[g.lower, g.upper] for g in self.gaps],
             "gap_widths": [g.width for g in self.gaps],
-            "discriminant_coefficients": self.discriminant.coefficients.tolist(),
+            "discriminant_chebyshev": self.discriminant.to_dict(),
         }

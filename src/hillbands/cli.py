@@ -91,14 +91,15 @@ def _cmd_edges(args):
     op = inverse.recover_operator_from_edges(
         args.periodic, args.antiperiodic, hopping=args.hopping)
     disc = inverse.discriminant_from_edges(args.periodic, args.antiperiodic)
+    product = float(np.exp(disc.log_hopping_product))
     _emit(args,
           lambda: {
-              "hopping_product": disc.hopping_product,
-              "discriminant_coefficients": disc.coefficients.tolist(),
+              "hopping_product": product,
+              "discriminant_chebyshev": disc.to_dict(),
               "hopping": op.hopping.tolist(),
               "onsite": op.onsite.tolist(),
           },
-          lambda: f"hopping product: {disc.hopping_product:.10g}\n"
+          lambda: f"hopping product: {product:.10g}\n"
           + "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
           + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
 

@@ -2,20 +2,21 @@
 
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
-N-to-N system solved here by damped Newton iteration with an analytic
-Jacobian: the onsite columns of `transfer.coefficient_jacobian`, the
-Jacobian `isospectral` walks with too. Band-edge data determines the
-discriminant directly: the monic polynomials built from the periodic
-and antiperiodic eigenvalues differ by the constant 4 * prod(a), which
-recovers the hopping product, and their average is the monic
-discriminant.
+N-to-N system solved here by damped Newton iteration. The residual and
+its Jacobian are `monic_map` times Delta and the onsite columns of
+`transfer.discriminant_jacobian` at N + 1 fixed nodes. Band-edge data
+determines the discriminant directly: the monic polynomials built from
+the periodic and antiperiodic eigenvalues differ by the constant
+4 * prod(a), which recovers the hopping product, and their average is
+the monic discriminant.
 """
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
 from . import transfer
-from .discriminant import Discriminant
+from .discriminant import Discriminant, chebyshev_nodes
 from .operators import PeriodicJacobi
 
 
@@ -35,7 +36,9 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
 
     A square Jacobian gives the Newton step; a rectangular one gives the
     minimum-norm least-squares (Gauss-Newton) step, which for an
-    underdetermined system projects x onto the solution set.
+    underdetermined system projects x onto the solution set. Below tol,
+    one more full step is kept if it lowers the residual, so the root
+    does not sit just under tol.
 
     Parameters
     ----------
@@ -68,8 +71,6 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     for k in range(max_iter):
         if callback is not None:
             callback(k, x, norm)
-        if norm < tol:
-            return x
         j = jac(x)
         try:
             if j.shape[0] == j.shape[1]:
@@ -77,7 +78,12 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
             else:
                 step = np.linalg.lstsq(j, -fx, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
+            if norm < tol:
+                return x
             raise RuntimeError(f"singular Jacobian at iteration {k}") from exc
+        if norm < tol:
+            polished = np.max(np.abs(np.asarray(fun(x + step), dtype=float)))
+            return x + step if polished < norm else x
         t = 1.0
         while t > 2.0**-30:
             x_new = x + t * step
@@ -96,30 +102,22 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     )
 
 
-def onsite_jacobian(op):
+def monic_map(nodes, hopping_product):
+    """prod(a) V^-1, V the Vandermonde matrix of the N + 1 nodes: it maps
+    Delta at the nodes to the ascending coefficients of (prod a) * Delta."""
+    return hopping_product * np.linalg.inv(np.vander(nodes, increasing=True))
+
+
+def onsite_jacobian(op, nodes, to_monic):
     """d(monic discriminant coefficients) / d(onsite), an N x N matrix.
 
     Row i, column j holds the lam^i coefficient of the derivative of
     (prod a) * Delta = det(lam I - J(theta)) + 2 (prod a) cos theta with
     respect to onsite[j]: minus the characteristic polynomial of the
-    open chain left when site j is deleted. These are prod(a) times the
-    onsite columns of `transfer.coefficient_jacobian`, which marches the
-    N rotations of the chain together.
+    open chain left when site j is deleted; to_monic is the first N rows
+    of monic_map(nodes, prod a).
     """
-    n = op.period
-    return op.hopping_product() * transfer.coefficient_jacobian(op)[:n, n:]
-
-
-def _monic_numeric(op):
-    """Monic discriminant coefficients via one characteristic polynomial.
-
-    At Bloch phase pi/2 the cosine term drops out of
-    det(lam I - J(theta)) = prod(a) (Delta - 2 cos theta), so the
-    ascending charpoly coefficients of J(pi/2) are exactly
-    prod(a) * Delta. Much cheaper than the symbolic monodromy product,
-    at the cost of eigensolver-level (~1e-13) coefficient noise.
-    """
-    return np.poly(op.floquet_matrix(np.pi / 2.0))[::-1].real
+    return to_monic @ transfer.discriminant_jacobian(op, nodes)[:, op.period:]
 
 
 def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts=64):
@@ -136,18 +134,14 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
         Positive bond strengths, held fixed.
     initial : array_like, optional
         Starting onsite energies for a plain damped-Newton solve. When
-        omitted, a seeded multistart search runs instead: the target's
-        roots (which the onsite energies approach in the small-hopping
-        limit, one per band) are assigned to sites in random orders and
-        each start is driven by Levenberg-Marquardt with the analytic
-        Jacobian. Plain Newton's basins around the finitely many
-        solutions are far too small for a blind start; the damped
-        multistart makes blind recovery reliable and, being seeded, is
-        deterministic for a given target.
+        omitted, a seeded (so deterministic) multistart runs instead:
+        the target's roots, which the onsite energies approach in the
+        small-hopping limit, are assigned to sites in random orders and
+        driven by Levenberg-Marquardt; plain Newton's basins are far too
+        small for a blind start.
     tol : float
-        Max-norm tolerance on the monic coefficient residual, measured
-        relative to each target coefficient's magnitude (floored at 1,
-        so it is absolute for order-one coefficients).
+        Max-norm tolerance on the monic coefficient residual, relative
+        to each target coefficient's magnitude floored at 1.
     max_iter : int
         Newton iteration budget (per start when multistarting).
     starts : int
@@ -169,34 +163,37 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
     a = np.atleast_1d(np.asarray(hopping, dtype=float))
     n = a.size
     if isinstance(target, Discriminant):
-        coeffs = target.coefficients
-    else:
-        coeffs = np.atleast_1d(np.asarray(target, dtype=float))
-    if coeffs.ndim != 1 or coeffs.size != n + 1:
+        target = target.chebyshev.convert(kind=Polynomial).coef
+    pa = float(np.prod(a))
+    monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))
+    if monic_target.ndim != 1 or monic_target.size != n + 1:
         raise ValueError(
-            f"target of shape {coeffs.shape} is not {n + 1} coefficients "
+            f"target of shape {monic_target.shape} is not {n + 1} coefficients "
             f"for period {n}"
         )
-    pa = float(np.prod(a))
-    if abs(coeffs[-1] * pa - 1.0) > 1e-6:
+    if abs(monic_target[-1] - 1.0) > 1e-6:
         raise ValueError(
             "leading coefficient is inconsistent with the hopping product"
         )
-    monic_target = pa * coeffs
     scale = np.maximum(1.0, np.abs(monic_target[:n]))
+    roots = P.polyroots(monic_target)
+    guess = np.sort(roots.real)
+    # Fixed nodes on the hull of the target's zeros, at least 2 wide.
+    mid, half = 0.5 * (guess[-1] + guess[0]), max(0.5 * (guess[-1] - guess[0]), 1.0)
+    nodes = chebyshev_nodes((mid - half, mid + half), n)
+    to_monic = monic_map(nodes, pa)[:n]
 
     def fun(b):
-        return (_monic_numeric(PeriodicJacobi(a, b))[:n] - monic_target[:n]) / scale
+        delta = transfer.discriminant_value(PeriodicJacobi(a, b), nodes)
+        return (to_monic @ delta - monic_target[:n]) / scale
 
     def jac(b):
-        return onsite_jacobian(PeriodicJacobi(a, b)) / scale[:, None]
+        return onsite_jacobian(PeriodicJacobi(a, b), nodes, to_monic) / scale[:, None]
 
     if initial is not None:
         b = newton_solve(fun, jac, initial, tol=tol, max_iter=max_iter)
         return PeriodicJacobi(a, b)
 
-    roots = P.polyroots(monic_target)
-    guess = np.sort(roots.real)
     if np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
         # Not real-rooted, so certainly not a genuine discriminant;
         # still give Newton one attempt from the staggered trace split.
@@ -250,7 +247,7 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
     Returns
     -------
     Discriminant
-        Carries both the coefficients and the recovered hopping product.
+        On the hull of the edges, with the recovered hopping product.
     """
     per = np.sort(np.asarray(periodic, dtype=float))
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
@@ -267,8 +264,10 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
         raise ValueError(
             "edge data is inconsistent: nonpositive hopping product"
         )
-    coeffs = (p0 + ppi) / (2.0 * pa)
-    return Discriminant(coeffs, pa)
+    interval = (min(per[0], anti[0]), max(per[-1], anti[-1]))
+    x = chebyshev_nodes(interval, per.size)[:, None]
+    return Discriminant(
+        interval, (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa), np.log(pa))
 
 
 def recover_operator_from_edges(periodic, antiperiodic, hopping=None, **kwargs):
@@ -279,13 +278,12 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None, **kwargs):
     """
     disc = discriminant_from_edges(periodic, antiperiodic)
     n = disc.degree
+    pa = np.exp(disc.log_hopping_product)
     if hopping is None:
-        hopping = np.full(n, disc.hopping_product ** (1.0 / n))
+        hopping = np.full(n, pa ** (1.0 / n))
     else:
         hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
-        if abs(np.prod(hopping) - disc.hopping_product) > 1e-6 * max(
-            1.0, disc.hopping_product
-        ):
+        if abs(np.prod(hopping) - pa) > 1e-6 * max(1.0, pa):
             raise ValueError(
                 "supplied hoppings contradict the recovered hopping product"
             )

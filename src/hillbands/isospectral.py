@@ -1,13 +1,13 @@
 """Operators sharing a band structure.
 
-Equality of discriminants is equality of spectra, so the discriminant
-coefficient vector is a complete isospectrality invariant. Cyclic
+Equality of discriminants is equality of spectra, so Delta at N + 1
+nodes of one interval is a complete isospectrality invariant. Cyclic
 relabeling and reflection of the unit cell always preserve it; beyond
 that discrete symmetry there is a continuous family, generically of
 dimension one less than the period, explored here by walking the null
-space of the coefficient map and projecting back with `newton_solve`'s
+space of the node-value map and projecting back with `newton_solve`'s
 Gauss-Newton steps, both on the analytic (log hopping, onsite) Jacobian
-`transfer.coefficient_jacobian` that `inverse` shares.
+`transfer.discriminant_jacobian` that `inverse` shares.
 
 Exhaustive enumeration over a finite alphabet of onsite energies splits
 the alphabet^N cube into isospectral classes; classes larger than a
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transfer
-from .discriminant import Discriminant
+from .discriminant import Discriminant, chebyshev_nodes
 from .inverse import newton_solve
 from .operators import PeriodicJacobi
 
@@ -90,6 +90,12 @@ class IsospectralClass:
 def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     """Partition all onsite patterns from a finite alphabet by spectrum.
 
+    The patterns are marched CHUNK at a time at the Chebyshev nodes of
+    [min(values) - 2 max a, max(values) + 2 max a], which holds every
+    spectrum, and keyed on their node values divided by one scale, the
+    largest |Delta| there of the constant lowest pattern. Unscaled
+    values reach hundreds, and their rounding then splits classes.
+
     Parameters
     ----------
     values : sequence of float
@@ -99,7 +105,7 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     hopping : float or array_like
         Fixed bond strengths, uniform if scalar.
     decimals : int
-        Rounding used to key discriminant coefficients.
+        Rounding used to key the scaled node values.
 
     Returns
     -------
@@ -110,18 +116,19 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
     if hopping.size == 1:
         hopping = np.full(period, hopping[0])
-    # Checks the period and the bonds; the alphabet is checked next.
-    PeriodicJacobi(hopping, np.zeros(period))
     if not np.all(np.isfinite(values)):
         raise ValueError("alphabet values must be finite")
+    lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks period and bonds
+    reach = 2.0 * np.max(hopping)
+    nodes = chebyshev_nodes((min(values) - reach, max(values) + reach), period)
+    scale = max(1.0, np.max(np.abs(transfer.discriminant_value(lowest, nodes))))
     patterns = itertools.product(values, repeat=period)
     groups = {}
     while chunk := list(itertools.islice(patterns, CHUNK)):
-        coefficients = transfer.discriminant_coefficients(
-            np.broadcast_to(hopping, (len(chunk), period)), np.array(chunk)
-        )
-        # The same rounding as Discriminant.coefficient_key, row by row.
-        for pattern, key in zip(chunk, np.round(coefficients, decimals)):
+        onsite = np.array(chunk).T  # sites first, one pattern per column
+        bonds = np.broadcast_to(hopping[:, None], onsite.shape)
+        delta = transfer.discriminant_batch(bonds, onsite, nodes[:, None])
+        for pattern, key in zip(chunk, np.round(delta.T / scale, decimals)):
             groups.setdefault(tuple(key), []).append(pattern)
     classes = [
         IsospectralClass(key, tuple(members)) for key, members in groups.items()
@@ -143,8 +150,8 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
     """Walk the continuous isospectral family of a chain.
 
     Each step moves along a random direction in the null space of the
-    discriminant-coefficient map, whose Jacobian in (log hopping,
-    onsite) is analytic, and projects back with Gauss-Newton,
+    map to Delta at the nodes of the start's interval, whose Jacobian in
+    (log hopping, onsite) is analytic, and projects back with Gauss-Newton,
     so every returned chain shares the starting band structure while
     being genuinely different (not a shift or reflection, generically).
 
@@ -161,20 +168,23 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
     seed : int or numpy Generator, optional
         Randomness for the tangent directions.
     tol : float
-        Max-norm residual on discriminant coefficients after projection.
+        Max-norm residual on the node values after projection, relative
+        to max(1, max|Delta|) over the start's nodes.
 
     Returns
     -------
     list of PeriodicJacobi
     """
     rng = np.random.default_rng(seed)
-    target = Discriminant.from_operator(op).coefficients
+    start = Discriminant.from_operator(op)
+    nodes = chebyshev_nodes(start.interval, op.period)
+    scale = max(1.0, np.max(np.abs(start.values)))
 
     def fun(x):
-        return Discriminant.from_operator(_unpack(x)).coefficients - target
+        return (transfer.discriminant_value(_unpack(x), nodes) - start.values) / scale
 
     def jac(x):
-        return transfer.coefficient_jacobian(_unpack(x))
+        return transfer.discriminant_jacobian(_unpack(x), nodes) / scale
 
     x = _pack(op)
     out = []

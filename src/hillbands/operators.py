@@ -59,7 +59,13 @@ class PeriodicJacobi:
         return cls(np.full(period, hopping), np.full(period, onsite))
 
     def hopping_product(self):
-        return float(np.prod(self.hopping))
+        """a_0 * ... * a_{N-1}; ValueError when it leaves the float range."""
+        with np.errstate(over="raise", under="raise"):
+            try:
+                return float(np.prod(self.hopping))
+            except FloatingPointError:
+                raise ValueError(f"hopping product of period {self.period} "
+                                 "overflows the float range") from None
 
     def floquet_matrix(self, theta):
         """N x N Bloch Hamiltonian for boundary phase u_{n+N} = e^{i theta} u_n.

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from hillbands import PeriodicJacobi
 
@@ -12,6 +13,32 @@ def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5))
         rng.uniform(*hop_range, period), rng.uniform(*onsite_range, period)
     )
 
+
+def monodromy_polynomials(op):
+    """The entries of M as numpy Polynomials in lam, marched site by site.
+
+    An oracle apart from the package's march, well conditioned at the
+    short periods the tests use it at.
+    """
+    a, b = op.hopping, op.onsite
+    one, zero = Polynomial([1.0]), Polynomial([0.0])
+    m = [[one, zero], [zero, one]]
+    for k in range(op.period):
+        shift, back = Polynomial([-b[k] / a[k], 1.0 / a[k]]), a[k - 1] / a[k]
+        m = [[shift * m[0][j] - back * m[1][j] for j in range(2)], m[0]]
+    return m
+
+
+def power_coefficients(op):
+    """Ascending power-basis coefficients of Delta = tr M, for comparing
+    two chains' discriminants."""
+    m = monodromy_polynomials(op)
+    return (m[0][0] + m[1][1]).coef
+
+
+def monic_coefficients(disc):
+    """(prod a) Delta in the power basis, converted from disc's Chebyshev series."""
+    return np.exp(disc.log_hopping_product) * disc.chebyshev.convert(kind=Polynomial).coef
 
 
 def exact_discriminant(op, lam):

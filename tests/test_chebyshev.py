@@ -2,26 +2,33 @@
 
 The constant chain with a = 1/2, b = 0 runs the Chebyshev recurrence
 u_{n+1} = 2 x u_n - u_{n-1}, so its monodromy over N sites holds
-Delta = 2 T_N(x) and M[1, 0] = U_{N-1}(x). These tests check the
-transfer march and `Discriminant.free` against the Chebyshev identities.
+Delta = 2 T_N(x) and M[1, 0] = U_{N-1}(x), and its interval is
+[-1, 1] itself. These tests check the transfer march, the Chebyshev
+series `Discriminant` builds from node values, and `Discriminant.free`
+against the Chebyshev identities.
 """
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
 import pytest
-from numpy.polynomial import polynomial as P
+from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi, transfer
+from hillbands.discriminant import chebyshev_nodes
 
 
 def chebyshev_chain(n):
     return PeriodicJacobi.free(n, 0.5, 0.0)
 
 
-def chebyshev_arrays(n):
-    """Hopping and onsite arrays of chebyshev_chain(n), for the coefficient march."""
-    op = chebyshev_chain(n)
-    return op.hopping, op.onsite
+def power(disc):
+    """Ascending power-basis coefficients of a Discriminant's series."""
+    return disc.chebyshev.convert(kind=Polynomial).coef
+
+
+def u_series(n):
+    """U_n held as a Discriminant on [-1, 1]: marched values at its nodes."""
+    return Discriminant((-1.0, 1.0), u_values(n, chebyshev_nodes((-1.0, 1.0), n + 1)), 0.0)
 
 
 def t_values(n, x):
@@ -40,21 +47,21 @@ def test_t_coefficients_match_numpy(n):
     basis = np.zeros(n + 1)
     basis[n] = 1.0
     expected = C.cheb2poly(basis)
-    free = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
+    free = 0.5 * power(Discriminant.free(n, 0.5, 0.0))
     assert np.allclose(free, expected, atol=1e-12)
     if n >= 1:
-        marched = 0.5 * transfer.discriminant_coefficients(*chebyshev_arrays(n))
+        marched = 0.5 * power(Discriminant.from_operator(chebyshev_chain(n)))
         assert np.allclose(marched, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_u_coefficients_match_derivative_identity(n):
-    # U_{n-1} = T_n' / n
-    t = 0.5 * Discriminant.free(n, 0.5, 0.0).coefficients
-    expected = P.polyder(t) / n
-    corner = transfer.monodromy_coefficients(*chebyshev_arrays(n))[1, 0]
-    assert corner[n] == 0.0
-    assert np.allclose(corner[:n], expected, atol=1e-12)
+    # U_{n-1} = T_n' / n; the corner has degree n - 1 in a degree-n
+    # series, so its top coefficient is 0.
+    t = 0.5 * Discriminant.free(n, 0.5, 0.0).chebyshev.coef
+    expected = np.append(C.chebder(t) / n, 0.0)
+    corner = u_series(n - 1).chebyshev.coef
+    assert np.allclose(corner, expected, atol=1e-12)
 
 
 def test_t_eval_inside_interval():
@@ -65,11 +72,12 @@ def test_t_eval_inside_interval():
 
 
 def test_t_eval_outside_interval_matches_coefficients():
+    # The series built on [-1, 1] extrapolates to the march's values.
     x = np.array([-6.0, -1.5, 1.5, 3.0, 20.0])
     for n in (1, 2, 3, 7):
-        coefficients = 0.5 * transfer.discriminant_coefficients(*chebyshev_arrays(n))
+        series = 0.5 * Discriminant.from_operator(chebyshev_chain(n))(x)
         closed = np.sign(x) ** n * np.cosh(n * np.arccosh(np.abs(x)))
-        assert np.allclose(t_values(n, x), P.polyval(x, coefficients), rtol=1e-10)
+        assert np.allclose(t_values(n, x), series, rtol=1e-10)
         assert np.allclose(t_values(n, x), closed, rtol=1e-10)
 
 
@@ -78,8 +86,7 @@ def test_u_eval_matches_coefficients_everywhere():
     inside = np.abs(x) < 1.0
     t = np.arccos(x[inside])
     for n in (0, 1, 2, 6):
-        corner = transfer.monodromy_coefficients(*chebyshev_arrays(n + 1))[1, 0]
-        assert np.allclose(u_values(n, x), P.polyval(x, corner), rtol=1e-9)
+        assert np.allclose(u_values(n, x), u_series(n)(x), rtol=1e-9)
         closed = np.sin((n + 1) * t) / np.sin(t)
         assert np.allclose(u_values(n, x)[inside], closed, rtol=1e-9)
 

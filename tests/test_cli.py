@@ -10,6 +10,8 @@ import pytest
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, tightbinding
 from hillbands.cli import main
 
+from helpers import power_coefficients
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -56,6 +58,33 @@ def test_bands_bisection_overflow_exits_nonzero(capsys):
     assert "overflow" in err
 
 
+def test_bands_json_on_long_chain_overflow_exits_nonzero(capsys):
+    # Delta exceeds 1e308 in the gaps of a random N = 1024 chain, so its
+    # node values cannot be formed: the request fails loudly.
+    rng = np.random.default_rng(1024)
+    onsite = ",".join(f"{x:.17g}" for x in rng.uniform(-1.5, 1.5, 1024))
+    hopping = ",".join(f"{x:.17g}" for x in rng.uniform(0.4, 1.8, 1024))
+    code, out, err = run_cli(
+        capsys, "bands", f"--onsite={onsite}", f"--hopping={hopping}", "--json"
+    )
+    assert code == 1 and out == ""
+    assert "overflow" in err
+
+
+def test_bands_json_with_hopping_product_out_of_float_range(capsys):
+    # prod a = 10^400 is not a float; log(prod a) is, and Delta on the
+    # band of this uniform chain is 2 T_N.
+    code, out, err = run_cli(
+        capsys, "bands", "--onsite", ",".join(["0.3"] * 400), "--hopping", "10", "--json"
+    )
+    assert code == 0 and err == ""
+    series = json.loads(out)["discriminant_chebyshev"]
+    assert series["interval"] == [0.3 - 20.0, 0.3 + 20.0]
+    expected = np.zeros(401)
+    expected[400] = 2.0
+    assert np.max(np.abs(np.asarray(series["coefficients"]) - expected)) <= 1e-12
+
+
 def test_dispersion_json(capsys):
     code, out, _ = run_cli(
         capsys, "dispersion", "--onsite", "0,0.5", "--samples", "5", "--json"
@@ -82,7 +111,7 @@ def test_dos_json(capsys):
 
 def test_inverse_round_trip(capsys):
     op = PeriodicJacobi([1.0, 1.0], [0.4, -0.4])
-    coeffs = Discriminant.from_operator(op).coefficients
+    coeffs = power_coefficients(op)
     code, out, _ = run_cli(
         capsys,
         "inverse",
@@ -94,10 +123,8 @@ def test_inverse_round_trip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    found = Discriminant.from_operator(
-        PeriodicJacobi(payload["hopping"], payload["onsite"])
-    )
-    assert np.allclose(found.coefficients, coeffs, atol=1e-9)
+    found = PeriodicJacobi(payload["hopping"], payload["onsite"])
+    assert np.allclose(power_coefficients(found), coeffs, atol=1e-9)
 
 
 def test_edges_subcommand(capsys):
@@ -110,10 +137,11 @@ def test_edges_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["hopping_product"] == pytest.approx(1.0, abs=1e-9)
-    truth = Discriminant.from_operator(op)
-    assert np.allclose(
-        payload["discriminant_coefficients"], truth.coefficients, atol=1e-8
-    )
+    series = payload["discriminant_chebyshev"]
+    lam = np.linspace(*series["interval"], 9)
+    truth = Discriminant.from_operator(op)(lam)
+    got = np.polynomial.Chebyshev(series["coefficients"], domain=series["interval"])(lam)
+    assert np.allclose(got, truth, atol=1e-8)
 
 
 def test_classes_subcommand(capsys):
@@ -243,7 +271,7 @@ def _values(line, label):
 
 
 def test_inverse_text_matches_json(capsys):
-    coeffs = Discriminant.from_operator(PeriodicJacobi([1.0, 1.0], [0.4, -0.4])).coefficients
+    coeffs = power_coefficients(PeriodicJacobi([1.0, 1.0], [0.4, -0.4]))
     lines, payload = run_both(
         capsys, "inverse", "--coeffs=" + ",".join(f"{c:.17g}" for c in coeffs),
         "--hopping", "1,1")

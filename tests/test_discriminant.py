@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillbands import Discriminant, PeriodicJacobi
+from hillbands.discriminant import chebyshev_nodes
 
-from helpers import random_operator
+from helpers import exact_discriminant, monic_coefficients, power_coefficients, random_operator
 
 
 def test_hand_computed_period_three():
@@ -13,7 +14,7 @@ def test_hand_computed_period_three():
     # gives lambda^3 - lambda^2 - 3 lambda + 1 for the monic form.
     op = PeriodicJacobi([1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
     disc = Discriminant.from_operator(op)
-    assert np.allclose(disc.monic_coefficients(), [1.0, -3.0, -1.0, 1.0], atol=1e-12)
+    assert np.allclose(monic_coefficients(disc), [1.0, -3.0, -1.0, 1.0], atol=1e-12)
 
 
 def test_characteristic_polynomial_identity():
@@ -36,8 +37,9 @@ def test_free_matches_from_operator():
     op = PeriodicJacobi.free(6, hopping=0.9, onsite=-0.4)
     built = Discriminant.from_operator(op)
     closed = Discriminant.free(6, hopping=0.9, onsite=-0.4)
-    assert np.allclose(built.coefficients, closed.coefficients, atol=1e-10)
-    assert built.hopping_product == pytest.approx(closed.hopping_product)
+    assert built.interval == closed.interval
+    assert np.allclose(built.values, closed.values, atol=1e-10)
+    assert built.log_hopping_product == pytest.approx(closed.log_hopping_product)
 
 
 def test_call_scalar_and_array():
@@ -59,7 +61,7 @@ def test_derivative_matches_finite_difference():
 def test_monic_coefficients_leading_one():
     rng = np.random.default_rng(23)
     op = random_operator(rng, 5)
-    monic = Discriminant.from_operator(op).monic_coefficients()
+    monic = monic_coefficients(Discriminant.from_operator(op))
     assert monic[-1] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -67,19 +69,20 @@ def test_trace_coefficient():
     # Second-highest monic coefficient is minus the sum of on-site terms.
     rng = np.random.default_rng(29)
     op = random_operator(rng, 7)
-    monic = Discriminant.from_operator(op).monic_coefficients()
+    monic = monic_coefficients(Discriminant.from_operator(op))
     assert monic[-2] == pytest.approx(-op.onsite.sum(), rel=1e-10)
 
 
-def test_coefficient_key_and_allclose():
+def test_node_values_identify_the_spectrum():
+    # On one interval, chains of one period share their node values
+    # exactly when they share Delta.
     op = PeriodicJacobi([1.0, 1.0, 1.0], [0.3, -0.1, 0.4])
     d1 = Discriminant.from_operator(op)
-    d2 = Discriminant.from_operator(op.shifted(1))
-    assert d1.coefficient_key() == d2.coefficient_key()
-    assert d1.allclose(d2)
-    d3 = Discriminant.from_operator(PeriodicJacobi([1.0, 1.0, 1.0], [0.3, -0.1, 0.5]))
-    assert d1.coefficient_key() != d3.coefficient_key()
-    assert not d1.allclose(d3)
+    d2 = Discriminant.from_operator(op.shifted(1), d1.interval)
+    assert np.allclose(d1.values, d2.values, rtol=0.0, atol=1e-9)
+    other = PeriodicJacobi([1.0, 1.0, 1.0], [0.3, -0.1, 0.5])
+    d3 = Discriminant.from_operator(other, d1.interval)
+    assert not np.allclose(d1.values, d3.values, rtol=0.0, atol=1e-9)
 
 
 @given(
@@ -91,8 +94,59 @@ def test_dihedral_invariance(period, seed):
     # Cyclic shifts and reflection leave the discriminant unchanged.
     rng = np.random.default_rng(seed)
     op = random_operator(rng, period)
-    disc = Discriminant.from_operator(op)
-    shift = Discriminant.from_operator(op.shifted(rng.integers(1, period)))
-    refl = Discriminant.from_operator(op.reflected())
-    assert np.allclose(disc.coefficients, shift.coefficients, rtol=1e-9, atol=1e-9)
-    assert np.allclose(disc.coefficients, refl.coefficients, rtol=1e-9, atol=1e-9)
+    coeffs = power_coefficients(op)
+    shift = power_coefficients(op.shifted(rng.integers(1, period)))
+    refl = power_coefficients(op.reflected())
+    assert np.allclose(coeffs, shift, rtol=1e-9, atol=1e-9)
+    assert np.allclose(coeffs, refl, rtol=1e-9, atol=1e-9)
+
+
+def twice_chebyshev_t(period, hopping, onsite, lam):
+    """2 T_N((lam - b) / 2a) at the doubles lam, in extended precision."""
+    x = (np.asarray(lam, dtype=np.longdouble) - onsite) / (2 * np.longdouble(hopping))
+    inside = np.abs(x) <= 1
+    out = np.empty(x.shape, dtype=np.longdouble)
+    out[inside] = 2 * np.cos(period * np.arccos(x[inside]))
+    far = x[~inside]
+    out[~inside] = 2 * np.sign(far) ** period * np.cosh(period * np.arccosh(np.abs(far)))
+    return out
+
+
+@pytest.mark.parametrize("period", [60, 100, 400])
+def test_uniform_chain_matches_twice_chebyshev_t(period):
+    # The interval of a uniform chain is its band, where |Delta| <= 2.
+    # With a = 1, b = 0 the site factor lam is exact, and Delta agrees
+    # with 2 T_N at the nodes and between them to 1e-12 max|Delta|.
+    # Elsewhere (lam - b) / a is rounded once, which moves Delta by up to
+    # N^2 eps max|Delta| at the band ends, where |Delta'| = N^2 / a.
+    eps = np.finfo(float).eps
+    for a, b, slack in ((1.0, 0.0, 0.0), (0.9, -0.2, eps * period**2), (1.347, -1.318, eps * period**2)):
+        disc = Discriminant.from_operator(PeriodicJacobi.free(period, a, b))
+        top = np.max(np.abs(disc.values))
+        nodes = chebyshev_nodes(disc.interval, period)
+        grid = np.linspace(*disc.interval, 4001)
+        for lam, got in ((nodes, disc.values), (grid, disc(grid))):
+            err = np.max(np.abs(got - twice_chebyshev_t(period, a, b, lam)))
+            assert err <= (1e-12 + slack) * top
+
+
+def test_random_chains_match_exact_arithmetic_at_the_nodes():
+    rng = np.random.default_rng(31)
+    for period in (1, 2, 5, 16, 33, 64):
+        op = random_operator(rng, period)
+        disc = Discriminant.from_operator(op)
+        nodes = chebyshev_nodes(disc.interval, period)
+        exact = np.array([float(exact_discriminant(op, x)[0]) for x in nodes])
+        assert np.max(np.abs(disc.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.allclose(disc(nodes), disc.values, rtol=0.0, atol=1e-12 * np.max(np.abs(exact)))
+
+
+def test_log_hopping_product_outlives_the_float_range():
+    for a in (10.0, 0.1):
+        disc = Discriminant.from_operator(PeriodicJacobi.free(400, a, 0.3))
+        assert disc.log_hopping_product == pytest.approx(400 * np.log(a), rel=1e-14)
+
+
+def test_empty_interval_rejected():
+    with pytest.raises(ValueError):
+        Discriminant((1.0, 1.0), [2.0, -2.0], 0.0)

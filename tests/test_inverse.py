@@ -11,9 +11,10 @@ from hillbands import (
     recover_operator_from_edges,
     transfer,
 )
-from hillbands.inverse import onsite_jacobian
+from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
+from hillbands.inverse import monic_map, onsite_jacobian
 
-from helpers import random_operator
+from helpers import power_coefficients, random_operator
 
 
 def test_newton_solve_scalar_system():
@@ -65,11 +66,10 @@ def test_onsite_jacobian_matches_finite_differences():
     n = op.period
 
     def coeff_map(b):
-        return Discriminant.from_operator(
-            PeriodicJacobi(op.hopping, b)
-        ).monic_coefficients()[:n]
+        return op.hopping_product() * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
-    analytic = onsite_jacobian(op)
+    nodes = chebyshev_nodes(gershgorin_interval(op), n)
+    analytic = onsite_jacobian(op, nodes, monic_map(nodes, op.hopping_product())[:n])
     h = 1e-6
     fd = np.zeros((n, n))
     for j in range(n):
@@ -95,12 +95,12 @@ def test_recover_onsite_default_start_reproduces_discriminant():
     disc = Discriminant.from_operator(op)
     found = recover_onsite(disc, op.hopping)
     # Whichever solution branch Newton lands on, the spectrum must match.
-    assert Discriminant.from_operator(found).allclose(disc, atol=1e-9)
+    assert np.allclose(power_coefficients(found), power_coefficients(op), rtol=0.0, atol=1e-9)
 
 
 def test_recover_onsite_accepts_raw_coefficients():
     op = PeriodicJacobi([1.0, 1.0], [0.4, -0.4])
-    coeffs = Discriminant.from_operator(op).coefficients
+    coeffs = power_coefficients(op)
     found = recover_onsite(coeffs, [1.0, 1.0], initial=[0.3, -0.3])
     assert np.allclose(np.sort(found.onsite), [-0.4, 0.4], atol=1e-10)
 
@@ -120,9 +120,10 @@ def test_discriminant_from_edges_round_trip():
     per = op.floquet_eigenvalues(0.0)
     anti = op.floquet_eigenvalues(np.pi)
     disc = discriminant_from_edges(per, anti)
-    truth = Discriminant.from_operator(op)
-    assert disc.hopping_product == pytest.approx(op.hopping_product(), rel=1e-10)
-    assert np.allclose(disc.coefficients, truth.coefficients, atol=1e-9)
+    truth = Discriminant.from_operator(op, disc.interval)
+    assert disc.interval == (min(per[0], anti[0]), max(per[-1], anti[-1]))
+    assert np.exp(disc.log_hopping_product) == pytest.approx(op.hopping_product(), rel=1e-10)
+    assert np.allclose(disc.values, truth.values, atol=1e-9)
 
 
 def test_discriminant_from_edges_rejects_bad_data():
@@ -168,8 +169,9 @@ def _repeated_cell(rng, cell, copies):
 
 
 def test_onsite_jacobian_matches_per_column_minors():
-    # Reference: column j marched alone on the chain relabelled to start
-    # at site j + 1, -(prod a / a_j) M[1, 0].
+    # The onsite columns of the point Jacobian at the nodes. Reference:
+    # column j marched alone on the chain relabelled to start at site
+    # j + 1, -M[1, 0] / a_j.
     rng = np.random.default_rng(67)
     chains = [random_operator(rng, n) for n in range(1, 25)]
     chains += [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1, 1))
@@ -177,12 +179,12 @@ def test_onsite_jacobian_matches_per_column_minors():
     chains += [_repeated_cell(rng, cell, copies) for cell in (1, 2, 3, 4) for copies in (2, 3, 6)]
     for op in chains:
         n = op.period
-        expected = np.zeros((n, n))
+        nodes = chebyshev_nodes(gershgorin_interval(op), n)
+        expected = np.zeros((n + 1, n))
         for j in range(n):
-            shifted = op.shifted(j + 1)
-            minor = transfer.monodromy_coefficients(shifted.hopping, shifted.onsite)[1, 0]
-            expected[:, j] = -(op.hopping_product() / op.hopping[j]) * minor[:n]
-        err = np.max(np.abs(onsite_jacobian(op) - expected))
+            minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
+            expected[:, j] = -minor / op.hopping[j]
+        err = np.max(np.abs(transfer.discriminant_jacobian(op, nodes)[:, n:] - expected))
         assert err <= 1e-14 * np.max(np.abs(expected))
 
 

@@ -13,17 +13,17 @@ from hillbands import (
     orbit_distance,
 )
 
-from helpers import random_operator
+from helpers import power_coefficients, random_operator
 
 
 def test_orbit_members_share_discriminant():
     rng = np.random.default_rng(61)
     op = random_operator(rng, 6)
-    disc = Discriminant.from_operator(op)
+    coeffs = power_coefficients(op)
     orbit = dihedral_orbit(op)
     assert any(member == op for member in orbit)
     for member in orbit:
-        assert Discriminant.from_operator(member).allclose(disc)
+        assert np.allclose(power_coefficients(member), coeffs, rtol=0.0, atol=1e-9)
 
 
 def test_orbit_size_generic_and_symmetric():
@@ -88,13 +88,13 @@ def test_orbit_count_requires_uniform_hopping():
 
 def test_neighbors_share_spectrum_but_not_orbit():
     op = PeriodicJacobi([1.0, 0.8, 1.2, 0.9], [0.0, 0.5, -0.3, 0.2])
-    disc = Discriminant.from_operator(op)
+    coeffs = power_coefficients(op)
     found = isospectral_neighbors(op, count=2, step=0.08, seed=7)
     assert len(found) == 2
     for nb in found:
         assert nb.period == op.period
         assert np.all(nb.hopping > 0)
-        assert Discriminant.from_operator(nb).allclose(disc, atol=1e-8)
+        assert np.allclose(power_coefficients(nb), coeffs, rtol=0.0, atol=1e-8)
         assert orbit_distance(op, nb) > 1e-4
 
 
@@ -113,13 +113,18 @@ def test_neighbors_period_one_has_no_freedom():
 @pytest.mark.parametrize("values, period", [([0.0, 1.0], 8), ([0.0, 1.0, 2.0], 5)])
 @pytest.mark.parametrize("chunk", [100, isospectral.CHUNK])
 def test_enumeration_matches_per_pattern_reference(monkeypatch, values, period, chunk):
-    # Reference: one discriminant per pattern, keyed as before batching.
+    # Reference: one discriminant per pattern on the alphabet's interval,
+    # its node values scaled by those of the constant lowest pattern.
     monkeypatch.setattr(isospectral, "CHUNK", chunk)
     hopping = np.array([1.0, 0.8, 1.3, 0.9, 1.1, 0.7, 1.2, 1.0][:period])
+    interval = (min(values) - 2 * max(hopping), max(values) + 2 * max(hopping))
+    lowest = Discriminant.from_operator(
+        PeriodicJacobi(hopping, np.full(period, min(values))), interval)
+    scale = max(1.0, np.max(np.abs(lowest.values)))
     groups = {}
     for pattern in itertools.product(values, repeat=period):
         op = PeriodicJacobi(hopping, np.array(pattern))
-        key = Discriminant.from_operator(op).coefficient_key(9)
+        key = tuple(np.round(Discriminant.from_operator(op, interval).values / scale, 9))
         groups.setdefault(key, []).append(pattern)
     expected = sorted(((key, tuple(m)) for key, m in groups.items()),
                       key=lambda c: (-len(c[1]), c[0]))
@@ -152,6 +157,4 @@ def test_neighbors_step_costs_less_than_one_difference_jacobian(monkeypatch):
     found = isospectral_neighbors(op, count=1, seed=5)
     monkeypatch.undo()
     assert len(calls) < 4 * op.period + 1
-    assert Discriminant.from_operator(found[0]).allclose(
-        Discriminant.from_operator(op), atol=1e-8
-    )
+    assert np.allclose(power_coefficients(found[0]), power_coefficients(op), rtol=0.0, atol=1e-8)

@@ -50,6 +50,14 @@ def test_hopping_product():
     assert op.hopping_product() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("hopping", [10.0, 0.1])
+def test_hopping_product_out_of_float_range_raises(hopping):
+    # 10^400 overflows and 10^-400 underflows to 0.
+    op = PeriodicJacobi.free(400, hopping, 0.3)
+    with pytest.raises(ValueError, match="overflow"):
+        op.hopping_product()
+
+
 def test_floquet_matrix_is_hermitian():
     rng = np.random.default_rng(7)
     op = random_operator(rng, 5)

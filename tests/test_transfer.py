@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from hillbands import PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
+from hillbands import Discriminant, PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
+from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
 
-from helpers import exact_discriminant, random_operator
+from helpers import exact_discriminant, monodromy_polynomials, power_coefficients, random_operator
 
 
 def test_monodromy_advances_recurrence():
@@ -34,27 +35,31 @@ def test_monodromy_det_is_one():
 
 
 def test_monodromy_coefficients_match_values():
+    # The value march against the entries of M marched as polynomials.
     rng = np.random.default_rng(4)
     op = random_operator(rng, 6)
-    entries = transfer.monodromy_coefficients(op.hopping, op.onsite)
+    entries = monodromy_polynomials(op)
     lams = np.linspace(-3, 3, 11)
     values, slopes = transfer.monodromy(op, lams)
     for i in range(2):
         for j in range(2):
-            c = entries[i, j]
-            assert P.polyval(lams, c) == pytest.approx(values[i, j], rel=1e-10, abs=1e-10)
-            assert P.polyval(lams, P.polyder(c)) == pytest.approx(
-                slopes[i, j], rel=1e-10, abs=1e-10
-            )
+            c = entries[i][j]
+            assert c(lams) == pytest.approx(values[i, j], rel=1e-10, abs=1e-10)
+            assert c.deriv()(lams) == pytest.approx(slopes[i, j], rel=1e-10, abs=1e-10)
 
 
 def test_discriminant_coefficients_degree_and_leading():
+    # The Chebyshev series of Delta on [lo, hi] has degree N, and its
+    # top coefficient times 2^(N-1) (2 / (hi - lo))^N is 1 / prod(a).
     rng = np.random.default_rng(6)
     for period in (1, 2, 4, 7):
         op = random_operator(rng, period)
-        c = transfer.discriminant_coefficients(op.hopping, op.onsite)
+        disc = Discriminant.from_operator(op)
+        lo, hi = disc.interval
+        c = disc.chebyshev.coef
         assert c.size == period + 1
-        assert c[-1] == pytest.approx(1.0 / op.hopping_product(), rel=1e-12)
+        leading = c[-1] * 2.0 ** (period - 1) * (2.0 / (hi - lo)) ** period
+        assert leading == pytest.approx(1.0 / op.hopping_product(), rel=1e-12)
 
 
 def test_dirichlet_minor_roots_match_submatrix():
@@ -63,10 +68,12 @@ def test_dirichlet_minor_roots_match_submatrix():
     rng = np.random.default_rng(8)
     op = random_operator(rng, 6)
     shifted = op.shifted(1)
-    c = transfer.monodromy_coefficients(shifted.hopping, shifted.onsite)[1, 0]
     expected = np.linalg.eigvalsh(op.dirichlet_matrix())
-    roots = np.sort(P.polyroots(c[:-1]).real)
+    roots = np.sort(monodromy_polynomials(shifted)[1][0].roots().real)
     assert np.allclose(roots, expected, atol=1e-9)
+    # The value march vanishes there to the rounding of its entries.
+    m, _ = transfer.monodromy(shifted, expected)
+    assert np.all(np.abs(m[1, 0]) <= 1e-12 * np.max(np.abs(m), axis=(0, 1)))
 
 
 @given(
@@ -80,7 +87,7 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     op = random_operator(rng, period)
     m, _ = transfer.monodromy(op, lam)
     delta, slope = transfer.discriminant(op, lam)
-    c = transfer.discriminant_coefficients(op.hopping, op.onsite)
+    c = power_coefficients(op)
     assert transfer.discriminant_value(op, lam) == delta
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
     assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
@@ -138,36 +145,36 @@ def test_bisection_on_weak_bonds_below_overflow_matches_eig():
     assert err <= 1e-9 * scale
 
 
-def test_batched_coefficient_march_equals_single_chains():
+def test_batched_value_march_equals_single_chains():
     # The batch runs the same elementwise operations as one chain at a time.
     rng = np.random.default_rng(10)
+    lam = np.linspace(-3.5, 3.5, 9)
     for period in (1, 2, 5, 13):
-        hopping = rng.uniform(0.4, 1.8, (3, 4, period))
-        onsite = rng.uniform(-1.5, 1.5, (3, 4, period))
-        m = transfer.monodromy_coefficients(hopping, onsite)
-        c = transfer.discriminant_coefficients(hopping, onsite)
-        assert m.shape == (3, 4, 2, 2, period + 1)
-        assert c.shape == (3, 4, period + 1)
+        hopping = rng.uniform(0.4, 1.8, (period, 3, 4))
+        onsite = rng.uniform(-1.5, 1.5, (period, 3, 4))
+        batch = transfer.discriminant_batch(hopping, onsite, lam[:, None, None])
+        assert batch.shape == (9, 3, 4)
         for i in range(3):
             for j in range(4):
-                single = transfer.monodromy_coefficients(hopping[i, j], onsite[i, j])
-                assert np.array_equal(m[i, j], single)
-                assert np.array_equal(
-                    c[i, j], transfer.discriminant_coefficients(hopping[i, j], onsite[i, j])
-                )
+                single = transfer.discriminant_value(
+                    PeriodicJacobi(hopping[:, i, j], onsite[:, i, j]), lam)
+                assert np.array_equal(batch[:, i, j], single)
 
 
 @pytest.mark.parametrize("period", range(1, 13))
 def test_coefficient_jacobian_matches_central_differences(period):
+    # The Jacobian of Delta's node values, its coefficients in the
+    # Lagrange basis of the nodes.
     rng = np.random.default_rng(100 + period)
     op = random_operator(rng, period)
     x = np.concatenate([np.log(op.hopping), op.onsite])
+    nodes = chebyshev_nodes(gershgorin_interval(op), period)
 
     def coefficients(x):
         chain = PeriodicJacobi(np.exp(x[:period]), x[period:])
-        return transfer.discriminant_coefficients(chain.hopping, chain.onsite)
+        return transfer.discriminant_value(chain, nodes)
 
-    analytic = transfer.coefficient_jacobian(op)
+    analytic = transfer.discriminant_jacobian(op, nodes)
     assert analytic.shape == (period + 1, 2 * period)
     fd = np.zeros_like(analytic)
     for j in range(2 * period):
