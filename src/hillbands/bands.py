@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import transfer
-from .discriminant import Discriminant
+from .discriminant import Discriminant, gershgorin_interval
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class Band:
 
 @dataclass(frozen=True)
 class Gap:
-    """Open interval between bands index and index+1; may be empty."""
+    """Open interval between bands index and index+1; empty, lower ==
+    upper, when the gap is closed (see _close)."""
 
     index: int
     lower: float
@@ -45,16 +46,35 @@ class Gap:
     def width(self):
         return max(0.0, self.upper - self.lower)
 
-    def is_open(self, tol=0.0):
-        return self.width > tol
+    def is_open(self):
+        return self.upper > self.lower
 
 
 def band_edges_eig(op):
     """All 2N band edges: the periodic (theta = 0) and antiperiodic
     (theta = pi) Bloch eigenvalues, each phase one real band-matrix
     solve in O(N^2) (see PeriodicJacobi.floquet_eigenvalues).
+
+    The solve leaves a sliver of its own rounding, up to N eps times
+    the largest |lam| of the Gershgorin interval, between the edges of
+    a closed gap; every gap no wider than that is closed at its middle.
     """
-    return np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
+    edges = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
+    lo, hi = gershgorin_interval(op)
+    slack = op.period * np.finfo(float).eps * max(abs(lo), abs(hi))
+    lower, upper = edges[1:-1:2], edges[2::2]
+    return _close(edges, upper - lower <= slack, 0.5 * (lower + upper))
+
+
+def _close(edges, closed, at):
+    """Close the gaps where closed holds: both edges of gap j become at[j].
+
+    A closed gap is two equal edges, and nothing else: Gap.is_open,
+    contains, the DOS and the IDS all read it from the edges.
+    """
+    edges[1:-1:2][closed] = at[closed]
+    edges[2::2][closed] = at[closed]
+    return edges
 
 
 SPLIT = 16  # sub-intervals per multisection pass: 4 bits per pass
@@ -64,7 +84,7 @@ def band_edges_bisection(op, tol=1e-13):
     """All 2N band edges by multisection on Delta -+ 2, evaluated by recurrence.
 
     Band j lies between consecutive Dirichlet eigenvalues mu_{j-1} and
-    mu_j, the outer ends bounded by -+(max|b| + 2 max a). Oriented by
+    mu_j, the outer ends bounded by the Gershgorin interval. Oriented by
     the sign s_j = (-1)^(N-1-j) of Delta at its upper edge, s_j Delta
     stays <= -2 on that bracket below the band, rises through the band
     and stays >= 2 above it, so that predicate turns true exactly once
@@ -81,8 +101,8 @@ def band_edges_bisection(op, tol=1e-13):
     transfer.discriminant_rounding).
     """
     n = op.period
-    bound = np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping)
-    mu = np.concatenate([[-bound], op.dirichlet_eigenvalues(), [bound]])
+    lo, hi = gershgorin_interval(op)
+    mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     edge_orient = np.repeat(orient, 2)
     level = np.tile([-2.0, 2.0], n)
@@ -100,10 +120,7 @@ def band_edges_bisection(op, tol=1e-13):
         tol,
     )
     peak, rounding = transfer.discriminant_rounding(op, crit)
-    closed = np.abs(peak) - 2.0 <= rounding
-    edges[1:-1:2][closed] = crit[closed]
-    edges[2::2][closed] = crit[closed]
-    return np.sort(edges)
+    return np.sort(_close(edges, np.abs(peak) - 2.0 <= rounding, crit))
 
 
 def _multisect(past, lo, hi, tol):
@@ -189,21 +206,8 @@ class BandStructure:
             for j in range(self.operator.period - 1)
         ]
 
-    def open_gaps(self, tol=1e-9):
-        return [g for g in self.gaps if g.is_open(tol)]
-
-    @cached_property
-    def _shut(self):
-        """shut[k] is true when an edge count of k falls in a gap no wider
-        than the rounding of the edges, N eps (max|b| + 2 max a): the eig
-        route leaves such a sliver between the edges of a closed gap.
-        """
-        op = self.operator
-        slack = op.period * np.finfo(float).eps * (
-            np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
-        shut = np.zeros(self.edges.size + 1, dtype=bool)
-        shut[2:-1:2] = np.diff(self.edges)[1::2] <= slack
-        return shut
+    def open_gaps(self):
+        return [g for g in self.gaps if g.is_open()]
 
     def _locate(self, lam, tol=0.0):
         """Edge count and spectrum membership of lam, elementwise.
@@ -213,14 +217,13 @@ class BandStructure:
         it is even. inside is true in the closed bands widened by tol on
         both sides, as in Band.contains: where k is odd or an edge lies
         within tol of lam (on an edge at tol = 0, which also holds a band
-        of width 0). It is also true in a gap that is closed but for
-        rounding (see _shut).
+        of width 0 and the one point of a closed gap).
         """
         lam = np.asarray(lam, dtype=float)
         k = np.searchsorted(self.edges, lam, side="right")
         near = np.searchsorted(self.edges, lam - tol) < np.searchsorted(
             self.edges, lam + tol, side="right")
-        return k, (k % 2 == 1) | near | self._shut[k]
+        return k, (k % 2 == 1) | near
 
     def contains(self, lam, tol=0.0):
         """Spectrum membership, elementwise, decided from the edges.
@@ -263,24 +266,35 @@ class BandStructure:
         the second form keeps the relative accuracy; where M is far from
         normal its entries cancel instead. Each point takes the form
         whose first-order sensitivity to errors in M is smaller.
+
+        At the point c of a closed gap both Delta' and 4 - Delta^2
+        vanish, and their computed quotient is rounding over rounding.
+        There M(c + t) = +-I + t M' + O(t^2), and det M = 1 gives
+        tr M' = 0 and Delta = +-(2 - det M' t^2), so the quotient tends
+        to sqrt(det M'), which the march gives to full accuracy.
         """
         lam = np.asarray(lam, dtype=float)
-        inside = self._locate(lam)[1]
-        m, dm = transfer.monodromy(self.operator, lam[inside])
+        k, inside = self._locate(lam)
+        k, at = k[inside], lam[inside]
+        m, dm = transfer.monodromy(self.operator, at)
+        # Odd k puts lam in a band; lam on the upper edge of the band
+        # below as well is the one point of a closed gap.
+        shut = (k % 2 == 1) & (self.edges[k - 2] == at)
         delta = m[0, 0] + m[1, 1]
         split = m[0, 0] - m[1, 1]
-        under = np.where(
+        under = np.where(shut, 1.0, np.where(
             np.abs(split) + np.abs(m[0, 1]) + np.abs(m[1, 0]) < np.abs(delta),
             -(split * split + 4.0 * m[0, 1] * m[1, 0]),
             4.0 - delta * delta,
-        )
+        ))
+        slope = np.where(shut, np.sqrt(np.abs(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0])),
+                         np.abs(dm[0, 0] + dm[1, 1]))
         n = self.operator.period
         rho = np.zeros(lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho[inside] = np.where(
                 under > 0.0,
-                np.abs(dm[0, 0] + dm[1, 1])
-                / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
+                slope / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
                 0.0,
             )
         if rho.ndim == 0:

@@ -88,9 +88,8 @@ def _cmd_inverse(args):
 
 
 def _cmd_edges(args):
-    op = inverse.recover_operator_from_edges(
-        args.periodic, args.antiperiodic, hopping=args.hopping)
     disc = inverse.discriminant_from_edges(args.periodic, args.antiperiodic)
+    op = inverse.recover_onsite(disc, args.hopping)
     product = float(np.exp(disc.log_hopping_product))
     _emit(args,
           lambda: {

@@ -31,8 +31,8 @@ def chebyshev_nodes(interval, degree):
 
 def gershgorin_interval(op):
     """[min b - 2 max a, max b + 2 max a], which holds the whole spectrum."""
-    reach = 2.0 * float(np.max(op.hopping))
-    return (float(np.min(op.onsite)) - reach, float(np.max(op.onsite)) + reach)
+    reach = 2.0 * float(op.hopping.max())
+    return (float(op.onsite.min()) - reach, float(op.onsite.max()) + reach)
 
 
 @dataclass(frozen=True)

@@ -108,19 +108,7 @@ def monic_map(nodes, hopping_product):
     return hopping_product * np.linalg.inv(np.vander(nodes, increasing=True))
 
 
-def onsite_jacobian(op, nodes, to_monic):
-    """d(monic discriminant coefficients) / d(onsite), an N x N matrix.
-
-    Row i, column j holds the lam^i coefficient of the derivative of
-    (prod a) * Delta = det(lam I - J(theta)) + 2 (prod a) cos theta with
-    respect to onsite[j]: minus the characteristic polynomial of the
-    open chain left when site j is deleted; to_monic is the first N rows
-    of monic_map(nodes, prod a).
-    """
-    return to_monic @ transfer.discriminant_jacobian(op, nodes)[:, op.period:]
-
-
-def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts=64):
+def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, starts=64):
     """Find onsite energies reproducing a target discriminant.
 
     Parameters
@@ -130,8 +118,10 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
         (length N + 1). The leading coefficient must equal
         1 / prod(hopping) up to roundoff: the hopping gauge is an input
         here, not an unknown.
-    hopping : array_like
-        Positive bond strengths, held fixed.
+    hopping : array_like, optional
+        Positive bond strengths, held fixed. When omitted, which takes a
+        Discriminant target, the bonds are uniform at the geometric mean
+        fixed by its hopping product.
     initial : array_like, optional
         Starting onsite energies for a plain damped-Newton solve. When
         omitted, a seeded (so deterministic) multistart runs instead:
@@ -160,10 +150,14 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
         If no start converges; non-real-rooted or otherwise
         unattainable coefficient vectors fail this way.
     """
+    if isinstance(target, Discriminant):
+        if hopping is None:
+            hopping = np.full(target.degree, np.exp(target.log_hopping_product) ** (1.0 / target.degree))
+        target = target.chebyshev.convert(kind=Polynomial).coef
+    elif hopping is None:
+        raise ValueError("a coefficient target needs the hoppings")
     a = np.atleast_1d(np.asarray(hopping, dtype=float))
     n = a.size
-    if isinstance(target, Discriminant):
-        target = target.chebyshev.convert(kind=Polynomial).coef
     pa = float(np.prod(a))
     monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))
     if monic_target.ndim != 1 or monic_target.size != n + 1:
@@ -188,7 +182,10 @@ def recover_onsite(target, hopping, initial=None, tol=1e-11, max_iter=80, starts
         return (to_monic @ delta - monic_target[:n]) / scale
 
     def jac(b):
-        return onsite_jacobian(PeriodicJacobi(a, b), nodes, to_monic) / scale[:, None]
+        # Onsite column j of the point Jacobian is minus the characteristic
+        # polynomial of the open chain with site j deleted, at the nodes.
+        grad = transfer.discriminant_jacobian(PeriodicJacobi(a, b), nodes)[:, n:]
+        return to_monic @ grad / scale[:, None]
 
     if initial is not None:
         b = newton_solve(fun, jac, initial, tol=tol, max_iter=max_iter)
@@ -276,15 +273,4 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None, **kwargs):
     When hopping is omitted the bonds are taken uniform at the
     geometric mean fixed by the recovered hopping product.
     """
-    disc = discriminant_from_edges(periodic, antiperiodic)
-    n = disc.degree
-    pa = np.exp(disc.log_hopping_product)
-    if hopping is None:
-        hopping = np.full(n, pa ** (1.0 / n))
-    else:
-        hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
-        if abs(np.prod(hopping) - pa) > 1e-6 * max(1.0, pa):
-            raise ValueError(
-                "supplied hoppings contradict the recovered hopping product"
-            )
-    return recover_onsite(disc, hopping, **kwargs)
+    return recover_onsite(discriminant_from_edges(periodic, antiperiodic), hopping, **kwargs)

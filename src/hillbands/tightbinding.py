@@ -43,8 +43,8 @@ def dos_curve(structure, points=512, pad=0.05):
     return energies, structure.density_of_states(energies), structure.integrated_density(energies)
 
 
-def gap_report(structure, tol=1e-9):
-    """Plain-text table of bands and gaps."""
+def gap_report(structure):
+    """Plain-text table of bands and gaps; a gap is open when its edges differ."""
     lines = []
     n = structure.operator.period
     lines.append(f"period {n} chain; spectrum within [{structure.edges[0]:.6g}, {structure.edges[-1]:.6g}]")
@@ -56,7 +56,7 @@ def gap_report(structure, tol=1e-9):
     if structure.gaps:
         lines.append(f"{'gap':>4}  {'lower':>12}  {'upper':>12}  {'width':>12}  state")
         for gap in structure.gaps:
-            state = "open" if gap.is_open(tol) else "closed"
+            state = "open" if gap.is_open() else "closed"
             lines.append(
                 f"{gap.index:>4}  {gap.lower:>12.6g}  {gap.upper:>12.6g}  {gap.width:>12.6g}  {state}"
             )

@@ -11,6 +11,7 @@ from hillbands import (
     band_edges_eig,
     bands,
     dos_curve,
+    gap_report,
     transfer,
 )
 
@@ -78,6 +79,54 @@ def test_harper_bisection_matches_eig(period, f_prev):
         op = _harper(period, f_prev, phi)
         err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
         assert err <= 1e-9 * _scale(op)
+
+
+def _uniform_chains():
+    return [PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)]
+
+
+def _repeated_cells():
+    rng = np.random.default_rng(2024)
+    cells = [random_operator(rng, 3) for _ in range(20)]
+    return [PeriodicJacobi(np.tile(c.hopping, r), np.tile(c.onsite, r))
+            for c in cells for r in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("method", ["eig", "bisection"])
+def test_one_closed_gap_rule(method):
+    # A gap is open iff its edges differ. Membership, the DOS, open_gaps
+    # and the text report all read that one fact, down to the Harper
+    # gaps of 2e-13 that the eig route leaves open.
+    rng = np.random.default_rng(808)
+    chains = [_harper(n, f_prev, 0.3) for n, f_prev in ((89, 55), (144, 89), (233, 144), (377, 233))]
+    chains += [random_operator(rng, 64) for _ in range(10)]
+    for op in chains + _uniform_chains() + _repeated_cells():
+        bs = BandStructure(op, method)
+        is_open = np.array([g.is_open() for g in bs.gaps])
+        mids = np.array([0.5 * (g.lower + g.upper) for g in bs.gaps])
+        listed = np.isin(np.arange(op.period - 1), [g.index for g in bs.open_gaps()])
+        states = [line.split()[-1] for line in gap_report(bs).splitlines()[-(op.period - 1):]]
+        assert np.array_equal(np.array([g.width for g in bs.gaps]) > 0.0, is_open)
+        assert np.array_equal(~bs.contains(mids), is_open)
+        assert np.array_equal(bs.density_of_states(mids) == 0.0, is_open)
+        assert np.array_equal(listed, is_open)
+        assert np.array_equal(np.array(states) == "open", is_open)
+
+
+def test_routes_close_the_same_gaps():
+    # Uniform chains close every gap; a 3-site cell repeated r times
+    # keeps only the cell's two. Both routes close exactly those, to
+    # width 0.0, and the eig route moves no edge by more than its own
+    # rounding, N eps (max|b| + 2 max a).
+    for op, cell in [(op, 1) for op in _uniform_chains()] + [(op, 3) for op in _repeated_cells()]:
+        n = op.period
+        for method in ("eig", "bisection"):
+            widths = np.array([g.width for g in BandStructure(op, method).gaps])
+            assert np.count_nonzero(widths) == cell - 1
+            assert np.all(widths[np.arange(1, n) % (n // cell) != 0] == 0.0)
+        raw = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
+        slack = n * np.finfo(float).eps * (np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
+        assert np.max(np.abs(band_edges_eig(op) - raw)) <= slack
 
 
 def _halving(past, lo, hi, tol):
@@ -153,7 +202,7 @@ def test_dual_route_with_closed_gaps():
     bis_edges = band_edges_bisection(op)
     assert np.allclose(eig_edges, bis_edges, atol=1e-9)
     for gap in BandStructure(op, method="bisection").gaps:
-        assert not gap.is_open(1e-10)
+        assert not gap.is_open()
 
 
 def test_free_operator_single_interval():
@@ -349,7 +398,7 @@ def test_integrated_density_limits_and_monotone(generic_bs):
 def test_integrated_density_gap_plateaus(generic_bs):
     n = generic_bs.operator.period
     for j, gap in enumerate(generic_bs.gaps):
-        if not gap.is_open(1e-9):
+        if not gap.is_open():
             continue
         mid = 0.5 * (gap.lower + gap.upper)
         assert generic_bs.integrated_density(mid) == pytest.approx((j + 1) / n)

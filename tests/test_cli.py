@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, tightbinding
+from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, inverse, tightbinding
 from hillbands.cli import main
 
 from helpers import power_coefficients
@@ -318,3 +318,22 @@ def test_dispersion_never_solves_band_edges(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dispersion", "--onsite", "0,0.5", "--samples", "3", "--json")
     assert code == 0 and err == ""
     assert len(json.loads(out)["bands"]) == 2
+
+
+def test_edges_builds_the_discriminant_once(capsys, monkeypatch):
+    calls = []
+    build = inverse.discriminant_from_edges
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "discriminant_from_edges", counted)
+    op = PeriodicJacobi([1.0, 1.0, 1.0], [0.6, -0.2, 0.1])
+    per = ",".join(f"{x:.17g}" for x in op.floquet_eigenvalues(0.0))
+    anti = ",".join(f"{x:.17g}" for x in op.floquet_eigenvalues(np.pi))
+    for extra in ((), ("--json",), ("--hopping", "1,1,1")):
+        calls.clear()
+        code, _, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}", *extra)
+        assert code == 0 and err == ""
+        assert len(calls) == 1

@@ -12,7 +12,7 @@ from hillbands import (
     transfer,
 )
 from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
-from hillbands.inverse import monic_map, onsite_jacobian
+from hillbands.inverse import monic_map
 
 from helpers import power_coefficients, random_operator
 
@@ -69,7 +69,7 @@ def test_onsite_jacobian_matches_finite_differences():
         return op.hopping_product() * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
     nodes = chebyshev_nodes(gershgorin_interval(op), n)
-    analytic = onsite_jacobian(op, nodes, monic_map(nodes, op.hopping_product())[:n])
+    analytic = monic_map(nodes, op.hopping_product())[:n] @ transfer.discriminant_jacobian(op, nodes)[:, n:]
     h = 1e-6
     fd = np.zeros((n, n))
     for j in range(n):
@@ -112,6 +112,8 @@ def test_recover_onsite_validates_input():
         recover_onsite(disc, [1.0, 1.0, 1.0])  # degree/period mismatch
     with pytest.raises(ValueError):
         recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
+    with pytest.raises(ValueError):
+        recover_onsite(np.array([-2.16, 0.0, 1.0]))  # coefficients without hoppings
 
 
 def test_discriminant_from_edges_round_trip():
