@@ -63,17 +63,19 @@ def band_edges_eig(op):
     lo, hi = gershgorin_interval(op)
     slack = op.period * np.finfo(float).eps * max(abs(lo), abs(hi))
     lower, upper = edges[1:-1:2], edges[2::2]
-    return _close(edges, upper - lower <= slack, 0.5 * (lower + upper))
+    closed = upper - lower <= slack
+    return _close(edges, closed, 0.5 * (lower + upper)[closed])
 
 
-def _close(edges, closed, at):
-    """Close the gaps where closed holds: both edges of gap j become at[j].
+def _close(edges, gaps, at):
+    """Close the gaps selected by gaps (a mask or indices): both edges of
+    each become its entry of at.
 
     A closed gap is two equal edges, and nothing else: Gap.is_open,
     contains, the DOS and the IDS all read it from the edges.
     """
-    edges[1:-1:2][closed] = at[closed]
-    edges[2::2][closed] = at[closed]
+    edges[1:-1:2][gaps] = at
+    edges[2::2][gaps] = at
     return edges
 
 
@@ -94,11 +96,15 @@ def band_edges_bisection(op, tol=1e-13):
     tol * max(1, |lam|): about 12 passes in place of 45 halvings.
 
     A closed gap is a double zero, which bisection resolves only to
-    about sqrt(eps). So each gap's extremum c_j, the zero of Delta'
-    between the middles of its two bands, is multisected as well, and
-    the gap is closed, both edges set to c_j, when |Delta(c_j)| - 2 is
-    within the rounding-error bound the recurrence carries at c_j (see
-    transfer.discriminant_rounding).
+    about sqrt(eps). A gap whose edges came out in order and where
+    |Delta| - 2 at their midpoint exceeds the rounding-error bound the
+    recurrence carries there (see transfer.discriminant_rounding) is
+    certified open, and keeps its edges. Only the other gaps get an
+    extremum search: their extrema c_j, the zeros of Delta' between the
+    middles of the two bands, are multisected, and such a gap is
+    closed, both edges set to c_j, when |Delta(c_j)| - 2 is within the
+    rounding-error bound at c_j. A chain whose gaps are all plainly
+    open runs no march for Delta'.
     """
     n = op.period
     lo, hi = gershgorin_interval(op)
@@ -112,15 +118,21 @@ def band_edges_bisection(op, tol=1e-13):
         np.repeat(mu[1:], 2),
         tol,
     )
-    middle = 0.5 * (edges[0::2] + edges[1::2])
-    crit = _multisect(
-        lambda lam: orient[:-1] * transfer.discriminant(op, lam)[1] <= 0.0,
-        middle[:-1],
-        middle[1:],
-        tol,
-    )
-    peak, rounding = transfer.discriminant_rounding(op, crit)
-    return np.sort(_close(edges, np.abs(peak) - 2.0 <= rounding, crit))
+    lower, upper = edges[1:-1:2], edges[2::2]
+    value, rounding = transfer.discriminant_rounding(op, 0.5 * (lower + upper))
+    unsure = np.flatnonzero((upper <= lower) | (np.abs(value) - 2.0 <= rounding))
+    if unsure.size:
+        middle = 0.5 * (edges[0::2] + edges[1::2])
+        crit = _multisect(
+            lambda lam: orient[unsure] * transfer.discriminant(op, lam)[1] <= 0.0,
+            middle[unsure],
+            middle[unsure + 1],
+            tol,
+        )
+        peak, rounding = transfer.discriminant_rounding(op, crit)
+        shut = np.abs(peak) - 2.0 <= rounding
+        edges = _close(edges, unsure[shut], crit[shut])
+    return np.sort(edges)
 
 
 def _multisect(past, lo, hi, tol):

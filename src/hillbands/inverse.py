@@ -3,8 +3,10 @@
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
 N-to-N system solved here by damped Newton iteration. The residual and
-its Jacobian are `monic_map` times Delta and the onsite columns of
-`transfer.discriminant_jacobian` at N + 1 fixed nodes. Band-edge data
+its Jacobian are `monic_map` times Delta and the onsite columns of its
+Jacobian at N + 1 fixed nodes, both from one march of the chain's N
+rotations (`transfer.discriminant_jacobian`, the bonds rotated once per
+solve), which `fused` runs once per iterate for both. Band-edge data
 determines the discriminant directly: the monic polynomials built from
 the periodic and antiperiodic eigenvalues differ by the constant
 4 * prod(a), which recovers the hopping product, and their average is
@@ -102,6 +104,33 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     )
 
 
+def fused(evaluate):
+    """fun and jac for the solvers, from evaluate(x) -> (residual, Jacobian).
+
+    Both are served from a memo of the last two x, keyed on their
+    bytes, so each distinct iterate runs evaluate, one march, once. The
+    solvers ask for the residual and the Jacobian at one iterate, and
+    come back to the one before a refused trial: scipy's LM takes the
+    Jacobian of its last accepted point after its final trial, and
+    newton_solve keeps x when its polishing step does not help. The
+    arrays are read-only, since the memo hands the same ones out again.
+    """
+    memo = {}
+
+    def both(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in memo:
+            residual, jacobian = evaluate(x)
+            residual.setflags(write=False)
+            jacobian.setflags(write=False)
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+            memo[key] = residual, jacobian
+        return memo[key]
+
+    return (lambda x: both(x)[0]), (lambda x: both(x)[1])
+
+
 def monic_map(nodes, hopping_product):
     """prod(a) V^-1, V the Vandermonde matrix of the N + 1 nodes: it maps
     Delta at the nodes to the ascending coefficients of (prod a) * Delta."""
@@ -149,17 +178,27 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
     RuntimeError
         If no start converges; non-real-rooted or otherwise
         unattainable coefficient vectors fail this way.
+    ValueError
+        If the target does not fit the hoppings, or the power-basis
+        coefficients of (prod a) * Delta leave the float range, as they
+        do at long periods once prod a does.
     """
     if isinstance(target, Discriminant):
         if hopping is None:
-            hopping = np.full(target.degree, np.exp(target.log_hopping_product) ** (1.0 / target.degree))
+            hopping = np.full(target.degree, np.exp(target.log_hopping_product / target.degree))
         target = target.chebyshev.convert(kind=Polynomial).coef
     elif hopping is None:
         raise ValueError("a coefficient target needs the hoppings")
     a = np.atleast_1d(np.asarray(hopping, dtype=float))
     n = a.size
-    pa = float(np.prod(a))
-    monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pa = float(np.prod(a))
+        monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))
+    if not (np.isfinite(pa) and pa > 0.0 and np.all(np.isfinite(monic_target))):
+        raise ValueError(
+            f"the power-basis coefficients of (prod a) Delta at period {n} leave "
+            f"the float range (prod a = {pa:.3g}), so this target cannot be solved for"
+        )
     if monic_target.ndim != 1 or monic_target.size != n + 1:
         raise ValueError(
             f"target of shape {monic_target.shape} is not {n + 1} coefficients "
@@ -177,15 +216,16 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
     nodes = chebyshev_nodes((mid - half, mid + half), n)
     to_monic = monic_map(nodes, pa)[:n]
 
-    def fun(b):
-        delta = transfer.discriminant_value(PeriodicJacobi(a, b), nodes)
-        return (to_monic @ delta - monic_target[:n]) / scale
+    index = transfer.rotations(n)
+    rotated = a[index]
 
-    def jac(b):
+    def evaluate(b):
         # Onsite column j of the point Jacobian is minus the characteristic
         # polynomial of the open chain with site j deleted, at the nodes.
-        grad = transfer.discriminant_jacobian(PeriodicJacobi(a, b), nodes)[:, n:]
-        return to_monic @ grad / scale[:, None]
+        delta, grad = transfer.discriminant_jacobian(rotated, np.asarray(b)[index], nodes)
+        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad[:, n:] / scale[:, None]
+
+    fun, jac = fused(evaluate)
 
     if initial is not None:
         b = newton_solve(fun, jac, initial, tol=tol, max_iter=max_iter)

@@ -6,8 +6,10 @@ relabeling and reflection of the unit cell always preserve it; beyond
 that discrete symmetry there is a continuous family, generically of
 dimension one less than the period, explored here by walking the null
 space of the node-value map and projecting back with `newton_solve`'s
-Gauss-Newton steps, both on the analytic (log hopping, onsite) Jacobian
-`transfer.discriminant_jacobian` that `inverse` shares.
+Gauss-Newton steps. The node values and their analytic (log hopping,
+onsite) Jacobian come from one march, `transfer.discriminant_jacobian`,
+run once per iterate through the memo of `inverse.fused`, as in
+`inverse`.
 
 Exhaustive enumeration over a finite alphabet of onsite energies splits
 the alphabet^N cube into isospectral classes; classes larger than a
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import transfer
 from .discriminant import Discriminant, chebyshev_nodes
-from .inverse import newton_solve
+from .inverse import fused, newton_solve
 from .operators import PeriodicJacobi
 
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
@@ -179,13 +181,13 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
     start = Discriminant.from_operator(op)
     nodes = chebyshev_nodes(start.interval, op.period)
     scale = max(1.0, np.max(np.abs(start.values)))
+    n = op.period
 
-    def fun(x):
-        return (transfer.discriminant_value(_unpack(x), nodes) - start.values) / scale
+    def evaluate(x):
+        delta, grad = transfer.discriminant_jacobian(np.exp(x[:n]), x[n:], nodes)
+        return (delta - start.values) / scale, grad / scale
 
-    def jac(x):
-        return transfer.discriminant_jacobian(_unpack(x), nodes) / scale
-
+    fun, jac = fused(evaluate)
     x = _pack(op)
     out = []
     for _ in range(count):

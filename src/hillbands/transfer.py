@@ -11,8 +11,8 @@ starts. det M = 1 identically, and the Hill discriminant is tr M.
 
 This is the only place the recurrence runs: one loop over arrays of
 lam, for one chain or a batch of chains. The node values of Delta, the
-classes of an alphabet and the Jacobian of a chain (a batch of its N
-rotations) all come from it. It carries the lam-derivative rows only
+classes of an alphabet and the Jacobian of a chain with its Delta (a
+batch of its N rotations) all come from it. It carries the lam-derivative rows only
 for callers that need Delta', and keeps every row only for the
 rounding-error bound of Delta.
 """
@@ -81,8 +81,15 @@ def _march_values(hopping, onsite, lam, slope=False, history=False):
     return rows
 
 
-def discriminant_jacobian(op, lam):
-    """d Delta(lam) / d(log a, b), of shape lam.shape + (2N,).
+def rotations(period):
+    """Index of the N rotations of a chain, shape (N, N): site k of
+    rotation j is site (j + 1 + k) mod N, so rotation N - 1 is the chain."""
+    return (np.arange(period)[:, None] + np.arange(1, period + 1)) % period
+
+
+def discriminant_jacobian(hopping, onsite, lam):
+    """Delta(lam), of shape lam.shape, and d Delta(lam) / d(log a, b), of
+    shape lam.shape + (2N,), from one march.
 
     Column j is d/d log a_j and column N + j is d/d b_j. On the chain
     relabelled to start at site j + 1, bond j closes the cell, so
@@ -94,15 +101,20 @@ def discriminant_jacobian(op, lam):
         d Delta / d b_j = -M[1, 0] / a_j,
         d Delta / d log a_j = 2 M[1, 1] - Delta = M[1, 1] - M[0, 0].
 
-    All N rotations are marched together, as one batch. Raises
-    ValueError when an entry overflows the float range.
+    All N rotations are marched together, as one batch, and rotation
+    N - 1, the chain itself, gives Delta with the same operations as
+    discriminant_value, so to the bit. hopping and onsite have shape
+    (N,), or both shape (N, N) when the caller has rotated them by the
+    index of rotations(N), as a solver that holds the bonds fixed does
+    once. Raises ValueError when an entry overflows the float range.
     """
-    n = op.period
-    # Site k of rotation j is site (j + 1 + k) mod N, rotations trailing.
-    rotations = (np.arange(n)[:, None] + np.arange(1, n + 1)) % n
-    lam = np.asarray(lam, dtype=float)[..., None]
-    prev, cur = _march_values(op.hopping[rotations], op.onsite[rotations], lam)
-    return np.concatenate([prev[1] - cur[0], -prev[0] / op.hopping], axis=-1)
+    a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
+    if b.ndim == 1:
+        index = rotations(b.size)
+        a, b = a[index], b[index]
+    prev, cur = _march_values(a, b, np.asarray(lam, dtype=float)[..., None])
+    grad = np.concatenate([prev[1] - cur[0], -prev[0] / a[-1]], axis=-1)
+    return cur[0][..., -1] + prev[1][..., -1], grad
 
 
 def monodromy(op, lam):

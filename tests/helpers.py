@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from hillbands import PeriodicJacobi
+from hillbands import PeriodicJacobi, inverse, isospectral, transfer
 
 
 def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5)):
@@ -54,3 +54,44 @@ def exact_discriminant(op, lam):
         dnxt = [u / a[k] + shift * du - back * dv for u, du, dv in zip(cur, dcur, dprev)]
         prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
     return cur[0] + prev[1], dcur[0] + dprev[1]
+
+
+def record_marches(monkeypatch):
+    """Log every march of the recurrence from now on, as (batched, chain):
+    batched when the march ran the N rotations of a chain, and chain the
+    bytes of the marched chain's bonds and sites (for a batch, those of
+    rotation N - 1, the chain itself)."""
+    log = []
+    march = transfer._march_values
+
+    def logged(hopping, onsite, lam, **kwargs):
+        a, b = np.asarray(hopping), np.asarray(onsite)
+        batched = b.ndim == 2
+        if batched:
+            a, b = a[:, -1], b[:, -1]
+        log.append((batched, a.tobytes() + b.tobytes()))
+        return march(hopping, onsite, lam, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", logged)
+    return log
+
+
+def two_march_solvers(monkeypatch):
+    """Make the solvers evaluate as they did before Delta and its
+    Jacobian came from one march: Delta by a value march of the chain
+    alone, the Jacobian by the batch of its rotations, and no memo, so
+    the residual and the Jacobian at one iterate march twice each. The
+    reference for the fused evaluation."""
+    jacobian = transfer.discriminant_jacobian
+
+    def two_marches(hopping, onsite, lam):
+        a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
+        chain = (a[:, -1], b[:, -1]) if b.ndim == 2 else (a, b)
+        return transfer.discriminant_batch(*chain, lam), jacobian(hopping, onsite, lam)[1]
+
+    def unfused(evaluate):
+        return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
+
+    monkeypatch.setattr(transfer, "discriminant_jacobian", two_marches)
+    monkeypatch.setattr(inverse, "fused", unfused)
+    monkeypatch.setattr(isospectral, "fused", unfused)

@@ -14,6 +14,7 @@ from hillbands import (
     gap_report,
     transfer,
 )
+from hillbands.discriminant import gershgorin_interval
 
 from helpers import exact_discriminant, random_operator
 
@@ -179,6 +180,89 @@ def test_bisection_marches_fewer_than_32_times(monkeypatch):
     monkeypatch.setattr(transfer, "_march_values", counted)
     band_edges_bisection(random_operator(np.random.default_rng(24), 24))
     assert len(calls) < 32
+
+
+def _extremum_everywhere(op, tol=1e-13):
+    """The bisection route that multisected every gap's extremum c_j and
+    closed the gap there by the rounding bound, with no check at the gap
+    midpoint first: the reference."""
+    n = op.period
+    lo, hi = gershgorin_interval(op)
+    mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
+    orient = (-1.0) ** (n - 1 - np.arange(n))
+    edges = bands._multisect(
+        lambda lam: np.repeat(orient, 2) * transfer.discriminant_value(op, lam)
+        >= np.tile([-2.0, 2.0], n),
+        np.repeat(mu[:-1], 2),
+        np.repeat(mu[1:], 2),
+        tol,
+    )
+    middle = 0.5 * (edges[0::2] + edges[1::2])
+    crit = bands._multisect(
+        lambda lam: orient[:-1] * transfer.discriminant(op, lam)[1] <= 0.0,
+        middle[:-1],
+        middle[1:],
+        tol,
+    )
+    peak, rounding = transfer.discriminant_rounding(op, crit)
+    shut = np.abs(peak) - 2.0 <= rounding
+    return np.sort(bands._close(edges, shut, crit[shut]))
+
+
+def _slope_marches(monkeypatch):
+    """Count the marches that carry Delta' from now on."""
+    slopes = []
+    march = transfer._march_values
+
+    def counted(*args, **kwargs):
+        slopes.append(kwargs.get("slope", False))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    return slopes
+
+
+def test_certified_open_gaps_skip_the_extremum_search(monkeypatch):
+    # Random chains: every gap is certified open at its midpoint, so no
+    # march for Delta' runs and the edges are those of the reference.
+    rng = np.random.default_rng(90)
+    chains = [random_operator(rng, n) for n in range(1, 25)]
+    references = [_extremum_everywhere(op) for op in chains]
+    slopes = _slope_marches(monkeypatch)
+    for op, reference in zip(chains, references):
+        del slopes[:]
+        edges = band_edges_bisection(op)
+        assert not any(slopes)
+        assert np.array_equal(edges, reference)
+        assert np.all(edges[2::2] > edges[1:-1:2])
+
+
+def test_uniform_chains_close_every_gap_at_its_extremum(monkeypatch):
+    # No gap of a uniform chain is certified: each is closed at c_j,
+    # exactly where the reference closes it.
+    rng = np.random.default_rng(91)
+    chains = [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+              for n in range(3, 25)]
+    references = [_extremum_everywhere(op) for op in chains]
+    slopes = _slope_marches(monkeypatch)
+    for op, reference in zip(chains, references):
+        del slopes[:]
+        edges = band_edges_bisection(op)
+        assert any(slopes)
+        assert np.array_equal(edges, reference)
+        assert np.all(edges[2::2] == edges[1:-1:2])
+
+
+@pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89)])
+@pytest.mark.parametrize("phi", [0.3, 2.1])
+def test_harper_edges_match_extremum_reference(period, f_prev, phi):
+    # Only some Harper gaps are certified; the rest are multisected in
+    # fewer brackets, whose passes may stop sooner, so the edges agree
+    # within the multisection tolerance and every gap state is the same.
+    op = _harper(period, f_prev, phi)
+    edges, reference = band_edges_bisection(op), _extremum_everywhere(op)
+    assert np.all(np.abs(edges - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
+    assert np.array_equal(edges[2::2] > edges[1:-1:2], reference[2::2] > reference[1:-1:2])
 
 
 def test_repeated_cell_gaps_close_exactly():

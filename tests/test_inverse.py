@@ -14,7 +14,7 @@ from hillbands import (
 from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
 from hillbands.inverse import monic_map
 
-from helpers import power_coefficients, random_operator
+from helpers import power_coefficients, random_operator, record_marches, two_march_solvers
 
 
 def test_newton_solve_scalar_system():
@@ -69,7 +69,8 @@ def test_onsite_jacobian_matches_finite_differences():
         return op.hopping_product() * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
     nodes = chebyshev_nodes(gershgorin_interval(op), n)
-    analytic = monic_map(nodes, op.hopping_product())[:n] @ transfer.discriminant_jacobian(op, nodes)[:, n:]
+    _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
+    analytic = monic_map(nodes, op.hopping_product())[:n] @ grad[:, n:]
     h = 1e-6
     fd = np.zeros((n, n))
     for j in range(n):
@@ -114,6 +115,57 @@ def test_recover_onsite_validates_input():
         recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
     with pytest.raises(ValueError):
         recover_onsite(np.array([-2.16, 0.0, 1.0]))  # coefficients without hoppings
+
+
+@pytest.mark.filterwarnings("error")
+def test_recover_onsite_names_the_float_range():
+    # prod a = 10^400 and 10^-400 leave the float range, and so do the
+    # power-basis coefficients of (prod a) Delta: the error says so,
+    # where it once blamed the count of the underflowed coefficients.
+    # The default bonds, exp(log(prod a) / N) = 10, overflow nothing.
+    for target in (Discriminant.free(400, 10.0), Discriminant.free(200, 0.01)):
+        with pytest.raises(ValueError, match="float range"):
+            recover_onsite(target)
+    with pytest.raises(ValueError, match="float range"):
+        recover_onsite(Discriminant.free(400, 10.0), np.full(400, 10.0))
+
+
+def test_recover_onsite_marches_once_per_iterate(monkeypatch):
+    # Blind (LM, then Newton), from a start (Newton) and from edge data:
+    # each distinct iterate is one march of the chain's rotations. (An
+    # LM start that ends on several refused trials is the exception:
+    # scipy then takes the Jacobian at its last accepted point, which
+    # the memo of two no longer holds. These blind solves, N = 4 after
+    # two starts, have none.)
+    rng = np.random.default_rng(97)
+    chains = [random_operator(rng, n) for n in (2, 3, 4, 5)]
+    uniform = PeriodicJacobi(np.full(4, 0.9), rng.uniform(-1.5, 1.5, 4))
+    periodic, antiperiodic = uniform.floquet_eigenvalues([0.0, np.pi])
+    log = record_marches(monkeypatch)
+    solves = [lambda op=op: recover_onsite(power_coefficients(op), op.hopping) for op in chains]
+    solves += [
+        lambda: recover_onsite(power_coefficients(chains[3]), chains[3].hopping,
+                               initial=chains[3].onsite + 0.01),
+        lambda: recover_operator_from_edges(periodic, antiperiodic),
+    ]
+    for solve in solves:
+        del log[:]
+        solve()
+        assert len(log) > 2
+        assert all(batched for batched, _ in log)
+        assert len({chain for _, chain in log}) == len(log)
+
+
+def test_blind_inversion_matches_two_march_reference(monkeypatch):
+    # The fused march gives Delta to the bit, so every LM and Newton
+    # iterate, and the chain found, is the same as with two marches.
+    rng = np.random.default_rng(98)
+    targets = [(power_coefficients(op), op.hopping)
+               for op in (random_operator(rng, n) for n in range(2, 8))]
+    found = [recover_onsite(*target).onsite for target in targets]
+    two_march_solvers(monkeypatch)
+    for target, onsite in zip(targets, found):
+        assert np.array_equal(recover_onsite(*target).onsite, onsite)
 
 
 def test_discriminant_from_edges_round_trip():
@@ -186,7 +238,8 @@ def test_onsite_jacobian_matches_per_column_minors():
         for j in range(n):
             minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
             expected[:, j] = -minor / op.hopping[j]
-        err = np.max(np.abs(transfer.discriminant_jacobian(op, nodes)[:, n:] - expected))
+        _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
+        err = np.max(np.abs(grad[:, n:] - expected))
         assert err <= 1e-14 * np.max(np.abs(expected))
 
 

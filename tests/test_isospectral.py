@@ -13,7 +13,7 @@ from hillbands import (
     orbit_distance,
 )
 
-from helpers import power_coefficients, random_operator
+from helpers import power_coefficients, random_operator, record_marches, two_march_solvers
 
 
 def test_orbit_members_share_discriminant():
@@ -158,3 +158,29 @@ def test_neighbors_step_costs_less_than_one_difference_jacobian(monkeypatch):
     monkeypatch.undo()
     assert len(calls) < 4 * op.period + 1
     assert np.allclose(power_coefficients(found[0]), power_coefficients(op), rtol=0.0, atol=1e-8)
+
+
+def test_neighbors_march_once_per_iterate(monkeypatch):
+    # One value march for the start's Delta; then each distinct iterate
+    # of the walk is one march of its rotations.
+    rng = np.random.default_rng(72)
+    for n in (3, 6, 9):
+        op = random_operator(rng, n)
+        log = record_marches(monkeypatch)
+        isospectral_neighbors(op, count=3, seed=n)
+        assert not log[0][0]
+        assert len(log) > 4
+        assert all(batched for batched, _ in log[1:])
+        assert len({chain for _, chain in log[1:]}) == len(log) - 1
+        monkeypatch.undo()
+
+
+def test_neighbors_match_two_march_reference(monkeypatch):
+    rng = np.random.default_rng(73)
+    chains = [random_operator(rng, n) for n in (2, 4, 7, 12)]
+    found = [isospectral_neighbors(op, count=2, seed=9) for op in chains]
+    two_march_solvers(monkeypatch)
+    for op, walk in zip(chains, found):
+        for fused, reference in zip(walk, isospectral_neighbors(op, count=2, seed=9)):
+            assert np.array_equal(fused.hopping, reference.hopping)
+            assert np.array_equal(fused.onsite, reference.onsite)

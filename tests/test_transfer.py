@@ -161,6 +161,28 @@ def test_batched_value_march_equals_single_chains():
                 assert np.array_equal(batch[:, i, j], single)
 
 
+def test_fused_delta_equals_the_value_march():
+    # Rotation N - 1 of the Jacobian's batch is the chain itself, marched
+    # with the same operations: its Delta is discriminant_value's, to the
+    # bit. Rotated inputs give the same march.
+    rng = np.random.default_rng(12)
+    chains = [random_operator(rng, n) for n in range(1, 25)]
+    chains += [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+               for n in range(1, 25)]
+    for n, f_prev in ((89, 55), (144, 89)):
+        chains.append(PeriodicJacobi(np.ones(n), 0.8 * np.cos(2 * np.pi * f_prev * np.arange(n) / n + 0.3)))
+    for op in chains:
+        lo, hi = gershgorin_interval(op)
+        lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
+        delta, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, lam)
+        assert delta.shape == lam.shape and grad.shape == lam.shape + (2 * op.period,)
+        assert np.array_equal(delta, transfer.discriminant_value(op, lam))
+        index = transfer.rotations(op.period)
+        rotated = transfer.discriminant_jacobian(op.hopping[index], op.onsite[index], lam)
+        assert np.array_equal(rotated[0], delta)
+        assert np.array_equal(rotated[1], grad)
+
+
 @pytest.mark.parametrize("period", range(1, 13))
 def test_coefficient_jacobian_matches_central_differences(period):
     # The Jacobian of Delta's node values, its coefficients in the
@@ -174,7 +196,7 @@ def test_coefficient_jacobian_matches_central_differences(period):
         chain = PeriodicJacobi(np.exp(x[:period]), x[period:])
         return transfer.discriminant_value(chain, nodes)
 
-    analytic = transfer.discriminant_jacobian(op, nodes)
+    _, analytic = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
     assert analytic.shape == (period + 1, 2 * period)
     fd = np.zeros_like(analytic)
     for j in range(2 * period):
