@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import transfer
-from .discriminant import Discriminant, gershgorin_interval
+from .discriminant import gershgorin_interval
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def band_edges_bisection(op, tol=1e-13):
     edge_orient = np.repeat(orient, 2)
     level = np.tile([-2.0, 2.0], n)
     edges = _multisect(
-        lambda lam: edge_orient * transfer.discriminant_value(op, lam) >= level,
+        lambda lam: edge_orient * transfer.discriminant_value(op.hopping, op.onsite, lam) >= level,
         np.repeat(mu[:-1], 2),
         np.repeat(mu[1:], 2),
         tol,
@@ -199,12 +199,6 @@ class BandStructure:
         return edges
 
     @cached_property
-    def discriminant(self):
-        """Delta by its Chebyshev node values, built on first use. Only
-        to_dict needs it: edges, dispersion, DOS and IDS never do."""
-        return Discriminant.from_operator(self.operator)
-
-    @cached_property
     def bands(self):
         return [
             Band(j, float(self.edges[2 * j]), float(self.edges[2 * j + 1]))
@@ -252,7 +246,9 @@ class BandStructure:
         Meaningful on the spectrum; clipped outside so edges evaluate
         cleanly to 0 or pi.
         """
-        return np.arccos(np.clip(transfer.discriminant_value(self.operator, lam) / 2.0, -1.0, 1.0))
+        op = self.operator
+        return np.arccos(np.clip(transfer.discriminant_value(op.hopping, op.onsite, lam) / 2.0,
+                                 -1.0, 1.0))
 
     def dispersion(self, thetas):
         """Band energies over Bloch phases; shape (N, len(thetas)).
@@ -354,5 +350,4 @@ class BandStructure:
             "band_widths": [b.width for b in self.bands],
             "gaps": [[g.lower, g.upper] for g in self.gaps],
             "gap_widths": [g.width for g in self.gaps],
-            "discriminant_chebyshev": self.discriminant.to_dict(),
         }

@@ -10,7 +10,10 @@ Delta(lam) = tr M(lam) is a degree-N polynomial with leading coefficient
 
 It is held by its values at the N + 1 Chebyshev extreme points of an
 interval, which the value march gives to its own rounding; power-basis
-coefficients lose accuracy exponentially with N.
+coefficients lose accuracy exponentially with N. A Discriminant is the
+target of the inverse problem and the payload of `hillbands edges
+--json`. Delta of a chain at given points comes from
+transfer.discriminant_value, accurate to the march's rounding at each.
 """
 
 from dataclasses import dataclass
@@ -64,7 +67,8 @@ class Discriminant:
         of long random chains."""
         interval = gershgorin_interval(op) if interval is None else interval
         nodes = chebyshev_nodes(interval, op.period)
-        return cls(interval, transfer.discriminant_value(op, nodes), np.sum(np.log(op.hopping)))
+        values = transfer.discriminant_value(op.hopping, op.onsite, nodes)
+        return cls(interval, values, np.sum(np.log(op.hopping)))
 
     @classmethod
     def free(cls, period, hopping=1.0, onsite=0.0):
@@ -91,12 +95,6 @@ class Discriminant:
             c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
             c[[0, -1]] *= 0.5
         return Chebyshev(c, domain=self.interval)
-
-    def __call__(self, lam):
-        return self.chebyshev(lam)
-
-    def derivative(self, lam):
-        return self.chebyshev.deriv()(lam)
 
     def to_dict(self):
         """The interval and the Chebyshev coefficients, as plain JSON types."""

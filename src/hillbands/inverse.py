@@ -21,6 +21,10 @@ from . import transfer
 from .discriminant import Discriminant, chebyshev_nodes
 from .operators import PeriodicJacobi
 
+TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
+MAX_ITER = 80  # recover_onsite: Newton iterations per solve
+STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
+
 
 def least_squares(*args, **kwargs):
     """`scipy.optimize.least_squares`, imported on first use.
@@ -137,7 +141,7 @@ def monic_map(nodes, hopping_product):
     return hopping_product * np.linalg.inv(np.vander(nodes, increasing=True))
 
 
-def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, starts=64):
+def recover_onsite(target, hopping=None, initial=None):
     """Find onsite energies reproducing a target discriminant.
 
     Parameters
@@ -153,18 +157,13 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
         fixed by its hopping product.
     initial : array_like, optional
         Starting onsite energies for a plain damped-Newton solve. When
-        omitted, a seeded (so deterministic) multistart runs instead:
-        the target's roots, which the onsite energies approach in the
-        small-hopping limit, are assigned to sites in random orders and
-        driven by Levenberg-Marquardt; plain Newton's basins are far too
-        small for a blind start.
-    tol : float
-        Max-norm tolerance on the monic coefficient residual, relative
-        to each target coefficient's magnitude floored at 1.
-    max_iter : int
-        Newton iteration budget (per start when multistarting).
-    starts : int
-        Multistart budget when no initial point is given.
+        omitted, a seeded (so deterministic) multistart of STARTS
+        Levenberg-Marquardt solves runs instead: the target's roots,
+        which the onsite energies approach in the small-hopping limit,
+        are assigned to sites in random orders; plain Newton's basins
+        are far too small for a blind start. Every solve ends in Newton
+        steps to a max-norm residual below TOL on the monic
+        coefficients, each relative to its magnitude floored at 1.
 
     Returns
     -------
@@ -176,12 +175,14 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
     Raises
     ------
     RuntimeError
-        If no start converges; non-real-rooted or otherwise
-        unattainable coefficient vectors fail this way.
+        If no start converges; unattainable coefficient vectors fail
+        this way.
     ValueError
-        If the target does not fit the hoppings, or the power-basis
+        If the target does not fit the hoppings, if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
-        do at long periods once prod a does.
+        do at long periods once prod a does, or, on a blind solve, if
+        the target's zeros are not all real: a discriminant's are, so
+        no chain has such a target.
     """
     if isinstance(target, Discriminant):
         if hopping is None:
@@ -228,20 +229,17 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
     fun, jac = fused(evaluate)
 
     if initial is not None:
-        b = newton_solve(fun, jac, initial, tol=tol, max_iter=max_iter)
+        b = newton_solve(fun, jac, initial, tol=TOL, max_iter=MAX_ITER)
         return PeriodicJacobi(a, b)
 
     if np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
-        # Not real-rooted, so certainly not a genuine discriminant;
-        # still give Newton one attempt from the staggered trace split.
-        center = -monic_target[n - 1] / n
-        guess = center + 1e-3 * (np.arange(n) - 0.5 * (n - 1))
-        b = newton_solve(fun, jac, guess, tol=tol, max_iter=max_iter)
-        return PeriodicJacobi(a, b)
+        raise ValueError(
+            "the target's zeros are not all real, so no chain has this discriminant"
+        )
 
     spread = max(guess[-1] - guess[0], 1.0)
     rng = np.random.default_rng(0)
-    for attempt in range(max(1, starts)):
+    for attempt in range(STARTS):
         start = guess.copy() if attempt == 0 else rng.permutation(guess)
         if attempt > 0:
             start = start + rng.normal(scale=0.02 * spread, size=n)
@@ -255,20 +253,19 @@ def recover_onsite(target, hopping=None, initial=None, tol=1e-11, max_iter=80, s
             gtol=1e-15,
             max_nfev=60 * n,
         )
-        if np.max(np.abs(fun(res.x))) < 1e3 * tol:
+        if np.max(np.abs(fun(res.x))) < 1e3 * TOL:
             try:
-                b = newton_solve(fun, jac, res.x, tol=tol, max_iter=max_iter)
+                b = newton_solve(fun, jac, res.x, tol=TOL, max_iter=MAX_ITER)
             except RuntimeError:
                 continue
             return PeriodicJacobi(a, b)
     raise RuntimeError(
-        f"no start out of {starts} converged; raise `starts` or supply an "
-        "initial point, or the coefficients may not be attainable with the "
-        "prescribed hoppings"
+        f"no start out of {STARTS} converged; supply an initial point, or the "
+        "coefficients may not be attainable with the prescribed hoppings"
     )
 
 
-def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
+def discriminant_from_edges(periodic, antiperiodic):
     """Rebuild the discriminant from band-edge eigenvalue data.
 
     Parameters
@@ -277,9 +274,8 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
         The N eigenvalues at Bloch phase 0, i.e. the zeros of Delta - 2.
     antiperiodic : array_like
         The N eigenvalues at Bloch phase pi, the zeros of Delta + 2.
-    rtol : float
-        Consistency tolerance: the two monic polynomials must differ by
-        a constant at this relative level.
+        The two monic polynomials with these zeros must differ by a
+        constant, to 1e-8 of the largest coefficient.
 
     Returns
     -------
@@ -294,7 +290,7 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
     ppi = P.polyfromroots(anti)
     diff = p0 - ppi
     scale = np.max(np.abs(p0))
-    if np.max(np.abs(diff[1:])) > rtol * scale:
+    if np.max(np.abs(diff[1:])) > 1e-8 * scale:
         raise ValueError("edge data is inconsistent: difference is not constant")
     pa = -diff[0] / 4.0
     if pa <= 0:
@@ -307,10 +303,11 @@ def discriminant_from_edges(periodic, antiperiodic, rtol=1e-8):
         interval, (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa), np.log(pa))
 
 
-def recover_operator_from_edges(periodic, antiperiodic, hopping=None, **kwargs):
+def recover_operator_from_edges(periodic, antiperiodic, hopping=None, initial=None):
     """Full edge-data inversion: discriminant, then onsite recovery.
 
     When hopping is omitted the bonds are taken uniform at the
-    geometric mean fixed by the recovered hopping product.
+    geometric mean fixed by the recovered hopping product; initial is
+    recover_onsite's.
     """
-    return recover_onsite(discriminant_from_edges(periodic, antiperiodic), hopping, **kwargs)
+    return recover_onsite(discriminant_from_edges(periodic, antiperiodic), hopping, initial)

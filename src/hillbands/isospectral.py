@@ -22,22 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transfer
-from .discriminant import Discriminant, chebyshev_nodes
+from .discriminant import chebyshev_nodes, gershgorin_interval
 from .inverse import fused, newton_solve
 from .operators import PeriodicJacobi
 
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
 
 
-def dihedral_orbit(op, decimals=12):
-    """All distinct chains reachable by shifts and reflection."""
+def dihedral_orbit(op):
+    """All distinct chains reachable by shifts and reflection, told apart
+    by their parameters rounded to 12 decimals."""
     seen = {}
     for base in (op, op.reflected()):
         for k in range(op.period):
             candidate = base.shifted(k)
             key = (
-                tuple(np.round(candidate.hopping, decimals)),
-                tuple(np.round(candidate.onsite, decimals)),
+                tuple(np.round(candidate.hopping, 12)),
+                tuple(np.round(candidate.onsite, 12)),
             )
             seen.setdefault(key, candidate)
     return list(seen.values())
@@ -123,13 +124,13 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks period and bonds
     reach = 2.0 * np.max(hopping)
     nodes = chebyshev_nodes((min(values) - reach, max(values) + reach), period)
-    scale = max(1.0, np.max(np.abs(transfer.discriminant_value(lowest, nodes))))
+    scale = max(1.0, np.max(np.abs(transfer.discriminant_value(hopping, lowest.onsite, nodes))))
     patterns = itertools.product(values, repeat=period)
     groups = {}
     while chunk := list(itertools.islice(patterns, CHUNK)):
         onsite = np.array(chunk).T  # sites first, one pattern per column
         bonds = np.broadcast_to(hopping[:, None], onsite.shape)
-        delta = transfer.discriminant_batch(bonds, onsite, nodes[:, None])
+        delta = transfer.discriminant_value(bonds, onsite, nodes[:, None])
         for pattern, key in zip(chunk, np.round(delta.T / scale, decimals)):
             groups.setdefault(tuple(key), []).append(pattern)
     classes = [
@@ -148,14 +149,18 @@ def _unpack(x):
     return PeriodicJacobi(np.exp(x[:n]), x[n:])
 
 
-def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
+def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     """Walk the continuous isospectral family of a chain.
 
     Each step moves along a random direction in the null space of the
-    map to Delta at the nodes of the start's interval, whose Jacobian in
-    (log hopping, onsite) is analytic, and projects back with Gauss-Newton,
-    so every returned chain shares the starting band structure while
-    being genuinely different (not a shift or reflection, generically).
+    map to Delta at the Chebyshev nodes of the start's Gershgorin
+    interval, whose Jacobian in (log hopping, onsite) is analytic, and
+    projects back with Gauss-Newton until the max-norm residual on the
+    node values is below 1e-10 of max(1, max|Delta|) over the start's
+    nodes, so every returned chain shares the starting band structure
+    while being genuinely different (not a shift or reflection,
+    generically). The start's node values, the target, come from the
+    first march of the walk, the one that also gives its first Jacobian.
 
     Parameters
     ----------
@@ -169,23 +174,22 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
         Tangent step length in (log hopping, onsite) coordinates.
     seed : int or numpy Generator, optional
         Randomness for the tangent directions.
-    tol : float
-        Max-norm residual on the node values after projection, relative
-        to max(1, max|Delta|) over the start's nodes.
 
     Returns
     -------
     list of PeriodicJacobi
     """
     rng = np.random.default_rng(seed)
-    start = Discriminant.from_operator(op)
-    nodes = chebyshev_nodes(start.interval, op.period)
-    scale = max(1.0, np.max(np.abs(start.values)))
     n = op.period
+    nodes = chebyshev_nodes(gershgorin_interval(op), n)
+    target = scale = None
 
     def evaluate(x):
+        nonlocal target, scale
         delta, grad = transfer.discriminant_jacobian(np.exp(x[:n]), x[n:], nodes)
-        return (delta - start.values) / scale, grad / scale
+        if target is None:  # the first call, at the start
+            target, scale = delta, max(1.0, np.max(np.abs(delta)))
+        return (delta - target) / scale, grad / scale
 
     fun, jac = fused(evaluate)
     x = _pack(op)
@@ -199,6 +203,6 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None, tol=1e-10):
             raise RuntimeError("no isospectral freedom at this chain")
         direction = null.T @ rng.standard_normal(null.shape[0])
         direction /= np.linalg.norm(direction)
-        x = newton_solve(fun, jac, x + step * direction, tol=tol)
+        x = newton_solve(fun, jac, x + step * direction, tol=1e-10)
         out.append(_unpack(x))
     return out

@@ -31,14 +31,14 @@ def band_structure(onsite, hopping=1.0, method="eig"):
     return BandStructure(make_chain(onsite, hopping), method=method)
 
 
-def dos_curve(structure, points=512, pad=0.05):
+def dos_curve(structure, points=512):
     """Sampled density of states and integrated density over the spectrum.
 
     Returns (energies, dos, ids) arrays; the grid spans the spectrum
-    plus a fractional pad on each side.
+    plus 5% of its width on each side.
     """
     lo, hi = structure.edges[0], structure.edges[-1]
-    margin = pad * (hi - lo if hi > lo else 1.0)
+    margin = 0.05 * (hi - lo if hi > lo else 1.0)
     energies = np.linspace(lo - margin, hi + margin, points)
     return energies, structure.density_of_states(energies), structure.integrated_density(energies)
 

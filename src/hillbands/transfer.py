@@ -131,14 +131,12 @@ def discriminant(op, lam):
     return m[0, 0] + m[1, 1], dm[0, 0] + dm[1, 1]
 
 
-def discriminant_value(op, lam):
-    """Delta(lam) alone by the recurrence, elementwise: no derivative rows."""
-    return discriminant_batch(op.hopping, op.onsite, lam)
+def discriminant_value(hopping, onsite, lam):
+    """Delta(lam) alone by the recurrence, elementwise: no derivative rows.
 
-
-def discriminant_batch(hopping, onsite, lam):
-    """Delta at lam of the chains in hopping and onsite, of shape (N,) +
-    chains: sites first, and chain axes that broadcast against lam."""
+    hopping and onsite have shape (N,) for one chain, or (N,) + chains
+    for a batch: sites first, and chain axes that broadcast against lam.
+    """
     prev, cur = _march_values(hopping, onsite, lam)
     return cur[0] + prev[1]
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,13 +12,14 @@ from hillbands import (
     band_edges_bisection,
     band_edges_eig,
     bands,
+    cli,
     dos_curve,
     gap_report,
     transfer,
 )
 from hillbands.discriminant import gershgorin_interval
 
-from helpers import exact_discriminant, random_operator
+from helpers import exact_discriminant, random_operator, record_marches
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +194,7 @@ def _extremum_everywhere(op, tol=1e-13):
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     edges = bands._multisect(
-        lambda lam: np.repeat(orient, 2) * transfer.discriminant_value(op, lam)
+        lambda lam: np.repeat(orient, 2) * transfer.discriminant_value(op.hopping, op.onsite, lam)
         >= np.tile([-2.0, 2.0], n),
         np.repeat(mu[:-1], 2),
         np.repeat(mu[1:], 2),
@@ -305,10 +308,10 @@ def test_floquet_eigenvalues_inside_bands(generic_bs, generic_op):
 
 
 def test_gap_midpoints_outside_spectrum(generic_bs):
-    disc = generic_bs.discriminant
+    op = generic_bs.operator
     for gap in generic_bs.open_gaps():
         mid = 0.5 * (gap.lower + gap.upper)
-        assert abs(disc(mid)) > 2.0
+        assert abs(transfer.discriminant_value(op.hopping, op.onsite, mid)) > 2.0
         assert not generic_bs.contains(mid)
     assert not generic_bs.contains(generic_bs.edges[0] - 1.0)
     assert not generic_bs.contains(generic_bs.edges[-1] + 1.0)
@@ -401,15 +404,15 @@ def test_bloch_spectra_never_build_the_dense_matrix(monkeypatch):
         assert BandStructure(op).dispersion(np.linspace(0, np.pi, 5)).shape == (period, 5)
 
 
-def test_discriminant_built_only_on_first_use(generic_op):
-    bs = BandStructure(generic_op)
-    bs.dispersion([0.0, 1.0])
-    assert len(bs.gaps) == 2
-    assert "discriminant" not in bs.__dict__
-    assert bs.to_dict()["discriminant_chebyshev"] == Discriminant.from_operator(
-        generic_op
-    ).to_dict()
-    assert "discriminant" in bs.__dict__
+def test_bands_json_on_the_eig_route_runs_no_march(monkeypatch, capsys):
+    # The payload is the edges and what is read off them; the eig route
+    # solves band matrices, so no recurrence runs.
+    log = record_marches(monkeypatch)
+    assert cli.main(["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["edges"] == BandStructure(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3])).edges.tolist()
+    assert "discriminant_chebyshev" not in payload
+    assert log == []
 
 
 def test_edges_solved_only_on_first_use(monkeypatch, generic_op):
@@ -622,4 +625,3 @@ def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op
     bs.contains(grid)
     bs.bloch_phase(grid)
     dos_curve(bs, points=33)
-    assert "discriminant" not in bs.__dict__

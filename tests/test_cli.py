@@ -58,31 +58,45 @@ def test_bands_bisection_overflow_exits_nonzero(capsys):
     assert "overflow" in err
 
 
-def test_bands_json_on_long_chain_overflow_exits_nonzero(capsys):
-    # Delta exceeds 1e308 in the gaps of a random N = 1024 chain, so its
-    # node values cannot be formed: the request fails loudly.
+def test_bands_json_on_long_chain(capsys):
+    # Delta exceeds 1e308 in the gaps of a random N = 1024 chain; the
+    # payload is the eig route's edges, which never form it.
     rng = np.random.default_rng(1024)
-    onsite = ",".join(f"{x:.17g}" for x in rng.uniform(-1.5, 1.5, 1024))
-    hopping = ",".join(f"{x:.17g}" for x in rng.uniform(0.4, 1.8, 1024))
+    onsite, hopping = rng.uniform(-1.5, 1.5, 1024), rng.uniform(0.4, 1.8, 1024)
     code, out, err = run_cli(
-        capsys, "bands", f"--onsite={onsite}", f"--hopping={hopping}", "--json"
+        capsys, "bands", "--onsite=" + ",".join(f"{x:.17g}" for x in onsite),
+        "--hopping=" + ",".join(f"{x:.17g}" for x in hopping), "--json"
     )
-    assert code == 1 and out == ""
-    assert "overflow" in err
+    assert code == 0 and err == ""
+    assert json.loads(out)["edges"] == BandStructure(PeriodicJacobi(hopping, onsite)).edges.tolist()
 
 
 def test_bands_json_with_hopping_product_out_of_float_range(capsys):
-    # prod a = 10^400 is not a float; log(prod a) is, and Delta on the
-    # band of this uniform chain is 2 T_N.
+    # prod a = 10^400 is not a float. The edges of this uniform chain are
+    # b + 2a cos(pi j / N), each level but the ends twice, every gap closed.
+    n, a, b = 400, 10.0, 0.3
     code, out, err = run_cli(
-        capsys, "bands", "--onsite", ",".join(["0.3"] * 400), "--hopping", "10", "--json"
+        capsys, "bands", "--onsite", ",".join([str(b)] * n), "--hopping", str(a), "--json"
     )
     assert code == 0 and err == ""
-    series = json.loads(out)["discriminant_chebyshev"]
-    assert series["interval"] == [0.3 - 20.0, 0.3 + 20.0]
-    expected = np.zeros(401)
-    expected[400] = 2.0
-    assert np.max(np.abs(np.asarray(series["coefficients"]) - expected)) <= 1e-12
+    payload = json.loads(out)
+    edges = np.asarray(payload["edges"])
+    levels = b + 2.0 * a * np.cos(np.pi * np.arange(n + 1) / n)
+    expected = np.sort(np.concatenate([levels, levels[1:-1]]))
+    assert edges.shape == (2 * n,)
+    assert np.all(np.abs(edges - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+    assert payload["gap_widths"] == [0.0] * (n - 1)
+
+
+@pytest.mark.parametrize("coeffs", ["1,0,1", "5,0,0,1", "1,0,0,0,0,1"])
+def test_inverse_refuses_targets_with_complex_zeros(capsys, coeffs):
+    # A discriminant's zeros are real, one in each band; these are not.
+    n = coeffs.count(",")
+    code, out, err = run_cli(
+        capsys, "inverse", f"--coeffs={coeffs}", "--hopping", ",".join(["1"] * n)
+    )
+    assert code == 1 and out == ""
+    assert "not all real" in err and "no chain" in err
 
 
 def test_dispersion_json(capsys):
@@ -139,7 +153,7 @@ def test_edges_subcommand(capsys):
     assert payload["hopping_product"] == pytest.approx(1.0, abs=1e-9)
     series = payload["discriminant_chebyshev"]
     lam = np.linspace(*series["interval"], 9)
-    truth = Discriminant.from_operator(op)(lam)
+    truth = Discriminant.from_operator(op).chebyshev(lam)
     got = np.polynomial.Chebyshev(series["coefficients"], domain=series["interval"])(lam)
     assert np.allclose(got, truth, atol=1e-8)
 

@@ -29,7 +29,7 @@ def test_characteristic_polynomial_identity():
             for lam in (-2.1, 0.3, 1.9):
                 det = np.linalg.det(lam * np.eye(period) - m).real
                 assert det == pytest.approx(
-                    pa * (disc(lam) - 2.0 * np.cos(theta)), rel=1e-9, abs=1e-9
+                    pa * (disc.chebyshev(lam) - 2.0 * np.cos(theta)), rel=1e-9, abs=1e-9
                 )
 
 
@@ -45,17 +45,17 @@ def test_free_matches_from_operator():
 def test_call_scalar_and_array():
     disc = Discriminant.from_operator(PeriodicJacobi([1.0, 1.0], [0.5, -0.5]))
     x = np.array([-2.0, 0.0, 2.0])
-    vals = disc(x)
+    vals = disc.chebyshev(x)
     assert vals.shape == (3,)
-    assert disc(0.0) == pytest.approx(vals[1])
+    assert disc.chebyshev(0.0) == pytest.approx(vals[1])
 
 
 def test_derivative_matches_finite_difference():
     disc = Discriminant.from_operator(PeriodicJacobi([1.0, 0.7, 1.2], [0.1, 0.6, -0.3]))
     h = 1e-6
     for lam in (-1.5, 0.2, 2.4):
-        fd = (disc(lam + h) - disc(lam - h)) / (2 * h)
-        assert disc.derivative(lam) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+        fd = (disc.chebyshev(lam + h) - disc.chebyshev(lam - h)) / (2 * h)
+        assert disc.chebyshev.deriv()(lam) == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
 def test_monic_coefficients_leading_one():
@@ -125,7 +125,7 @@ def test_uniform_chain_matches_twice_chebyshev_t(period):
         top = np.max(np.abs(disc.values))
         nodes = chebyshev_nodes(disc.interval, period)
         grid = np.linspace(*disc.interval, 4001)
-        for lam, got in ((nodes, disc.values), (grid, disc(grid))):
+        for lam, got in ((nodes, disc.values), (grid, disc.chebyshev(grid))):
             err = np.max(np.abs(got - twice_chebyshev_t(period, a, b, lam)))
             assert err <= (1e-12 + slack) * top
 
@@ -138,7 +138,7 @@ def test_random_chains_match_exact_arithmetic_at_the_nodes():
         nodes = chebyshev_nodes(disc.interval, period)
         exact = np.array([float(exact_discriminant(op, x)[0]) for x in nodes])
         assert np.max(np.abs(disc.values - exact)) <= 1e-12 * np.max(np.abs(exact))
-        assert np.allclose(disc(nodes), disc.values, rtol=0.0, atol=1e-12 * np.max(np.abs(exact)))
+        assert np.allclose(disc.chebyshev(nodes), disc.values, rtol=0.0, atol=1e-12 * np.max(np.abs(exact)))
 
 
 def test_log_hopping_product_outlives_the_float_range():

@@ -25,7 +25,7 @@ def test_band_structure_shortcut():
 
 def test_dos_curve_shapes_and_padding():
     bs = band_structure([0.0, 0.8])
-    energies, rho, ids = dos_curve(bs, points=128, pad=0.1)
+    energies, rho, ids = dos_curve(bs, points=128)
     assert energies.shape == rho.shape == ids.shape == (128,)
     assert energies[0] < bs.edges[0] and energies[-1] > bs.edges[-1]
     assert rho[0] == 0.0 and rho[-1] == 0.0
