@@ -3,6 +3,7 @@
 from .bands import Band, BandStructure, Gap, band_edges_bisection, band_edges_eig
 from .discriminant import Discriminant
 from .inverse import (
+    chain_from_divisor,
     discriminant_from_edges,
     newton_solve,
     recover_onsite,
@@ -30,6 +31,7 @@ __all__ = [
     "band_edges_bisection",
     "band_edges_eig",
     "band_structure",
+    "chain_from_divisor",
     "dihedral_orbit",
     "discriminant_from_edges",
     "dos_curve",

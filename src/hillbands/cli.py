@@ -88,8 +88,7 @@ def _cmd_inverse(args):
 
 
 def _cmd_edges(args):
-    disc = inverse.discriminant_from_edges(args.periodic, args.antiperiodic)
-    op = inverse.recover_onsite(disc, args.hopping)
+    disc, op = inverse._edge_inverse(args.periodic, args.antiperiodic, args.hopping)
     product = float(np.exp(disc.log_hopping_product))
     _emit(args,
           lambda: {
@@ -186,7 +185,9 @@ def build_parser():
                                       "antiperiodic eigenvalues")
     p.add_argument("--periodic", type=_csv_floats, required=True)
     p.add_argument("--antiperiodic", type=_csv_floats, required=True)
-    p.add_argument("--hopping", type=_csv_floats, default=None)
+    p.add_argument("--hopping", type=_csv_floats, default=None,
+                   help="bond strengths to solve the sites for; without them, the "
+                        "chain with its Dirichlet eigenvalues at the gap midpoints")
     p.set_defaults(func=_cmd_edges)
 
     p = subs.add_parser("classes", help="enumerate isospectral onsite classes "
@@ -201,7 +202,8 @@ def build_parser():
                                           "family of a chain")
     _add_chain_arguments(p)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=float, default=0.1,
+                   help="angle in radians moved on the divisor circles per neighbour")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_neighbors)
 

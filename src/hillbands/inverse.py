@@ -1,5 +1,10 @@
 """Inverse spectral problems: recovering a chain from its discriminant.
 
+A chain is fixed by its band edges and its Dirichlet divisor, one
+point on each gap's circle (van Moerbeke 1976); `chain_from_divisor`
+builds it by one Lanczos pass, with no solver. Edge data without
+hoppings takes the divisor at the gap midpoints.
+
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
 N-to-N system solved here by damped Newton iteration. The residual and
@@ -40,18 +45,15 @@ def least_squares(*args, **kwargs):
 def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     """Solve fun(x) = 0 by Newton iteration with backtracking.
 
-    A square Jacobian gives the Newton step; a rectangular one gives the
-    minimum-norm least-squares (Gauss-Newton) step, which for an
-    underdetermined system projects x onto the solution set. Below tol,
-    one more full step is kept if it lowers the residual, so the root
-    does not sit just under tol.
+    Below tol, one more full step is kept if it lowers the residual, so
+    the root does not sit just under tol.
 
     Parameters
     ----------
     fun : callable(x) -> ndarray
         Residual vector.
     jac : callable(x) -> ndarray
-        Jacobian matrix of fun at x, square or not.
+        Square Jacobian matrix of fun at x.
     x0 : array_like
         Starting point.
     tol : float
@@ -79,10 +81,7 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
             callback(k, x, norm)
         j = jac(x)
         try:
-            if j.shape[0] == j.shape[1]:
-                step = np.linalg.solve(j, -fx)
-            else:
-                step = np.linalg.lstsq(j, -fx, rcond=None)[0]
+            step = np.linalg.solve(j, -fx)
         except np.linalg.LinAlgError as exc:
             if norm < tol:
                 return x
@@ -141,7 +140,7 @@ def monic_map(nodes, hopping_product):
     return hopping_product * np.linalg.inv(np.vander(nodes, increasing=True))
 
 
-def recover_onsite(target, hopping=None, initial=None):
+def recover_onsite(target, hopping, initial=None):
     """Find onsite energies reproducing a target discriminant.
 
     Parameters
@@ -151,10 +150,8 @@ def recover_onsite(target, hopping=None, initial=None):
         (length N + 1). The leading coefficient must equal
         1 / prod(hopping) up to roundoff: the hopping gauge is an input
         here, not an unknown.
-    hopping : array_like, optional
-        Positive bond strengths, held fixed. When omitted, which takes a
-        Discriminant target, the bonds are uniform at the geometric mean
-        fixed by its hopping product.
+    hopping : array_like
+        Positive bond strengths, held fixed.
     initial : array_like, optional
         Starting onsite energies for a plain damped-Newton solve. When
         omitted, a seeded (so deterministic) multistart of STARTS
@@ -185,11 +182,7 @@ def recover_onsite(target, hopping=None, initial=None):
         no chain has such a target.
     """
     if isinstance(target, Discriminant):
-        if hopping is None:
-            hopping = np.full(target.degree, np.exp(target.log_hopping_product / target.degree))
         target = target.chebyshev.convert(kind=Polynomial).coef
-    elif hopping is None:
-        raise ValueError("a coefficient target needs the hoppings")
     a = np.atleast_1d(np.asarray(hopping, dtype=float))
     n = a.size
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -303,11 +296,76 @@ def discriminant_from_edges(periodic, antiperiodic):
         interval, (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa), np.log(pa))
 
 
-def recover_operator_from_edges(periodic, antiperiodic, hopping=None, initial=None):
-    """Full edge-data inversion: discriminant, then onsite recovery.
+def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):
+    """The chain with these band edges, log(prod a) and Dirichlet divisor.
 
-    When hopping is omitted the bonds are taken uniform at the
-    geometric mean fixed by the recovered hopping product; initial is
-    recover_onsite's.
+    periodic and antiperiodic hold the N zeros each of Delta -+ 2; only
+    their union enters. mu_j, in the closure of gap j, are the N - 1
+    eigenvalues of the chain with site 0 deleted, where the monodromy M
+    is triangular and |M[1, 1]| = exp(sheet_j h_j), sheet_j = +-1, with
+    sinh h_j = sqrt(|Delta^2 - 4|) / 2 = sqrt(|prod(mu_j - E)|) / (2A),
+    A = prod a. The squared last components of the Dirichlet
+    eigenvectors are w_j = exp(sheet_j h_j) A / prod_{i != j}|mu_j - mu_i|
+    over their sum, a_{N-1}^2. Lanczos on diag(mu) from sqrt(w) gives the
+    sites N - 1 .. 1, A gives a_0, and the trace, sum(b) = sum(E) / 2,
+    gives b_0.
+
+    Raises ValueError if a mu_j is outside the closure of gap j, a sheet
+    entry is not +-1, or a weight is not finite or underflows, as the
+    weights of long chains with tall gaps do.
     """
-    return recover_onsite(discriminant_from_edges(periodic, antiperiodic), hopping, initial)
+    per, anti = np.asarray(periodic, dtype=float), np.asarray(antiperiodic, dtype=float)
+    edges = np.sort(np.concatenate([per, anti]))
+    mu, sheet = np.asarray(mu, dtype=float).reshape(-1), np.asarray(sheet, dtype=float).reshape(-1)
+    n = per.size
+    if anti.size != n or mu.shape != (n - 1,) or sheet.shape != (n - 1,):
+        raise ValueError(f"need N edges of each kind and N - 1 divisor points, N = {n}")
+    if not np.all((edges[1:-1:2] <= mu) & (mu <= edges[2::2])):
+        raise ValueError("each mu_j must lie in the closure of gap j")
+    if not np.all(np.abs(sheet) == 1.0):
+        raise ValueError("sheet entries must be +1 or -1")
+    with np.errstate(divide="ignore", over="ignore"):  # mu_j on an edge: h_j = 0
+        root = np.exp(0.5 * np.sum(np.log(np.abs(mu[:, None] - edges)), axis=1)
+                      - log_hopping_product)
+        spacing = np.sum(np.log(np.abs(mu[:, None] - mu) + np.eye(n - 1)), axis=1)
+    log_w = sheet * np.arcsinh(root / 2.0) + log_hopping_product - spacing
+    if not np.all(np.isfinite(log_w)):
+        raise ValueError("a Dirichlet weight is not finite")
+    w = np.exp(log_w - np.max(log_w, initial=-np.inf))
+    if not np.all(w > 0.0):
+        raise ValueError("a Dirichlet weight underflows")
+    a, b = np.ones(n), np.empty(n)
+    basis, q = np.zeros((n - 1, n - 1)), np.sqrt(w / np.sum(w))
+    for k in range(n - 1):  # row k of the Lanczos matrix is site N - 1 - k
+        basis[:, k] = q
+        b[n - 1 - k] = q @ (mu * q)
+        if k < n - 2:
+            r = mu * q
+            for _ in range(2):  # full reorthogonalisation, twice
+                r -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ r)
+            a[n - 2 - k] = np.linalg.norm(r)
+            q = r / a[n - 2 - k]
+    if n > 1:
+        a[-1] = np.exp(0.5 * (np.max(log_w) + np.log(np.sum(w))))
+    a[0] = np.exp(log_hopping_product - np.sum(np.log(a[1:])))
+    b[0] = 0.5 * (np.sum(per) + np.sum(anti)) - np.sum(mu)
+    return PeriodicJacobi(a, b)
+
+
+def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
+    """A chain with these band edges: recover_onsite at the given bonds,
+    else chain_from_divisor at the gap midpoints on sheet +1, whose bonds
+    are in general not uniform. discriminant_from_edges checks the data
+    and gives the hopping product."""
+    return _edge_inverse(periodic, antiperiodic, hopping)[1]
+
+
+def _edge_inverse(periodic, antiperiodic, hopping):
+    """discriminant_from_edges of the data, and recover_operator_from_edges's chain."""
+    disc = discriminant_from_edges(periodic, antiperiodic)
+    if hopping is not None:
+        return disc, recover_onsite(disc, hopping)
+    edges = np.sort(np.concatenate([periodic, antiperiodic]))
+    mid = 0.5 * (edges[1:-1:2] + edges[2::2])
+    return disc, chain_from_divisor(periodic, antiperiodic, mid, np.ones(mid.size),
+                                    disc.log_hopping_product)

@@ -3,13 +3,12 @@
 Equality of discriminants is equality of spectra, so Delta at N + 1
 nodes of one interval is a complete isospectrality invariant. Cyclic
 relabeling and reflection of the unit cell always preserve it; beyond
-that discrete symmetry there is a continuous family, generically of
-dimension one less than the period, explored here by walking the null
-space of the node-value map and projecting back with `newton_solve`'s
-Gauss-Newton steps. The node values and their analytic (log hopping,
-onsite) Jacobian come from one march, `transfer.discriminant_jacobian`,
-run once per iterate through the memo of `inverse.fused`, as in
-`inverse`.
+that discrete symmetry there is a continuous family, the isospectral
+torus: one circle per open gap, on which the Dirichlet eigenvalue of
+the gap runs across it and back on the other sheet. Walks on it move
+the start's divisor around these circles and build each member with
+`inverse.chain_from_divisor`, so every member is isospectral to
+rounding by construction.
 
 Exhaustive enumeration over a finite alphabet of onsite energies splits
 the alphabet^N cube into isospectral classes; classes larger than a
@@ -22,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transfer
-from .discriminant import chebyshev_nodes, gershgorin_interval
-from .inverse import fused, newton_solve
+from .bands import band_edges_eig
+from .discriminant import chebyshev_nodes
+from .inverse import chain_from_divisor
 from .operators import PeriodicJacobi
 
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
@@ -140,69 +140,58 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     return classes
 
 
-def _pack(op):
-    return np.concatenate([np.log(op.hopping), op.onsite])
-
-
-def _unpack(x):
-    n = x.size // 2
-    return PeriodicJacobi(np.exp(x[:n]), x[n:])
-
-
 def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     """Walk the continuous isospectral family of a chain.
 
-    Each step moves along a random direction in the null space of the
-    map to Delta at the Chebyshev nodes of the start's Gershgorin
-    interval, whose Jacobian in (log hopping, onsite) is analytic, and
-    projects back with Gauss-Newton until the max-norm residual on the
-    node values is below 1e-10 of max(1, max|Delta|) over the start's
-    nodes, so every returned chain shares the starting band structure
-    while being genuinely different (not a shift or reflection,
-    generically). The start's node values, the target, come from the
-    first march of the walk, the one that also gives its first Jacobian.
+    Open gap j (lower < upper on the eig edges) is a circle with angle
+    phi_j: mu_j = mid_j + half_j cos(phi_j) on sheet sign(sin(phi_j)).
+    The start's angles come from its Dirichlet spectrum, with sheet +1
+    where |M[1, 1](mu_j)| > 1 in one march of the monodromy. Each step
+    adds step times a random unit vector to the angles, and each member
+    is chain_from_divisor of the start's edges and hopping product at
+    the new divisor: isospectral by construction, and generically not a
+    shift or reflection of the start.
 
     Parameters
     ----------
     op : PeriodicJacobi
-        Starting chain. Needs open gaps: at fully degenerate points
-        such as the constant chain, the family collapses to a point
-        and projection cannot succeed.
+        Starting chain, with at least one open gap.
     count : int
         Number of steps, and of returned chains.
     step : float
-        Tangent step length in (log hopping, onsite) coordinates.
+        Angle in radians moved on the divisor circles per step.
     seed : int or numpy Generator, optional
-        Randomness for the tangent directions.
+        Randomness for the step directions.
 
     Returns
     -------
     list of PeriodicJacobi
+
+    Raises
+    ------
+    RuntimeError
+        If no gap is open, as on the constant chain: the family is a point.
+    ValueError
+        If a weight of a divisor is not finite or underflows.
     """
     rng = np.random.default_rng(seed)
     n = op.period
-    nodes = chebyshev_nodes(gershgorin_interval(op), n)
-    target = scale = None
-
-    def evaluate(x):
-        nonlocal target, scale
-        delta, grad = transfer.discriminant_jacobian(np.exp(x[:n]), x[n:], nodes)
-        if target is None:  # the first call, at the start
-            target, scale = delta, max(1.0, np.max(np.abs(delta)))
-        return (delta - target) / scale, grad / scale
-
-    fun, jac = fused(evaluate)
-    x = _pack(op)
+    edges = band_edges_eig(op)
+    lower, upper = edges[1:-1:2], edges[2::2]
+    open_ = upper > lower
+    if not np.any(open_):
+        raise RuntimeError("no isospectral freedom at this chain: no gap is open")
+    mid, half = 0.5 * (lower + upper)[open_], 0.5 * (upper - lower)[open_]
+    mu = op.dirichlet_eigenvalues()
+    sheet = np.where(np.abs(transfer.monodromy(op, mu)[0][1, 1]) > 1.0, 1.0, -1.0)
+    phi = sheet[open_] * np.arccos(np.clip((mu[open_] - mid) / half, -1.0, 1.0))
+    mu, sheet = lower.copy(), np.ones(lower.size)  # closed gaps: the closed point
+    log_product = float(np.sum(np.log(op.hopping)))
     out = []
     for _ in range(count):
-        _, s, vt = np.linalg.svd(jac(x))
-        cutoff = s[0] * 1e-8 if s.size else 0.0
-        rank = int(np.sum(s > cutoff))
-        null = vt[rank:]
-        if null.shape[0] == 0:
-            raise RuntimeError("no isospectral freedom at this chain")
-        direction = null.T @ rng.standard_normal(null.shape[0])
-        direction /= np.linalg.norm(direction)
-        x = newton_solve(fun, jac, x + step * direction, tol=1e-10)
-        out.append(_unpack(x))
+        direction = rng.standard_normal(phi.size)
+        phi = phi + step * direction / np.linalg.norm(direction)
+        mu[open_] = np.clip(mid + half * np.cos(phi), lower[open_], upper[open_])
+        sheet[open_] = np.where(np.sin(phi) < 0.0, -1.0, 1.0)
+        out.append(chain_from_divisor(edges[:n], edges[n:], mu, sheet, log_product))
     return out

@@ -67,26 +67,6 @@ class PeriodicJacobi:
                 raise ValueError(f"hopping product of period {self.period} "
                                  "overflows the float range") from None
 
-    def floquet_matrix(self, theta):
-        """N x N Bloch Hamiltonian for boundary phase u_{n+N} = e^{i theta} u_n.
-
-        Hermitian for real theta; its eigenvalues are the N solutions of
-        discriminant(lam) = 2 cos(theta). Dense, so O(N^3) to solve:
-        floquet_eigenvalues gets the same eigenvalues in O(N^2).
-        """
-        n = self.period
-        J = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(J, self.onsite)
-        if n == 1:
-            J[0, 0] += 2.0 * self.hopping[0] * np.cos(theta)
-            return J
-        idx = np.arange(n - 1)
-        J[idx, idx + 1] += self.hopping[:-1]
-        J[idx + 1, idx] += self.hopping[:-1]
-        J[n - 1, 0] += self.hopping[-1] * np.exp(1j * theta)
-        J[0, n - 1] += self.hopping[-1] * np.exp(-1j * theta)
-        return J
-
     def floquet_eigenvalues(self, theta):
         """Sorted eigenvalues of the Bloch Hamiltonian at phase theta.
 
@@ -129,38 +109,17 @@ class PeriodicJacobi:
             out[index] = w
         return out
 
-    def dirichlet_matrix(self):
-        """Tridiagonal block on sites 1..N-1 (site 0 deleted).
-
-        Its eigenvalues are the interior Dirichlet spectrum: by Cauchy
-        interlacing against every floquet_matrix(theta), eigenvalue j
-        is trapped in the closure of spectral gap j.
-        """
-        n = self.period
-        if n == 1:
-            return np.zeros((0, 0))
-        d = np.diag(self.onsite[1:]).astype(float)
-        if n > 2:
-            idx = np.arange(n - 2)
-            d[idx, idx + 1] = self.hopping[1:-1]
-            d[idx + 1, idx] = self.hopping[1:-1]
-        return d
-
     def dirichlet_eigenvalues(self):
-        """Sorted eigenvalues of dirichlet_matrix(), by LAPACK ?sterf in O(N^2)."""
+        """Sorted eigenvalues of the chain with site 0 deleted: the
+        tridiagonal block on sites 1..N-1, bonds a_1..a_{N-2}, by LAPACK
+        ?sterf in O(N^2). By Cauchy interlacing against every Bloch
+        Hamiltonian, eigenvalue j is trapped in the closure of gap j."""
         if self.period <= 2:
             return self.onsite[1:].copy()  # at most one site, no bond
         w, info = dsterf(self.onsite[1:], self.hopping[1:-1])
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info {info})")
         return w
-
-    def truncated_matrix(self, cells):
-        """Dense Hamiltonian of `cells` repetitions with open ends."""
-        n = self.period * cells
-        diag = np.tile(self.onsite, cells)
-        off = np.tile(self.hopping, cells)[: n - 1]
-        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
     def shifted(self, k):
         """Start the unit cell k sites later; the spectrum is unchanged."""

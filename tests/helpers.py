@@ -5,13 +5,60 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from hillbands import PeriodicJacobi, inverse, isospectral, transfer
+from hillbands import PeriodicJacobi, band_edges_eig, inverse, transfer
 
 
 def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5)):
     return PeriodicJacobi(
         rng.uniform(*hop_range, period), rng.uniform(*onsite_range, period)
     )
+
+
+def floquet_matrix(op, theta):
+    """Dense N x N Bloch Hamiltonian of op for boundary phase
+    u_{n+N} = e^{i theta} u_n: Hermitian for real theta, with the N
+    solutions of Delta(lam) = 2 cos(theta) as eigenvalues. An oracle for
+    the band-matrix solves of PeriodicJacobi.floquet_eigenvalues."""
+    n = op.period
+    J = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(J, op.onsite)
+    if n == 1:
+        J[0, 0] += 2.0 * op.hopping[0] * np.cos(theta)
+        return J
+    idx = np.arange(n - 1)
+    J[idx, idx + 1] += op.hopping[:-1]
+    J[idx + 1, idx] += op.hopping[:-1]
+    J[n - 1, 0] += op.hopping[-1] * np.exp(1j * theta)
+    J[0, n - 1] += op.hopping[-1] * np.exp(-1j * theta)
+    return J
+
+
+def dirichlet_matrix(op):
+    """Dense tridiagonal block of op on sites 1..N-1 (site 0 deleted),
+    whose eigenvalues are the Dirichlet spectrum."""
+    n = op.period
+    if n == 1:
+        return np.zeros((0, 0))
+    d = np.diag(op.onsite[1:]).astype(float)
+    if n > 2:
+        idx = np.arange(n - 2)
+        d[idx, idx + 1] = op.hopping[1:-1]
+        d[idx + 1, idx] = op.hopping[1:-1]
+    return d
+
+
+def truncated_matrix(op, cells):
+    """Dense Hamiltonian of `cells` repetitions of op with open ends."""
+    n = op.period * cells
+    diag = np.tile(op.onsite, cells)
+    off = np.tile(op.hopping, cells)[: n - 1]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def edge_error(op, edges):
+    """Largest |eig edge of op - edge| / max(1, |edge|) over the sorted edges."""
+    edges = np.sort(edges)
+    return np.max(np.abs(band_edges_eig(op) - edges) / np.maximum(1.0, np.abs(edges)))
 
 
 def monodromy_polynomials(op):
@@ -94,4 +141,3 @@ def two_march_solvers(monkeypatch):
 
     monkeypatch.setattr(transfer, "discriminant_jacobian", two_marches)
     monkeypatch.setattr(inverse, "fused", unfused)
-    monkeypatch.setattr(isospectral, "fused", unfused)

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from hillbands import (
     BandStructure,
@@ -19,7 +20,7 @@ from hillbands import (
 )
 from hillbands.discriminant import gershgorin_interval
 
-from helpers import exact_discriminant, random_operator, record_marches
+from helpers import exact_discriminant, random_operator, record_marches, truncated_matrix
 
 
 @pytest.fixture(scope="module")
@@ -387,16 +388,19 @@ def test_dispersion_of_uniform_chain_matches_closed_form():
 
 
 def test_bloch_spectra_never_build_the_dense_matrix(monkeypatch):
-    # The Bloch spectra are band-matrix solves; a dense N x N matrix
-    # would bring back the O(N^3) eigensolve.
-    original = PeriodicJacobi.floquet_matrix
+    # The Bloch spectra are band-matrix solves; a dense eigensolver
+    # would bring back the O(N^3) cost.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
 
-    def guarded(self, theta):
-        if self.period >= 3:
-            raise AssertionError("dense Bloch matrix built")
-        return original(self, theta)
-
-    monkeypatch.setattr(PeriodicJacobi, "floquet_matrix", guarded)
+    dense = {
+        np.linalg: ("eig", "eigh", "eigvals", "eigvalsh"),
+        scipy.linalg: ("eig", "eigh", "eigvals", "eigvalsh"),
+        lapack: ("dsyev", "dsyevd", "dsyevr", "zheev", "zheevd", "zheevr", "dgeev", "zgeev"),
+    }
+    for module, names in dense.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
     for period in (2, 3, 8, 89):
         op = random_operator(np.random.default_rng(period), period)
         assert op.floquet_eigenvalues(0.37).shape == (period,)
@@ -495,7 +499,7 @@ def test_integrated_density_matches_truncation_counting(generic_op, generic_bs):
     # Oracle: eigenvalue counting for a long open chain (Sturm sequence
     # solver from scipy), which approximates the per-site state count.
     cells = 600
-    t = generic_op.truncated_matrix(cells)
+    t = truncated_matrix(generic_op, cells)
     vals = eigh_tridiagonal(np.diag(t), np.diag(t, 1), eigvals_only=True)
     total = vals.size
     edges = generic_bs.edges

@@ -158,6 +158,19 @@ def test_edges_subcommand(capsys):
     assert np.allclose(got, truth, atol=1e-8)
 
 
+def test_edges_without_hoppings_where_the_multistart_failed(capsys):
+    # Edge data of a random N = 3 chain, given to 12 digits, on which a
+    # uniform-bond multistart found no chain.
+    per = [-1.40614110888, -1.04004119249, 3.0478322385]
+    anti = [-2.56556556592, 0.971053198948, 2.1961623041]
+    code, out, err = run_cli(capsys, "edges", f"--periodic={','.join(map(repr, per))}",
+                             f"--antiperiodic={','.join(map(repr, anti))}", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    found = PeriodicJacobi(payload["hopping"], payload["onsite"])
+    assert np.max(np.abs(BandStructure(found).edges - np.sort(per + anti))) <= 1e-10
+
+
 def test_classes_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "classes", "--values", "0,1", "--period", "4", "--json"
@@ -227,12 +240,15 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch):
 
 
 def test_bands_does_not_import_scipy_optimize():
-    # Only the blind inverse needs scipy.optimize; it is imported on first use.
+    # Only the blind inverse needs scipy.optimize; it is imported on first
+    # use. Edge data without hoppings and the neighbours run no solver.
     script = (
         "import sys\n"
         "import hillbands\n"
         "from hillbands import cli\n"
         "assert cli.main(['bands', '--onsite', '0,0.5,-0.3', '--json']) == 0\n"
+        "assert cli.main(['edges', '--periodic', '1,3', '--antiperiodic', '1.5,2.5']) == 0\n"
+        "assert cli.main(['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     env = dict(os.environ)

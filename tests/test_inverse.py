@@ -12,9 +12,15 @@ from hillbands import (
     transfer,
 )
 from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
-from hillbands.inverse import monic_map
+from hillbands.inverse import chain_from_divisor, monic_map
 
-from helpers import power_coefficients, random_operator, record_marches, two_march_solvers
+from helpers import (
+    edge_error,
+    power_coefficients,
+    random_operator,
+    record_marches,
+    two_march_solvers,
+)
 
 
 def test_newton_solve_scalar_system():
@@ -113,8 +119,6 @@ def test_recover_onsite_validates_input():
         recover_onsite(disc, [1.0, 1.0, 1.0])  # degree/period mismatch
     with pytest.raises(ValueError):
         recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
-    with pytest.raises(ValueError):
-        recover_onsite(np.array([-2.16, 0.0, 1.0]))  # coefficients without hoppings
 
 
 @pytest.mark.filterwarnings("error")
@@ -122,12 +126,10 @@ def test_recover_onsite_names_the_float_range():
     # prod a = 10^400 and 10^-400 leave the float range, and so do the
     # power-basis coefficients of (prod a) Delta: the error says so,
     # where it once blamed the count of the underflowed coefficients.
-    # The default bonds, exp(log(prod a) / N) = 10, overflow nothing.
-    for target in (Discriminant.free(400, 10.0), Discriminant.free(200, 0.01)):
+    for target, hopping in ((Discriminant.free(400, 10.0), np.full(400, 10.0)),
+                            (Discriminant.free(200, 0.01), np.full(200, 0.01))):
         with pytest.raises(ValueError, match="float range"):
-            recover_onsite(target)
-    with pytest.raises(ValueError, match="float range"):
-        recover_onsite(Discriminant.free(400, 10.0), np.full(400, 10.0))
+            recover_onsite(target, hopping)
 
 
 def test_recover_onsite_marches_once_per_iterate(monkeypatch):
@@ -146,7 +148,7 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
     solves += [
         lambda: recover_onsite(power_coefficients(chains[3]), chains[3].hopping,
                                initial=chains[3].onsite + 0.01),
-        lambda: recover_operator_from_edges(periodic, antiperiodic),
+        lambda: recover_operator_from_edges(periodic, antiperiodic, uniform.hopping),
     ]
     for solve in solves:
         del log[:]
@@ -209,9 +211,8 @@ def test_recover_operator_from_edges_with_known_hopping():
     op = random_operator(rng, 4)
     per = op.floquet_eigenvalues(0.0)
     anti = op.floquet_eigenvalues(np.pi)
-    found = recover_operator_from_edges(
-        per, anti, hopping=op.hopping, initial=op.onsite + 0.03
-    )
+    found = recover_onsite(discriminant_from_edges(per, anti), op.hopping,
+                           initial=op.onsite + 0.03)
     assert np.allclose(found.onsite, op.onsite, atol=1e-8)
     with pytest.raises(ValueError):
         recover_operator_from_edges(per, anti, hopping=2.0 * op.hopping)
@@ -243,13 +244,70 @@ def test_onsite_jacobian_matches_per_column_minors():
         assert err <= 1e-14 * np.max(np.abs(expected))
 
 
-def test_newton_solve_underdetermined_projects_onto_solution_set():
-    # One equation in two unknowns: the unit circle.
-    root = newton_solve(
-        lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-        lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        [1.5, 0.5],
-    )
-    assert np.hypot(*root) == pytest.approx(1.0, abs=1e-12)
-    # Minimum-norm steps move along the gradient, here the ray through the start.
-    assert root[1] / root[0] == pytest.approx(1.0 / 3.0, rel=1e-9)
+def _own_divisor(op):
+    mu = op.dirichlet_eigenvalues()
+    sheet = np.where(np.abs(transfer.monodromy(op, mu)[0][1, 1]) > 1.0, 1.0, -1.0)
+    return mu, sheet
+
+
+def test_chain_from_its_own_divisor_round_trip():
+    # A chain's edges, hopping product and divisor give the chain back.
+    rng = np.random.default_rng(131)
+    for n in (2, 3, 4, 5, 8, 16, 24):
+        op = random_operator(rng, n)
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])
+        found = chain_from_divisor(per, anti, *_own_divisor(op), np.sum(np.log(op.hopping)))
+        assert edge_error(found, np.concatenate([per, anti])) <= 1e-13
+        assert np.allclose(found.dirichlet_eigenvalues(), op.dirichlet_eigenvalues(),
+                           rtol=0.0, atol=1e-13)
+        if n <= 5:
+            assert np.allclose(found.hopping, op.hopping, rtol=0.0, atol=1e-11)
+            assert np.allclose(found.onsite, op.onsite, rtol=0.0, atol=1e-11)
+
+
+def test_edges_without_hoppings_on_random_chains():
+    # Two hundred chains, N = 2..32: the divisor at the gap midpoints,
+    # no solver; the rebuilt chain has the given edges.
+    for seed in range(500, 700):
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, 2 + (seed - 500) % 31)
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])
+        found = recover_operator_from_edges(per, anti)
+        assert edge_error(found, np.concatenate([per, anti])) <= 1e-12
+
+
+def test_edges_without_hoppings_on_uniform_chains():
+    # Every gap is closed, so every Dirichlet eigenvalue sits on its
+    # closed gap, at height 0: the uniform chain comes back.
+    for n in range(1, 33):
+        per, anti = PeriodicJacobi.free(n, 0.9, -0.2).floquet_eigenvalues([0.0, np.pi])
+        found = recover_operator_from_edges(per, anti)
+        assert np.all(np.abs(found.hopping - 0.9) <= 1e-12)
+        assert np.all(np.abs(found.onsite + 0.2) <= 1e-12)
+
+
+def test_chain_from_divisor_period_one():
+    found = chain_from_divisor([0.3 + 2.4], [0.3 - 2.4], [], [], np.log(1.2))
+    assert found.hopping == pytest.approx([1.2], rel=1e-15)
+    assert found.onsite == pytest.approx([0.3], rel=1e-15)
+    assert recover_operator_from_edges([0.3 + 2.4], [0.3 - 2.4]) == found
+
+
+def test_chain_from_divisor_rejects_bad_divisors():
+    op = PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3])
+    per, anti = op.floquet_eigenvalues([0.0, np.pi])
+    mu, sheet = _own_divisor(op)
+    log_product = np.sum(np.log(op.hopping))
+    edges = band_edges_eig(op)
+    outside = [mu.copy(), mu.copy(), mu.copy()]
+    outside[0][0] = edges[1] - 1e-9  # below gap 0
+    outside[1][1] = edges[4] + 1e-9  # above gap 1
+    outside[2][0] = mu[1]  # in gap 1, not gap 0
+    for bad in outside:
+        with pytest.raises(ValueError, match="closure of gap"):
+            chain_from_divisor(per, anti, bad, sheet, log_product)
+    for bad in ([1.0, 0.0], [1.0, 2.0], [-1.0, np.nan]):
+        with pytest.raises(ValueError, match="sheet"):
+            chain_from_divisor(per, anti, mu, bad, log_product)
+    with pytest.raises(ValueError):
+        chain_from_divisor(per, anti, mu[:1], sheet[:1], log_product)

@@ -6,6 +6,7 @@ import pytest
 from hillbands import (
     Discriminant,
     PeriodicJacobi,
+    band_edges_eig,
     dihedral_orbit,
     enumerate_onsite_classes,
     isospectral_neighbors,
@@ -13,7 +14,7 @@ from hillbands import (
     orbit_distance,
 )
 
-from helpers import power_coefficients, random_operator, record_marches, two_march_solvers
+from helpers import edge_error, power_coefficients, random_operator, record_marches
 
 
 def test_orbit_members_share_discriminant():
@@ -106,8 +107,10 @@ def test_neighbors_deterministic_with_seed():
 
 
 def test_neighbors_period_one_has_no_freedom():
-    with pytest.raises(RuntimeError):
-        isospectral_neighbors(PeriodicJacobi([1.0], [0.5]), seed=0)
+    # No gap at N = 1, and every gap closed on the constant chain.
+    for op in (PeriodicJacobi([1.0], [0.5]), PeriodicJacobi.free(6, 0.9, -0.2)):
+        with pytest.raises(RuntimeError, match="no gap is open"):
+            isospectral_neighbors(op, seed=0)
 
 
 @pytest.mark.parametrize("values, period", [([0.0, 1.0], 8), ([0.0, 1.0, 2.0], 5)])
@@ -141,38 +144,41 @@ def test_enumeration_rejects_bad_input():
         enumerate_onsite_classes([0.0, 1.0], 3, hopping=[1.0, -1.0, 1.0])
 
 
-def test_neighbors_step_costs_less_than_one_difference_jacobian(monkeypatch):
-    # A central-difference Jacobian in (log a, b) alone takes 4N + 1
-    # marches; the whole step, Jacobians included, takes fewer.
-    rng = np.random.default_rng(71)
-    op = random_operator(rng, 8)
-    log = record_marches(monkeypatch)
-    found = isospectral_neighbors(op, count=1, seed=5)
-    monkeypatch.undo()
-    assert 0 < len(log) < 4 * op.period + 1
-    assert np.allclose(power_coefficients(found[0]), power_coefficients(op), rtol=0.0, atol=1e-8)
-
-
-def test_neighbors_march_once_per_iterate(monkeypatch):
-    # Each distinct iterate of the walk is one march of its rotations;
-    # the first, at the start, also gives the target node values.
+def test_neighbors_march_once(monkeypatch):
+    # The only march of a walk is the one that reads the start's sheets
+    # at its Dirichlet eigenvalues; every member is linear algebra.
     rng = np.random.default_rng(72)
     for n in (3, 6, 9):
         op = random_operator(rng, n)
         log = record_marches(monkeypatch)
         isospectral_neighbors(op, count=3, seed=n)
-        assert len(log) > 4
-        assert all(batched for batched, _ in log)
-        assert len({chain for _, chain in log}) == len(log)
+        assert log == [(False, op.hopping.tobytes() + op.onsite.tobytes())]
         monkeypatch.undo()
 
 
-def test_neighbors_match_two_march_reference(monkeypatch):
-    rng = np.random.default_rng(73)
-    chains = [random_operator(rng, n) for n in (2, 4, 7, 12)]
-    found = [isospectral_neighbors(op, count=2, seed=9) for op in chains]
-    two_march_solvers(monkeypatch)
-    for op, walk in zip(chains, found):
-        for fused, reference in zip(walk, isospectral_neighbors(op, count=2, seed=9)):
-            assert np.array_equal(fused.hopping, reference.hopping)
-            assert np.array_equal(fused.onsite, reference.onsite)
+def test_neighbors_match_the_eig_edges():
+    chains = [random_operator(np.random.default_rng(seed), 24) for seed in range(1000, 1030)]
+    chains += [random_operator(np.random.default_rng(seed), 256) for seed in (7, 8, 9)]
+    for op in chains:
+        for nb in isospectral_neighbors(op, count=2, seed=op.period):
+            assert edge_error(nb, band_edges_eig(op)) <= 1e-13
+            assert orbit_distance(op, nb) > 1e-4
+
+
+def test_neighbors_with_zero_step_return_the_start():
+    # The start's angles and sheets are its own divisor, so a step of 0
+    # rebuilds the start itself.
+    rng = np.random.default_rng(74)
+    for n in (2, 3, 4, 5):
+        op = random_operator(rng, n)
+        same = isospectral_neighbors(op, count=1, step=0.0, seed=0)[0]
+        assert np.allclose(same.hopping, op.hopping, rtol=0.0, atol=1e-10)
+        assert np.allclose(same.onsite, op.onsite, rtol=0.0, atol=1e-10)
+
+
+def test_neighbors_raise_where_the_weights_underflow():
+    # At N = 512 the Dirichlet weights of a random chain span more than
+    # the float range; the walk raises instead of returning a chain.
+    op = random_operator(np.random.default_rng(0), 512)
+    with pytest.raises(ValueError, match="underflows"):
+        isospectral_neighbors(op, seed=0)

@@ -9,7 +9,13 @@ from numpy.polynomial import polynomial as P
 from hillbands import Discriminant, PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
 from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
 
-from helpers import exact_discriminant, monodromy_polynomials, power_coefficients, random_operator
+from helpers import (
+    dirichlet_matrix,
+    exact_discriminant,
+    monodromy_polynomials,
+    power_coefficients,
+    random_operator,
+)
 
 
 def test_monodromy_advances_recurrence():
@@ -68,7 +74,7 @@ def test_dirichlet_minor_roots_match_submatrix():
     rng = np.random.default_rng(8)
     op = random_operator(rng, 6)
     shifted = op.shifted(1)
-    expected = np.linalg.eigvalsh(op.dirichlet_matrix())
+    expected = np.linalg.eigvalsh(dirichlet_matrix(op))
     roots = np.sort(monodromy_polynomials(shifted)[1][0].roots().real)
     assert np.allclose(roots, expected, atol=1e-9)
     # The value march vanishes there to the rounding of its entries.
