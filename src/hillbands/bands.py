@@ -80,9 +80,10 @@ def _close(edges, gaps, at):
 
 
 SPLIT = 16  # sub-intervals per multisection pass: 4 bits per pass
+TOL = 1e-13  # relative width, in max(1, |lam|), at which multisection stops
 
 
-def band_edges_bisection(op, tol=1e-13):
+def band_edges_bisection(op):
     """All 2N band edges by multisection on Delta -+ 2, evaluated by recurrence.
 
     Band j lies between consecutive Dirichlet eigenvalues mu_{j-1} and
@@ -93,7 +94,7 @@ def band_edges_bisection(op, tol=1e-13):
     per bracket. Each pass evaluates it at SPLIT - 1 interior points of
     all 2N brackets in one value-only march and keeps the sub-interval
     where it turns, 4 bits per pass, until every bracket is within
-    tol * max(1, |lam|): about 12 passes in place of 45 halvings.
+    TOL * max(1, |lam|): about 12 passes in place of 45 halvings.
 
     A closed gap is a double zero, which bisection resolves only to
     about sqrt(eps). A gap whose edges came out in order and where
@@ -116,7 +117,7 @@ def band_edges_bisection(op, tol=1e-13):
         lambda lam: edge_orient * transfer.discriminant_value(op.hopping, op.onsite, lam) >= level,
         np.repeat(mu[:-1], 2),
         np.repeat(mu[1:], 2),
-        tol,
+        TOL,
     )
     lower, upper = edges[1:-1:2], edges[2::2]
     value, rounding = transfer.discriminant_rounding(op, 0.5 * (lower + upper))
@@ -127,7 +128,7 @@ def band_edges_bisection(op, tol=1e-13):
             lambda lam: orient[unsure] * transfer.discriminant(op, lam)[1] <= 0.0,
             middle[unsure],
             middle[unsure + 1],
-            tol,
+            TOL,
         )
         peak, rounding = transfer.discriminant_rounding(op, crit)
         shut = np.abs(peak) - 2.0 <= rounding
@@ -240,16 +241,6 @@ class BandStructure:
         """
         return self._locate(lam, tol)[1]
 
-    def bloch_phase(self, lam):
-        """Reduced Bloch phase arccos(Delta/2) in [0, pi], elementwise.
-
-        Meaningful on the spectrum; clipped outside so edges evaluate
-        cleanly to 0 or pi.
-        """
-        op = self.operator
-        return np.arccos(np.clip(transfer.discriminant_value(op.hopping, op.onsite, lam) / 2.0,
-                                 -1.0, 1.0))
-
     def dispersion(self, thetas):
         """Band energies over Bloch phases; shape (N, len(thetas)).
 
@@ -263,11 +254,28 @@ class BandStructure:
         """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.
 
         Zero off the spectrum; integrates to exactly 1/N over each band.
-        Diverges like an inverse square root at open-gap edges. M and M'
-        come from one march of the recurrence over the points in the
-        spectrum, as contains decides it from the edges; the DOS is
-        exactly 0 at all other points. The march is elementwise, so a
-        point's value does not depend on which others are marched.
+        Diverges like an inverse square root at open-gap edges. Computed
+        with the IDS by one march (see _densities).
+        """
+        return self._densities(lam)[0]
+
+    def integrated_density(self, lam):
+        """Fraction of states at or below lam, in [0, 1], elementwise.
+
+        A point on an upper band edge counts the band as filled; a point
+        on a lower edge counts as inside the band. Computed with the DOS
+        by one march (see _densities), slope rows included.
+        """
+        return self._densities(lam)[1]
+
+    def _densities(self, lam):
+        """The DOS and the IDS at lam, elementwise, from one march.
+
+        M and M' come from one march of the recurrence over the points
+        in the spectrum, as contains decides it from the edges; at all
+        other points the DOS is exactly 0 and the IDS sits on its
+        plateau, read from the edges. The march is elementwise, so a
+        point's values do not depend on which others are marched.
 
         Since det M = 1, 4 - Delta^2 = -(M00 - M11)^2 - 4 M01 M10. Near
         a closed gap M is close to +-I, Delta^2 cancels against 4, and
@@ -280,14 +288,21 @@ class BandStructure:
         There M(c + t) = +-I + t M' + O(t^2), and det M = 1 gives
         tr M' = 0 and Delta = +-(2 - det M' t^2), so the quotient tends
         to sqrt(det M'), which the march gives to full accuracy.
+
+        Inside band j the IDS is (j + |arccos(Delta/2) - phase_j| / pi) / N,
+        Delta = M00 + M11 from the same march. Delta is +-2 alternately
+        along the edges, +2 on the top one, so phase_j, the phase at band
+        j's lower edge, is exactly 0 when N - j is even and pi otherwise,
+        free of the sqrt-of-roundoff noise of arccos at a computed edge.
         """
         lam = np.asarray(lam, dtype=float)
+        n = self.operator.period
         k, inside = self._locate(lam)
-        k, at = k[inside], lam[inside]
+        k_in, at = k[inside], lam[inside]
         m, dm = transfer.monodromy(self.operator, at)
         # Odd k puts lam in a band; lam on the upper edge of the band
         # below as well is the one point of a closed gap.
-        shut = (k % 2 == 1) & (self.edges[k - 2] == at)
+        shut = (k_in % 2 == 1) & (self.edges[k_in - 2] == at)
         delta = m[0, 0] + m[1, 1]
         split = m[0, 0] - m[1, 1]
         under = np.where(shut, 1.0, np.where(
@@ -297,7 +312,6 @@ class BandStructure:
         ))
         slope = np.where(shut, np.sqrt(np.abs(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0])),
                          np.abs(dm[0, 0] + dm[1, 1]))
-        n = self.operator.period
         rho = np.zeros(lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho[inside] = np.where(
@@ -305,40 +319,14 @@ class BandStructure:
                 slope / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
                 0.0,
             )
-        if rho.ndim == 0:
-            return float(rho)
-        return rho
-
-    def integrated_density(self, lam):
-        """Fraction of states at or below lam, in [0, 1], elementwise.
-
-        A point on an upper band edge counts the band as filled; a point
-        on a lower edge counts as inside the band. Off the bands the IDS
-        sits on its plateau, read from the edges; only the points inside
-        the spectrum (see contains) are marched, for Delta alone, through
-        bloch_phase.
-        """
-        lam = np.asarray(lam, dtype=float)
-        n = self.operator.period
-        k, inside = self._locate(lam)
         band = k // 2
-        # Delta alternates between +2 and -2 along the edge sequence,
-        # ending at +2 on the top edge, so the phase at band j's lower
-        # edge is exactly 0 when N - j is even and pi otherwise. Using
-        # the exact value avoids the sqrt-of-roundoff noise that
-        # evaluating arccos at a computed edge would introduce.
         phase_lower = np.where((n - band[inside]) % 2 == 0, 0.0, np.pi)
         partial = np.zeros(lam.shape)
-        partial[inside] = np.abs(self.bloch_phase(lam[inside]) - phase_lower) / np.pi
+        partial[inside] = np.abs(np.arccos(np.clip(delta / 2.0, -1.0, 1.0)) - phase_lower) / np.pi
         ids = (band + np.where(k % 2 == 1, partial, 0.0)) / n
-        if ids.ndim == 0:
-            return float(ids)
-        return ids
-
-    def quasimomentum(self, lam):
-        """Unreduced per-site momentum in [0, pi]: pi * IDS(lam)."""
-        ids = self.integrated_density(lam)
-        return np.pi * ids
+        if lam.ndim == 0:
+            return float(rho), float(ids)
+        return rho, ids
 
     def to_dict(self):
         return {

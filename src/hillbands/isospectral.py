@@ -29,33 +29,32 @@ from .operators import PeriodicJacobi
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
 
 
+def _dihedral(op):
+    """Hoppings and onsite energies of op.shifted(k), then of
+    op.reflected().shifted(k), k = 0..N-1: two (2N, N) arrays."""
+    shift = np.roll(transfer.rotations(op.period), 1, axis=0)  # row k: shift by k
+    mirror = op.reflected()
+    return (np.concatenate([op.hopping[shift], mirror.hopping[shift]]),
+            np.concatenate([op.onsite[shift], mirror.onsite[shift]]))
+
+
 def dihedral_orbit(op):
-    """All distinct chains reachable by shifts and reflection, told apart
-    by their parameters rounded to 12 decimals."""
-    seen = {}
-    for base in (op, op.reflected()):
-        for k in range(op.period):
-            candidate = base.shifted(k)
-            key = (
-                tuple(np.round(candidate.hopping, 12)),
-                tuple(np.round(candidate.onsite, 12)),
-            )
-            seen.setdefault(key, candidate)
-    return list(seen.values())
+    """Distinct chains reachable by shifts and reflection (rows of _dihedral,
+    first of each key kept), told apart by parameters rounded to 12 decimals."""
+    hopping, onsite = _dihedral(op)
+    first = {}
+    for i, key in enumerate(np.round(np.hstack([hopping, onsite]), 12).tolist()):
+        first.setdefault(tuple(key), i)
+    return [PeriodicJacobi(hopping[i], onsite[i]) for i in first.values()]
 
 
 def orbit_distance(op, other):
     """Smallest max-norm parameter distance from other to op's orbit."""
     if op.period != other.period:
         raise ValueError("periods differ")
-    best = np.inf
-    for member in dihedral_orbit(op):
-        d = max(
-            np.max(np.abs(member.hopping - other.hopping)),
-            np.max(np.abs(member.onsite - other.onsite)),
-        )
-        best = min(best, d)
-    return float(best)
+    hopping, onsite = _dihedral(op)
+    return float(np.min(np.maximum(np.max(np.abs(hopping - other.hopping), axis=1),
+                                   np.max(np.abs(onsite - other.onsite), axis=1))))
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,8 @@ class IsospectralClass:
         remaining = set(self.members)
         count = 0
         while remaining:
-            seed = PeriodicJacobi(hopping, np.array(next(iter(remaining))))
-            orbit = {tuple(m.onsite) for m in dihedral_orbit(seed)}
-            remaining -= orbit
+            _, onsite = _dihedral(PeriodicJacobi(hopping, next(iter(remaining))))
+            remaining -= set(map(tuple, onsite.tolist()))
             count += 1
         return count
 

@@ -35,12 +35,13 @@ def dos_curve(structure, points=512):
     """Sampled density of states and integrated density over the spectrum.
 
     Returns (energies, dos, ids) arrays; the grid spans the spectrum
-    plus 5% of its width on each side.
+    plus 5% of its width on each side. Both curves come from one march
+    over the grid points in the spectrum.
     """
     lo, hi = structure.edges[0], structure.edges[-1]
     margin = 0.05 * (hi - lo if hi > lo else 1.0)
     energies = np.linspace(lo - margin, hi + margin, points)
-    return energies, structure.density_of_states(energies), structure.integrated_density(energies)
+    return (energies, *structure._densities(energies))
 
 
 def gap_report(structure):

@@ -359,11 +359,13 @@ def test_dirichlet_interlacing(generic_op, generic_bs):
         assert edges[2 * j + 1] - 1e-9 <= m <= edges[2 * j + 2] + 1e-9
 
 
-def test_bloch_phase_endpoints(generic_bs):
+def test_integrated_density_at_band_edges(generic_bs):
+    # The Bloch phase runs from 0 to pi or back across each band, so the
+    # IDS rises from j / N at band j's lower edge to (j + 1) / N at its upper.
+    n = generic_bs.operator.period
     for band in generic_bs.bands:
-        lo = generic_bs.bloch_phase(band.lower)
-        hi = generic_bs.bloch_phase(band.upper)
-        assert {round(lo, 6), round(hi, 6)} == {0.0, round(np.pi, 6)}
+        assert round(generic_bs.integrated_density(band.lower), 6) == round(band.index / n, 6)
+        assert round(generic_bs.integrated_density(band.upper), 6) == round((band.index + 1) / n, 6)
 
 
 def test_dispersion_reproduces_floquet(generic_op, generic_bs):
@@ -447,7 +449,7 @@ def test_dos_curve_marches_only_in_band_points(monkeypatch):
     inside = np.searchsorted(bs.edges, energies, side="right") % 2 == 1
     assert 0 < inside.sum() < 512
     assert np.array_equal(bs.contains(energies), inside)
-    assert sum(marched) == 2 * inside.sum()
+    assert sum(marched) == inside.sum()
 
     # The reference marches the whole grid; the march is elementwise.
     def everywhere(self, lam, tol=0.0):
@@ -523,7 +525,9 @@ def test_integrated_density_matches_band_loop():
             if lam < band.lower:
                 break
             phase_lower = 0.0 if (n - band.index) % 2 == 0 else np.pi
-            return (filled + abs(bs.bloch_phase(lam) - phase_lower) / np.pi) / n
+            delta = transfer.discriminant_value(bs.operator.hopping, bs.operator.onsite, lam)
+            phase = np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
+            return (filled + abs(phase - phase_lower) / np.pi) / n
         return filled / n
 
     rng = np.random.default_rng(37)
@@ -533,13 +537,6 @@ def test_integrated_density_matches_band_loop():
         expected = [reference(bs, lam) for lam in grid]
         assert np.array_equal(bs.integrated_density(grid), expected)
         assert bs.integrated_density(grid[3]) == expected[3]
-
-
-def test_quasimomentum_scaling(generic_bs):
-    lam = generic_bs.bands[0].upper
-    assert generic_bs.quasimomentum(lam) == pytest.approx(
-        np.pi * generic_bs.integrated_density(lam)
-    )
 
 
 def test_free_integrated_density_closed_form():
@@ -627,5 +624,4 @@ def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op
     bs.density_of_states(grid)
     bs.integrated_density(grid)
     bs.contains(grid)
-    bs.bloch_phase(grid)
     dos_curve(bs, points=33)

@@ -48,6 +48,43 @@ def test_orbit_distance():
         orbit_distance(op, PeriodicJacobi([1.0], [0.0]))
 
 
+def _orbit_reference(op):
+    """The orbit built chain by chain from shifted and reflected, first
+    of each 12-decimal key kept: the reference."""
+    seen = {}
+    for base in (op, op.reflected()):
+        for k in range(op.period):
+            candidate = base.shifted(k)
+            key = (tuple(np.round(candidate.hopping, 12)), tuple(np.round(candidate.onsite, 12)))
+            seen.setdefault(key, candidate)
+    return list(seen.values())
+
+
+def test_orbit_index_arrays_match_chain_by_chain_reference():
+    rng = np.random.default_rng(62)
+    chains = [random_operator(rng, n) for n in range(1, 13) for _ in range(5)]
+    chains += [
+        PeriodicJacobi([1.0] * 3, [0.5, 0.2, 0.2]),
+        PeriodicJacobi([0.9, 1.1, 0.9, 1.3], [0.4, 0.4, -0.2, -0.2]),
+        PeriodicJacobi([1.0] * 5, [0.3] * 5),
+        PeriodicJacobi([1.0, 2.0] * 3, [0.0, 1.0] * 3),
+    ]
+    for op in chains:
+        reference = _orbit_reference(op)
+        members = dihedral_orbit(op)
+        assert len(members) == len(reference)
+        for member, expected in zip(members, reference):
+            assert np.array_equal(member.hopping, expected.hopping)
+            assert np.array_equal(member.onsite, expected.onsite)
+        other = random_operator(rng, op.period)
+        for target in reference + [other]:
+            expected = min(
+                max(np.max(np.abs(m.hopping - target.hopping)), np.max(np.abs(m.onsite - target.onsite)))
+                for m in reference
+            )
+            assert orbit_distance(op, target) == expected
+
+
 def test_binary_enumeration_period_four():
     classes = enumerate_onsite_classes([0.0, 1.0], 4)
     assert len(classes) == 6
