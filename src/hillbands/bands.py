@@ -53,7 +53,8 @@ class Gap:
 def band_edges_eig(op):
     """All 2N band edges: the periodic (theta = 0) and antiperiodic
     (theta = pi) Bloch eigenvalues, each phase one real band-matrix
-    solve in O(N^2) (see PeriodicJacobi.floquet_eigenvalues).
+    solve in O(N^2), made once per chain and process and shared with
+    dispersion (see PeriodicJacobi.floquet_eigenvalues).
 
     The solve leaves a sliver of its own rounding, up to N eps times
     the largest |lam| of the Gershgorin interval, between the edges of
@@ -245,7 +246,8 @@ class BandStructure:
         """Band energies over Bloch phases; shape (N, len(thetas)).
 
         One O(N^2) band-matrix solve per phase, all sharing one folded
-        band built once (see PeriodicJacobi.floquet_eigenvalues).
+        band built once; phases 0 and pi read the band edges' solves
+        (see PeriodicJacobi.floquet_eigenvalues).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         return self.operator.floquet_eigenvalues(thetas.ravel()).T

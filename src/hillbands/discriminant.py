@@ -70,16 +70,6 @@ class Discriminant:
         values = transfer.discriminant_value(op.hopping, op.onsite, nodes)
         return cls(interval, values, np.sum(np.log(op.hopping)))
 
-    @classmethod
-    def free(cls, period, hopping=1.0, onsite=0.0):
-        """Closed form for the constant chain, 2 T_N((lam - b)/(2a)): on
-        [b - 2a, b + 2a] its node values are 2 T_N(cos(pi k / N)) = 2 (-1)^k."""
-        if period < 0:
-            raise ValueError("period must be nonnegative")
-        values = 2.0 * (-1.0) ** np.arange(period + 1)
-        return cls((onsite - 2.0 * hopping, onsite + 2.0 * hopping), values,
-                   period * np.log(hopping))
-
     @property
     def degree(self):
         return self.values.size - 1

@@ -110,26 +110,35 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
 def fused(evaluate):
     """fun and jac for the solvers, from evaluate(x) -> (residual, Jacobian).
 
-    Both are served from a memo of the last two x, keyed on their
-    bytes, so each distinct iterate runs evaluate, one march, once. The
-    solvers ask for the residual and the Jacobian at one iterate, and
-    come back to the one before a refused trial: scipy's LM takes the
-    Jacobian of its last accepted point after its final trial, and
-    newton_solve keeps x when its polishing step does not help. The
-    arrays are read-only, since the memo hands the same ones out again.
+    Both are served from a memo keyed on the bytes of x, so each
+    distinct iterate runs evaluate, one march, once. The memo keeps the
+    last two x, since the solvers ask for the residual and the Jacobian
+    at one iterate and newton_solve keeps x when its polishing step does
+    not help, and the x of least residual sum of squares so far: scipy's
+    LM, after a run of refused trials, takes the Jacobian at its last
+    accepted point, which is that one. The arrays are read-only, since
+    the memo hands the same ones out again.
     """
-    memo = {}
+    recent, best = {}, {}
+    least = np.inf
 
     def both(x):
+        nonlocal least
         key = np.asarray(x, dtype=float).tobytes()
-        if key not in memo:
-            residual, jacobian = evaluate(x)
-            residual.setflags(write=False)
-            jacobian.setflags(write=False)
-            if len(memo) == 2:
-                del memo[next(iter(memo))]
-            memo[key] = residual, jacobian
-        return memo[key]
+        hit = recent.get(key) or best.get(key)
+        if hit is None:
+            hit = evaluate(x)
+            for array in hit:
+                array.setflags(write=False)
+            if len(recent) == 2:
+                del recent[next(iter(recent))]
+            recent[key] = hit
+            cost = hit[0] @ hit[0]
+            if cost < least:
+                least = cost
+                best.clear()
+                best[key] = hit
+        return hit
 
     return (lambda x: both(x)[0]), (lambda x: both(x)[1])
 
@@ -219,10 +228,8 @@ def recover_onsite(target, hopping, initial=None):
         delta, grad = transfer.discriminant_jacobian(rotated, np.asarray(b)[index], nodes)
         return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad[:, n:] / scale[:, None]
 
-    fun, jac = fused(evaluate)
-
     if initial is not None:
-        b = newton_solve(fun, jac, initial, tol=TOL, max_iter=MAX_ITER)
+        b = newton_solve(*fused(evaluate), initial, tol=TOL, max_iter=MAX_ITER)
         return PeriodicJacobi(a, b)
 
     if np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
@@ -236,6 +243,7 @@ def recover_onsite(target, hopping, initial=None):
         start = guess.copy() if attempt == 0 else rng.permutation(guess)
         if attempt > 0:
             start = start + rng.normal(scale=0.02 * spread, size=n)
+        fun, jac = fused(evaluate)  # one memo per start, so its best point is this start's
         res = least_squares(
             fun,
             start,

@@ -11,9 +11,12 @@ gauge transformation that never changes the spectrum.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dsbevd, dsterf, zhbevd
+
+MEMO_ENTRIES = 32  # real Bloch spectra kept per process: 16 chains at theta = 0 and pi
 
 
 @dataclass
@@ -78,35 +81,29 @@ class PeriodicJacobi:
         multiple of pi, complex ?hbevd otherwise. The dense matrix is
         never formed, and between phases only the closing-bond entry
         changes. An array of phases gives shape theta.shape + (N,).
+
+        The real spectra, the band edges, come from a per-process memo
+        (_real_spectrum): a chain's is solved once per sign of cos theta,
+        and the values are the same to the bit either way.
         """
         theta = np.asarray(theta, dtype=float)
         a, b = self.hopping, self.onsite
         n = self.period
         if n == 1:
             return b[0] + 2.0 * a[0] * np.cos(theta)[..., None]
-        order = np.empty(n, dtype=np.intp)
-        order[0::2] = np.arange((n + 1) // 2)
-        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-        band = np.zeros((3, n), order="F")
-        band[0] = b[order]
-        # Row 2 holds the bonds two positions apart, row 1 the one bond
-        # between the middle sites and, at (1, 0), the closing bond
-        # joining sites N-1 and 0; at N = 2 these last two are one entry.
-        band[2, :-2] = a[np.minimum(order[:-2], order[2:])]
-        band[1, n - 2] = a[min(order[-2], order[-1])]
-        open_corner = band[1, 0]
-        complex_band = band.astype(complex, order="F")
+        key = a.tobytes() + b.tobytes()
         out = np.empty(theta.shape + (n,))
+        complex_band = None
         for index, phase in np.ndenumerate(theta):
             if phase % np.pi == 0.0:
-                band[1, 0] = open_corner + a[-1] * np.cos(phase)
-                w, _, info = dsbevd(band, compute_v=0, lower=1, overwrite_ab=0)
-            else:
-                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
-                w, _, info = zhbevd(complex_band, compute_v=0, lower=1, overwrite_ab=0)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"band eigensolver failed (info {info})")
-            out[index] = w
+                out[index] = _real_spectrum(key, np.cos(phase))
+                continue
+            if complex_band is None:
+                band = _folded_band(a, b)
+                open_corner = band[1, 0]
+                complex_band = band.astype(complex, order="F")
+            complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
+            out[index] = _solve(zhbevd, complex_band)
         return out
 
     def dirichlet_eigenvalues(self):
@@ -138,3 +135,47 @@ class PeriodicJacobi:
             and np.array_equal(self.hopping, other.hopping)
             and np.array_equal(self.onsite, other.onsite)
         )
+
+
+def _folded_band(a, b):
+    """The 3 x N lower band of J(theta), N >= 2, in the folded site order
+    of PeriodicJacobi.floquet_eigenvalues. Entry (1, 0) lacks the closing
+    bond's a_{N-1} e^{i theta}, which the caller adds for its theta."""
+    n, half = a.size, (a.size - 1) // 2
+    band = np.zeros((3, n), order="F")
+    # Even positions hold sites 0, 1, 2, ..., odd ones N-1, N-2, ....
+    band[0, 0::2] = b[: n - n // 2]
+    band[0, 1::2] = b[:half:-1]
+    # Row 2 holds the bonds two positions apart: a_m between sites m
+    # and m+1, a_{N-2-m} between N-1-m and N-2-m. Row 1 holds the one
+    # bond between the middle sites, a_half, and at (1, 0) the closing
+    # bond joining sites N-1 and 0; at N = 2 these last two are one entry.
+    band[2, 0:-2:2] = a[:half]
+    band[2, 1:-2:2] = a[n - 2:half:-1]
+    band[1, n - 2] = a[half]
+    return band
+
+
+def _solve(solver, band):
+    """Eigenvalues of a lower band matrix by LAPACK ?sbevd or ?hbevd."""
+    w, _, info = solver(band, compute_v=0, lower=1, overwrite_ab=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"band eigensolver failed (info {info})")
+    return w
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _real_spectrum(coefficients, cos_theta):
+    """Sorted spectrum of J(theta) at cos theta = +-1.
+
+    coefficients is the bytes of the chain's float64 hoppings followed
+    by its onsite energies, so equal chains share an entry and a change
+    of one ulp misses. An entry holds about 3N doubles, key included.
+    The array is read-only, since the memo hands it to every caller.
+    """
+    a, b = np.frombuffer(coefficients).reshape(2, -1)
+    band = _folded_band(a, b)
+    band[1, 0] += a[-1] * cos_theta
+    w = _solve(dsbevd, band)
+    w.setflags(write=False)
+    return w

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from hillbands import PeriodicJacobi, band_edges_eig, inverse, transfer
+from hillbands import Discriminant, PeriodicJacobi, band_edges_eig, inverse, transfer
 
 
 def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5)):
@@ -31,6 +31,17 @@ def floquet_matrix(op, theta):
     J[n - 1, 0] += op.hopping[-1] * np.exp(1j * theta)
     J[0, n - 1] += op.hopping[-1] * np.exp(-1j * theta)
     return J
+
+
+def free_discriminant(period, hopping=1.0, onsite=0.0):
+    """Closed form of the constant chain's Delta, 2 T_N((lam - b)/(2a)), as
+    a Discriminant: on [b - 2a, b + 2a] its node values are
+    2 T_N(cos(pi k / N)) = 2 (-1)^k. An oracle apart from the march."""
+    if period < 0:
+        raise ValueError("period must be nonnegative")
+    values = 2.0 * (-1.0) ** np.arange(period + 1)
+    return Discriminant((onsite - 2.0 * hopping, onsite + 2.0 * hopping), values,
+                        period * np.log(hopping))
 
 
 def dirichlet_matrix(op):

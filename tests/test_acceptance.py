@@ -33,7 +33,13 @@ from hillbands import (
 )
 from hillbands.cli import main as cli_main
 
-from helpers import floquet_matrix, power_coefficients, random_operator, truncated_matrix
+from helpers import (
+    floquet_matrix,
+    free_discriminant,
+    power_coefficients,
+    random_operator,
+    truncated_matrix,
+)
 
 
 def report(label, err, tol):
@@ -286,7 +292,7 @@ def test_a12_chebyshev_identities():
     lam = np.linspace(b - 2.5 * a, b + 2.5 * a, 41)
     worst_free = max(
         np.max(
-            np.abs(Discriminant.free(n, a, b).chebyshev(lam) - 2.0 * chebyshev_t(n, (lam - b) / (2 * a)))
+            np.abs(free_discriminant(n, a, b).chebyshev(lam) - 2.0 * chebyshev_t(n, (lam - b) / (2 * a)))
         )
         for n in (1, 2, 3, 5, 8)
     )
@@ -317,7 +323,7 @@ def test_a12_chebyshev_identities():
     for n in range(13):
         basis = np.zeros(n + 1)
         basis[n] = 1.0
-        free = Discriminant.free(n, hopping=0.5, onsite=0.0)
+        free = free_discriminant(n, hopping=0.5, onsite=0.0)
         power = free.chebyshev.convert(kind=Polynomial).coef
         worst_coeff = max(worst_coeff, np.max(np.abs(power - 2.0 * C.cheb2poly(basis))))
     report("A12c free coefficients vs numpy cheb2poly", worst_coeff, 1e-10)

@@ -4,8 +4,8 @@ The constant chain with a = 1/2, b = 0 runs the Chebyshev recurrence
 u_{n+1} = 2 x u_n - u_{n-1}, so its monodromy over N sites holds
 Delta = 2 T_N(x) and M[1, 0] = U_{N-1}(x), and its interval is
 [-1, 1] itself. These tests check the transfer march, the Chebyshev
-series `Discriminant` builds from node values, and `Discriminant.free`
-against the Chebyshev identities.
+series `Discriminant` builds from node values, and the closed form
+`helpers.free_discriminant` against the Chebyshev identities.
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi, transfer
 from hillbands.discriminant import chebyshev_nodes
+
+from helpers import free_discriminant
 
 
 def chebyshev_chain(n):
@@ -47,7 +49,7 @@ def test_t_coefficients_match_numpy(n):
     basis = np.zeros(n + 1)
     basis[n] = 1.0
     expected = C.cheb2poly(basis)
-    free = 0.5 * power(Discriminant.free(n, 0.5, 0.0))
+    free = 0.5 * power(free_discriminant(n, 0.5, 0.0))
     assert np.allclose(free, expected, atol=1e-12)
     if n >= 1:
         marched = 0.5 * power(Discriminant.from_operator(chebyshev_chain(n)))
@@ -58,7 +60,7 @@ def test_t_coefficients_match_numpy(n):
 def test_u_coefficients_match_derivative_identity(n):
     # U_{n-1} = T_n' / n; the corner has degree n - 1 in a degree-n
     # series, so its top coefficient is 0.
-    t = 0.5 * Discriminant.free(n, 0.5, 0.0).chebyshev.coef
+    t = 0.5 * free_discriminant(n, 0.5, 0.0).chebyshev.coef
     expected = np.append(C.chebder(t) / n, 0.0)
     corner = u_series(n - 1).chebyshev.coef
     assert np.allclose(corner, expected, atol=1e-12)
@@ -66,7 +68,7 @@ def test_u_coefficients_match_derivative_identity(n):
 
 def test_t_eval_inside_interval():
     x = np.linspace(-1, 1, 101)
-    assert np.allclose(0.5 * Discriminant.free(0, 0.5, 0.0).chebyshev(x), 1.0, atol=1e-12)
+    assert np.allclose(0.5 * free_discriminant(0, 0.5, 0.0).chebyshev(x), 1.0, atol=1e-12)
     for n in (1, 2, 5, 11):
         assert np.allclose(t_values(n, x), np.cos(n * np.arccos(x)), atol=1e-12)
 
@@ -114,6 +116,6 @@ def test_pell_identity():
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        Discriminant.free(-1)
+        free_discriminant(-1)
     with pytest.raises(ValueError):
         PeriodicJacobi.free(0)

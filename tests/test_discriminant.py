@@ -9,6 +9,7 @@ from hillbands.discriminant import chebyshev_nodes
 from helpers import (
     exact_discriminant,
     floquet_matrix,
+    free_discriminant,
     monic_coefficients,
     power_coefficients,
     random_operator,
@@ -42,7 +43,7 @@ def test_characteristic_polynomial_identity():
 def test_free_matches_from_operator():
     op = PeriodicJacobi.free(6, hopping=0.9, onsite=-0.4)
     built = Discriminant.from_operator(op)
-    closed = Discriminant.free(6, hopping=0.9, onsite=-0.4)
+    closed = free_discriminant(6, hopping=0.9, onsite=-0.4)
     assert built.interval == closed.interval
     assert np.allclose(built.values, closed.values, atol=1e-10)
     assert built.log_hopping_product == pytest.approx(closed.log_hopping_product)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hillbands import PeriodicJacobi
+from hillbands import PeriodicJacobi, band_edges_eig, bands, operators
 
 from helpers import dirichlet_matrix, floquet_matrix, random_operator, truncated_matrix
 
@@ -124,6 +124,86 @@ def test_floquet_eigenvalues_over_a_phase_array():
     assert table.shape == (2, 2, 7)
     for index, theta in np.ndenumerate(thetas):
         assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
+
+
+memo = operators._real_spectrum
+
+
+def _key(op):
+    return op.hopping.tobytes() + op.onsite.tobytes()
+
+
+def test_real_spectrum_memo_hit_is_bit_identical_to_a_fresh_solve():
+    op = _chain("harper", 89)
+    memo.cache_clear()
+    first = op.floquet_eigenvalues([0.0, np.pi])
+    assert memo.cache_info()[:2] == (0, 2)  # (hits, misses)
+    again = op.floquet_eigenvalues([0.0, np.pi])
+    assert memo.cache_info()[:2] == (2, 2)
+    fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+    assert not memo(_key(op), 1.0).flags.writeable
+
+
+def test_equal_chains_built_separately_share_one_entry():
+    rng = np.random.default_rng(22)
+    a, b = rng.uniform(0.4, 1.8, 8), rng.uniform(-1.5, 1.5, 8)
+    memo.cache_clear()
+    one = PeriodicJacobi(a, b).floquet_eigenvalues(0.0)
+    two = PeriodicJacobi(a.tolist(), b.copy()).floquet_eigenvalues(0.0)
+    assert np.array_equal(one, two)
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_one_ulp_change_of_one_coefficient_misses():
+    op = random_operator(np.random.default_rng(23), 8)
+    memo.cache_clear()
+    op.floquet_eigenvalues(np.pi)
+    for changed in (0, 1):
+        coefficients = [op.hopping.copy(), op.onsite.copy()]
+        coefficients[changed][3] = np.nextafter(coefficients[changed][3], np.inf)
+        PeriodicJacobi(*coefficients).floquet_eigenvalues(np.pi)
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+
+
+def test_every_multiple_of_pi_hits_the_entries_of_zero_and_pi():
+    op = random_operator(np.random.default_rng(24), 7)
+    memo.cache_clear()
+    edges = op.floquet_eigenvalues([0.0, np.pi])
+    table = op.floquet_eigenvalues([2.0 * np.pi, -np.pi, 3.0 * np.pi])
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+    assert np.array_equal(table, edges[[0, 1, 1]])
+
+
+def test_memo_holds_at_most_32_spectra():
+    rng = np.random.default_rng(25)
+    memo.cache_clear()
+    for _ in range(100):
+        random_operator(rng, 4).floquet_eigenvalues([0.0, np.pi])
+    info = memo.cache_info()
+    assert info.misses == 200
+    assert info.maxsize == operators.MEMO_ENTRIES == 32
+    assert info.currsize <= 32
+
+
+def test_writing_to_a_returned_spectrum_changes_no_later_answer():
+    # The uniform chain's gaps are all closed, so band_edges_eig writes
+    # its closed gaps into the edges through bands._close.
+    for op in (random_operator(np.random.default_rng(26), 6), PeriodicJacobi.free(6, 0.9, -0.2)):
+        memo.cache_clear()
+        spectra = op.floquet_eigenvalues([0.0, np.pi])
+        edges = band_edges_eig(op)
+        reference = spectra.copy(), edges.copy()
+        spectra[:] = np.nan
+        bands._close(edges, np.arange(op.period - 1), 0.0)
+        assert memo.cache_info().hits == 2
+        assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), reference[0])
+        assert np.array_equal(band_edges_eig(op), reference[1])
+        fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
+        assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), fresh)
 
 
 def test_dirichlet_matrix_drops_first_site():
