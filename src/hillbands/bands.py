@@ -4,8 +4,9 @@ A period-N chain has N closed spectral bands separated by N-1 gaps, some
 of which may be closed. The 2N band edges are the zeros of Delta -+ 2,
 equivalently the eigenvalues of the Bloch Hamiltonians at phase 0 and
 pi. Both routes are implemented: the Hermitian band-matrix eigensolver
-route and multisection on the discriminant between Dirichlet eigenvalues;
-they must agree, and the acceptance suite holds them to that.
+route and a bracketed search on the discriminant between Dirichlet
+eigenvalues, multisection finished by Newton steps; they must agree, and
+the acceptance suite holds them to that.
 """
 
 from dataclasses import dataclass
@@ -81,83 +82,210 @@ def _close(edges, gaps, at):
 
 
 SPLIT = 16  # sub-intervals per multisection pass: 4 bits per pass
-TOL = 1e-13  # relative width, in max(1, |lam|), at which multisection stops
+TOL = 1e-13  # relative width, in max(1, |lam|), at which a bracket is finished
+COARSE = 3  # multisection passes on every edge before the gaps are classified
+EXTREMUM_PASSES = 2  # multisection passes on the sign of Delta' before Newton on it
+ROUNDS = 64  # cap on the rounds of a search; multisection to TOL takes about 12
 
 
 def band_edges_bisection(op):
-    """All 2N band edges by multisection on Delta -+ 2, evaluated by recurrence.
+    """All 2N band edges from Delta -+ 2, evaluated by recurrence.
 
     Band j lies between consecutive Dirichlet eigenvalues mu_{j-1} and
     mu_j, the outer ends bounded by the Gershgorin interval. Oriented by
     the sign s_j = (-1)^(N-1-j) of Delta at its upper edge, s_j Delta
     stays <= -2 on that bracket below the band, rises through the band
-    and stays >= 2 above it, so that predicate turns true exactly once
-    per bracket. Each pass evaluates it at SPLIT - 1 interior points of
-    all 2N brackets in one value-only march and keeps the sub-interval
-    where it turns, 4 bits per pass, until every bracket is within
-    TOL * max(1, |lam|): about 12 passes in place of 45 halvings.
+    and stays >= 2 above it, so s_j Delta -+ 2 turns >= 0 exactly once
+    per bracket. COARSE multisection passes (see _multisect), each one
+    value-only march, shrink all 2N brackets 4096-fold.
 
-    A closed gap is a double zero, which bisection resolves only to
-    about sqrt(eps). A gap whose edges came out in order and where
-    |Delta| - 2 at their midpoint exceeds the rounding-error bound the
-    recurrence carries there (see transfer.discriminant_rounding) is
-    certified open, and keeps its edges. Only the other gaps get an
-    extremum search: their extrema c_j, the zeros of Delta' between the
-    middles of the two bands, are multisected, and such a gap is
-    closed, both edges set to c_j, when |Delta(c_j)| - 2 is within the
-    rounding-error bound at c_j. A chain whose gaps are all plainly
-    open runs no march for Delta'.
+    A closed gap is a double zero, which a bracket on Delta -+ 2
+    resolves only to about sqrt(eps). A gap whose two edge brackets came
+    out apart, and where |Delta| - 2 midway between them exceeds the
+    rounding-error bound the recurrence carries there (see
+    transfer.discriminant_rounding), is certified open. Only the other
+    gaps get an extremum search (see _gap_extrema), and such a gap is
+    closed, both edges set to its extremum c_j, when |Delta(c_j)| - 2 is
+    within the rounding-error bound at c_j.
+
+    The edges of certified gaps and the two outer edges are finished by
+    bracketed Newton steps on s Delta -+ 2 (see _newton), with Delta'
+    from the derivative rows, in the same marches as the extremum
+    search (see _solve). The edges of gaps that the search found open
+    keep multisection to TOL: they are near-double zeros, where Delta'
+    says little. A random chain, whose gaps are all certified, takes the
+    3 coarse marches, the 2 of the check and about 4 Newton marches, and
+    runs no march with Delta''.
     """
     n = op.period
     lo, hi = gershgorin_interval(op)
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
-    edge_orient = np.repeat(orient, 2)
-    level = np.tile([-2.0, 2.0], n)
-    edges = _multisect(
-        lambda lam: edge_orient * transfer.discriminant_value(op.hopping, op.onsite, lam) >= level,
-        np.repeat(mu[:-1], 2),
-        np.repeat(mu[1:], 2),
-        TOL,
+    sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
+
+    def edges_of(k, search):
+        return search, 0, sign[k], level[k]
+
+    (left, right), = _solve(op, edges_of(
+        slice(None), _multisect(np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), COARSE)))
+    below, above = right[1:-1:2], left[2::2]
+    apart = np.flatnonzero(below < above)
+    certified = np.zeros(n - 1, dtype=bool)
+    if apart.size:
+        value, rounding = transfer.discriminant_rounding(op, 0.5 * (below + above)[apart])
+        certified[apart] = np.abs(value) - 2.0 > rounding
+    edges = 0.5 * (left + right)
+    kept, unsure = np.flatnonzero(certified), np.flatnonzero(~certified)
+    fast = np.concatenate([[0], 2 * kept + 1, 2 * kept + 2, [2 * n - 1]])
+    middle = 0.5 * (edges[0::2] + edges[1::2])
+    edges[fast], crit = _solve(
+        op,
+        edges_of(fast, _newton(left[fast], right[fast])),
+        _gap_extrema(middle[unsure], middle[unsure + 1], orient[unsure]),
     )
-    lower, upper = edges[1:-1:2], edges[2::2]
-    value, rounding = transfer.discriminant_rounding(op, 0.5 * (lower + upper))
-    unsure = np.flatnonzero((upper <= lower) | (np.abs(value) - 2.0 <= rounding))
     if unsure.size:
-        middle = 0.5 * (edges[0::2] + edges[1::2])
-        crit = _multisect(
-            lambda lam: orient[unsure] * transfer.discriminant(op, lam)[1] <= 0.0,
-            middle[unsure],
-            middle[unsure + 1],
-            TOL,
-        )
         peak, rounding = transfer.discriminant_rounding(op, crit)
         shut = np.abs(peak) - 2.0 <= rounding
         edges = _close(edges, unsure[shut], crit[shut])
+        narrow = np.concatenate([2 * unsure[~shut] + 1, 2 * unsure[~shut] + 2])
+        narrowed = _multisect(left[narrow], right[narrow], ROUNDS)
+        (left, right), = _solve(op, edges_of(narrow, narrowed))
+        edges[narrow] = 0.5 * (left + right)
     return np.sort(edges)
 
 
-def _multisect(past, lo, hi, tol):
-    """Shrink brackets [lo, hi] onto the point where past(lam) turns true.
+def _gap_extrema(lo, hi, orient):
+    """The job (see _solve) that finds the extremum c_j of Delta, a zero
+    of Delta', in each bracket [lo, hi].
 
-    past is monotone on each bracket and takes lam of shape
-    (SPLIT - 1, brackets). Sub-interval i of a bracket runs from grid
-    point i to i + 1; the first interior point where past holds ends the
-    kept one.
+    orient is the sign of Delta at the upper edge of the band below the
+    gap, so -orient Delta' turns >= 0 once per bracket that runs from
+    inside that band to inside the band above. EXTREMUM_PASSES
+    multisection passes on that sign, each a march with Delta', then
+    bracketed Newton steps, each a march with Delta' and Delta''.
     """
+    def search():
+        return (yield from _newton(*(yield from _multisect(lo, hi, EXTREMUM_PASSES))))
+
+    return search(), 1, -orient, np.zeros_like(orient)
+
+
+def _solve(op, *jobs):
+    """Run the searches of jobs in lockstep; returns each one's result.
+
+    A job (search, shift, scale, level) asks for the zero of
+    g = scale[i] Delta^(shift) - level[i] in each bracket i of its
+    search, Delta^(shift) the shift-th lam-derivative of Delta. A search
+    (see _multisect and _newton) is a generator: it yields the points
+    lam at which its brackets i need g and its first derivs derivatives,
+    and is sent them, stacked on a leading axis. Each round marches the
+    recurrence once, over the points of every search still running, with
+    as many derivative rows as any of them needs. The march is
+    elementwise, so a search's result does not depend on its company.
+    """
+    results, asks = [None] * len(jobs), {}
+
+    def reply(k, values):
+        try:
+            asks[k] = jobs[k][0].send(values)
+        except StopIteration as stop:
+            results[k] = stop.value
+            asks.pop(k, None)
+
+    for k in range(len(jobs)):
+        reply(k, None)
+    while asks:
+        derivs = max(jobs[k][1] + d for k, (_, _, d) in asks.items())
+        lam = np.concatenate([lam.ravel() for lam, _, _ in asks.values()])
+        rows = transfer.discriminant(op, lam, derivs)
+        start = 0
+        for k, (lam, i, d) in list(asks.items()):
+            _, shift, scale, level = jobs[k]
+            part = rows[shift:shift + d + 1, start:start + lam.size].reshape((d + 1,) + lam.shape)
+            start += lam.size
+            g = scale[i] * part
+            g[0] -= level[i]
+            reply(k, g)
+    return results
+
+
+def _finished(lo, hi):
+    """Brackets within TOL * max(1, |lam|)."""
+    return np.abs(hi - lo) <= np.maximum(TOL, 0.5 * TOL * np.abs(lo + hi))
+
+
+def _multisect(lo, hi, passes):
+    """Search (see _solve) that shrinks brackets [lo, hi] onto the point
+    where g turns >= 0, by at most passes multisection passes; returns
+    the new (lo, hi).
+
+    g < 0 at lo and >= 0 at hi. A pass asks for g at SPLIT - 1 interior
+    points of each unfinished bracket; sub-interval k of a bracket runs
+    from grid point k to k + 1, and the first interior point where g >= 0
+    ends the kept one.
+    """
+    lo, hi = lo.copy(), hi.copy()
     fraction = np.arange(SPLIT + 1)[:, None] / SPLIT
-    column = np.arange(lo.size)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
+    for _ in range(passes):
+        i = np.flatnonzero(~_finished(lo, hi))
+        if not i.size:
             break
-        grid = lo + (hi - lo) * fraction
-        grid[-1] = hi
-        turned = np.ones((SPLIT, lo.size), dtype=bool)
-        turned[:-1] = past(grid[1:-1])
+        grid = lo[i] + (hi[i] - lo[i]) * fraction
+        grid[-1] = hi[i]
+        turned = np.ones((SPLIT, i.size), dtype=bool)
+        turned[:-1] = (yield grid[1:-1], i, 0)[0] >= 0.0
         keep = np.argmax(turned, axis=0)
-        lo, hi = grid[keep, column], grid[keep + 1, column]
-    return mid
+        column = np.arange(i.size)
+        lo[i], hi[i] = grid[keep, column], grid[keep + 1, column]
+    return lo, hi
+
+
+def _newton(lo, hi):
+    """Search (see _solve) for the zero of g in each bracket [lo, hi] by
+    bracketed Newton steps; returns the zeros.
+
+    g is as in _multisect. Each round asks for g and g' at two points
+    TOL / 2 * max(1, |lam|) apart around the iterate of every unfinished
+    bracket. Both points shrink the bracket, and a bracket is finished
+    only once the sign change of g is held within TOL * max(1, |lam|):
+    a small step alone proves nothing where g grows almost
+    exponentially, as it does across bands narrower than the rounding.
+    The next iterate is the Newton step from the point with the smaller
+    |g|, clamped to the bracket when it leaves it by less than the
+    bracket's width (a zero can sit at an end, as the outer edges of a
+    uniform chain sit on the Gershgorin ends). It is the bracket's
+    midpoint instead when the step leaves the bracket by more, leaves it
+    again past the end it was clamped to, or is more than half the step
+    before last, so steps that stop shrinking give way to halving. A
+    finished bracket keeps its last Newton point, clamped to the bracket.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    steps = np.stack([hi - lo, hi - lo])  # each bracket's step before last, and last
+    pair = np.array([[-0.25], [0.25]]) * TOL
+    i = np.flatnonzero(~_finished(lo, hi))
+    for _ in range(ROUNDS):
+        if not i.size:
+            break
+        at = x[i]
+        points = at + pair * np.maximum(1.0, np.abs(at))
+        value, slope = yield points, i, 1
+        past = value >= 0.0
+        lo[i] = low = np.max(np.where(past, lo[i], points), axis=0)
+        hi[i] = high = np.min(np.where(past, points, hi[i]), axis=0)
+        low, high = np.minimum(low, high), np.maximum(low, high)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = points - value / slope
+        guess = np.where(np.abs(value[0]) <= np.abs(value[1]), guess[0], guess[1])
+        done = _finished(low, high)
+        far = np.maximum(low - guess, guess - high) > high - low
+        far |= ((guess < low) & (at <= low)) | ((guess > high) & (at >= high))
+        far |= np.abs(guess - at) > 0.5 * steps[0, i]
+        far &= ~done
+        x[i] = np.where(far | np.isnan(guess), 0.5 * (low + high), np.clip(guess, low, high))
+        steps[:, i] = steps[1, i], np.abs(x[i] - at)
+        i = i[~done]
+    return x
 
 
 class BandStructure:
@@ -170,7 +298,8 @@ class BandStructure:
     method : {'eig', 'bisection'}
         How band edges are computed. 'eig' solves the Bloch band
         matrices at phases 0 and pi; 'bisection' brackets the zeros
-        of Delta -+ 2 by Dirichlet eigenvalues and multisects them.
+        of Delta -+ 2 by Dirichlet eigenvalues, multisects them and
+        finishes them by Newton steps (see band_edges_bisection).
 
     Notes
     -----
@@ -331,13 +460,14 @@ class BandStructure:
         return rho, ids
 
     def to_dict(self):
+        bands, gaps = self.edges.reshape(-1, 2), self.edges[1:-1].reshape(-1, 2)
         return {
             "period": self.operator.period,
             "hopping": self.operator.hopping.tolist(),
             "onsite": self.operator.onsite.tolist(),
             "edges": self.edges.tolist(),
-            "bands": [[b.lower, b.upper] for b in self.bands],
-            "band_widths": [b.width for b in self.bands],
-            "gaps": [[g.lower, g.upper] for g in self.gaps],
-            "gap_widths": [g.width for g in self.gaps],
+            "bands": bands.tolist(),
+            "band_widths": (bands[:, 1] - bands[:, 0]).tolist(),
+            "gaps": gaps.tolist(),
+            "gap_widths": np.maximum(gaps[:, 1] - gaps[:, 0], 0.0).tolist(),
         }

@@ -12,9 +12,10 @@ starts. det M = 1 identically, and the Hill discriminant is tr M.
 This is the only place the recurrence runs: one loop over arrays of
 lam, for one chain or a batch of chains. The node values of Delta, the
 classes of an alphabet and the Jacobian of a chain with its Delta (a
-batch of its N rotations) all come from it. It carries the lam-derivative rows only
-for callers that need Delta', and keeps every row only for the
-rounding-error bound of Delta.
+batch of its N rotations) all come from it. It carries lam-derivative
+rows only for callers that need Delta' (the DOS, the edges' Newton
+steps) or Delta'' (the Newton steps onto the gap extrema), and keeps
+every row only for the rounding-error bound of Delta.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 
 
-def _march_values(hopping, onsite, lam, slope=False, history=False):
+def _march_values(hopping, onsite, lam, derivs=0, history=False):
     """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
 
     hopping and onsite have shape (N,) for one chain, or (N,) + chains
@@ -31,12 +32,14 @@ def _march_values(hopping, onsite, lam, slope=False, history=False):
     FACTOR_BLOCK numbers, so that a block stays in cache, and
     a_{k-1} / a_k enters the loop as a Python float for one chain (an
     array over the chains for a batch), so a step is three array
-    operations. With slope, each row carries its lam-derivative on a
-    leading (value, slope) axis, and the step adds u_k / a_k to it.
+    operations. With derivs = d > 0, each row carries its first d
+    lam-derivatives on a leading axis of d + 1 (row j the j-th
+    derivative), and the step adds j u_k^(j-1) / a_k to row j, the
+    j-th derivative of the recurrence.
 
     Returns the rows, each of shape (2,) + shape (one entry per start),
-    or (2, 2) + shape with slope, shape being lam broadcast against the
-    chains: u_{N-1} and u_N, or every row from u_{-1} on with history.
+    or (d + 1, 2) + shape with derivs, shape being lam broadcast against
+    the chains: u_{N-1} and u_N, or every row from u_{-1} on with history.
 
     Raises ValueError when an entry overflows the float range, as it
     does for weak bonds at long periods: |M| grows like
@@ -51,9 +54,10 @@ def _march_values(hopping, onsite, lam, slope=False, history=False):
     block = max(1, FACTOR_BLOCK // max(1, start[0, 0].size))
     start[0, 1] = 1.0
     start[1, 0] = 1.0
-    if slope:
-        start = np.stack([start, np.zeros_like(start)], axis=1)
+    if derivs:
+        start = np.stack([start] + [np.zeros_like(start)] * derivs, axis=1)
     rows = [start[0], start[1]]
+    higher = range(2, derivs + 1)  # rows past the first derivative
     k = 0
     try:
         with np.errstate(over="raise"):
@@ -68,8 +72,10 @@ def _march_values(hopping, onsite, lam, slope=False, history=False):
                     prev, cur = rows[-2], rows[-1]
                     nxt = shift * cur
                     nxt -= back[k] * prev
-                    if slope:
+                    if derivs:
                         nxt[1] += up[k] * cur[0]
+                        for j in higher:
+                            nxt[j] += (j * up[k]) * cur[j - 1]
                     rows.append(nxt)
                     if not history:
                         del rows[0]
@@ -120,15 +126,18 @@ def discriminant_jacobian(hopping, onsite, lam):
 def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
     from one value march with the derivative rows; ValueError on overflow."""
-    prev, cur = _march_values(op.hopping, op.onsite, lam, slope=True)
+    prev, cur = _march_values(op.hopping, op.onsite, lam, derivs=1)
     m = np.stack([cur, prev])
     return m[:, 0], m[:, 1]
 
 
-def discriminant(op, lam):
-    """Delta(lam) and Delta'(lam) by the recurrence, elementwise."""
-    m, dm = monodromy(op, lam)
-    return m[0, 0] + m[1, 1], dm[0, 0] + dm[1, 1]
+def discriminant(op, lam, derivs):
+    """Delta(lam) and its first derivs lam-derivatives by the recurrence,
+    elementwise, from one march: shape (derivs + 1,) + lam.shape."""
+    if not derivs:
+        return discriminant_value(op.hopping, op.onsite, lam)[None]
+    prev, cur = _march_values(op.hopping, op.onsite, lam, derivs=derivs)
+    return cur[:, 0] + prev[:, 1]
 
 
 def discriminant_value(hopping, onsite, lam):

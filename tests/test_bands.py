@@ -134,16 +134,19 @@ def test_routes_close_the_same_gaps():
         assert np.max(np.abs(band_edges_eig(op) - raw)) <= slack
 
 
-def _halving(past, lo, hi, tol):
-    """The one-bit bisection that multisection replaced: the reference."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
+def _halving(lo, hi, passes):
+    """The one-bit bisection that multisection replaced, four halvings in
+    place of each 4-bit pass, as a search of the same form: the reference."""
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(4 * passes):
+        i = np.flatnonzero(~bands._finished(lo, hi))
+        if not i.size:
             break
-        right = past(mid)
-        lo = np.where(right, lo, mid)
-        hi = np.where(right, mid, hi)
-    return mid
+        mid = 0.5 * (lo[i] + hi[i])
+        right = (yield mid, i, 0)[0] >= 0.0
+        lo[i] = np.where(right, lo[i], mid)
+        hi[i] = np.where(right, mid, hi[i])
+    return lo, hi
 
 
 def test_multisection_matches_halving_reference(monkeypatch):
@@ -164,7 +167,7 @@ def test_multisection_matches_halving_reference(monkeypatch):
         # of the Harper chain), the predicate is decided by rounding
         # within rounding(Delta) / |Delta'| of the edge, and each method
         # may stop anywhere in that interval; that allowance is capped.
-        _, slope = transfer.discriminant(op, reference)
+        _, slope = transfer.discriminant(op, reference, 1)
         _, rounding = transfer.discriminant_rounding(op, reference)
         with np.errstate(divide="ignore"):
             conditioning = np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
@@ -186,57 +189,130 @@ def test_bisection_marches_fewer_than_32_times(monkeypatch):
     assert len(calls) < 32
 
 
-def _extremum_everywhere(op, tol=1e-13):
-    """The bisection route that multisected every gap's extremum c_j and
-    closed the gap there by the rounding bound, with no check at the gap
-    midpoint first: the reference."""
+def _derivative_marches(monkeypatch):
+    """Record, from now on, how many lam-derivatives each march carries."""
+    derivs = []
+    march = transfer._march_values
+
+    def counted(*args, **kwargs):
+        derivs.append(kwargs.get("derivs", 0))
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    return derivs
+
+
+def test_bisection_march_budget(monkeypatch):
+    # Multisection to TOL alone takes 13 marches on the random chain, 26
+    # and 24 on the uniform ones and 25 on the Harper ones. A uniform chain
+    # closes every gap: 3 coarse passes, 6 marches of the extremum search
+    # that also carry the Newton steps on the outer edges, and 2 for the
+    # rounding bound. Its outer edges sit on the ends of their brackets;
+    # a Newton step that is not clamped there falls back to the midpoint,
+    # and those steps then outlast the search (17 and 18 marches).
+    derivs = _derivative_marches(monkeypatch)
+
+    def marches(op):
+        del derivs[:]
+        band_edges_bisection(op)
+        return len(derivs)
+
+    assert marches(random_operator(np.random.default_rng(24), 24)) <= 10
+    for n in (24, 100):
+        assert marches(PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2)) <= 13
+    for phi in (0.3, 2.1):
+        assert marches(_harper(144, 89, phi)) <= 25
+
+
+def test_bisection_edges_of_bands_narrower_than_rounding():
+    # Random N = 64 chains have bands down to 1e-15 wide, where Delta
+    # grows almost exponentially and a small Newton step does not mean a
+    # converged one. Each edge stays as close to the eig route as
+    # multisection to TOL alone comes on the same chain: 6.9e-14, 4.2e-14
+    # and 4.0e-14 (it comes within 6.88e-14, 4.13e-14 and 3.91e-14).
+    rng = np.random.default_rng(2024)
+    for bound in (6.9e-14, 4.2e-14, 4.0e-14):
+        op = random_operator(rng, 64)
+        eig = band_edges_eig(op)
+        assert np.min(np.diff(eig)[0::2]) < 2e-15
+        assert np.all(np.abs(band_edges_bisection(op) - eig) <= bound)
+
+
+def test_uniform_outer_edges_on_the_gershgorin_ends():
+    # The outer edges of a uniform chain, b -+ 2a, are the ends of their
+    # brackets; Newton steps clamped to the ends land on them.
+    rng = np.random.default_rng(92)
+    for n in range(2, 25):
+        a, b = rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5)
+        edges = band_edges_bisection(PeriodicJacobi.free(n, a, b))
+        outer = np.array([b - 2.0 * a, b + 2.0 * a])
+        assert np.all(np.abs(edges[[0, -1]] - outer) <= 1e-14 * np.maximum(1.0, np.abs(outer)))
+
+
+def test_newton_search_does_not_stop_on_a_small_step():
+    # g = exp(k (lam - r)) - 1 with k = 1e14: above r every Newton step
+    # is about 1 / k, below TOL, however far the zero is. The search
+    # stops only once the sign change is held, and halves the bracket
+    # while the steps do not shrink.
+    r, k = 0.7, 1e14
+    search = bands._newton(np.array([r - 1e-12]), np.array([r + 1e-11]))
+    lam, _, derivs = next(search)
+    rounds = 1
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            assert derivs == 1
+            z = k * (lam - r)
+            lam, _, derivs = search.send(np.stack([np.expm1(z), k * np.exp(z)]))
+            rounds += 1
+    assert abs(stop.value.value[0] - r) <= bands.TOL
+    assert rounds <= 20
+
+
+def _extremum_everywhere(op):
+    """The bisection route with the extremum c_j of every gap searched,
+    certified open or not, and the gap closed there by the rounding
+    bound: the reference. The edges of the open gaps are finished as on
+    the route, by Newton steps where the gap passed the check between its
+    coarse edge brackets and by multisection where it did not."""
     n = op.period
     lo, hi = gershgorin_interval(op)
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
-    edges = bands._multisect(
-        lambda lam: np.repeat(orient, 2) * transfer.discriminant_value(op.hopping, op.onsite, lam)
-        >= np.tile([-2.0, 2.0], n),
-        np.repeat(mu[:-1], 2),
-        np.repeat(mu[1:], 2),
-        tol,
-    )
+    sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
+    coarse = bands._multisect(np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), bands.COARSE)
+    (left, right), = bands._solve(op, (coarse, 0, sign, level))
+    edges = 0.5 * (left + right)
     middle = 0.5 * (edges[0::2] + edges[1::2])
-    crit = bands._multisect(
-        lambda lam: orient[:-1] * transfer.discriminant(op, lam)[1] <= 0.0,
-        middle[:-1],
-        middle[1:],
-        tol,
-    )
+    crit, = bands._solve(op, bands._gap_extrema(middle[:-1], middle[1:], orient[:-1]))
     peak, rounding = transfer.discriminant_rounding(op, crit)
     shut = np.abs(peak) - 2.0 <= rounding
+    below, above = right[1:-1:2], left[2::2]
+    value, rounding = transfer.discriminant_rounding(op, 0.5 * (below + above))
+    certified = (below < above) & (np.abs(value) - 2.0 > rounding)
+    fast = np.flatnonzero(certified & ~shut)
+    fast = np.concatenate([[0], 2 * fast + 1, 2 * fast + 2, [2 * n - 1]])
+    finished = bands._newton(left[fast], right[fast])
+    edges[fast], = bands._solve(op, (finished, 0, sign[fast], level[fast]))
+    narrow = np.flatnonzero(~certified & ~shut)
+    narrow = np.concatenate([2 * narrow + 1, 2 * narrow + 2])
+    narrowed = bands._multisect(left[narrow], right[narrow], bands.ROUNDS)
+    (left, right), = bands._solve(op, (narrowed, 0, sign[narrow], level[narrow]))
+    edges[narrow] = 0.5 * (left + right)
     return np.sort(bands._close(edges, shut, crit[shut]))
 
 
-def _slope_marches(monkeypatch):
-    """Count the marches that carry Delta' from now on."""
-    slopes = []
-    march = transfer._march_values
-
-    def counted(*args, **kwargs):
-        slopes.append(kwargs.get("slope", False))
-        return march(*args, **kwargs)
-
-    monkeypatch.setattr(transfer, "_march_values", counted)
-    return slopes
-
-
 def test_certified_open_gaps_skip_the_extremum_search(monkeypatch):
-    # Random chains: every gap is certified open at its midpoint, so no
-    # march for Delta' runs and the edges are those of the reference.
+    # Random chains: every gap is certified open between its edge
+    # brackets, so no march for Delta'' runs (the edges' Newton steps
+    # march Delta' only) and the edges are those of the reference.
     rng = np.random.default_rng(90)
     chains = [random_operator(rng, n) for n in range(1, 25)]
     references = [_extremum_everywhere(op) for op in chains]
-    slopes = _slope_marches(monkeypatch)
+    derivs = _derivative_marches(monkeypatch)
     for op, reference in zip(chains, references):
-        del slopes[:]
+        del derivs[:]
         edges = band_edges_bisection(op)
-        assert not any(slopes)
+        assert max(derivs) < 2
         assert np.array_equal(edges, reference)
         assert np.all(edges[2::2] > edges[1:-1:2])
 
@@ -248,11 +324,11 @@ def test_uniform_chains_close_every_gap_at_its_extremum(monkeypatch):
     chains = [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
               for n in range(3, 25)]
     references = [_extremum_everywhere(op) for op in chains]
-    slopes = _slope_marches(monkeypatch)
+    derivs = _derivative_marches(monkeypatch)
     for op, reference in zip(chains, references):
-        del slopes[:]
+        del derivs[:]
         edges = band_edges_bisection(op)
-        assert any(slopes)
+        assert 2 in derivs
         assert np.array_equal(edges, reference)
         assert np.all(edges[2::2] == edges[1:-1:2])
 
@@ -260,9 +336,9 @@ def test_uniform_chains_close_every_gap_at_its_extremum(monkeypatch):
 @pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89)])
 @pytest.mark.parametrize("phi", [0.3, 2.1])
 def test_harper_edges_match_extremum_reference(period, f_prev, phi):
-    # Only some Harper gaps are certified; the rest are multisected in
-    # fewer brackets, whose passes may stop sooner, so the edges agree
-    # within the multisection tolerance and every gap state is the same.
+    # Only some Harper gaps are certified; the route searches the
+    # extremum of the rest alone. The edges agree within the multisection
+    # tolerance and every gap state is the same.
     op = _harper(period, f_prev, phi)
     edges, reference = band_edges_bisection(op), _extremum_everywhere(op)
     assert np.all(np.abs(edges - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
@@ -569,6 +645,29 @@ def test_to_dict_round_trip(generic_bs):
     import json
 
     json.dumps(d)  # everything must be plain JSON-serializable types
+
+
+def test_to_dict_reads_the_edges_as_the_band_and_gap_records_do():
+    # The payload is sliced from the edges, never building the Band and
+    # Gap records, and its JSON is byte for byte what the records give.
+    rng = np.random.default_rng(93)
+    chains = [random_operator(rng, n) for n in (1, 2, 7, 64)]
+    chains += [PeriodicJacobi.free(n, 0.9, -0.2) for n in (1, 5, 60)] + _repeated_cells()[:3]
+    for op in chains:
+        for method in ("eig", "bisection"):
+            bs = BandStructure(op, method)
+            payload = json.dumps(bs.to_dict())
+            assert "bands" not in bs.__dict__ and "gaps" not in bs.__dict__
+            assert payload == json.dumps({
+                "period": op.period,
+                "hopping": op.hopping.tolist(),
+                "onsite": op.onsite.tolist(),
+                "edges": bs.edges.tolist(),
+                "bands": [[b.lower, b.upper] for b in bs.bands],
+                "band_widths": [b.width for b in bs.bands],
+                "gaps": [[g.lower, g.upper] for g in bs.gaps],
+                "gap_widths": [g.width for g in bs.gaps],
+            })
 
 
 @pytest.mark.parametrize("period", [60, 100, 400])

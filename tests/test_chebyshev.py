@@ -35,7 +35,7 @@ def u_series(n):
 
 def t_values(n, x):
     """T_n(x) by the recurrence of the period-n chain."""
-    return 0.5 * transfer.discriminant(chebyshev_chain(n), x)[0]
+    return 0.5 * transfer.discriminant(chebyshev_chain(n), x, 0)[0]
 
 
 def u_values(n, x):

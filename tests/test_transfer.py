@@ -92,12 +92,17 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, period)
     m, _ = transfer.monodromy(op, lam)
-    delta, slope = transfer.discriminant(op, lam)
+    delta, slope = transfer.discriminant(op, lam, 1)
+    rows = transfer.discriminant(op, lam, 2)
     c = power_coefficients(op)
     assert transfer.discriminant_value(op.hopping, op.onsite, lam) == delta
+    assert transfer.discriminant(op, lam, 0)[0] == delta
+    # Each derivative row is marched as without the rows above it.
+    assert rows[0] == delta and rows[1] == slope
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
     assert P.polyval(lam, c) == pytest.approx(delta, rel=1e-9, abs=1e-9)
     assert P.polyval(lam, P.polyder(c)) == pytest.approx(slope, rel=1e-9, abs=1e-9)
+    assert P.polyval(lam, P.polyder(c, 2)) == pytest.approx(rows[2], rel=1e-9, abs=1e-9)
 
 
 def test_rounding_bound_covers_the_exact_discriminant():
