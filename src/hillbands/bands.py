@@ -54,8 +54,10 @@ class Gap:
 def band_edges_eig(op):
     """All 2N band edges: the periodic (theta = 0) and antiperiodic
     (theta = pi) Bloch eigenvalues, each phase one real band-matrix
-    solve in O(N^2), made once per chain and process and shared with
-    dispersion (see PeriodicJacobi.floquet_eigenvalues).
+    solve in O(N^2), or the closed form for a chain of one site
+    repeated, made once per chain and process and shared with
+    dispersion (see PeriodicJacobi.floquet_eigenvalues). The closed
+    form gives both edges of each closed gap from one cos, equal.
 
     The solve leaves a sliver of its own rounding, up to N eps times
     the largest |lam| of the Gershgorin interval, between the edges of
@@ -357,9 +359,9 @@ class BandStructure:
         of width 0 and the one point of a closed gap).
         """
         lam = np.asarray(lam, dtype=float)
-        k = np.searchsorted(self.edges, lam, side="right")
-        near = np.searchsorted(self.edges, lam - tol) < np.searchsorted(
-            self.edges, lam + tol, side="right")
+        edges = self.edges
+        k = edges.searchsorted(lam, side="right")
+        near = edges.searchsorted(lam - tol) < edges.searchsorted(lam + tol, side="right")
         return k, (k % 2 == 1) | near
 
     def contains(self, lam, tol=0.0):
@@ -375,8 +377,9 @@ class BandStructure:
         """Band energies over Bloch phases; shape (N, len(thetas)).
 
         One O(N^2) band-matrix solve per phase, all sharing one folded
-        band built once; phases 0 and pi read the band edges' solves
-        (see PeriodicJacobi.floquet_eigenvalues).
+        band built once, or one broadcast of the closed form over all
+        phases for a chain of one site repeated; phases 0 and pi read the
+        band edges' spectra (see PeriodicJacobi.floquet_eigenvalues).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         return self.operator.floquet_eigenvalues(thetas.ravel()).T
@@ -408,6 +411,13 @@ class BandStructure:
         plateau, read from the edges. The march is elementwise, so a
         point's values do not depend on which others are marched.
 
+        The march runs over the chain's cell (see PeriodicJacobi.cell):
+        a chain of one site repeated N times is the same operator as its
+        one-site cell, with the same DOS and IDS per site, and its
+        spectrum, between the chain's own outer edges, is the cell's one
+        band. One site is marched instead of N, and the levels of the
+        closed gaps are ordinary points of that band.
+
         Since det M = 1, 4 - Delta^2 = -(M00 - M11)^2 - 4 M01 M10. Near
         a closed gap M is close to +-I, Delta^2 cancels against 4, and
         the second form keeps the relative accuracy; where M is far from
@@ -427,13 +437,18 @@ class BandStructure:
         free of the sqrt-of-roundoff noise of arccos at a computed edge.
         """
         lam = np.asarray(lam, dtype=float)
-        n = self.operator.period
+        cell = self.operator.cell
+        n = cell.period
+        edges = self.edges if cell is self.operator else self.edges[[0, -1]]
         k, inside = self._locate(lam)
-        k_in, at = k[inside], lam[inside]
-        m, dm = transfer.monodromy(self.operator, at)
+        ids = np.zeros(lam.shape)
+        ids[...] = (k // 2) / self.operator.period
+        at = lam[inside]
+        k = edges.searchsorted(at, side="right")  # the cell's edge count
+        m, dm = transfer.monodromy(cell, at)
         # Odd k puts lam in a band; lam on the upper edge of the band
         # below as well is the one point of a closed gap.
-        shut = (k_in % 2 == 1) & (self.edges[k_in - 2] == at)
+        shut = (k % 2 == 1) & (edges[k - 2] == at)
         delta = m[0, 0] + m[1, 1]
         split = m[0, 0] - m[1, 1]
         under = np.where(shut, 1.0, np.where(
@@ -451,10 +466,9 @@ class BandStructure:
                 0.0,
             )
         band = k // 2
-        phase_lower = np.where((n - band[inside]) % 2 == 0, 0.0, np.pi)
-        partial = np.zeros(lam.shape)
-        partial[inside] = np.abs(np.arccos(np.clip(delta / 2.0, -1.0, 1.0)) - phase_lower) / np.pi
-        ids = (band + np.where(k % 2 == 1, partial, 0.0)) / n
+        phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
+        partial = np.abs(np.arccos(np.clip(delta / 2.0, -1.0, 1.0)) - phase_lower) / np.pi
+        ids[inside] = (band + np.where(k % 2 == 1, partial, 0.0)) / n
         if lam.ndim == 0:
             return float(rho), float(ids)
         return rho, ids

@@ -11,7 +11,7 @@ gauge transformation that never changes the spectrum.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dsbevd, dsterf, zhbevd
@@ -46,9 +46,9 @@ class PeriodicJacobi:
             )
         if a.size == 0:
             raise ValueError("period must be at least one")
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("coefficients must be finite")
-        if np.any(a <= 0):
+        if (a <= 0).any():
             raise ValueError("hoppings must be positive")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -70,10 +70,30 @@ class PeriodicJacobi:
                 raise ValueError(f"hopping product of period {self.period} "
                                  "overflows the float range") from None
 
+    @cached_property
+    def cell(self):
+        """The one-site chain (hopping[0], onsite[0]) when every bond and
+        every site of the chain are equal, else the chain itself.
+
+        Such a chain is one site repeated N times: the same operator on
+        the integers as its one-site cell, so its DOS and IDS per site
+        are the cell's, and by Bloch folding J(theta) has the eigenvalues
+        b + 2a cos((theta + 2 pi k) / N), k = 0..N-1. The test is
+        equality of the coefficients bit for bit; a cell of two or more
+        sites repeated is not detected and stays its own cell.
+        """
+        key = self.hopping.tobytes() + self.onsite.tobytes()
+        if self.period > 1 and _repeats_one_site(key, self.period):
+            return PeriodicJacobi(self.hopping[:1], self.onsite[:1])
+        return self
+
     def floquet_eigenvalues(self, theta):
         """Sorted eigenvalues of the Bloch Hamiltonian at phase theta.
 
-        Sites are taken in the folded order 0, N-1, 1, N-2, 2, ..., in
+        A chain of one site repeated N times (see cell) has them in
+        closed form, b + 2a cos((theta + 2 pi k) / N), k = 0..N-1,
+        evaluated for all phases by one broadcast. For any other chain,
+        sites are taken in the folded order 0, N-1, 1, N-2, 2, ..., in
         which every bond, the closing one included, joins sites at most
         two apart. J(theta) is then a Hermitian band matrix of
         half-bandwidth 2, stored as its 3 x N lower band and solved by
@@ -83,28 +103,33 @@ class PeriodicJacobi:
         changes. An array of phases gives shape theta.shape + (N,).
 
         The real spectra, the band edges, come from a per-process memo
-        (_real_spectrum): a chain's is solved once per sign of cos theta,
-        and the values are the same to the bit either way.
+        (_real_spectrum) on either route: a chain's is computed once per
+        sign of cos theta, and the values are the same to the bit either
+        way.
         """
         theta = np.asarray(theta, dtype=float)
         a, b = self.hopping, self.onsite
         n = self.period
-        if n == 1:
-            return b[0] + 2.0 * a[0] * np.cos(theta)[..., None]
+        phases = theta.ravel()
+        out = np.empty((phases.size, n))
         key = a.tobytes() + b.tobytes()
-        out = np.empty(theta.shape + (n,))
-        complex_band = None
-        for index, phase in np.ndenumerate(theta):
+        rest = []  # phases off the multiples of pi
+        for i, phase in enumerate(phases.tolist()):
             if phase % np.pi == 0.0:
-                out[index] = _real_spectrum(key, np.cos(phase))
-                continue
-            if complex_band is None:
-                band = _folded_band(a, b)
-                open_corner = band[1, 0]
-                complex_band = band.astype(complex, order="F")
-            complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
-            out[index] = _solve(zhbevd, complex_band)
-        return out
+                out[i] = _real_spectrum(key, np.cos(phase))
+            else:
+                rest.append(i)
+        if rest and _repeats_one_site(key, n):
+            angle = (phases[rest, None] + 2.0 * np.pi * np.arange(n)) / n
+            out[rest] = np.sort(b[0] + 2.0 * a[0] * np.cos(angle), axis=-1)
+        elif rest:
+            band = _folded_band(a, b)
+            open_corner = band[1, 0]
+            complex_band = band.astype(complex, order="F")
+            for i in rest:
+                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phases[i])
+                out[i] = _solve(zhbevd, complex_band)
+        return out.reshape(theta.shape + (n,))
 
     def dirichlet_eigenvalues(self):
         """Sorted eigenvalues of the chain with site 0 deleted: the
@@ -164,6 +189,14 @@ def _solve(solver, band):
     return w
 
 
+def _repeats_one_site(coefficients, n):
+    """Whether the coefficients of a period-n chain, as the bytes of
+    _real_spectrum's key, repeat one site: all bonds equal and all sites
+    equal, bit for bit."""
+    bond, site = coefficients[:8], coefficients[8 * n:8 * n + 8]
+    return coefficients == bond * n + site * n
+
+
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _real_spectrum(coefficients, cos_theta):
     """Sorted spectrum of J(theta) at cos theta = +-1.
@@ -172,10 +205,23 @@ def _real_spectrum(coefficients, cos_theta):
     by its onsite energies, so equal chains share an entry and a change
     of one ulp misses. An entry holds about 3N doubles, key included.
     The array is read-only, since the memo hands it to every caller.
+    A chain of one site repeated takes the closed form, any other one
+    real band-matrix solve.
     """
     a, b = np.frombuffer(coefficients).reshape(2, -1)
-    band = _folded_band(a, b)
-    band[1, 0] += a[-1] * cos_theta
-    w = _solve(dsbevd, band)
+    n = a.size
+    if _repeats_one_site(coefficients, n):
+        # theta + 2 pi k = pi r, r = 2k or 2k + 1, folded onto [0, pi] by
+        # r -> min(r, 2N - r): both edges of each closed gap, r and
+        # 2N - r, come from one cos evaluation and are equal to the bit.
+        r = np.arange(0 if cos_theta > 0.0 else 1, 2 * n, 2)
+        w = np.cos(np.pi * np.minimum(r, 2 * n - r) / n)
+        w.sort()  # b + 2a cos is increasing in cos, as a > 0
+        w *= 2.0 * a[0]
+        w += b[0]
+    else:
+        band = _folded_band(a, b)
+        band[1, 0] += a[-1] * cos_theta
+        w = _solve(dsbevd, band)
     w.setflags(write=False)
     return w

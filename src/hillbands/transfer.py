@@ -50,12 +50,12 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     n = a.shape[0]
     shape = np.broadcast_shapes(lam.shape, a.shape[1:])
     column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
-    start = np.zeros((2, 2) + shape)  # u_{-1}, u_0 of both starts
-    block = max(1, FACTOR_BLOCK // max(1, start[0, 0].size))
-    start[0, 1] = 1.0
-    start[1, 0] = 1.0
-    if derivs:
-        start = np.stack([start] + [np.zeros_like(start)] * derivs, axis=1)
+    # u_{-1}, u_0 of both starts, each with its derivs derivative rows
+    start = np.zeros((2,) + (derivs + 1,) * (derivs > 0) + (2,) + shape)
+    value = start[:, 0] if derivs else start
+    block = max(1, FACTOR_BLOCK // max(1, value[0, 0].size))
+    value[0, 1] = 1.0
+    value[1, 0] = 1.0
     rows = [start[0], start[1]]
     higher = range(2, derivs + 1)  # rows past the first derivative
     k = 0
@@ -164,30 +164,32 @@ def discriminant_rounding(op, lam):
     the cancellation inside the march, as in a cell repeated several
     times whose transfer matrix is far from normal.
 
-    Both marches keep their rows, and the products are summed site by
-    site, so no array of all sites' products is formed. Raises
+    Both marches keep their rows, stacked with sites on the leading
+    axis, and all sites' products are formed and summed by array
+    operations over them, in place where the rows are spent. Raises
     ValueError when a march or the bound overflows the float range.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
-    u = _march_values(a, b, lam, history=True)  # u[i] is u_{i-1}
-    v = _march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True)
-    back = np.roll(a, 1) / a
-    total = np.zeros((2,) + lam.shape)
-    k = 0
+    u = np.stack(_march_values(a, b, lam, history=True))  # u[i] is u_{i-1}
+    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))
+    site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam
+    a_k, b_k = a.reshape(site), b.reshape(site)
     try:
         with np.errstate(over="raise"):
-            for k in range(n):
-                local = np.abs((lam - b[k]) / a[k]) * np.abs(u[k + 1])
-                local += back[k] * np.abs(u[k])
-                local *= np.abs(v[n - k]) * (a[k] / a[-1])  # v[n - k] is v_{N-1-k}
-                total += local
-            delta = u[-1][0] + u[-2][1]
+            delta = u[-1, 0] + u[-2, 1]
+            np.abs(u, out=u)
+            np.abs(v, out=v)
+            local = np.abs((lam - b_k) / a_k) * u[1:-1]
+            u[:-2] *= np.roll(a_k, 1, axis=0) / a_k
+            local += u[:-2]
+            v[n:0:-1] *= a_k / a[-1]  # v[n - k] is v_{N-1-k}
+            local *= v[n:0:-1]
+            total = local.sum(axis=0)
             eps = np.finfo(float).eps
             return delta, eps * (2.0 * (total[0] + total[1]) + np.abs(delta))
     except FloatingPointError:
         raise ValueError(
-            f"rounding bound overflowed at site {k} of period {n}: "
-            "it exceeds the float range"
+            f"rounding bound of period {n} overflowed: it exceeds the float range"
         ) from None

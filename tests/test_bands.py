@@ -16,6 +16,7 @@ from hillbands import (
     cli,
     dos_curve,
     gap_report,
+    operators,
     transfer,
 )
 from hillbands.discriminant import gershgorin_interval
@@ -590,8 +591,11 @@ def test_integrated_density_matches_truncation_counting(generic_op, generic_bs):
 
 def test_integrated_density_matches_band_loop():
     # Reference: walk the bands from the bottom, counting a band filled
-    # from its upper edge on and entering it at its lower edge.
+    # from its upper edge on and entering it at its lower edge. A chain
+    # of one site repeated is the same operator as its one-site cell, so
+    # the walk runs over the cell's one band, between the same two ends.
     def reference(bs, lam):
+        bs = BandStructure(bs.operator.cell)
         n = bs.operator.period
         filled = 0
         for band in bs.bands:
@@ -691,6 +695,83 @@ def test_uniform_chain_dos_and_ids_match_closed_forms(period):
     exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (grid[far] - b) ** 2))
     assert np.all(np.abs(bs.density_of_states(grid)[far] - exact) <= 1e-9 * exact)
     assert np.all(bs.density_of_states(grid)[~inside] == 0.0)
+
+
+@pytest.mark.parametrize("method", ["eig", "bisection"])
+def test_uniform_dos_at_the_closed_gap_levels(method):
+    # At a closed-gap level b + 2a cos(pi j / N), Delta' and 4 - Delta^2
+    # of the N-site march both vanish. The one-site cell has neither
+    # there, so the DOS is the closed form to rounding, never 0, and the
+    # IDS is 1 - j / N.
+    for n, a, b in ((60, 0.9, -0.2), (100, 0.9, -0.2), (400, 0.9, -0.2), (64, 1.347, -1.318)):
+        bs = BandStructure(PeriodicJacobi.free(n, a, b), method)
+        j = np.arange(1, n)
+        levels = b + 2 * a * np.cos(np.pi * j / n)
+        rho, ids = bs._densities(levels)
+        exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (levels - b) ** 2))
+        assert np.all(rho > 0.0)
+        assert np.max(np.abs(rho - exact) / exact) <= 1e-11
+        assert np.max(np.abs(ids - (1.0 - j / n))) <= 1e-12
+
+
+def _uniform_chain(n):
+    if n > 24:
+        return PeriodicJacobi.free(n, 0.9, -0.2)
+    rng = np.random.default_rng(n)
+    return PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+
+
+UNIFORM_PERIODS = list(range(2, 25)) + [60, 100, 400]
+
+
+def test_uniform_edges_and_dispersion_are_the_closed_form():
+    # Band m of a chain of one site repeated N times is
+    # b + 2a cos((theta + 2 pi m) / N); its edges are the levels
+    # b + 2a cos(pi r / N), each interior one twice: a closed gap.
+    eps = np.finfo(float).eps
+    thetas = np.array([0.0, 0.37, np.pi / 2, 2.9, np.pi])
+    for n in UNIFORM_PERIODS:
+        op = _uniform_chain(n)
+        a, b = op.hopping[0], op.onsite[0]
+        levels = b + 2 * a * np.cos(np.pi * np.arange(n + 1) / n)
+        expected = np.sort(np.concatenate([levels, levels[1:-1]]))
+        raw = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
+        edges = band_edges_eig(op)
+        assert np.max(np.abs(edges - expected)) <= 2 * eps * (abs(b) + 2 * a)
+        # Both edges of each gap come from one cos, before any closing.
+        assert np.array_equal(raw[1:-1:2], raw[2::2])
+        assert np.array_equal(edges, raw)
+        m = np.arange(n)[:, None]
+        exact = np.sort(b + 2 * a * np.cos((thetas + 2 * np.pi * m) / n), axis=0)
+        table = BandStructure(op).dispersion(thetas)
+        assert np.max(np.abs(table - exact)) <= 1e-12 * max(1.0, abs(b) + 2 * a)
+
+
+def test_uniform_chains_run_no_band_solve_and_march_one_site(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("band-matrix solve")
+
+    sites = []
+    march = transfer._march_values
+
+    def counted(hopping, onsite, lam, **kwargs):
+        sites.append(np.shape(hopping)[0])
+        return march(hopping, onsite, lam, **kwargs)
+
+    monkeypatch.setattr(operators, "_solve", refuse)
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    for n in UNIFORM_PERIODS:
+        op = _uniform_chain(n)
+        chain = ["--onsite=" + ",".join(map(repr, op.onsite.tolist())),
+                 f"--hopping={op.hopping[0].item()!r}", "--json"]
+        operators._real_spectrum.cache_clear()
+        for command in (["bands"], ["dispersion", "--samples", "8"], ["dos", "--points", "64"]):
+            assert cli.main(command + chain) == 0
+        curve = json.loads(capsys.readouterr().out.splitlines()[-1])
+        energy, rho = np.array(curve["energy"]), np.array(curve["dos"])
+        inside = np.abs(energy - op.onsite[0]) < 2 * op.hopping[0]
+        assert np.all(rho[inside] > 0.0) and np.all(rho[~inside] == 0.0)
+    assert sites and set(sites) == {1}
 
 
 def _exact_density(op, lam):

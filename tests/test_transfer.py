@@ -124,6 +124,43 @@ def test_rounding_bound_covers_the_exact_discriminant():
         assert all(e <= Fraction(b) for e, b in zip(error, bound))
 
 
+def _rounding_by_site_loop(op, lam):
+    """The bound of discriminant_rounding, summed site by site."""
+    a, b, n = op.hopping, op.onsite, op.period
+    u = transfer._march_values(a, b, lam, history=True)
+    v = transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True)
+    back = np.roll(a, 1) / a
+    total = np.zeros((2,) + np.shape(lam))
+    for k in range(n):
+        local = np.abs((lam - b[k]) / a[k]) * np.abs(u[k + 1])
+        local += back[k] * np.abs(u[k])
+        local *= np.abs(v[n - k]) * (a[k] / a[-1])
+        total += local
+    delta = u[-1][0] + u[-2][1]
+    return delta, np.finfo(float).eps * (2.0 * (total[0] + total[1]) + np.abs(delta))
+
+
+def test_rounding_bound_matches_the_site_loop():
+    # The products of all sites are summed over the stacked rows; the
+    # loop over sites is the reference, to 1e-13 relative.
+    rng = np.random.default_rng(31)
+    sites = np.arange(144)
+    chains = [random_operator(rng, period) for period in (1, 2, 5, 64)]
+    chains += [random_operator(np.random.default_rng(24), 24), PeriodicJacobi.free(60, 0.9, -0.2),
+               PeriodicJacobi(np.ones(144), 0.8 * np.cos(2 * np.pi * 89 * sites / 144 + 0.3))]
+    cell = random_operator(rng, 3)
+    chains.append(PeriodicJacobi(np.tile(cell.hopping, 5), np.tile(cell.onsite, 5)))
+    for op in chains:
+        edges = band_edges_eig(op)
+        lam = np.concatenate([edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)])
+        for points in (lam, lam[:6].reshape(2, 3), np.float64(lam[1])):
+            delta, bound = transfer.discriminant_rounding(op, points)
+            ref_delta, ref_bound = _rounding_by_site_loop(op, points)
+            assert np.shape(bound) == np.shape(points)
+            assert np.array_equal(delta, ref_delta)
+            assert np.all(np.abs(bound - ref_bound) <= 1e-13 * ref_bound)
+
+
 def _weak_bond_chain(period):
     rng = np.random.default_rng(period)
     return random_operator(rng, period, hop_range=(0.05, 0.1))
