@@ -54,10 +54,10 @@ class Gap:
 def band_edges_eig(op):
     """All 2N band edges: the periodic (theta = 0) and antiperiodic
     (theta = pi) Bloch eigenvalues, each phase one real band-matrix
-    solve in O(N^2), or the closed form for a chain of one site
-    repeated, made once per chain and process and shared with
-    dispersion (see PeriodicJacobi.floquet_eigenvalues). The closed
-    form gives both edges of each closed gap from one cos, equal.
+    solve of the chain's cell in O(p^2), made once per cell and process
+    and shared with dispersion (see PeriodicJacobi.floquet_eigenvalues).
+    A cell repeated gives both edges of each gap its folding closes from
+    one solve, equal.
 
     The solve leaves a sliver of its own rounding, up to N eps times
     the largest |lam| of the Gershgorin interval, between the edges of
@@ -199,7 +199,7 @@ def _solve(op, *jobs):
     while asks:
         derivs = max(jobs[k][1] + d for k, (_, _, d) in asks.items())
         lam = np.concatenate([lam.ravel() for lam, _, _ in asks.values()])
-        rows = transfer.discriminant(op, lam, derivs)
+        rows = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
         start = 0
         for k, (lam, i, d) in list(asks.items()):
             _, shift, scale, level = jobs[k]
@@ -376,10 +376,10 @@ class BandStructure:
     def dispersion(self, thetas):
         """Band energies over Bloch phases; shape (N, len(thetas)).
 
-        One O(N^2) band-matrix solve per phase, all sharing one folded
-        band built once, or one broadcast of the closed form over all
-        phases for a chain of one site repeated; phases 0 and pi read the
-        band edges' spectra (see PeriodicJacobi.floquet_eigenvalues).
+        One O(p^2) band-matrix solve of the chain's p-site cell per
+        folded phase, all sharing one folded band built once; phases 0
+        and pi read the band edges' spectra (see
+        PeriodicJacobi.floquet_eigenvalues).
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         return self.operator.floquet_eigenvalues(thetas.ravel()).T
@@ -411,12 +411,12 @@ class BandStructure:
         plateau, read from the edges. The march is elementwise, so a
         point's values do not depend on which others are marched.
 
-        The march runs over the chain's cell (see PeriodicJacobi.cell):
-        a chain of one site repeated N times is the same operator as its
-        one-site cell, with the same DOS and IDS per site, and its
-        spectrum, between the chain's own outer edges, is the cell's one
-        band. One site is marched instead of N, and the levels of the
-        closed gaps are ordinary points of that band.
+        The march runs over the chain's p-site cell (see
+        PeriodicJacobi.cell), the same operator with the same DOS and IDS
+        per site. With m = N / p, cell band j is chain bands jm..jm+m-1,
+        so the cell's edges are read off the chain's. p sites are marched
+        instead of N, and the points of the gaps that the repetition
+        closes are ordinary points of the cell's bands.
 
         Since det M = 1, 4 - Delta^2 = -(M00 - M11)^2 - 4 M01 M10. Near
         a closed gap M is close to +-I, Delta^2 cancels against 4, and
@@ -439,7 +439,7 @@ class BandStructure:
         lam = np.asarray(lam, dtype=float)
         cell = self.operator.cell
         n = cell.period
-        edges = self.edges if cell is self.operator else self.edges[[0, -1]]
+        edges = self.edges.reshape(n, -1)[:, [0, -1]].ravel()
         k, inside = self._locate(lam)
         ids = np.zeros(lam.shape)
         ids[...] = (k // 2) / self.operator.period

@@ -13,7 +13,7 @@ interval, which the value march gives to its own rounding; power-basis
 coefficients lose accuracy exponentially with N. A Discriminant is the
 target of the inverse problem and the payload of `hillbands edges
 --json`. Delta of a chain at given points comes from
-transfer.discriminant_value, accurate to the march's rounding at each.
+transfer.discriminant, accurate to the march's rounding at each.
 """
 
 from dataclasses import dataclass
@@ -67,7 +67,7 @@ class Discriminant:
         of long random chains."""
         interval = gershgorin_interval(op) if interval is None else interval
         nodes = chebyshev_nodes(interval, op.period)
-        values = transfer.discriminant_value(op.hopping, op.onsite, nodes)
+        values = transfer.discriminant(op.hopping, op.onsite, nodes)[0]
         return cls(interval, values, np.sum(np.log(op.hopping)))
 
     @property

@@ -42,7 +42,7 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
+def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60):
     """Solve fun(x) = 0 by Newton iteration with backtracking.
 
     Below tol, one more full step is kept if it lowers the residual, so
@@ -60,8 +60,6 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
         Convergence threshold on the max-norm of the residual.
     max_iter : int
         Iteration budget before giving up.
-    callback : callable(k, x, residual_norm), optional
-        Invoked once per iteration.
 
     Returns
     -------
@@ -77,8 +75,6 @@ def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60, callback=None):
     fx = np.asarray(fun(x), dtype=float)
     norm = np.max(np.abs(fx))
     for k in range(max_iter):
-        if callback is not None:
-            callback(k, x, norm)
         j = jac(x)
         try:
             step = np.linalg.solve(j, -fx)

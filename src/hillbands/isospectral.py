@@ -122,13 +122,13 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks period and bonds
     reach = 2.0 * np.max(hopping)
     nodes = chebyshev_nodes((min(values) - reach, max(values) + reach), period)
-    scale = max(1.0, np.max(np.abs(transfer.discriminant_value(hopping, lowest.onsite, nodes))))
+    scale = max(1.0, np.max(np.abs(transfer.discriminant(hopping, lowest.onsite, nodes)[0])))
     patterns = itertools.product(values, repeat=period)
     groups = {}
     while chunk := list(itertools.islice(patterns, CHUNK)):
         onsite = np.array(chunk).T  # sites first, one pattern per column
         bonds = np.broadcast_to(hopping[:, None], onsite.shape)
-        delta = transfer.discriminant_value(bonds, onsite, nodes[:, None])
+        delta = transfer.discriminant(bonds, onsite, nodes[:, None])[0]
         for pattern, key in zip(chunk, np.round(delta.T / scale, decimals)):
             groups.setdefault(tuple(key), []).append(pattern)
     classes = [

@@ -72,45 +72,60 @@ class PeriodicJacobi:
 
     @cached_property
     def cell(self):
-        """The one-site chain (hopping[0], onsite[0]) when every bond and
-        every site of the chain are equal, else the chain itself.
+        """The chain of the first p sites, for the least p dividing N with
+        hopping[n + p] == hopping[n] and onsite[n + p] == onsite[n] bit
+        for bit; the chain itself when only p = N does.
 
-        Such a chain is one site repeated N times: the same operator on
-        the integers as its one-site cell, so its DOS and IDS per site
-        are the cell's, and by Bloch folding J(theta) has the eigenvalues
-        b + 2a cos((theta + 2 pi k) / N), k = 0..N-1. The test is
-        equality of the coefficients bit for bit; a cell of two or more
-        sites repeated is not detected and stays its own cell.
+        Such a chain is its p-site cell repeated m = N / p times: the
+        same operator on the integers, so its DOS and IDS per site are
+        the cell's, and by Bloch folding J(theta) has the eigenvalues of
+        the cell's J((theta + 2 pi k) / m), k = 0..m-1. At p = 1 this is
+        the uniform chain. The coefficients are compared as bytes, so a
+        change of one ulp anywhere leaves the chain its own cell.
         """
-        key = self.hopping.tobytes() + self.onsite.tobytes()
-        if self.period > 1 and _repeats_one_site(key, self.period):
-            return PeriodicJacobi(self.hopping[:1], self.onsite[:1])
+        a, b, n = self.hopping.tobytes(), self.onsite.tobytes(), self.period
+        for p in range(1, n // 2 + 1):
+            shift = 8 * p
+            if n % p == 0 and a[shift:] == a[:-shift] and b[shift:] == b[:-shift]:
+                return PeriodicJacobi(self.hopping[:p], self.onsite[:p])
         return self
 
     def floquet_eigenvalues(self, theta):
         """Sorted eigenvalues of the Bloch Hamiltonian at phase theta.
 
-        A chain of one site repeated N times (see cell) has them in
-        closed form, b + 2a cos((theta + 2 pi k) / N), k = 0..N-1,
-        evaluated for all phases by one broadcast. For any other chain,
-        sites are taken in the folded order 0, N-1, 1, N-2, 2, ..., in
-        which every bond, the closing one included, joins sites at most
-        two apart. J(theta) is then a Hermitian band matrix of
-        half-bandwidth 2, stored as its 3 x N lower band and solved by
-        LAPACK's band solver in O(N^2): real ?sbevd when theta is a
-        multiple of pi, complex ?hbevd otherwise. The dense matrix is
-        never formed, and between phases only the closing-bond entry
+        A chain of N = 1 site has the one eigenvalue b + 2a cos theta. A
+        chain whose cell (see cell) has p < N sites takes the cell's
+        eigenvalues at the m = N / p phases pi r / m, r = (theta / pi
+        mod 2) + 2k, k = 0..m-1, folded onto [0, pi] by
+        r -> min(r, 2m - r), the fold's end r = m being pi exactly. Both
+        edges of each gap that the folding closes, r and 2m - r, then
+        come from one solve of the cell and are equal to the bit.
+
+        For any other chain, sites are taken in the folded order 0, N-1,
+        1, N-2, 2, ..., in which every bond, the closing one included,
+        joins sites at most two apart. J(theta) is then a Hermitian band
+        matrix of half-bandwidth 2, stored as its 3 x N lower band and
+        solved by LAPACK's band solver in O(N^2): real ?sbevd when theta
+        is a multiple of pi, complex ?hbevd otherwise. The dense matrix
+        is never formed, and between phases only the closing-bond entry
         changes. An array of phases gives shape theta.shape + (N,).
 
         The real spectra, the band edges, come from a per-process memo
-        (_real_spectrum) on either route: a chain's is computed once per
-        sign of cos theta, and the values are the same to the bit either
-        way.
+        (_real_spectrum), keyed by the cell: a cell's is computed once
+        per sign of cos theta.
         """
         theta = np.asarray(theta, dtype=float)
         a, b = self.hopping, self.onsite
-        n = self.period
+        n, cell = self.period, self.cell
         phases = theta.ravel()
+        if n == 1:
+            return (b[0] + 2.0 * a[0] * np.cos(theta))[..., None]
+        if cell is not self:
+            m = n // cell.period
+            r = np.mod(phases / np.pi, 2.0)[:, None] + 2.0 * np.arange(m)
+            r = np.minimum(r, 2 * m - r)
+            folded = cell.floquet_eigenvalues(np.where(r < m, np.pi * r / m, np.pi))
+            return np.sort(folded.reshape(theta.shape + (n,)), axis=-1)
         out = np.empty((phases.size, n))
         key = a.tobytes() + b.tobytes()
         rest = []  # phases off the multiples of pi
@@ -119,10 +134,7 @@ class PeriodicJacobi:
                 out[i] = _real_spectrum(key, np.cos(phase))
             else:
                 rest.append(i)
-        if rest and _repeats_one_site(key, n):
-            angle = (phases[rest, None] + 2.0 * np.pi * np.arange(n)) / n
-            out[rest] = np.sort(b[0] + 2.0 * a[0] * np.cos(angle), axis=-1)
-        elif rest:
+        if rest:
             band = _folded_band(a, b)
             open_corner = band[1, 0]
             complex_band = band.astype(complex, order="F")
@@ -189,14 +201,6 @@ def _solve(solver, band):
     return w
 
 
-def _repeats_one_site(coefficients, n):
-    """Whether the coefficients of a period-n chain, as the bytes of
-    _real_spectrum's key, repeat one site: all bonds equal and all sites
-    equal, bit for bit."""
-    bond, site = coefficients[:8], coefficients[8 * n:8 * n + 8]
-    return coefficients == bond * n + site * n
-
-
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _real_spectrum(coefficients, cos_theta):
     """Sorted spectrum of J(theta) at cos theta = +-1.
@@ -205,23 +209,12 @@ def _real_spectrum(coefficients, cos_theta):
     by its onsite energies, so equal chains share an entry and a change
     of one ulp misses. An entry holds about 3N doubles, key included.
     The array is read-only, since the memo hands it to every caller.
-    A chain of one site repeated takes the closed form, any other one
-    real band-matrix solve.
+    The chain has N >= 2 sites and is its own cell: one real band-matrix
+    solve.
     """
     a, b = np.frombuffer(coefficients).reshape(2, -1)
-    n = a.size
-    if _repeats_one_site(coefficients, n):
-        # theta + 2 pi k = pi r, r = 2k or 2k + 1, folded onto [0, pi] by
-        # r -> min(r, 2N - r): both edges of each closed gap, r and
-        # 2N - r, come from one cos evaluation and are equal to the bit.
-        r = np.arange(0 if cos_theta > 0.0 else 1, 2 * n, 2)
-        w = np.cos(np.pi * np.minimum(r, 2 * n - r) / n)
-        w.sort()  # b + 2a cos is increasing in cos, as a > 0
-        w *= 2.0 * a[0]
-        w += b[0]
-    else:
-        band = _folded_band(a, b)
-        band[1, 0] += a[-1] * cos_theta
-        w = _solve(dsbevd, band)
+    band = _folded_band(a, b)
+    band[1, 0] += a[-1] * cos_theta
+    w = _solve(dsbevd, band)
     w.setflags(write=False)
     return w

@@ -109,7 +109,7 @@ def discriminant_jacobian(hopping, onsite, lam):
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant_value, so to the bit. hopping and onsite have shape
+    discriminant, so to the bit. hopping and onsite have shape
     (N,), or both shape (N, N) when the caller has rotated them by the
     index of rotations(N), as a solver that holds the bonds fixed does
     once. Raises ValueError when an entry overflows the float range.
@@ -131,23 +131,21 @@ def monodromy(op, lam):
     return m[:, 0], m[:, 1]
 
 
-def discriminant(op, lam, derivs):
+def discriminant(hopping, onsite, lam, derivs=0):
     """Delta(lam) and its first derivs lam-derivatives by the recurrence,
-    elementwise, from one march: shape (derivs + 1,) + lam.shape."""
-    if not derivs:
-        return discriminant_value(op.hopping, op.onsite, lam)[None]
-    prev, cur = _march_values(op.hopping, op.onsite, lam, derivs=derivs)
-    return cur[:, 0] + prev[:, 1]
-
-
-def discriminant_value(hopping, onsite, lam):
-    """Delta(lam) alone by the recurrence, elementwise: no derivative rows.
+    elementwise, from one march: row j of the result is the j-th
+    derivative, so Delta alone is row 0. At derivs = 0 the march carries
+    no derivative rows.
 
     hopping and onsite have shape (N,) for one chain, or (N,) + chains
     for a batch: sites first, and chain axes that broadcast against lam.
+    The result has shape (derivs + 1,) + shape, shape being lam
+    broadcast against the chains.
     """
-    prev, cur = _march_values(hopping, onsite, lam)
-    return cur[0] + prev[1]
+    prev, cur = _march_values(hopping, onsite, lam, derivs=derivs)
+    if not derivs:
+        prev, cur = prev[None], cur[None]
+    return cur[:, 0] + prev[:, 1]
 
 
 def discriminant_rounding(op, lam):

@@ -114,7 +114,7 @@ def test_a03_spectrum_membership():
     )
     outside_pts = [0.5 * (g.lower + g.upper) for g in bs.open_gaps()]
     outside_pts += [bs.edges[0] - 0.7, bs.edges[-1] + 0.7]
-    outside_ok = all(np.abs(transfer.discriminant_value(op.hopping, op.onsite, outside_pts)) > 2.0)
+    outside_ok = all(np.abs(transfer.discriminant(op.hopping, op.onsite, outside_pts)[0]) > 2.0)
     report_bool(
         "A03 spectrum membership (Bloch eigenvalues in bands, gaps excluded)",
         inside_ok and outside_ok,

@@ -133,6 +133,9 @@ def test_routes_close_the_same_gaps():
         raw = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
         slack = n * np.finfo(float).eps * (np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
         assert np.max(np.abs(band_edges_eig(op) - raw)) <= slack
+        # The cell's solve gives both edges of each closed gap, equal.
+        closed = np.arange(1, n) % (n // cell) != 0
+        assert np.array_equal(raw[1:-1:2][closed], raw[2::2][closed])
 
 
 def _halving(lo, hi, passes):
@@ -168,7 +171,7 @@ def test_multisection_matches_halving_reference(monkeypatch):
         # of the Harper chain), the predicate is decided by rounding
         # within rounding(Delta) / |Delta'| of the edge, and each method
         # may stop anywhere in that interval; that allowance is capped.
-        _, slope = transfer.discriminant(op, reference, 1)
+        _, slope = transfer.discriminant(op.hopping, op.onsite, reference, 1)
         _, rounding = transfer.discriminant_rounding(op, reference)
         with np.errstate(divide="ignore"):
             conditioning = np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
@@ -389,7 +392,7 @@ def test_gap_midpoints_outside_spectrum(generic_bs):
     op = generic_bs.operator
     for gap in generic_bs.open_gaps():
         mid = 0.5 * (gap.lower + gap.upper)
-        assert abs(transfer.discriminant_value(op.hopping, op.onsite, mid)) > 2.0
+        assert abs(transfer.discriminant(op.hopping, op.onsite, mid)[0]) > 2.0
         assert not generic_bs.contains(mid)
     assert not generic_bs.contains(generic_bs.edges[0] - 1.0)
     assert not generic_bs.contains(generic_bs.edges[-1] + 1.0)
@@ -605,7 +608,7 @@ def test_integrated_density_matches_band_loop():
             if lam < band.lower:
                 break
             phase_lower = 0.0 if (n - band.index) % 2 == 0 else np.pi
-            delta = transfer.discriminant_value(bs.operator.hopping, bs.operator.onsite, lam)
+            delta = transfer.discriminant(bs.operator.hopping, bs.operator.onsite, lam)[0]
             phase = np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
             return (filled + abs(phase - phase_lower) / np.pi) / n
         return filled / n
@@ -772,6 +775,58 @@ def test_uniform_chains_run_no_band_solve_and_march_one_site(monkeypatch, capsys
         inside = np.abs(energy - op.onsite[0]) < 2 * op.hopping[0]
         assert np.all(rho[inside] > 0.0) and np.all(rho[~inside] == 0.0)
     assert sites and set(sites) == {1}
+
+
+@pytest.mark.parametrize("method", ["eig", "bisection"])
+def test_repeated_cell_dos_beside_the_closed_gap_points(method):
+    # A p-site cell repeated m times closes m - 1 gaps inside each band
+    # of the cell. One ulp beside such a point the N-site march is
+    # rounding over rounding; the cell's march sees an ordinary point of
+    # its band, so the DOS there is positive and matches the point's.
+    for p, m in ((2, 50), (3, 5), (3, 20)):
+        cell = random_operator(np.random.default_rng(2024), p)
+        bs = BandStructure(PeriodicJacobi(np.tile(cell.hopping, m), np.tile(cell.onsite, m)), method)
+        lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
+        shut = lower[lower == upper]
+        assert shut.size == p * (m - 1)
+        at = bs.density_of_states(shut)
+        for side in (-np.inf, np.inf):
+            rho = bs.density_of_states(np.nextafter(shut, side))
+            assert np.all(rho > 0.0)
+            assert np.max(np.abs(rho - at)) <= 1e-11
+
+
+def test_repeated_cells_solve_and_march_only_the_cell(monkeypatch, capsys):
+    solved, marched = [], []
+    solve, march = operators._solve, transfer._march_values
+
+    def solve_counted(solver, band):
+        solved.append(band.shape[1])
+        return solve(solver, band)
+
+    def march_counted(hopping, onsite, lam, **kwargs):
+        marched.append(np.shape(hopping)[0])
+        return march(hopping, onsite, lam, **kwargs)
+
+    monkeypatch.setattr(operators, "_solve", solve_counted)
+    monkeypatch.setattr(transfer, "_march_values", march_counted)
+    rng = np.random.default_rng(2025)
+    for p, m in ((2, 200), (3, 8), (4, 5)):
+        cell = random_operator(rng, p)
+        chain = ["--onsite=" + ",".join(map(repr, np.tile(cell.onsite, m).tolist())),
+                 "--hopping=" + ",".join(map(repr, np.tile(cell.hopping, m).tolist())), "--json"]
+        solved.clear()
+        marched.clear()
+        operators._real_spectrum.cache_clear()
+        for command in (["bands"], ["dispersion", "--samples", "8"], ["dos", "--points", "64"]):
+            assert cli.main(command + chain) == 0
+        lines = capsys.readouterr().out.splitlines()
+        edges, curve = json.loads(lines[0])["edges"], json.loads(lines[-1])
+        assert set(solved) == {p} and set(marched) == {p}
+        energy, rho = np.array(curve["energy"]), np.array(curve["dos"])
+        k = np.searchsorted(edges, energy, side="right")
+        assert np.all(rho[k % 2 == 1] > 0.0)
+        assert np.all(rho[(k % 2 == 0) & ~np.isin(energy, edges)] == 0.0)
 
 
 def _exact_density(op, lam):

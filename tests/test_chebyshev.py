@@ -35,7 +35,8 @@ def u_series(n):
 
 def t_values(n, x):
     """T_n(x) by the recurrence of the period-n chain."""
-    return 0.5 * transfer.discriminant(chebyshev_chain(n), x, 0)[0]
+    chain = chebyshev_chain(n)
+    return 0.5 * transfer.discriminant(chain.hopping, chain.onsite, x)[0]
 
 
 def u_values(n, x):

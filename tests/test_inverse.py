@@ -55,18 +55,6 @@ def test_newton_solve_reports_failure():
         )
 
 
-def test_newton_solve_callback_sees_progress():
-    norms = []
-    newton_solve(
-        lambda x: np.array([x[0] ** 2 - 4.0]),
-        lambda x: np.array([[2.0 * x[0]]]),
-        [10.0],
-        callback=lambda k, x, r: norms.append(r),
-    )
-    assert len(norms) >= 2
-    assert norms[-1] < norms[0]
-
-
 def test_onsite_jacobian_matches_finite_differences():
     rng = np.random.default_rng(41)
     op = random_operator(rng, 5)

@@ -102,28 +102,58 @@ def _chain(kind, period):
         return PeriodicJacobi(
             np.ones(period), 0.8 * np.cos(2 * np.pi * 0.618 * sites + 0.3)
         )
+    if kind == "repeated":
+        # A 2-site cell where the period is even, a 1-site one otherwise.
+        return _tiled(random_operator(rng, 2 - period % 2), period // (2 - period % 2))
     # Uniform: every closed gap makes a double eigenvalue at theta = 0 or pi.
     return PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
 
 
-@pytest.mark.parametrize("kind", ["random", "harper", "uniform"])
+def _tiled(cell, times):
+    return PeriodicJacobi(np.tile(cell.hopping, times), np.tile(cell.onsite, times))
+
+
+@pytest.mark.parametrize("kind", ["random", "harper", "uniform", "repeated"])
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 24, 89, 610])
 def test_floquet_eigenvalues_match_dense(kind, period):
     op = _chain(kind, period)
     scale = max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
-    for theta in (0.0, np.pi / 2, 0.37, np.pi):
+    for theta in (0.0, np.pi / 2, 0.37, np.pi, -2.0, 7.0):
         expected = np.linalg.eigvalsh(floquet_matrix(op, theta))
         err = np.max(np.abs(op.floquet_eigenvalues(theta) - expected))
         assert err <= 1e-12 * scale
 
 
 def test_floquet_eigenvalues_over_a_phase_array():
-    op = random_operator(np.random.default_rng(17), 7)
+    rng = np.random.default_rng(17)
     thetas = np.array([[0.0, 0.37], [np.pi / 2, np.pi]])
-    table = op.floquet_eigenvalues(thetas)
-    assert table.shape == (2, 2, 7)
-    for index, theta in np.ndenumerate(thetas):
-        assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
+    for op in (random_operator(rng, 7), _tiled(random_operator(rng, 3), 4), random_operator(rng, 1)):
+        table = op.floquet_eigenvalues(thetas)
+        assert table.shape == (2, 2, op.period)
+        for index, theta in np.ndenumerate(thetas):
+            assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
+
+
+def test_cell_is_the_least_repeating_prefix():
+    rng = np.random.default_rng(31)
+    two, three = random_operator(rng, 2), random_operator(rng, 3)
+    assert _tiled(two, 6).cell == two
+    # A 4-site cell that is itself 2-periodic reduces to its 2-site cell.
+    assert _tiled(_tiled(two, 2), 3).cell == two
+    assert _tiled(three, 5).cell == three
+    assert PeriodicJacobi.free(12, 0.9, -0.2).cell == PeriodicJacobi([0.9], [-0.2])
+
+
+def test_a_chain_that_repeats_no_shorter_cell_is_its_own_cell():
+    rng = np.random.default_rng(32)
+    chains = [random_operator(rng, 1), random_operator(rng, 13), random_operator(rng, 24)]
+    for op in (_tiled(random_operator(rng, 2), 6), PeriodicJacobi.free(12, 0.9, -0.2)):
+        for changed in (0, 1):
+            coefficients = [op.hopping.copy(), op.onsite.copy()]
+            coefficients[changed][5] = np.nextafter(coefficients[changed][5], np.inf)
+            chains.append(PeriodicJacobi(*coefficients))
+    for op in chains:
+        assert op.cell is op
 
 
 memo = operators._real_spectrum
@@ -191,7 +221,8 @@ def test_memo_holds_at_most_32_spectra():
 
 def test_writing_to_a_returned_spectrum_changes_no_later_answer():
     # The uniform chain's gaps are all closed, so band_edges_eig writes
-    # its closed gaps into the edges through bands._close.
+    # its closed gaps into the edges through bands._close. Its spectra
+    # come from its one-site cell, which has no memo entry.
     for op in (random_operator(np.random.default_rng(26), 6), PeriodicJacobi.free(6, 0.9, -0.2)):
         memo.cache_clear()
         spectra = op.floquet_eigenvalues([0.0, np.pi])
@@ -199,11 +230,12 @@ def test_writing_to_a_returned_spectrum_changes_no_later_answer():
         reference = spectra.copy(), edges.copy()
         spectra[:] = np.nan
         bands._close(edges, np.arange(op.period - 1), 0.0)
-        assert memo.cache_info().hits == 2
+        assert memo.cache_info().hits == (2 if op.cell is op else 0)
         assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), reference[0])
         assert np.array_equal(band_edges_eig(op), reference[1])
-        fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
-        assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), fresh)
+        if op.cell is op:
+            fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
+            assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), fresh)
 
 
 def test_dirichlet_matrix_drops_first_site():

@@ -92,11 +92,10 @@ def test_trace_equals_discriminant_polynomial(period, lam, seed):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, period)
     m, _ = transfer.monodromy(op, lam)
-    delta, slope = transfer.discriminant(op, lam, 1)
-    rows = transfer.discriminant(op, lam, 2)
+    delta, slope = transfer.discriminant(op.hopping, op.onsite, lam, 1)
+    rows = transfer.discriminant(op.hopping, op.onsite, lam, 2)
     c = power_coefficients(op)
-    assert transfer.discriminant_value(op.hopping, op.onsite, lam) == delta
-    assert transfer.discriminant(op, lam, 0)[0] == delta
+    assert transfer.discriminant(op.hopping, op.onsite, lam)[0] == delta
     # Each derivative row is marched as without the rows above it.
     assert rows[0] == delta and rows[1] == slope
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
@@ -119,7 +118,7 @@ def test_rounding_bound_covers_the_exact_discriminant():
             [edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)]
         )
         delta, bound = transfer.discriminant_rounding(op, lam)
-        assert np.array_equal(delta, transfer.discriminant_value(op.hopping, op.onsite, lam))
+        assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
         error = [abs(Fraction(d) - exact_discriminant(op, x)[0]) for d, x in zip(delta, lam)]
         assert all(e <= Fraction(b) for e, b in zip(error, bound))
 
@@ -173,10 +172,10 @@ def test_monodromy_overflow_raises():
         transfer.monodromy(op, np.array([0.0, 1.7]))
     # A denormal bond overflows the site factors before the first step.
     with pytest.raises(ValueError, match="overflow"):
-        transfer.discriminant_value([1e-310, 1.0], [0.0, 0.5], 0.3)
+        transfer.discriminant([1e-310, 1.0], [0.0, 0.5], 0.3)
     # The rounding bound can pass the float range where the march does not.
     op = _weak_bond_chain(241)
-    transfer.discriminant_value(op.hopping, op.onsite, np.array([1.7]))
+    transfer.discriminant(op.hopping, op.onsite, np.array([1.7]))
     with pytest.raises(ValueError, match="overflow"):
         transfer.discriminant_rounding(op, np.array([1.7]))
 
@@ -200,17 +199,17 @@ def test_batched_value_march_equals_single_chains():
     for period in (1, 2, 5, 13):
         hopping = rng.uniform(0.4, 1.8, (period, 3, 4))
         onsite = rng.uniform(-1.5, 1.5, (period, 3, 4))
-        batch = transfer.discriminant_value(hopping, onsite, lam[:, None, None])
+        batch = transfer.discriminant(hopping, onsite, lam[:, None, None])[0]
         assert batch.shape == (9, 3, 4)
         for i in range(3):
             for j in range(4):
-                single = transfer.discriminant_value(hopping[:, i, j], onsite[:, i, j], lam)
+                single = transfer.discriminant(hopping[:, i, j], onsite[:, i, j], lam)[0]
                 assert np.array_equal(batch[:, i, j], single)
 
 
 def test_fused_delta_equals_the_value_march():
     # Rotation N - 1 of the Jacobian's batch is the chain itself, marched
-    # with the same operations: its Delta is discriminant_value's, to the
+    # with the same operations: its Delta is discriminant's, to the
     # bit. Rotated inputs give the same march.
     rng = np.random.default_rng(12)
     chains = [random_operator(rng, n) for n in range(1, 25)]
@@ -223,7 +222,7 @@ def test_fused_delta_equals_the_value_march():
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
         delta, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, lam)
         assert delta.shape == lam.shape and grad.shape == lam.shape + (2 * op.period,)
-        assert np.array_equal(delta, transfer.discriminant_value(op.hopping, op.onsite, lam))
+        assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
         index = transfer.rotations(op.period)
         rotated = transfer.discriminant_jacobian(op.hopping[index], op.onsite[index], lam)
         assert np.array_equal(rotated[0], delta)
@@ -240,7 +239,7 @@ def test_coefficient_jacobian_matches_central_differences(period):
     nodes = chebyshev_nodes(gershgorin_interval(op), period)
 
     def coefficients(x):
-        return transfer.discriminant_value(np.exp(x[:period]), x[period:], nodes)
+        return transfer.discriminant(np.exp(x[:period]), x[period:], nodes)[0]
 
     _, analytic = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
     assert analytic.shape == (period + 1, 2 * period)
