@@ -86,7 +86,6 @@ def _close(edges, gaps, at):
 SPLIT = 16  # sub-intervals per multisection pass: 4 bits per pass
 TOL = 1e-13  # relative width, in max(1, |lam|), at which a bracket is finished
 COARSE = 3  # multisection passes on every edge before the gaps are classified
-EXTREMUM_PASSES = 2  # multisection passes on the sign of Delta' before Newton on it
 ROUNDS = 64  # cap on the rounds of a search; multisection to TOL takes about 12
 
 
@@ -105,31 +104,28 @@ def band_edges_bisection(op):
     resolves only to about sqrt(eps). A gap whose two edge brackets came
     out apart, and where |Delta| - 2 midway between them exceeds the
     rounding-error bound the recurrence carries there (see
-    transfer.discriminant_rounding), is certified open. Only the other
-    gaps get an extremum search (see _gap_extrema), and such a gap is
-    closed, both edges set to its extremum c_j, when |Delta(c_j)| - 2 is
-    within the rounding-error bound at c_j.
+    transfer.discriminant_rounding), is certified open. Each other gap
+    j gets its extremum c_j, the zero of -s_j Delta' between the middles
+    of bands j and j + 1, and is closed, both edges set to c_j, when
+    |Delta(c_j)| - 2 is within the rounding-error bound at c_j.
 
-    The edges of certified gaps and the two outer edges are finished by
-    bracketed Newton steps on s Delta -+ 2 (see _newton), with Delta'
-    from the derivative rows, in the same marches as the extremum
-    search (see _solve). The edges of gaps that the search found open
-    keep multisection to TOL: they are near-double zeros, where Delta'
-    says little. A random chain, whose gaps are all certified, takes the
-    3 coarse marches, the 2 of the check and about 4 Newton marches, and
-    runs no march with Delta''.
+    One bracketed Newton search (see _newton) finishes the edges of
+    certified gaps and the two outer edges, on s Delta -+ 2 with Delta'
+    from the derivative rows, and finds those extrema, on -s Delta' with
+    Delta''. The edges of gaps that the search found open keep
+    multisection to TOL: they are near-double zeros, where Delta' says
+    little. A random chain, whose gaps are all certified, takes the 3
+    coarse marches, the 2 of the check and about 4 Newton marches, and
+    runs no march with Delta''; a uniform chain takes 11 to 12 and a
+    Harper approximant 20 to 21.
     """
     n = op.period
     lo, hi = gershgorin_interval(op)
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
-
-    def edges_of(k, search):
-        return search, 0, sign[k], level[k]
-
-    (left, right), = _solve(op, edges_of(
-        slice(None), _multisect(np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), COARSE)))
+    left, right = _multisect(_evaluator(op, 0, sign, level),
+                             np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), COARSE)
     below, above = right[1:-1:2], left[2::2]
     apart = np.flatnonzero(below < above)
     certified = np.zeros(n - 1, dtype=bool)
@@ -140,75 +136,47 @@ def band_edges_bisection(op):
     kept, unsure = np.flatnonzero(certified), np.flatnonzero(~certified)
     fast = np.concatenate([[0], 2 * kept + 1, 2 * kept + 2, [2 * n - 1]])
     middle = 0.5 * (edges[0::2] + edges[1::2])
-    edges[fast], crit = _solve(
-        op,
-        edges_of(fast, _newton(left[fast], right[fast])),
-        _gap_extrema(middle[unsure], middle[unsure + 1], orient[unsure]),
-    )
+    g = _evaluator(op, np.repeat([0, 1], [fast.size, unsure.size]),
+                   np.concatenate([sign[fast], -orient[unsure]]),
+                   np.concatenate([level[fast], np.zeros(unsure.size)]))
+    zeros = _newton(g, np.concatenate([left[fast], middle[unsure]]),
+                    np.concatenate([right[fast], middle[unsure + 1]]))
+    edges[fast], crit = np.split(zeros, [fast.size])
     if unsure.size:
         peak, rounding = transfer.discriminant_rounding(op, crit)
         shut = np.abs(peak) - 2.0 <= rounding
         edges = _close(edges, unsure[shut], crit[shut])
         narrow = np.concatenate([2 * unsure[~shut] + 1, 2 * unsure[~shut] + 2])
-        narrowed = _multisect(left[narrow], right[narrow], ROUNDS)
-        (left, right), = _solve(op, edges_of(narrow, narrowed))
+        left, right = _multisect(_evaluator(op, 0, sign[narrow], level[narrow]),
+                                 left[narrow], right[narrow], ROUNDS)
         edges[narrow] = 0.5 * (left + right)
     return np.sort(edges)
 
 
-def _gap_extrema(lo, hi, orient):
-    """The job (see _solve) that finds the extremum c_j of Delta, a zero
-    of Delta', in each bracket [lo, hi].
-
-    orient is the sign of Delta at the upper edge of the band below the
-    gap, so -orient Delta' turns >= 0 once per bracket that runs from
-    inside that band to inside the band above. EXTREMUM_PASSES
-    multisection passes on that sign, each a march with Delta', then
-    bracketed Newton steps, each a march with Delta' and Delta''.
+def _evaluator(op, shift, scale, level):
+    """g(lam, i, derivs) for the searches (see _multisect and _newton): the
+    rows of g = scale[i] Delta^(shift[i]) - level[i], Delta^(s) the s-th
+    lam-derivative of Delta, and of its first derivs derivatives, for the
+    brackets i on the last axis of lam; shift may be one for all. Each
+    call is one march, elementwise, so a bracket's values do not depend
+    on which others are evaluated with it.
     """
-    def search():
-        return (yield from _newton(*(yield from _multisect(lo, hi, EXTREMUM_PASSES))))
+    shift = np.broadcast_to(shift, np.shape(scale))
 
-    return search(), 1, -orient, np.zeros_like(orient)
+    def g(lam, i, derivs):
+        own = shift[i]
+        top = int(own.max())
+        rows = transfer.discriminant(op.hopping, op.onsite, lam, top + derivs)
+        if own.min() == top:  # one shift for all: a slice, far cheaper than a gather
+            rows = rows[top:]
+        else:
+            take = own + np.arange(derivs + 1).reshape((-1,) + (1,) * np.ndim(lam))
+            rows = np.take_along_axis(rows, take, axis=0)
+        values = scale[i] * rows
+        values[0] -= level[i]
+        return values
 
-
-def _solve(op, *jobs):
-    """Run the searches of jobs in lockstep; returns each one's result.
-
-    A job (search, shift, scale, level) asks for the zero of
-    g = scale[i] Delta^(shift) - level[i] in each bracket i of its
-    search, Delta^(shift) the shift-th lam-derivative of Delta. A search
-    (see _multisect and _newton) is a generator: it yields the points
-    lam at which its brackets i need g and its first derivs derivatives,
-    and is sent them, stacked on a leading axis. Each round marches the
-    recurrence once, over the points of every search still running, with
-    as many derivative rows as any of them needs. The march is
-    elementwise, so a search's result does not depend on its company.
-    """
-    results, asks = [None] * len(jobs), {}
-
-    def reply(k, values):
-        try:
-            asks[k] = jobs[k][0].send(values)
-        except StopIteration as stop:
-            results[k] = stop.value
-            asks.pop(k, None)
-
-    for k in range(len(jobs)):
-        reply(k, None)
-    while asks:
-        derivs = max(jobs[k][1] + d for k, (_, _, d) in asks.items())
-        lam = np.concatenate([lam.ravel() for lam, _, _ in asks.values()])
-        rows = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
-        start = 0
-        for k, (lam, i, d) in list(asks.items()):
-            _, shift, scale, level = jobs[k]
-            part = rows[shift:shift + d + 1, start:start + lam.size].reshape((d + 1,) + lam.shape)
-            start += lam.size
-            g = scale[i] * part
-            g[0] -= level[i]
-            reply(k, g)
-    return results
+    return g
 
 
 def _finished(lo, hi):
@@ -216,15 +184,15 @@ def _finished(lo, hi):
     return np.abs(hi - lo) <= np.maximum(TOL, 0.5 * TOL * np.abs(lo + hi))
 
 
-def _multisect(lo, hi, passes):
-    """Search (see _solve) that shrinks brackets [lo, hi] onto the point
-    where g turns >= 0, by at most passes multisection passes; returns
-    the new (lo, hi).
+def _multisect(g, lo, hi, passes):
+    """Shrink brackets [lo, hi] onto the point where g turns >= 0, by at
+    most passes multisection passes; returns the new (lo, hi).
 
-    g < 0 at lo and >= 0 at hi. A pass asks for g at SPLIT - 1 interior
-    points of each unfinished bracket; sub-interval k of a bracket runs
-    from grid point k to k + 1, and the first interior point where g >= 0
-    ends the kept one.
+    g is an evaluator (see _evaluator), < 0 at lo and >= 0 at hi. A pass
+    evaluates g at SPLIT - 1 interior points of each unfinished bracket,
+    one call for all; sub-interval k of a bracket runs from grid point k
+    to k + 1, and the first interior point where g >= 0 ends the kept
+    one.
     """
     lo, hi = lo.copy(), hi.copy()
     fraction = np.arange(SPLIT + 1)[:, None] / SPLIT
@@ -235,18 +203,17 @@ def _multisect(lo, hi, passes):
         grid = lo[i] + (hi[i] - lo[i]) * fraction
         grid[-1] = hi[i]
         turned = np.ones((SPLIT, i.size), dtype=bool)
-        turned[:-1] = (yield grid[1:-1], i, 0)[0] >= 0.0
+        turned[:-1] = g(grid[1:-1], i, 0)[0] >= 0.0
         keep = np.argmax(turned, axis=0)
         column = np.arange(i.size)
         lo[i], hi[i] = grid[keep, column], grid[keep + 1, column]
     return lo, hi
 
 
-def _newton(lo, hi):
-    """Search (see _solve) for the zero of g in each bracket [lo, hi] by
-    bracketed Newton steps; returns the zeros.
+def _newton(g, lo, hi):
+    """The zero of g in each bracket [lo, hi] by bracketed Newton steps.
 
-    g is as in _multisect. Each round asks for g and g' at two points
+    g is as in _multisect. Each round evaluates g and g' at two points
     TOL / 2 * max(1, |lam|) apart around the iterate of every unfinished
     bracket. Both points shrink the bracket, and a bracket is finished
     only once the sign change of g is held within TOL * max(1, |lam|):
@@ -271,7 +238,7 @@ def _newton(lo, hi):
             break
         at = x[i]
         points = at + pair * np.maximum(1.0, np.abs(at))
-        value, slope = yield points, i, 1
+        value, slope = g(points, i, 1)
         past = value >= 0.0
         lo[i] = low = np.max(np.where(past, lo[i], points), axis=0)
         hi[i] = high = np.min(np.where(past, points, hi[i]), axis=0)

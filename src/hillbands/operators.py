@@ -108,7 +108,8 @@ class PeriodicJacobi:
         solved by LAPACK's band solver in O(N^2): real ?sbevd when theta
         is a multiple of pi, complex ?hbevd otherwise. The dense matrix
         is never formed, and between phases only the closing-bond entry
-        changes. An array of phases gives shape theta.shape + (N,).
+        changes. Each distinct phase is solved once, however often it
+        occurs. An array of phases gives shape theta.shape + (N,).
 
         The real spectra, the band edges, come from a per-process memo
         (_real_spectrum), keyed by the cell: a cell's is computed once
@@ -128,19 +129,21 @@ class PeriodicJacobi:
             return np.sort(folded.reshape(theta.shape + (n,)), axis=-1)
         out = np.empty((phases.size, n))
         key = a.tobytes() + b.tobytes()
-        rest = []  # phases off the multiples of pi
+        rest = {}  # the rows of each distinct phase off the multiples of pi
         for i, phase in enumerate(phases.tolist()):
             if phase % np.pi == 0.0:
                 out[i] = _real_spectrum(key, np.cos(phase))
             else:
-                rest.append(i)
+                rest.setdefault(phase, []).append(i)
         if rest:
             band = _folded_band(a, b)
             open_corner = band[1, 0]
             complex_band = band.astype(complex, order="F")
-            for i in rest:
-                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phases[i])
-                out[i] = _solve(zhbevd, complex_band)
+            for phase, rows in rest.items():
+                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
+                w = _solve(zhbevd, complex_band)
+                for i in rows:  # an int index; a list index adds a third to a small solve
+                    out[i] = w
         return out.reshape(theta.shape + (n,))
 
     def dirichlet_eigenvalues(self):

@@ -87,6 +87,36 @@ def test_harper_bisection_matches_eig(period, f_prev):
         assert err <= 1e-9 * _scale(op)
 
 
+def _odd(k, s):
+    """A chain of the paper's odd class: a = 1, N = 2k and q_{1-n} = -q_n,
+    odd about the bond between sites 0 and 1. q_1..q_k are drawn by
+    default_rng(k) from U(-1, 1) and scaled to max|q| = s; site n holds
+    q_n, so the sites read -q_1, q_1..q_k, -q_k..-q_2."""
+    q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
+    q *= s / np.max(np.abs(q))
+    return PeriodicJacobi(np.ones(2 * k), np.concatenate([[-q[0]], q, -q[:0:-1]]))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6])
+def test_odd_chains_are_symmetric_and_routes_agree(k, s):
+    # Delta of an odd chain is even, so its edges are symmetric about 0.
+    # Its gaps are open and of order s wide. At s = 1e-2 all are certified
+    # open between their coarse edge brackets; at 1e-4 and 1e-6 almost
+    # none is, so the bisection route searches their extrema in the one
+    # Newton search with the outer edges, finds them open and multisects
+    # their edges, which are near-double zeros (see _conditioning).
+    op = _odd(k, s)
+    lam = np.linspace(*gershgorin_interval(op), 101)
+    delta, = transfer.discriminant(op.hopping, op.onsite, lam)
+    mirror, = transfer.discriminant(op.hopping, op.onsite, -lam)
+    assert np.all(np.abs(mirror - delta) <= 1e-13 * np.maximum(1.0, np.abs(delta)))
+    eig, bis = band_edges_eig(op), band_edges_bisection(op)
+    assert np.all(np.abs(eig + eig[::-1]) <= 1e-13 * _scale(op))
+    assert np.array_equal(eig[2::2] > eig[1:-1:2], bis[2::2] > bis[1:-1:2])
+    assert np.all(np.abs(bis - eig) <= 1e-12 * _scale(op) + _conditioning(op, eig))
+
+
 def _uniform_chains():
     return [PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)]
 
@@ -138,7 +168,7 @@ def test_routes_close_the_same_gaps():
         assert np.array_equal(raw[1:-1:2][closed], raw[2::2][closed])
 
 
-def _halving(lo, hi, passes):
+def _halving(g, lo, hi, passes):
     """The one-bit bisection that multisection replaced, four halvings in
     place of each 4-bit pass, as a search of the same form: the reference."""
     lo, hi = lo.copy(), hi.copy()
@@ -147,7 +177,7 @@ def _halving(lo, hi, passes):
         if not i.size:
             break
         mid = 0.5 * (lo[i] + hi[i])
-        right = (yield mid, i, 0)[0] >= 0.0
+        right = g(mid, i, 0)[0] >= 0.0
         lo[i] = np.where(right, lo[i], mid)
         hi[i] = np.where(right, mid, hi[i])
     return lo, hi
@@ -167,20 +197,25 @@ def test_multisection_matches_halving_reference(monkeypatch):
         assert np.max(np.abs(edges - band_edges_bisection(op))) <= 1e-12 * _scale(op)
     for op, edges in zip(harper, multisected[len(chains) :]):
         reference = band_edges_bisection(op)
-        # Where Delta -+ 2 has a near-double zero (the narrow open gaps
-        # of the Harper chain), the predicate is decided by rounding
-        # within rounding(Delta) / |Delta'| of the edge, and each method
-        # may stop anywhere in that interval; that allowance is capped.
-        _, slope = transfer.discriminant(op.hopping, op.onsite, reference, 1)
-        _, rounding = transfer.discriminant_rounding(op, reference)
-        with np.errstate(divide="ignore"):
-            conditioning = np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
-        assert np.all(np.abs(edges - reference) <= 1e-12 * _scale(op) + conditioning)
+        assert np.all(np.abs(edges - reference) <= 1e-12 * _scale(op) + _conditioning(op, reference))
+
+
+def _conditioning(op, reference):
+    """Where Delta -+ 2 has a near-double zero (the narrow open gaps of
+    the Harper chain), the predicate is decided by rounding within
+    rounding(Delta) / |Delta'| of the edge, and each method may stop
+    anywhere in that interval: that allowance at the reference edges,
+    capped."""
+    _, slope = transfer.discriminant(op.hopping, op.onsite, reference, 1)
+    _, rounding = transfer.discriminant_rounding(op, reference)
+    with np.errstate(divide="ignore"):
+        return np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
 
 
 def test_bisection_marches_fewer_than_32_times(monkeypatch):
-    # 4 bits per pass: about 12 passes for the edges, 12 for the gap
-    # extrema and two marches for the rounding bound (91 at one bit).
+    # 4 bits per pass: 3 coarse passes, 2 marches for the rounding bound
+    # that certifies every gap open and 4 Newton rounds on the edges, 9 in
+    # all (13 by multisection to TOL alone).
     calls = []
     march = transfer._march_values
 
@@ -208,12 +243,13 @@ def _derivative_marches(monkeypatch):
 
 def test_bisection_march_budget(monkeypatch):
     # Multisection to TOL alone takes 13 marches on the random chain, 26
-    # and 24 on the uniform ones and 25 on the Harper ones. A uniform chain
-    # closes every gap: 3 coarse passes, 6 marches of the extremum search
-    # that also carry the Newton steps on the outer edges, and 2 for the
-    # rounding bound. Its outer edges sit on the ends of their brackets;
-    # a Newton step that is not clamped there falls back to the midpoint,
-    # and those steps then outlast the search (17 and 18 marches).
+    # and 24 on the uniform ones and 25 on the Harper ones. The random
+    # chain takes 9. A uniform chain closes every gap: 3 coarse passes,
+    # 7 rounds of the one Newton search on the gap extrema and the outer
+    # edges, which sit on the ends of their brackets, and 2 for the
+    # rounding bound at the extrema, 12 in all. The Harper chains add the
+    # 2 marches of the gap check and 7 passes of multisection on the
+    # edges of their narrow open gaps, 21 in all.
     derivs = _derivative_marches(monkeypatch)
 
     def marches(op):
@@ -259,17 +295,17 @@ def test_newton_search_does_not_stop_on_a_small_step():
     # stops only once the sign change is held, and halves the bracket
     # while the steps do not shrink.
     r, k = 0.7, 1e14
-    search = bands._newton(np.array([r - 1e-12]), np.array([r + 1e-11]))
-    lam, _, derivs = next(search)
-    rounds = 1
-    with pytest.raises(StopIteration) as stop:
-        while True:
-            assert derivs == 1
-            z = k * (lam - r)
-            lam, _, derivs = search.send(np.stack([np.expm1(z), k * np.exp(z)]))
-            rounds += 1
-    assert abs(stop.value.value[0] - r) <= bands.TOL
-    assert rounds <= 20
+    rounds = []
+
+    def g(lam, i, derivs):
+        assert derivs == 1
+        rounds.append(lam)
+        z = k * (lam - r)
+        return np.stack([np.expm1(z), k * np.exp(z)])
+
+    root, = bands._newton(g, np.array([r - 1e-12]), np.array([r + 1e-11]))
+    assert abs(root - r) <= bands.TOL
+    assert len(rounds) <= 20
 
 
 def _extremum_everywhere(op):
@@ -283,11 +319,12 @@ def _extremum_everywhere(op):
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
-    coarse = bands._multisect(np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), bands.COARSE)
-    (left, right), = bands._solve(op, (coarse, 0, sign, level))
+    left, right = bands._multisect(bands._evaluator(op, 0, sign, level),
+                                   np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), bands.COARSE)
     edges = 0.5 * (left + right)
     middle = 0.5 * (edges[0::2] + edges[1::2])
-    crit, = bands._solve(op, bands._gap_extrema(middle[:-1], middle[1:], orient[:-1]))
+    slope = bands._evaluator(op, 1, -orient[:-1], np.zeros(n - 1))
+    crit = bands._newton(slope, middle[:-1], middle[1:])
     peak, rounding = transfer.discriminant_rounding(op, crit)
     shut = np.abs(peak) - 2.0 <= rounding
     below, above = right[1:-1:2], left[2::2]
@@ -295,12 +332,12 @@ def _extremum_everywhere(op):
     certified = (below < above) & (np.abs(value) - 2.0 > rounding)
     fast = np.flatnonzero(certified & ~shut)
     fast = np.concatenate([[0], 2 * fast + 1, 2 * fast + 2, [2 * n - 1]])
-    finished = bands._newton(left[fast], right[fast])
-    edges[fast], = bands._solve(op, (finished, 0, sign[fast], level[fast]))
+    edges[fast] = bands._newton(bands._evaluator(op, 0, sign[fast], level[fast]),
+                                left[fast], right[fast])
     narrow = np.flatnonzero(~certified & ~shut)
     narrow = np.concatenate([2 * narrow + 1, 2 * narrow + 2])
-    narrowed = bands._multisect(left[narrow], right[narrow], bands.ROUNDS)
-    (left, right), = bands._solve(op, (narrowed, 0, sign[narrow], level[narrow]))
+    left, right = bands._multisect(bands._evaluator(op, 0, sign[narrow], level[narrow]),
+                                   left[narrow], right[narrow], bands.ROUNDS)
     edges[narrow] = 0.5 * (left + right)
     return np.sort(bands._close(edges, shut, crit[shut]))
 

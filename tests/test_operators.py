@@ -126,12 +126,36 @@ def test_floquet_eigenvalues_match_dense(kind, period):
 
 def test_floquet_eigenvalues_over_a_phase_array():
     rng = np.random.default_rng(17)
-    thetas = np.array([[0.0, 0.37], [np.pi / 2, np.pi]])
+    # A phase given twice, or -0.37 and 0.37, which fold onto the same
+    # phases of a repeated cell, reads the same bits as given alone.
+    thetas = np.array([[0.0, 0.37, -0.37], [np.pi / 2, np.pi, 0.37]])
     for op in (random_operator(rng, 7), _tiled(random_operator(rng, 3), 4), random_operator(rng, 1)):
         table = op.floquet_eigenvalues(thetas)
-        assert table.shape == (2, 2, op.period)
+        assert table.shape == (2, 3, op.period)
         for index, theta in np.ndenumerate(thetas):
             assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
+
+
+def test_each_distinct_phase_is_solved_once(monkeypatch):
+    # At theta = 0 and pi a cell repeated m times folds onto the m + 1
+    # phases pi r / m, r = 0..m: the two of each gap that the folding
+    # closes, r and 2m - r, coincide. Each distinct phase is one solve of
+    # the cell.
+    solved = []
+    solve = operators._solve
+
+    def counted(solver, band):
+        solved.append(band.shape[1])
+        return solve(solver, band)
+
+    monkeypatch.setattr(operators, "_solve", counted)
+    rng = np.random.default_rng(33)
+    for p, m in ((2, 305), (3, 5), (3, 20), (2, 50)):
+        op = _tiled(random_operator(rng, p), m)
+        operators._real_spectrum.cache_clear()
+        solved.clear()
+        band_edges_eig(op)
+        assert solved == [p] * (m + 1)
 
 
 def test_cell_is_the_least_repeating_prefix():
