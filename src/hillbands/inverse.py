@@ -11,12 +11,17 @@ N-to-N system solved here by damped Newton iteration. The residual and
 its Jacobian are `monic_map` times Delta and the onsite columns of its
 Jacobian at N + 1 fixed nodes, both from one march of the chain's N
 rotations (`transfer.discriminant_jacobian`, the bonds rotated once per
-solve), which `fused` runs once per iterate for both. Band-edge data
-determines the discriminant directly: the monic polynomials built from
-the periodic and antiperiodic eigenvalues differ by the constant
-4 * prod(a), which recovers the hopping product, and their average is
-the monic discriminant.
+solve), which `fused` runs once per iterate for both. With no starting
+point, a seeded multistart of Levenberg-Marquardt solves finds one
+first: MINPACK's `lmder`, called directly through
+`scipy.optimize.leastsq` by `least_squares`, which keeps scipy's name
+(see there). Band-edge data determines the discriminant directly: the
+monic polynomials built from the periodic and antiperiodic eigenvalues
+differ by the constant 4 * prod(a), which recovers the hopping product,
+and their average is the monic discriminant.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -31,15 +36,24 @@ MAX_ITER = 80  # recover_onsite: Newton iterations per solve
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
 
 
-def least_squares(*args, **kwargs):
-    """`scipy.optimize.least_squares`, imported on first use.
+def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
+    """Levenberg-Marquardt by MINPACK's `lmder`, called directly through
+    `scipy.optimize.leastsq`; the result holds x and nfev.
 
-    `scipy.optimize` is slow to import and only the blind
-    `recover_onsite` needs it, so `import hillbands` does not load it.
+    scipy's `least_squares(method="lm")` runs the same `lmder` (its
+    x_scale='jac' is leastsq's diag=None) behind a callback wrapper that
+    costs several times the call on small chains. Its name and keywords
+    stay, for the benchmark's tracer, which wraps this function by name,
+    and for the tests, which swap scipy's solver in as the reference.
+    full_output keeps leastsq from warning when a start runs out of
+    evaluations. Only a blind `recover_onsite` needs `scipy.optimize`,
+    which is slow to import, so `import hillbands` does not load it.
     """
-    from scipy.optimize import least_squares as solve
+    from scipy.optimize import leastsq
 
-    return solve(*args, **kwargs)
+    x, _, info, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True, ftol=ftol,
+                               xtol=xtol, gtol=gtol, maxfev=max_nfev)
+    return SimpleNamespace(x=x, nfev=info["nfev"])
 
 
 def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60):
@@ -110,8 +124,8 @@ def fused(evaluate):
     distinct iterate runs evaluate, one march, once. The memo keeps the
     last two x, since the solvers ask for the residual and the Jacobian
     at one iterate and newton_solve keeps x when its polishing step does
-    not help, and the x of least residual sum of squares so far: scipy's
-    LM, after a run of refused trials, takes the Jacobian at its last
+    not help, and the x of least residual sum of squares so far: MINPACK's
+    `lmder`, after a run of refused trials, takes the Jacobian at its last
     accepted point, which is that one. The arrays are read-only, since
     the memo hands the same ones out again.
     """
@@ -244,7 +258,6 @@ def recover_onsite(target, hopping, initial=None):
             fun,
             start,
             jac=jac,
-            method="lm",
             xtol=1e-14,
             ftol=1e-14,
             gtol=1e-15,

@@ -61,6 +61,22 @@ class PeriodicJacobi:
         """Constant-coefficient chain: all bonds equal, all sites equal."""
         return cls(np.full(period, hopping), np.full(period, onsite))
 
+    @classmethod
+    def odd(cls, q):
+        """A chain of the paper's odd class from its free values q_1..q_k.
+
+        a = 1, N = 2k and q_{1-n} = -q_n: the sites are odd about the bond
+        between sites 0 and 1, and site n holds q_n, so they read
+        -q_1, q_1..q_k, -q_k..-q_2. Of the readings of "odd" this is the
+        one the paper's claims fit: Delta is even (to 1e-14 on random q),
+        so the edges are symmetric about 0, and the map from q to the slit
+        heights has rank k, which makes the isospectral set finite.
+        """
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 1 or q.size == 0:
+            raise ValueError("q must be a nonempty one-dimensional array")
+        return cls(np.ones(2 * q.size), np.concatenate([[-q[0]], q, -q[:0:-1]]))
+
     def hopping_product(self):
         """a_0 * ... * a_{N-1}; ValueError when it leaves the float range."""
         with np.errstate(over="raise", under="raise"):

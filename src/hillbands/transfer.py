@@ -62,7 +62,7 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     try:
         with np.errstate(over="raise"):
             a, b = a.reshape(column), b.reshape(column)
-            back, up = a[np.arange(n) - 1] / a, 1.0 / a
+            back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
             if a.size == n:  # one chain: Python-float factors
                 back, up = back.ravel().tolist(), up.ravel().tolist()
             for first in range(0, n, block):

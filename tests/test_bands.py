@@ -87,14 +87,33 @@ def test_harper_bisection_matches_eig(period, f_prev):
         assert err <= 1e-9 * _scale(op)
 
 
-def _odd(k, s):
-    """A chain of the paper's odd class: a = 1, N = 2k and q_{1-n} = -q_n,
-    odd about the bond between sites 0 and 1. q_1..q_k are drawn by
-    default_rng(k) from U(-1, 1) and scaled to max|q| = s; site n holds
-    q_n, so the sites read -q_1, q_1..q_k, -q_k..-q_2."""
+def _odd_values(k, s):
+    """q_1..q_k drawn by default_rng(k) from U(-1, 1), scaled to max|q| = s."""
     q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
-    q *= s / np.max(np.abs(q))
-    return PeriodicJacobi(np.ones(2 * k), np.concatenate([[-q[0]], q, -q[:0:-1]]))
+    return q * (s / np.max(np.abs(q)))
+
+
+def _odd(k, s):
+    """A chain of the paper's odd class (PeriodicJacobi.odd) on _odd_values."""
+    return PeriodicJacobi.odd(_odd_values(k, s))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_odd_constructor_is_the_odd_class(k):
+    # The class by its definition, site by site: a = 1, N = 2k, site n
+    # holds q_n for n = 1..k and site 1 - n (mod 2k) holds -q_n. Negation
+    # is exact, so this pins every bit, as of the chain the CI step builds
+    # by hand.
+    q = _odd_values(k, 1e-4)
+    op = PeriodicJacobi.odd(q)
+    assert op.period == 2 * k
+    assert np.array_equal(op.hopping, np.ones(2 * k))
+    for n in range(1, k + 1):
+        assert op.onsite[n] == q[n - 1]
+        assert op.onsite[(1 - n) % (2 * k)] == -q[n - 1]
+    for bad in ([], [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            PeriodicJacobi.odd(bad)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

@@ -6,6 +6,7 @@ from hillbands import (
     PeriodicJacobi,
     band_edges_eig,
     discriminant_from_edges,
+    inverse,
     newton_solve,
     recover_onsite,
     recover_operator_from_edges,
@@ -159,6 +160,39 @@ def test_blind_inversion_matches_two_march_reference(monkeypatch):
     two_march_solvers(monkeypatch)
     for target, onsite in zip(targets, found):
         assert np.array_equal(recover_onsite(*target).onsite, onsite)
+
+
+def test_lm_wrapper_matches_scipy_least_squares(monkeypatch):
+    # inverse.least_squares calls MINPACK's lmder through leastsq;
+    # scipy's least_squares(method="lm") runs the same lmder behind its
+    # callback wrapper, with diag=None at x_scale="jac" (its default
+    # since SciPy 1.16). So every start takes the same steps: the chains
+    # found are equal to the bit, and so is every start's count of
+    # evaluations.
+    from scipy.optimize import least_squares as reference
+
+    rng = np.random.default_rng(98)
+    targets = [(power_coefficients(op), op.hopping)
+               for op in (random_operator(rng, n) for n in range(2, 8))]
+
+    def solved(solve):
+        counts = []
+
+        def counted(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            counts.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(inverse, "least_squares", counted)
+        return [recover_onsite(*target).onsite for target in targets], counts
+
+    found, counts = solved(inverse.least_squares)
+    ref, ref_counts = solved(lambda *args, **kwargs: reference(*args, method="lm",
+                                                               x_scale="jac", **kwargs))
+    assert len(counts) >= len(targets)
+    assert counts == ref_counts
+    for onsite, expected in zip(found, ref):
+        assert onsite.tobytes() == expected.tobytes()
 
 
 def test_discriminant_from_edges_round_trip():

@@ -207,6 +207,49 @@ def test_batched_value_march_equals_single_chains():
                 assert np.array_equal(batch[:, i, j], single)
 
 
+def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
+    # One chain takes its factors a_{k-1} / a_k and 1 / a_k as Python
+    # floats, a batch as arrays: both come from the same array division,
+    # and the blocks of site factors change no operation. So every row is
+    # the same at any FACTOR_BLOCK, and a chain marched alone gives its
+    # own column of the batch of its rotations (rotation N - 1), to the
+    # bit, as discriminant_jacobian's Delta needs.
+    def bits(rows):
+        return [(row.shape, row.tobytes()) for row in rows]
+
+    default = transfer.FACTOR_BLOCK
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 5, 13):
+        op = random_operator(rng, n)
+        index = transfer.rotations(n)
+        rotated = op.hopping[index], op.onsite[index]
+        for lam in (rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5, 2),
+                    rng.uniform(-3.5, 3.5, (3, 3))):
+            for derivs in (0, 1, 2):
+                for history in (False, True):
+                    marched = set()
+                    for block in (default, 1, 7):
+                        monkeypatch.setattr(transfer, "FACTOR_BLOCK", block)
+                        one = transfer._march_values(op.hopping, op.onsite, lam, derivs, history)
+                        batch = transfer._march_values(*rotated, np.asarray(lam)[..., None],
+                                                       derivs, history)
+                        assert len(one) == (n + 2 if history else 2)
+                        assert bits(one) == bits(row[..., -1] for row in batch)
+                        marched.add((tuple(bits(one)), tuple(bits(batch))))
+                    assert len(marched) == 1
+
+
+def test_one_chain_bond_ratio_overflow_raises():
+    # a_0 / a_1 = 1e310 leaves the float range, though no site factor
+    # (lam - b_k) / a_k does: the march raises on the bond quotient alone,
+    # for one chain and for a batch of two.
+    a, b = np.array([1e300, 1e-10]), np.zeros(2)
+    with pytest.raises(ValueError, match="overflow"):
+        transfer.discriminant(a, b, 0.3)
+    with pytest.raises(ValueError, match="overflow"):
+        transfer.discriminant(np.stack([a, [1.0, 1.0]], axis=1), np.zeros((2, 2)), 0.3)
+
+
 def test_fused_delta_equals_the_value_march():
     # Rotation N - 1 of the Jacobian's batch is the chain itself, marched
     # with the same operations: its Delta is discriminant's, to the
