@@ -8,10 +8,10 @@ hoppings takes the divisor at the gap midpoints.
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
 N-to-N system solved here by damped Newton iteration. The residual and
-its Jacobian are `monic_map` times Delta and the onsite columns of its
-Jacobian at N + 1 fixed nodes, both from one march of the chain's N
-rotations (`transfer.discriminant_jacobian`, the bonds rotated once per
-solve), which `fused` runs once per iterate for both. With no starting
+its Jacobian are `monic_map` times Delta and its onsite Jacobian at
+N + 1 fixed nodes, both from one march
+(`transfer.discriminant_jacobian` of the chain's bonds and sites),
+which `fused` runs once per iterate for both. With no starting
 point, a seeded multistart of Levenberg-Marquardt solves finds one
 first: MINPACK's `lmder`, called directly through
 `scipy.optimize.leastsq` by `least_squares`, which keeps scipy's name
@@ -194,16 +194,17 @@ def recover_onsite(target, hopping, initial=None):
         If no start converges; unattainable coefficient vectors fail
         this way.
     ValueError
-        If the target does not fit the hoppings, if the power-basis
+        If a hopping is not finite and positive, before any march, if
+        the target does not fit the hoppings, if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
         do at long periods once prod a does, or, on a blind solve, if
         the target's zeros are not all real: a discriminant's are, so
         no chain has such a target.
     """
+    a = PeriodicJacobi(hopping, np.zeros(np.size(hopping))).hopping  # checks the bonds
+    n = a.size
     if isinstance(target, Discriminant):
         target = target.chebyshev.convert(kind=Polynomial).coef
-    a = np.atleast_1d(np.asarray(hopping, dtype=float))
-    n = a.size
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pa = float(np.prod(a))
         monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))
@@ -229,14 +230,11 @@ def recover_onsite(target, hopping, initial=None):
     nodes = chebyshev_nodes((mid - half, mid + half), n)
     to_monic = monic_map(nodes, pa)[:n]
 
-    index = transfer.rotations(n)
-    rotated = a[index]
-
     def evaluate(b):
-        # Onsite column j of the point Jacobian is minus the characteristic
+        # Column j of the point Jacobian is minus the characteristic
         # polynomial of the open chain with site j deleted, at the nodes.
-        delta, grad = transfer.discriminant_jacobian(rotated, np.asarray(b)[index], nodes)
-        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad[:, n:] / scale[:, None]
+        delta, grad = transfer.discriminant_jacobian(a, b, nodes)
+        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad / scale[:, None]
 
     if initial is not None:
         b = newton_solve(*fused(evaluate), initial, tol=TOL, max_iter=MAX_ITER)
@@ -285,7 +283,8 @@ def discriminant_from_edges(periodic, antiperiodic):
     antiperiodic : array_like
         The N eigenvalues at Bloch phase pi, the zeros of Delta + 2.
         The two monic polynomials with these zeros must differ by a
-        constant, to 1e-8 of the largest coefficient.
+        constant, to 1e-8 of the largest coefficient. All edges must be
+        finite.
 
     Returns
     -------
@@ -296,6 +295,8 @@ def discriminant_from_edges(periodic, antiperiodic):
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
     if per.size != anti.size or per.size == 0:
         raise ValueError("need equally many periodic and antiperiodic eigenvalues")
+    if not (np.isfinite(per).all() and np.isfinite(anti).all()):
+        raise ValueError("edge values must be finite")
     p0 = P.polyfromroots(per)
     ppi = P.polyfromroots(anti)
     diff = p0 - ppi

@@ -32,7 +32,8 @@ CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
 def _dihedral(op):
     """Hoppings and onsite energies of op.shifted(k), then of
     op.reflected().shifted(k), k = 0..N-1: two (2N, N) arrays."""
-    shift = np.roll(transfer.rotations(op.period), 1, axis=0)  # row k: shift by k
+    n = op.period
+    shift = (np.arange(n)[:, None] + np.arange(n)) % n  # row k: site i is site (i + k) mod N
     mirror = op.reflected()
     return (np.concatenate([op.hopping[shift], mirror.hopping[shift]]),
             np.concatenate([op.onsite[shift], mirror.onsite[shift]]))
@@ -170,8 +171,11 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     RuntimeError
         If no gap is open, as on the constant chain: the family is a point.
     ValueError
-        If a weight of a divisor is not finite or underflows.
+        If step is not finite, or a weight of a divisor is not finite or
+        underflows.
     """
+    if not np.isfinite(step):
+        raise ValueError(f"step must be finite, not {step}")
     rng = np.random.default_rng(seed)
     n = op.period
     edges = band_edges_eig(op)

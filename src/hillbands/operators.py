@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dsbevd, dsterf, zhbevd
 
-MEMO_ENTRIES = 32  # real Bloch spectra kept per process: 16 chains at theta = 0 and pi
+MEMO_ENTRIES = 16  # chains whose real Bloch spectra, theta = 0 and pi, are kept per process
 
 
 @dataclass
@@ -77,15 +77,6 @@ class PeriodicJacobi:
             raise ValueError("q must be a nonempty one-dimensional array")
         return cls(np.ones(2 * q.size), np.concatenate([[-q[0]], q, -q[:0:-1]]))
 
-    def hopping_product(self):
-        """a_0 * ... * a_{N-1}; ValueError when it leaves the float range."""
-        with np.errstate(over="raise", under="raise"):
-            try:
-                return float(np.prod(self.hopping))
-            except FloatingPointError:
-                raise ValueError(f"hopping product of period {self.period} "
-                                 "overflows the float range") from None
-
     @cached_property
     def cell(self):
         """The chain of the first p sites, for the least p dividing N with
@@ -128,8 +119,8 @@ class PeriodicJacobi:
         occurs. An array of phases gives shape theta.shape + (N,).
 
         The real spectra, the band edges, come from a per-process memo
-        (_real_spectrum), keyed by the cell: a cell's is computed once
-        per sign of cos theta.
+        (_real_spectrum), keyed by the cell: a cell's two are computed
+        together, once.
         """
         theta = np.asarray(theta, dtype=float)
         a, b = self.hopping, self.onsite
@@ -148,7 +139,7 @@ class PeriodicJacobi:
         rest = {}  # the rows of each distinct phase off the multiples of pi
         for i, phase in enumerate(phases.tolist()):
             if phase % np.pi == 0.0:
-                out[i] = _real_spectrum(key, np.cos(phase))
+                out[i] = _real_spectrum(key)[int(np.cos(phase) < 0.0)]
             else:
                 rest.setdefault(phase, []).append(i)
         if rest:
@@ -221,19 +212,22 @@ def _solve(solver, band):
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _real_spectrum(coefficients, cos_theta):
-    """Sorted spectrum of J(theta) at cos theta = +-1.
+def _real_spectrum(coefficients):
+    """Sorted spectra of J(0) and J(pi), rows 0 and 1 of a (2, N) array.
 
     coefficients is the bytes of the chain's float64 hoppings followed
     by its onsite energies, so equal chains share an entry and a change
-    of one ulp misses. An entry holds about 3N doubles, key included.
+    of one ulp misses. An entry holds about 4N doubles, key included.
     The array is read-only, since the memo hands it to every caller.
-    The chain has N >= 2 sites and is its own cell: one real band-matrix
-    solve.
+    The chain has N >= 2 sites and is its own cell: one folded band, and
+    one real band-matrix solve at each closing bond +-a_{N-1}.
     """
     a, b = np.frombuffer(coefficients).reshape(2, -1)
     band = _folded_band(a, b)
-    band[1, 0] += a[-1] * cos_theta
-    w = _solve(dsbevd, band)
+    open_corner = band[1, 0]
+    w = np.empty((2, a.size))
+    for row, cos_theta in enumerate((1.0, -1.0)):
+        band[1, 0] = open_corner + a[-1] * cos_theta
+        w[row] = _solve(dsbevd, band)
     w.setflags(write=False)
     return w

@@ -11,12 +11,14 @@ starts. det M = 1 identically, and the Hill discriminant is tr M.
 
 This is the only place the recurrence runs: one loop over arrays of
 lam, for one chain or a batch of chains. The node values of Delta, the
-classes of an alphabet and the Jacobian of a chain with its Delta (a
-batch of its N rotations) all come from it. It carries lam-derivative
-rows only for callers that need Delta' (the DOS, the edges' Newton
-steps) or Delta'' (the Newton steps onto the gap extrema), and keeps
-every row only for the rounding-error bound of Delta.
+classes of an alphabet and the onsite Jacobian of a chain with its
+Delta (a batch of its N rotations) all come from it. Its rows carry
+lam-derivatives only for callers that need Delta' (the DOS, the edges'
+Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
+it keeps every row only for the rounding-error bound of Delta.
 """
+
+import functools
 
 import numpy as np
 
@@ -37,9 +39,9 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     derivative), and the step adds j u_k^(j-1) / a_k to row j, the
     j-th derivative of the recurrence.
 
-    Returns the rows, each of shape (2,) + shape (one entry per start),
-    or (d + 1, 2) + shape with derivs, shape being lam broadcast against
-    the chains: u_{N-1} and u_N, or every row from u_{-1} on with history.
+    Returns the rows, each of shape (d + 1, 2) + shape (the derivatives,
+    then one entry per start), shape being lam broadcast against the
+    chains: u_{N-1} and u_N, or every row from u_{-1} on with history.
 
     Raises ValueError when an entry overflows the float range, as it
     does for weak bonds at long periods: |M| grows like
@@ -51,8 +53,8 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     shape = np.broadcast_shapes(lam.shape, a.shape[1:])
     column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
     # u_{-1}, u_0 of both starts, each with its derivs derivative rows
-    start = np.zeros((2,) + (derivs + 1,) * (derivs > 0) + (2,) + shape)
-    value = start[:, 0] if derivs else start
+    start = np.zeros((2, derivs + 1, 2) + shape)
+    value = start[:, 0]
     block = max(1, FACTOR_BLOCK // max(1, value[0, 0].size))
     value[0, 1] = 1.0
     value[1, 0] = 1.0
@@ -87,40 +89,37 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     return rows
 
 
+@functools.cache
 def rotations(period):
-    """Index of the N rotations of a chain, shape (N, N): site k of
-    rotation j is site (j + 1 + k) mod N, so rotation N - 1 is the chain."""
-    return (np.arange(period)[:, None] + np.arange(1, period + 1)) % period
+    """Index of the N rotations of a chain, shape (N, N), read-only: site
+    k of rotation j is site (j + 1 + k) mod N, so rotation N - 1 is the
+    chain. Built once per period and kept for the life of the process,
+    N^2 integers per period."""
+    index = (np.arange(period)[:, None] + np.arange(1, period + 1)) % period
+    index.setflags(write=False)
+    return index
 
 
 def discriminant_jacobian(hopping, onsite, lam):
-    """Delta(lam), of shape lam.shape, and d Delta(lam) / d(log a, b), of
-    shape lam.shape + (2N,), from one march.
+    """Delta(lam), of shape lam.shape, and d Delta(lam) / d b, of shape
+    lam.shape + (N,), from one march of the chain's N sites.
 
-    Column j is d/d log a_j and column N + j is d/d b_j. On the chain
-    relabelled to start at site j + 1, bond j closes the cell, so
-    M[1, 0] and M[1, 1] of that rotation hold the open chains with site j
-    and with sites j, j + 1 removed. Expanding det(lam I - J(pi/2)) =
-    (prod a) Delta along bond j, with Delta = M[0, 0] + M[1, 1] for
-    every rotation, gives
-
-        d Delta / d b_j = -M[1, 0] / a_j,
-        d Delta / d log a_j = 2 M[1, 1] - Delta = M[1, 1] - M[0, 0].
+    On the chain relabelled to start at site j + 1, site j is the last,
+    so M[1, 0] of that rotation is the determinant of the open chain with
+    site j removed over the product of its bonds and a_{j-1}. That
+    determinant is minus d/d b_j of det(lam I - J(pi/2)) = (prod a) Delta,
+    so d Delta / d b_j = -M[1, 0] / a_j.
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant, so to the bit. hopping and onsite have shape
-    (N,), or both shape (N, N) when the caller has rotated them by the
-    index of rotations(N), as a solver that holds the bonds fixed does
-    once. Raises ValueError when an entry overflows the float range.
+    discriminant, so to the bit. Raises ValueError when an entry
+    overflows the float range.
     """
     a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
-    if b.ndim == 1:
-        index = rotations(b.size)
-        a, b = a[index], b[index]
-    prev, cur = _march_values(a, b, np.asarray(lam, dtype=float)[..., None])
-    grad = np.concatenate([prev[1] - cur[0], -prev[0] / a[-1]], axis=-1)
-    return cur[0][..., -1] + prev[1][..., -1], grad
+    index = rotations(b.size)
+    prev, cur = (row[0] for row in _march_values(a[index], b[index],
+                                                 np.asarray(lam, dtype=float)[..., None]))
+    return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
 
 
 def monodromy(op, lam):
@@ -143,8 +142,6 @@ def discriminant(hopping, onsite, lam, derivs=0):
     broadcast against the chains.
     """
     prev, cur = _march_values(hopping, onsite, lam, derivs=derivs)
-    if not derivs:
-        prev, cur = prev[None], cur[None]
     return cur[:, 0] + prev[:, 1]
 
 
@@ -170,8 +167,8 @@ def discriminant_rounding(op, lam):
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
-    u = np.stack(_march_values(a, b, lam, history=True))  # u[i] is u_{i-1}
-    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))
+    u = np.stack(_march_values(a, b, lam, history=True))[:, 0]  # u[i] is u_{i-1}
+    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))[:, 0]
     site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam
     a_k, b_k = a.reshape(site), b.reshape(site)
     try:

@@ -143,9 +143,7 @@ def two_march_solvers(monkeypatch):
     jacobian = transfer.discriminant_jacobian
 
     def two_marches(hopping, onsite, lam):
-        a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
-        chain = (a[:, -1], b[:, -1]) if b.ndim == 2 else (a, b)
-        return transfer.discriminant(*chain, lam)[0], jacobian(hopping, onsite, lam)[1]
+        return transfer.discriminant(hopping, onsite, lam)[0], jacobian(hopping, onsite, lam)[1]
 
     def unfused(evaluate):
         return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])

@@ -212,6 +212,21 @@ def test_error_paths_exit_nonzero(capsys):
     assert code == 1
     assert "error:" in err
 
+    # Input that is not finite, or bonds that are not positive, are named.
+    for argv, message in (
+        (["edges", "--periodic", "nan,3", "--antiperiodic", "1.5,2.5"], "edge values must be finite"),
+        (["edges", "--periodic", "inf,3", "--antiperiodic", "1.5,2.5"], "edge values must be finite"),
+        (["inverse", "--coeffs=-2,0,1", "--hopping", "0,1"], "hoppings must be positive"),
+        (["inverse", "--coeffs=-2,0,1", "--hopping", "inf,1"], "coefficients must be finite"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "0,1"],
+         "hoppings must be positive"),
+        (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "nan"], "step must be finite"),
+        (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "inf"], "step must be finite"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
 
 def test_bad_float_list_rejected(capsys):
     with pytest.raises(SystemExit):

@@ -30,7 +30,7 @@ def test_characteristic_polynomial_identity():
     for period in (1, 2, 3, 5, 8):
         op = random_operator(rng, period)
         disc = Discriminant.from_operator(op)
-        pa = op.hopping_product()
+        pa = np.prod(op.hopping)
         for theta in (0.0, 0.9, np.pi / 2, np.pi):
             m = floquet_matrix(op, theta)
             for lam in (-2.1, 0.3, 1.9):

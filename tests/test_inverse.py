@@ -62,11 +62,11 @@ def test_onsite_jacobian_matches_finite_differences():
     n = op.period
 
     def coeff_map(b):
-        return op.hopping_product() * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
+        return np.prod(op.hopping) * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
     nodes = chebyshev_nodes(gershgorin_interval(op), n)
     _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
-    analytic = monic_map(nodes, op.hopping_product())[:n] @ grad[:, n:]
+    analytic = monic_map(nodes, np.prod(op.hopping))[:n] @ grad
     h = 1e-6
     fd = np.zeros((n, n))
     for j in range(n):
@@ -120,6 +120,25 @@ def test_recover_onsite_names_the_float_range():
                             (free_discriminant(200, 0.01), np.full(200, 0.01))):
         with pytest.raises(ValueError, match="float range"):
             recover_onsite(target, hopping)
+
+
+def test_recover_onsite_checks_the_hoppings_before_any_march(monkeypatch):
+    # prod a = 1 at a = (-1, -1) passed the float-range check, and the
+    # blind solve ran before the chain was rejected; a = (0, 1) and
+    # (inf, 1) were reported as leaving the float range.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer, "_march_values", refuse)
+    for hopping, message in (([-1.0, -1.0], "hoppings must be positive"),
+                             ([0.0, 1.0], "hoppings must be positive"),
+                             ([np.inf, 1.0], "coefficients must be finite"),
+                             ([np.nan, 1.0], "coefficients must be finite")):
+        for initial in (None, [0.0, 0.0]):
+            with pytest.raises(ValueError, match=message):
+                recover_onsite([-2.0, 0.0, 1.0], hopping, initial)
+        with pytest.raises(ValueError, match=message):
+            recover_operator_from_edges([1.0, 3.0], [1.5, 2.5], hopping)
 
 
 def test_recover_onsite_marches_once_per_iterate(monkeypatch):
@@ -203,7 +222,7 @@ def test_discriminant_from_edges_round_trip():
     disc = discriminant_from_edges(per, anti)
     truth = Discriminant.from_operator(op, disc.interval)
     assert disc.interval == (min(per[0], anti[0]), max(per[-1], anti[-1]))
-    assert np.exp(disc.log_hopping_product) == pytest.approx(op.hopping_product(), rel=1e-10)
+    assert np.exp(disc.log_hopping_product) == pytest.approx(np.prod(op.hopping), rel=1e-10)
     assert np.allclose(disc.values, truth.values, atol=1e-9)
 
 
@@ -219,6 +238,10 @@ def test_discriminant_from_edges_rejects_bad_data():
     noisy[0] += 0.3
     with pytest.raises(ValueError):
         discriminant_from_edges(per, noisy)  # difference no longer constant
+    for bad in (np.nan, np.inf, -np.inf):  # once read as an empty interval or a bad product
+        for edges in ((np.array([bad, 3.0]), [1.5, 2.5]), ([1.0, 3.0], np.array([1.5, bad]))):
+            with pytest.raises(ValueError, match="edge values must be finite"):
+                discriminant_from_edges(*edges)
 
 
 def test_recover_operator_from_edges_uniform_hopping():
@@ -265,7 +288,7 @@ def test_onsite_jacobian_matches_per_column_minors():
             minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
             expected[:, j] = -minor / op.hopping[j]
         _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
-        err = np.max(np.abs(grad[:, n:] - expected))
+        err = np.max(np.abs(grad - expected))
         assert err <= 1e-14 * np.max(np.abs(expected))
 
 

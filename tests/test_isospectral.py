@@ -213,6 +213,15 @@ def test_neighbors_with_zero_step_return_the_start():
         assert np.allclose(same.onsite, op.onsite, rtol=0.0, atol=1e-10)
 
 
+def test_neighbors_reject_a_step_that_is_not_finite():
+    # A nan or infinite step once reached chain_from_divisor as a nan
+    # divisor, reported as a point outside its gap.
+    op = PeriodicJacobi([1.0, 1.0, 1.0], [0.0, 0.7, -0.3])
+    for step in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="step must be finite"):
+            isospectral_neighbors(op, step=step, seed=0)
+
+
 def test_neighbors_raise_where_the_weights_underflow():
     # At N = 512 the Dirichlet weights of a random chain span more than
     # the float range; the walk raises instead of returning a chain.

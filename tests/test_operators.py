@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsbevd
 
 from hillbands import PeriodicJacobi, band_edges_eig, bands, operators
 
@@ -43,19 +44,6 @@ def test_free_constructor():
     assert np.allclose(op.hopping, 0.7)
     assert np.allclose(op.onsite, -0.2)
     assert op.period == 4
-
-
-def test_hopping_product():
-    op = PeriodicJacobi([1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
-    assert op.hopping_product() == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("hopping", [10.0, 0.1])
-def test_hopping_product_out_of_float_range_raises(hopping):
-    # 10^400 overflows and 10^-400 underflows to 0.
-    op = PeriodicJacobi.free(400, hopping, 0.3)
-    with pytest.raises(ValueError, match="overflow"):
-        op.hopping_product()
 
 
 def test_floquet_matrix_is_hermitian():
@@ -191,12 +179,16 @@ def test_real_spectrum_memo_hit_is_bit_identical_to_a_fresh_solve():
     op = _chain("harper", 89)
     memo.cache_clear()
     first = op.floquet_eigenvalues([0.0, np.pi])
-    assert memo.cache_info()[:2] == (0, 2)  # (hits, misses)
+    assert memo.cache_info()[:2] == (1, 1)  # (hits, misses): one entry holds both
     again = op.floquet_eigenvalues([0.0, np.pi])
-    assert memo.cache_info()[:2] == (2, 2)
-    fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
+    assert memo.cache_info()[:2] == (3, 1)
+    fresh = memo.__wrapped__(_key(op))
     assert again.tobytes() == first.tobytes() == fresh.tobytes()
-    assert not memo(_key(op), 1.0).flags.writeable
+    for row, cos_theta in enumerate((1.0, -1.0)):  # each sign from a band of its own
+        band = operators._folded_band(op.hopping, op.onsite)
+        band[1, 0] += op.hopping[-1] * cos_theta
+        assert operators._solve(dsbevd, band).tobytes() == fresh[row].tobytes()
+    assert not memo(_key(op)).flags.writeable
 
 
 def test_equal_chains_built_separately_share_one_entry():
@@ -228,7 +220,7 @@ def test_every_multiple_of_pi_hits_the_entries_of_zero_and_pi():
     edges = op.floquet_eigenvalues([0.0, np.pi])
     table = op.floquet_eigenvalues([2.0 * np.pi, -np.pi, 3.0 * np.pi])
     info = memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
     assert np.array_equal(table, edges[[0, 1, 1]])
 
 
@@ -238,9 +230,9 @@ def test_memo_holds_at_most_32_spectra():
     for _ in range(100):
         random_operator(rng, 4).floquet_eigenvalues([0.0, np.pi])
     info = memo.cache_info()
-    assert info.misses == 200
-    assert info.maxsize == operators.MEMO_ENTRIES == 32
-    assert info.currsize <= 32
+    assert info.misses == 100
+    assert info.maxsize == operators.MEMO_ENTRIES == 16  # chains, two spectra each
+    assert info.currsize <= 16
 
 
 def test_writing_to_a_returned_spectrum_changes_no_later_answer():
@@ -254,11 +246,11 @@ def test_writing_to_a_returned_spectrum_changes_no_later_answer():
         reference = spectra.copy(), edges.copy()
         spectra[:] = np.nan
         bands._close(edges, np.arange(op.period - 1), 0.0)
-        assert memo.cache_info().hits == (2 if op.cell is op else 0)
+        assert memo.cache_info().hits == (3 if op.cell is op else 0)  # one miss holds both
         assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), reference[0])
         assert np.array_equal(band_edges_eig(op), reference[1])
         if op.cell is op:
-            fresh = np.array([memo.__wrapped__(_key(op), c) for c in (1.0, -1.0)])
+            fresh = memo.__wrapped__(_key(op))
             assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), fresh)
 
 

@@ -65,7 +65,7 @@ def test_discriminant_coefficients_degree_and_leading():
         c = disc.chebyshev.coef
         assert c.size == period + 1
         leading = c[-1] * 2.0 ** (period - 1) * (2.0 / (hi - lo)) ** period
-        assert leading == pytest.approx(1.0 / op.hopping_product(), rel=1e-12)
+        assert leading == pytest.approx(1.0 / np.prod(op.hopping), rel=1e-12)
 
 
 def test_dirichlet_minor_roots_match_submatrix():
@@ -126,8 +126,9 @@ def test_rounding_bound_covers_the_exact_discriminant():
 def _rounding_by_site_loop(op, lam):
     """The bound of discriminant_rounding, summed site by site."""
     a, b, n = op.hopping, op.onsite, op.period
-    u = transfer._march_values(a, b, lam, history=True)
-    v = transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True)
+    u = [row[0] for row in transfer._march_values(a, b, lam, history=True)]
+    v = [row[0] for row in transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam,
+                                                  history=True)]
     back = np.roll(a, 1) / a
     total = np.zeros((2,) + np.shape(lam))
     for k in range(n):
@@ -252,8 +253,7 @@ def test_one_chain_bond_ratio_overflow_raises():
 
 def test_fused_delta_equals_the_value_march():
     # Rotation N - 1 of the Jacobian's batch is the chain itself, marched
-    # with the same operations: its Delta is discriminant's, to the
-    # bit. Rotated inputs give the same march.
+    # with the same operations: its Delta is discriminant's, to the bit.
     rng = np.random.default_rng(12)
     chains = [random_operator(rng, n) for n in range(1, 25)]
     chains += [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
@@ -264,30 +264,33 @@ def test_fused_delta_equals_the_value_march():
         lo, hi = gershgorin_interval(op)
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
         delta, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, lam)
-        assert delta.shape == lam.shape and grad.shape == lam.shape + (2 * op.period,)
+        assert delta.shape == lam.shape and grad.shape == lam.shape + (op.period,)
         assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
-        index = transfer.rotations(op.period)
-        rotated = transfer.discriminant_jacobian(op.hopping[index], op.onsite[index], lam)
-        assert np.array_equal(rotated[0], delta)
-        assert np.array_equal(rotated[1], grad)
+
+
+def test_rotation_index_is_built_once_per_period_and_read_only():
+    for n in (1, 2, 7):
+        index = transfer.rotations(n)
+        assert transfer.rotations(n) is index and not index.flags.writeable
+        assert np.array_equal(index[-1], np.arange(n))  # rotation N - 1 is the chain
 
 
 @pytest.mark.parametrize("period", range(1, 13))
 def test_coefficient_jacobian_matches_central_differences(period):
-    # The Jacobian of Delta's node values, its coefficients in the
-    # Lagrange basis of the nodes.
+    # The onsite Jacobian of Delta's node values, its coefficients in
+    # the Lagrange basis of the nodes.
     rng = np.random.default_rng(100 + period)
     op = random_operator(rng, period)
-    x = np.concatenate([np.log(op.hopping), op.onsite])
+    x = op.onsite
     nodes = chebyshev_nodes(gershgorin_interval(op), period)
 
     def coefficients(x):
-        return transfer.discriminant(np.exp(x[:period]), x[period:], nodes)[0]
+        return transfer.discriminant(op.hopping, x, nodes)[0]
 
     _, analytic = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
-    assert analytic.shape == (period + 1, 2 * period)
+    assert analytic.shape == (period + 1, period)
     fd = np.zeros_like(analytic)
-    for j in range(2 * period):
+    for j in range(period):
         h = 1e-6 * max(1.0, abs(x[j]))
         step = np.zeros_like(x)
         step[j] = h
