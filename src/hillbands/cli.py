@@ -9,15 +9,17 @@
     hillbands neighbors --onsite 0,0.7,-0.3 --count 2 --seed 1
 
 Every subcommand accepts --json for machine-readable output: one line of
-compact JSON (pipe it through python -m json.tool to indent it).
+compact JSON written by orjson, each number in the shortest form that
+parses back to the same double (pipe it through python -m json.tool to
+indent it).
 """
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
+import orjson
 
 from . import inverse, isospectral, tightbinding
 from .bands import BandStructure
@@ -40,9 +42,10 @@ def _add_chain_arguments(sub):
 def _emit(args, payload, text):
     """Write the payload under --json, else the text; both are zero-argument
     callables, and only the one written is called. JSON goes out compact,
-    on one line, through the C encoder."""
+    on one line, from orjson: each float in its shortest round-trip form,
+    a non-finite one as null."""
     if args.json:
-        sys.stdout.write(json.dumps(payload()) + "\n")
+        sys.stdout.write(orjson.dumps(payload(), option=orjson.OPT_APPEND_NEWLINE).decode())
     else:
         sys.stdout.write(text() + "\n")
 

@@ -194,10 +194,11 @@ def recover_onsite(target, hopping, initial=None):
         If no start converges; unattainable coefficient vectors fail
         this way.
     ValueError
-        If a hopping is not finite and positive, before any march, if
-        the target does not fit the hoppings, if the power-basis
+        If a hopping, or a coefficient of a target given as an array, is
+        not finite, or a hopping is not positive, before any march; if
+        the target does not fit the hoppings; if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
-        do at long periods once prod a does, or, on a blind solve, if
+        do at long periods once prod a does; or, on a blind solve, if
         the target's zeros are not all real: a discriminant's are, so
         no chain has such a target.
     """
@@ -205,6 +206,8 @@ def recover_onsite(target, hopping, initial=None):
     n = a.size
     if isinstance(target, Discriminant):
         target = target.chebyshev.convert(kind=Polynomial).coef
+    elif not np.all(np.isfinite(target)):
+        raise ValueError("target coefficients must be finite")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pa = float(np.prod(a))
         monic_target = pa * np.atleast_1d(np.asarray(target, dtype=float))

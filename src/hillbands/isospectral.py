@@ -114,13 +114,15 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     list of IsospectralClass
         Sorted by descending size, then by key.
     """
+    if period < 1:
+        raise ValueError("period must be at least one")
     values = [float(v) for v in values]
     hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
     if hopping.size == 1:
         hopping = np.full(period, hopping[0])
     if not np.all(np.isfinite(values)):
         raise ValueError("alphabet values must be finite")
-    lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks period and bonds
+    lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks the bonds
     reach = 2.0 * np.max(hopping)
     nodes = chebyshev_nodes((min(values) - reach, max(values) + reach), period)
     scale = max(1.0, np.max(np.abs(transfer.discriminant(hopping, lowest.onsite, nodes)[0])))
@@ -171,9 +173,11 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     RuntimeError
         If no gap is open, as on the constant chain: the family is a point.
     ValueError
-        If step is not finite, or a weight of a divisor is not finite or
-        underflows.
+        If count is negative, step is not finite, or a weight of a divisor
+        is not finite or underflows.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, not {count}")
     if not np.isfinite(step):
         raise ValueError(f"step must be finite, not {step}")
     rng = np.random.default_rng(seed)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, inverse, tightbinding
 from hillbands.cli import main
@@ -17,6 +22,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(out):
+    """The payload of one line of strict JSON: NaN and Infinity refused."""
+    assert out.endswith("\n") and out.count("\n") == 1  # compact, one line
+    return json.loads(out, parse_constant=refuse_constant)
+
+
+def bits(x):
+    """x with every float spelled by float.hex, so that == compares bits,
+    the sign of zero included."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {key: bits(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [bits(value) for value in x]
+    return x
 
 
 def test_bands_text_output(capsys):
@@ -33,8 +60,57 @@ def test_bands_json_matches_library(capsys):
     assert code == 0
     payload = json.loads(out)
     bs = BandStructure(PeriodicJacobi([1.0, 1.0], [0.0, 0.5]))
-    assert np.allclose(payload["edges"], bs.edges, atol=1e-12)
+    assert bits(payload) == bits(bs.to_dict())
     assert payload["period"] == 2
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1e-5)
+@example(1e16)
+@example(1.7976931348623157e308)
+@settings(max_examples=300, deadline=None)
+def test_emit_writes_floats_that_parse_back_to_the_same_bits(x):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(SimpleNamespace(json=True), lambda: {"x": x, "xs": [x, -x]}, None)
+    payload = strict_json(out.getvalue())
+    assert bits(payload) == {"x": x.hex(), "xs": [x.hex(), (-x).hex()]}
+
+
+def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
+    harper = (0.8 * np.cos(2 * np.pi * 55 * np.arange(89) / 89 + 0.3)).tolist()
+    onsite = "--onsite=" + ",".join(map(repr, harper))
+    bs = tightbinding.band_structure(harper, 1.0)
+    thetas = np.linspace(0.0, np.pi, 8)
+    code, out, err = run_cli(capsys, "dispersion", onsite, "--samples", "8", "--json")
+    assert code == 0 and err == ""
+    assert bits(strict_json(out)) == bits(
+        {"theta": thetas.tolist(), "bands": bs.dispersion(thetas).tolist()})
+    code, out, err = run_cli(capsys, "dos", onsite, "--points", "512", "--json")
+    assert code == 0 and err == ""
+    energies, rho, ids = tightbinding.dos_curve(bs, points=512)
+    assert bits(strict_json(out)) == bits(
+        {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()})
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2"],
+    ["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2", "--method", "bisection"],
+    ["dispersion", "--onsite", "0,0.5", "--samples", "5"],
+    ["dos", "--onsite", "0,0.5", "--points", "9"],
+    ["inverse", "--coeffs=0.4375,-3.36458333333,-0.208333333333,1.04166666667",
+     "--hopping", "1,0.8,1.2"],
+    ["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5"],
+    ["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "0.25,0.75"],
+    ["classes", "--values", "0,1", "--period", "4"],
+    ["neighbors", "--onsite", "0,0.7,-0.3", "--count", "2", "--seed", "1"],
+], ids=lambda argv: "-".join(a for a in argv if a.isalpha()))
+def test_every_subcommand_writes_one_line_of_strict_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert strict_json(out)
 
 
 def test_bands_bisection_method(capsys):
@@ -222,6 +298,9 @@ def test_error_paths_exit_nonzero(capsys):
          "hoppings must be positive"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "nan"], "step must be finite"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "inf"], "step must be finite"),
+        (["inverse", "--coeffs=nan,0,1", "--hopping", "1,1"], "target coefficients must be finite"),
+        (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
+        (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -282,8 +361,7 @@ def run_both(capsys, *argv):
     assert code == 0 and err == ""
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0 and err == ""
-    assert out.endswith("\n") and out.count("\n") == 1  # compact, one line
-    return text.splitlines(), json.loads(out)
+    return text.splitlines(), strict_json(out)
 
 
 def printed(values, spec):

@@ -141,6 +141,19 @@ def test_recover_onsite_checks_the_hoppings_before_any_march(monkeypatch):
             recover_operator_from_edges([1.0, 3.0], [1.5, 2.5], hopping)
 
 
+def test_recover_onsite_checks_the_target_before_any_march(monkeypatch):
+    # A non-finite target at prod a = 1 was reported as leaving the float
+    # range; it is refused as not finite, before any march.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer, "_march_values", refuse)
+    for target in ([np.nan, 0.0, 1.0], [-2.0, np.inf, 1.0], [-2.0, 0.0, -np.inf]):
+        for initial in (None, [0.0, 0.0]):
+            with pytest.raises(ValueError, match="target coefficients must be finite"):
+                recover_onsite(target, [1.0, 1.0], initial)
+
+
 def test_recover_onsite_marches_once_per_iterate(monkeypatch):
     # Blind (LM, then Newton), from a start (Newton) and from edge data:
     # each distinct iterate is one march of the chain's rotations. The

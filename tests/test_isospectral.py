@@ -179,6 +179,10 @@ def test_enumeration_rejects_bad_input():
         enumerate_onsite_classes([0.0, np.nan], 3)
     with pytest.raises(ValueError):
         enumerate_onsite_classes([0.0, 1.0], 3, hopping=[1.0, -1.0, 1.0])
+    # A negative period once reached np.full before PeriodicJacobi checked
+    # it, and NumPy's "negative dimensions are not allowed" came out.
+    with pytest.raises(ValueError, match="period must be at least one"):
+        enumerate_onsite_classes([0.0, 1.0], -2)
 
 
 def test_neighbors_march_once(monkeypatch):
@@ -220,6 +224,15 @@ def test_neighbors_reject_a_step_that_is_not_finite():
     for step in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="step must be finite"):
             isospectral_neighbors(op, step=step, seed=0)
+
+
+def test_neighbors_reject_a_negative_count():
+    # A negative count once returned no chains, and the console script
+    # exited 0 with [].
+    op = PeriodicJacobi([1.0, 1.0, 1.0], [0.0, 0.7, -0.3])
+    assert isospectral_neighbors(op, count=0, seed=0) == []
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        isospectral_neighbors(op, count=-1, seed=0)
 
 
 def test_neighbors_raise_where_the_weights_underflow():
