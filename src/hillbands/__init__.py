@@ -1,6 +1,6 @@
 """Band structure of 1-D periodic tight-binding chains via the Hill discriminant."""
 
-from .bands import Band, BandStructure, Gap, band_edges_bisection, band_edges_eig
+from .bands import BandStructure, band_edges_bisection, band_edges_eig
 from .discriminant import Discriminant
 from .inverse import (
     chain_from_divisor,
@@ -22,10 +22,8 @@ from .tightbinding import band_structure, dos_curve, gap_report, make_chain
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band",
     "BandStructure",
     "Discriminant",
-    "Gap",
     "IsospectralClass",
     "PeriodicJacobi",
     "band_edges_bisection",

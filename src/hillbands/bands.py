@@ -9,46 +9,12 @@ eigenvalues, multisection finished by Newton steps; they must agree, and
 the acceptance suite holds them to that.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import transfer
 from .discriminant import gershgorin_interval
-
-
-@dataclass(frozen=True)
-class Band:
-    """Closed interval [lower, upper] of spectrum, indexed from the bottom."""
-
-    index: int
-    lower: float
-    upper: float
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    def contains(self, lam, tol=0.0):
-        return self.lower - tol <= lam <= self.upper + tol
-
-
-@dataclass(frozen=True)
-class Gap:
-    """Open interval between bands index and index+1; empty, lower ==
-    upper, when the gap is closed (see _close)."""
-
-    index: int
-    lower: float
-    upper: float
-
-    @property
-    def width(self):
-        return max(0.0, self.upper - self.lower)
-
-    def is_open(self):
-        return self.upper > self.lower
 
 
 def band_edges_eig(op):
@@ -75,8 +41,8 @@ def _close(edges, gaps, at):
     """Close the gaps selected by gaps (a mask or indices): both edges of
     each become its entry of at.
 
-    A closed gap is two equal edges, and nothing else: Gap.is_open,
-    contains, the DOS and the IDS all read it from the edges.
+    A closed gap is two equal edges, and nothing else: contains, the DOS,
+    the IDS, to_dict and gap_report all read it from the edges.
     """
     edges[1:-1:2][gaps] = at
     edges[2::2][gaps] = at
@@ -298,30 +264,13 @@ class BandStructure:
         edges.setflags(write=False)
         return edges
 
-    @cached_property
-    def bands(self):
-        return [
-            Band(j, float(self.edges[2 * j]), float(self.edges[2 * j + 1]))
-            for j in range(self.operator.period)
-        ]
-
-    @cached_property
-    def gaps(self):
-        return [
-            Gap(j, float(self.edges[2 * j + 1]), float(self.edges[2 * j + 2]))
-            for j in range(self.operator.period - 1)
-        ]
-
-    def open_gaps(self):
-        return [g for g in self.gaps if g.is_open()]
-
     def _locate(self, lam, tol=0.0):
         """Edge count and spectrum membership of lam, elementwise.
 
         k is the number of edges at or below lam, so lam lies inside
         band k // 2 when k is odd, and in a gap or off the spectrum when
-        it is even. inside is true in the closed bands widened by tol on
-        both sides, as in Band.contains: where k is odd or an edge lies
+        it is even. inside is true in the closed bands [E_2j, E_2j+1]
+        widened by tol on both sides: where k is odd or an edge lies
         within tol of lam (on an edge at tol = 0, which also holds a band
         of width 0 and the one point of a closed gap).
         """

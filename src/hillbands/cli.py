@@ -22,7 +22,6 @@ import numpy as np
 import orjson
 
 from . import inverse, isospectral, tightbinding
-from .bands import BandStructure
 
 
 def _csv_floats(text):
@@ -107,11 +106,12 @@ def _cmd_edges(args):
 
 def _cmd_classes(args):
     classes = isospectral.enumerate_onsite_classes(
-        args.values, args.period, hopping=args.hopping, decimals=args.decimals)
+        args.values, args.period, hopping=args.hopping)
+    alphabet = list(dict.fromkeys(args.values))  # as read: each distinct value once
 
     def payload():
         return {
-            "alphabet": args.values,
+            "alphabet": alphabet,
             "period": args.period,
             "class_count": len(classes),
             "classes": [
@@ -122,7 +122,7 @@ def _cmd_classes(args):
 
     def text():
         lines = [f"{len(classes)} isospectral classes over "
-                 f"{len(args.values)}^{args.period} patterns"]
+                 f"{len(alphabet)}^{args.period} patterns"]
         for i, c in enumerate(classes):
             shown = ", ".join(str(list(m)) for m in c.members[:4])
             more = "" if c.size <= 4 else f" (+{c.size - 4} more)"
@@ -198,7 +198,6 @@ def build_parser():
     p.add_argument("--values", type=_csv_floats, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--hopping", type=_csv_floats, default=(1.0,))
-    p.add_argument("--decimals", type=int, default=9)
     p.set_defaults(func=_cmd_classes)
 
     p = subs.add_parser("neighbors", help="walk the continuous isospectral "

@@ -27,6 +27,7 @@ from .inverse import chain_from_divisor
 from .operators import PeriodicJacobi
 
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes
+DECIMALS = 9  # rounding of the scaled node values that key its classes
 
 
 def _dihedral(op):
@@ -69,27 +70,8 @@ class IsospectralClass:
     def size(self):
         return len(self.members)
 
-    def orbit_count(self, hopping):
-        """Number of dihedral orbits merged into this class.
 
-        Only meaningful over uniform hopping, where shifting the onsite
-        pattern alone is a symmetry.
-        """
-        hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
-        if hopping.size > 1 and not np.all(hopping == hopping[0]):
-            raise ValueError("orbit counting requires uniform hopping")
-        if hopping.size == 1:
-            hopping = np.full(len(self.members[0]), hopping[0])
-        remaining = set(self.members)
-        count = 0
-        while remaining:
-            _, onsite = _dihedral(PeriodicJacobi(hopping, next(iter(remaining))))
-            remaining -= set(map(tuple, onsite.tolist()))
-            count += 1
-        return count
-
-
-def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
+def enumerate_onsite_classes(values, period, hopping=1.0):
     """Partition all onsite patterns from a finite alphabet by spectrum.
 
     The patterns are marched CHUNK at a time at the Chebyshev nodes of
@@ -101,13 +83,11 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     Parameters
     ----------
     values : sequence of float
-        The alphabet each site draws from.
+        The alphabet each site draws from, each distinct value read once.
     period : int
-        Cell length N; the search space is len(values) ** N patterns.
+        Cell length N; the search space is (distinct values) ** N patterns.
     hopping : float or array_like
         Fixed bond strengths, uniform if scalar.
-    decimals : int
-        Rounding used to key the scaled node values.
 
     Returns
     -------
@@ -116,7 +96,9 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
     """
     if period < 1:
         raise ValueError("period must be at least one")
-    values = [float(v) for v in values]
+    values = list(dict.fromkeys(float(v) for v in values))
+    if not values:
+        raise ValueError("alphabet must not be empty")
     hopping = np.atleast_1d(np.asarray(hopping, dtype=float))
     if hopping.size == 1:
         hopping = np.full(period, hopping[0])
@@ -132,7 +114,7 @@ def enumerate_onsite_classes(values, period, hopping=1.0, decimals=9):
         onsite = np.array(chunk).T  # sites first, one pattern per column
         bonds = np.broadcast_to(hopping[:, None], onsite.shape)
         delta = transfer.discriminant(bonds, onsite, nodes[:, None])[0]
-        for pattern, key in zip(chunk, np.round(delta.T / scale, decimals)):
+        for pattern, key in zip(chunk, np.round(delta.T / scale, DECIMALS)):
             groups.setdefault(tuple(key), []).append(pattern)
     classes = [
         IsospectralClass(key, tuple(members)) for key, members in groups.items()

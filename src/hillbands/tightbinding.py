@@ -45,20 +45,19 @@ def dos_curve(structure, points=512):
 
 
 def gap_report(structure):
-    """Plain-text table of bands and gaps; a gap is open when its edges differ."""
-    lines = []
-    n = structure.operator.period
-    lines.append(f"period {n} chain; spectrum within [{structure.edges[0]:.6g}, {structure.edges[-1]:.6g}]")
-    lines.append(f"{'band':>4}  {'lower':>12}  {'upper':>12}  {'width':>12}")
-    for band in structure.bands:
-        lines.append(
-            f"{band.index:>4}  {band.lower:>12.6g}  {band.upper:>12.6g}  {band.width:>12.6g}"
-        )
-    if structure.gaps:
-        lines.append(f"{'gap':>4}  {'lower':>12}  {'upper':>12}  {'width':>12}  state")
-        for gap in structure.gaps:
-            state = "open" if gap.is_open() else "closed"
-            lines.append(
-                f"{gap.index:>4}  {gap.lower:>12.6g}  {gap.upper:>12.6g}  {gap.width:>12.6g}  {state}"
-            )
+    """Plain-text table of bands and gaps, read from the edges as to_dict
+    reads them; a gap is open when its edges differ."""
+    edges = structure.edges
+    head, row = "{:>4}  {:>12}  {:>12}  {:>12}", "{:>4}  {:>12.6g}  {:>12.6g}  {:>12.6g}"
+    lines = [f"period {structure.operator.period} chain; "
+             f"spectrum within [{edges[0]:.6g}, {edges[-1]:.6g}]",
+             head.format("band", "lower", "upper", "width")]
+    for j, (lower, upper) in enumerate(edges.reshape(-1, 2).tolist()):
+        lines.append(row.format(j, lower, upper, upper - lower))
+    gaps = edges[1:-1].reshape(-1, 2).tolist()
+    if gaps:
+        lines.append(head.format("gap", "lower", "upper", "width") + "  state")
+        for j, (lower, upper) in enumerate(gaps):
+            state = "open" if upper > lower else "closed"
+            lines.append(row.format(j, lower, upper, max(0.0, upper - lower)) + f"  {state}")
     return "\n".join(lines)

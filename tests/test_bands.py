@@ -43,17 +43,17 @@ def test_hand_computed_period_two_edges():
     outer = np.sqrt(beta**2 + 4.0)
     expected = np.array([-outer, -beta, beta, outer])
     assert np.allclose(bs.edges, expected, atol=1e-12)
-    assert len(bs.bands) == 2
-    assert len(bs.gaps) == 1
-    assert bs.gaps[0].width == pytest.approx(2 * beta)
+    d = bs.to_dict()
+    assert len(d["bands"]) == 2
+    assert len(d["gaps"]) == 1
+    assert d["gap_widths"][0] == pytest.approx(2 * beta)
 
 
 def test_edge_count_and_ordering(generic_bs):
     edges = generic_bs.edges
     assert edges.size == 6
     assert np.all(np.diff(edges) >= 0)
-    for band in generic_bs.bands:
-        assert band.lower <= band.upper
+    assert np.all(edges[0::2] <= edges[1::2])
 
 
 def test_dual_route_edges_agree():
@@ -149,22 +149,21 @@ def _repeated_cells():
 
 @pytest.mark.parametrize("method", ["eig", "bisection"])
 def test_one_closed_gap_rule(method):
-    # A gap is open iff its edges differ. Membership, the DOS, open_gaps
-    # and the text report all read that one fact, down to the Harper
+    # A gap is open iff its edges differ. Membership, the DOS, the gap
+    # widths and the text report all read that one fact, down to the Harper
     # gaps of 2e-13 that the eig route leaves open.
     rng = np.random.default_rng(808)
     chains = [_harper(n, f_prev, 0.3) for n, f_prev in ((89, 55), (144, 89), (233, 144), (377, 233))]
     chains += [random_operator(rng, 64) for _ in range(10)]
     for op in chains + _uniform_chains() + _repeated_cells():
         bs = BandStructure(op, method)
-        is_open = np.array([g.is_open() for g in bs.gaps])
-        mids = np.array([0.5 * (g.lower + g.upper) for g in bs.gaps])
-        listed = np.isin(np.arange(op.period - 1), [g.index for g in bs.open_gaps()])
+        lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
+        is_open = upper > lower
+        mids = 0.5 * (lower + upper)
         states = [line.split()[-1] for line in gap_report(bs).splitlines()[-(op.period - 1):]]
-        assert np.array_equal(np.array([g.width for g in bs.gaps]) > 0.0, is_open)
+        assert np.array_equal(np.array(bs.to_dict()["gap_widths"]) > 0.0, is_open)
         assert np.array_equal(~bs.contains(mids), is_open)
         assert np.array_equal(bs.density_of_states(mids) == 0.0, is_open)
-        assert np.array_equal(listed, is_open)
         assert np.array_equal(np.array(states) == "open", is_open)
 
 
@@ -176,7 +175,7 @@ def test_routes_close_the_same_gaps():
     for op, cell in [(op, 1) for op in _uniform_chains()] + [(op, 3) for op in _repeated_cells()]:
         n = op.period
         for method in ("eig", "bisection"):
-            widths = np.array([g.width for g in BandStructure(op, method).gaps])
+            widths = np.array(BandStructure(op, method).to_dict()["gap_widths"])
             assert np.count_nonzero(widths) == cell - 1
             assert np.all(widths[np.arange(1, n) % (n // cell) != 0] == 0.0)
         raw = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
@@ -425,8 +424,8 @@ def test_dual_route_with_closed_gaps():
     eig_edges = band_edges_eig(op)
     bis_edges = band_edges_bisection(op)
     assert np.allclose(eig_edges, bis_edges, atol=1e-9)
-    for gap in BandStructure(op, method="bisection").gaps:
-        assert not gap.is_open()
+    edges = BandStructure(op, method="bisection").edges
+    assert not np.any(edges[2::2] > edges[1:-1:2])
 
 
 def test_free_operator_single_interval():
@@ -434,20 +433,21 @@ def test_free_operator_single_interval():
     bs = BandStructure(op)
     assert bs.edges[0] == pytest.approx(-0.1 - 1.4, abs=1e-10)
     assert bs.edges[-1] == pytest.approx(-0.1 + 1.4, abs=1e-10)
-    assert not bs.open_gaps()
+    assert not np.any(bs.edges[2::2] > bs.edges[1:-1:2])
 
 
 def test_floquet_eigenvalues_inside_bands(generic_bs, generic_op):
+    lower, upper = generic_bs.edges[0::2], generic_bs.edges[1::2]
     for theta in np.linspace(0, np.pi, 9):
         for lam in generic_op.floquet_eigenvalues(theta):
             assert generic_bs.contains(lam, tol=1e-9)
-            assert any(b.contains(lam, tol=1e-9) for b in generic_bs.bands)
+            assert np.any((lower - 1e-9 <= lam) & (lam <= upper + 1e-9))
 
 
 def test_gap_midpoints_outside_spectrum(generic_bs):
     op = generic_bs.operator
-    for gap in generic_bs.open_gaps():
-        mid = 0.5 * (gap.lower + gap.upper)
+    lower, upper = generic_bs.edges[1:-1:2], generic_bs.edges[2::2]
+    for mid in (0.5 * (lower + upper))[upper > lower]:
         assert abs(transfer.discriminant(op.hopping, op.onsite, mid)[0]) > 2.0
         assert not generic_bs.contains(mid)
     assert not generic_bs.contains(generic_bs.edges[0] - 1.0)
@@ -463,18 +463,18 @@ def test_band_centres_of_random_long_chains_are_in_the_spectrum():
         bs = BandStructure(random_operator(rng, 64))
         centres = 0.5 * (bs.edges[0::2] + bs.edges[1::2])
         assert np.all(bs.contains(centres))
-        mids = [0.5 * (g.lower + g.upper) for g in bs.open_gaps()]
-        assert not np.any(bs.contains(np.array(mids)))
+        lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
+        assert not np.any(bs.contains((0.5 * (lower + upper))[upper > lower]))
         assert not bs.contains(bs.edges[0] - 1.0)
         assert not bs.contains(bs.edges[-1] + 1.0)
 
 
 def test_contains_tolerance_widens_each_band(generic_bs):
-    for band in generic_bs.bands:
-        assert np.all(generic_bs.contains([band.lower, band.upper]))
-        for lam in (band.lower - 1e-3, band.upper + 1e-3):
+    for lower, upper in generic_bs.edges.reshape(-1, 2):
+        assert np.all(generic_bs.contains([lower, upper]))
+        for lam in (lower - 1e-3, upper + 1e-3):
             assert not generic_bs.contains(lam)
-            assert generic_bs.contains(lam, tol=2e-3) == band.contains(lam, tol=2e-3)
+            assert generic_bs.contains(lam, tol=2e-3) == (lower - 2e-3 <= lam <= upper + 2e-3)
 
 
 def test_closed_gaps_of_uniform_chains_are_in_the_spectrum():
@@ -499,9 +499,9 @@ def test_integrated_density_at_band_edges(generic_bs):
     # The Bloch phase runs from 0 to pi or back across each band, so the
     # IDS rises from j / N at band j's lower edge to (j + 1) / N at its upper.
     n = generic_bs.operator.period
-    for band in generic_bs.bands:
-        assert round(generic_bs.integrated_density(band.lower), 6) == round(band.index / n, 6)
-        assert round(generic_bs.integrated_density(band.upper), 6) == round((band.index + 1) / n, 6)
+    for j, (lower, upper) in enumerate(generic_bs.edges.reshape(-1, 2)):
+        assert round(generic_bs.integrated_density(lower), 6) == round(j / n, 6)
+        assert round(generic_bs.integrated_density(upper), 6) == round((j + 1) / n, 6)
 
 
 def test_dispersion_reproduces_floquet(generic_op, generic_bs):
@@ -601,9 +601,9 @@ def test_dos_curve_marches_only_in_band_points(monkeypatch):
 def test_density_of_states_normalization(generic_bs):
     # Each band carries exactly 1/N of the total state count.
     n = generic_bs.operator.period
-    for band in generic_bs.bands:
+    for lower, upper in generic_bs.edges.reshape(-1, 2):
         mass, err = quad(
-            generic_bs.density_of_states, band.lower, band.upper, limit=400
+            generic_bs.density_of_states, lower, upper, limit=400
         )
         assert mass == pytest.approx(1.0 / n, abs=5e-7)
 
@@ -611,8 +611,9 @@ def test_density_of_states_normalization(generic_bs):
 def test_density_of_states_zero_outside(generic_bs):
     lam = generic_bs.edges[-1] + 0.5
     assert generic_bs.density_of_states(lam) == 0.0
-    for gap in generic_bs.open_gaps():
-        assert generic_bs.density_of_states(0.5 * (gap.lower + gap.upper)) == 0.0
+    lower, upper = generic_bs.edges[1:-1:2], generic_bs.edges[2::2]
+    for mid in (0.5 * (lower + upper))[upper > lower]:
+        assert generic_bs.density_of_states(mid) == 0.0
 
 
 def test_integrated_density_limits_and_monotone(generic_bs):
@@ -626,10 +627,10 @@ def test_integrated_density_limits_and_monotone(generic_bs):
 
 def test_integrated_density_gap_plateaus(generic_bs):
     n = generic_bs.operator.period
-    for j, gap in enumerate(generic_bs.gaps):
-        if not gap.is_open():
+    for j, (lower, upper) in enumerate(generic_bs.edges[1:-1].reshape(-1, 2)):
+        if not upper > lower:
             continue
-        mid = 0.5 * (gap.lower + gap.upper)
+        mid = 0.5 * (lower + upper)
         assert generic_bs.integrated_density(mid) == pytest.approx((j + 1) / n)
 
 
@@ -657,13 +658,13 @@ def test_integrated_density_matches_band_loop():
         bs = BandStructure(bs.operator.cell)
         n = bs.operator.period
         filled = 0
-        for band in bs.bands:
-            if lam >= band.upper:
+        for j, (lower, upper) in enumerate(bs.edges.reshape(-1, 2).tolist()):
+            if lam >= upper:
                 filled += 1
                 continue
-            if lam < band.lower:
+            if lam < lower:
                 break
-            phase_lower = 0.0 if (n - band.index) % 2 == 0 else np.pi
+            phase_lower = 0.0 if (n - j) % 2 == 0 else np.pi
             delta = transfer.discriminant(bs.operator.hopping, bs.operator.onsite, lam)[0]
             phase = np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
             return (filled + abs(phase - phase_lower) / np.pi) / n
@@ -704,15 +705,17 @@ def test_to_dict_round_trip(generic_bs):
     assert np.allclose(d["edges"], generic_bs.edges)
     assert len(d["bands"]) == 3
     assert len(d["gaps"]) == 2
-    assert d["gap_widths"][0] == pytest.approx(generic_bs.gaps[0].width)
+    assert d["gap_widths"][0] == pytest.approx(max(0.0, generic_bs.edges[2] - generic_bs.edges[1]))
     import json
 
     json.dumps(d)  # everything must be plain JSON-serializable types
 
 
 def test_to_dict_reads_the_edges_as_the_band_and_gap_records_do():
-    # The payload is sliced from the edges, never building the Band and
-    # Gap records, and its JSON is byte for byte what the records give.
+    # The payload is sliced from the edges, and its JSON is byte for byte
+    # what reading band j as [E_2j, E_2j+1] and gap j as [E_2j+1, E_2j+2],
+    # one index at a time, gives: a band's width upper - lower, a gap's
+    # max(0.0, upper - lower).
     rng = np.random.default_rng(93)
     chains = [random_operator(rng, n) for n in (1, 2, 7, 64)]
     chains += [PeriodicJacobi.free(n, 0.9, -0.2) for n in (1, 5, 60)] + _repeated_cells()[:3]
@@ -721,15 +724,18 @@ def test_to_dict_reads_the_edges_as_the_band_and_gap_records_do():
             bs = BandStructure(op, method)
             payload = json.dumps(bs.to_dict())
             assert "bands" not in bs.__dict__ and "gaps" not in bs.__dict__
+            edges = [float(e) for e in bs.edges]
+            bands = [[edges[2 * j], edges[2 * j + 1]] for j in range(op.period)]
+            gaps = [[edges[2 * j + 1], edges[2 * j + 2]] for j in range(op.period - 1)]
             assert payload == json.dumps({
                 "period": op.period,
                 "hopping": op.hopping.tolist(),
                 "onsite": op.onsite.tolist(),
                 "edges": bs.edges.tolist(),
-                "bands": [[b.lower, b.upper] for b in bs.bands],
-                "band_widths": [b.width for b in bs.bands],
-                "gaps": [[g.lower, g.upper] for g in bs.gaps],
-                "gap_widths": [g.width for g in bs.gaps],
+                "bands": bands,
+                "band_widths": [upper - lower for lower, upper in bands],
+                "gaps": gaps,
+                "gap_widths": [max(0.0, upper - lower) for lower, upper in gaps],
             })
 
 
@@ -899,7 +905,7 @@ def test_dos_matches_exact_arithmetic_inside_every_band():
     for period in (10, 10, 12, 12, 12):
         bs = BandStructure(random_operator(rng, period))
         lam = np.concatenate(
-            [np.linspace(band.lower, band.upper, 10)[1:-1] for band in bs.bands]
+            [np.linspace(lower, upper, 10)[1:-1] for lower, upper in bs.edges.reshape(-1, 2)]
         )
         exact = np.array([_exact_density(bs.operator, x) for x in lam])
         assert np.all(np.abs(bs.density_of_states(lam) - exact) <= 1e-9 * exact)

@@ -257,6 +257,15 @@ def test_classes_subcommand(capsys):
     assert sum(c["size"] for c in payload["classes"]) == 16
 
 
+def test_classes_subcommand_reads_a_repeated_value_once(capsys):
+    # --values 0,0,1 is the alphabet {0, 1}: four patterns, each in one class.
+    lines, payload = run_both(capsys, "classes", "--values", "0,0,1", "--period", "2")
+    assert payload["alphabet"] == [0.0, 1.0]
+    assert lines[0] == "3 isospectral classes over 2^2 patterns"
+    members = [tuple(m) for c in payload["classes"] for m in c["members"]]
+    assert sorted(members) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
 def test_neighbors_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -300,6 +309,7 @@ def test_error_paths_exit_nonzero(capsys):
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "inf"], "step must be finite"),
         (["inverse", "--coeffs=nan,0,1", "--hopping", "1,1"], "target coefficients must be finite"),
         (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
+        (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
     ):
         code, out, err = run_cli(capsys, *argv)

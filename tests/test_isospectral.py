@@ -93,7 +93,8 @@ def test_binary_enumeration_period_four():
     sizes = sorted(c.size for c in classes)
     assert sizes == [1, 1, 2, 4, 4, 4]
     for c in classes:
-        assert c.orbit_count(1.0) == 1
+        orbit = dihedral_orbit(PeriodicJacobi(np.ones(4), np.array(c.members[0])))
+        assert set(c.members) == {tuple(m.onsite.tolist()) for m in orbit}
 
 
 def test_enumeration_matches_eigenvalue_oracle():
@@ -116,12 +117,6 @@ def test_enumeration_matches_eigenvalue_oracle():
     expected = {frozenset(g) for g in groups.values()}
     found = {frozenset(c.members) for c in classes}
     assert found == expected
-
-
-def test_orbit_count_requires_uniform_hopping():
-    classes = enumerate_onsite_classes([0.0, 1.0], 3)
-    with pytest.raises(ValueError):
-        classes[0].orbit_count([1.0, 0.9, 1.0])
 
 
 def test_neighbors_share_spectrum_but_not_orbit():
@@ -183,6 +178,18 @@ def test_enumeration_rejects_bad_input():
     # it, and NumPy's "negative dimensions are not allowed" came out.
     with pytest.raises(ValueError, match="period must be at least one"):
         enumerate_onsite_classes([0.0, 1.0], -2)
+    with pytest.raises(ValueError, match="alphabet must not be empty"):
+        enumerate_onsite_classes([], 2)
+
+
+def test_enumeration_reads_a_repeated_value_once():
+    # An alphabet with 0 twice is {0, 1}: each pattern once, in one class.
+    found = enumerate_onsite_classes([0.0, 0.0, 1.0], 2)
+    assert [(c.key, c.members) for c in found] == [
+        (c.key, c.members) for c in enumerate_onsite_classes([0.0, 1.0], 2)]
+    assert sorted(m for c in found for m in c.members) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    # First-seen order: 1 before 0.
+    assert enumerate_onsite_classes([1.0, 0.0, 1.0], 2)[0].members == ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_neighbors_march_once(monkeypatch):

@@ -19,7 +19,7 @@ def test_make_chain_broadcasting():
 
 def test_band_structure_shortcut():
     bs = band_structure([0.0, 0.8], hopping=1.0)
-    assert len(bs.bands) == 2
+    assert bs.edges.reshape(-1, 2).shape == (2, 2)
     assert np.allclose(bs.edges, band_structure([0.0, 0.8], method="bisection").edges)
 
 
@@ -46,3 +46,34 @@ def test_gap_report_mentions_every_band_and_gap():
 def test_gap_report_closed_state():
     bs = band_structure([0.0, 0.0], hopping=1.0)
     assert "closed" in gap_report(bs)
+
+
+def test_gap_report_text_is_pinned():
+    # The whole table, literally: a period-1 chain prints no gap section,
+    # [0.8, -0.8] has one open gap, and the uniform N = 4 chain three
+    # closed ones, its middle gap at 2 cos(pi / 2) = 1.22465e-16.
+    assert gap_report(band_structure(0.3, 0.9)) == (
+        "period 1 chain; spectrum within [-1.5, 2.1]\n"
+        "band         lower         upper         width\n"
+        "   0          -1.5           2.1           3.6"
+    )
+    assert gap_report(band_structure([0.8, -0.8], 1.0)) == (
+        "period 2 chain; spectrum within [-2.15407, 2.15407]\n"
+        "band         lower         upper         width\n"
+        "   0      -2.15407          -0.8       1.35407\n"
+        "   1           0.8       2.15407       1.35407\n"
+        " gap         lower         upper         width  state\n"
+        "   0          -0.8           0.8           1.6  open"
+    )
+    assert gap_report(band_structure([0.0] * 4, 1.0)) == (
+        "period 4 chain; spectrum within [-2, 2]\n"
+        "band         lower         upper         width\n"
+        "   0            -2      -1.41421      0.585786\n"
+        "   1      -1.41421   1.22465e-16       1.41421\n"
+        "   2   1.22465e-16       1.41421       1.41421\n"
+        "   3       1.41421             2      0.585786\n"
+        " gap         lower         upper         width  state\n"
+        "   0      -1.41421      -1.41421             0  closed\n"
+        "   1   1.22465e-16   1.22465e-16             0  closed\n"
+        "   2       1.41421       1.41421             0  closed"
+    )
