@@ -55,6 +55,8 @@ def _cmd_bands(args):
 
 
 def _cmd_dispersion(args):
+    if args.samples < 0:
+        raise ValueError(f"samples must be nonnegative, not {args.samples}")
     bs = tightbinding.band_structure(args.onsite, args.hopping)
     thetas = np.linspace(0.0, np.pi, args.samples)
     energies = bs.dispersion(thetas)

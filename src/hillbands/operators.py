@@ -8,15 +8,55 @@ with both coefficient arrays repeating with the same period N, so
 hopping[n] is the bond between sites n and n+1 and hopping[N-1] wraps
 the cell. Hoppings must be positive: flipping the sign of a bond is a
 gauge transformation that never changes the spectrum.
+
+The eigensolvers are LAPACK ?sbevd, ?sterf and ?hbevd from SciPy's
+compiled wrapper module scipy.linalg._flapack, loaded by _flapack()
+without running scipy.linalg's package import. That import takes about
+0.28 s after NumPy's (median of 7, python -X importtime, SciPy 1.17.1
+on a 2-vCPU Xeon), since it clones NumPy's namespace for the array API
+and so imports numpy.f2py, numpy.testing and numpy.ma; without it,
+importing hillbands.cli fell from 0.48 to 0.14 s. The routines are the
+very objects scipy.linalg.lapack exports, so every answer is the same
+to the bit. The blind inverse and edges --hopping still import
+scipy.optimize, and with it scipy.linalg, on first use.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dsbevd, dsterf, zhbevd
 
 MEMO_ENTRIES = 16  # chains whose real Bloch spectra, theta = 0 and pi, are kept per process
+
+
+def _flapack():
+    """SciPy's extension module scipy.linalg._flapack, loaded on its own.
+
+    It is found in the linalg directory of the scipy package, whose spec
+    is read without importing scipy, and registered in sys.modules, so
+    that a later import of scipy.linalg reuses it; one already there is
+    taken as it is.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else ())]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"no {name} in {where or 'any scipy package'}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _flapack()
+dsbevd, dsterf, zhbevd = _lapack.dsbevd, _lapack.dsterf, _lapack.zhbevd
 
 
 @dataclass

@@ -14,12 +14,14 @@ from .operators import PeriodicJacobi
 def make_chain(onsite, hopping=1.0):
     """Build a PeriodicJacobi from scalars or sequences.
 
-    Scalar arguments broadcast against the other argument's length;
-    two scalars give a period-1 chain.
+    A scalar hopping broadcasts over the sites, however many (none
+    included, which PeriodicJacobi refuses as a period below one); a
+    scalar site energy broadcasts over two or more hoppings. Two
+    scalars give a period-1 chain.
     """
     b = np.atleast_1d(np.asarray(onsite, dtype=float))
     a = np.atleast_1d(np.asarray(hopping, dtype=float))
-    if a.size == 1 and b.size > 1:
+    if a.size == 1 and b.size != 1:
         a = np.full(b.size, a[0])
     if b.size == 1 and a.size > 1:
         b = np.full(a.size, b[0])
@@ -36,8 +38,11 @@ def dos_curve(structure, points=512):
 
     Returns (energies, dos, ids) arrays; the grid spans the spectrum
     plus 5% of its width on each side. Both curves come from one march
-    over the grid points in the spectrum.
+    over the grid points in the spectrum. A negative count of points is
+    refused before any solve; zero gives three empty arrays.
     """
+    if points < 0:
+        raise ValueError(f"points must be nonnegative, not {points}")
     lo, hi = structure.edges[0], structure.edges[-1]
     margin = 0.05 * (hi - lo if hi > lo else 1.0)
     energies = np.linspace(lo - margin, hi + margin, points)

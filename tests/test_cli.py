@@ -311,6 +311,8 @@ def test_error_paths_exit_nonzero(capsys):
         (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
         (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
+        (["bands", "--onsite="], "period must be at least one"),
+        (["neighbors", "--onsite="], "period must be at least one"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -451,6 +453,26 @@ def test_dispersion_never_solves_band_edges(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "dispersion", "--onsite", "0,0.5", "--samples", "3", "--json")
     assert code == 0 and err == ""
     assert len(json.loads(out)["bands"]) == 2
+
+
+def test_negative_points_and_samples_are_refused_before_any_solve(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solved before the check")
+
+    monkeypatch.setattr(bands, "band_edges_eig", refuse)
+    monkeypatch.setattr(PeriodicJacobi, "floquet_eigenvalues", refuse)
+    for argv, message in ((["dos", "--onsite", "0,0.5", "--points", "-3"], "points must be nonnegative"),
+                          (["dispersion", "--onsite", "0,0.5", "--samples", "-1"],
+                           "samples must be nonnegative")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and message in err
+
+
+def test_zero_points_and_samples_are_empty_answers(capsys):
+    code, out, _ = run_cli(capsys, "dos", "--onsite", "0,0.5", "--points", "0", "--json")
+    assert code == 0 and strict_json(out) == {"energy": [], "dos": [], "ids": []}
+    code, out, _ = run_cli(capsys, "dispersion", "--onsite", "0,0.5", "--samples", "0", "--json")
+    assert code == 0 and strict_json(out) == {"theta": [], "bands": [[], []]}
 
 
 def test_edges_builds_the_discriminant_once(capsys, monkeypatch):

@@ -1,5 +1,12 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg.lapack import dsbevd
 
 from hillbands import PeriodicJacobi, band_edges_eig, bands, operators
@@ -326,3 +333,72 @@ def test_equality():
     assert a == b
     assert a != c
     assert a != "not an operator"
+
+
+def _fresh(script):
+    """Run script in a fresh interpreter that imports hillbands from src;
+    returns its last line of output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+_SAME_SOLVERS = (
+    "import scipy.linalg.lapack as lapack\n"
+    "same = [getattr(operators, f) is getattr(lapack, f) for f in ('dsbevd', 'dsterf', 'zhbevd')]\n"
+    "same.append(sys.modules['scipy.linalg._flapack'] is flapack)\n"
+)
+
+
+def test_band_requests_never_import_scipy_linalg():
+    # The solvers come from scipy.linalg._flapack alone: serving the band
+    # requests leaves scipy.linalg unimported. Imported afterwards, its
+    # lapack module exports the very objects hillbands calls.
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli, operators\n"
+        "chain = ['--onsite', '0,0.5,-0.3,0.9', '--hopping', '1,0.8,1.2,0.6']\n"
+        "requests = [['bands', *chain], ['bands', *chain, '--method', 'bisection'],\n"
+        "            ['dos', *chain, '--points', '16'], ['dispersion', *chain, '--samples', '5'],\n"
+        "            ['classes', '--values', '0,1', '--period', '4'],\n"
+        "            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv + ['--json']) for argv in requests]\n"
+        "assert codes == [0] * len(requests), codes\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        + _SAME_SOLVERS +
+        "print(loaded, all(same))\n"
+    )
+    assert _fresh(script) == "False True"
+
+
+def test_solvers_are_scipy_linalg_lapacks_when_scipy_linalg_comes_first():
+    script = (
+        "import sys\n"
+        "import scipy.linalg\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "from hillbands import operators\n"
+        + _SAME_SOLVERS +
+        "print(all(same))\n"
+    )
+    assert _fresh(script) == "True"
+
+
+def test_flapack_loader_reuses_a_loaded_module_and_names_the_directory_it_searched(monkeypatch):
+    find = importlib.machinery.PathFinder.find_spec
+
+    def hide_flapack(name, path=None, target=None):
+        return None if name == "scipy.linalg._flapack" else find(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", hide_flapack)
+    assert operators._flapack() is sys.modules["scipy.linalg._flapack"]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError) as caught:
+        operators._flapack()
+    assert os.path.join(os.path.dirname(scipy.__file__), "linalg") in str(caught.value)

@@ -16,6 +16,10 @@ def test_make_chain_broadcasting():
     chain = make_chain(0.1, 0.9)
     assert chain.period == 1
 
+    # A scalar hopping over no sites is an empty chain, not a mismatch.
+    with pytest.raises(ValueError, match="period must be at least one"):
+        make_chain([])
+
 
 def test_band_structure_shortcut():
     bs = band_structure([0.0, 0.8], hopping=1.0)
@@ -31,6 +35,13 @@ def test_dos_curve_shapes_and_padding():
     assert rho[0] == 0.0 and rho[-1] == 0.0
     assert ids[0] == 0.0 and ids[-1] == pytest.approx(1.0)
     assert np.all(np.diff(ids) >= -1e-12)
+
+
+def test_dos_curve_refuses_negative_points():
+    bs = band_structure([0.0, 0.8])
+    with pytest.raises(ValueError, match="points must be nonnegative"):
+        dos_curve(bs, points=-3)
+    assert "edges" not in vars(bs)  # refused before the edges were solved
 
 
 def test_gap_report_mentions_every_band_and_gap():
