@@ -1,6 +1,6 @@
 """Band structure of 1-D periodic tight-binding chains via the Hill discriminant."""
 
-from .bands import BandStructure, band_edges_bisection, band_edges_eig
+from .bands import BandStructure, band_edges_bisection, band_edges_eig, dos_curve
 from .discriminant import Discriminant
 from .inverse import (
     chain_from_divisor,
@@ -17,7 +17,6 @@ from .isospectral import (
     orbit_distance,
 )
 from .operators import PeriodicJacobi
-from .tightbinding import band_structure, dos_curve, gap_report, make_chain
 
 __version__ = "0.1.0"
 
@@ -28,15 +27,12 @@ __all__ = [
     "PeriodicJacobi",
     "band_edges_bisection",
     "band_edges_eig",
-    "band_structure",
     "chain_from_divisor",
     "dihedral_orbit",
     "discriminant_from_edges",
     "dos_curve",
     "enumerate_onsite_classes",
-    "gap_report",
     "isospectral_neighbors",
-    "make_chain",
     "newton_solve",
     "orbit_distance",
     "recover_onsite",

@@ -42,7 +42,7 @@ def _close(edges, gaps, at):
     each become its entry of at.
 
     A closed gap is two equal edges, and nothing else: contains, the DOS,
-    the IDS, to_dict and gap_report all read it from the edges.
+    the IDS and to_dict all read it from the edges.
     """
     edges[1:-1:2][gaps] = at
     edges[2::2][gaps] = at
@@ -401,3 +401,19 @@ class BandStructure:
             "gaps": gaps.tolist(),
             "gap_widths": np.maximum(gaps[:, 1] - gaps[:, 0], 0.0).tolist(),
         }
+
+
+def dos_curve(structure, points=512):
+    """Sampled density of states and integrated density over the spectrum.
+
+    Returns (energies, dos, ids) arrays; the grid spans the spectrum
+    plus 5% of its width on each side. Both curves come from one march
+    over the grid points in the spectrum. A negative count of points is
+    refused before any solve; zero gives three empty arrays.
+    """
+    if points < 0:
+        raise ValueError(f"points must be nonnegative, not {points}")
+    lo, hi = structure.edges[0], structure.edges[-1]
+    margin = 0.05 * (hi - lo if hi > lo else 1.0)
+    energies = np.linspace(lo - margin, hi + margin, points)
+    return (energies, *structure._densities(energies))

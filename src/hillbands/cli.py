@@ -21,7 +21,9 @@ import sys
 import numpy as np
 import orjson
 
-from . import inverse, isospectral, tightbinding
+from . import inverse, isospectral
+from .bands import BandStructure, dos_curve
+from .operators import PeriodicJacobi
 
 
 def _csv_floats(text):
@@ -38,6 +40,18 @@ def _add_chain_arguments(sub):
                      help="comma-separated bond strengths (default 1)")
 
 
+def _chain(args):
+    """The chain of --onsite and --hopping. One hopping broadcasts over
+    the sites, however many (none included, which PeriodicJacobi refuses
+    as a period below one); one site energy over two or more hoppings."""
+    b, a = np.asarray(args.onsite, dtype=float), np.asarray(args.hopping, dtype=float)
+    if a.size == 1 and b.size != 1:
+        a = np.full(b.size, a[0])
+    if b.size == 1 and a.size > 1:
+        b = np.full(a.size, b[0])
+    return PeriodicJacobi(a, b)
+
+
 def _emit(args, payload, text):
     """Write the payload under --json, else the text; both are zero-argument
     callables, and only the one written is called. JSON goes out compact,
@@ -49,15 +63,33 @@ def _emit(args, payload, text):
         sys.stdout.write(text() + "\n")
 
 
+def _gap_table(record):
+    """Plain-text table of the bands and gaps of a BandStructure.to_dict
+    record; a gap is open when its edges differ."""
+    edges = record["edges"]
+    head, row = "{:>4}  {:>12}  {:>12}  {:>12}", "{:>4}  {:>12.6g}  {:>12.6g}  {:>12.6g}"
+    lines = [f"period {record['period']} chain; "
+             f"spectrum within [{edges[0]:.6g}, {edges[-1]:.6g}]",
+             head.format("band", "lower", "upper", "width")]
+    for j, ((lower, upper), width) in enumerate(zip(record["bands"], record["band_widths"])):
+        lines.append(row.format(j, lower, upper, width))
+    if record["gaps"]:
+        lines.append(head.format("gap", "lower", "upper", "width") + "  state")
+        for j, ((lower, upper), width) in enumerate(zip(record["gaps"], record["gap_widths"])):
+            state = "open" if upper > lower else "closed"
+            lines.append(row.format(j, lower, upper, width) + f"  {state}")
+    return "\n".join(lines)
+
+
 def _cmd_bands(args):
-    bs = tightbinding.band_structure(args.onsite, args.hopping, method=args.method)
-    _emit(args, bs.to_dict, lambda: tightbinding.gap_report(bs))
+    bs = BandStructure(_chain(args), method=args.method)
+    _emit(args, bs.to_dict, lambda: _gap_table(bs.to_dict()))
 
 
 def _cmd_dispersion(args):
     if args.samples < 0:
         raise ValueError(f"samples must be nonnegative, not {args.samples}")
-    bs = tightbinding.band_structure(args.onsite, args.hopping)
+    bs = BandStructure(_chain(args))
     thetas = np.linspace(0.0, np.pi, args.samples)
     energies = bs.dispersion(thetas)
 
@@ -71,8 +103,8 @@ def _cmd_dispersion(args):
 
 
 def _cmd_dos(args):
-    bs = tightbinding.band_structure(args.onsite, args.hopping)
-    energies, rho, ids = tightbinding.dos_curve(bs, points=args.points)
+    bs = BandStructure(_chain(args))
+    energies, rho, ids = dos_curve(bs, points=args.points)
 
     def text():
         lines = ["energy dos ids"]
@@ -92,7 +124,7 @@ def _cmd_inverse(args):
 
 
 def _cmd_edges(args):
-    disc, op = inverse._edge_inverse(args.periodic, args.antiperiodic, args.hopping)
+    disc, op = inverse.recover_operator_from_edges(args.periodic, args.antiperiodic, args.hopping)
     product = float(np.exp(disc.log_hopping_product))
     _emit(args,
           lambda: {
@@ -135,7 +167,7 @@ def _cmd_classes(args):
 
 
 def _cmd_neighbors(args):
-    op = tightbinding.make_chain(args.onsite, args.hopping)
+    op = _chain(args)
     found = isospectral.isospectral_neighbors(
         op, count=args.count, step=args.step, seed=args.seed)
 

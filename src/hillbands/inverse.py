@@ -296,7 +296,9 @@ def discriminant_from_edges(periodic, antiperiodic):
     """
     per = np.sort(np.asarray(periodic, dtype=float))
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
-    if per.size != anti.size or per.size == 0:
+    if per.size == 0 or anti.size == 0:
+        raise ValueError("need at least one edge of each kind, periodic and antiperiodic")
+    if per.size != anti.size:
         raise ValueError("need equally many periodic and antiperiodic eigenvalues")
     if not (np.isfinite(per).all() and np.isfinite(anti).all()):
         raise ValueError("edge values must be finite")
@@ -374,17 +376,19 @@ def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):
 
 
 def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
-    """A chain with these band edges: recover_onsite at the given bonds,
-    else chain_from_divisor at the gap midpoints on sheet +1, whose bonds
-    are in general not uniform. discriminant_from_edges checks the data
-    and gives the hopping product."""
-    return _edge_inverse(periodic, antiperiodic, hopping)[1]
+    """The discriminant of these band edges and a chain that has them,
+    as (Discriminant, PeriodicJacobi).
 
-
-def _edge_inverse(periodic, antiperiodic, hopping):
-    """discriminant_from_edges of the data, and recover_operator_from_edges's chain."""
+    discriminant_from_edges checks the data and gives the hopping
+    product. The chain is recover_onsite's at the given bonds, one per
+    edge of each kind, else chain_from_divisor's at the gap midpoints on
+    sheet +1, whose bonds are in general not uniform.
+    """
     disc = discriminant_from_edges(periodic, antiperiodic)
     if hopping is not None:
+        n, m = np.size(periodic), np.size(hopping)
+        if m != n:
+            raise ValueError(f"need {n} hoppings for {n} edges of each kind, not {m}")
         return disc, recover_onsite(disc, hopping)
     edges = np.sort(np.concatenate([periodic, antiperiodic]))
     mid = 0.5 * (edges[1:-1:2] + edges[2::2])

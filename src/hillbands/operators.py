@@ -225,20 +225,23 @@ class PeriodicJacobi:
 
 
 def _folded_band(a, b):
-    """The 3 x N lower band of J(theta), N >= 2, in the folded site order
-    of PeriodicJacobi.floquet_eigenvalues. Entry (1, 0) lacks the closing
-    bond's a_{N-1} e^{i theta}, which the caller adds for its theta."""
+    """The lower band of J(theta), N >= 2, in the folded site order of
+    PeriodicJacobi.floquet_eigenvalues: 3 x N, or 2 x 2 at N = 2, where
+    LAPACK allows at most N - 1 subdiagonals and refuses to rescale a
+    band with more. Entry (1, 0) lacks the closing bond's
+    a_{N-1} e^{i theta}, which the caller adds for its theta."""
     n, half = a.size, (a.size - 1) // 2
-    band = np.zeros((3, n), order="F")
+    band = np.zeros((min(3, n), n), order="F")
     # Even positions hold sites 0, 1, 2, ..., odd ones N-1, N-2, ....
     band[0, 0::2] = b[: n - n // 2]
     band[0, 1::2] = b[:half:-1]
     # Row 2 holds the bonds two positions apart: a_m between sites m
     # and m+1, a_{N-2-m} between N-1-m and N-2-m. Row 1 holds the one
     # bond between the middle sites, a_half, and at (1, 0) the closing
-    # bond joining sites N-1 and 0; at N = 2 these last two are one entry.
-    band[2, 0:-2:2] = a[:half]
-    band[2, 1:-2:2] = a[n - 2:half:-1]
+    # bond joining sites N-1 and 0; at N = 2 these last two are one entry,
+    # and there is no row 2.
+    band[2:, 0:-2:2] = a[:half]
+    band[2:, 1:-2:2] = a[n - 2:half:-1]
     band[1, n - 2] = a[half]
     return band
 

@@ -15,7 +15,6 @@ from hillbands import (
     bands,
     cli,
     dos_curve,
-    gap_report,
     operators,
     transfer,
 )
@@ -160,7 +159,7 @@ def test_one_closed_gap_rule(method):
         lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
         is_open = upper > lower
         mids = 0.5 * (lower + upper)
-        states = [line.split()[-1] for line in gap_report(bs).splitlines()[-(op.period - 1):]]
+        states = [line.split()[-1] for line in cli._gap_table(bs.to_dict()).splitlines()[-(op.period - 1):]]
         assert np.array_equal(np.array(bs.to_dict()["gap_widths"]) > 0.0, is_open)
         assert np.array_equal(~bs.contains(mids), is_open)
         assert np.array_equal(bs.density_of_states(mids) == 0.0, is_open)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, inverse, tightbinding
+from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, dos_curve, inverse
 from hillbands.cli import main
 
 from helpers import power_coefficients
@@ -82,7 +82,7 @@ def test_emit_writes_floats_that_parse_back_to_the_same_bits(x):
 def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
     harper = (0.8 * np.cos(2 * np.pi * 55 * np.arange(89) / 89 + 0.3)).tolist()
     onsite = "--onsite=" + ",".join(map(repr, harper))
-    bs = tightbinding.band_structure(harper, 1.0)
+    bs = BandStructure(PeriodicJacobi(np.ones(89), harper))
     thetas = np.linspace(0.0, np.pi, 8)
     code, out, err = run_cli(capsys, "dispersion", onsite, "--samples", "8", "--json")
     assert code == 0 and err == ""
@@ -90,7 +90,7 @@ def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
         {"theta": thetas.tolist(), "bands": bs.dispersion(thetas).tolist()})
     code, out, err = run_cli(capsys, "dos", onsite, "--points", "512", "--json")
     assert code == 0 and err == ""
-    energies, rho, ids = tightbinding.dos_curve(bs, points=512)
+    energies, rho, ids = dos_curve(bs, points=512)
     assert bits(strict_json(out)) == bits(
         {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()})
 
@@ -313,6 +313,12 @@ def test_error_paths_exit_nonzero(capsys):
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
         (["bands", "--onsite="], "period must be at least one"),
         (["neighbors", "--onsite="], "period must be at least one"),
+        (["edges", "--periodic=", "--antiperiodic="], "need at least one edge of each kind"),
+        (["edges", "--periodic=", "--antiperiodic", "1"], "need at least one edge of each kind"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1"],
+         "need 2 hoppings for 2 edges of each kind, not 1"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1,1,1"],
+         "need 2 hoppings for 2 edges of each kind, not 3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -327,13 +333,13 @@ def test_bad_float_list_rejected(capsys):
 def test_consecutive_calls_share_no_state(capsys, monkeypatch):
     # main reuses one parser; each call must still see only its own argv.
     seen = []
-    build = tightbinding.band_structure
+    build = cli._chain
 
-    def spy(onsite, hopping=1.0, method="eig"):
-        seen.append((list(onsite), list(hopping), method))
-        return build(onsite, hopping, method=method)
+    def spy(args):
+        seen.append((list(args.onsite), list(args.hopping), args.method))
+        return build(args)
 
-    monkeypatch.setattr(tightbinding, "band_structure", spy)
+    monkeypatch.setattr(cli, "_chain", spy)
     code, out, _ = run_cli(
         capsys, "bands", "--onsite", "0,0.5", "--hopping", "0.5,2",
         "--method", "bisection", "--json",
@@ -492,3 +498,28 @@ def test_edges_builds_the_discriminant_once(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}", *extra)
         assert code == 0 and err == ""
         assert len(calls) == 1
+
+
+def test_edges_goes_through_recover_operator_from_edges(capsys, monkeypatch):
+    # The command answers with the library's public edge inverse, its
+    # discriminant and chain both, with and without hoppings.
+    seen = []
+    recover = inverse.recover_operator_from_edges
+
+    def spy(periodic, antiperiodic, hopping=None):
+        seen.append(hopping)
+        return recover(periodic, antiperiodic, hopping)
+
+    monkeypatch.setattr(inverse, "recover_operator_from_edges", spy)
+    for extra in ((), ("--hopping", "0.25,0.75")):
+        code, out, err = run_cli(capsys, "edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5",
+                                 *extra, "--json")
+        assert code == 0 and err == ""
+        disc, op = recover([1.0, 3.0], [1.5, 2.5], [0.25, 0.75] if extra else None)
+        assert bits(strict_json(out)) == bits({
+            "hopping_product": float(np.exp(disc.log_hopping_product)),
+            "discriminant_chebyshev": disc.to_dict(),
+            "hopping": op.hopping.tolist(),
+            "onsite": op.onsite.tolist(),
+        })
+    assert seen == [None, [0.25, 0.75]]

@@ -255,6 +255,11 @@ def test_discriminant_from_edges_rejects_bad_data():
         for edges in ((np.array([bad, 3.0]), [1.5, 2.5]), ([1.0, 3.0], np.array([1.5, bad]))):
             with pytest.raises(ValueError, match="edge values must be finite"):
                 discriminant_from_edges(*edges)
+    for edges in (([], []), ([], [1.0]), ([1.0], [])):
+        with pytest.raises(ValueError, match="need at least one edge of each kind"):
+            discriminant_from_edges(*edges)
+    with pytest.raises(ValueError, match="need equally many"):
+        discriminant_from_edges([1.0, 3.0], [2.0])
 
 
 def test_recover_operator_from_edges_uniform_hopping():
@@ -263,7 +268,7 @@ def test_recover_operator_from_edges_uniform_hopping():
     op = PeriodicJacobi(op.hopping, onsite)
     per = op.floquet_eigenvalues(0.0)
     anti = op.floquet_eigenvalues(np.pi)
-    found = recover_operator_from_edges(per, anti)
+    _, found = recover_operator_from_edges(per, anti)
     assert np.allclose(band_edges_eig(found), np.sort(np.concatenate([per, anti])), atol=1e-8)
 
 
@@ -277,6 +282,29 @@ def test_recover_operator_from_edges_with_known_hopping():
     assert np.allclose(found.onsite, op.onsite, atol=1e-8)
     with pytest.raises(ValueError):
         recover_operator_from_edges(per, anti, hopping=2.0 * op.hopping)
+
+
+def test_recover_operator_from_edges_names_a_wrong_hopping_count(monkeypatch):
+    # One bond for two edges of each kind was refused as a target of the
+    # wrong shape for period 1, a target the caller never gave.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer, "_march_values", refuse)
+    for hopping, count in (([1.0], 1), ([1.0, 1.0, 1.0], 3), (np.ones((1, 1)), 1)):
+        with pytest.raises(ValueError, match=f"need 2 hoppings for 2 edges of each kind, not {count}"):
+            recover_operator_from_edges([1.0, 3.0], [1.5, 2.5], hopping)
+
+
+def test_recover_operator_from_edges_returns_the_discriminant_of_the_data():
+    per, anti = [1.0, 3.0], [1.5, 2.5]
+    for hopping in (None, [0.25, 0.75]):
+        disc, op = recover_operator_from_edges(per, anti, hopping)
+        expected = discriminant_from_edges(per, anti)
+        assert disc.interval == expected.interval
+        assert disc.log_hopping_product == expected.log_hopping_product
+        assert np.array_equal(disc.values, expected.values)
+        assert edge_error(op, per + anti) <= 1e-12
 
 
 def _repeated_cell(rng, cell, copies):
@@ -333,7 +361,7 @@ def test_edges_without_hoppings_on_random_chains():
         rng = np.random.default_rng(seed)
         op = random_operator(rng, 2 + (seed - 500) % 31)
         per, anti = op.floquet_eigenvalues([0.0, np.pi])
-        found = recover_operator_from_edges(per, anti)
+        _, found = recover_operator_from_edges(per, anti)
         assert edge_error(found, np.concatenate([per, anti])) <= 1e-12
 
 
@@ -342,7 +370,7 @@ def test_edges_without_hoppings_on_uniform_chains():
     # closed gap, at height 0: the uniform chain comes back.
     for n in range(1, 33):
         per, anti = PeriodicJacobi.free(n, 0.9, -0.2).floquet_eigenvalues([0.0, np.pi])
-        found = recover_operator_from_edges(per, anti)
+        _, found = recover_operator_from_edges(per, anti)
         assert np.all(np.abs(found.hopping - 0.9) <= 1e-12)
         assert np.all(np.abs(found.onsite + 0.2) <= 1e-12)
 
@@ -351,7 +379,7 @@ def test_chain_from_divisor_period_one():
     found = chain_from_divisor([0.3 + 2.4], [0.3 - 2.4], [], [], np.log(1.2))
     assert found.hopping == pytest.approx([1.2], rel=1e-15)
     assert found.onsite == pytest.approx([0.3], rel=1e-15)
-    assert recover_operator_from_edges([0.3 + 2.4], [0.3 - 2.4]) == found
+    assert recover_operator_from_edges([0.3 + 2.4], [0.3 - 2.4])[1] == found
 
 
 def test_chain_from_divisor_rejects_bad_divisors():

@@ -119,6 +119,33 @@ def test_floquet_eigenvalues_match_dense(kind, period):
         assert err <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+def test_two_site_chains_at_extreme_scales_match_dense(capfd, scale):
+    # At N = 2 the folded band has one subdiagonal. With a second, all
+    # zero, LAPACK refused to rescale (DLASCL, parameter 2, printed on
+    # stdout): the edges of a 1e-200 chain came out near 1e-254 with its
+    # gap closed, and those of a 1e300 chain as inf.
+    rng = np.random.default_rng(2)
+    chains = [random_operator(rng, 2) for _ in range(20)]
+    chains += [PeriodicJacobi([1.0, 1.0], [1.0, 0.0]), PeriodicJacobi([1.0, 1.0], [1.0, -1.0])]
+    for unit in chains:
+        op = PeriodicJacobi(scale * unit.hopping, scale * unit.onsite)
+        for theta in (0.0, 0.37, np.pi / 2, np.pi):
+            expected = np.linalg.eigvalsh(floquet_matrix(op, theta))
+            err = np.max(np.abs(op.floquet_eigenvalues(theta) - expected))
+            assert err <= 1e-15 * np.max(np.abs(expected))
+    # An onsite energy far above the bonds, and the other way round.
+    for op in (PeriodicJacobi([1.0, 0.5], [scale, 0.0]),
+               PeriodicJacobi([scale, 0.5 * scale], [1.0, 0.0])):
+        for theta in (0.0, 0.37, np.pi):
+            expected = np.linalg.eigvalsh(floquet_matrix(op, theta))
+            err = np.max(np.abs(op.floquet_eigenvalues(theta) - expected))
+            assert err <= 1e-15 * np.max(np.abs(expected))
+    edges = band_edges_eig(PeriodicJacobi([scale, scale], [scale, 0.0]))
+    assert edges[2] - edges[1] == pytest.approx(scale, rel=1e-15)  # the gap is open
+    assert capfd.readouterr() == ("", "")
+
+
 def test_floquet_eigenvalues_over_a_phase_array():
     rng = np.random.default_rng(17)
     # A phase given twice, or -0.37 and 0.37, which fold onto the same
