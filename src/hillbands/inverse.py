@@ -13,12 +13,13 @@ N + 1 fixed nodes, both from one march
 (`transfer.discriminant_jacobian` of the chain's bonds and sites),
 which `fused` runs once per iterate for both. With no starting
 point, a seeded multistart of Levenberg-Marquardt solves finds one
-first: MINPACK's `lmder`, called directly through
-`scipy.optimize.leastsq` by `least_squares`, which keeps scipy's name
-(see there). Band-edge data determines the discriminant directly: the
-monic polynomials built from the periodic and antiperiodic eigenvalues
-differ by the constant 4 * prod(a), which recovers the hopping product,
-and their average is the monic discriminant.
+first: MINPACK's `lmder`, which `least_squares` calls from SciPy's
+compiled module `scipy.optimize._minpack` alone, without importing
+`scipy.optimize` (see there). Band-edge data determines the
+discriminant directly: the monic polynomials built from the periodic
+and antiperiodic eigenvalues differ by the constant 4 * prod(a), which
+recovers the hopping product, and their average is the monic
+discriminant.
 """
 
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from numpy.polynomial import polynomial as P
 
 from . import transfer
 from .discriminant import Discriminant, chebyshev_nodes
-from .operators import PeriodicJacobi
+from .operators import PeriodicJacobi, _minpack
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 MAX_ITER = 80  # recover_onsite: Newton iterations per solve
@@ -37,22 +38,25 @@ STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
 
 
 def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
-    """Levenberg-Marquardt by MINPACK's `lmder`, called directly through
-    `scipy.optimize.leastsq`; the result holds x and nfev.
+    """Levenberg-Marquardt by MINPACK's `lmder`; the result holds x and nfev.
 
-    scipy's `least_squares(method="lm")` runs the same `lmder` (its
-    x_scale='jac' is leastsq's diag=None) behind a callback wrapper that
-    costs several times the call on small chains. Its name and keywords
-    stay, for the benchmark's tracer, which wraps this function by name,
-    and for the tests, which swap scipy's solver in as the reference.
-    full_output keeps leastsq from warning when a start runs out of
-    evaluations. Only a blind `recover_onsite` needs `scipy.optimize`,
-    which is slow to import, so `import hillbands` does not load it.
+    `lmder` is called from SciPy's extension module
+    scipy.optimize._minpack, which `operators._minpack` loads on the
+    first call without importing `scipy.optimize`: that import loads
+    321 SciPy modules (SciPy 1.17.1), scipy.linalg among them, and
+    about 40 MB. The
+    arguments are those `scipy.optimize.leastsq` passes it when given
+    Dfun (factor 100, diag None), so every iterate is leastsq's to the
+    bit, without the probe calls of fun and jac at x0 and the
+    covariance leastsq adds. scipy's `least_squares(method="lm")` runs
+    the same `lmder` (its x_scale='jac' is diag=None) behind a callback
+    wrapper. The name and keywords are scipy's, for the benchmark's
+    tracer, which wraps this function by name, and for the tests, which
+    swap scipy's solvers in as references. An exception raised by fun
+    or jac propagates as it is, and no warning is issued.
     """
-    from scipy.optimize import leastsq
-
-    x, _, info, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True, ftol=ftol,
-                               xtol=xtol, gtol=gtol, maxfev=max_nfev)
+    x, info, _ = _minpack()._lmder(fun, jac, np.asarray(x0).flatten(), (), 1, 0, ftol,
+                                   xtol, gtol, max_nfev, 100.0, None)
     return SimpleNamespace(x=x, nfev=info["nfev"])
 
 

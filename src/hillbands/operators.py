@@ -17,8 +17,9 @@ on a 2-vCPU Xeon), since it clones NumPy's namespace for the array API
 and so imports numpy.f2py, numpy.testing and numpy.ma; without it,
 importing hillbands.cli fell from 0.48 to 0.14 s. The routines are the
 very objects scipy.linalg.lapack exports, so every answer is the same
-to the bit. The blind inverse and edges --hopping still import
-scipy.optimize, and with it scipy.linalg, on first use.
+to the bit. The blind inverse takes MINPACK's lmder from
+scipy.optimize._minpack the same way, by _minpack(), on its first
+solve, so no request imports scipy.optimize or scipy.linalg.
 """
 
 import importlib.machinery
@@ -26,26 +27,28 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 MEMO_ENTRIES = 16  # chains whose real Bloch spectra, theta = 0 and pi, are kept per process
+MAX_REACH = np.finfo(float).max / 4  # PeriodicJacobi: largest max|b| + 2 max a accepted
 
 
-def _flapack():
-    """SciPy's extension module scipy.linalg._flapack, loaded on its own.
+def _extension(name):
+    """SciPy's compiled module of this dotted name, such as
+    scipy.linalg._flapack, loaded without importing its package.
 
-    It is found in the linalg directory of the scipy package, whose spec
-    is read without importing scipy, and registered in sys.modules, so
-    that a later import of scipy.linalg reuses it; one already there is
-    taken as it is.
+    It is found in the package's directory (linalg there) of the scipy
+    package, whose spec is read without importing scipy, and registered
+    in sys.modules, so that a later import of the package reuses it;
+    one already there is taken as it is.
     """
-    name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
-    where = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations if scipy else ())]
+    package = name.split(".")[1]
+    where = [os.path.join(d, package) for d in (scipy.submodule_search_locations if scipy else ())]
     spec = importlib.machinery.PathFinder.find_spec(name, where)
     if spec is None:
         raise ImportError(f"no {name} in {where or 'any scipy package'}", name=name)
@@ -54,6 +57,9 @@ def _flapack():
     spec.loader.exec_module(module)
     return module
 
+
+_flapack = partial(_extension, "scipy.linalg._flapack")
+_minpack = partial(_extension, "scipy.optimize._minpack")
 
 _lapack = _flapack()
 dsbevd, dsterf, zhbevd = _lapack.dsbevd, _lapack.dsterf, _lapack.zhbevd
@@ -69,6 +75,13 @@ class PeriodicJacobi:
         Positive bond strengths a_0 .. a_{N-1}; a_{N-1} closes the cell.
     onsite : array_like
         Site energies b_0 .. b_{N-1}.
+
+    Both must be finite, and max|b| + 2 max a, the Gershgorin bound on
+    |lam| over the spectrum, at most a quarter of the largest double
+    (4.49e307): then every energy formed from the spectrum, an edge
+    midpoint, a band or gap width or the DOS grid, which runs 5% past
+    the spectrum, is a finite double. A chain past that is refused with
+    a ValueError before any solve.
     """
 
     hopping: np.ndarray
@@ -90,6 +103,12 @@ class PeriodicJacobi:
             raise ValueError("coefficients must be finite")
         if (a <= 0).any():
             raise ValueError("hoppings must be positive")
+        reach = float(np.abs(b).max()) + 2.0 * float(a.max())
+        if reach > MAX_REACH:
+            raise ValueError(
+                f"max|onsite| + 2 max hopping = {reach:.3g} exceeds a quarter of the "
+                f"float range, {MAX_REACH:.3g}, so the band energies would overflow"
+            )
         a.setflags(write=False)
         b.setflags(write=False)
         self.hopping = a

@@ -319,6 +319,13 @@ def test_error_paths_exit_nonzero(capsys):
          "need 2 hoppings for 2 edges of each kind, not 1"),
         (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1,1,1"],
          "need 2 hoppings for 2 edges of each kind, not 3"),
+        (["bands", "--onsite", "1e308,-1e308", "--hopping", "1e308", "--json"],
+         "exceeds a quarter of the float range"),
+        (["bands", "--onsite", "1e308,-1e308,0"], "exceeds a quarter of the float range"),
+        (["dos", "--onsite", "1e308,-1e308", "--hopping", "1e308"],
+         "exceeds a quarter of the float range"),
+        (["dispersion", "--onsite", "1e308,-1e308", "--hopping", "1e308", "--json"],
+         "exceeds a quarter of the float range"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -351,9 +358,23 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch):
     assert cli._parser() is cli._parser()
 
 
+def _fresh(script):
+    """Run script in a fresh interpreter that imports hillbands from src;
+    returns its last line of output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
 def test_bands_does_not_import_scipy_optimize():
-    # Only the blind inverse needs scipy.optimize; it is imported on first
-    # use. Edge data without hoppings and the neighbours run no solver.
+    # No request imports scipy.optimize: the blind inverse takes lmder
+    # from scipy.optimize._minpack alone (see the next test), and edge
+    # data without hoppings and the neighbours run no solver at all.
     script = (
         "import sys\n"
         "import hillbands\n"
@@ -363,14 +384,27 @@ def test_bands_does_not_import_scipy_optimize():
         "assert cli.main(['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    assert _fresh(script) == "False"
+
+
+def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli\n"
+        "chain = ['--onsite', '0,0.5,-0.3,0.9', '--hopping', '1,0.8,1.2,0.6']\n"
+        "edges = ['--periodic', '1,3', '--antiperiodic', '1.5,2.5']\n"
+        "requests = [['bands', *chain], ['bands', *chain, '--method', 'bisection'],\n"
+        "            ['dos', *chain, '--points', '16'], ['dispersion', *chain, '--samples', '5'],\n"
+        "            ['inverse', '--coeffs=-2,0,1', '--hopping=1,1'],\n"
+        "            ['edges', *edges], ['edges', *edges, '--hopping', '0.25,0.75'],\n"
+        "            ['classes', '--values', '0,1', '--period', '4'],\n"
+        "            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv + extra) for argv in requests for extra in ([], ['--json'])]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert _fresh(script) == "[]"
 
 
 def run_both(capsys, *argv):

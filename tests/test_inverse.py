@@ -227,6 +227,52 @@ def test_lm_wrapper_matches_scipy_least_squares(monkeypatch):
         assert onsite.tobytes() == expected.tobytes()
 
 
+def test_lm_is_scipy_leastsq_to_the_bit(monkeypatch):
+    # inverse.least_squares calls lmder as leastsq does when given Dfun,
+    # only without leastsq's probe calls and covariance, so from every
+    # start it ends at the same x, bit for bit, after as many
+    # evaluations: with the blind solve's budget, and with one so small
+    # that the start runs out of evaluations (info 5).
+    from scipy.optimize import leastsq
+
+    calls = []
+    solve = inverse.least_squares
+
+    def recorded(fun, x0, jac, **kwargs):
+        calls.append((fun, np.array(x0), jac, kwargs))
+        return solve(fun, x0, jac, **kwargs)
+
+    monkeypatch.setattr(inverse, "least_squares", recorded)
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5, 6, 7, 8, 9):
+        op = random_operator(rng, n)
+        try:
+            recover_onsite(power_coefficients(op), op.hopping)
+        except RuntimeError:
+            pass
+    assert len(calls) > 7
+    infos = set()
+    for fun, x0, jac, kwargs in calls:
+        for budget in (kwargs["max_nfev"], 3):
+            options = dict(kwargs, max_nfev=budget)
+            res = solve(fun, x0, jac, **options)
+            x, _, out, _, info = leastsq(fun, x0, Dfun=jac, full_output=True, ftol=options["ftol"],
+                                         xtol=options["xtol"], gtol=options["gtol"], maxfev=budget)
+            assert res.x.tobytes() == x.tobytes()
+            assert res.nfev == out["nfev"]
+            infos.add(info)
+    assert 5 in infos and len(infos) > 1
+    # An evaluation whose march overflows raises, through lmder, the
+    # march's own ValueError, as it does through leastsq.
+    fun, x0, jac, kwargs = calls[0]
+    far = np.full(x0.size, 1e300)
+    with pytest.raises(ValueError, match="transfer recurrence overflowed") as ours:
+        solve(fun, far, jac, **kwargs)
+    with pytest.raises(ValueError) as theirs:
+        leastsq(fun, far, Dfun=jac, full_output=True)
+    assert str(ours.value) == str(theirs.value)
+
+
 def test_discriminant_from_edges_round_trip():
     rng = np.random.default_rng(53)
     op = random_operator(rng, 5)

@@ -146,6 +146,43 @@ def test_two_site_chains_at_extreme_scales_match_dense(capfd, scale):
     assert capfd.readouterr() == ("", "")
 
 
+def test_chains_at_the_float_range_limit_match_dense_and_past_it_are_refused(capfd):
+    # max|b| + 2 max a may reach a quarter of the largest double. There
+    # the edges equal the dense eigenvalues, and the widths, midpoints,
+    # dispersion and DOS grid are finite with no warning.
+    limit = operators.MAX_REACH
+    rng = np.random.default_rng(8)
+    units = [random_operator(rng, n) for n in (2, 3, 5) for _ in range(3)]
+    units += [PeriodicJacobi([1.0, 1.0], [2.0, -2.0]), PeriodicJacobi.free(3),
+              PeriodicJacobi([1.0], [0.0]), PeriodicJacobi([1e-300, 1e-300], [4.0, -4.0])]
+    for unit in units:
+        reach = np.max(np.abs(unit.onsite)) + 2.0 * np.max(unit.hopping)
+        a, b = unit.hopping / reach * limit, unit.onsite / reach * limit
+        while np.max(np.abs(b)) + 2.0 * np.max(a) > limit:
+            a, b = np.nextafter(a, 0.0), np.nextafter(b, 0.0)
+        op = PeriodicJacobi(a, b)
+        expected = np.sort([np.linalg.eigvalsh(floquet_matrix(op, t)) for t in (0.0, np.pi)],
+                           axis=None)
+        edges = band_edges_eig(op)
+        assert np.max(np.abs(edges - expected)) <= 1e-15 * np.max(np.abs(expected))
+        structure = bands.BandStructure(op)
+        energies, rho, ids = bands.dos_curve(structure, points=64)
+        record = structure.to_dict()
+        for values in (record["band_widths"], record["gap_widths"], energies, rho, ids,
+                       structure.dispersion(np.linspace(0.0, np.pi, 5))):
+            assert np.all(np.isfinite(values))
+        # A closed gap's edges both sit at its midpoint, a sum of two edges.
+        assert np.all(np.isfinite(0.5 * (edges[1:-1:2] + edges[2::2])))
+    assert capfd.readouterr() == ("", "")
+    # One ulp past the limit is refused before any solve, by name.
+    for hopping, onsite in (([np.nextafter(limit / 2, np.inf)], [0.0]),
+                            ([1e-300], [-np.nextafter(limit, np.inf)]),
+                            ([1e308, 1e308], [1e308, -1e308]),
+                            ([1.0, 1.0, 1.0], [1e308, -1e308, 0.0])):
+        with pytest.raises(ValueError, match="quarter of the float range"):
+            PeriodicJacobi(hopping, onsite)
+
+
 def test_floquet_eigenvalues_over_a_phase_array():
     rng = np.random.default_rng(17)
     # A phase given twice, or -0.37 and 0.37, which fold onto the same
@@ -429,3 +466,54 @@ def test_flapack_loader_reuses_a_loaded_module_and_names_the_directory_it_search
     with pytest.raises(ImportError) as caught:
         operators._flapack()
     assert os.path.join(os.path.dirname(scipy.__file__), "linalg") in str(caught.value)
+
+
+def test_blind_solves_never_import_scipy_optimize_and_later_reuse_its_minpack():
+    # lmder comes from scipy.optimize._minpack alone: the blind inverse
+    # and edges with hoppings leave scipy.optimize, and scipy.linalg,
+    # unimported. Imported afterwards, scipy.optimize takes the module
+    # hillbands loaded, and its leastsq still runs.
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli, operators\n"
+        "requests = [['inverse', '--coeffs=-2,0,1', '--hopping=1,1'],\n"
+        "            ['edges', '--periodic', '1,3', '--antiperiodic', '1.5,2.5',\n"
+        "             '--hopping', '0.25,0.75']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv + ['--json']) for argv in requests]\n"
+        "assert codes == [0] * len(requests), codes\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]\n"
+        "minpack = sys.modules['scipy.optimize._minpack']\n"
+        "from scipy.optimize import _minpack_py, leastsq\n"
+        "x, info = leastsq(lambda x: x - 3.0, [0.0, 1.0])\n"
+        "same = _minpack_py._minpack is minpack and operators._minpack() is minpack\n"
+        "print(loaded, same, x.tolist(), info in (1, 2, 3, 4))\n"
+    )
+    assert _fresh(script) == "[] True [3.0, 3.0] True"
+
+
+def test_lmder_is_scipy_optimizes_when_scipy_optimize_comes_first():
+    script = (
+        "import sys\n"
+        "import scipy.optimize\n"
+        "minpack = sys.modules['scipy.optimize._minpack']\n"
+        "from hillbands import cli, operators\n"
+        "assert cli.main(['inverse', '--coeffs=-2,0,1', '--hopping=1,1']) == 0\n"
+        "print(operators._minpack() is minpack, sys.modules['scipy.optimize._minpack'] is minpack)\n"
+    )
+    assert _fresh(script) == "True True"
+
+
+def test_minpack_loader_reuses_a_loaded_module_and_names_the_directory_it_searched(monkeypatch):
+    find = importlib.machinery.PathFinder.find_spec
+
+    def hide_minpack(name, path=None, target=None):
+        return None if name == "scipy.optimize._minpack" else find(name, path, target)
+
+    operators._minpack()
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", hide_minpack)
+    assert operators._minpack() is sys.modules["scipy.optimize._minpack"]
+    monkeypatch.delitem(sys.modules, "scipy.optimize._minpack")
+    with pytest.raises(ImportError) as caught:
+        operators._minpack()
+    assert os.path.join(os.path.dirname(scipy.__file__), "optimize") in str(caught.value)
