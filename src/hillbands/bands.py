@@ -6,7 +6,8 @@ equivalently the eigenvalues of the Bloch Hamiltonians at phase 0 and
 pi. Both routes are implemented: the Hermitian band-matrix eigensolver
 route and a bracketed search on the discriminant between Dirichlet
 eigenvalues, multisection finished by Newton steps; they must agree, and
-the acceptance suite holds them to that.
+the acceptance suite holds them to that. Both, and the DOS march, work
+on the chain's cell (see PeriodicJacobi.cell).
 """
 
 from functools import cached_property
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import transfer
 from .discriminant import gershgorin_interval
+from .operators import PeriodicJacobi
 
 
 def band_edges_eig(op):
@@ -56,67 +58,101 @@ ROUNDS = 64  # cap on the rounds of a search; multisection to TOL takes about 12
 
 
 def band_edges_bisection(op):
-    """All 2N band edges from Delta -+ 2, evaluated by recurrence.
+    """All 2N band edges from Delta -+ 2, evaluated by recurrence on the
+    chain's p-site cell (see PeriodicJacobi.cell), repeated m = N / p
+    times.
 
-    Band j lies between consecutive Dirichlet eigenvalues mu_{j-1} and
-    mu_j, the outer ends bounded by the Gershgorin interval. Oriented by
-    the sign s_j = (-1)^(N-1-j) of Delta at its upper edge, s_j Delta
-    stays <= -2 on that bracket below the band, rises through the band
-    and stays >= 2 above it, so s_j Delta -+ 2 turns >= 0 exactly once
-    per bracket. COARSE multisection passes (see _multisect), each one
-    value-only march, shrink all 2N brackets 4096-fold.
+    With Delta_p the cell's discriminant, Delta = 2 T_m(Delta_p / 2), so
+    the edges are the zeros of Delta_p + 2 cos(pi r / m), r = 0..m, in
+    each of the cell's p bands. Cell band j lies between consecutive
+    Dirichlet eigenvalues mu_{j-1} and mu_j of the cell, the outer ends
+    bounded by the Gershgorin interval. Oriented by the sign
+    s_j = (-1)^(p-1-j) of Delta_p at its upper edge, s_j Delta_p stays
+    <= -2 on that bracket below the band, rises through the band and
+    stays >= 2 above it, so s_j Delta_p + 2 cos(pi r / m) turns >= 0
+    exactly once per bracket. Level r = 0 is exactly -2 and r = m
+    exactly 2, the ends of cell band j; the m - 1 inner zeros are
+    simple, Delta_p' being nonzero inside a band, and each is both edges
+    of a gap that the repetition closes, equal. At m = 1 the chain is
+    its own cell. COARSE multisection passes (see _multisect), each one
+    value-only march of p sites, shrink all p(m + 1) brackets 4096-fold.
 
-    A closed gap is a double zero, which a bracket on Delta -+ 2
-    resolves only to about sqrt(eps). A gap whose two edge brackets came
-    out apart, and where |Delta| - 2 midway between them exceeds the
-    rounding-error bound the recurrence carries there (see
-    transfer.discriminant_rounding), is certified open. Each other gap
-    j gets its extremum c_j, the zero of -s_j Delta' between the middles
-    of bands j and j + 1, and is closed, both edges set to c_j, when
-    |Delta(c_j)| - 2 is within the rounding-error bound at c_j.
+    A closed gap of the cell is a double zero, which a bracket on
+    Delta_p -+ 2 resolves only to about sqrt(eps). A cell gap whose two
+    edge brackets came out apart, and where |Delta_p| - 2 midway between
+    them exceeds the rounding-error bound the recurrence carries there
+    (see transfer.discriminant_rounding), is certified open. Each other
+    cell gap j gets its extremum c_j, the zero of -s_j Delta_p' between
+    the middles of cell bands j and j + 1, and is closed, both edges set
+    to c_j, when |Delta_p(c_j)| - 2 is within the rounding-error bound
+    at c_j.
 
     One bracketed Newton search (see _newton) finishes the edges of
-    certified gaps and the two outer edges, on s Delta -+ 2 with Delta'
-    from the derivative rows, and finds those extrema, on -s Delta' with
-    Delta''. The edges of gaps that the search found open keep
-    multisection to TOL: they are near-double zeros, where Delta' says
-    little. A random chain, whose gaps are all certified, takes the 3
-    coarse marches, the 2 of the check and about 4 Newton marches, and
-    runs no march with Delta''; a uniform chain takes 11 to 12 and a
-    Harper approximant 20 to 21.
+    certified gaps, the inner zeros and the two outer edges, on
+    s Delta_p + 2 cos(pi r / m) with Delta_p' from the derivative rows,
+    and finds those extrema, on -s Delta_p' with Delta_p''. The edges of
+    gaps that the search found open keep multisection to TOL: they are
+    near-double zeros, where Delta_p' says little. A random chain, whose
+    gaps are all certified, takes the 3 coarse marches, the 1 of the
+    check and about 4 Newton marches, and runs no march with Delta_p''; a
+    uniform chain takes 5 marches over its one site, none with Delta_p'',
+    and a Harper approximant at N = 89 or 144 takes 19.
+
+    TOL is relative to max(1, |lam|), so a chain whose Gershgorin reach
+    max(|lo|, |hi|) is below 1 is solved scaled by the power of two that
+    brings its reach into [1, 2), and its edges are scaled back; both
+    scalings are exact. Every other chain is solved as it is.
     """
-    n = op.period
     lo, hi = gershgorin_interval(op)
-    mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
+    cell, m = op.cell, op.period // op.cell.period
+    reach = max(abs(lo), abs(hi))
+    if reach >= 1.0:
+        return _cell_edges(cell, m)
+    shift = 1 - int(np.frexp(reach)[1])
+    scaled = PeriodicJacobi(np.ldexp(cell.hopping, shift), np.ldexp(cell.onsite, shift))
+    return np.ldexp(_cell_edges(scaled, m), -shift)
+
+
+def _cell_edges(cell, m):
+    """The edges of cell repeated m times, by band_edges_bisection's search."""
+    n = cell.period
+    lo, hi = gershgorin_interval(cell)
+    mu = np.concatenate([[lo], cell.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
-    sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
-    left, right = _multisect(_evaluator(op, 0, sign, level),
-                             np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), COARSE)
-    below, above = right[1:-1:2], left[2::2]
+    sign = np.repeat(orient, m + 1)
+    level = np.tile(-2.0 * np.cos(np.pi * np.arange(m + 1) / m), n)
+    left, right = _multisect(_evaluator(cell, 0, sign, level),
+                             np.repeat(mu[:-1], m + 1), np.repeat(mu[1:], m + 1), COARSE)
+    bottom = np.arange(n) * (m + 1)  # zero r = 0 of each cell band, r = m at top
+    top = bottom + m
+    below, above = right[top[:-1]], left[bottom[1:]]
     apart = np.flatnonzero(below < above)
     certified = np.zeros(n - 1, dtype=bool)
     if apart.size:
-        value, rounding = transfer.discriminant_rounding(op, 0.5 * (below + above)[apart])
+        value, rounding = transfer.discriminant_rounding(cell, 0.5 * (below + above)[apart])
         certified[apart] = np.abs(value) - 2.0 > rounding
     edges = 0.5 * (left + right)
     kept, unsure = np.flatnonzero(certified), np.flatnonzero(~certified)
-    fast = np.concatenate([[0], 2 * kept + 1, 2 * kept + 2, [2 * n - 1]])
-    middle = 0.5 * (edges[0::2] + edges[1::2])
-    g = _evaluator(op, np.repeat([0, 1], [fast.size, unsure.size]),
+    inner = (bottom[:, None] + np.arange(1, m)).ravel()
+    fast = np.concatenate([[0], top[kept], bottom[kept + 1], inner, [top[-1]]])
+    middle = 0.5 * (edges[bottom] + edges[top])
+    g = _evaluator(cell, np.repeat([0, 1], [fast.size, unsure.size]),
                    np.concatenate([sign[fast], -orient[unsure]]),
                    np.concatenate([level[fast], np.zeros(unsure.size)]))
     zeros = _newton(g, np.concatenate([left[fast], middle[unsure]]),
                     np.concatenate([right[fast], middle[unsure + 1]]))
     edges[fast], crit = np.split(zeros, [fast.size])
     if unsure.size:
-        peak, rounding = transfer.discriminant_rounding(op, crit)
+        peak, rounding = transfer.discriminant_rounding(cell, crit)
         shut = np.abs(peak) - 2.0 <= rounding
-        edges = _close(edges, unsure[shut], crit[shut])
-        narrow = np.concatenate([2 * unsure[~shut] + 1, 2 * unsure[~shut] + 2])
-        left, right = _multisect(_evaluator(op, 0, sign[narrow], level[narrow]),
+        edges[top[unsure[shut]]] = edges[bottom[unsure[shut] + 1]] = crit[shut]
+        narrow = np.concatenate([top[unsure[~shut]], bottom[unsure[~shut] + 1]])
+        left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow]),
                                  left[narrow], right[narrow], ROUNDS)
         edges[narrow] = 0.5 * (left + right)
-    return np.sort(edges)
+    twice = np.full(m + 1, 2)  # each inner zero is both edges of its closed gap
+    twice[[0, -1]] = 1
+    return np.sort(np.repeat(edges, np.tile(twice, n)))
 
 
 def _evaluator(op, shift, scale, level):

@@ -15,7 +15,8 @@ classes of an alphabet and the onsite Jacobian of a chain with its
 Delta (a batch of its N rotations) all come from it. Its rows carry
 lam-derivatives only for callers that need Delta' (the DOS, the edges'
 Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
-it keeps every row only for the rounding-error bound of Delta.
+it keeps every row only for the rounding-error bound of Delta (a batch
+of the chain and its reversal).
 """
 
 import functools
@@ -152,23 +153,28 @@ def discriminant_rounding(op, lam):
     most 2 eps (|lam - b_k| |u_k| + a_{k-1} |u_{k-1}|) / a_k, and that
     error reaches tr M through P_k[p, 0], P_k = T_{N-1} ... T_{k+1} the
     transfer over the sites after k. Marched backward, the rows of P_k
-    obey the recurrence of the reversed chain, so a second march of the
-    reversed chain gives |P_k[p, 0]| = a_k |v_{N-1-k}| / a_{N-1}, v its
-    rows. The bound is the sum of all these products, plus eps |Delta|
-    for the final sum. Unlike a fixed multiple of N eps it grows with
-    the cancellation inside the march, as in a cell repeated several
-    times whose transfer matrix is far from normal.
+    obey the recurrence of the reversed chain, so a march of the reversed
+    chain gives |P_k[p, 0]| = a_k |v_{N-1-k}| / a_{N-1}, v its rows. The
+    bound is the sum of all these products, plus eps |Delta| for the
+    final sum. Unlike a fixed multiple of N eps it grows with the
+    cancellation inside the march, as in a cell repeated several times
+    whose transfer matrix is far from normal.
 
-    Both marches keep their rows, stacked with sites on the leading
-    axis, and all sites' products are formed and summed by array
-    operations over them, in place where the rows are spent. Raises
-    ValueError when a march or the bound overflows the float range.
+    The chain and its reversal run as one batched march of two chains,
+    elementwise, so with the same values as two marches. It keeps its
+    rows, stacked with sites on the leading axis, and all sites'
+    products are formed and summed by array operations over them, in
+    place where the rows are spent. Raises ValueError when the march or
+    the bound overflows the float range.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
-    u = np.stack(_march_values(a, b, lam, history=True))[:, 0]  # u[i] is u_{i-1}
-    v = np.stack(_march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))[:, 0]
+    chains = (n, 2) + (1,) * lam.ndim  # chain axis before lam's: rows stay contiguous
+    both_a = np.stack([a, np.roll(a[::-1], -1)], axis=1).reshape(chains)
+    both_b = np.stack([b, b[::-1]], axis=1).reshape(chains)
+    rows = np.stack(_march_values(both_a, both_b, lam, history=True))
+    u, v = rows[:, 0, :, 0], rows[:, 0, :, 1]  # u[i] is u_{i-1}, v of the reversal
     site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam
     a_k, b_k = a.reshape(site), b.reshape(site)
     try:

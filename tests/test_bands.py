@@ -230,8 +230,8 @@ def _conditioning(op, reference):
 
 
 def test_bisection_marches_fewer_than_32_times(monkeypatch):
-    # 4 bits per pass: 3 coarse passes, 2 marches for the rounding bound
-    # that certifies every gap open and 4 Newton rounds on the edges, 9 in
+    # 4 bits per pass: 3 coarse passes, 1 march for the rounding bound
+    # that certifies every gap open and 4 Newton rounds on the edges, 8 in
     # all (13 by multisection to TOL alone).
     calls = []
     march = transfer._march_values
@@ -259,14 +259,14 @@ def _derivative_marches(monkeypatch):
 
 
 def test_bisection_march_budget(monkeypatch):
-    # Multisection to TOL alone takes 13 marches on the random chain, 26
-    # and 24 on the uniform ones and 25 on the Harper ones. The random
-    # chain takes 9. A uniform chain closes every gap: 3 coarse passes,
-    # 7 rounds of the one Newton search on the gap extrema and the outer
-    # edges, which sit on the ends of their brackets, and 2 for the
-    # rounding bound at the extrema, 12 in all. The Harper chains add the
-    # 2 marches of the gap check and 7 passes of multisection on the
-    # edges of their narrow open gaps, 21 in all.
+    # Multisection to TOL alone takes 13 marches on the random chain and
+    # 25 on the Harper ones. The random chain takes 8. A uniform chain is
+    # its one-site cell repeated: 3 coarse passes and 2 rounds of the one
+    # Newton search on its N + 1 levels, 5 in all, whatever N. The Harper
+    # chains take 3 coarse passes, 1 march for the gap check, 7 rounds of
+    # the Newton search on the gap extrema and the certified edges, 1 for
+    # the rounding bound at the extrema and 7 passes of multisection on
+    # the edges of their narrow open gaps, 19 in all.
     derivs = _derivative_marches(monkeypatch)
 
     def marches(op):
@@ -274,11 +274,11 @@ def test_bisection_march_budget(monkeypatch):
         band_edges_bisection(op)
         return len(derivs)
 
-    assert marches(random_operator(np.random.default_rng(24), 24)) <= 10
-    for n in (24, 100):
-        assert marches(PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2)) <= 13
+    assert marches(random_operator(np.random.default_rng(24), 24)) <= 9
+    for n in (24, 100, 400):
+        assert marches(PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2)) <= 6
     for phi in (0.3, 2.1):
-        assert marches(_harper(144, 89, phi)) <= 25
+        assert marches(_harper(144, 89, phi)) <= 23
 
 
 def test_bisection_edges_of_bands_narrower_than_rounding():
@@ -375,20 +375,32 @@ def test_certified_open_gaps_skip_the_extremum_search(monkeypatch):
         assert np.all(edges[2::2] > edges[1:-1:2])
 
 
-def test_uniform_chains_close_every_gap_at_its_extremum(monkeypatch):
-    # No gap of a uniform chain is certified: each is closed at c_j,
-    # exactly where the reference closes it.
+def test_uniform_chains_are_the_closed_form_from_one_site(monkeypatch):
+    # A uniform chain is its one site repeated N times: the route marches
+    # that site alone, searches no gap extremum (no march carries
+    # Delta''), and its edges are the levels b + 2a cos(pi k / N), each
+    # inner one twice, both edges of a gap the repetition closes.
     rng = np.random.default_rng(91)
     chains = [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
               for n in range(3, 25)]
-    references = [_extremum_everywhere(op) for op in chains]
-    derivs = _derivative_marches(monkeypatch)
-    for op, reference in zip(chains, references):
-        del derivs[:]
+    marches = []
+    march = transfer._march_values
+
+    def counted(hopping, onsite, lam, **kwargs):
+        marches.append((np.shape(hopping)[0], kwargs.get("derivs", 0)))
+        return march(hopping, onsite, lam, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", counted)
+    for op in chains + _uniform_chains():
+        n, a, b = op.period, op.hopping[0], op.onsite[0]
+        levels = b + 2.0 * a * np.cos(np.pi * np.arange(n + 1) / n)
+        marches.clear()
         edges = band_edges_bisection(op)
-        assert 2 in derivs
-        assert np.array_equal(edges, reference)
+        assert np.max(np.abs(edges - np.sort(np.concatenate([levels, levels[1:-1]])))) \
+            <= 1e-15 * max(1.0, abs(b) + 2.0 * a)
         assert np.all(edges[2::2] == edges[1:-1:2])
+        assert {sites for sites, _ in marches} == {1}
+        assert max(derivs for _, derivs in marches) < 2
 
 
 @pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89)])
@@ -416,6 +428,47 @@ def test_repeated_cell_gaps_close_exactly():
         widths = edges[2::2] - edges[1:-1:2]
         assert np.all(widths[[0, 1, 3, 4, 6, 7]] == 0.0)
         assert np.max(np.abs(edges - band_edges_eig(op))) <= 1e-9
+
+
+def test_repeated_cells_by_bisection_match_eig():
+    # A p-site cell repeated m times, p = 1..5 and m = 2..40, all drawn
+    # from one generator in a fixed order before any solve. The route
+    # searches the cell, and the m - 1 levels inside each cell band are
+    # both edges of the gaps that the repetition closes, equal; the
+    # cell's own gaps of a random cell are open.
+    rng = np.random.default_rng(2525)
+    draws = [(int(rng.integers(1, 6)), int(rng.integers(2, 41))) for _ in range(150)]
+    for p, m in draws:
+        cell = random_operator(rng, p)
+        op = PeriodicJacobi(np.tile(cell.hopping, m), np.tile(cell.onsite, m))
+        edges = band_edges_bisection(op)
+        assert np.max(np.abs(edges - band_edges_eig(op))) <= 1e-12 * _scale(op)
+        assert np.count_nonzero(edges[2::2] == edges[1:-1:2]) == p * (m - 1)
+
+
+def test_bisection_at_small_scales_matches_eig():
+    # TOL is relative to max(1, |lam|), an absolute 1e-13 below |lam| = 1:
+    # unscaled, these chains came out 0.045 to 0.22 of their reach off at
+    # 1e-14 and below, and the 3-site chain at the end with every band of
+    # width 0. Solved scaled into a reach of [1, 2), they are the eig
+    # edges within 1e-12 of the reach; the Harper chain's narrow open
+    # gaps keep their conditioning allowance (see _conditioning), taken
+    # at scale 1.
+    rng = np.random.default_rng(14)
+    harper = _harper(89, 55, 0.3)
+    cases = [(random_operator(rng, 3), 0.0), (random_operator(rng, 8), 0.0),
+             (PeriodicJacobi.free(7, 0.9, -0.2), 0.0),
+             (harper, _conditioning(harper, band_edges_eig(harper)))]
+    for s in (1e-14, 1e-100, 1e-200, 1e-300):
+        for base, allowance in cases:
+            op = PeriodicJacobi(base.hopping * s, base.onsite * s)
+            reach = max(np.abs(gershgorin_interval(op)))
+            error = np.abs(band_edges_bisection(op) - band_edges_eig(op))
+            assert np.all(error <= 1e-12 * reach + s * allowance)
+    op = PeriodicJacobi([1e-14, 8e-15, 1.2e-14], [0.0, 5e-15, -3e-15])
+    edges, eig = band_edges_bisection(op), band_edges_eig(op)
+    assert np.max(np.abs(edges - eig)) <= 1e-12 * max(np.abs(gershgorin_interval(op)))
+    assert np.all(edges[1::2] > edges[0::2])
 
 
 def test_dual_route_with_closed_gaps():
@@ -879,10 +932,13 @@ def test_repeated_cells_solve_and_march_only_the_cell(monkeypatch, capsys):
         solved.clear()
         marched.clear()
         operators._real_spectrum.cache_clear()
-        for command in (["bands"], ["dispersion", "--samples", "8"], ["dos", "--points", "64"]):
+        for command in (["bands"], ["bands", "--method", "bisection"],
+                        ["dispersion", "--samples", "8"], ["dos", "--points", "64"]):
             assert cli.main(command + chain) == 0
         lines = capsys.readouterr().out.splitlines()
         edges, curve = json.loads(lines[0])["edges"], json.loads(lines[-1])
+        bisected = json.loads(lines[1])["edges"]
+        assert np.max(np.abs(np.subtract(bisected, edges))) <= 1e-12 * _scale(cell)
         assert set(solved) == {p} and set(marched) == {p}
         energy, rho = np.array(curve["energy"]), np.array(curve["dos"])
         k = np.searchsorted(edges, energy, side="right")

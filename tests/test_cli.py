@@ -387,7 +387,10 @@ def test_bands_does_not_import_scipy_optimize():
     assert _fresh(script) == "False"
 
 
-def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
+def _loaded_after_every_subcommand(modules, more=()):
+    """The modules of modules that a fresh interpreter holds after serving
+    every subcommand, bands on both routes, text and JSON, and the
+    requests more; as printed, a list."""
     script = (
         "import contextlib, io, sys\n"
         "from hillbands import cli\n"
@@ -398,13 +401,30 @@ def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
         "            ['inverse', '--coeffs=-2,0,1', '--hopping=1,1'],\n"
         "            ['edges', *edges], ['edges', *edges, '--hopping', '0.25,0.75'],\n"
         "            ['classes', '--values', '0,1', '--period', '4'],\n"
-        "            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']]\n"
+        f"            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1'], *{list(more)!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv + extra) for argv in requests for extra in ([], ['--json'])]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])\n"
+        f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     )
-    assert _fresh(script) == "[]"
+    return _fresh(script)
+
+
+def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
+    assert _loaded_after_every_subcommand(("scipy.optimize", "scipy.linalg")) == "[]"
+
+
+def test_every_subcommand_leaves_numpy_ma_unimported():
+    # numpy.ma costs about a megabyte; np.unique and np.setdiff1d load
+    # it. The bisection route on a uniform chain and on a repeated cell
+    # builds its index arrays without them.
+    repeated = [
+        ["bands", "--onsite", "0,0,0,0,0", "--hopping", "0.8", "--method", "bisection"],
+        ["bands", "--onsite", "0.3,-0.5,0.3,-0.5,0.3,-0.5", "--hopping", "1.1,0.7,1.1,0.7,1.1,0.7",
+         "--method", "bisection"],
+        ["bands", "--onsite=0,5e-15,-3e-15", "--hopping=1e-14,8e-15,1.2e-14", "--method", "bisection"],
+    ]
+    assert _loaded_after_every_subcommand(("numpy.ma",), repeated) == "[]"
 
 
 def run_both(capsys, *argv):

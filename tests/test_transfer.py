@@ -161,6 +161,60 @@ def test_rounding_bound_matches_the_site_loop():
             assert np.all(np.abs(bound - ref_bound) <= 1e-13 * ref_bound)
 
 
+def _rounding_by_two_marches(op, lam):
+    """discriminant_rounding with the chain and its reversal marched one
+    after the other, as two marches: the reference for the batch of two."""
+    lam = np.asarray(lam, dtype=float)
+    a, b, n = op.hopping, op.onsite, op.period
+    u = np.stack(transfer._march_values(a, b, lam, history=True))[:, 0]
+    v = np.stack(transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))[:, 0]
+    site = (n, 1) + (1,) * lam.ndim
+    a_k, b_k = a.reshape(site), b.reshape(site)
+    delta = u[-1, 0] + u[-2, 1]
+    np.abs(u, out=u)
+    np.abs(v, out=v)
+    local = np.abs((lam - b_k) / a_k) * u[1:-1]
+    u[:-2] *= np.roll(a_k, 1, axis=0) / a_k
+    local += u[:-2]
+    v[n:0:-1] *= a_k / a[-1]
+    local *= v[n:0:-1]
+    total = local.sum(axis=0)
+    return delta, np.finfo(float).eps * (2.0 * (total[0] + total[1]) + np.abs(delta))
+
+
+def test_rounding_bound_is_one_march_equal_to_two(monkeypatch):
+    # The chain and its reversal run as one batch of two chains, and the
+    # batch runs the same elementwise operations as each chain alone:
+    # Delta and the bound are those of two marches to the bit, for an
+    # array of lam and for a scalar.
+    rng = np.random.default_rng(33)
+    chains = [PeriodicJacobi(np.ones(n), 0.8 * np.cos(2 * np.pi * f * np.arange(n) / n + 0.3))
+              for n, f in ((89, 55), (144, 89), (233, 144))]
+    for k in (2, 4, 8):
+        q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
+        chains.append(PeriodicJacobi.odd(1e-4 * q / np.max(np.abs(q))))
+    chains += [random_operator(rng, n) for n in range(1, 65)]
+    calls = []
+    march = transfer._march_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    for op in chains:
+        edges = band_edges_eig(op)
+        lam = np.concatenate([edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)])
+        for points in (lam, np.float64(lam[-1])):
+            reference = _rounding_by_two_marches(op, points)
+            monkeypatch.setattr(transfer, "_march_values", counted)
+            calls.clear()
+            delta, bound = transfer.discriminant_rounding(op, points)
+            monkeypatch.setattr(transfer, "_march_values", march)
+            assert len(calls) == 1
+            assert np.shape(delta) == np.shape(bound) == np.shape(points)
+            assert np.array_equal(delta, reference[0]) and np.array_equal(bound, reference[1])
+
+
 def _weak_bond_chain(period):
     rng = np.random.default_rng(period)
     return random_operator(rng, period, hop_range=(0.05, 0.1))
