@@ -1,8 +1,8 @@
 """Band structure of 1-D periodic tight-binding chains via the Hill discriminant."""
 
 from .bands import BandStructure, band_edges_bisection, band_edges_eig, dos_curve
-from .discriminant import Discriminant
 from .inverse import (
+    Discriminant,
     chain_from_divisor,
     discriminant_from_edges,
     newton_solve,

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from . import transfer
-from .discriminant import gershgorin_interval
 from .operators import PeriodicJacobi
 
 
@@ -32,7 +31,7 @@ def band_edges_eig(op):
     a closed gap; every gap no wider than that is closed at its middle.
     """
     edges = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
-    lo, hi = gershgorin_interval(op)
+    lo, hi = op.gershgorin
     slack = op.period * np.finfo(float).eps * max(abs(lo), abs(hi))
     lower, upper = edges[1:-1:2], edges[2::2]
     closed = upper - lower <= slack
@@ -103,7 +102,7 @@ def band_edges_bisection(op):
     brings its reach into [1, 2), and its edges are scaled back; both
     scalings are exact. Every other chain is solved as it is.
     """
-    lo, hi = gershgorin_interval(op)
+    lo, hi = op.gershgorin
     cell, m = op.cell, op.period // op.cell.period
     reach = max(abs(lo), abs(hi))
     if reach >= 1.0:
@@ -116,7 +115,7 @@ def band_edges_bisection(op):
 def _cell_edges(cell, m):
     """The edges of cell repeated m times, by band_edges_bisection's search."""
     n = cell.period
-    lo, hi = gershgorin_interval(cell)
+    lo, hi = cell.gershgorin
     mu = np.concatenate([[lo], cell.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign = np.repeat(orient, m + 1)
@@ -435,7 +434,7 @@ class BandStructure:
             "bands": bands.tolist(),
             "band_widths": (bands[:, 1] - bands[:, 0]).tolist(),
             "gaps": gaps.tolist(),
-            "gap_widths": np.maximum(gaps[:, 1] - gaps[:, 0], 0.0).tolist(),
+            "gap_widths": (gaps[:, 1] - gaps[:, 0]).tolist(),
         }
 
 

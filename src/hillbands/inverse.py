@@ -20,21 +20,92 @@ discriminant directly: the monic polynomials built from the periodic
 and antiperiodic eigenvalues differ by the constant 4 * prod(a), which
 recovers the hopping product, and their average is the monic
 discriminant.
+
+A target is a Discriminant: Delta, a degree-N polynomial with leading
+coefficient 1/(a_0 ... a_{N-1}), held by its values at the N + 1
+Chebyshev extreme points of an interval, which the value march gives to
+its own rounding; power-basis coefficients lose accuracy exponentially
+with N. It is also the payload of `hillbands edges --json`.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polynomial as P
 
 from . import transfer
-from .discriminant import Discriminant, chebyshev_nodes
 from .operators import PeriodicJacobi, _minpack
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 MAX_ITER = 80  # recover_onsite: Newton iterations per solve
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
+
+
+def chebyshev_nodes(interval, degree):
+    """The degree + 1 points mid + half cos(pi k / degree) of interval, hi first."""
+    lo, hi = interval
+    angles = np.pi * np.arange(degree + 1) / max(degree, 1)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
+
+
+@dataclass(frozen=True)
+class Discriminant:
+    """Delta by its values at chebyshev_nodes(interval, N), exact to
+    rounding inside interval = (lo, hi) and extrapolated outside, with
+    log(prod a), which stays finite where prod a leaves the float range.
+    An empty interval, or a node value or log(prod a) not finite, is
+    refused with a ValueError.
+    """
+
+    interval: tuple
+    values: np.ndarray
+    log_hopping_product: float
+
+    def __post_init__(self):
+        lo, hi = (float(x) for x in self.interval)
+        if not lo < hi:
+            raise ValueError(f"interval [{lo}, {hi}] is empty")
+        values = np.array(self.values, dtype=float, ndmin=1)
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ValueError(f"{bad} of the {values.size} node values of Delta are not finite")
+        log_product = float(self.log_hopping_product)
+        if not np.isfinite(log_product):
+            raise ValueError(f"log(prod a) = {log_product} is not finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "interval", (lo, hi))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "log_hopping_product", log_product)
+
+    @classmethod
+    def from_operator(cls, op, interval=None):
+        """Delta of op at the nodes of interval (by default op.gershgorin,
+        on a uniform chain the band itself), by one value march.
+        Raises ValueError when the march overflows, as it does in the gaps
+        of long random chains."""
+        interval = op.gershgorin if interval is None else interval
+        nodes = chebyshev_nodes(interval, op.period)
+        values = transfer.discriminant(op.hopping, op.onsite, nodes)[0]
+        return cls(interval, values, np.sum(np.log(op.hopping)))
+
+    @cached_property
+    def chebyshev(self):
+        """Delta as a numpy Chebyshev series on interval. Its coefficients
+        are the DCT-I of the node values: the real FFT of their even
+        extension, with the first and last halved."""
+        v, n = self.values, self.values.size - 1
+        c = v.copy()
+        if n > 0:
+            c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+            c[[0, -1]] *= 0.5
+        return Chebyshev(c, domain=self.interval)
+
+    def to_dict(self):
+        """The interval and the Chebyshev coefficients, as plain JSON types."""
+        return {"interval": list(self.interval), "coefficients": self.chebyshev.coef.tolist()}
 
 
 def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
@@ -297,6 +368,12 @@ def discriminant_from_edges(periodic, antiperiodic):
     -------
     Discriminant
         On the hull of the edges, with the recovered hopping product.
+
+    Raises
+    ------
+    ValueError
+        If the data is not such edges, or the node values overflow, as
+        products of edge distances do at long periods.
     """
     per = np.sort(np.asarray(periodic, dtype=float))
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
@@ -319,8 +396,9 @@ def discriminant_from_edges(periodic, antiperiodic):
         )
     interval = (min(per[0], anti[0]), max(per[-1], anti[-1]))
     x = chebyshev_nodes(interval, per.size)[:, None]
-    return Discriminant(
-        interval, (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa), np.log(pa))
+    with np.errstate(over="ignore", invalid="ignore"):  # Discriminant refuses what overflows
+        values = (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa)
+    return Discriminant(interval, values, np.log(pa))
 
 
 def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):

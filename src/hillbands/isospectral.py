@@ -22,8 +22,7 @@ import numpy as np
 
 from . import transfer
 from .bands import band_edges_eig
-from .discriminant import chebyshev_nodes
-from .inverse import chain_from_divisor
+from .inverse import chain_from_divisor, chebyshev_nodes
 from .operators import PeriodicJacobi
 
 CHUNK = 4096  # patterns marched together by enumerate_onsite_classes

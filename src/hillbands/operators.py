@@ -82,11 +82,15 @@ class PeriodicJacobi:
     midpoint, a band or gap width or the DOS grid, which runs 5% past
     the spectrum, is a finite double. A chain past that is refused with
     a ValueError before any solve.
+
+    gershgorin, the interval (min b - 2 max a, max b + 2 max a), holds
+    the whole spectrum; it is computed here, once per chain.
     """
 
     hopping: np.ndarray
     onsite: np.ndarray
     period: int = field(init=False)
+    gershgorin: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.hopping, dtype=float)).copy()
@@ -103,7 +107,9 @@ class PeriodicJacobi:
             raise ValueError("coefficients must be finite")
         if (a <= 0).any():
             raise ValueError("hoppings must be positive")
-        reach = float(np.abs(b).max()) + 2.0 * float(a.max())
+        spread = 2.0 * float(a.max())
+        lo, hi = float(b.min()) - spread, float(b.max()) + spread
+        reach = max(-lo, hi)  # max|b| + 2 max a, to the bit
         if reach > MAX_REACH:
             raise ValueError(
                 f"max|onsite| + 2 max hopping = {reach:.3g} exceeds a quarter of the "
@@ -114,6 +120,7 @@ class PeriodicJacobi:
         self.hopping = a
         self.onsite = b
         self.period = a.size
+        self.gershgorin = (lo, hi)
 
     @classmethod
     def free(cls, period, hopping=1.0, onsite=0.0):

@@ -14,6 +14,16 @@ def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5))
     )
 
 
+def long_edge_data():
+    """Periodic and antiperiodic edges of a random N = 640 chain (seed
+    [640, 0], a ~ U(0.4, 1.8), b ~ U(-1.5, 1.5)), where the products of
+    edge distances behind Delta's node values overflow."""
+    rng = np.random.default_rng([640, 0])
+    a = rng.uniform(0.4, 1.8, 640)
+    b = rng.uniform(-1.5, 1.5, 640)
+    return PeriodicJacobi(a, b).floquet_eigenvalues([0.0, np.pi])
+
+
 def floquet_matrix(op, theta):
     """Dense N x N Bloch Hamiltonian of op for boundary phase
     u_{n+N} = e^{i theta} u_n: Hermitian for real theta, with the N

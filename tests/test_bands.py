@@ -18,7 +18,6 @@ from hillbands import (
     operators,
     transfer,
 )
-from hillbands.discriminant import gershgorin_interval
 
 from helpers import exact_discriminant, random_operator, record_marches, truncated_matrix
 
@@ -125,7 +124,7 @@ def test_odd_chains_are_symmetric_and_routes_agree(k, s):
     # Newton search with the outer edges, finds them open and multisects
     # their edges, which are near-double zeros (see _conditioning).
     op = _odd(k, s)
-    lam = np.linspace(*gershgorin_interval(op), 101)
+    lam = np.linspace(*op.gershgorin, 101)
     delta, = transfer.discriminant(op.hopping, op.onsite, lam)
     mirror, = transfer.discriminant(op.hopping, op.onsite, -lam)
     assert np.all(np.abs(mirror - delta) <= 1e-13 * np.maximum(1.0, np.abs(delta)))
@@ -332,7 +331,7 @@ def _extremum_everywhere(op):
     the route, by Newton steps where the gap passed the check between its
     coarse edge brackets and by multisection where it did not."""
     n = op.period
-    lo, hi = gershgorin_interval(op)
+    lo, hi = op.gershgorin
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
@@ -462,12 +461,12 @@ def test_bisection_at_small_scales_matches_eig():
     for s in (1e-14, 1e-100, 1e-200, 1e-300):
         for base, allowance in cases:
             op = PeriodicJacobi(base.hopping * s, base.onsite * s)
-            reach = max(np.abs(gershgorin_interval(op)))
+            reach = max(np.abs(op.gershgorin))
             error = np.abs(band_edges_bisection(op) - band_edges_eig(op))
             assert np.all(error <= 1e-12 * reach + s * allowance)
     op = PeriodicJacobi([1e-14, 8e-15, 1.2e-14], [0.0, 5e-15, -3e-15])
     edges, eig = band_edges_bisection(op), band_edges_eig(op)
-    assert np.max(np.abs(edges - eig)) <= 1e-12 * max(np.abs(gershgorin_interval(op)))
+    assert np.max(np.abs(edges - eig)) <= 1e-12 * max(np.abs(op.gershgorin))
     assert np.all(edges[1::2] > edges[0::2])
 
 

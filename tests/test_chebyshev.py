@@ -14,7 +14,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi, transfer
-from hillbands.discriminant import chebyshev_nodes
+from hillbands.inverse import chebyshev_nodes
 
 from helpers import free_discriminant
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, dos_curve, inverse
 from hillbands.cli import main
 
-from helpers import power_coefficients
+from helpers import long_edge_data, power_coefficients
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +245,16 @@ def test_edges_without_hoppings_where_the_multistart_failed(capsys):
     payload = json.loads(out)
     found = PeriodicJacobi(payload["hopping"], payload["onsite"])
     assert np.max(np.abs(BandStructure(found).edges - np.sort(per + anti))) <= 1e-10
+
+
+def test_edges_refuses_node_values_that_overflow(capsys):
+    # Refused in both modes: a payload of null coefficients must not be written.
+    per, anti = (",".join(map(repr, e.tolist())) for e in long_edge_data())
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}",
+                                 *extra)
+        assert code == 1 and out == ""
+        assert "of the 641 node values of Delta are not finite" in err
 
 
 def test_classes_subcommand(capsys):

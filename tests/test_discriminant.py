@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillbands import Discriminant, PeriodicJacobi
-from hillbands.discriminant import chebyshev_nodes
+from hillbands.inverse import chebyshev_nodes
 
 from helpers import (
     exact_discriminant,
@@ -157,3 +157,13 @@ def test_log_hopping_product_outlives_the_float_range():
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         Discriminant((1.0, 1.0), [2.0, -2.0], 0.0)
+
+
+def test_node_values_and_log_product_must_be_finite():
+    # Refused at construction, so that recover_onsite never blames a NaN
+    # node value on the float range.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="1 of the 3 node values of Delta are not finite"):
+            Discriminant((-2.0, 2.0), [2.0, bad, 2.0], 0.0)
+        with pytest.raises(ValueError, match="log\\(prod a\\) = .* is not finite"):
+            Discriminant((-2.0, 2.0), [2.0, -2.0, 2.0], bad)

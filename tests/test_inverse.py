@@ -12,12 +12,12 @@ from hillbands import (
     recover_operator_from_edges,
     transfer,
 )
-from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
-from hillbands.inverse import chain_from_divisor, monic_map
+from hillbands.inverse import chain_from_divisor, chebyshev_nodes, monic_map
 
 from helpers import (
     edge_error,
     free_discriminant,
+    long_edge_data,
     power_coefficients,
     random_operator,
     record_marches,
@@ -56,6 +56,40 @@ def test_newton_solve_reports_failure():
         )
 
 
+def test_newton_solve_halves_a_step_that_overshoots():
+    # The full Newton step on arctan from 3 lands at -9.49, where the
+    # residual is larger: the step is halved, and the solve still ends at 0.
+    trials = []
+
+    def fun(x):
+        trials.append(float(x[0]))
+        return np.arctan(x)
+
+    root = newton_solve(fun, lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]), [3.0])
+    assert root[0] == pytest.approx(0.0, abs=1e-12)
+    full = trials[1] - 3.0
+    assert abs(np.arctan(trials[1])) > np.arctan(3.0)
+    assert trials[2] == pytest.approx(3.0 + 0.5 * full, rel=1e-15)
+
+
+def test_newton_solve_line_search_stalls():
+    # At tol = 0 the residual of x^2 - 2 cannot fall below the rounding
+    # of the root, so no halving lowers it in the end.
+    with pytest.raises(RuntimeError, match="Newton line search stalled"):
+        newton_solve(lambda x: x**2 - 2.0, lambda x: np.array([[2.0 * x[0]]]), [1.0], tol=0.0)
+
+
+def test_newton_solve_runs_out_of_iterations():
+    with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+        newton_solve(lambda x: x**2 - 4.0, lambda x: np.array([[2.0 * x[0]]]), [1.0],
+                     max_iter=2)
+
+
+def test_newton_solve_returns_a_root_with_a_singular_jacobian():
+    root = newton_solve(lambda x: x**2, lambda x: np.array([[2.0 * x[0]]]), [0.0])
+    assert root.tolist() == [0.0]
+
+
 def test_onsite_jacobian_matches_finite_differences():
     rng = np.random.default_rng(41)
     op = random_operator(rng, 5)
@@ -64,7 +98,7 @@ def test_onsite_jacobian_matches_finite_differences():
     def coeff_map(b):
         return np.prod(op.hopping) * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
-    nodes = chebyshev_nodes(gershgorin_interval(op), n)
+    nodes = chebyshev_nodes(op.gershgorin, n)
     _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
     analytic = monic_map(nodes, np.prod(op.hopping))[:n] @ grad
     h = 1e-6
@@ -194,6 +228,26 @@ def test_blind_inversion_matches_two_march_reference(monkeypatch):
         assert np.array_equal(recover_onsite(*target).onsite, onsite)
 
 
+def test_blind_solve_moves_on_when_newton_fails(monkeypatch):
+    # The first start's Newton polish raises; the solve takes the next
+    # start and still returns a chain with the target Delta.
+    op = random_operator(np.random.default_rng(0), 4)
+    disc = Discriminant.from_operator(op)
+    solve, calls = inverse.newton_solve, []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("Newton line search stalled")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "newton_solve", flaky)
+    found = recover_onsite(disc, op.hopping)
+    assert len(calls) == 2
+    got = Discriminant.from_operator(found, disc.interval).values
+    assert np.max(np.abs(got - disc.values)) <= 1e-12 * np.max(np.abs(disc.values))
+
+
 def test_lm_wrapper_matches_scipy_least_squares(monkeypatch):
     # inverse.least_squares calls MINPACK's lmder through leastsq;
     # scipy's least_squares(method="lm") runs the same lmder behind its
@@ -308,6 +362,14 @@ def test_discriminant_from_edges_rejects_bad_data():
         discriminant_from_edges([1.0, 3.0], [2.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_discriminant_from_edges_refuses_node_values_that_overflow():
+    # The products of edge distances overflow at many of the 641 nodes:
+    # refused, with no overflow warning.
+    with pytest.raises(ValueError, match="of the 641 node values of Delta are not finite"):
+        discriminant_from_edges(*long_edge_data())
+
+
 def test_recover_operator_from_edges_uniform_hopping():
     op = PeriodicJacobi.free(4, hopping=1.0, onsite=0.0)
     onsite = np.array([0.6, -0.2, 0.1, -0.5])
@@ -369,7 +431,7 @@ def test_onsite_jacobian_matches_per_column_minors():
     chains += [_repeated_cell(rng, cell, copies) for cell in (1, 2, 3, 4) for copies in (2, 3, 6)]
     for op in chains:
         n = op.period
-        nodes = chebyshev_nodes(gershgorin_interval(op), n)
+        nodes = chebyshev_nodes(op.gershgorin, n)
         expected = np.zeros((n + 1, n))
         for j in range(n):
             minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
@@ -446,3 +508,9 @@ def test_chain_from_divisor_rejects_bad_divisors():
             chain_from_divisor(per, anti, mu, bad, log_product)
     with pytest.raises(ValueError):
         chain_from_divisor(per, anti, mu[:1], sheet[:1], log_product)
+
+
+def test_chain_from_divisor_refuses_a_weight_that_is_not_finite():
+    # log(prod a) = -800: sinh h = sqrt(|prod(mu - E)|) / (2A) overflows.
+    with pytest.raises(ValueError, match="a Dirichlet weight is not finite"):
+        chain_from_divisor([-2.0, 1.0], [-1.0, 2.0], [0.0], [1.0], -800.0)

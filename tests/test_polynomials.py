@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi
-from hillbands.discriminant import chebyshev_nodes
+from hillbands.inverse import chebyshev_nodes
 
 from helpers import free_discriminant, monic_coefficients
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from hillbands import Discriminant, PeriodicJacobi, band_edges_bisection, band_edges_eig, transfer
-from hillbands.discriminant import chebyshev_nodes, gershgorin_interval
+from hillbands.inverse import chebyshev_nodes
 
 from helpers import (
     dirichlet_matrix,
@@ -315,7 +315,7 @@ def test_fused_delta_equals_the_value_march():
     for n, f_prev in ((89, 55), (144, 89)):
         chains.append(PeriodicJacobi(np.ones(n), 0.8 * np.cos(2 * np.pi * f_prev * np.arange(n) / n + 0.3)))
     for op in chains:
-        lo, hi = gershgorin_interval(op)
+        lo, hi = op.gershgorin
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
         delta, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, lam)
         assert delta.shape == lam.shape and grad.shape == lam.shape + (op.period,)
@@ -336,7 +336,7 @@ def test_coefficient_jacobian_matches_central_differences(period):
     rng = np.random.default_rng(100 + period)
     op = random_operator(rng, period)
     x = op.onsite
-    nodes = chebyshev_nodes(gershgorin_interval(op), period)
+    nodes = chebyshev_nodes(op.gershgorin, period)
 
     def coefficients(x):
         return transfer.discriminant(op.hopping, x, nodes)[0]
