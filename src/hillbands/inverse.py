@@ -8,18 +8,17 @@ hoppings takes the divisor at the gap midpoints.
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
 N-to-N system solved here by damped Newton iteration. The residual and
-its Jacobian are `monic_map` times Delta and its onsite Jacobian at
-N + 1 fixed nodes, both from one march
+its Jacobian are prod(a) V^-1, V the Vandermonde matrix of N + 1 fixed
+nodes, times Delta and its onsite Jacobian there, both from one march
 (`transfer.discriminant_jacobian` of the chain's bonds and sites),
 which `fused` runs once per iterate for both. With no starting
 point, a seeded multistart of Levenberg-Marquardt solves finds one
 first: MINPACK's `lmder`, which `least_squares` calls from SciPy's
 compiled module `scipy.optimize._minpack` alone, without importing
 `scipy.optimize` (see there). Band-edge data determines the
-discriminant directly: the monic polynomials built from the periodic
-and antiperiodic eigenvalues differ by the constant 4 * prod(a), which
-recovers the hopping product, and their average is the monic
-discriminant.
+discriminant directly: (prod a)(Delta + 2), the monic polynomial of the
+antiperiodic eigenvalues, is 4 prod(a) at each periodic one, so one edge
+gives log(prod a); Delta is the mean of the two over prod(a).
 
 A target is a Discriminant: Delta, a degree-N polynomial with leading
 coefficient 1/(a_0 ... a_{N-1}), held by its values at the N + 1
@@ -228,12 +227,6 @@ def fused(evaluate):
     return (lambda x: both(x)[0]), (lambda x: both(x)[1])
 
 
-def monic_map(nodes, hopping_product):
-    """prod(a) V^-1, V the Vandermonde matrix of the N + 1 nodes: it maps
-    Delta at the nodes to the ascending coefficients of (prod a) * Delta."""
-    return hopping_product * np.linalg.inv(np.vander(nodes, increasing=True))
-
-
 def recover_onsite(target, hopping, initial=None):
     """Find onsite energies reproducing a target discriminant.
 
@@ -306,7 +299,7 @@ def recover_onsite(target, hopping, initial=None):
     # Fixed nodes on the hull of the target's zeros, at least 2 wide.
     mid, half = 0.5 * (guess[-1] + guess[0]), max(0.5 * (guess[-1] - guess[0]), 1.0)
     nodes = chebyshev_nodes((mid - half, mid + half), n)
-    to_monic = monic_map(nodes, pa)[:n]
+    to_monic = pa * np.linalg.inv(np.vander(nodes, increasing=True))[:n]
 
     def evaluate(b):
         # Column j of the point Jacobian is minus the characteristic
@@ -360,20 +353,21 @@ def discriminant_from_edges(periodic, antiperiodic):
         The N eigenvalues at Bloch phase 0, i.e. the zeros of Delta - 2.
     antiperiodic : array_like
         The N eigenvalues at Bloch phase pi, the zeros of Delta + 2.
-        The two monic polynomials with these zeros must differ by a
-        constant, to 1e-8 of the largest coefficient. All edges must be
-        finite.
+        Its monic polynomial must exceed the periodic one by 4 prod(a) at the
+        N + 1 nodes, to 1e-8 of the latter's maximum. Every edge must be finite.
 
     Returns
     -------
     Discriminant
-        On the hull of the edges, with the recovered hopping product.
+        On the hull of the edges, with log(prod a) = log(prod|E+ - E-| / 4)
+        at the periodic edge E+ farthest from every antiperiodic edge E-.
 
     Raises
     ------
     ValueError
-        If the data is not such edges, or the node values overflow, as
-        products of edge distances do at long periods.
+        If the data is not such edges, if the node values overflow (at long
+        periods), or if errors of N eps max|E| in the edges move log(prod a)
+        by over 1e-6 to first order, as once bands are narrower than rounding.
     """
     per = np.sort(np.asarray(periodic, dtype=float))
     anti = np.sort(np.asarray(antiperiodic, dtype=float))
@@ -383,22 +377,27 @@ def discriminant_from_edges(periodic, antiperiodic):
         raise ValueError("need equally many periodic and antiperiodic eigenvalues")
     if not (np.isfinite(per).all() and np.isfinite(anti).all()):
         raise ValueError("edge values must be finite")
-    p0 = P.polyfromroots(per)
-    ppi = P.polyfromroots(anti)
-    diff = p0 - ppi
-    scale = np.max(np.abs(p0))
-    if np.max(np.abs(diff[1:])) > 1e-8 * scale:
-        raise ValueError("edge data is inconsistent: difference is not constant")
-    pa = -diff[0] / 4.0
-    if pa <= 0:
-        raise ValueError(
-            "edge data is inconsistent: nonpositive hopping product"
-        )
+    n, gaps = per.size, per[:, None] - anti
+    far = gaps[np.argmax(np.min(np.abs(gaps), axis=1))]
+    if not np.all(far):  # each periodic edge is also antiperiodic: prod a = 0
+        raise ValueError("edge data is inconsistent: nonpositive hopping product")
     interval = (min(per[0], anti[0]), max(per[-1], anti[-1]))
-    x = chebyshev_nodes(interval, per.size)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # Discriminant refuses what overflows
-        values = (np.prod(x - per, axis=1) + np.prod(x - anti, axis=1)) / (2.0 * pa)
-    return Discriminant(interval, values, np.log(pa))
+    x = chebyshev_nodes(interval, n)[:, None]
+    # Discriminant refuses what is not finite first: such node values fail the checks below too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_product = np.sum(np.log(np.abs(far))) - np.log(4.0)
+        pa = np.exp(log_product)
+        p0, ppi = np.prod(x - per, axis=1), np.prod(x - anti, axis=1)
+        disc = Discriminant(interval, (p0 + ppi) / (2.0 * pa), log_product)
+    bound = n * np.finfo(float).eps * np.max(np.abs(interval)) * np.sum(1.0 / np.abs(far))
+    if bound > 1e-6:
+        raise ValueError(f"edge data at N = {n} does not determine the hopping product: "
+                         f"rounding moves log(prod a) by up to {bound:.1e}, above 1e-6")
+    if np.prod(np.sign(far)) <= 0:
+        raise ValueError("edge data is inconsistent: nonpositive hopping product")
+    if np.max(np.abs(ppi - p0 - 4.0 * pa)) > 1e-8 * np.max(np.abs(p0)):
+        raise ValueError("edge data is inconsistent: difference is not constant")
+    return disc
 
 
 def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):

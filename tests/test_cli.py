@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, dos_curve, inverse
 from hillbands.cli import main
 
-from helpers import long_edge_data, power_coefficients
+from helpers import long_edge_data, power_coefficients, random_operator
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +255,17 @@ def test_edges_refuses_node_values_that_overflow(capsys):
                                  *extra)
         assert code == 1 and out == ""
         assert "of the 641 node values of Delta are not finite" in err
+
+
+@pytest.mark.parametrize("n", [128, 384])
+def test_edges_refuses_edges_that_do_not_determine_the_hopping_product(capsys, n):
+    op = random_operator(np.random.default_rng(0), n)
+    per, anti = (",".join(map(repr, e.tolist())) for e in op.floquet_eigenvalues([0.0, np.pi]))
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}",
+                                 *extra)
+        assert code == 1 and out == ""
+        assert f"edge data at N = {n} does not determine the hopping product" in err
 
 
 def test_classes_subcommand(capsys):

@@ -12,7 +12,7 @@ from hillbands import (
     recover_operator_from_edges,
     transfer,
 )
-from hillbands.inverse import chain_from_divisor, chebyshev_nodes, monic_map
+from hillbands.inverse import chain_from_divisor, chebyshev_nodes
 
 from helpers import (
     edge_error,
@@ -90,6 +90,13 @@ def test_newton_solve_returns_a_root_with_a_singular_jacobian():
     assert root.tolist() == [0.0]
 
 
+def test_newton_solve_converges_on_its_last_iteration():
+    # The one step allowed lands on the root: returned by the check after
+    # the loop, not by the polishing branch inside it.
+    root = newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), [0.0], max_iter=1)
+    assert root.tolist() == [1.0]
+
+
 def test_onsite_jacobian_matches_finite_differences():
     rng = np.random.default_rng(41)
     op = random_operator(rng, 5)
@@ -100,7 +107,7 @@ def test_onsite_jacobian_matches_finite_differences():
 
     nodes = chebyshev_nodes(op.gershgorin, n)
     _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
-    analytic = monic_map(nodes, np.prod(op.hopping))[:n] @ grad
+    analytic = np.prod(op.hopping) * np.linalg.inv(np.vander(nodes, increasing=True))[:n] @ grad
     h = 1e-6
     fd = np.zeros((n, n))
     for j in range(n):
@@ -143,6 +150,13 @@ def test_recover_onsite_validates_input():
         recover_onsite(disc, [1.0, 1.0, 1.0])  # degree/period mismatch
     with pytest.raises(ValueError):
         recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
+
+
+def test_blind_solve_reports_an_unattainable_target():
+    # Delta = lam^2 - 1 at a = (1, 1) has real zeros, but b0 + b1 = 0 with
+    # b0 b1 = 1 has no real solution, so every start fails.
+    with pytest.raises(RuntimeError, match="no start out of 64 converged"):
+        recover_onsite([-1.0, 0.0, 1.0], [1.0, 1.0])
 
 
 @pytest.mark.filterwarnings("error")
@@ -345,11 +359,11 @@ def test_discriminant_from_edges_rejects_bad_data():
     anti = op.floquet_eigenvalues(np.pi)
     with pytest.raises(ValueError):
         discriminant_from_edges(per, anti[:2])  # count mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonpositive hopping product"):
         discriminant_from_edges(anti, per)  # swapped data flips the constant
     noisy = anti.copy()
     noisy[0] += 0.3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="difference is not constant"):
         discriminant_from_edges(per, noisy)  # difference no longer constant
     for bad in (np.nan, np.inf, -np.inf):  # once read as an empty interval or a bad product
         for edges in ((np.array([bad, 3.0]), [1.5, 2.5]), ([1.0, 3.0], np.array([1.5, bad]))):
@@ -368,6 +382,39 @@ def test_discriminant_from_edges_refuses_node_values_that_overflow():
     # refused, with no overflow warning.
     with pytest.raises(ValueError, match="of the 641 node values of Delta are not finite"):
         discriminant_from_edges(*long_edge_data())
+
+
+def test_discriminant_from_edges_reads_the_hopping_product_at_one_edge():
+    # log(prod a) from the periodic edge farthest from every antiperiodic
+    # edge: within 1.3e-10 on these random chains (the first-order bound
+    # allows 5.6e-8 at N = 64), and within 1e-13 on the Harper chains.
+    for n in (8, 32, 64):
+        for s in range(20):
+            op = random_operator(np.random.default_rng([n, s]), n)
+            disc = discriminant_from_edges(*op.floquet_eigenvalues([0.0, np.pi]))
+            assert abs(disc.log_hopping_product - np.sum(np.log(op.hopping))) <= 1e-9
+    for n, f_prev in ((89, 55), (144, 89), (233, 144)):
+        harper = 0.8 * np.cos(2 * np.pi * f_prev * np.arange(n) / n + 0.3)
+        op = PeriodicJacobi(np.ones(n), harper)
+        disc = discriminant_from_edges(*op.floquet_eigenvalues([0.0, np.pi]))
+        assert abs(disc.log_hopping_product) <= 1e-12
+
+
+def test_discriminant_from_edges_refuses_coincident_edge_sets():
+    # Every periodic edge is also an antiperiodic one, so prod a = 0: said
+    # so, not read as a log(prod a) of -inf or node values that are not finite.
+    for per, anti in (([1.0, 3.0], [1.0, 3.0]), ([1.0, 1.0], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="nonpositive hopping product"):
+            discriminant_from_edges(per, anti)
+
+
+@pytest.mark.parametrize("n", [128, 384])
+def test_discriminant_from_edges_refuses_edges_that_do_not_determine_the_hopping_product(n):
+    # Bands narrower than rounding: the edges fix log(prod a) only to
+    # 1.4e-5 at N = 128 and 8.6 at N = 384, so any answer could be wrong.
+    op = random_operator(np.random.default_rng(0), n)
+    with pytest.raises(ValueError, match=f"edge data at N = {n} does not determine the hopping"):
+        discriminant_from_edges(*op.floquet_eigenvalues([0.0, np.pi]))
 
 
 def test_recover_operator_from_edges_uniform_hopping():
