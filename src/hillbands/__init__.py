@@ -5,7 +5,6 @@ from .inverse import (
     Discriminant,
     chain_from_divisor,
     discriminant_from_edges,
-    newton_solve,
     recover_onsite,
     recover_operator_from_edges,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "dos_curve",
     "enumerate_onsite_classes",
     "isospectral_neighbors",
-    "newton_solve",
     "orbit_distance",
     "recover_onsite",
     "recover_operator_from_edges",

@@ -7,15 +7,15 @@ hoppings takes the divisor at the gap midpoints.
 
 With the hoppings held fixed, the map from onsite energies to the
 coefficients of the monic discriminant (prod a) * Delta is a smooth
-N-to-N system solved here by damped Newton iteration. The residual and
-its Jacobian are prod(a) V^-1, V the Vandermonde matrix of N + 1 fixed
-nodes, times Delta and its onsite Jacobian there, both from one march
-(`transfer.discriminant_jacobian` of the chain's bonds and sites),
-which `fused` runs once per iterate for both. With no starting
-point, a seeded multistart of Levenberg-Marquardt solves finds one
-first: MINPACK's `lmder`, which `least_squares` calls from SciPy's
-compiled module `scipy.optimize._minpack` alone, without importing
-`scipy.optimize` (see there). Band-edge data determines the
+N-to-N system solved here by Levenberg-Marquardt: MINPACK's `lmder`,
+which `least_squares` calls from SciPy's compiled module
+`scipy.optimize._minpack` alone, without importing `scipy.optimize`
+(see there). The residual and its Jacobian are prod(a) V^-1, V the
+Vandermonde matrix of N + 1 fixed nodes, times Delta and its onsite
+Jacobian there, both from one march (`transfer.discriminant_jacobian`
+of the chain's bonds and sites), which `fused` runs once per iterate
+for both. With no starting point, a seeded multistart runs one solve
+per start until one converges. Band-edge data determines the
 discriminant directly: (prod a)(Delta + 2), the monic polynomial of the
 antiperiodic eigenvalues, is 4 prod(a) at each periodic one, so one edge
 gives log(prod a); Delta is the mean of the two over prod(a).
@@ -39,7 +39,6 @@ from . import transfer
 from .operators import PeriodicJacobi, _minpack
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
-MAX_ITER = 80  # recover_onsite: Newton iterations per solve
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
 
 
@@ -130,78 +129,18 @@ def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
     return SimpleNamespace(x=x, nfev=info["nfev"])
 
 
-def newton_solve(fun, jac, x0, tol=1e-12, max_iter=60):
-    """Solve fun(x) = 0 by Newton iteration with backtracking.
-
-    Below tol, one more full step is kept if it lowers the residual, so
-    the root does not sit just under tol.
-
-    Parameters
-    ----------
-    fun : callable(x) -> ndarray
-        Residual vector.
-    jac : callable(x) -> ndarray
-        Square Jacobian matrix of fun at x.
-    x0 : array_like
-        Starting point.
-    tol : float
-        Convergence threshold on the max-norm of the residual.
-    max_iter : int
-        Iteration budget before giving up.
-
-    Returns
-    -------
-    np.ndarray
-        The root.
-
-    Raises
-    ------
-    RuntimeError
-        If the residual does not drop below tol within max_iter steps.
-    """
-    x = np.array(x0, dtype=float)
-    fx = np.asarray(fun(x), dtype=float)
-    norm = np.max(np.abs(fx))
-    for k in range(max_iter):
-        j = jac(x)
-        try:
-            step = np.linalg.solve(j, -fx)
-        except np.linalg.LinAlgError as exc:
-            if norm < tol:
-                return x
-            raise RuntimeError(f"singular Jacobian at iteration {k}") from exc
-        if norm < tol:
-            polished = np.max(np.abs(np.asarray(fun(x + step), dtype=float)))
-            return x + step if polished < norm else x
-        t = 1.0
-        while t > 2.0**-30:
-            x_new = x + t * step
-            f_new = np.asarray(fun(x_new), dtype=float)
-            norm_new = np.max(np.abs(f_new))
-            if norm_new < norm or norm_new < tol:
-                break
-            t *= 0.5
-        else:
-            raise RuntimeError("Newton line search stalled")
-        x, fx, norm = x_new, f_new, norm_new
-    if norm < tol:
-        return x
-    raise RuntimeError(
-        f"Newton did not converge in {max_iter} iterations (residual {norm:.3e})"
-    )
-
-
 def fused(evaluate):
-    """fun and jac for the solvers, from evaluate(x) -> (residual, Jacobian).
+    """fun and jac for `least_squares`, from evaluate(x) -> (residual, Jacobian).
 
     Both are served from a memo keyed on the bytes of x, so each
     distinct iterate runs evaluate, one march, once. The memo keeps the
-    last two x, since the solvers ask for the residual and the Jacobian
-    at one iterate and newton_solve keeps x when its polishing step does
-    not help, and the x of least residual sum of squares so far: MINPACK's
-    `lmder`, after a run of refused trials, takes the Jacobian at its last
-    accepted point, which is that one. The arrays are read-only, since
-    the memo hands the same ones out again.
+    last two x, since the solver asks for the residual and the Jacobian
+    at one iterate and recover_onsite checks the residual at the answer,
+    which can be one refused trial back, and the x of least residual sum
+    of squares so far: MINPACK's `lmder`, after a run of refused trials,
+    takes the Jacobian at its last accepted point, which is that one.
+    The arrays are read-only, since the memo hands the same ones out
+    again.
     """
     recent, best = {}, {}
     least = np.inf
@@ -240,13 +179,12 @@ def recover_onsite(target, hopping, initial=None):
     hopping : array_like
         Positive bond strengths, held fixed.
     initial : array_like, optional
-        Starting onsite energies for a plain damped-Newton solve. When
-        omitted, a seeded (so deterministic) multistart of STARTS
-        Levenberg-Marquardt solves runs instead: the target's roots,
-        which the onsite energies approach in the small-hopping limit,
-        are assigned to sites in random orders; plain Newton's basins
-        are far too small for a blind start. Every solve ends in Newton
-        steps to a max-norm residual below TOL on the monic
+        N finite starting onsite energies for one Levenberg-Marquardt
+        solve. When omitted, a seeded (so deterministic) multistart of
+        up to STARTS such solves runs instead: the target's roots, which
+        the onsite energies approach in the small-hopping limit, are
+        assigned to sites in random orders. A solve is accepted when
+        `lmder`'s answer has a max-norm residual below TOL on the monic
         coefficients, each relative to its magnitude floored at 1.
 
     Returns
@@ -263,7 +201,8 @@ def recover_onsite(target, hopping, initial=None):
         this way.
     ValueError
         If a hopping, or a coefficient of a target given as an array, is
-        not finite, or a hopping is not positive, before any march; if
+        not finite, or a hopping is not positive, or initial is not N
+        finite values in one dimension, before any march; if
         the target does not fit the hoppings; if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
         do at long periods once prod a does; or, on a blind solve, if
@@ -308,20 +247,19 @@ def recover_onsite(target, hopping, initial=None):
         return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad / scale[:, None]
 
     if initial is not None:
-        b = newton_solve(*fused(evaluate), initial, tol=TOL, max_iter=MAX_ITER)
-        return PeriodicJacobi(a, b)
-
-    if np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
+        starts = [np.asarray(initial, dtype=float)]
+        if starts[0].shape != (n,) or not np.all(np.isfinite(starts[0])):
+            raise ValueError(f"initial must be N = {n} finite onsite energies in one dimension")
+    elif np.any(np.abs(roots.imag) > 1e-8 * max(1.0, np.max(np.abs(roots)))):
         raise ValueError(
             "the target's zeros are not all real, so no chain has this discriminant"
         )
+    else:  # the zeros in order, then seeded random orders of them with 2% noise
+        spread, rng = max(guess[-1] - guess[0], 1.0), np.random.default_rng(0)
+        starts = (guess if k == 0 else rng.permutation(guess)
+                  + rng.normal(scale=0.02 * spread, size=n) for k in range(STARTS))
 
-    spread = max(guess[-1] - guess[0], 1.0)
-    rng = np.random.default_rng(0)
-    for attempt in range(STARTS):
-        start = guess.copy() if attempt == 0 else rng.permutation(guess)
-        if attempt > 0:
-            start = start + rng.normal(scale=0.02 * spread, size=n)
+    for start in starts:
         fun, jac = fused(evaluate)  # one memo per start, so its best point is this start's
         res = least_squares(
             fun,
@@ -332,15 +270,17 @@ def recover_onsite(target, hopping, initial=None):
             gtol=1e-15,
             max_nfev=60 * n,
         )
-        if np.max(np.abs(fun(res.x))) < 1e3 * TOL:
-            try:
-                b = newton_solve(fun, jac, res.x, tol=TOL, max_iter=MAX_ITER)
-            except RuntimeError:
-                continue
-            return PeriodicJacobi(a, b)
+        if np.max(np.abs(fun(res.x))) < TOL:
+            return PeriodicJacobi(a, res.x)
+    if initial is not None:
+        raise RuntimeError(
+            "the solve from the given initial point did not converge; the "
+            "coefficients may not be attainable with the prescribed hoppings"
+        )
     raise RuntimeError(
-        f"no start out of {STARTS} converged; supply an initial point, or the "
-        "coefficients may not be attainable with the prescribed hoppings"
+        f"no start out of {STARTS} converged; the coefficients may not be attainable "
+        "with the prescribed hoppings, or the library's recover_onsite(..., initial=...) "
+        "may converge from a start near a solution"
     )
 
 

@@ -7,7 +7,6 @@ from hillbands import (
     band_edges_eig,
     discriminant_from_edges,
     inverse,
-    newton_solve,
     recover_onsite,
     recover_operator_from_edges,
     transfer,
@@ -23,78 +22,6 @@ from helpers import (
     record_marches,
     two_march_solvers,
 )
-
-
-def test_newton_solve_scalar_system():
-    root = newton_solve(
-        lambda x: np.array([x[0] ** 2 - 4.0]),
-        lambda x: np.array([[2.0 * x[0]]]),
-        [1.0],
-    )
-    assert root[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_newton_solve_two_dimensional():
-    # Intersection of a circle and a line.
-    def fun(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 - 2.0, x[0] - x[1]])
-
-    def jac(x):
-        return np.array([[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]])
-
-    root = newton_solve(fun, jac, [2.0, 0.5])
-    assert np.allclose(root, [1.0, 1.0], atol=1e-10)
-
-
-def test_newton_solve_reports_failure():
-    with pytest.raises(RuntimeError):
-        newton_solve(
-            lambda x: np.array([x[0] ** 2 + 1.0]),
-            lambda x: np.array([[2.0 * x[0]]]),
-            [1.0],
-            max_iter=20,
-        )
-
-
-def test_newton_solve_halves_a_step_that_overshoots():
-    # The full Newton step on arctan from 3 lands at -9.49, where the
-    # residual is larger: the step is halved, and the solve still ends at 0.
-    trials = []
-
-    def fun(x):
-        trials.append(float(x[0]))
-        return np.arctan(x)
-
-    root = newton_solve(fun, lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]), [3.0])
-    assert root[0] == pytest.approx(0.0, abs=1e-12)
-    full = trials[1] - 3.0
-    assert abs(np.arctan(trials[1])) > np.arctan(3.0)
-    assert trials[2] == pytest.approx(3.0 + 0.5 * full, rel=1e-15)
-
-
-def test_newton_solve_line_search_stalls():
-    # At tol = 0 the residual of x^2 - 2 cannot fall below the rounding
-    # of the root, so no halving lowers it in the end.
-    with pytest.raises(RuntimeError, match="Newton line search stalled"):
-        newton_solve(lambda x: x**2 - 2.0, lambda x: np.array([[2.0 * x[0]]]), [1.0], tol=0.0)
-
-
-def test_newton_solve_runs_out_of_iterations():
-    with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
-        newton_solve(lambda x: x**2 - 4.0, lambda x: np.array([[2.0 * x[0]]]), [1.0],
-                     max_iter=2)
-
-
-def test_newton_solve_returns_a_root_with_a_singular_jacobian():
-    root = newton_solve(lambda x: x**2, lambda x: np.array([[2.0 * x[0]]]), [0.0])
-    assert root.tolist() == [0.0]
-
-
-def test_newton_solve_converges_on_its_last_iteration():
-    # The one step allowed lands on the root: returned by the check after
-    # the loop, not by the polishing branch inside it.
-    root = newton_solve(lambda x: x - 1.0, lambda x: np.eye(1), [0.0], max_iter=1)
-    assert root.tolist() == [1.0]
 
 
 def test_onsite_jacobian_matches_finite_differences():
@@ -132,7 +59,7 @@ def test_recover_onsite_default_start_reproduces_discriminant():
     op = random_operator(rng, 4)
     disc = Discriminant.from_operator(op)
     found = recover_onsite(disc, op.hopping)
-    # Whichever solution branch Newton lands on, the spectrum must match.
+    # Whichever solution branch the solve lands on, the spectrum must match.
     assert np.allclose(power_coefficients(found), power_coefficients(op), rtol=0.0, atol=1e-9)
 
 
@@ -189,6 +116,18 @@ def test_recover_onsite_checks_the_hoppings_before_any_march(monkeypatch):
             recover_operator_from_edges([1.0, 3.0], [1.5, 2.5], hopping)
 
 
+def test_recover_onsite_refuses_a_malformed_start_before_any_march(monkeypatch):
+    # A start must be N finite values in one dimension; any other is
+    # refused by name, before any march.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer, "_march_values", refuse)
+    for initial in ([0.1], [0.1, -0.1, 0.2], [[0.1, 0.2]], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="initial must be N = 2 finite onsite energies"):
+            recover_onsite([-2.0, 0.0, 1.0], [1.0, 1.0], initial)
+
+
 def test_recover_onsite_checks_the_target_before_any_march(monkeypatch):
     # A non-finite target at prod a = 1 was reported as leaving the float
     # range; it is refused as not finite, before any march.
@@ -203,7 +142,7 @@ def test_recover_onsite_checks_the_target_before_any_march(monkeypatch):
 
 
 def test_recover_onsite_marches_once_per_iterate(monkeypatch):
-    # Blind (LM, then Newton), from a start (Newton) and from edge data:
+    # Blind, from a start and from edge data, all by LM:
     # each distinct iterate is one march of the chain's rotations. The
     # chains drawn first from seeds 97 (N = 7) and 92 (N = 4) have LM
     # starts that end on several refused trials, after which scipy takes
@@ -231,8 +170,8 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
 
 
 def test_blind_inversion_matches_two_march_reference(monkeypatch):
-    # The fused march gives Delta to the bit, so every LM and Newton
-    # iterate, and the chain found, is the same as with two marches.
+    # The fused march gives Delta to the bit, so every LM iterate, and the
+    # chain found, is the same as with two marches.
     rng = np.random.default_rng(98)
     targets = [(power_coefficients(op), op.hopping)
                for op in (random_operator(rng, n) for n in range(2, 8))]
@@ -243,23 +182,44 @@ def test_blind_inversion_matches_two_march_reference(monkeypatch):
 
 
 def test_blind_solve_moves_on_when_newton_fails(monkeypatch):
-    # The first start's Newton polish raises; the solve takes the next
-    # start and still returns a chain with the target Delta.
+    # The first start's LM answer, which meets TOL, is moved by 1e-3 so
+    # that it misses; the solve takes the next start and still returns a
+    # chain with the target Delta.
     op = random_operator(np.random.default_rng(0), 4)
     disc = Discriminant.from_operator(op)
-    solve, calls = inverse.newton_solve, []
+    solve, calls = inverse.least_squares, []
 
     def flaky(*args, **kwargs):
-        calls.append(args)
+        res = solve(*args, **kwargs)
+        calls.append(res)
         if len(calls) == 1:
-            raise RuntimeError("Newton line search stalled")
-        return solve(*args, **kwargs)
+            res.x = res.x + 1e-3
+        return res
 
-    monkeypatch.setattr(inverse, "newton_solve", flaky)
+    monkeypatch.setattr(inverse, "least_squares", flaky)
     found = recover_onsite(disc, op.hopping)
     assert len(calls) == 2
     got = Discriminant.from_operator(found, disc.interval).values
     assert np.max(np.abs(got - disc.values)) <= 1e-12 * np.max(np.abs(disc.values))
+
+
+def test_solve_from_a_given_start_reports_an_unattainable_target():
+    # b0 + b1 = 0 with b0 b1 = 1 has no real solution, so the one LM solve
+    # from the given start misses TOL.
+    with pytest.raises(RuntimeError, match="the solve from the given initial point did not"):
+        recover_onsite([-1.0, 0.0, 1.0], [1.0, 1.0], initial=[0.0, 0.0])
+
+
+def test_blind_solve_recovers_random_chains_up_to_period_8():
+    # Chains drawn as a ~ U(0.4, 1.8), b ~ U(-1.5, 1.5) from
+    # default_rng([N, s]), N = 3..8, s = 1000..1003: every blind solve
+    # succeeds, with the target's eig edges to 1e-10 relative.
+    for n in range(3, 9):
+        for s in range(1000, 1004):
+            rng = np.random.default_rng([n, s])
+            op = PeriodicJacobi(rng.uniform(0.4, 1.8, n), rng.uniform(-1.5, 1.5, n))
+            found = recover_onsite(Discriminant.from_operator(op), op.hopping)
+            assert edge_error(found, band_edges_eig(op)) <= 1e-10, (n, s)
 
 
 def test_lm_wrapper_matches_scipy_least_squares(monkeypatch):
