@@ -116,11 +116,16 @@ def _cmd_dos(args):
           text)
 
 
+def _chain_text(op):
+    """The onsite and hopping lines of a returned chain, at 10 digits."""
+    return ("onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
+            + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
+
+
 def _cmd_inverse(args):
     op = inverse.recover_onsite(np.asarray(args.coeffs), args.hopping)
     _emit(args, lambda: {"hopping": op.hopping.tolist(), "onsite": op.onsite.tolist()},
-          lambda: "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
-          + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
+          lambda: _chain_text(op))
 
 
 def _cmd_edges(args):
@@ -133,9 +138,7 @@ def _cmd_edges(args):
               "hopping": op.hopping.tolist(),
               "onsite": op.onsite.tolist(),
           },
-          lambda: f"hopping product: {product:.10g}\n"
-          + "onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
-          + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
+          lambda: f"hopping product: {product:.10g}\n" + _chain_text(op))
 
 
 def _cmd_classes(args):

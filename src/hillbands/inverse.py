@@ -107,7 +107,9 @@ class Discriminant:
 
 
 def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
-    """Levenberg-Marquardt by MINPACK's `lmder`; the result holds x and nfev.
+    """Levenberg-Marquardt by MINPACK's `lmder`; the result holds x, nfev
+    and fun, the residual `lmder` hands back with x (the fvec of leastsq's
+    infodict), which is fun(x) to the bit.
 
     `lmder` is called from SciPy's extension module
     scipy.optimize._minpack, which `operators._minpack` loads on the
@@ -126,42 +128,27 @@ def least_squares(fun, x0, jac, ftol, xtol, gtol, max_nfev):
     """
     x, info, _ = _minpack()._lmder(fun, jac, np.asarray(x0).flatten(), (), 1, 0, ftol,
                                    xtol, gtol, max_nfev, 100.0, None)
-    return SimpleNamespace(x=x, nfev=info["nfev"])
+    return SimpleNamespace(x=x, nfev=info["nfev"], fun=info["fvec"])
 
 
 def fused(evaluate):
     """fun and jac for `least_squares`, from evaluate(x) -> (residual, Jacobian).
 
-    Both are served from a memo keyed on the bytes of x, so each
-    distinct iterate runs evaluate, one march, once. The memo keeps the
-    last two x, since the solver asks for the residual and the Jacobian
-    at one iterate and recover_onsite checks the residual at the answer,
-    which can be one refused trial back, and the x of least residual sum
-    of squares so far: MINPACK's `lmder`, after a run of refused trials,
-    takes the Jacobian at its last accepted point, which is that one.
-    The arrays are read-only, since the memo hands the same ones out
-    again.
+    Both are served from a one-slot memo keyed on the bytes of x, so each
+    distinct iterate runs evaluate, one march, once: MINPACK's `lmder`
+    asks for the Jacobian only at the x of its latest residual call. The
+    arrays are read-only, since the memo hands the same ones out again.
     """
-    recent, best = {}, {}
-    least = np.inf
+    memo = [None, None]
 
     def both(x):
-        nonlocal least
         key = np.asarray(x, dtype=float).tobytes()
-        hit = recent.get(key) or best.get(key)
-        if hit is None:
-            hit = evaluate(x)
-            for array in hit:
+        if memo[0] != key:
+            value = evaluate(x)
+            for array in value:
                 array.setflags(write=False)
-            if len(recent) == 2:
-                del recent[next(iter(recent))]
-            recent[key] = hit
-            cost = hit[0] @ hit[0]
-            if cost < least:
-                least = cost
-                best.clear()
-                best[key] = hit
-        return hit
+            memo[:] = key, value
+        return memo[1]
 
     return (lambda x: both(x)[0]), (lambda x: both(x)[1])
 
@@ -183,9 +170,10 @@ def recover_onsite(target, hopping, initial=None):
         solve. When omitted, a seeded (so deterministic) multistart of
         up to STARTS such solves runs instead: the target's roots, which
         the onsite energies approach in the small-hopping limit, are
-        assigned to sites in random orders. A solve is accepted when
-        `lmder`'s answer has a max-norm residual below TOL on the monic
-        coefficients, each relative to its magnitude floored at 1.
+        assigned to sites in random orders. A solve is accepted when the
+        residual `lmder` returns with its answer has max-norm below TOL on
+        the monic coefficients, each relative to its magnitude floored at
+        1. All starts share one `fused` memo.
 
     Returns
     -------
@@ -259,8 +247,8 @@ def recover_onsite(target, hopping, initial=None):
         starts = (guess if k == 0 else rng.permutation(guess)
                   + rng.normal(scale=0.02 * spread, size=n) for k in range(STARTS))
 
+    fun, jac = fused(evaluate)
     for start in starts:
-        fun, jac = fused(evaluate)  # one memo per start, so its best point is this start's
         res = least_squares(
             fun,
             start,
@@ -270,7 +258,7 @@ def recover_onsite(target, hopping, initial=None):
             gtol=1e-15,
             max_nfev=60 * n,
         )
-        if np.max(np.abs(fun(res.x))) < TOL:
+        if np.max(np.abs(res.fun)) < TOL:
             return PeriodicJacobi(a, res.x)
     if initial is not None:
         raise RuntimeError(

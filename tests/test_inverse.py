@@ -145,10 +145,9 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
     # Blind, from a start and from edge data, all by LM:
     # each distinct iterate is one march of the chain's rotations. The
     # chains drawn first from seeds 97 (N = 7) and 92 (N = 4) have LM
-    # starts that end on several refused trials, after which scipy takes
-    # the Jacobian at its last accepted point, the best of the start,
-    # three or more iterates back; at seed 92 an earlier start's best is
-    # better still, so the memo must keep the best of the current start.
+    # starts that end on several refused trials; even then lmder takes
+    # each Jacobian at the x of its latest residual call, and the start is
+    # judged on the residual lmder returns, so one memo slot serves it.
     rng = np.random.default_rng(97)
     chains = [random_operator(rng, n) for n in (2, 3, 4, 5)]
     chains += [random_operator(np.random.default_rng(seed), n) for seed, n in ((97, 7), (92, 4))]
@@ -181,10 +180,10 @@ def test_blind_inversion_matches_two_march_reference(monkeypatch):
         assert np.array_equal(recover_onsite(*target).onsite, onsite)
 
 
-def test_blind_solve_moves_on_when_newton_fails(monkeypatch):
-    # The first start's LM answer, which meets TOL, is moved by 1e-3 so
-    # that it misses; the solve takes the next start and still returns a
-    # chain with the target Delta.
+def test_blind_solve_moves_on_when_a_start_misses_tol(monkeypatch):
+    # The first start's LM answer and its residual, which meets TOL, are
+    # moved by 1e-3 so that it misses; the solve takes the next start and
+    # still returns a chain with the target Delta.
     op = random_operator(np.random.default_rng(0), 4)
     disc = Discriminant.from_operator(op)
     solve, calls = inverse.least_squares, []
@@ -193,7 +192,7 @@ def test_blind_solve_moves_on_when_newton_fails(monkeypatch):
         res = solve(*args, **kwargs)
         calls.append(res)
         if len(calls) == 1:
-            res.x = res.x + 1e-3
+            res.x, res.fun = res.x + 1e-3, res.fun + 1e-3
         return res
 
     monkeypatch.setattr(inverse, "least_squares", flaky)
@@ -260,7 +259,9 @@ def test_lm_is_scipy_leastsq_to_the_bit(monkeypatch):
     # only without leastsq's probe calls and covariance, so from every
     # start it ends at the same x, bit for bit, after as many
     # evaluations: with the blind solve's budget, and with one so small
-    # that the start runs out of evaluations (info 5).
+    # that the start runs out of evaluations (info 5). The residual it
+    # returns, on which recover_onsite accepts a start, is leastsq's fvec
+    # and fun at x, both to the bit.
     from scipy.optimize import leastsq
 
     calls = []
@@ -288,6 +289,8 @@ def test_lm_is_scipy_leastsq_to_the_bit(monkeypatch):
                                          xtol=options["xtol"], gtol=options["gtol"], maxfev=budget)
             assert res.x.tobytes() == x.tobytes()
             assert res.nfev == out["nfev"]
+            assert res.fun.tobytes() == out["fvec"].tobytes()
+            assert res.fun.tobytes() == fun(res.x).tobytes()
             infos.add(info)
     assert 5 in infos and len(infos) > 1
     # An evaluation whose march overflows raises, through lmder, the
