@@ -28,25 +28,16 @@ def band_edges_eig(op):
 
     The solve leaves a sliver of its own rounding, up to N eps times
     the largest |lam| of the Gershgorin interval, between the edges of
-    a closed gap; every gap no wider than that is closed at its middle.
+    a closed gap; every gap no wider than that is closed at its middle,
+    in place. A closed gap is two equal edges, and nothing else:
+    contains, the DOS, the IDS and to_dict all read it from the edges.
     """
     edges = np.sort(op.floquet_eigenvalues([0.0, np.pi]), axis=None)
     lo, hi = op.gershgorin
     slack = op.period * np.finfo(float).eps * max(abs(lo), abs(hi))
     lower, upper = edges[1:-1:2], edges[2::2]
     closed = upper - lower <= slack
-    return _close(edges, closed, 0.5 * (lower + upper)[closed])
-
-
-def _close(edges, gaps, at):
-    """Close the gaps selected by gaps (a mask or indices): both edges of
-    each become its entry of at.
-
-    A closed gap is two equal edges, and nothing else: contains, the DOS,
-    the IDS and to_dict all read it from the edges.
-    """
-    edges[1:-1:2][gaps] = at
-    edges[2::2][gaps] = at
+    lower[closed] = upper[closed] = 0.5 * (lower + upper)[closed]
     return edges
 
 
@@ -149,9 +140,7 @@ def _cell_edges(cell, m):
         left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow]),
                                  left[narrow], right[narrow], ROUNDS)
         edges[narrow] = 0.5 * (left + right)
-    twice = np.full(m + 1, 2)  # each inner zero is both edges of its closed gap
-    twice[[0, -1]] = 1
-    return np.sort(np.repeat(edges, np.tile(twice, n)))
+    return np.sort(np.concatenate([edges, edges[inner]]))  # inner zeros: both edges of a gap
 
 
 def _evaluator(op, shift, scale, level):
@@ -307,9 +296,12 @@ class BandStructure:
         it is even. inside is true in the closed bands [E_2j, E_2j+1]
         widened by tol on both sides: where k is odd or an edge lies
         within tol of lam (on an edge at tol = 0, which also holds a band
-        of width 0 and the one point of a closed gap).
+        of width 0 and the one point of a closed gap). A nan energy is
+        refused with a ValueError; an infinite one lies off the spectrum.
         """
         lam = np.asarray(lam, dtype=float)
+        if np.isnan(lam).any():
+            raise ValueError("energies must not be nan")
         edges = self.edges
         k = edges.searchsorted(lam, side="right")
         near = edges.searchsorted(lam - tol) < edges.searchsorted(lam + tol, side="right")

@@ -307,7 +307,7 @@ def discriminant_from_edges(periodic, antiperiodic):
         raise ValueError("edge values must be finite")
     n, gaps = per.size, per[:, None] - anti
     far = gaps[np.argmax(np.min(np.abs(gaps), axis=1))]
-    if not np.all(far):  # each periodic edge is also antiperiodic: prod a = 0
+    if np.prod(np.sign(far)) <= 0:  # a zero gap, as of coincident edges, is sign 0
         raise ValueError("edge data is inconsistent: nonpositive hopping product")
     interval = (min(per[0], anti[0]), max(per[-1], anti[-1]))
     x = chebyshev_nodes(interval, n)[:, None]
@@ -321,18 +321,16 @@ def discriminant_from_edges(periodic, antiperiodic):
     if bound > 1e-6:
         raise ValueError(f"edge data at N = {n} does not determine the hopping product: "
                          f"rounding moves log(prod a) by up to {bound:.1e}, above 1e-6")
-    if np.prod(np.sign(far)) <= 0:
-        raise ValueError("edge data is inconsistent: nonpositive hopping product")
     if np.max(np.abs(ppi - p0 - 4.0 * pa)) > 1e-8 * np.max(np.abs(p0)):
         raise ValueError("edge data is inconsistent: difference is not constant")
     return disc
 
 
-def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):
+def chain_from_divisor(edges, mu, sheet, log_hopping_product):
     """The chain with these band edges, log(prod a) and Dirichlet divisor.
 
-    periodic and antiperiodic hold the N zeros each of Delta -+ 2; only
-    their union enters. mu_j, in the closure of gap j, are the N - 1
+    edges are the 2N zeros of Delta -+ 2 in any order and shape, an odd
+    count refused. mu_j, in the closure of gap j, are the N - 1
     eigenvalues of the chain with site 0 deleted, where the monodromy M
     is triangular and |M[1, 1]| = exp(sheet_j h_j), sheet_j = +-1, with
     sinh h_j = sqrt(|Delta^2 - 4|) / 2 = sqrt(|prod(mu_j - E)|) / (2A),
@@ -346,12 +344,11 @@ def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):
     entry is not +-1, or a weight is not finite or underflows, as the
     weights of long chains with tall gaps do.
     """
-    per, anti = np.asarray(periodic, dtype=float), np.asarray(antiperiodic, dtype=float)
-    edges = np.sort(np.concatenate([per, anti]))
+    edges = np.sort(np.asarray(edges, dtype=float), axis=None)
     mu, sheet = np.asarray(mu, dtype=float).reshape(-1), np.asarray(sheet, dtype=float).reshape(-1)
-    n = per.size
-    if anti.size != n or mu.shape != (n - 1,) or sheet.shape != (n - 1,):
-        raise ValueError(f"need N edges of each kind and N - 1 divisor points, N = {n}")
+    n = edges.size // 2
+    if edges.size != 2 * n or mu.shape != (n - 1,) or sheet.shape != (n - 1,):
+        raise ValueError(f"need 2N edges and N - 1 divisor points, N = {n}")
     if not np.all((edges[1:-1:2] <= mu) & (mu <= edges[2::2])):
         raise ValueError("each mu_j must lie in the closure of gap j")
     if not np.all(np.abs(sheet) == 1.0):
@@ -380,7 +377,7 @@ def chain_from_divisor(periodic, antiperiodic, mu, sheet, log_hopping_product):
     if n > 1:
         a[-1] = np.exp(0.5 * (np.max(log_w) + np.log(np.sum(w))))
     a[0] = np.exp(log_hopping_product - np.sum(np.log(a[1:])))
-    b[0] = 0.5 * (np.sum(per) + np.sum(anti)) - np.sum(mu)
+    b[0] = 0.5 * np.sum(edges) - np.sum(mu)
     return PeriodicJacobi(a, b)
 
 
@@ -390,8 +387,8 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
 
     discriminant_from_edges checks the data and gives the hopping
     product. The chain is recover_onsite's at the given bonds, one per
-    edge of each kind, else chain_from_divisor's at the gap midpoints on
-    sheet +1, whose bonds are in general not uniform.
+    edge of each kind, else chain_from_divisor's of the sorted 2N edges at
+    the gap midpoints on sheet +1, whose bonds are in general not uniform.
     """
     disc = discriminant_from_edges(periodic, antiperiodic)
     if hopping is not None:
@@ -401,5 +398,4 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
         return disc, recover_onsite(disc, hopping)
     edges = np.sort(np.concatenate([periodic, antiperiodic]))
     mid = 0.5 * (edges[1:-1:2] + edges[2::2])
-    return disc, chain_from_divisor(periodic, antiperiodic, mid, np.ones(mid.size),
-                                    disc.log_hopping_product)
+    return disc, chain_from_divisor(edges, mid, np.ones(mid.size), disc.log_hopping_product)

@@ -162,7 +162,6 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     if not np.isfinite(step):
         raise ValueError(f"step must be finite, not {step}")
     rng = np.random.default_rng(seed)
-    n = op.period
     edges = band_edges_eig(op)
     lower, upper = edges[1:-1:2], edges[2::2]
     open_ = upper > lower
@@ -180,5 +179,5 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
         phi = phi + step * direction / np.linalg.norm(direction)
         mu[open_] = np.clip(mid + half * np.cos(phi), lower[open_], upper[open_])
         sheet[open_] = np.where(np.sin(phi) < 0.0, -1.0, 1.0)
-        out.append(chain_from_divisor(edges[:n], edges[n:], mu, sheet, log_product))
+        out.append(chain_from_divisor(edges, mu, sheet, log_product))
     return out

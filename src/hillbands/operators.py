@@ -186,9 +186,12 @@ class PeriodicJacobi:
 
         The real spectra, the band edges, come from a per-process memo
         (_real_spectrum), keyed by the cell: a cell's two are computed
-        together, once.
+        together, once. A phase that is not finite is refused with a
+        ValueError before any solve.
         """
         theta = np.asarray(theta, dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError("Bloch phases must be finite")
         a, b = self.hopping, self.onsite
         n, cell = self.period, self.cell
         phases = theta.ravel()

@@ -355,7 +355,8 @@ def _extremum_everywhere(op):
     left, right = bands._multisect(bands._evaluator(op, 0, sign[narrow], level[narrow]),
                                    left[narrow], right[narrow], bands.ROUNDS)
     edges[narrow] = 0.5 * (left + right)
-    return np.sort(bands._close(edges, shut, crit[shut]))
+    edges[1:-1:2][shut] = edges[2::2][shut] = crit[shut]
+    return np.sort(edges)
 
 
 def test_certified_open_gaps_skip_the_extremum_search(monkeypatch):
@@ -674,6 +675,20 @@ def test_integrated_density_limits_and_monotone(generic_bs):
     grid = np.linspace(edges[0] - 0.2, edges[-1] + 0.2, 301)
     vals = generic_bs.integrated_density(grid)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+def test_a_nan_energy_is_refused_and_infinite_ones_keep_their_limits(generic_bs):
+    # A nan energy was once read as past every edge: IDS 1.0, DOS 0.0
+    # and outside the spectrum, even at tol = 1.
+    for call in (generic_bs.integrated_density, generic_bs.density_of_states,
+                 generic_bs.contains, lambda lam: generic_bs.contains(lam, tol=1.0)):
+        for lam in (np.nan, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="energies must not be nan"):
+                call(lam)
+    ids = generic_bs.integrated_density(np.array([-np.inf, np.inf]))
+    dos = generic_bs.density_of_states(np.array([-np.inf, np.inf]))
+    assert ids.tolist() == [0.0, 1.0] and dos.tolist() == [0.0, 0.0]
+    assert not generic_bs.contains(np.array([-np.inf, np.inf])).any()
 
 
 def test_integrated_density_gap_plateaus(generic_bs):

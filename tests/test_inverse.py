@@ -463,13 +463,38 @@ def test_chain_from_its_own_divisor_round_trip():
     for n in (2, 3, 4, 5, 8, 16, 24):
         op = random_operator(rng, n)
         per, anti = op.floquet_eigenvalues([0.0, np.pi])
-        found = chain_from_divisor(per, anti, *_own_divisor(op), np.sum(np.log(op.hopping)))
+        found = chain_from_divisor(np.concatenate([per, anti]), *_own_divisor(op),
+                                   np.sum(np.log(op.hopping)))
         assert edge_error(found, np.concatenate([per, anti])) <= 1e-13
         assert np.allclose(found.dirichlet_eigenvalues(), op.dirichlet_eigenvalues(),
                            rtol=0.0, atol=1e-13)
         if n <= 5:
             assert np.allclose(found.hopping, op.hopping, rtol=0.0, atol=1e-11)
             assert np.allclose(found.onsite, op.onsite, rtol=0.0, atol=1e-11)
+
+
+def test_chain_from_divisor_takes_the_edges_in_any_layout():
+    # The sorted edges of band_edges_eig and the (2, N) Bloch spectra
+    # pass as they are, and give the chain back within the round trip's bounds.
+    rng = np.random.default_rng(131)
+    for n in (2, 3, 4, 5, 8, 16, 24):
+        op = random_operator(rng, n)
+        spectra = op.floquet_eigenvalues([0.0, np.pi])
+        log_product = np.sum(np.log(op.hopping))
+        for edges in (band_edges_eig(op), spectra):
+            found = chain_from_divisor(edges, *_own_divisor(op), log_product)
+            assert edge_error(found, spectra.ravel()) <= 1e-13
+            assert np.allclose(found.dirichlet_eigenvalues(), op.dirichlet_eigenvalues(),
+                               rtol=0.0, atol=1e-13)
+            if n <= 5:
+                assert np.allclose(found.hopping, op.hopping, rtol=0.0, atol=1e-11)
+                assert np.allclose(found.onsite, op.onsite, rtol=0.0, atol=1e-11)
+
+
+def test_chain_from_divisor_refuses_an_odd_edge_count():
+    for edges, mu in (([-2.0, 1.0, 2.0], [0.0]), ([1.0], []), ([-2.0, -1.0, 1.0, 1.5, 2.0], [0.0])):
+        with pytest.raises(ValueError, match="need 2N edges and N - 1 divisor points"):
+            chain_from_divisor(edges, mu, np.ones(len(mu)), 0.0)
 
 
 def test_edges_without_hoppings_on_random_chains():
@@ -494,7 +519,7 @@ def test_edges_without_hoppings_on_uniform_chains():
 
 
 def test_chain_from_divisor_period_one():
-    found = chain_from_divisor([0.3 + 2.4], [0.3 - 2.4], [], [], np.log(1.2))
+    found = chain_from_divisor([0.3 + 2.4, 0.3 - 2.4], [], [], np.log(1.2))
     assert found.hopping == pytest.approx([1.2], rel=1e-15)
     assert found.onsite == pytest.approx([0.3], rel=1e-15)
     assert recover_operator_from_edges([0.3 + 2.4], [0.3 - 2.4])[1] == found
@@ -512,15 +537,15 @@ def test_chain_from_divisor_rejects_bad_divisors():
     outside[2][0] = mu[1]  # in gap 1, not gap 0
     for bad in outside:
         with pytest.raises(ValueError, match="closure of gap"):
-            chain_from_divisor(per, anti, bad, sheet, log_product)
+            chain_from_divisor(np.concatenate([per, anti]), bad, sheet, log_product)
     for bad in ([1.0, 0.0], [1.0, 2.0], [-1.0, np.nan]):
         with pytest.raises(ValueError, match="sheet"):
-            chain_from_divisor(per, anti, mu, bad, log_product)
+            chain_from_divisor(np.concatenate([per, anti]), mu, bad, log_product)
     with pytest.raises(ValueError):
-        chain_from_divisor(per, anti, mu[:1], sheet[:1], log_product)
+        chain_from_divisor(np.concatenate([per, anti]), mu[:1], sheet[:1], log_product)
 
 
 def test_chain_from_divisor_refuses_a_weight_that_is_not_finite():
     # log(prod a) = -800: sinh h = sqrt(|prod(mu - E)|) / (2A) overflows.
     with pytest.raises(ValueError, match="a Dirichlet weight is not finite"):
-        chain_from_divisor([-2.0, 1.0], [-1.0, 2.0], [0.0], [1.0], -800.0)
+        chain_from_divisor([-2.0, 1.0, -1.0, 2.0], [0.0], [1.0], -800.0)

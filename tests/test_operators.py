@@ -195,6 +195,23 @@ def test_floquet_eigenvalues_over_a_phase_array():
             assert np.array_equal(table[index], op.floquet_eigenvalues(theta))
 
 
+def test_a_phase_that_is_not_finite_is_refused_before_any_solve(monkeypatch):
+    # A nan phase once folded to pi on a repeated cell, and failed in
+    # LAPACK on a chain that is its own cell; an infinite one alike.
+    def refuse(*args, **kwargs):
+        raise AssertionError("band-matrix solve")
+
+    monkeypatch.setattr(operators, "_solve", refuse)
+    operators._real_spectrum.cache_clear()
+    for op in (PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), PeriodicJacobi.free(4, 0.9, -0.2),
+               PeriodicJacobi([1.0], [0.3])):
+        for theta in (np.nan, np.inf, -np.inf, [0.0, np.nan], [[np.pi], [np.inf]]):
+            with pytest.raises(ValueError, match="Bloch phases must be finite"):
+                op.floquet_eigenvalues(theta)
+            with pytest.raises(ValueError, match="Bloch phases must be finite"):
+                bands.BandStructure(op).dispersion(theta)
+
+
 def test_each_distinct_phase_is_solved_once(monkeypatch):
     # At theta = 0 and pi a cell repeated m times folds onto the m + 1
     # phases pi r / m, r = 0..m: the two of each gap that the folding
@@ -308,7 +325,7 @@ def test_memo_holds_at_most_32_spectra():
 
 def test_writing_to_a_returned_spectrum_changes_no_later_answer():
     # The uniform chain's gaps are all closed, so band_edges_eig writes
-    # its closed gaps into the edges through bands._close. Its spectra
+    # its closed gaps into the edges in place. Its spectra
     # come from its one-site cell, which has no memo entry.
     for op in (random_operator(np.random.default_rng(26), 6), PeriodicJacobi.free(6, 0.9, -0.2)):
         memo.cache_clear()
@@ -316,7 +333,7 @@ def test_writing_to_a_returned_spectrum_changes_no_later_answer():
         edges = band_edges_eig(op)
         reference = spectra.copy(), edges.copy()
         spectra[:] = np.nan
-        bands._close(edges, np.arange(op.period - 1), 0.0)
+        edges[1:-1:2] = edges[2::2] = 0.0
         assert memo.cache_info().hits == (3 if op.cell is op else 0)  # one miss holds both
         assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), reference[0])
         assert np.array_equal(band_edges_eig(op), reference[1])
