@@ -340,8 +340,10 @@ class BandStructure:
         """Fraction of states at or below lam, in [0, 1], elementwise.
 
         A point on an upper band edge counts the band as filled; a point
-        on a lower edge counts as inside the band. Computed with the DOS
-        by one march (see _densities), slope rows included.
+        on a lower edge counts as inside the band. So the IDS is exactly
+        j / N on the lower edge of band j and (j + 1) / N on its upper
+        edge. Computed with the DOS by one march (see _densities), slope
+        rows included.
         """
         return self._densities(lam)[1]
 
@@ -378,6 +380,9 @@ class BandStructure:
         along the edges, +2 on the top one, so phase_j, the phase at band
         j's lower edge, is exactly 0 when N - j is even and pi otherwise,
         free of the sqrt-of-roundoff noise of arccos at a computed edge.
+        A point on band j's lower edge takes no arccos term at all, which
+        there would turn the rounding of Delta into noise of order its
+        square root, and reads exactly j / N.
         """
         lam = np.asarray(lam, dtype=float)
         cell = self.operator.cell
@@ -411,7 +416,7 @@ class BandStructure:
         band = k // 2
         phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
         partial = np.abs(np.arccos(np.clip(delta / 2.0, -1.0, 1.0)) - phase_lower) / np.pi
-        ids[inside] = (band + np.where(k % 2 == 1, partial, 0.0)) / n
+        ids[inside] = (band + np.where((k % 2 == 1) & (edges[k - 1] != at), partial, 0.0)) / n
         if lam.ndim == 0:
             return float(rho), float(ids)
         return rho, ids

@@ -1,11 +1,60 @@
 """Shared test utilities."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi, band_edges_eig, inverse, transfer
+from hillbands.cli import main
+
+
+def run_cli(capture, *argv):
+    """Exit code, stdout and stderr of one call of the command line;
+    capture is pytest's capsys, or capfd to see output below Python's."""
+    code = main(list(argv))
+    captured = capture.readouterr()
+    return code, captured.out, captured.err
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(out):
+    """The payload of one line of strict JSON: NaN and Infinity refused."""
+    assert out.endswith("\n") and out.count("\n") == 1  # compact, one line
+    return json.loads(out, parse_constant=refuse_constant)
+
+
+def bits(x):
+    """x with every float spelled by float.hex, so that == compares bits,
+    the sign of zero included."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {key: bits(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [bits(value) for value in x]
+    return x
+
+
+def fresh(script):
+    """Run script in a fresh interpreter that imports hillbands from src;
+    returns its last line of output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip().splitlines()[-1]
 
 
 def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5)):

@@ -19,7 +19,14 @@ from hillbands import (
     transfer,
 )
 
-from helpers import exact_discriminant, random_operator, record_marches, truncated_matrix
+from helpers import (
+    exact_discriminant,
+    random_operator,
+    record_marches,
+    run_cli,
+    strict_json,
+    truncated_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +107,7 @@ def _odd(k, s):
 def test_odd_constructor_is_the_odd_class(k):
     # The class by its definition, site by site: a = 1, N = 2k, site n
     # holds q_n for n = 1..k and site 1 - n (mod 2k) holds -q_n. Negation
-    # is exact, so this pins every bit, as of the chain the CI step builds
-    # by hand.
+    # is exact, so this pins every bit.
     q = _odd_values(k, 1e-4)
     op = PeriodicJacobi.odd(q)
     assert op.period == 2 * k
@@ -135,7 +141,8 @@ def test_odd_chains_are_symmetric_and_routes_agree(k, s):
 
 
 def _uniform_chains():
-    return [PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)]
+    return [PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)] + [
+        PeriodicJacobi.free(5, hopping=0.8)]
 
 
 def _repeated_cells():
@@ -375,6 +382,16 @@ def test_certified_open_gaps_skip_the_extremum_search(monkeypatch):
         assert np.all(edges[2::2] > edges[1:-1:2])
 
 
+def test_bisection_edges_of_a_random_chain_through_the_cli_are_the_eig_edges(capsys):
+    # Every gap is certified open, so the route skips the extremum search.
+    chain = ("--onsite", "0,0.5,-0.3,0.9", "--hopping", "1,0.8,1.2,0.6", "--json")
+    eig, bis = (np.array(strict_json(run_cli(capsys, "bands", *chain, "--method", method)[1])["edges"])
+                for method in ("eig", "bisection"))
+    assert eig.size == bis.size == 8
+    assert np.all(np.abs(eig - bis) <= 1e-12 * np.maximum(1.0, np.abs(eig)))
+    assert np.all(bis[2::2] > bis[1:-1:2])
+
+
 def test_uniform_chains_are_the_closed_form_from_one_site(monkeypatch):
     # A uniform chain is its one site repeated N times: the route marches
     # that site alone, searches no gap extremum (no march carries
@@ -556,6 +573,23 @@ def test_integrated_density_at_band_edges(generic_bs):
         assert round(generic_bs.integrated_density(upper), 6) == round((j + 1) / n, 6)
 
 
+@pytest.mark.parametrize("method", ["eig", "bisection"])
+def test_integrated_density_is_exact_at_every_band_edge(method):
+    # Band j's lower edge reads j / N and its upper edge (j + 1) / N. The
+    # arccos of Delta / 2 at a lower edge, where Delta = +-2, turned the
+    # rounding of Delta into noise of order its square root: up to 9.5e-5
+    # on the random N = 22 chain.
+    rng = np.random.default_rng(3)
+    cell = random_operator(rng, 2)
+    chains = [random_operator(np.random.default_rng([n, 7]), n) for n in range(2, 25)]
+    chains += [_harper(89, 55, 0.3), PeriodicJacobi.free(12, 0.9, -0.2),
+               PeriodicJacobi(np.tile(cell.hopping, 6), np.tile(cell.onsite, 6))]
+    for op in chains:
+        bs = BandStructure(op, method)
+        count = np.ceil(np.arange(2 * op.period) / 2) / op.period
+        assert np.max(np.abs(bs.integrated_density(bs.edges) - count)) <= 1e-15
+
+
 def test_dispersion_reproduces_floquet(generic_op, generic_bs):
     thetas = np.linspace(0, np.pi, 7)
     table = generic_bs.dispersion(thetas)
@@ -730,6 +764,8 @@ def test_integrated_density_matches_band_loop():
                 continue
             if lam < lower:
                 break
+            if lam == lower:
+                return filled / n
             phase_lower = 0.0 if (n - j) % 2 == 0 else np.pi
             delta = transfer.discriminant(bs.operator.hopping, bs.operator.onsite, lam)[0]
             phase = np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
@@ -743,6 +779,12 @@ def test_integrated_density_matches_band_loop():
         expected = [reference(bs, lam) for lam in grid]
         assert np.array_equal(bs.integrated_density(grid), expected)
         assert bs.integrated_density(grid[3]) == expected[3]
+
+
+def test_harper_dos_curve_climbs_from_0_to_1_over_a_finite_nonnegative_dos():
+    energies, rho, ids = dos_curve(BandStructure(_harper(89, 55, 0.3)), points=512)
+    assert ids[0] == 0.0 and ids[-1] == 1.0 and np.all(np.diff(ids) >= 0.0)
+    assert np.all(np.isfinite(rho) & (rho >= 0.0))
 
 
 def test_free_integrated_density_closed_form():
@@ -903,6 +945,47 @@ def test_uniform_chains_run_no_band_solve_and_march_one_site(monkeypatch, capsys
         inside = np.abs(energy - op.onsite[0]) < 2 * op.hopping[0]
         assert np.all(rho[inside] > 0.0) and np.all(rho[~inside] == 0.0)
     assert sites and set(sites) == {1}
+
+
+def test_uniform_and_repeated_long_chains_through_the_cli(capsys, monkeypatch):
+    # A uniform N = 400 chain and a 2-site cell repeated 200 times: bands
+    # on both routes, dispersion and dos exit 0, the DOS is 0 at no grid
+    # point strictly inside a band, the routes' edges agree, and every
+    # gap the repetition closes has two equal edges. The uniform chain
+    # runs no band-matrix solve and marches one site at a time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("band-matrix solve on a chain of one site repeated")
+
+    march = transfer._march_values
+
+    def one_site(hopping, onsite, lam, **kwargs):
+        assert len(hopping) == 1, f"march over {len(hopping)} sites of a chain of one site repeated"
+        return march(hopping, onsite, lam, **kwargs)
+
+    def check(chain, cell):
+        payloads = []
+        for command in (["bands"], ["dispersion", "--samples", "8"], ["dos", "--points", "512"],
+                        ["bands", "--method", "bisection"]):
+            code, out, err = run_cli(capsys, *command, *chain, "--json")
+            assert code == 0 and err == ""
+            payloads.append(strict_json(out))
+        edges, curve, bisected = np.array(payloads[0]["edges"]), payloads[2], payloads[3]
+        energy, rho = np.array(curve["energy"]), np.array(curve["dos"])
+        inside = (edges.searchsorted(energy) % 2 == 1) & ~np.isin(energy, edges)
+        assert np.all(rho[inside] != 0.0)
+        scale = np.max(np.abs(bisected["onsite"])) + 2 * np.max(bisected["hopping"])
+        assert len(bisected["edges"]) == edges.size
+        assert np.max(np.abs(edges - bisected["edges"])) <= 1e-12 * scale
+        gaps, n = np.array(bisected["gaps"]), edges.size // 2
+        closed = np.arange(1, n) % (n // cell) != 0
+        assert np.array_equal(gaps[closed, 0], gaps[closed, 1])
+
+    operators._real_spectrum.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_solve", refuse)
+        patch.setattr(transfer, "_march_values", one_site)
+        check(["--onsite=" + ",".join(["-0.2"] * 400), "--hopping", "0.9"], 1)
+    check(["--onsite=" + ",".join(["0.3", "-0.5"] * 200), "--hopping=" + ",".join(["1.1", "0.7"] * 200)], 2)
 
 
 @pytest.mark.parametrize("method", ["eig", "bisection"])

@@ -1,10 +1,6 @@
 import contextlib
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,35 +11,15 @@ from hypothesis import strategies as st
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, dos_curve, inverse
 from hillbands.cli import main
 
-from helpers import long_edge_data, power_coefficients, random_operator
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
-
-
-def strict_json(out):
-    """The payload of one line of strict JSON: NaN and Infinity refused."""
-    assert out.endswith("\n") and out.count("\n") == 1  # compact, one line
-    return json.loads(out, parse_constant=refuse_constant)
-
-
-def bits(x):
-    """x with every float spelled by float.hex, so that == compares bits,
-    the sign of zero included."""
-    if isinstance(x, float):
-        return x.hex()
-    if isinstance(x, dict):
-        return {key: bits(value) for key, value in x.items()}
-    if isinstance(x, list):
-        return [bits(value) for value in x]
-    return x
+from helpers import (
+    bits,
+    fresh,
+    long_edge_data,
+    power_coefficients,
+    random_operator,
+    run_cli,
+    strict_json,
+)
 
 
 def test_bands_text_output(capsys):
@@ -95,7 +71,16 @@ def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
         {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()})
 
 
-@pytest.mark.parametrize("argv", [
+def test_harper_bands_json_is_the_library_value(capsys):
+    harper = (0.8 * np.cos(2 * np.pi * 55 * np.arange(89) / 89 + 0.3)).tolist()
+    code, out, err = run_cli(capsys, "bands", "--onsite=" + ",".join(map(repr, harper)), "--json")
+    assert code == 0 and err == ""
+    assert bits(strict_json(out)) == bits(BandStructure(PeriodicJacobi(np.ones(89), harper)).to_dict())
+
+
+# One request of each subcommand; every one is also served as text, in
+# _loaded_after_every_subcommand.
+SUBCOMMANDS = [
     ["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2"],
     ["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2", "--method", "bisection"],
     ["dispersion", "--onsite", "0,0.5", "--samples", "5"],
@@ -106,7 +91,10 @@ def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
     ["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "0.25,0.75"],
     ["classes", "--values", "0,1", "--period", "4"],
     ["neighbors", "--onsite", "0,0.7,-0.3", "--count", "2", "--seed", "1"],
-], ids=lambda argv: "-".join(a for a in argv if a.isalpha()))
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(a for a in argv if a.isalpha()))
 def test_every_subcommand_writes_one_line_of_strict_json(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0 and err == ""
@@ -329,6 +317,7 @@ def test_error_paths_exit_nonzero(capsys):
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "nan"], "step must be finite"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "inf"], "step must be finite"),
         (["inverse", "--coeffs=nan,0,1", "--hopping", "1,1"], "target coefficients must be finite"),
+        (["inverse", "--coeffs=-1,0,1", "--hopping", "1,1"], "no start out of 64 converged"),
         (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
         (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
@@ -340,6 +329,9 @@ def test_error_paths_exit_nonzero(capsys):
          "need 2 hoppings for 2 edges of each kind, not 1"),
         (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1,1,1"],
          "need 2 hoppings for 2 edges of each kind, not 3"),
+        (["edges", "--periodic", "1.5,2.5", "--antiperiodic", "1,3"], "nonpositive hopping product"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1,3"], "nonpositive hopping product"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.6"], "difference is not constant"),
         (["bands", "--onsite", "1e308,-1e308", "--hopping", "1e308", "--json"],
          "exceeds a quarter of the float range"),
         (["bands", "--onsite", "1e308,-1e308,0"], "exceeds a quarter of the float range"),
@@ -379,19 +371,6 @@ def test_consecutive_calls_share_no_state(capsys, monkeypatch):
     assert cli._parser() is cli._parser()
 
 
-def _fresh(script):
-    """Run script in a fresh interpreter that imports hillbands from src;
-    returns its last line of output."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.strip().splitlines()[-1]
-
-
 def test_bands_does_not_import_scipy_optimize():
     # No request imports scipy.optimize: the blind inverse takes lmder
     # from scipy.optimize._minpack alone (see the next test), and edge
@@ -405,13 +384,24 @@ def test_bands_does_not_import_scipy_optimize():
         "assert cli.main(['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1']) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    assert _fresh(script) == "False"
+    assert fresh(script) == "False"
+
+
+def test_import_hillbands_resolves_all_and_loads_neither_scipy_fft_nor_scipy_optimize():
+    script = (
+        "import sys\n"
+        "import hillbands\n"
+        "missing = [name for name in hillbands.__all__ if not hasattr(hillbands, name)]\n"
+        "print(missing, [m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules])\n"
+    )
+    assert fresh(script) == "[] []"
 
 
 def _loaded_after_every_subcommand(modules, more=()):
     """The modules of modules that a fresh interpreter holds after serving
-    every subcommand, bands on both routes, text and JSON, and the
-    requests more; as printed, a list."""
+    every subcommand, bands on both routes, text and JSON, the requests
+    of SUBCOMMANDS and the requests more; as printed, a list. Every
+    request must exit 0."""
     script = (
         "import contextlib, io, sys\n"
         "from hillbands import cli\n"
@@ -419,16 +409,18 @@ def _loaded_after_every_subcommand(modules, more=()):
         "edges = ['--periodic', '1,3', '--antiperiodic', '1.5,2.5']\n"
         "requests = [['bands', *chain], ['bands', *chain, '--method', 'bisection'],\n"
         "            ['dos', *chain, '--points', '16'], ['dispersion', *chain, '--samples', '5'],\n"
+        "            ['dispersion', *chain, '--samples', '8'],\n"
         "            ['inverse', '--coeffs=-2,0,1', '--hopping=1,1'],\n"
         "            ['edges', *edges], ['edges', *edges, '--hopping', '0.25,0.75'],\n"
         "            ['classes', '--values', '0,1', '--period', '4'],\n"
-        f"            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1'], *{list(more)!r}]\n"
+        "            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1'],\n"
+        f"            *{SUBCOMMANDS + list(more)!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv + extra) for argv in requests for extra in ([], ['--json'])]\n"
         "assert codes == [0] * len(codes), codes\n"
         f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     )
-    return _fresh(script)
+    return fresh(script)
 
 
 def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
@@ -441,6 +433,7 @@ def test_every_subcommand_leaves_numpy_ma_unimported():
     # builds its index arrays without them.
     repeated = [
         ["bands", "--onsite", "0,0,0,0,0", "--hopping", "0.8", "--method", "bisection"],
+        ["bands", "--onsite", "0.3,-0.5,0.3,-0.5", "--hopping", "1.1,0.7,1.1,0.7", "--method", "bisection"],
         ["bands", "--onsite", "0.3,-0.5,0.3,-0.5,0.3,-0.5", "--hopping", "1.1,0.7,1.1,0.7,1.1,0.7",
          "--method", "bisection"],
         ["bands", "--onsite=0,5e-15,-3e-15", "--hopping=1e-14,8e-15,1.2e-14", "--method", "bisection"],

@@ -20,6 +20,8 @@ from helpers import (
     power_coefficients,
     random_operator,
     record_marches,
+    run_cli,
+    strict_json,
     two_march_solvers,
 )
 
@@ -219,6 +221,25 @@ def test_blind_solve_recovers_random_chains_up_to_period_8():
             op = PeriodicJacobi(rng.uniform(0.4, 1.8, n), rng.uniform(-1.5, 1.5, n))
             found = recover_onsite(Discriminant.from_operator(op), op.hopping)
             assert edge_error(found, band_edges_eig(op)) <= 1e-10, (n, s)
+
+
+def test_blind_inverse_through_the_cli_on_the_benchmarks_first_fixed_targets(capsys):
+    # The benchmark's fixed blind-inverse targets, block 0: from
+    # default_rng([7919, 0]), for N = 3..7 in turn, the bonds from
+    # U(0.4, 1.8) and then the sites from U(-1.5, 1.5). The N = 5 and 7
+    # chains are inverted from the power coefficients of Delta at their
+    # bonds; the answer's edges are the source chain's within
+    # 1e-9 (max|b| + 2 max a).
+    rng = np.random.default_rng([7919, 0])
+    targets = [random_operator(rng, n) for n in range(3, 8)]
+    for op in targets[2::2]:
+        coeffs, hopping = (",".join(map(repr, x.tolist())) for x in (power_coefficients(op), op.hopping))
+        code, out, err = run_cli(capsys, "inverse", f"--coeffs={coeffs}", f"--hopping={hopping}", "--json")
+        assert code == 0 and err == ""
+        payload = strict_json(out)
+        found = PeriodicJacobi(payload["hopping"], payload["onsite"])
+        scale = np.max(np.abs(op.onsite)) + 2 * np.max(op.hopping)
+        assert np.max(np.abs(band_edges_eig(found) - band_edges_eig(op))) <= 1e-9 * scale
 
 
 def test_lm_wrapper_matches_scipy_least_squares(monkeypatch):

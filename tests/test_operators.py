@@ -1,8 +1,7 @@
 import importlib.machinery
+import math
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,15 @@ from scipy.linalg.lapack import dsbevd
 
 from hillbands import PeriodicJacobi, band_edges_eig, bands, operators
 
-from helpers import dirichlet_matrix, floquet_matrix, random_operator, truncated_matrix
+from helpers import (
+    dirichlet_matrix,
+    floquet_matrix,
+    fresh,
+    random_operator,
+    run_cli,
+    strict_json,
+    truncated_matrix,
+)
 
 
 def test_basic_construction():
@@ -144,6 +151,27 @@ def test_two_site_chains_at_extreme_scales_match_dense(capfd, scale):
     edges = band_edges_eig(PeriodicJacobi([scale, scale], [scale, 0.0]))
     assert edges[2] - edges[1] == pytest.approx(scale, rel=1e-15)  # the gap is open
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+def test_two_site_chains_at_extreme_scales_through_the_cli_are_the_closed_form(capfd, scale):
+    # J(theta) of b = (s, 0) and a = (h, h) is [[s, h (1 + e^-i theta)], [c.c., 0]]:
+    # eigenvalues s / 2 -+ hypot(s / 2, 2 h cos(theta / 2)). Nothing else
+    # is written to either stream, LAPACK's messages included.
+    def closed(h, thetas):
+        return [scale / 2 + sign * math.hypot(scale / 2, 2 * h * math.cos(t / 2))
+                for sign in (-1, 1) for t in thetas]
+
+    code, out, err = run_cli(capfd, "bands", f"--onsite={scale!r},0", f"--hopping={scale!r}", "--json")
+    assert code == 0 and err == ""
+    got, want = strict_json(out)["edges"], sorted(closed(scale, (0.0, math.pi)))
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.max(np.abs(want)))
+    code, out, err = run_cli(capfd, "dispersion", f"--onsite={scale!r},0", "--hopping", "1",
+                             "--samples", "3", "--json")
+    assert code == 0 and err == ""
+    curve = strict_json(out)
+    got, want = np.ravel(curve["bands"]), closed(1.0, curve["theta"])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.max(np.abs(want)))
 
 
 def test_chains_at_the_float_range_limit_match_dense_and_past_it_are_refused(capfd):
@@ -312,6 +340,15 @@ def test_every_multiple_of_pi_hits_the_entries_of_zero_and_pi():
     assert np.array_equal(table, edges[[0, 1, 1]])
 
 
+def test_bands_dos_and_dispersion_of_one_chain_share_one_memo_miss(capsys):
+    # The three requests read theta = 0 and pi of their chain from one solve.
+    chain = ["--onsite", "0,0.5,-0.3,0.9", "--hopping", "1,0.8,1.2,0.6"]
+    memo.cache_clear()
+    for command in (["bands"], ["dos"], ["dispersion", "--samples", "8"]):
+        assert run_cli(capsys, *command, *chain)[0] == 0
+    assert memo.cache_info().misses == 1
+
+
 def test_memo_holds_at_most_32_spectra():
     rng = np.random.default_rng(25)
     memo.cache_clear()
@@ -416,19 +453,6 @@ def test_equality():
     assert a != "not an operator"
 
 
-def _fresh(script):
-    """Run script in a fresh interpreter that imports hillbands from src;
-    returns its last line of output."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.strip().splitlines()[-1]
-
-
 _SAME_SOLVERS = (
     "import scipy.linalg.lapack as lapack\n"
     "same = [getattr(operators, f) is getattr(lapack, f) for f in ('dsbevd', 'dsterf', 'zhbevd')]\n"
@@ -456,7 +480,7 @@ def test_band_requests_never_import_scipy_linalg():
         + _SAME_SOLVERS +
         "print(loaded, all(same))\n"
     )
-    assert _fresh(script) == "False True"
+    assert fresh(script) == "False True"
 
 
 def test_solvers_are_scipy_linalg_lapacks_when_scipy_linalg_comes_first():
@@ -468,7 +492,7 @@ def test_solvers_are_scipy_linalg_lapacks_when_scipy_linalg_comes_first():
         + _SAME_SOLVERS +
         "print(all(same))\n"
     )
-    assert _fresh(script) == "True"
+    assert fresh(script) == "True"
 
 
 def test_flapack_loader_reuses_a_loaded_module_and_names_the_directory_it_searched(monkeypatch):
@@ -506,7 +530,7 @@ def test_blind_solves_never_import_scipy_optimize_and_later_reuse_its_minpack():
         "same = _minpack_py._minpack is minpack and operators._minpack() is minpack\n"
         "print(loaded, same, x.tolist(), info in (1, 2, 3, 4))\n"
     )
-    assert _fresh(script) == "[] True [3.0, 3.0] True"
+    assert fresh(script) == "[] True [3.0, 3.0] True"
 
 
 def test_lmder_is_scipy_optimizes_when_scipy_optimize_comes_first():
@@ -518,7 +542,7 @@ def test_lmder_is_scipy_optimizes_when_scipy_optimize_comes_first():
         "assert cli.main(['inverse', '--coeffs=-2,0,1', '--hopping=1,1']) == 0\n"
         "print(operators._minpack() is minpack, sys.modules['scipy.optimize._minpack'] is minpack)\n"
     )
-    assert _fresh(script) == "True True"
+    assert fresh(script) == "True True"
 
 
 def test_minpack_loader_reuses_a_loaded_module_and_names_the_directory_it_searched(monkeypatch):
