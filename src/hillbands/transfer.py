@@ -20,6 +20,7 @@ of the chain and its reversal).
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -46,7 +47,9 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
 
     Raises ValueError when an entry overflows the float range, as it
     does for weak bonds at long periods: |M| grows like
-    prod|lam - b| / prod a.
+    prod|lam - b| / prod a. A bond whose factor a_{k-1} / a_k or 1 / a_k
+    overflows, such as a subnormal one, is named before any site is
+    marched.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
@@ -61,11 +64,12 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     value[1, 0] = 1.0
     rows = [start[0], start[1]]
     higher = range(2, derivs + 1)  # rows past the first derivative
-    k = 0
+    k = None  # no site marched yet
     try:
         with np.errstate(over="raise"):
             a, b = a.reshape(column), b.reshape(column)
             back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
+            k = 0
             if a.size == n:  # one chain: Python-float factors
                 back, up = back.ravel().tolist(), up.ravel().tolist()
             for first in range(0, n, block):
@@ -83,11 +87,28 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
                     if not history:
                         del rows[0]
     except FloatingPointError:
+        if k is None:
+            k, bond = _overflowing_bond(a)
+            raise ValueError(
+                f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
+                f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
+            ) from None
         raise ValueError(
             f"transfer recurrence overflowed at site {k} of period {n}: "
             "the monodromy exceeds the float range"
         ) from None
     return rows
+
+
+def _overflowing_bond(a):
+    """The first bond k, and a_k, whose factor a_{k-1} / a_k or 1 / a_k
+    overflows in some chain of the batch a. Python floats divide to inf
+    without a warning."""
+    rows = a.reshape(a.shape[0], -1).tolist()
+    for k, (prev, cur) in enumerate(zip(rows[-1:] + rows[:-1], rows)):
+        for x, y in zip(prev, cur):
+            if math.isinf(max(abs(x), 1.0) / y):
+                return k, y
 
 
 @functools.cache

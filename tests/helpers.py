@@ -6,12 +6,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from hillbands import Discriminant, PeriodicJacobi, band_edges_eig, inverse, transfer
-from hillbands.cli import main
+from hillbands.cli import _chain, main
 
 
 def run_cli(capture, *argv):
@@ -20,6 +21,11 @@ def run_cli(capture, *argv):
     code = main(list(argv))
     captured = capture.readouterr()
     return code, captured.out, captured.err
+
+
+def make_chain(onsite, hopping=(1.0,)):
+    """The chain of --onsite and --hopping given as these lists."""
+    return _chain(SimpleNamespace(onsite=onsite, hopping=hopping))
 
 
 def refuse_constant(name):

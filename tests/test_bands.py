@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal, lapack
 
@@ -21,6 +24,8 @@ from hillbands import (
 
 from helpers import (
     exact_discriminant,
+    make_chain,
+    power_coefficients,
     random_operator,
     record_marches,
     run_cli,
@@ -71,6 +76,54 @@ def test_dual_route_edges_agree():
     for period in range(1, 25):
         op = PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
         assert np.allclose(band_edges_eig(op), band_edges_bisection(op), atol=1e-10)
+
+
+def test_real_roots_double_root_reported_twice():
+    # Free chain, period 2: Delta = lam^2 - 2, so Delta + 2 has a double
+    # zero at 0 and Delta - 2 simple zeros at -+2.
+    found = band_edges_bisection(PeriodicJacobi.free(2))
+    assert found.size == 4
+    assert np.allclose(found, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+
+
+def test_real_roots_two_double_roots():
+    # Free chain, period 3: Delta = lam^3 - 3 lam, double zeros of
+    # Delta -+ 2 at -1 and 1.
+    found = band_edges_bisection(PeriodicJacobi.free(3))
+    assert found.size == 6
+    assert np.allclose(found, [-2.0, -1.0, -1.0, 1.0, 1.0, 2.0], atol=1e-12)
+
+
+def test_real_roots_close_pair_resolved():
+    # a = (1, 1), b = (beta, -beta): edges -+beta, -+sqrt(beta^2 + 4); a
+    # gap of width 1e-5 stays open.
+    beta = 5e-6
+    outer = np.sqrt(beta**2 + 4.0)
+    found = band_edges_bisection(PeriodicJacobi([1.0, 1.0], [beta, -beta]))
+    assert found.size == 4
+    assert np.allclose(found, [-outer, -beta, beta, outer], atol=1e-9)
+
+
+@given(
+    st.lists(
+        st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_roots_matches_companion_oracle(onsite, seed):
+    rng = np.random.default_rng(seed)
+    op = PeriodicJacobi(rng.uniform(0.5, 2.0, len(onsite)), onsite)
+    c = np.prod(op.hopping) * power_coefficients(op)
+    shift = np.zeros_like(c)
+    shift[0] = 2.0 * np.prod(op.hopping)
+    oracle = np.sort(np.concatenate([P.polyroots(c - shift), P.polyroots(c + shift)]).real)
+    found = band_edges_bisection(op)
+    assert found.size == 2 * op.period
+    assert np.allclose(found, oracle, atol=1e-6)
+    assert np.allclose(found, band_edges_eig(op), atol=1e-6)
 
 
 def _harper(period, f_prev, phi):
@@ -657,6 +710,23 @@ def test_edges_solved_only_on_first_use(monkeypatch, generic_op):
         BandStructure(generic_op, method="bogus")
 
 
+def test_dos_curve_shapes_and_padding():
+    bs = BandStructure(make_chain([0.0, 0.8]))
+    energies, rho, ids = dos_curve(bs, points=128)
+    assert energies.shape == rho.shape == ids.shape == (128,)
+    assert energies[0] < bs.edges[0] and energies[-1] > bs.edges[-1]
+    assert rho[0] == 0.0 and rho[-1] == 0.0
+    assert ids[0] == 0.0 and ids[-1] == pytest.approx(1.0)
+    assert np.all(np.diff(ids) >= -1e-12)
+
+
+def test_dos_curve_refuses_negative_points():
+    bs = BandStructure(make_chain([0.0, 0.8]))
+    with pytest.raises(ValueError, match="points must be nonnegative"):
+        dos_curve(bs, points=-3)
+    assert "edges" not in vars(bs)  # refused before the edges were solved
+
+
 def test_dos_curve_marches_only_in_band_points(monkeypatch):
     bs = BandStructure(_harper(89, 55, 0.7))
     marched = []
@@ -798,6 +868,12 @@ def test_free_integrated_density_closed_form():
     for lam in np.linspace(b - 2 * a + 1e-6, b + 2 * a - 1e-6, 11):
         expected = np.arccos(np.clip((b - lam) / (2 * a), -1, 1)) / np.pi
         assert bs.integrated_density(lam) == pytest.approx(expected, abs=1e-7)
+
+
+def test_band_structure_shortcut():
+    bs = BandStructure(make_chain([0.0, 0.8], [1.0]))
+    assert bs.edges.reshape(-1, 2).shape == (2, 2)
+    assert np.allclose(bs.edges, BandStructure(make_chain([0.0, 0.8]), method="bisection").edges)
 
 
 def test_bisection_method_selectable(generic_op):

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillbands import BandStructure, Discriminant, PeriodicJacobi, bands, cli, dos_curve, inverse
-from hillbands.cli import main
+from hillbands.cli import _gap_table, main
 
 from helpers import (
     bits,
     fresh,
     long_edge_data,
+    make_chain,
     power_coefficients,
     random_operator,
     run_cli,
@@ -38,6 +39,73 @@ def test_bands_json_matches_library(capsys):
     bs = BandStructure(PeriodicJacobi([1.0, 1.0], [0.0, 0.5]))
     assert bits(payload) == bits(bs.to_dict())
     assert payload["period"] == 2
+
+
+def test_make_chain_broadcasting():
+    chain = make_chain([0.0, 0.5, -0.3])
+    assert chain.period == 3
+    assert np.allclose(chain.hopping, 1.0)
+
+    chain = make_chain([0.2], [1.0, 0.7])
+    assert chain.period == 2
+    assert np.allclose(chain.onsite, 0.2)
+
+    chain = make_chain([0.1], [0.9])
+    assert chain.period == 1
+
+    # One hopping over no sites is an empty chain, not a mismatch.
+    with pytest.raises(ValueError, match="period must be at least one"):
+        make_chain([])
+
+
+def gap_report(structure):
+    return _gap_table(structure.to_dict())
+
+
+def test_gap_report_mentions_every_band_and_gap():
+    bs = BandStructure(make_chain([0.0, 0.5, -0.3], [1.0, 0.8, 1.2]))
+    text = gap_report(bs)
+    lines = text.splitlines()
+    assert "period 3 chain" in lines[0]
+    assert sum("open" in line for line in lines) >= 1
+    # one row per band and per gap plus headers
+    assert len(lines) == 1 + 1 + 3 + 1 + 2
+
+
+def test_gap_report_closed_state():
+    bs = BandStructure(make_chain([0.0, 0.0], [1.0]))
+    assert "closed" in gap_report(bs)
+
+
+def test_gap_report_text_is_pinned():
+    # The whole table, literally: a period-1 chain prints no gap section,
+    # [0.8, -0.8] has one open gap, and the uniform N = 4 chain three
+    # closed ones, its middle gap at 2 cos(pi / 2) = 1.22465e-16.
+    assert gap_report(BandStructure(make_chain([0.3], [0.9]))) == (
+        "period 1 chain; spectrum within [-1.5, 2.1]\n"
+        "band         lower         upper         width\n"
+        "   0          -1.5           2.1           3.6"
+    )
+    assert gap_report(BandStructure(make_chain([0.8, -0.8], [1.0]))) == (
+        "period 2 chain; spectrum within [-2.15407, 2.15407]\n"
+        "band         lower         upper         width\n"
+        "   0      -2.15407          -0.8       1.35407\n"
+        "   1           0.8       2.15407       1.35407\n"
+        " gap         lower         upper         width  state\n"
+        "   0          -0.8           0.8           1.6  open"
+    )
+    assert gap_report(BandStructure(make_chain([0.0] * 4, [1.0]))) == (
+        "period 4 chain; spectrum within [-2, 2]\n"
+        "band         lower         upper         width\n"
+        "   0            -2      -1.41421      0.585786\n"
+        "   1      -1.41421   1.22465e-16       1.41421\n"
+        "   2   1.22465e-16       1.41421       1.41421\n"
+        "   3       1.41421             2      0.585786\n"
+        " gap         lower         upper         width  state\n"
+        "   0      -1.41421      -1.41421             0  closed\n"
+        "   1   1.22465e-16   1.22465e-16             0  closed\n"
+        "   2       1.41421       1.41421             0  closed"
+    )
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -295,6 +363,9 @@ def test_neighbors_subcommand(capsys):
     assert payload[0]["orbit_distance"] > 1e-4
 
 
+SUBNORMAL = "transfer recurrence overflowed at bond 0 of period 3: a_0 = 1e-310 puts a_2 / a_0 or 1 / a_0"
+
+
 def test_error_paths_exit_nonzero(capsys):
     code, out, err = run_cli(capsys, "inverse", "--coeffs", "1,1", "--hopping", "2")
     assert code == 1
@@ -339,10 +410,25 @@ def test_error_paths_exit_nonzero(capsys):
          "exceeds a quarter of the float range"),
         (["dispersion", "--onsite", "1e308,-1e308", "--hopping", "1e308", "--json"],
          "exceeds a quarter of the float range"),
+        # A subnormal bond's factor 1 / a overflows before any site is marched.
+        (["classes", "--values", "0,1e-310", "--period", "3", "--hopping", "1e-310"], SUBNORMAL),
+        (["neighbors", "--onsite", "0,1e-310,0", "--hopping", "1e-310"], SUBNORMAL),
+        (["dos", "--onsite", "0,1e-310,0", "--hopping", "1e-310", "--points", "4"], SUBNORMAL),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert message in err
+
+
+def test_bands_answers_subnormal_bonds_on_both_routes(capsys):
+    # bands marches only the chain scaled by a power of two, and eig none, so it answers.
+    argv = ["bands", "--onsite", "0,1e-310,0", "--hopping", "1e-310", "--json"]
+    answers = []
+    for method in ("eig", "bisection"):
+        code, out, err = run_cli(capsys, *argv, "--method", method)
+        assert code == 0 and err == ""
+        answers.append(strict_json(out)["edges"])
+    assert answers[0] == answers[1]
 
 
 def test_bad_float_list_rejected(capsys):
