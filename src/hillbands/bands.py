@@ -331,8 +331,10 @@ class BandStructure:
         """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.
 
         Zero off the spectrum; integrates to exactly 1/N over each band.
-        Diverges like an inverse square root at open-gap edges. Computed
-        with the IDS by one march (see _densities).
+        Diverges like an inverse square root at open-gap edges and at the
+        spectrum's two ends, and is inf on them; at the one point of a
+        closed gap it is finite. Computed with the IDS by one march (see
+        _densities).
         """
         return self._densities(lam)[0]
 
@@ -373,7 +375,9 @@ class BandStructure:
         vanish, and their computed quotient is rounding over rounding.
         There M(c + t) = +-I + t M' + O(t^2), and det M = 1 gives
         tr M' = 0 and Delta = +-(2 - det M' t^2), so the quotient tends
-        to sqrt(det M'), which the march gives to full accuracy.
+        to sqrt(det M'), which the march gives to full accuracy. On any
+        other edge of the cell, 4 - Delta^2 is pure rounding, and the DOS
+        is inf, its true value, whatever the sign of that rounding.
 
         Inside band j the IDS is (j + |arccos(Delta/2) - phase_j| / pi) / N,
         Delta = M00 + M11 from the same march. Delta is +-2 alternately
@@ -397,6 +401,8 @@ class BandStructure:
         # Odd k puts lam in a band; lam on the upper edge of the band
         # below as well is the one point of a closed gap.
         shut = (k % 2 == 1) & (edges[k - 2] == at)
+        # Any other edge, upper (k even) or lower, is where the DOS diverges.
+        edge = (edges[k - 1] == at) & ~shut
         delta = m[0, 0] + m[1, 1]
         split = m[0, 0] - m[1, 1]
         under = np.where(shut, 1.0, np.where(
@@ -409,10 +415,11 @@ class BandStructure:
         rho = np.zeros(lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho[inside] = np.where(
-                under > 0.0,
-                slope / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
-                0.0,
-            )
+                edge, np.inf, np.where(
+                    under > 0.0,
+                    slope / (n * np.pi * np.sqrt(np.where(under > 0, under, 1.0))),
+                    0.0,
+                ))
         band = k // 2
         phase_lower = np.where((n - band) % 2 == 0, 0.0, np.pi)
         partial = np.abs(np.arccos(np.clip(delta / 2.0, -1.0, 1.0)) - phase_lower) / np.pi

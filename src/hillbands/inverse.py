@@ -12,10 +12,11 @@ which `least_squares` calls from SciPy's compiled module
 `scipy.optimize._minpack` alone, without importing `scipy.optimize`
 (see there). The residual and its Jacobian are prod(a) V^-1, V the
 Vandermonde matrix of N + 1 fixed nodes, times Delta and its onsite
-Jacobian there, both from one march (`transfer.discriminant_jacobian`
-of the chain's bonds and sites), which `fused` runs once per iterate
-for both. With no starting point, a seeded multistart runs one solve
-per start until one converges. Band-edge data determines the
+Jacobian there, both from one march of the chain's rotations, which
+`fused` runs once per iterate for both. What the bonds and the nodes
+fix is formed once per solve (`transfer.jacobian_at`), so an iterate
+runs only the site loop. With no starting point, a seeded multistart
+runs one solve per start until one converges. Band-edge data determines the
 discriminant directly: (prod a)(Delta + 2), the monic polynomial of the
 antiperiodic eigenvalues, is 4 prod(a) at each periodic one, so one edge
 gives log(prod a); Delta is the mean of the two over prod(a).
@@ -54,8 +55,8 @@ class Discriminant:
     """Delta by its values at chebyshev_nodes(interval, N), exact to
     rounding inside interval = (lo, hi) and extrapolated outside, with
     log(prod a), which stays finite where prod a leaves the float range.
-    An empty interval, or a node value or log(prod a) not finite, is
-    refused with a ValueError.
+    An empty interval, node values not in one dimension, or a node value
+    or log(prod a) not finite, is refused with a ValueError.
     """
 
     interval: tuple
@@ -67,6 +68,8 @@ class Discriminant:
         if not lo < hi:
             raise ValueError(f"interval [{lo}, {hi}] is empty")
         values = np.array(self.values, dtype=float, ndmin=1)
+        if values.ndim != 1:
+            raise ValueError(f"node values of Delta of shape {values.shape} are not one-dimensional")
         bad = np.count_nonzero(~np.isfinite(values))
         if bad:
             raise ValueError(f"{bad} of the {values.size} node values of Delta are not finite")
@@ -173,7 +176,11 @@ def recover_onsite(target, hopping, initial=None):
         assigned to sites in random orders. A solve is accepted when the
         residual `lmder` returns with its answer has max-norm below TOL on
         the monic coefficients, each relative to its magnitude floored at
-        1. All starts share one `fused` memo.
+        1. All starts share one `fused` memo and one
+        `transfer.jacobian_at` of the bonds at the nodes: the rotated
+        bonds, their factors and the march's start rows are formed once
+        per call, and each evaluation gathers the rotated sites, forms
+        (lam - b) / a and runs the N-step site loop.
 
     Returns
     -------
@@ -228,12 +235,6 @@ def recover_onsite(target, hopping, initial=None):
     nodes = chebyshev_nodes((mid - half, mid + half), n)
     to_monic = pa * np.linalg.inv(np.vander(nodes, increasing=True))[:n]
 
-    def evaluate(b):
-        # Column j of the point Jacobian is minus the characteristic
-        # polynomial of the open chain with site j deleted, at the nodes.
-        delta, grad = transfer.discriminant_jacobian(a, b, nodes)
-        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad / scale[:, None]
-
     if initial is not None:
         starts = [np.asarray(initial, dtype=float)]
         if starts[0].shape != (n,) or not np.all(np.isfinite(starts[0])):
@@ -246,6 +247,14 @@ def recover_onsite(target, hopping, initial=None):
         spread, rng = max(guess[-1] - guess[0], 1.0), np.random.default_rng(0)
         starts = (guess if k == 0 else rng.permutation(guess)
                   + rng.normal(scale=0.02 * spread, size=n) for k in range(STARTS))
+
+    # Column j of the point Jacobian is minus the characteristic
+    # polynomial of the open chain with site j deleted, at the nodes.
+    jacobian = transfer.jacobian_at(a, nodes)
+
+    def evaluate(b):
+        delta, grad = jacobian(b)
+        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad / scale[:, None]
 
     fun, jac = fused(evaluate)
     for start in starts:

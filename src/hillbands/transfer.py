@@ -16,7 +16,11 @@ Delta (a batch of its N rotations) all come from it. Its rows carry
 lam-derivatives only for callers that need Delta' (the DOS, the edges'
 Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
 it keeps every row only for the rounding-error bound of Delta (a batch
-of the chain and its reversal).
+of the chain and its reversal). What the bonds and lam fix, the bond
+factors, the shapes and the start rows, is one preparation (_prepare),
+so that the onsite Jacobian of a solve, whose bonds and nodes never
+change, forms it once (jacobian_at) and each evaluation runs only the
+site loop.
 """
 
 import functools
@@ -27,7 +31,44 @@ import numpy as np
 FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 
 
-def _march_values(hopping, onsite, lam, derivs=0, history=False):
+def _prepare(hopping, lam, derivs=0):
+    """The part of a march of these bonds at lam that no site value
+    changes: the bonds in column shape, their factors a_{k-1} / a_k and
+    1 / a_k, lam, the sites per block and the read-only start rows
+    u_{-1}, u_0, as the tuple (column, a, back, up, lam, derivs, block,
+    start) that _march_values reads. Marches of many onsite vectors on
+    the same bonds and lam form it once (see jacobian_at).
+
+    Raises ValueError, naming the bond, when a factor overflows the
+    float range, as that of a subnormal bond does.
+    """
+    lam = np.asarray(lam, dtype=float)
+    a = np.asarray(hopping, dtype=float)
+    n = a.shape[0]
+    shape = np.broadcast_shapes(lam.shape, a.shape[1:])
+    column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
+    a = a.reshape(column)
+    try:
+        with np.errstate(over="raise"):
+            back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
+    except FloatingPointError:
+        k, bond = _overflowing_bond(a)
+        raise ValueError(
+            f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
+            f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
+        ) from None
+    if a.size == n:  # one chain: Python-float factors
+        back, up = back.ravel().tolist(), up.ravel().tolist()
+    # u_{-1}, u_0 of both starts, each with its derivs derivative rows
+    start = np.zeros((2, derivs + 1, 2) + shape)
+    start[0, 0, 1] = 1.0
+    start[1, 0, 0] = 1.0
+    start.setflags(write=False)
+    block = max(1, FACTOR_BLOCK // max(1, math.prod(shape)))
+    return column, a, back, up, lam, derivs, block, start
+
+
+def _march_values(hopping, onsite, lam, derivs=0, history=False, prepared=None):
     """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
 
     hopping and onsite have shape (N,) for one chain, or (N,) + chains
@@ -39,7 +80,9 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     operations. With derivs = d > 0, each row carries its first d
     lam-derivatives on a leading axis of d + 1 (row j the j-th
     derivative), and the step adds j u_k^(j-1) / a_k to row j, the
-    j-th derivative of the recurrence.
+    j-th derivative of the recurrence. prepared, _prepare(hopping, lam,
+    derivs) formed once for many marches of these bonds and lam, stands
+    for that call; the march then runs only the site loop.
 
     Returns the rows, each of shape (d + 1, 2) + shape (the derivatives,
     then one entry per start), shape being lam broadcast against the
@@ -51,53 +94,35 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False):
     overflows, such as a subnormal one, is named before any site is
     marched.
     """
-    lam = np.asarray(lam, dtype=float)
-    a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
-    n = a.shape[0]
-    shape = np.broadcast_shapes(lam.shape, a.shape[1:])
-    column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
-    # u_{-1}, u_0 of both starts, each with its derivs derivative rows
-    start = np.zeros((2, derivs + 1, 2) + shape)
-    value = start[:, 0]
-    block = max(1, FACTOR_BLOCK // max(1, value[0, 0].size))
-    value[0, 1] = 1.0
-    value[1, 0] = 1.0
-    rows = [start[0], start[1]]
+    if prepared is None:
+        prepared = _prepare(hopping, lam, derivs)
+    column, a, back, up, lam, derivs, block, (prev, cur) = prepared
+    b = np.asarray(onsite, dtype=float).reshape(column)
+    n = column[0]
+    rows = [prev, cur] if history else None
     higher = range(2, derivs + 1)  # rows past the first derivative
-    k = None  # no site marched yet
+    k = 0
     try:
         with np.errstate(over="raise"):
-            a, b = a.reshape(column), b.reshape(column)
-            back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
-            k = 0
-            if a.size == n:  # one chain: Python-float factors
-                back, up = back.ravel().tolist(), up.ravel().tolist()
             for first in range(0, n, block):
                 sites = slice(first, first + block)
                 shifts = (lam - b[sites]) / a[sites]
                 for k, shift in enumerate(shifts, first):
-                    prev, cur = rows[-2], rows[-1]
                     nxt = shift * cur
                     nxt -= back[k] * prev
                     if derivs:
                         nxt[1] += up[k] * cur[0]
                         for j in higher:
                             nxt[j] += (j * up[k]) * cur[j - 1]
-                    rows.append(nxt)
-                    if not history:
-                        del rows[0]
+                    prev, cur = cur, nxt
+                    if history:
+                        rows.append(cur)
     except FloatingPointError:
-        if k is None:
-            k, bond = _overflowing_bond(a)
-            raise ValueError(
-                f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
-                f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
-            ) from None
         raise ValueError(
             f"transfer recurrence overflowed at site {k} of period {n}: "
             "the monodromy exceeds the float range"
         ) from None
-    return rows
+    return rows if history else [prev, cur]
 
 
 def _overflowing_bond(a):
@@ -122,9 +147,11 @@ def rotations(period):
     return index
 
 
-def discriminant_jacobian(hopping, onsite, lam):
-    """Delta(lam), of shape lam.shape, and d Delta(lam) / d b, of shape
-    lam.shape + (N,), from one march of the chain's N sites.
+def jacobian_at(hopping, lam):
+    """The map b -> (Delta(lam), d Delta(lam) / d b) of the chain with
+    these bonds and onsite energies b: Delta of shape lam.shape and its
+    onsite Jacobian of shape lam.shape + (N,), from one march of the
+    chain's N sites.
 
     On the chain relabelled to start at site j + 1, site j is the last,
     so M[1, 0] of that rotation is the determinant of the open chain with
@@ -134,14 +161,29 @@ def discriminant_jacobian(hopping, onsite, lam):
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant, so to the bit. Raises ValueError when an entry
-    overflows the float range.
+    discriminant, so to the bit. The rotated bonds and the march's
+    preparation (see _prepare) are formed here, once; each call gathers
+    the rotated sites and runs the site loop. Raises ValueError when an
+    entry overflows the float range: a bond's factor here, a site's in
+    the call.
     """
-    a, b = np.asarray(hopping, dtype=float), np.asarray(onsite, dtype=float)
-    index = rotations(b.size)
-    prev, cur = (row[0] for row in _march_values(a[index], b[index],
-                                                 np.asarray(lam, dtype=float)[..., None]))
-    return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
+    a = np.asarray(hopping, dtype=float)
+    index = rotations(a.size)
+    bonds, lam = a[index], np.asarray(lam, dtype=float)[..., None]
+    prepared = _prepare(bonds, lam)
+
+    def jacobian(onsite):
+        rows = _march_values(bonds, np.asarray(onsite, dtype=float)[index], lam,
+                             prepared=prepared)
+        prev, cur = (row[0] for row in rows)
+        return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
+
+    return jacobian
+
+
+def discriminant_jacobian(hopping, onsite, lam):
+    """Delta(lam) and d Delta(lam) / d b of one chain, as jacobian_at."""
+    return jacobian_at(hopping, lam)(onsite)
 
 
 def monodromy(op, lam):

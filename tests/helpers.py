@@ -205,13 +205,14 @@ def two_march_solvers(monkeypatch):
     alone, the Jacobian by the batch of its rotations, and no memo, so
     the residual and the Jacobian at one iterate march twice each. The
     reference for the fused evaluation."""
-    jacobian = transfer.discriminant_jacobian
+    jacobian_at = transfer.jacobian_at
 
-    def two_marches(hopping, onsite, lam):
-        return transfer.discriminant(hopping, onsite, lam)[0], jacobian(hopping, onsite, lam)[1]
+    def two_marches(hopping, lam):
+        jacobian = jacobian_at(hopping, lam)
+        return lambda onsite: (transfer.discriminant(hopping, onsite, lam)[0], jacobian(onsite)[1])
 
     def unfused(evaluate):
         return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
 
-    monkeypatch.setattr(transfer, "discriminant_jacobian", two_marches)
+    monkeypatch.setattr(transfer, "jacobian_at", two_marches)
     monkeypatch.setattr(inverse, "fused", unfused)

@@ -1083,6 +1083,27 @@ def test_repeated_cell_dos_beside_the_closed_gap_points(method):
             assert np.max(np.abs(rho - at)) <= 1e-11
 
 
+@pytest.mark.parametrize("method", ["eig", "bisection"])
+def test_dos_is_infinite_on_every_edge_but_a_closed_gaps_point(method):
+    # The DOS diverges at the edges of open gaps and at the spectrum's two
+    # ends. There 4 - Delta^2 is pure rounding, whose sign once picked 0
+    # or a large finite value. At the one point of a closed gap the DOS
+    # keeps its finite limit sqrt(det M').
+    cell = PeriodicJacobi([1.1, 0.7], [0.3, -0.5])
+    chains = [(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), 0), (_harper(89, 55, 0.7), None),
+              (PeriodicJacobi(np.tile(cell.hopping, 3), np.tile(cell.onsite, 3)), 4),
+              (PeriodicJacobi.free(4, 0.9, -0.2), 3)]
+    for op, shut in chains:
+        bs = BandStructure(op, method)
+        edges = bs.edges
+        rho = bs.density_of_states(edges)
+        closed = np.zeros(edges.size, dtype=bool)
+        closed[1:-1] = np.repeat(edges[1:-1:2] == edges[2::2], 2)
+        assert shut is None or np.count_nonzero(closed) == 2 * shut
+        assert np.all(rho[~closed] == np.inf)
+        assert np.all(np.isfinite(rho[closed]) & (rho[closed] > 0.0))
+
+
 def test_repeated_cells_solve_and_march_only_the_cell(monkeypatch, capsys):
     solved, marched = [], []
     solve, march = operators._solve, transfer._march_values

@@ -160,6 +160,14 @@ def test_empty_interval_rejected():
         Discriminant((1.0, 1.0), [2.0, -2.0], 0.0)
 
 
+def test_node_values_must_be_one_dimensional():
+    # A table of node values was accepted, and failed only in .chebyshev
+    # with numpy's "Coefficient array is not 1-d".
+    for values in ([[1.0, 2.0], [3.0, 4.0]], np.zeros((3, 1)), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="of shape .* are not one-dimensional"):
+            Discriminant((0.0, 1.0), values, 0.0)
+
+
 def test_node_values_and_log_product_must_be_finite():
     # Refused at construction, so that recover_onsite never blames a NaN
     # node value on the float range.

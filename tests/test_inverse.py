@@ -170,6 +170,40 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
         assert len({chain for _, chain in log}) == len(log)
 
 
+def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
+    # The rotated bonds, their factors and the start rows are formed once
+    # per recover_onsite call; each distinct LM iterate then runs one
+    # march, the site loop alone. The chain drawn first from seed 97
+    # (N = 7) has starts that end on refused trials.
+    op = random_operator(np.random.default_rng(97), 7)
+    prepared, iterates = [], set()
+    prepare, solve = transfer._prepare, inverse.least_squares
+
+    def prepare_counted(*args, **kwargs):
+        prepared.append(1)
+        return prepare(*args, **kwargs)
+
+    def seen(f):
+        def logged(x):
+            iterates.add(np.asarray(x, dtype=float).tobytes())
+            return f(x)
+        return logged
+
+    def solve_logged(fun, x0, jac, **kwargs):
+        return solve(seen(fun), x0, jac=seen(jac), **kwargs)
+
+    monkeypatch.setattr(transfer, "_prepare", prepare_counted)
+    monkeypatch.setattr(inverse, "least_squares", solve_logged)
+    log = record_marches(monkeypatch)
+    for _ in range(2):
+        prepared.clear()
+        iterates.clear()
+        del log[:]
+        recover_onsite(power_coefficients(op), op.hopping)
+        assert len(prepared) == 1
+        assert len(log) == len(iterates) > 2
+
+
 def test_blind_inversion_matches_two_march_reference(monkeypatch):
     # The fused march gives Delta to the bit, so every LM iterate, and the
     # chain found, is the same as with two marches.

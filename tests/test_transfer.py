@@ -322,6 +322,53 @@ def test_fused_delta_equals_the_value_march():
         assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
 
 
+def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
+    # Delta is discriminant's and column j is -M[1, 0] / a_j of rotation
+    # j marched alone, both to the bit; one closure over many onsite
+    # vectors gives the bits of fresh calls, and its start rows, which
+    # every call reads, cannot be written.
+    rng = np.random.default_rng(19)
+    preparations, prepare = [], transfer._prepare
+
+    def kept(*args, **kwargs):
+        preparations.append(prepare(*args, **kwargs))
+        return preparations[-1]
+
+    monkeypatch.setattr(transfer, "_prepare", kept)
+    for n in (1, 2, 5, 13):
+        op = random_operator(rng, n)
+        for lam in (rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5, 4)):
+            jacobian = transfer.jacobian_at(op.hopping, lam)
+            delta, grad = jacobian(op.onsite)
+            assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
+            for j in range(n):
+                column = -transfer.monodromy(op.shifted(j + 1), lam)[0][1, 0] / op.hopping[j]
+                assert np.array_equal(grad[..., j], column)
+            start = preparations[-1][-1]
+            with pytest.raises(ValueError, match="read-only"):
+                start[1, 0, 0] = 2.0
+            for _ in range(50):
+                b = rng.uniform(-1.5, 1.5, n)
+                fresh = transfer.discriminant_jacobian(op.hopping, b, lam)
+                for reused, new in zip(jacobian(b), fresh):
+                    assert reused.shape == new.shape and reused.tobytes() == new.tobytes()
+
+
+def test_prepared_jacobian_names_an_overflowing_bond_and_site():
+    # A subnormal bond is named when the preparation forms its factors,
+    # before any site is marched; an overflowing monodromy is named at its
+    # site when the onsite vector is marched.
+    lam = np.array([0.3, 1.7])
+    with pytest.raises(ValueError, match=r"^transfer recurrence overflowed at bond 0 of period 2: "
+                       r"a_0 = 1e-310 puts a_1 / a_0 or 1 / a_0 beyond the float range$"):
+        transfer.jacobian_at([1e-310, 1.0], lam)
+    op = _weak_bond_chain(300)
+    jacobian = transfer.jacobian_at(op.hopping, lam)
+    with pytest.raises(ValueError, match=r"^transfer recurrence overflowed at site \d+ of period 300: "
+                       r"the monodromy exceeds the float range$"):
+        jacobian(op.onsite)
+
+
 def test_rotation_index_is_built_once_per_period_and_read_only():
     for n in (1, 2, 7):
         index = transfer.rotations(n)
