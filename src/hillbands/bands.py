@@ -88,6 +88,17 @@ def band_edges_bisection(op):
     uniform chain takes 5 marches over its one site, none with Delta_p'',
     and a Harper approximant at N = 89 or 144 takes 19.
 
+    A solve forms the cell's bond factors a_{k-1} / a_k and 1 / a_k once
+    (see transfer._bonds) and hands them to every march of the cell: the
+    coarse passes, the Newton rounds and any narrow multisection. Each
+    march still forms its start rows at its own points and runs the site
+    loop; the rounding bound's batch of the cell and its reversal forms
+    its own factors, once per call. When every gap is certified, the
+    Newton search takes every bracket in the order multisection left
+    them, with the coarse passes' evaluator. The searches are
+    elementwise, so an edge's bits do not depend on which brackets share
+    its marches.
+
     TOL is relative to max(1, |lam|), so a chain whose Gershgorin reach
     max(|lo|, |hi|) is below 1 is solved scaled by the power of two that
     brings its reach into [1, 2), and its edges are scaled back; both
@@ -108,61 +119,73 @@ def _cell_edges(cell, m):
     n = cell.period
     lo, hi = cell.gershgorin
     mu = np.concatenate([[lo], cell.dirichlet_eigenvalues(), [hi]])
+    bonds = transfer._bonds(cell.hopping)  # for every march of the solve
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign = np.repeat(orient, m + 1)
     level = np.tile(-2.0 * np.cos(np.pi * np.arange(m + 1) / m), n)
-    left, right = _multisect(_evaluator(cell, 0, sign, level),
-                             np.repeat(mu[:-1], m + 1), np.repeat(mu[1:], m + 1), COARSE)
+    search = _evaluator(cell, 0, sign, level, bonds)
+    left, right = _multisect(search, np.repeat(mu[:-1], m + 1), np.repeat(mu[1:], m + 1), COARSE)
     bottom = np.arange(n) * (m + 1)  # zero r = 0 of each cell band, r = m at top
     top = bottom + m
     below, above = right[top[:-1]], left[bottom[1:]]
-    apart = np.flatnonzero(below < above)
+    apart = (below < above).nonzero()[0]
     certified = np.zeros(n - 1, dtype=bool)
     if apart.size:
         value, rounding = transfer.discriminant_rounding(cell, 0.5 * (below + above)[apart])
         certified[apart] = np.abs(value) - 2.0 > rounding
-    edges = 0.5 * (left + right)
-    kept, unsure = np.flatnonzero(certified), np.flatnonzero(~certified)
+    unsure = (~certified).nonzero()[0]
     inner = (bottom[:, None] + np.arange(1, m)).ravel()
+    if not unsure.size:  # every gap certified open: one Newton search finishes every edge
+        edges = _newton(search, left, right)
+        return np.sort(np.concatenate([edges, edges[inner]]))  # inner zeros: both edges of a gap
+    edges = 0.5 * (left + right)
+    kept = certified.nonzero()[0]
     fast = np.concatenate([[0], top[kept], bottom[kept + 1], inner, [top[-1]]])
     middle = 0.5 * (edges[bottom] + edges[top])
     g = _evaluator(cell, np.repeat([0, 1], [fast.size, unsure.size]),
                    np.concatenate([sign[fast], -orient[unsure]]),
-                   np.concatenate([level[fast], np.zeros(unsure.size)]))
+                   np.concatenate([level[fast], np.zeros(unsure.size)]), bonds)
     zeros = _newton(g, np.concatenate([left[fast], middle[unsure]]),
                     np.concatenate([right[fast], middle[unsure + 1]]))
-    edges[fast], crit = np.split(zeros, [fast.size])
-    if unsure.size:
-        peak, rounding = transfer.discriminant_rounding(cell, crit)
-        shut = np.abs(peak) - 2.0 <= rounding
-        edges[top[unsure[shut]]] = edges[bottom[unsure[shut] + 1]] = crit[shut]
-        narrow = np.concatenate([top[unsure[~shut]], bottom[unsure[~shut] + 1]])
-        left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow]),
-                                 left[narrow], right[narrow], ROUNDS)
-        edges[narrow] = 0.5 * (left + right)
-    return np.sort(np.concatenate([edges, edges[inner]]))  # inner zeros: both edges of a gap
+    edges[fast], crit = zeros[: fast.size], zeros[fast.size :]
+    peak, rounding = transfer.discriminant_rounding(cell, crit)
+    shut = np.abs(peak) - 2.0 <= rounding
+    edges[top[unsure[shut]]] = edges[bottom[unsure[shut] + 1]] = crit[shut]
+    narrow = np.concatenate([top[unsure[~shut]], bottom[unsure[~shut] + 1]])
+    left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow], bonds),
+                             left[narrow], right[narrow], ROUNDS)
+    edges[narrow] = 0.5 * (left + right)
+    return np.sort(np.concatenate([edges, edges[inner]]))
 
 
-def _evaluator(op, shift, scale, level):
+def _evaluator(op, shift, scale, level, bonds=None):
     """g(lam, i, derivs) for the searches (see _multisect and _newton): the
     rows of g = scale[i] Delta^(shift[i]) - level[i], Delta^(s) the s-th
     lam-derivative of Delta, and of its first derivs derivatives, for the
     brackets i on the last axis of lam; shift may be one for all. Each
     call is one march, elementwise, so a bracket's values do not depend
-    on which others are evaluated with it.
+    on which others are evaluated with it. bonds, op's bond factors (see
+    transfer._bonds), are formed here unless a solve that formed them
+    once hands them in.
     """
-    shift = np.broadcast_to(shift, np.shape(scale))
+    if bonds is None:
+        bonds = transfer._bonds(op.hopping)
+
+    def rows(lam, derivs, top):
+        prev, cur = transfer._march_values(op.hopping, op.onsite, lam, derivs=derivs, bonds=bonds)
+        return cur[top:, 0] + prev[top:, 1]
+
+    uniform = np.ndim(shift) == 0  # one shift for all brackets: the rows are a slice
+    shift = int(shift) if uniform else np.asarray(shift)
 
     def g(lam, i, derivs):
-        own = shift[i]
-        top = int(own.max())
-        rows = transfer.discriminant(op.hopping, op.onsite, lam, top + derivs)
-        if own.min() == top:  # one shift for all: a slice, far cheaper than a gather
-            rows = rows[top:]
+        if uniform:
+            values = rows(lam, shift + derivs, shift)
         else:
+            own = shift[i]
             take = own + np.arange(derivs + 1).reshape((-1,) + (1,) * np.ndim(lam))
-            rows = np.take_along_axis(rows, take, axis=0)
-        values = scale[i] * rows
+            values = np.take_along_axis(rows(lam, int(own.max()) + derivs, 0), take, axis=0)
+        values *= scale[i]
         values[0] -= level[i]
         return values
 
@@ -186,15 +209,16 @@ def _multisect(g, lo, hi, passes):
     """
     lo, hi = lo.copy(), hi.copy()
     fraction = np.arange(SPLIT + 1)[:, None] / SPLIT
+    turned = np.ones((SPLIT, lo.size), dtype=bool)  # row SPLIT - 1: g >= 0 at hi
     for _ in range(passes):
-        i = np.flatnonzero(~_finished(lo, hi))
+        i = (~_finished(lo, hi)).nonzero()[0]
         if not i.size:
             break
-        grid = lo[i] + (hi[i] - lo[i]) * fraction
-        grid[-1] = hi[i]
-        turned = np.ones((SPLIT, i.size), dtype=bool)
-        turned[:-1] = g(grid[1:-1], i, 0)[0] >= 0.0
-        keep = np.argmax(turned, axis=0)
+        low, high = lo[i], hi[i]
+        grid = low + (high - low) * fraction
+        grid[-1] = high
+        np.greater_equal(g(grid[1:-1], i, 0)[0], 0.0, out=turned[:-1, : i.size])
+        keep = turned[:, : i.size].argmax(axis=0)
         column = np.arange(i.size)
         lo[i], hi[i] = grid[keep, column], grid[keep + 1, column]
     return lo, hi
@@ -217,33 +241,44 @@ def _newton(g, lo, hi):
     again past the end it was clamped to, or is more than half the step
     before last, so steps that stop shrinking give way to halving. A
     finished bracket keeps its last Newton point, clamped to the bracket.
+
+    Only the unfinished brackets are carried from round to round: their
+    index i, their ends as the two points left them (lo may pass hi by
+    rounding; a round reads its bracket with the ends in order), the
+    iterate and the last two step lengths. A bracket's point is written
+    once, in the round that finishes it.
     """
-    lo, hi = lo.copy(), hi.copy()
     x = 0.5 * (lo + hi)
-    steps = np.stack([hi - lo, hi - lo])  # each bracket's step before last, and last
+    i = (~_finished(lo, hi)).nonzero()[0]
+    lo, hi, at = lo[i], hi[i], x[i]
+    before = last = hi - lo  # each bracket's step before last, and last
     pair = np.array([[-0.25], [0.25]]) * TOL
-    i = np.flatnonzero(~_finished(lo, hi))
     for _ in range(ROUNDS):
         if not i.size:
             break
-        at = x[i]
         points = at + pair * np.maximum(1.0, np.abs(at))
-        value, slope = g(points, i, 1)
+        rows = g(points, i, 1)
+        value, slope = rows[0], rows[1]
         past = value >= 0.0
-        lo[i] = low = np.max(np.where(past, lo[i], points), axis=0)
-        hi[i] = high = np.min(np.where(past, points, hi[i]), axis=0)
-        low, high = np.minimum(low, high), np.maximum(low, high)
+        lo = np.maximum.reduce(np.where(past, lo, points), axis=0)
+        hi = np.minimum.reduce(np.where(past, points, hi), axis=0)
+        low, high = np.minimum(lo, hi), np.maximum(lo, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = points - value / slope
         guess = np.where(np.abs(value[0]) <= np.abs(value[1]), guess[0], guess[1])
         done = _finished(low, high)
         far = np.maximum(low - guess, guess - high) > high - low
         far |= ((guess < low) & (at <= low)) | ((guess > high) & (at >= high))
-        far |= np.abs(guess - at) > 0.5 * steps[0, i]
+        far |= np.abs(guess - at) > 0.5 * before
         far &= ~done
-        x[i] = np.where(far | np.isnan(guess), 0.5 * (low + high), np.clip(guess, low, high))
-        steps[:, i] = steps[1, i], np.abs(x[i] - at)
-        i = i[~done]
+        point = np.where(far | np.isnan(guess), 0.5 * (low + high), guess.clip(low, high))
+        before, last = last, np.abs(point - at)
+        at = point
+        if done.any():
+            x[i[done]] = point[done]
+            live = ~done
+            i, lo, hi, at, before, last = i[live], lo[live], hi[live], at[live], before[live], last[live]
+    x[i] = at
     return x
 
 

@@ -16,11 +16,14 @@ Delta (a batch of its N rotations) all come from it. Its rows carry
 lam-derivatives only for callers that need Delta' (the DOS, the edges'
 Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
 it keeps every row only for the rounding-error bound of Delta (a batch
-of the chain and its reversal). What the bonds and lam fix, the bond
-factors, the shapes and the start rows, is one preparation (_prepare),
-so that the onsite Jacobian of a solve, whose bonds and nodes never
-change, forms it once (jacobian_at) and each evaluation runs only the
-site loop.
+of the chain and its reversal). What a march does not owe to the site
+values is prepared in two parts: what the bonds alone fix, their
+factors with the check that none overflows (_bonds), and what lam
+fixes as well, the shapes and the start rows (_prepare). A bisection
+solve, whose bonds never change, forms the first once for all its
+marches (bands._cell_edges); the onsite Jacobian of a solve, whose
+bonds and nodes never change, forms both once (jacobian_at), and each
+evaluation runs only the site loop.
 """
 
 import functools
@@ -31,23 +34,22 @@ import numpy as np
 FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 
 
-def _prepare(hopping, lam, derivs=0):
-    """The part of a march of these bonds at lam that no site value
-    changes: the bonds in column shape, their factors a_{k-1} / a_k and
-    1 / a_k, lam, the sites per block and the read-only start rows
-    u_{-1}, u_0, as the tuple (column, a, back, up, lam, derivs, block,
-    start) that _march_values reads. Marches of many onsite vectors on
-    the same bonds and lam form it once (see jacobian_at).
+def _bonds(hopping, index=None):
+    """The part of a march that the bonds alone fix: the bonds, and their
+    factors a_{k-1} / a_k and 1 / a_k (Python floats for one chain), as
+    the tuple (a, back, up) that _prepare reads. Every march of these
+    bonds at any lam may share it: a bisection solve forms its cell's
+    once (see bands._cell_edges). With index, an integer array over the
+    sites, the factors are those of the chain's bonds gathered by index,
+    the same numbers as the factors of the bonds a[index] (see
+    jacobian_at).
 
     Raises ValueError, naming the bond, when a factor overflows the
-    float range, as that of a subnormal bond does.
+    float range, as that of a subnormal bond does; with index it is the
+    chain's own bond that is named.
     """
-    lam = np.asarray(lam, dtype=float)
     a = np.asarray(hopping, dtype=float)
     n = a.shape[0]
-    shape = np.broadcast_shapes(lam.shape, a.shape[1:])
-    column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
-    a = a.reshape(column)
     try:
         with np.errstate(over="raise"):
             back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
@@ -57,18 +59,37 @@ def _prepare(hopping, lam, derivs=0):
             f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
             f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
         ) from None
+    if index is not None:
+        a, back, up = a[index], back[index], up[index]
     if a.size == n:  # one chain: Python-float factors
         back, up = back.ravel().tolist(), up.ravel().tolist()
+    return a, back, up
+
+
+def _prepare(bonds, lam, derivs=0):
+    """The part of a march at lam that no site value changes, given the
+    bond part (see _bonds): the bonds in column shape, lam, the sites per
+    block and the read-only start rows u_{-1}, u_0, as the tuple
+    (column, a, back, up, lam, derivs, block, start) that _march_values
+    reads. Marches of many onsite vectors on the same bonds and lam form
+    it once (see jacobian_at); those at a new lam form it anew, from the
+    same bond part.
+    """
+    a, back, up = bonds
+    lam = np.asarray(lam, dtype=float)
+    n = a.shape[0]
+    shape = lam.shape if a.ndim == 1 else np.broadcast_shapes(lam.shape, a.shape[1:])
+    column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
     # u_{-1}, u_0 of both starts, each with its derivs derivative rows
     start = np.zeros((2, derivs + 1, 2) + shape)
     start[0, 0, 1] = 1.0
     start[1, 0, 0] = 1.0
     start.setflags(write=False)
     block = max(1, FACTOR_BLOCK // max(1, math.prod(shape)))
-    return column, a, back, up, lam, derivs, block, start
+    return column, a.reshape(column), back, up, lam, derivs, block, start
 
 
-def _march_values(hopping, onsite, lam, derivs=0, history=False, prepared=None):
+def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, prepared=None):
     """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
 
     hopping and onsite have shape (N,) for one chain, or (N,) + chains
@@ -80,13 +101,16 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, prepared=None):
     operations. With derivs = d > 0, each row carries its first d
     lam-derivatives on a leading axis of d + 1 (row j the j-th
     derivative), and the step adds j u_k^(j-1) / a_k to row j, the
-    j-th derivative of the recurrence. prepared, _prepare(hopping, lam,
-    derivs) formed once for many marches of these bonds and lam, stands
-    for that call; the march then runs only the site loop.
+    j-th derivative of the recurrence. bonds, _bonds(hopping) formed
+    once for many marches of these bonds, stands for that call; prepared,
+    _prepare(bonds, lam, derivs) formed once for many marches at this
+    lam as well, stands for both, and the march then runs only the site
+    loop.
 
     Returns the rows, each of shape (d + 1, 2) + shape (the derivatives,
     then one entry per start), shape being lam broadcast against the
-    chains: u_{N-1} and u_N, or every row from u_{-1} on with history.
+    chains: u_{N-1} and u_N as a list, or with history every row from
+    u_{-1} on, stacked in one array with sites on the leading axis.
 
     Raises ValueError when an entry overflows the float range, as it
     does for weak bonds at long periods: |M| grows like
@@ -95,11 +119,14 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, prepared=None):
     marched.
     """
     if prepared is None:
-        prepared = _prepare(hopping, lam, derivs)
-    column, a, back, up, lam, derivs, block, (prev, cur) = prepared
+        prepared = _prepare(_bonds(hopping) if bonds is None else bonds, lam, derivs)
+    column, a, back, up, lam, derivs, block, start = prepared
     b = np.asarray(onsite, dtype=float).reshape(column)
     n = column[0]
-    rows = [prev, cur] if history else None
+    prev, cur = start[0], start[1]
+    if history:
+        rows = np.empty((n + 2,) + cur.shape)
+        rows[0], rows[1] = prev, cur
     higher = range(2, derivs + 1)  # rows past the first derivative
     k = 0
     try:
@@ -108,15 +135,13 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, prepared=None):
                 sites = slice(first, first + block)
                 shifts = (lam - b[sites]) / a[sites]
                 for k, shift in enumerate(shifts, first):
-                    nxt = shift * cur
+                    nxt = np.multiply(shift, cur, out=rows[k + 2]) if history else shift * cur
                     nxt -= back[k] * prev
                     if derivs:
                         nxt[1] += up[k] * cur[0]
                         for j in higher:
                             nxt[j] += (j * up[k]) * cur[j - 1]
                     prev, cur = cur, nxt
-                    if history:
-                        rows.append(cur)
     except FloatingPointError:
         raise ValueError(
             f"transfer recurrence overflowed at site {k} of period {n}: "
@@ -161,19 +186,20 @@ def jacobian_at(hopping, lam):
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant, so to the bit. The rotated bonds and the march's
-    preparation (see _prepare) are formed here, once; each call gathers
-    the rotated sites and runs the site loop. Raises ValueError when an
-    entry overflows the float range: a bond's factor here, a site's in
-    the call.
+    discriminant, so to the bit. The chain's bond factors, gathered into
+    the rotations (see _bonds), and the march's preparation at lam (see
+    _prepare) are formed here, once; each call gathers the rotated sites
+    and runs the site loop. Raises ValueError when an entry overflows the
+    float range: a bond's factor here, named by its index in the chain,
+    as discriminant names it; a site's in the call.
     """
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
-    bonds, lam = a[index], np.asarray(lam, dtype=float)[..., None]
+    bonds, lam = _bonds(a, index), np.asarray(lam, dtype=float)[..., None]
     prepared = _prepare(bonds, lam)
 
     def jacobian(onsite):
-        rows = _march_values(bonds, np.asarray(onsite, dtype=float)[index], lam,
+        rows = _march_values(bonds[0], np.asarray(onsite, dtype=float)[index], lam,
                              prepared=prepared)
         prev, cur = (row[0] for row in rows)
         return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
@@ -224,19 +250,23 @@ def discriminant_rounding(op, lam):
     whose transfer matrix is far from normal.
 
     The chain and its reversal run as one batched march of two chains,
-    elementwise, so with the same values as two marches. It keeps its
-    rows, stacked with sites on the leading axis, and all sites'
-    products are formed and summed by array operations over them, in
-    place where the rows are spent. Raises ValueError when the march or
-    the bound overflows the float range.
+    elementwise, so with the same values as two marches; their bonds and
+    sites are written into one array, and the batch's bond factors (see
+    _bonds) serve the march and the bound's a_{k-1} / a_k. The march
+    keeps its rows, written in place into one array with sites on the
+    leading axis, and all sites' products are formed and summed by array
+    operations over them, in place where the rows are spent. Raises
+    ValueError when the march or the bound overflows the float range.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
+    both = np.empty((2, n, 2))  # bonds, then sites; the chain, then its reversal
+    both[0, :, 0], both[1, :, 0] = a, b
+    both[0, :-1, 1], both[0, -1, 1], both[1, :, 1] = a[-2::-1], a[-1], b[::-1]
     chains = (n, 2) + (1,) * lam.ndim  # chain axis before lam's: rows stay contiguous
-    both_a = np.stack([a, np.roll(a[::-1], -1)], axis=1).reshape(chains)
-    both_b = np.stack([b, b[::-1]], axis=1).reshape(chains)
-    rows = np.stack(_march_values(both_a, both_b, lam, history=True))
+    bonds = _bonds(both[0].reshape(chains))
+    rows = _march_values(bonds[0], both[1].reshape(chains), lam, history=True, bonds=bonds)
     u, v = rows[:, 0, :, 0], rows[:, 0, :, 1]  # u[i] is u_{i-1}, v of the reversal
     site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam
     a_k, b_k = a.reshape(site), b.reshape(site)
@@ -246,7 +276,7 @@ def discriminant_rounding(op, lam):
             np.abs(u, out=u)
             np.abs(v, out=v)
             local = np.abs((lam - b_k) / a_k) * u[1:-1]
-            u[:-2] *= np.roll(a_k, 1, axis=0) / a_k
+            u[:-2] *= bonds[1][:, :1]  # a_{k-1} / a_k of the chain
             local += u[:-2]
             v[n:0:-1] *= a_k / a[-1]  # v[n - k] is v_{N-1-k}
             local *= v[n:0:-1]

@@ -340,6 +340,55 @@ def test_bisection_march_budget(monkeypatch):
         assert marches(_harper(144, 89, phi)) <= 23
 
 
+def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
+    # A solve forms its cell's bond factors once and hands them to every
+    # march: the coarse passes, the Newton rounds and any narrow
+    # multisection. The rounding bound's batch of the chain and its
+    # reversal forms its own, once per call. Sharing the factors changes
+    # no march: the marches of each solve are counted per chain below,
+    # random chains N = 1..24, a uniform N = 24 chain, a 3-site cell
+    # repeated 4 times and the Harper chains N = 89 and 144.
+    formed, marches, roundings = [], [], []
+    bonds, march, rounding = transfer._bonds, transfer._march_values, transfer.discriminant_rounding
+
+    def bonds_counted(hopping, *args):
+        formed.append(np.ndim(hopping))
+        return bonds(hopping, *args)
+
+    def march_counted(*args, **kwargs):
+        marches.append(1)
+        return march(*args, **kwargs)
+
+    def rounding_counted(*args):
+        roundings.append(1)
+        return rounding(*args)
+
+    rng = np.random.default_rng(34)
+    chains = [random_operator(rng, n) for n in range(1, 25)]
+    cell = random_operator(rng, 3)
+    chains += [PeriodicJacobi.free(24, 0.9, -0.2),
+               PeriodicJacobi(np.tile(cell.hopping, 4), np.tile(cell.onsite, 4)),
+               _harper(89, 55, 0.3), _harper(144, 89, 0.3)]
+    expected = [5, 7, 7, 7, 7, 8, 8, 8, 7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 5, 8, 19, 19]
+    monkeypatch.setattr(transfer, "_bonds", bonds_counted)
+    monkeypatch.setattr(transfer, "_march_values", march_counted)
+    monkeypatch.setattr(transfer, "discriminant_rounding", rounding_counted)
+    for op, count in zip(chains, expected):
+        del formed[:], marches[:], roundings[:]
+        band_edges_bisection(op)
+        assert formed.count(1) == 1  # the cell's
+        assert len(formed) == 1 + len(roundings)  # and one batch per rounding bound
+        assert len(marches) == count
+    assert len(roundings) == 2  # the last chain, Harper N = 144: its gap check and its extrema
+    for hopping, k in (([1.0, 1e-310, 1.0], 1), ([1e-310, 1.0], 0)):
+        n = len(hopping)
+        with pytest.raises(ValueError) as error:
+            band_edges_bisection(PeriodicJacobi(hopping, np.zeros(n)))
+        assert str(error.value) == (
+            f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = 1e-310 "
+            f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range")
+
+
 def test_bisection_edges_of_bands_narrower_than_rounding():
     # Random N = 64 chains have bands down to 1e-15 wide, where Delta
     # grows almost exponentially and a small Newton step does not mean a
@@ -384,12 +433,9 @@ def test_newton_search_does_not_stop_on_a_small_step():
     assert len(rounds) <= 20
 
 
-def _extremum_everywhere(op):
-    """The bisection route with the extremum c_j of every gap searched,
-    certified open or not, and the gap closed there by the rounding
-    bound: the reference. The edges of the open gaps are finished as on
-    the route, by Newton steps where the gap passed the check between its
-    coarse edge brackets and by multisection where it did not."""
+def _coarse_brackets(op):
+    """The coarse edge brackets of a chain that is its own cell, as the
+    route forms them, with the route's sign and level per bracket."""
     n = op.period
     lo, hi = op.gershgorin
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
@@ -397,6 +443,87 @@ def _extremum_everywhere(op):
     sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
     left, right = bands._multisect(bands._evaluator(op, 0, sign, level),
                                    np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), bands.COARSE)
+    return orient, sign, level, left, right
+
+
+def test_searches_are_elementwise():
+    # Each bracket gets the same bits from _newton and _multisect when it
+    # is searched with others as when it is searched alone: brackets
+    # finished on entry, brackets that finish in different rounds, one
+    # that runs to ROUNDS (Newton on a bracket stretched to 1e9, where
+    # steps stop shrinking and the search halves) and, for multisection,
+    # brackets that run to the last pass. The chains are a random N = 24
+    # chain, whose evaluator has one shift for all, and a Harper N = 89
+    # chain, whose evaluator mixes Delta for the edges with Delta' for
+    # the gap extrema.
+    for op in (random_operator(np.random.default_rng(24), 24), _harper(89, 55, 0.3)):
+        n = op.period
+        orient, sign, level, left, right = _coarse_brackets(op)
+        shift = np.zeros(2 * n, dtype=int)
+        if n == 24:  # the coarse brackets, and the Dirichlet brackets they came from
+            lo, hi = op.gershgorin
+            mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
+            wide_lo, wide_hi = np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2)
+            wide_hi[-1] = 1e9
+            left, right = np.concatenate([left, wide_lo]), np.concatenate([right, wide_hi])
+            shift, sign, level = np.tile(shift, 2), np.tile(sign, 2), np.tile(level, 2)
+        else:  # the coarse brackets, and the brackets of the gap extrema
+            middle = 0.5 * (left[0::2] + right[1::2])
+            left, right = np.concatenate([left, middle[:-1]]), np.concatenate([right, middle[1:]])
+            shift = np.concatenate([shift, np.ones(n - 1, dtype=int)])
+            sign = np.concatenate([sign, -orient[:-1]])
+            level = np.concatenate([level, np.zeros(n - 1)])
+        done = band_edges_eig(op)[:3]  # finished on entry
+        lo, hi = np.concatenate([left, done]), np.concatenate([right, done])
+        shift = np.concatenate([shift, [0, 0, 0]])
+        sign = np.concatenate([sign, [1.0, -1.0, 1.0]])
+        level = np.concatenate([level, [-2.0, 2.0, -2.0]])
+
+        def evaluator(j):
+            orders = shift[j]
+            return bands._evaluator(op, orders if orders.any() else 0, sign[j], level[j])
+
+        def counted(lam, i, derivs):
+            rounds[i] += 1
+            return g(lam, i, derivs)
+
+        def sample(size):
+            """Every bracket of the random chain, searched alone; of the
+            Harper chain's, every fourth and the three finished on entry."""
+            return range(size) if n == 24 else np.r_[0 : size - 3 : 4, size - 3 : size]
+
+        g, rounds = evaluator(slice(None)), np.zeros(lo.size, dtype=int)
+        batch = bands._newton(counted, lo, hi)
+        assert np.all(rounds[-3:] == 0) and np.array_equal(batch[-3:], done)
+        assert len(set(rounds[:-3].tolist())) > 3
+        assert (rounds.max() == bands.ROUNDS) == (n == 24)
+        for j in sample(lo.size):
+            alone = bands._newton(evaluator(slice(j, j + 1)), lo[j : j + 1], hi[j : j + 1])
+            assert alone.tobytes() == batch[j : j + 1].tobytes()
+        # Multisection searches Delta -+ 2 only: the edge brackets.
+        edges = np.flatnonzero(shift == 0)
+        lo, hi, shift, sign, level = lo[edges], hi[edges], shift[edges], sign[edges], level[edges]
+        for passes in (bands.COARSE, bands.ROUNDS):
+            g, rounds = evaluator(slice(None)), np.zeros(lo.size, dtype=int)
+            batch = bands._multisect(counted, lo, hi, passes)
+            assert np.all(rounds[-3:] == 0)
+            if passes == bands.COARSE:  # every bracket runs to the last pass
+                assert np.all(rounds[:-3] == passes)
+            else:  # every bracket finishes, in different passes
+                assert rounds.max() < passes and len(set(rounds[:-3].tolist())) > 1
+            for j in sample(lo.size):
+                alone = bands._multisect(evaluator(slice(j, j + 1)), lo[j : j + 1], hi[j : j + 1], passes)
+                assert all(a.tobytes() == b[j : j + 1].tobytes() for a, b in zip(alone, batch))
+
+
+def _extremum_everywhere(op):
+    """The bisection route with the extremum c_j of every gap searched,
+    certified open or not, and the gap closed there by the rounding
+    bound: the reference. The edges of the open gaps are finished as on
+    the route, by Newton steps where the gap passed the check between its
+    coarse edge brackets and by multisection where it did not."""
+    n = op.period
+    orient, sign, level, left, right = _coarse_brackets(op)
     edges = 0.5 * (left + right)
     middle = 0.5 * (edges[0::2] + edges[1::2])
     slope = bands._evaluator(op, 1, -orient[:-1], np.zeros(n - 1))

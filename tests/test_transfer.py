@@ -369,6 +369,24 @@ def test_prepared_jacobian_names_an_overflowing_bond_and_site():
         jacobian(op.onsite)
 
 
+@pytest.mark.parametrize("hopping, k", [((1.0, 2.0, 1e-310), 2), ((2.0, 1e-310, 1.0), 1),
+                                        ((1.0, 1e-310, 1e-310, 3.0), 1)])
+def test_rotated_batch_names_the_chains_own_bond(hopping, k):
+    # jacobian_at marches the chain's N rotations as one batch; a bond
+    # whose factor overflows is named by its index in the chain, in
+    # discriminant's words, not by its place in a rotation.
+    n = len(hopping)
+    message = (f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = 1e-310 "
+               f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range")
+    lam, onsite = np.array([0.3, 1.7]), np.zeros(n)
+    for call in (lambda: transfer.discriminant(hopping, onsite, lam),
+                 lambda: transfer.jacobian_at(hopping, lam),
+                 lambda: transfer.discriminant_jacobian(hopping, onsite, lam)):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
+
+
 def test_rotation_index_is_built_once_per_period_and_read_only():
     for n in (1, 2, 7):
         index = transfer.rotations(n)
