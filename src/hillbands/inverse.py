@@ -178,9 +178,13 @@ def recover_onsite(target, hopping, initial=None):
         the monic coefficients, each relative to its magnitude floored at
         1. All starts share one `fused` memo and one
         `transfer.jacobian_at` of the bonds at the nodes: the rotated
-        bonds, their factors and the march's start rows are formed once
-        per call, and each evaluation gathers the rotated sites, forms
-        (lam - b) / a and runs the N-step site loop.
+        bonds, their factors (in the march's row shape up to N = 25) and
+        the march's start rows are formed once per call, as are the
+        target's first N coefficients and their scales in the shapes of
+        the residual and its Jacobian; each evaluation gathers the
+        rotated sites, forms (lam - b) / a and runs the N-step site loop,
+        and every array operation after it is between operands of one
+        shape.
 
     Returns
     -------
@@ -251,10 +255,11 @@ def recover_onsite(target, hopping, initial=None):
     # Column j of the point Jacobian is minus the characteristic
     # polynomial of the open chain with site j deleted, at the nodes.
     jacobian = transfer.jacobian_at(a, nodes)
+    head, scales = monic_target[:n], np.broadcast_to(scale[:, None], (n, n)).copy()
 
     def evaluate(b):
         delta, grad = jacobian(b)
-        return (to_monic @ delta - monic_target[:n]) / scale, to_monic @ grad / scale[:, None]
+        return (to_monic @ delta - head) / scale, to_monic @ grad / scales
 
     fun, jac = fused(evaluate)
     for start in starts:

@@ -22,8 +22,11 @@ factors with the check that none overflows (_bonds), and what lam
 fixes as well, the shapes and the start rows (_prepare). A bisection
 solve, whose bonds never change, forms the first once for all its
 marches (bands._cell_edges); the onsite Jacobian of a solve, whose
-bonds and nodes never change, forms both once (jacobian_at), and each
-evaluation runs only the site loop.
+bonds and nodes never change, forms both once (jacobian_at), with the
+batch's bond factors and lam laid out in the shape of its rows
+(_in_rows), so that each evaluation forms its shifts in that shape and
+runs only the site loop, every step on operands of one shape. The
+public functions refuse a lam that is not finite before any march.
 """
 
 import functools
@@ -71,8 +74,10 @@ def _prepare(bonds, lam, derivs=0):
     bond part (see _bonds): the bonds in column shape, lam, the sites per
     block and the read-only start rows u_{-1}, u_0, as the tuple
     (column, a, back, up, lam, derivs, block, start) that _march_values
-    reads. Marches of many onsite vectors on the same bonds and lam form
-    it once (see jacobian_at); those at a new lam form it anew, from the
+    reads. The factors and lam are as given, so a step broadcasts them
+    against the rows; _in_rows lays them out in the rows' shape instead.
+    Marches of many onsite vectors on the same bonds and lam form it
+    once (see jacobian_at); those at a new lam form it anew, from the
     same bond part.
     """
     a, back, up = bonds
@@ -89,6 +94,30 @@ def _prepare(bonds, lam, derivs=0):
     return column, a.reshape(column), back, up, lam, derivs, block, start
 
 
+def _in_rows(prepared):
+    """prepared (see _prepare) with a batch's per-site operands in the
+    shape of its rows, when they fit in FACTOR_BLOCK numbers.
+
+    The factors a_{k-1} / a_k of each site and lam are broadcast once
+    into the row shape (derivs + 1, 2) + shape, and the shifts
+    (lam - b_k) / a_k of all sites then come out in it from one broadcast
+    per march, so every ufunc of a site step multiplies operands of one
+    shape: NumPy's contiguous path, with the same values as the broadcast
+    one. That costs N rows of numbers per operand, so a batch whose N
+    rows exceed FACTOR_BLOCK numbers keeps the per-site broadcast and
+    memory stays bounded. Only a preparation that serves many marches
+    repays the copies (see jacobian_at).
+    """
+    column, a, back, up, lam, derivs, block, start = prepared
+    n, row = column[0], start.shape[1:]
+    if n * math.prod(row) > FACTOR_BLOCK:
+        return prepared
+    column = (n, 1, 1) + column[1:]  # sites, then the row's derivative and start axes
+    # a list of the sites' rows, which the loop indexes without making a view
+    back = list(np.broadcast_to(np.reshape(back, column), (n,) + row).copy())
+    return column, a.reshape(column), back, up, np.broadcast_to(lam, row).copy(), derivs, n, start
+
+
 def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, prepared=None):
     """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
 
@@ -98,7 +127,9 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, pre
     FACTOR_BLOCK numbers, so that a block stays in cache, and
     a_{k-1} / a_k enters the loop as a Python float for one chain (an
     array over the chains for a batch), so a step is three array
-    operations. With derivs = d > 0, each row carries its first d
+    operations; a preparation from _in_rows gives lam and a_{k-1} / a_k
+    the rows' shape, so the factors come out in it and no step
+    broadcasts. With derivs = d > 0, each row carries its first d
     lam-derivatives on a leading axis of d + 1 (row j the j-th
     derivative), and the step adds j u_k^(j-1) / a_k to row j, the
     j-th derivative of the recurrence. bonds, _bonds(hopping) formed
@@ -133,7 +164,8 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, pre
         with np.errstate(over="raise"):
             for first in range(0, n, block):
                 sites = slice(first, first + block)
-                shifts = (lam - b[sites]) / a[sites]
+                shifts = np.subtract(lam, b[sites])
+                shifts /= a[sites]
                 for k, shift in enumerate(shifts, first):
                     nxt = np.multiply(shift, cur, out=rows[k + 2]) if history else shift * cur
                     nxt -= back[k] * prev
@@ -148,6 +180,15 @@ def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, pre
             "the monodromy exceeds the float range"
         ) from None
     return rows if history else [prev, cur]
+
+
+def _energies(lam):
+    """lam as a float array, refused with a ValueError before any site is
+    marched if an entry is not finite: the march would answer nan."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.isfinite(lam).all():
+        raise ValueError("energies lam must be finite")
+    return lam
 
 
 def _overflowing_bond(a):
@@ -187,16 +228,23 @@ def jacobian_at(hopping, lam):
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
     discriminant, so to the bit. The chain's bond factors, gathered into
-    the rotations (see _bonds), and the march's preparation at lam (see
-    _prepare) are formed here, once; each call gathers the rotated sites
-    and runs the site loop. Raises ValueError when an entry overflows the
-    float range: a bond's factor here, named by its index in the chain,
-    as discriminant names it; a site's in the call.
+    the rotations (see _bonds), the march's preparation at lam (see
+    _prepare), with the factors a_{k-1} / a_k and lam in the rows' shape
+    while N rows fit in FACTOR_BLOCK numbers (see _in_rows: N <= 25 at
+    N + 1 points), and the bonds in the Jacobian's shape for its
+    readout, are formed here, once; each call gathers the rotated
+    sites, forms (lam - b) / a in one broadcast and runs the site loop,
+    every ufunc of a step on operands of one shape. Raises ValueError
+    when lam is not finite, or when an entry overflows the float range:
+    a bond's factor here, named by its index in the chain, as
+    discriminant names it; a site's in the call.
     """
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
-    bonds, lam = _bonds(a, index), np.asarray(lam, dtype=float)[..., None]
-    prepared = _prepare(bonds, lam)
+    lam = _energies(lam)[..., None]
+    bonds = _bonds(a, index)
+    prepared = _in_rows(_prepare(bonds, lam))
+    a = np.broadcast_to(a, lam.shape[:-1] + a.shape).copy()  # in the Jacobian's shape
 
     def jacobian(onsite):
         rows = _march_values(bonds[0], np.asarray(onsite, dtype=float)[index], lam,
@@ -214,8 +262,9 @@ def discriminant_jacobian(hopping, onsite, lam):
 
 def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
-    from one value march with the derivative rows; ValueError on overflow."""
-    prev, cur = _march_values(op.hopping, op.onsite, lam, derivs=1)
+    from one value march with the derivative rows; ValueError on overflow
+    or a lam that is not finite."""
+    prev, cur = _march_values(op.hopping, op.onsite, _energies(lam), derivs=1)
     m = np.stack([cur, prev])
     return m[:, 0], m[:, 1]
 
@@ -229,9 +278,10 @@ def discriminant(hopping, onsite, lam, derivs=0):
     hopping and onsite have shape (N,) for one chain, or (N,) + chains
     for a batch: sites first, and chain axes that broadcast against lam.
     The result has shape (derivs + 1,) + shape, shape being lam
-    broadcast against the chains.
+    broadcast against the chains. Raises ValueError when lam is not
+    finite, or when the march overflows the float range.
     """
-    prev, cur = _march_values(hopping, onsite, lam, derivs=derivs)
+    prev, cur = _march_values(hopping, onsite, _energies(lam), derivs=derivs)
     return cur[:, 0] + prev[:, 1]
 
 
@@ -256,16 +306,28 @@ def discriminant_rounding(op, lam):
     keeps its rows, written in place into one array with sites on the
     leading axis, and all sites' products are formed and summed by array
     operations over them, in place where the rows are spent. Raises
-    ValueError when the march or the bound overflows the float range.
+    ValueError when lam is not finite, or when the march or the bound
+    overflows the float range; a bond whose factor overflows in the
+    chain or its reversal is named by its index in the chain, as
+    discriminant names it.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _energies(lam)
     a, b = op.hopping, op.onsite
     n = op.period
     both = np.empty((2, n, 2))  # bonds, then sites; the chain, then its reversal
     both[0, :, 0], both[1, :, 0] = a, b
     both[0, :-1, 1], both[0, -1, 1], both[1, :, 1] = a[-2::-1], a[-1], b[::-1]
     chains = (n, 2) + (1,) * lam.ndim  # chain axis before lam's: rows stay contiguous
-    bonds = _bonds(both[0].reshape(chains))
+    try:
+        bonds = _bonds(both[0].reshape(chains))
+    except ValueError:  # named as the chain's bond, not the reversal's
+        _bonds(a)  # a factor of the chain itself, in discriminant's words
+        k, bond = _overflowing_bond(both[0, :, 1])  # the reversal's a_{j+1} / a_j alone
+        j = (n - 2 - k) % n
+        raise ValueError(
+            f"transfer recurrence overflowed at bond {j} of period {n}: a_{j} = {bond:g} "
+            f"puts a_{(j + 1) % n} / a_{j} beyond the float range"
+        ) from None
     rows = _march_values(bonds[0], both[1].reshape(chains), lam, history=True, bonds=bonds)
     u, v = rows[:, 0, :, 0], rows[:, 0, :, 1]  # u[i] is u_{i-1}, v of the reversal
     site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam

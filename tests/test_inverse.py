@@ -216,6 +216,38 @@ def test_blind_inversion_matches_two_march_reference(monkeypatch):
         assert np.array_equal(recover_onsite(*target).onsite, onsite)
 
 
+def test_blind_solve_is_the_same_bits_with_operands_in_rows_or_broadcast(monkeypatch):
+    # The rotated batch's operands in the rows' shape change no operation
+    # of the march: on chains drawn as a ~ U(0.4, 1.8), b ~ U(-1.5, 1.5)
+    # from default_rng([N, 35]), N = 3..12, each blind solve returns the
+    # same bytes after the same number of marches when a FACTOR_BLOCK of
+    # one number forces the per-site broadcast.
+    targets = []
+    for n in range(3, 13):
+        rng = np.random.default_rng([n, 35])
+        op = PeriodicJacobi(rng.uniform(0.4, 1.8, n), rng.uniform(-1.5, 1.5, n))
+        targets.append((Discriminant.from_operator(op), op.hopping))
+    shaped, in_rows = [], transfer._in_rows
+
+    def spied(prepared):
+        laid_out = in_rows(prepared)
+        shaped.append(laid_out is not prepared)
+        return laid_out
+
+    monkeypatch.setattr(transfer, "_in_rows", spied)
+    log = record_marches(monkeypatch)
+    runs = []
+    for block in (transfer.FACTOR_BLOCK, 1):
+        monkeypatch.setattr(transfer, "FACTOR_BLOCK", block)
+        shaped.clear()
+        runs.append([])
+        for target in targets:
+            del log[:]
+            runs[-1].append((recover_onsite(*target).onsite.tobytes(), len(log)))
+        assert shaped == [block > 1] * len(targets)
+    assert runs[0] == runs[1]
+
+
 def test_blind_solve_moves_on_when_a_start_misses_tol(monkeypatch):
     # The first start's LM answer and its residual, which meets TOL, are
     # moved by 1e-3 so that it misses; the solve takes the next start and

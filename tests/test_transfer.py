@@ -268,7 +268,10 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
     # and the blocks of site factors change no operation. So every row is
     # the same at any FACTOR_BLOCK, and a chain marched alone gives its
     # own column of the batch of its rotations (rotation N - 1), to the
-    # bit, as discriminant_jacobian's Delta needs.
+    # bit, as discriminant_jacobian's Delta needs. A prepared march is
+    # the same march, and so is the batch with its operands in the rows'
+    # shape (_in_rows), which the default FACTOR_BLOCK allows here and
+    # blocks of 1 and 7 numbers refuse, leaving the per-site broadcast.
     def bits(rows):
         return [(row.shape, row.tobytes()) for row in rows]
 
@@ -290,6 +293,18 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
                                                        derivs, history)
                         assert len(one) == (n + 2 if history else 2)
                         assert bits(one) == bits(row[..., -1] for row in batch)
+                        prepared = transfer._prepare(transfer._bonds(op.hopping), lam, derivs)
+                        assert bits(transfer._march_values(op.hopping, op.onsite, lam, history=history,
+                                                           prepared=prepared)) == bits(one)
+                        prepared = transfer._prepare(transfer._bonds(rotated[0]),
+                                                     np.asarray(lam)[..., None], derivs)
+                        rows = transfer._in_rows(prepared)
+                        if block in (default, 1):  # room for the N rows, and for none
+                            assert (rows is prepared) == (block == 1)
+                        for prepared in (prepared, rows):
+                            again = transfer._march_values(*rotated, np.asarray(lam)[..., None],
+                                                           history=history, prepared=prepared)
+                            assert bits(again) == bits(batch)
                         marched.add((tuple(bits(one)), tuple(bits(batch))))
                     assert len(marched) == 1
 
@@ -385,6 +400,76 @@ def test_rotated_batch_names_the_chains_own_bond(hopping, k):
         with pytest.raises(ValueError) as error:
             call()
         assert str(error.value) == message
+
+
+@pytest.mark.parametrize("hopping, message", [
+    pytest.param((2.0, 1e-310, 1.0), "transfer recurrence overflowed at bond 1 of period 3: "
+                 "a_1 = 1e-310 puts a_0 / a_1 or 1 / a_1 beyond the float range", id="chain"),
+    pytest.param((1e-10, 1e300, 1e200, 1e100), "transfer recurrence overflowed at bond 0 of "
+                 "period 4: a_0 = 1e-10 puts a_1 / a_0 beyond the float range", id="reversal"),
+])
+def test_rounding_bound_names_the_chains_own_bond(hopping, message):
+    # discriminant_rounding marches the chain with its reversal, whose
+    # bonds run backward; a bond whose factor overflows is named by its
+    # index in the chain. A factor of the chain itself is named in
+    # discriminant's words; the reversal alone divides a_1 = 1e300 by
+    # a_0 = 1e-10, where discriminant answers.
+    op, lam = PeriodicJacobi(hopping, np.zeros(len(hopping))), np.array([0.5])
+    with pytest.raises(ValueError) as error:
+        transfer.discriminant_rounding(op, lam)
+    assert str(error.value) == message
+    try:
+        assert np.all(np.isfinite(transfer.discriminant(op.hopping, op.onsite, lam)))
+    except ValueError as refused:
+        assert str(refused) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_marches_refuse_an_energy_that_is_not_finite(monkeypatch, bad):
+    # A march at a nan or infinite lam answers nan; transfer's public
+    # functions refuse such a lam, alone or among finite ones, before any
+    # site is marched.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer, "_march_values", refuse)
+    op = PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3])
+    for lam in (bad, np.array([0.3, bad])):
+        for call in (lambda: transfer.discriminant(op.hopping, op.onsite, lam),
+                     lambda: transfer.discriminant(op.hopping, op.onsite, lam, 2),
+                     lambda: transfer.monodromy(op, lam),
+                     lambda: transfer.jacobian_at(op.hopping, lam),
+                     lambda: transfer.discriminant_jacobian(op.hopping, op.onsite, lam),
+                     lambda: transfer.discriminant_rounding(op, lam)):
+            with pytest.raises(ValueError, match="^energies lam must be finite$"):
+                call()
+
+
+def test_blind_preparation_holds_at_most_factor_block_numbers_per_operand(monkeypatch):
+    # The rotated batch's operands take the rows' shape, N rows of
+    # 2 (N + 1) N numbers at the blind solve's N + 1 nodes, only while
+    # they fit in FACTOR_BLOCK numbers, up to N = 25; longer chains keep
+    # the per-site broadcast. Either way no operand, nor a block of
+    # shifts, holds more than FACTOR_BLOCK numbers.
+    def numbers(operand):
+        return sum(map(np.size, operand)) if isinstance(operand, list) else np.size(operand)
+
+    seen, march = [], transfer._march_values
+
+    def kept(*args, prepared=None, **kwargs):
+        seen.append(prepared)
+        return march(*args, prepared=prepared, **kwargs)
+
+    monkeypatch.setattr(transfer, "_march_values", kept)
+    rng = np.random.default_rng(35)
+    for n in (1, 2, 7, 24, 25, 26, 40):
+        op = random_operator(rng, n)
+        transfer.jacobian_at(op.hopping, chebyshev_nodes(op.gershgorin, n))(op.onsite)
+        column, a, back, up, lam, derivs, block, start = seen[-1]
+        rows = np.shape(lam) == start.shape[1:]
+        assert rows == (2 * n * n * (n + 1) <= transfer.FACTOR_BLOCK) == (n <= 25)
+        assert max(map(numbers, (a, back, up, lam, start))) <= transfer.FACTOR_BLOCK
+        assert block * max(np.size(lam), np.prod(start.shape[3:])) <= transfer.FACTOR_BLOCK
 
 
 def test_rotation_index_is_built_once_per_period_and_read_only():
