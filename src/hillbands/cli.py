@@ -3,7 +3,7 @@
     hillbands bands --onsite 0,0.5 --hopping 1
     hillbands dispersion --onsite 0,0.5 --samples 64 --json
     hillbands dos --onsite 0,0.5 --points 200
-    hillbands inverse --coeffs -2,0,1 --hopping 1,1
+    hillbands inverse --coeffs=-2,0,1 --hopping 1,1
     hillbands edges --periodic 1,3 --antiperiodic 1.5,2.5
     hillbands classes --values 0,1 --period 4
     hillbands neighbors --onsite 0,0.7,-0.3 --count 2 --seed 1
@@ -12,6 +12,13 @@ Every subcommand accepts --json for machine-readable output: one line of
 compact JSON written by orjson, each number in the shortest form that
 parses back to the same double (pipe it through python -m json.tool to
 indent it).
+
+The argv of a request is decoded in one pass (_decode) when it is a
+subcommand followed only by its own options, each spelled in full and
+given once, as --name=value, as --name value with a value that does not
+begin with "-", or as a bare flag. Every other argv, help and usage
+errors included, is argparse's to read and answer. Both read one table
+of the subcommands' options, _COMMANDS.
 """
 
 import argparse
@@ -27,17 +34,19 @@ from .operators import PeriodicJacobi
 
 
 def _csv_floats(text):
+    """The floats of a comma-separated list, by float() token by token;
+    tokens that are empty or whitespace are skipped. One pass over the
+    tokens when none is empty, the usual case; the slower loop only when
+    that pass raises, to skip empty tokens and name a bad list."""
+    tokens = text.split(",")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return list(map(float, tokens))
+    except ValueError:
+        pass
+    try:
+        return [float(tok) for tok in tokens if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _add_chain_arguments(sub):
-    sub.add_argument("--onsite", type=_csv_floats, required=True,
-                     help="comma-separated site energies for one cell")
-    sub.add_argument("--hopping", type=_csv_floats, default=(1.0,),
-                     help="comma-separated bond strengths (default 1)")
 
 
 def _chain(args):
@@ -192,69 +201,76 @@ def _cmd_neighbors(args):
     _emit(args, payload, text)
 
 
+_CHAIN = {
+    "--onsite": dict(type=_csv_floats, required=True,
+                     help="comma-separated site energies for one cell"),
+    "--hopping": dict(type=_csv_floats, default=(1.0,),
+                      help="comma-separated bond strengths (default 1)"),
+}
+_JSON = {"--json": dict(action="store_true", default=False, help="emit JSON instead of text")}
+
+# Every subcommand: its help line, the function that serves it, and its
+# options, each flag with its add_argument keywords. build_parser makes
+# argparse's parser from this table and _decode reads the same table, so
+# the two paths cannot disagree on an option.
+_COMMANDS = {
+    "bands": ("band edges, widths and gaps", _cmd_bands, {
+        **_CHAIN,
+        "--method": dict(choices=("eig", "bisection"), default="eig"),
+        **_JSON}),
+    "dispersion": ("band energies over Bloch phase", _cmd_dispersion, {
+        **_CHAIN,
+        "--samples": dict(type=int, default=64),
+        **_JSON}),
+    "dos": ("density of states curve", _cmd_dos, {
+        **_CHAIN,
+        "--points": dict(type=int, default=256),
+        **_JSON}),
+    "inverse": ("recover onsite energies from discriminant coefficients", _cmd_inverse, {
+        "--coeffs": dict(type=_csv_floats, required=True,
+                         help="ascending discriminant coefficients, length N+1"),
+        "--hopping": dict(type=_csv_floats, required=True),
+        **_JSON}),
+    "edges": ("rebuild a chain from periodic and antiperiodic eigenvalues", _cmd_edges, {
+        "--periodic": dict(type=_csv_floats, required=True),
+        "--antiperiodic": dict(type=_csv_floats, required=True),
+        "--hopping": dict(type=_csv_floats, default=None,
+                          help="bond strengths to solve the sites for; without them, the "
+                               "chain with its Dirichlet eigenvalues at the gap midpoints"),
+        **_JSON}),
+    "classes": ("enumerate isospectral onsite classes over a finite alphabet", _cmd_classes, {
+        "--values": dict(type=_csv_floats, required=True),
+        "--period": dict(type=int, required=True),
+        "--hopping": dict(type=_csv_floats, default=(1.0,)),
+        **_JSON}),
+    "neighbors": ("walk the continuous isospectral family of a chain", _cmd_neighbors, {
+        **_CHAIN,
+        "--count": dict(type=int, default=1),
+        "--step": dict(type=float, default=0.1,
+                       help="angle in radians moved on the divisor circles per neighbour"),
+        "--seed": dict(type=int, default=None),
+        **_JSON}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hillbands",
         description="Band structure of 1-D periodic tight-binding chains "
                     "via the Hill discriminant.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("bands", help="band edges, widths and gaps")
-    _add_chain_arguments(p)
-    p.add_argument("--method", choices=["eig", "bisection"], default="eig")
-    p.set_defaults(func=_cmd_bands)
-
-    p = subs.add_parser("dispersion", help="band energies over Bloch phase")
-    _add_chain_arguments(p)
-    p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(func=_cmd_dispersion)
-
-    p = subs.add_parser("dos", help="density of states curve")
-    _add_chain_arguments(p)
-    p.add_argument("--points", type=int, default=256)
-    p.set_defaults(func=_cmd_dos)
-
-    p = subs.add_parser("inverse", help="recover onsite energies from "
-                                        "discriminant coefficients")
-    p.add_argument("--coeffs", type=_csv_floats, required=True,
-                   help="ascending discriminant coefficients, length N+1")
-    p.add_argument("--hopping", type=_csv_floats, required=True)
-    p.set_defaults(func=_cmd_inverse)
-
-    p = subs.add_parser("edges", help="rebuild a chain from periodic and "
-                                      "antiperiodic eigenvalues")
-    p.add_argument("--periodic", type=_csv_floats, required=True)
-    p.add_argument("--antiperiodic", type=_csv_floats, required=True)
-    p.add_argument("--hopping", type=_csv_floats, default=None,
-                   help="bond strengths to solve the sites for; without them, the "
-                        "chain with its Dirichlet eigenvalues at the gap midpoints")
-    p.set_defaults(func=_cmd_edges)
-
-    p = subs.add_parser("classes", help="enumerate isospectral onsite classes "
-                                        "over a finite alphabet")
-    p.add_argument("--values", type=_csv_floats, required=True)
-    p.add_argument("--period", type=int, required=True)
-    p.add_argument("--hopping", type=_csv_floats, default=(1.0,))
-    p.set_defaults(func=_cmd_classes)
-
-    p = subs.add_parser("neighbors", help="walk the continuous isospectral "
-                                          "family of a chain")
-    _add_chain_arguments(p)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--step", type=float, default=0.1,
-                   help="angle in radians moved on the divisor circles per neighbour")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_neighbors)
-
-    for sub in subs.choices.values():
-        sub.add_argument("--json", action="store_true",
-                         help="emit JSON instead of text")
+    for name, (summary, func, options) in _COMMANDS.items():
+        p = subs.add_parser(name, help=summary)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _parser():
-    """The parser main uses, built once per process.
+    """The parser main gives every argv that _decode leaves, built once
+    per process, on first use.
 
     Parsing keeps no state in it: every call gets a fresh namespace, and
     the defaults are immutable.
@@ -262,8 +278,55 @@ def _parser():
     return build_parser()
 
 
+def _decode(argv):
+    """The namespace _parser().parse_args(argv) returns, for the argv that
+    requests send: a subcommand, then only options of its own, each spelled
+    out in full, given once, and written --name=value, --name value (a
+    value that does not begin with "-") or, for a flag, --name; every value
+    converts by its option's type and is one of its choices, and every
+    required option is given. None for any other argv, which is argparse's
+    to answer, help and usage errors included."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, equals, value = arg.partition("=")
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            if equals:
+                return None
+            given[flag] = True
+            continue
+        if not equals:
+            value = next(rest, "-")  # a missing value is argparse's error
+            if value.startswith("-"):
+                return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, spec.get("default")))
+    args.func = func
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _decode(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -255,11 +255,6 @@ def jacobian_at(hopping, lam):
     return jacobian
 
 
-def discriminant_jacobian(hopping, onsite, lam):
-    """Delta(lam) and d Delta(lam) / d b of one chain, as jacobian_at."""
-    return jacobian_at(hopping, lam)(onsite)
-
-
 def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
     from one value march with the derivative rows; ValueError on overflow

@@ -16,9 +16,13 @@ from hillbands.cli import _chain, main
 
 
 def run_cli(capture, *argv):
-    """Exit code, stdout and stderr of one call of the command line;
-    capture is pytest's capsys, or capfd to see output below Python's."""
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one call of the command line,
+    argparse's own exits (help, usage errors) included; capture is
+    pytest's capsys, or capfd to see output below Python's."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capture.readouterr()
     return code, captured.out, captured.err
 

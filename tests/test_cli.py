@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -434,6 +436,226 @@ def test_bands_answers_subnormal_bonds_on_both_routes(capsys):
 def test_bad_float_list_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["bands", "--onsite", "zero,one"])
+
+
+# The argv grammar, as argparse reads it. main decodes the forms requests
+# send itself and leaves every other argv to argparse; either way, these
+# answers must not change.
+
+def same_answers(capsys, *argvs):
+    """The one (exit code, stdout, stderr) that every argv of argvs gives."""
+    answers = {run_cli(capsys, *argv) for argv in argvs}
+    assert len(answers) == 1, answers
+    return answers.pop()
+
+
+def test_option_values_with_equals_or_as_the_next_argument_in_any_order(capsys):
+    code, out, err = same_answers(
+        capsys,
+        ["bands", "--onsite=0,0.5", "--hopping=1,0.8", "--json"],
+        ["bands", "--onsite", "0,0.5", "--hopping", "1,0.8", "--json"],
+        ["bands", "--json", "--hopping", "1,0.8", "--onsite=0,0.5"],
+        ["bands", "--hopping=1,0.8", "--json", "--onsite", "0,0.5", "--method=eig"],
+    )
+    assert code == 0 and err == ""
+    assert bits(strict_json(out)) == bits(BandStructure(PeriodicJacobi([1.0, 0.8], [0.0, 0.5])).to_dict())
+
+
+def test_an_abbreviated_option_is_read_as_the_whole_one(capsys):
+    code, out, err = same_answers(
+        capsys, ["bands", "--hop", "1", "--onsite", "0,1"], ["bands", "--hopping", "1", "--onsite", "0,1"])
+    assert code == 0 and err == "" and out.startswith("period 2 chain")
+
+
+def test_a_repeated_option_takes_its_last_value(capsys):
+    code, out, err = same_answers(
+        capsys, ["bands", "--onsite", "5,5", "--onsite", "0,1"], ["bands", "--onsite", "0,1"])
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "dos", "--onsite", "0,1", "--points", "3", "--points=5", "--json")
+    assert code == 0 and len(strict_json(out)["energy"]) == 5
+
+
+def test_values_that_begin_with_a_minus(capsys):
+    code, out, err = run_cli(capsys, "bands", "--onsite=-1,2", "--json")
+    assert code == 0 and strict_json(out)["edges"][0] < -1.0
+    # A negative number given separately is the option's value, which the
+    # library then refuses (exit 1, not argparse's 2).
+    code, out, err = same_answers(
+        capsys, ["dos", "--onsite", "0,1", "--points", "-3"], ["dos", "--onsite", "0,1", "--points=-3"])
+    assert code == 1 and out == "" and "points must be nonnegative" in err
+    code, out, err = same_answers(
+        capsys, ["neighbors", "--onsite", "0,0.7,-0.3", "--seed", "-3"],
+        ["neighbors", "--onsite", "0,0.7,-0.3", "--seed=-3"])
+    assert code == 1 and out == "" and err.startswith("error:")
+    # A separate value that is not a number is read as an option.
+    code, out, err = run_cli(capsys, "dos", "--onsite", "-inf,0")
+    assert code == 2 and out == "" and "argument --onsite: expected one argument" in err
+
+
+def test_empty_tokens_are_skipped_and_whitespace_around_tokens_ignored(capsys):
+    code, out, err = same_answers(
+        capsys, *(["bands", "--onsite", text, "--json"] for text in ("1,2", "1,,2", "1,2,", " 1 , 2 ", ",1,\t,2")))
+    assert code == 0 and err == ""
+    assert strict_json(out) == BandStructure(PeriodicJacobi([1.0, 1.0], [1.0, 2.0])).to_dict()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--onsite", "nan,1"],
+    ["bands", "--onsite=0,1", "--hopping", "inf"],
+    ["dos", "--onsite=-inf,0"],
+    ["dispersion", "--onsite", "0,NaN", "--json"],
+])
+def test_nan_and_inf_tokens_reach_the_library_refusal(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == "error: coefficients must be finite\n"
+
+
+@pytest.mark.parametrize("text", ["0,x", "0x1p3", "1e", "1,2,three"])
+def test_a_bad_float_list_exits_2_with_usage_and_the_list(capsys, text):
+    for argv in (["bands", "--onsite", text], ["bands", f"--onsite={text}", "--json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: hillbands bands ")
+        assert err.endswith(f"argument --onsite: not a comma-separated float list: {text!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["--json", "bands", "--onsite", "0,1"], "unrecognized arguments: --json"),
+    (["bands", "--onsite", "0,1", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["bands", "--onsite", "0,1", "extra"], "unrecognized arguments: extra"),
+    (["bands", "--onsite", "0,1", "--points", "3"], "unrecognized arguments: --points 3"),
+    (["bands", "--onsite"], "argument --onsite: expected one argument"),
+    (["bands", "--hopping", "1"], "the following arguments are required: --onsite"),
+    (["inverse", "--coeffs=1,2"], "the following arguments are required: --hopping"),
+    (["bands", "--onsite", "0,1", "--method", "newton"], "argument --method: invalid choice: 'newton'"),
+    (["bands", "--onsite", "0,1", "--json=1"], "argument --json: ignored explicit argument '1'"),
+    (["dispersion", "--onsite", "0,1", "--samples", "nan"], "argument --samples: invalid int value: 'nan'"),
+    (["neighbors", "--onsite", "0,1", "--step", "x"], "argument --step: invalid float value: 'x'"),
+])
+def test_usage_errors_exit_2_with_argparse_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: hillbands") and message in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bands", "-h"], ["dos", "--onsite", "0,1", "--help"],
+                                  ["classes", "--he"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("usage: hillbands")
+
+
+def exact(value):
+    """value with every float as its eight bytes and every value's type
+    kept, so that == compares bits, the sign and payload of nan included."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [exact(item) for item in value]
+    return type(value), value
+
+
+def parsed(argv):
+    """vars of the namespace argparse makes of argv, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# Mostly repr of any double; now and then a token float() reads oddly or
+# not at all.
+FLOAT_TOKENS = st.one_of(
+    *[st.floats().map(repr)] * 4,
+    st.sampled_from(["", " ", "\t", "-0.0", "-nan", "+inf", "-Infinity", " 1 ", "1_0", "\u0661"]),
+    st.sampled_from(["0x1p3", "x", "1e", "--", "-"]),
+)
+FLOAT_LISTS = st.lists(FLOAT_TOKENS, max_size=5).map(",".join)
+TEXT_OF_TYPE = {
+    cli._csv_floats: FLOAT_LISTS,
+    int: st.one_of(*[st.integers(-10**6, 10**6).map(str)] * 4, st.sampled_from(["", "x", " 7 ", "1_0", "nan"])),
+    float: st.one_of(*[st.floats().map(repr)] * 4, st.sampled_from(["", "x", " 1 ", "-inf", "1_0"])),
+}
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one subcommand: its required options (now and then one
+    left out) and a few more, repeats allowed, in any order, each written
+    with = or as two arguments, now and then abbreviated or unknown."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+    flags = [flag for flag, spec in options.items() if spec.get("required") and draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(list(options)), max_size=4))
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        spec = options[flag]
+        shown = draw(st.sampled_from([flag] * 12 + [flag[:-1], "--bogus"]))
+        if spec.get("action") == "store_true":
+            argv.append(draw(st.sampled_from([shown] * 4 + [shown + "=1"])))
+            continue
+        if "choices" in spec:
+            value = draw(st.sampled_from([*spec["choices"], "newton", ""]))
+        else:
+            value = draw(TEXT_OF_TYPE[spec["type"]])
+        argv += draw(st.sampled_from([[f"{shown}={value}"], [shown, value]]))
+    if draw(st.integers(0, 9)) == 0:
+        stray = draw(st.sampled_from(["-h", "--help", "extra", "--", "bands", "--json"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@given(argvs())
+@example(["bands", "--onsite=-0.0,nan,-inf", "--json"])
+@example(["dos", "--points", "-3", "--onsite=1"])
+@example(["inverse", "--coeffs=1,2", "--hopping", "1", "--coeffs", "3"])
+@example(["classes", "--period", "2", "--values", "0,1", "--hop", "1"])
+@settings(max_examples=400, deadline=None)
+def test_decode_defers_or_makes_the_namespace_argparse_makes(argv):
+    decoded = cli._decode(argv)
+    if decoded is not None:
+        assert exact(vars(decoded)) == exact(parsed(argv))
+
+
+@given(st.lists(st.one_of(st.text(max_size=6), FLOAT_TOKENS), max_size=6).map(",".join))
+@example(" 1 ,, 2,")
+@example("nan,-nan,-0.0,inf")
+@example(" \x1c1")
+@settings(max_examples=400, deadline=None)
+def test_csv_floats_is_float_token_by_token_skipping_empty_tokens(text):
+    try:
+        expected = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError) as refused:
+            cli._csv_floats(text)
+        assert str(refused.value) == f"not a comma-separated float list: {text!r}"
+    else:
+        assert exact(cli._csv_floats(text)) == exact(expected)
+
+
+def test_requests_are_decoded_without_argparse(capsys, monkeypatch):
+    # The forms the benchmark sends, --name=value lists and --name value
+    # scalars, never reach argparse: a request that fell back would pay
+    # for converting its lists twice.
+    requests = [argv + extra for argv in SUBCOMMANDS for extra in ([], ["--json"])]
+    requests += [["bands", "--onsite=-0.5,0.5", "--hopping=1.0,0.8", "--method", "bisection", "--json"],
+                 ["classes", "--values=0.0,1.0", "--period", "3", "--json"]]
+    for argv in requests:
+        decoded = cli._decode(argv)
+        assert decoded is not None and exact(vars(decoded)) == exact(parsed(argv)), argv
+
+    def refuse():
+        raise AssertionError("argparse parsed a request")
+
+    monkeypatch.setattr(cli, "_parser", refuse)
+    for argv in SUBCOMMANDS:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 0 and err == ""
 
 
 def test_consecutive_calls_share_no_state(capsys, monkeypatch):

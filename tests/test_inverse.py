@@ -35,7 +35,7 @@ def test_onsite_jacobian_matches_finite_differences():
         return np.prod(op.hopping) * power_coefficients(PeriodicJacobi(op.hopping, b))[:n]
 
     nodes = chebyshev_nodes(op.gershgorin, n)
-    _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
+    _, grad = transfer.jacobian_at(op.hopping, nodes)(op.onsite)
     analytic = np.prod(op.hopping) * np.linalg.inv(np.vander(nodes, increasing=True))[:n] @ grad
     h = 1e-6
     fd = np.zeros((n, n))
@@ -533,7 +533,7 @@ def test_onsite_jacobian_matches_per_column_minors():
         for j in range(n):
             minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
             expected[:, j] = -minor / op.hopping[j]
-        _, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
+        _, grad = transfer.jacobian_at(op.hopping, nodes)(op.onsite)
         err = np.max(np.abs(grad - expected))
         assert err <= 1e-14 * np.max(np.abs(expected))
 

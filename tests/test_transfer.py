@@ -268,7 +268,7 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
     # and the blocks of site factors change no operation. So every row is
     # the same at any FACTOR_BLOCK, and a chain marched alone gives its
     # own column of the batch of its rotations (rotation N - 1), to the
-    # bit, as discriminant_jacobian's Delta needs. A prepared march is
+    # bit, as the Delta of a jacobian_at evaluation needs. A prepared march is
     # the same march, and so is the batch with its operands in the rows'
     # shape (_in_rows), which the default FACTOR_BLOCK allows here and
     # blocks of 1 and 7 numbers refuse, leaving the per-site broadcast.
@@ -332,7 +332,7 @@ def test_fused_delta_equals_the_value_march():
     for op in chains:
         lo, hi = op.gershgorin
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
-        delta, grad = transfer.discriminant_jacobian(op.hopping, op.onsite, lam)
+        delta, grad = transfer.jacobian_at(op.hopping, lam)(op.onsite)
         assert delta.shape == lam.shape and grad.shape == lam.shape + (op.period,)
         assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
 
@@ -364,7 +364,7 @@ def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
                 start[1, 0, 0] = 2.0
             for _ in range(50):
                 b = rng.uniform(-1.5, 1.5, n)
-                fresh = transfer.discriminant_jacobian(op.hopping, b, lam)
+                fresh = transfer.jacobian_at(op.hopping, lam)(b)
                 for reused, new in zip(jacobian(b), fresh):
                     assert reused.shape == new.shape and reused.tobytes() == new.tobytes()
 
@@ -396,7 +396,7 @@ def test_rotated_batch_names_the_chains_own_bond(hopping, k):
     lam, onsite = np.array([0.3, 1.7]), np.zeros(n)
     for call in (lambda: transfer.discriminant(hopping, onsite, lam),
                  lambda: transfer.jacobian_at(hopping, lam),
-                 lambda: transfer.discriminant_jacobian(hopping, onsite, lam)):
+                 lambda: transfer.jacobian_at(hopping, lam)(onsite)):
         with pytest.raises(ValueError) as error:
             call()
         assert str(error.value) == message
@@ -439,7 +439,7 @@ def test_public_marches_refuse_an_energy_that_is_not_finite(monkeypatch, bad):
                      lambda: transfer.discriminant(op.hopping, op.onsite, lam, 2),
                      lambda: transfer.monodromy(op, lam),
                      lambda: transfer.jacobian_at(op.hopping, lam),
-                     lambda: transfer.discriminant_jacobian(op.hopping, op.onsite, lam),
+                     lambda: transfer.jacobian_at(op.hopping, lam)(op.onsite),
                      lambda: transfer.discriminant_rounding(op, lam)):
             with pytest.raises(ValueError, match="^energies lam must be finite$"):
                 call()
@@ -491,7 +491,7 @@ def test_coefficient_jacobian_matches_central_differences(period):
     def coefficients(x):
         return transfer.discriminant(op.hopping, x, nodes)[0]
 
-    _, analytic = transfer.discriminant_jacobian(op.hopping, op.onsite, nodes)
+    _, analytic = transfer.jacobian_at(op.hopping, nodes)(op.onsite)
     assert analytic.shape == (period + 1, period)
     fd = np.zeros_like(analytic)
     for j in range(period):
