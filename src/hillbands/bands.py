@@ -88,16 +88,16 @@ def band_edges_bisection(op):
     uniform chain takes 5 marches over its one site, none with Delta_p'',
     and a Harper approximant at N = 89 or 144 takes 19.
 
-    A solve forms the cell's bond factors a_{k-1} / a_k and 1 / a_k once
-    (see transfer._bonds) and hands them to every march of the cell: the
-    coarse passes, the Newton rounds and any narrow multisection. Each
-    march still forms its start rows at its own points and runs the site
-    loop; the rounding bound's batch of the cell and its reversal forms
-    its own factors, once per call. When every gap is certified, the
-    Newton search takes every bracket in the order multisection left
-    them, with the coarse passes' evaluator. The searches are
-    elementwise, so an edge's bits do not depend on which brackets share
-    its marches.
+    A solve builds the cell's transfer.March, its bond factors
+    a_{k-1} / a_k and 1 / a_k, once and hands it to every march of the
+    cell: the coarse passes, the Newton rounds and any narrow
+    multisection. Each march still prepares its start rows at its own
+    points and runs the site loop; the rounding bound's batch of the
+    cell and its reversal builds its own, once per call. When every gap
+    is certified, the Newton search takes every bracket in the order
+    multisection left them, with the coarse passes' evaluator. The
+    searches are elementwise, so an edge's bits do not depend on which
+    brackets share its marches.
 
     TOL is relative to max(1, |lam|), so a chain whose Gershgorin reach
     max(|lo|, |hi|) is below 1 is solved scaled by the power of two that
@@ -119,11 +119,11 @@ def _cell_edges(cell, m):
     n = cell.period
     lo, hi = cell.gershgorin
     mu = np.concatenate([[lo], cell.dirichlet_eigenvalues(), [hi]])
-    bonds = transfer._bonds(cell.hopping)  # for every march of the solve
+    march = transfer.March(cell.hopping)  # for every march of the solve
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign = np.repeat(orient, m + 1)
     level = np.tile(-2.0 * np.cos(np.pi * np.arange(m + 1) / m), n)
-    search = _evaluator(cell, 0, sign, level, bonds)
+    search = _evaluator(cell, 0, sign, level, march)
     left, right = _multisect(search, np.repeat(mu[:-1], m + 1), np.repeat(mu[1:], m + 1), COARSE)
     bottom = np.arange(n) * (m + 1)  # zero r = 0 of each cell band, r = m at top
     top = bottom + m
@@ -144,7 +144,7 @@ def _cell_edges(cell, m):
     middle = 0.5 * (edges[bottom] + edges[top])
     g = _evaluator(cell, np.repeat([0, 1], [fast.size, unsure.size]),
                    np.concatenate([sign[fast], -orient[unsure]]),
-                   np.concatenate([level[fast], np.zeros(unsure.size)]), bonds)
+                   np.concatenate([level[fast], np.zeros(unsure.size)]), march)
     zeros = _newton(g, np.concatenate([left[fast], middle[unsure]]),
                     np.concatenate([right[fast], middle[unsure + 1]]))
     edges[fast], crit = zeros[: fast.size], zeros[fast.size :]
@@ -152,27 +152,26 @@ def _cell_edges(cell, m):
     shut = np.abs(peak) - 2.0 <= rounding
     edges[top[unsure[shut]]] = edges[bottom[unsure[shut] + 1]] = crit[shut]
     narrow = np.concatenate([top[unsure[~shut]], bottom[unsure[~shut] + 1]])
-    left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow], bonds),
+    left, right = _multisect(_evaluator(cell, 0, sign[narrow], level[narrow], march),
                              left[narrow], right[narrow], ROUNDS)
     edges[narrow] = 0.5 * (left + right)
     return np.sort(np.concatenate([edges, edges[inner]]))
 
 
-def _evaluator(op, shift, scale, level, bonds=None):
+def _evaluator(op, shift, scale, level, march=None):
     """g(lam, i, derivs) for the searches (see _multisect and _newton): the
     rows of g = scale[i] Delta^(shift[i]) - level[i], Delta^(s) the s-th
     lam-derivative of Delta, and of its first derivs derivatives, for the
     brackets i on the last axis of lam; shift may be one for all. Each
     call is one march, elementwise, so a bracket's values do not depend
-    on which others are evaluated with it. bonds, op's bond factors (see
-    transfer._bonds), are formed here unless a solve that formed them
-    once hands them in.
+    on which others are evaluated with it. march, op's transfer.March,
+    is built here unless a solve that built it once hands it in.
     """
-    if bonds is None:
-        bonds = transfer._bonds(op.hopping)
+    if march is None:
+        march = transfer.March(op.hopping)
 
     def rows(lam, derivs, top):
-        prev, cur = transfer._march_values(op.hopping, op.onsite, lam, derivs=derivs, bonds=bonds)
+        prev, cur = march.at(lam, derivs).run(op.onsite)
         return cur[top:, 0] + prev[top:, 1]
 
     uniform = np.ndim(shift) == 0  # one shift for all brackets: the rows are a slice

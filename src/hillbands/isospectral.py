@@ -154,13 +154,15 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     RuntimeError
         If no gap is open, as on the constant chain: the family is a point.
     ValueError
-        If count is negative, step is not finite, or a weight of a divisor
-        is not finite or underflows.
+        If count is negative, step is not finite, seed is a negative
+        integer, or a weight of a divisor is not finite or underflows.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, not {count}")
     if not np.isfinite(step):
         raise ValueError(f"step must be finite, not {step}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     rng = np.random.default_rng(seed)
     edges = band_edges_eig(op)
     lower, upper = edges[1:-1:2], edges[2::2]

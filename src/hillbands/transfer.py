@@ -16,17 +16,16 @@ Delta (a batch of its N rotations) all come from it. Its rows carry
 lam-derivatives only for callers that need Delta' (the DOS, the edges'
 Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
 it keeps every row only for the rounding-error bound of Delta (a batch
-of the chain and its reversal). What a march does not owe to the site
-values is prepared in two parts: what the bonds alone fix, their
-factors with the check that none overflows (_bonds), and what lam
-fixes as well, the shapes and the start rows (_prepare). A bisection
-solve, whose bonds never change, forms the first once for all its
+of the chain and its reversal). A March holds what a march does not
+owe to the site values, in two parts: what the bonds alone fix, their
+factors with the check that none overflows, and what lam fixes as
+well, the shapes and the start rows (March.at). A bisection solve,
+whose bonds never change, builds its cell's March once for all its
 marches (bands._cell_edges); the onsite Jacobian of a solve, whose
-bonds and nodes never change, forms both once (jacobian_at), with the
-batch's bond factors and lam laid out in the shape of its rows
-(_in_rows), so that each evaluation forms its shifts in that shape and
-runs only the site loop, every step on operands of one shape. The
-public functions refuse a lam that is not finite before any march.
+bonds and nodes never change, prepares both once (jacobian_at), with
+the operands in the shape of the rows, so that each evaluation runs
+only the site loop (March.run). The public functions refuse a lam that
+is not finite before any march.
 """
 
 import functools
@@ -37,149 +36,135 @@ import numpy as np
 FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 
 
-def _bonds(hopping, index=None):
-    """The part of a march that the bonds alone fix: the bonds, and their
-    factors a_{k-1} / a_k and 1 / a_k (Python floats for one chain), as
-    the tuple (a, back, up) that _prepare reads. Every march of these
-    bonds at any lam may share it: a bisection solve forms its cell's
-    once (see bands._cell_edges). With index, an integer array over the
-    sites, the factors are those of the chain's bonds gathered by index,
-    the same numbers as the factors of the bonds a[index] (see
-    jacobian_at).
+class March:
+    """A march of the recurrence on fixed bonds, prepared in two parts.
 
+    March(hopping, index=None) holds what the bonds alone fix: the bonds
+    a, of shape (N,) for one chain or (N,) + chains for a batch, and
+    their factors back = a_{k-1} / a_k and up = 1 / a_k (Python floats
+    for one chain). With index, an integer array over the sites, the
+    factors are those of the chain's bonds gathered by index, the same
+    numbers as the factors of the bonds a[index] (see jacobian_at).
     Raises ValueError, naming the bond, when a factor overflows the
     float range, as that of a subnormal bond does; with index it is the
     chain's own bond that is named.
+
+    at(lam, derivs) adds what lam fixes as well, and run(onsite) marches
+    the sites: every march of these bonds may share the first part, and
+    every march at one lam the second.
     """
-    a = np.asarray(hopping, dtype=float)
-    n = a.shape[0]
-    try:
-        with np.errstate(over="raise"):
-            back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
-    except FloatingPointError:
-        k, bond = _overflowing_bond(a)
-        raise ValueError(
-            f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
-            f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
-        ) from None
-    if index is not None:
-        a, back, up = a[index], back[index], up[index]
-    if a.size == n:  # one chain: Python-float factors
-        back, up = back.ravel().tolist(), up.ravel().tolist()
-    return a, back, up
 
+    __slots__ = ("a", "back", "up", "lam", "derivs", "block", "start")
 
-def _prepare(bonds, lam, derivs=0):
-    """The part of a march at lam that no site value changes, given the
-    bond part (see _bonds): the bonds in column shape, lam, the sites per
-    block and the read-only start rows u_{-1}, u_0, as the tuple
-    (column, a, back, up, lam, derivs, block, start) that _march_values
-    reads. The factors and lam are as given, so a step broadcasts them
-    against the rows; _in_rows lays them out in the rows' shape instead.
-    Marches of many onsite vectors on the same bonds and lam form it
-    once (see jacobian_at); those at a new lam form it anew, from the
-    same bond part.
-    """
-    a, back, up = bonds
-    lam = np.asarray(lam, dtype=float)
-    n = a.shape[0]
-    shape = lam.shape if a.ndim == 1 else np.broadcast_shapes(lam.shape, a.shape[1:])
-    column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
-    # u_{-1}, u_0 of both starts, each with its derivs derivative rows
-    start = np.zeros((2, derivs + 1, 2) + shape)
-    start[0, 0, 1] = 1.0
-    start[1, 0, 0] = 1.0
-    start.setflags(write=False)
-    block = max(1, FACTOR_BLOCK // max(1, math.prod(shape)))
-    return column, a.reshape(column), back, up, lam, derivs, block, start
+    def __init__(self, hopping, index=None):
+        a = np.asarray(hopping, dtype=float)
+        n = a.shape[0]
+        try:
+            with np.errstate(over="raise"):
+                back, up = np.concatenate((a[-1:], a[:-1])) / a, 1.0 / a
+        except FloatingPointError:
+            k, bond = _overflowing_bond(a)
+            raise ValueError(
+                f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
+                f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
+            ) from None
+        if index is not None:
+            a, back, up = a[index], back[index], up[index]
+        if a.size == n:  # one chain: Python-float factors
+            back, up = back.ravel().tolist(), up.ravel().tolist()
+        self.a, self.back, self.up = a, back, up
 
+    def at(self, lam, derivs=0, rows=False):
+        """This march at an array of lam, each row carrying its first derivs
+        lam-derivatives: a new March of these bonds that adds the part no
+        site value changes, the bonds in column shape, lam, the sites per
+        block and the read-only start rows u_{-1}, u_0 (start).
 
-def _in_rows(prepared):
-    """prepared (see _prepare) with a batch's per-site operands in the
-    shape of its rows, when they fit in FACTOR_BLOCK numbers.
+        The factors a_{k-1} / a_k and lam are kept as given, so a step
+        broadcasts them against the rows. With rows, a batch whose N rows
+        fit in FACTOR_BLOCK numbers, so that memory stays bounded, has
+        them broadcast once into the row shape (derivs + 1, 2) + shape
+        instead; the shifts (lam - b_k) / a_k of all sites then come out
+        in it from one broadcast per run, so every ufunc of a site step
+        multiplies operands of one shape: NumPy's contiguous path, with
+        the same values as the broadcast one. Only a preparation that
+        serves many runs repays the copies (see jacobian_at).
+        """
+        a, back, lam = self.a, self.back, np.asarray(lam, dtype=float)
+        n = a.shape[0]
+        shape = lam.shape if a.ndim == 1 else np.broadcast_shapes(lam.shape, a.shape[1:])
+        column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
+        row = (derivs + 1, 2) + shape
+        start = np.zeros((2,) + row)  # u_{-1}, u_0 of both starts, with derivs derivative rows
+        start[0, 0, 1] = 1.0
+        start[1, 0, 0] = 1.0
+        start.setflags(write=False)
+        if rows and n * math.prod(row) <= FACTOR_BLOCK:
+            column = (n, 1, 1) + column[1:]  # sites, then the row's derivative and start axes
+            # a list of the sites' rows, which the loop indexes without making a view
+            back = list(np.broadcast_to(np.reshape(back, column), (n,) + row).copy())
+            lam, block = np.broadcast_to(lam, row).copy(), n
+        else:
+            block = max(1, FACTOR_BLOCK // max(1, math.prod(shape)))
+        march = object.__new__(March)  # every field set here, none by __init__
+        march.a, march.back, march.up = a.reshape(column), back, self.up
+        march.lam, march.derivs, march.block, march.start = lam, derivs, block, start
+        return march
 
-    The factors a_{k-1} / a_k of each site and lam are broadcast once
-    into the row shape (derivs + 1, 2) + shape, and the shifts
-    (lam - b_k) / a_k of all sites then come out in it from one broadcast
-    per march, so every ufunc of a site step multiplies operands of one
-    shape: NumPy's contiguous path, with the same values as the broadcast
-    one. That costs N rows of numbers per operand, so a batch whose N
-    rows exceed FACTOR_BLOCK numbers keeps the per-site broadcast and
-    memory stays bounded. Only a preparation that serves many marches
-    repays the copies (see jacobian_at).
-    """
-    column, a, back, up, lam, derivs, block, start = prepared
-    n, row = column[0], start.shape[1:]
-    if n * math.prod(row) > FACTOR_BLOCK:
-        return prepared
-    column = (n, 1, 1) + column[1:]  # sites, then the row's derivative and start axes
-    # a list of the sites' rows, which the loop indexes without making a view
-    back = list(np.broadcast_to(np.reshape(back, column), (n,) + row).copy())
-    return column, a.reshape(column), back, up, np.broadcast_to(lam, row).copy(), derivs, n, start
+    def run(self, onsite, history=False):
+        """Rows u_k of the starts (1, 0) and (0, 1) for the onsite energies
+        onsite, of the bonds' shape, on a march prepared by at.
 
+        The factors (lam - b_k) / a_k are formed by one broadcast per
+        block of at most FACTOR_BLOCK numbers, so that a block stays in
+        cache, and a_{k-1} / a_k enters the loop as a Python float for
+        one chain (an array over the chains for a batch, or a site's row
+        when at laid it out in the rows' shape), so a step is three
+        array operations. With derivs = d > 0, each row carries its first
+        d lam-derivatives on a leading axis of d + 1 (row j the j-th
+        derivative), and the step adds j u_k^(j-1) / a_k to row j, the
+        j-th derivative of the recurrence.
 
-def _march_values(hopping, onsite, lam, derivs=0, history=False, bonds=None, prepared=None):
-    """Rows u_k of the starts (1, 0) and (0, 1) for an array of lam.
+        Returns the rows, each of shape (d + 1, 2) + shape (the
+        derivatives, then one entry per start), shape being lam broadcast
+        against the chains: u_{N-1} and u_N as a list, or with history
+        every row from u_{-1} on, stacked in one array with sites on the
+        leading axis.
 
-    hopping and onsite have shape (N,) for one chain, or (N,) + chains
-    for a batch whose chain axes broadcast against lam. The factors
-    (lam - b_k) / a_k are formed by one broadcast per block of at most
-    FACTOR_BLOCK numbers, so that a block stays in cache, and
-    a_{k-1} / a_k enters the loop as a Python float for one chain (an
-    array over the chains for a batch), so a step is three array
-    operations; a preparation from _in_rows gives lam and a_{k-1} / a_k
-    the rows' shape, so the factors come out in it and no step
-    broadcasts. With derivs = d > 0, each row carries its first d
-    lam-derivatives on a leading axis of d + 1 (row j the j-th
-    derivative), and the step adds j u_k^(j-1) / a_k to row j, the
-    j-th derivative of the recurrence. bonds, _bonds(hopping) formed
-    once for many marches of these bonds, stands for that call; prepared,
-    _prepare(bonds, lam, derivs) formed once for many marches at this
-    lam as well, stands for both, and the march then runs only the site
-    loop.
-
-    Returns the rows, each of shape (d + 1, 2) + shape (the derivatives,
-    then one entry per start), shape being lam broadcast against the
-    chains: u_{N-1} and u_N as a list, or with history every row from
-    u_{-1} on, stacked in one array with sites on the leading axis.
-
-    Raises ValueError when an entry overflows the float range, as it
-    does for weak bonds at long periods: |M| grows like
-    prod|lam - b| / prod a. A bond whose factor a_{k-1} / a_k or 1 / a_k
-    overflows, such as a subnormal one, is named before any site is
-    marched.
-    """
-    if prepared is None:
-        prepared = _prepare(_bonds(hopping) if bonds is None else bonds, lam, derivs)
-    column, a, back, up, lam, derivs, block, start = prepared
-    b = np.asarray(onsite, dtype=float).reshape(column)
-    n = column[0]
-    prev, cur = start[0], start[1]
-    if history:
-        rows = np.empty((n + 2,) + cur.shape)
-        rows[0], rows[1] = prev, cur
-    higher = range(2, derivs + 1)  # rows past the first derivative
-    k = 0
-    try:
-        with np.errstate(over="raise"):
-            for first in range(0, n, block):
-                sites = slice(first, first + block)
-                shifts = np.subtract(lam, b[sites])
-                shifts /= a[sites]
-                for k, shift in enumerate(shifts, first):
-                    nxt = np.multiply(shift, cur, out=rows[k + 2]) if history else shift * cur
-                    nxt -= back[k] * prev
-                    if derivs:
-                        nxt[1] += up[k] * cur[0]
-                        for j in higher:
-                            nxt[j] += (j * up[k]) * cur[j - 1]
-                    prev, cur = cur, nxt
-    except FloatingPointError:
-        raise ValueError(
-            f"transfer recurrence overflowed at site {k} of period {n}: "
-            "the monodromy exceeds the float range"
-        ) from None
-    return rows if history else [prev, cur]
+        Raises ValueError when an entry overflows the float range, as it
+        does for weak bonds at long periods: |M| grows like
+        prod|lam - b| / prod a.
+        """
+        a, back, up, lam, derivs, block, start = (
+            self.a, self.back, self.up, self.lam, self.derivs, self.block, self.start)
+        b = np.asarray(onsite, dtype=float).reshape(a.shape)
+        n = len(b)
+        prev, cur = start[0], start[1]  # indexing: unpacking an array iterates, 1 us slower
+        if history:
+            rows = np.empty((n + 2,) + cur.shape)
+            rows[0], rows[1] = prev, cur
+        higher = range(2, derivs + 1)  # rows past the first derivative
+        k = 0
+        try:
+            with np.errstate(over="raise"):
+                for first in range(0, n, block):
+                    sites = slice(first, first + block)
+                    shifts = np.subtract(lam, b[sites])
+                    shifts /= a[sites]
+                    for k, shift in enumerate(shifts, first):
+                        nxt = np.multiply(shift, cur, out=rows[k + 2]) if history else shift * cur
+                        nxt -= back[k] * prev
+                        if derivs:
+                            nxt[1] += up[k] * cur[0]
+                            for j in higher:
+                                nxt[j] += (j * up[k]) * cur[j - 1]
+                        prev, cur = cur, nxt
+        except FloatingPointError:
+            raise ValueError(
+                f"transfer recurrence overflowed at site {k} of period {n}: "
+                "the monodromy exceeds the float range"
+            ) from None
+        return rows if history else [prev, cur]
 
 
 def _energies(lam):
@@ -227,29 +212,22 @@ def jacobian_at(hopping, lam):
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant, so to the bit. The chain's bond factors, gathered into
-    the rotations (see _bonds), the march's preparation at lam (see
-    _prepare), with the factors a_{k-1} / a_k and lam in the rows' shape
-    while N rows fit in FACTOR_BLOCK numbers (see _in_rows: N <= 25 at
-    N + 1 points), and the bonds in the Jacobian's shape for its
-    readout, are formed here, once; each call gathers the rotated
-    sites, forms (lam - b) / a in one broadcast and runs the site loop,
-    every ufunc of a step on operands of one shape. Raises ValueError
-    when lam is not finite, or when an entry overflows the float range:
-    a bond's factor here, named by its index in the chain, as
-    discriminant names it; a site's in the call.
+    discriminant, so to the bit. The batch's March, prepared at lam in
+    the rows' shape (see March.at: N <= 25 at N + 1 points), and the
+    bonds in the Jacobian's shape for its readout are formed here, once;
+    each call gathers the rotated sites and runs the march. Raises
+    ValueError when lam is not finite, or when an entry overflows the
+    float range: a bond's factor here, named by its index in the chain,
+    as discriminant names it; a site's in the call.
     """
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
     lam = _energies(lam)[..., None]
-    bonds = _bonds(a, index)
-    prepared = _in_rows(_prepare(bonds, lam))
+    march = March(a, index).at(lam, rows=True)
     a = np.broadcast_to(a, lam.shape[:-1] + a.shape).copy()  # in the Jacobian's shape
 
     def jacobian(onsite):
-        rows = _march_values(bonds[0], np.asarray(onsite, dtype=float)[index], lam,
-                             prepared=prepared)
-        prev, cur = (row[0] for row in rows)
+        prev, cur = (row[0] for row in march.run(np.asarray(onsite, dtype=float)[index]))
         return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
 
     return jacobian
@@ -259,7 +237,8 @@ def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
     from one value march with the derivative rows; ValueError on overflow
     or a lam that is not finite."""
-    prev, cur = _march_values(op.hopping, op.onsite, _energies(lam), derivs=1)
+    lam = _energies(lam)
+    prev, cur = March(op.hopping).at(lam, 1).run(op.onsite)
     m = np.stack([cur, prev])
     return m[:, 0], m[:, 1]
 
@@ -276,7 +255,8 @@ def discriminant(hopping, onsite, lam, derivs=0):
     broadcast against the chains. Raises ValueError when lam is not
     finite, or when the march overflows the float range.
     """
-    prev, cur = _march_values(hopping, onsite, _energies(lam), derivs=derivs)
+    lam = _energies(lam)
+    prev, cur = March(hopping).at(lam, derivs).run(onsite)
     return cur[:, 0] + prev[:, 1]
 
 
@@ -296,11 +276,11 @@ def discriminant_rounding(op, lam):
 
     The chain and its reversal run as one batched march of two chains,
     elementwise, so with the same values as two marches; their bonds and
-    sites are written into one array, and the batch's bond factors (see
-    _bonds) serve the march and the bound's a_{k-1} / a_k. The march
-    keeps its rows, written in place into one array with sites on the
-    leading axis, and all sites' products are formed and summed by array
-    operations over them, in place where the rows are spent. Raises
+    sites are written into one array, and the batch's March serves the
+    march and the bound's a_{k-1} / a_k. The march keeps its rows,
+    written in place into one array with sites on the leading axis, and
+    all sites' products are formed and summed by array operations over
+    them, in place where the rows are spent. Raises
     ValueError when lam is not finite, or when the march or the bound
     overflows the float range; a bond whose factor overflows in the
     chain or its reversal is named by its index in the chain, as
@@ -314,16 +294,16 @@ def discriminant_rounding(op, lam):
     both[0, :-1, 1], both[0, -1, 1], both[1, :, 1] = a[-2::-1], a[-1], b[::-1]
     chains = (n, 2) + (1,) * lam.ndim  # chain axis before lam's: rows stay contiguous
     try:
-        bonds = _bonds(both[0].reshape(chains))
+        march = March(both[0].reshape(chains))
     except ValueError:  # named as the chain's bond, not the reversal's
-        _bonds(a)  # a factor of the chain itself, in discriminant's words
+        March(a)  # a factor of the chain itself, in discriminant's words
         k, bond = _overflowing_bond(both[0, :, 1])  # the reversal's a_{j+1} / a_j alone
         j = (n - 2 - k) % n
         raise ValueError(
             f"transfer recurrence overflowed at bond {j} of period {n}: a_{j} = {bond:g} "
             f"puts a_{(j + 1) % n} / a_{j} beyond the float range"
         ) from None
-    rows = _march_values(bonds[0], both[1].reshape(chains), lam, history=True, bonds=bonds)
+    rows = march.at(lam).run(both[1].reshape(chains), history=True)
     u, v = rows[:, 0, :, 0], rows[:, 0, :, 1]  # u[i] is u_{i-1}, v of the reversal
     site = (n, 1) + (1,) * lam.ndim  # site k on the leading axis, then start and lam
     a_k, b_k = a.reshape(site), b.reshape(site)
@@ -333,7 +313,7 @@ def discriminant_rounding(op, lam):
             np.abs(u, out=u)
             np.abs(v, out=v)
             local = np.abs((lam - b_k) / a_k) * u[1:-1]
-            u[:-2] *= bonds[1][:, :1]  # a_{k-1} / a_k of the chain
+            u[:-2] *= march.back[:, :1]  # a_{k-1} / a_k of the chain
             local += u[:-2]
             v[n:0:-1] *= a_k / a[-1]  # v[n - k] is v_{N-1-k}
             local *= v[n:0:-1]

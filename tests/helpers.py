@@ -189,17 +189,17 @@ def record_marches(monkeypatch):
     bytes of the marched chain's bonds and sites (for a batch, those of
     rotation N - 1, the chain itself)."""
     log = []
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def logged(hopping, onsite, lam, **kwargs):
-        a, b = np.asarray(hopping), np.asarray(onsite)
+    def logged(march, onsite, *args, **kwargs):
+        a, b = march.a.reshape(len(march.a), -1)[:, -1], np.asarray(onsite)
         batched = b.ndim == 2
         if batched:
-            a, b = a[:, -1], b[:, -1]
+            b = b[:, -1]
         log.append((batched, a.tobytes() + b.tobytes()))
-        return march(hopping, onsite, lam, **kwargs)
+        return run(march, onsite, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", logged)
+    monkeypatch.setattr(transfer.March, "run", logged)
     return log
 
 

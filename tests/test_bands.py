@@ -327,13 +327,13 @@ def test_bisection_marches_fewer_than_32_times(monkeypatch):
     # that certifies every gap open and 4 Newton rounds on the edges, 8 in
     # all (13 by multisection to TOL alone).
     calls = []
-    march = transfer._march_values
+    run = transfer.March.run
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return march(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", counted)
+    monkeypatch.setattr(transfer.March, "run", counted)
     band_edges_bisection(random_operator(np.random.default_rng(24), 24))
     assert len(calls) < 32
 
@@ -341,13 +341,13 @@ def test_bisection_marches_fewer_than_32_times(monkeypatch):
 def _derivative_marches(monkeypatch):
     """Record, from now on, how many lam-derivatives each march carries."""
     derivs = []
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def counted(*args, **kwargs):
-        derivs.append(kwargs.get("derivs", 0))
-        return march(*args, **kwargs)
+    def counted(march, *args, **kwargs):
+        derivs.append(march.derivs)
+        return run(march, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", counted)
+    monkeypatch.setattr(transfer.March, "run", counted)
     return derivs
 
 
@@ -383,15 +383,15 @@ def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
     # random chains N = 1..24, a uniform N = 24 chain, a 3-site cell
     # repeated 4 times and the Harper chains N = 89 and 144.
     formed, marches, roundings = [], [], []
-    bonds, march, rounding = transfer._bonds, transfer._march_values, transfer.discriminant_rounding
+    build, run, rounding = transfer.March.__init__, transfer.March.run, transfer.discriminant_rounding
 
-    def bonds_counted(hopping, *args):
+    def built_counted(march, hopping, *args):
         formed.append(np.ndim(hopping))
-        return bonds(hopping, *args)
+        build(march, hopping, *args)
 
     def march_counted(*args, **kwargs):
         marches.append(1)
-        return march(*args, **kwargs)
+        return run(*args, **kwargs)
 
     def rounding_counted(*args):
         roundings.append(1)
@@ -404,8 +404,8 @@ def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
                PeriodicJacobi(np.tile(cell.hopping, 4), np.tile(cell.onsite, 4)),
                _harper(89, 55, 0.3), _harper(144, 89, 0.3)]
     expected = [5, 7, 7, 7, 7, 8, 8, 8, 7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 5, 8, 19, 19]
-    monkeypatch.setattr(transfer, "_bonds", bonds_counted)
-    monkeypatch.setattr(transfer, "_march_values", march_counted)
+    monkeypatch.setattr(transfer.March, "__init__", built_counted)
+    monkeypatch.setattr(transfer.March, "run", march_counted)
     monkeypatch.setattr(transfer, "discriminant_rounding", rounding_counted)
     for op, count in zip(chains, expected):
         del formed[:], marches[:], roundings[:]
@@ -615,13 +615,13 @@ def test_uniform_chains_are_the_closed_form_from_one_site(monkeypatch):
     chains = [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
               for n in range(3, 25)]
     marches = []
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def counted(hopping, onsite, lam, **kwargs):
-        marches.append((np.shape(hopping)[0], kwargs.get("derivs", 0)))
-        return march(hopping, onsite, lam, **kwargs)
+    def counted(march, *args, **kwargs):
+        marches.append((len(march.a), march.derivs))
+        return run(march, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", counted)
+    monkeypatch.setattr(transfer.March, "run", counted)
     for op in chains + _uniform_chains():
         n, a, b = op.period, op.hopping[0], op.onsite[0]
         levels = b + 2.0 * a * np.cos(np.pi * np.arange(n + 1) / n)
@@ -891,13 +891,13 @@ def test_dos_curve_refuses_negative_points():
 def test_dos_curve_marches_only_in_band_points(monkeypatch):
     bs = BandStructure(_harper(89, 55, 0.7))
     marched = []
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def counted(hopping, onsite, lam, **kwargs):
-        marched.append(np.size(lam))
-        return march(hopping, onsite, lam, **kwargs)
+    def counted(march, *args, **kwargs):
+        marched.append(np.size(march.lam))
+        return run(march, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", counted)
+    monkeypatch.setattr(transfer.March, "run", counted)
     energies, rho, ids = dos_curve(bs, points=512)
     inside = np.searchsorted(bs.edges, energies, side="right") % 2 == 1
     assert 0 < inside.sum() < 512
@@ -1162,14 +1162,14 @@ def test_uniform_chains_run_no_band_solve_and_march_one_site(monkeypatch, capsys
         raise AssertionError("band-matrix solve")
 
     sites = []
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def counted(hopping, onsite, lam, **kwargs):
-        sites.append(np.shape(hopping)[0])
-        return march(hopping, onsite, lam, **kwargs)
+    def counted(march, *args, **kwargs):
+        sites.append(len(march.a))
+        return run(march, *args, **kwargs)
 
     monkeypatch.setattr(operators, "_solve", refuse)
-    monkeypatch.setattr(transfer, "_march_values", counted)
+    monkeypatch.setattr(transfer.March, "run", counted)
     for n in UNIFORM_PERIODS:
         op = _uniform_chain(n)
         chain = ["--onsite=" + ",".join(map(repr, op.onsite.tolist())),
@@ -1193,11 +1193,11 @@ def test_uniform_and_repeated_long_chains_through_the_cli(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("band-matrix solve on a chain of one site repeated")
 
-    march = transfer._march_values
+    run = transfer.March.run
 
-    def one_site(hopping, onsite, lam, **kwargs):
-        assert len(hopping) == 1, f"march over {len(hopping)} sites of a chain of one site repeated"
-        return march(hopping, onsite, lam, **kwargs)
+    def one_site(march, *args, **kwargs):
+        assert len(march.a) == 1, f"march over {len(march.a)} sites of a chain of one site repeated"
+        return run(march, *args, **kwargs)
 
     def check(chain, cell):
         payloads = []
@@ -1220,7 +1220,7 @@ def test_uniform_and_repeated_long_chains_through_the_cli(capsys, monkeypatch):
     operators._real_spectrum.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(operators, "_solve", refuse)
-        patch.setattr(transfer, "_march_values", one_site)
+        patch.setattr(transfer.March, "run", one_site)
         check(["--onsite=" + ",".join(["-0.2"] * 400), "--hopping", "0.9"], 1)
     check(["--onsite=" + ",".join(["0.3", "-0.5"] * 200), "--hopping=" + ",".join(["1.1", "0.7"] * 200)], 2)
 
@@ -1267,18 +1267,18 @@ def test_dos_is_infinite_on_every_edge_but_a_closed_gaps_point(method):
 
 def test_repeated_cells_solve_and_march_only_the_cell(monkeypatch, capsys):
     solved, marched = [], []
-    solve, march = operators._solve, transfer._march_values
+    solve, run = operators._solve, transfer.March.run
 
     def solve_counted(solver, band):
         solved.append(band.shape[1])
         return solve(solver, band)
 
-    def march_counted(hopping, onsite, lam, **kwargs):
-        marched.append(np.shape(hopping)[0])
-        return march(hopping, onsite, lam, **kwargs)
+    def march_counted(march, *args, **kwargs):
+        marched.append(len(march.a))
+        return run(march, *args, **kwargs)
 
     monkeypatch.setattr(operators, "_solve", solve_counted)
-    monkeypatch.setattr(transfer, "_march_values", march_counted)
+    monkeypatch.setattr(transfer.March, "run", march_counted)
     rng = np.random.default_rng(2025)
     for p, m in ((2, 200), (3, 8), (4, 5)):
         cell = random_operator(rng, p)

@@ -394,6 +394,7 @@ def test_error_paths_exit_nonzero(capsys):
         (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
         (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
+        (["neighbors", "--onsite", "0,0.7,-0.3", "--seed", "-3"], "seed must be nonnegative"),
         (["bands", "--onsite="], "period must be at least one"),
         (["neighbors", "--onsite="], "period must be at least one"),
         (["edges", "--periodic=", "--antiperiodic="], "need at least one edge of each kind"),
@@ -487,6 +488,7 @@ def test_values_that_begin_with_a_minus(capsys):
         capsys, ["neighbors", "--onsite", "0,0.7,-0.3", "--seed", "-3"],
         ["neighbors", "--onsite", "0,0.7,-0.3", "--seed=-3"])
     assert code == 1 and out == "" and err.startswith("error:")
+    assert "seed must be nonnegative, not -3" in err
     # A separate value that is not a number is read as an option.
     code, out, err = run_cli(capsys, "dos", "--onsite", "-inf,0")
     assert code == 2 and out == "" and "argument --onsite: expected one argument" in err

@@ -106,7 +106,7 @@ def test_recover_onsite_checks_the_hoppings_before_any_march(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("march")
 
-    monkeypatch.setattr(transfer, "_march_values", refuse)
+    monkeypatch.setattr(transfer.March, "run", refuse)
     for hopping, message in (([-1.0, -1.0], "hoppings must be positive"),
                              ([0.0, 1.0], "hoppings must be positive"),
                              ([np.inf, 1.0], "coefficients must be finite"),
@@ -124,7 +124,7 @@ def test_recover_onsite_refuses_a_malformed_start_before_any_march(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("march")
 
-    monkeypatch.setattr(transfer, "_march_values", refuse)
+    monkeypatch.setattr(transfer.March, "run", refuse)
     for initial in ([0.1], [0.1, -0.1, 0.2], [[0.1, 0.2]], [np.nan, 0.0]):
         with pytest.raises(ValueError, match="initial must be N = 2 finite onsite energies"):
             recover_onsite([-2.0, 0.0, 1.0], [1.0, 1.0], initial)
@@ -136,7 +136,7 @@ def test_recover_onsite_checks_the_target_before_any_march(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("march")
 
-    monkeypatch.setattr(transfer, "_march_values", refuse)
+    monkeypatch.setattr(transfer.March, "run", refuse)
     for target in ([np.nan, 0.0, 1.0], [-2.0, np.inf, 1.0], [-2.0, 0.0, -np.inf]):
         for initial in (None, [0.0, 0.0]):
             with pytest.raises(ValueError, match="target coefficients must be finite"):
@@ -177,7 +177,7 @@ def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
     # (N = 7) has starts that end on refused trials.
     op = random_operator(np.random.default_rng(97), 7)
     prepared, iterates = [], set()
-    prepare, solve = transfer._prepare, inverse.least_squares
+    prepare, solve = transfer.March.at, inverse.least_squares
 
     def prepare_counted(*args, **kwargs):
         prepared.append(1)
@@ -192,7 +192,7 @@ def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
     def solve_logged(fun, x0, jac, **kwargs):
         return solve(seen(fun), x0, jac=seen(jac), **kwargs)
 
-    monkeypatch.setattr(transfer, "_prepare", prepare_counted)
+    monkeypatch.setattr(transfer.March, "at", prepare_counted)
     monkeypatch.setattr(inverse, "least_squares", solve_logged)
     log = record_marches(monkeypatch)
     for _ in range(2):
@@ -227,14 +227,15 @@ def test_blind_solve_is_the_same_bits_with_operands_in_rows_or_broadcast(monkeyp
         rng = np.random.default_rng([n, 35])
         op = PeriodicJacobi(rng.uniform(0.4, 1.8, n), rng.uniform(-1.5, 1.5, n))
         targets.append((Discriminant.from_operator(op), op.hopping))
-    shaped, in_rows = [], transfer._in_rows
+    shaped, at = [], transfer.March.at
 
-    def spied(prepared):
-        laid_out = in_rows(prepared)
-        shaped.append(laid_out is not prepared)
-        return laid_out
+    def spied(*args, rows=False, **kwargs):
+        march = at(*args, rows=rows, **kwargs)
+        if rows:
+            shaped.append(np.shape(march.lam) == march.start.shape[1:])
+        return march
 
-    monkeypatch.setattr(transfer, "_in_rows", spied)
+    monkeypatch.setattr(transfer.March, "at", spied)
     log = record_marches(monkeypatch)
     runs = []
     for block in (transfer.FACTOR_BLOCK, 1):
@@ -495,7 +496,7 @@ def test_recover_operator_from_edges_names_a_wrong_hopping_count(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("march")
 
-    monkeypatch.setattr(transfer, "_march_values", refuse)
+    monkeypatch.setattr(transfer.March, "run", refuse)
     for hopping, count in (([1.0], 1), ([1.0, 1.0, 1.0], 3), (np.ones((1, 1)), 1)):
         with pytest.raises(ValueError, match=f"need 2 hoppings for 2 edges of each kind, not {count}"):
             recover_operator_from_edges([1.0, 3.0], [1.5, 2.5], hopping)

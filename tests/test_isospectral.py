@@ -12,6 +12,7 @@ from hillbands import (
     isospectral_neighbors,
     isospectral,
     orbit_distance,
+    transfer,
 )
 
 from helpers import edge_error, power_coefficients, random_operator, record_marches
@@ -233,13 +234,23 @@ def test_neighbors_reject_a_step_that_is_not_finite():
             isospectral_neighbors(op, step=step, seed=0)
 
 
-def test_neighbors_reject_a_negative_count():
+def test_neighbors_reject_a_negative_count(monkeypatch):
     # A negative count once returned no chains, and the console script
-    # exited 0 with [].
+    # exited 0 with []. A negative seed was refused by NumPy's generator
+    # in words that named neither the seed nor its value; it is refused
+    # by name, before any march.
     op = PeriodicJacobi([1.0, 1.0, 1.0], [0.0, 0.7, -0.3])
     assert isospectral_neighbors(op, count=0, seed=0) == []
     with pytest.raises(ValueError, match="count must be nonnegative"):
         isospectral_neighbors(op, count=-1, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("march")
+
+    monkeypatch.setattr(transfer.March, "run", refuse)
+    for seed in (-3, np.int64(-1)):
+        with pytest.raises(ValueError, match=f"^seed must be nonnegative, not {int(seed)}$"):
+            isospectral_neighbors(op, seed=seed)
 
 
 def test_neighbors_raise_where_the_weights_underflow():

@@ -126,9 +126,8 @@ def test_rounding_bound_covers_the_exact_discriminant():
 def _rounding_by_site_loop(op, lam):
     """The bound of discriminant_rounding, summed site by site."""
     a, b, n = op.hopping, op.onsite, op.period
-    u = [row[0] for row in transfer._march_values(a, b, lam, history=True)]
-    v = [row[0] for row in transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam,
-                                                  history=True)]
+    u = [row[0] for row in transfer.March(a).at(lam).run(b, history=True)]
+    v = [row[0] for row in transfer.March(np.roll(a[::-1], -1)).at(lam).run(b[::-1], history=True)]
     back = np.roll(a, 1) / a
     total = np.zeros((2,) + np.shape(lam))
     for k in range(n):
@@ -166,8 +165,8 @@ def _rounding_by_two_marches(op, lam):
     after the other, as two marches: the reference for the batch of two."""
     lam = np.asarray(lam, dtype=float)
     a, b, n = op.hopping, op.onsite, op.period
-    u = np.stack(transfer._march_values(a, b, lam, history=True))[:, 0]
-    v = np.stack(transfer._march_values(np.roll(a[::-1], -1), b[::-1], lam, history=True))[:, 0]
+    u = np.stack(transfer.March(a).at(lam).run(b, history=True))[:, 0]
+    v = np.stack(transfer.March(np.roll(a[::-1], -1)).at(lam).run(b[::-1], history=True))[:, 0]
     site = (n, 1) + (1,) * lam.ndim
     a_k, b_k = a.reshape(site), b.reshape(site)
     delta = u[-1, 0] + u[-2, 1]
@@ -195,21 +194,21 @@ def test_rounding_bound_is_one_march_equal_to_two(monkeypatch):
         chains.append(PeriodicJacobi.odd(1e-4 * q / np.max(np.abs(q))))
     chains += [random_operator(rng, n) for n in range(1, 65)]
     calls = []
-    march = transfer._march_values
+    run = transfer.March.run
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return march(*args, **kwargs)
+        return run(*args, **kwargs)
 
     for op in chains:
         edges = band_edges_eig(op)
         lam = np.concatenate([edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)])
         for points in (lam, np.float64(lam[-1])):
             reference = _rounding_by_two_marches(op, points)
-            monkeypatch.setattr(transfer, "_march_values", counted)
+            monkeypatch.setattr(transfer.March, "run", counted)
             calls.clear()
             delta, bound = transfer.discriminant_rounding(op, points)
-            monkeypatch.setattr(transfer, "_march_values", march)
+            monkeypatch.setattr(transfer.March, "run", run)
             assert len(calls) == 1
             assert np.shape(delta) == np.shape(bound) == np.shape(points)
             assert np.array_equal(delta, reference[0]) and np.array_equal(bound, reference[1])
@@ -268,10 +267,14 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
     # and the blocks of site factors change no operation. So every row is
     # the same at any FACTOR_BLOCK, and a chain marched alone gives its
     # own column of the batch of its rotations (rotation N - 1), to the
-    # bit, as the Delta of a jacobian_at evaluation needs. A prepared march is
-    # the same march, and so is the batch with its operands in the rows'
-    # shape (_in_rows), which the default FACTOR_BLOCK allows here and
-    # blocks of 1 and 7 numbers refuse, leaving the per-site broadcast.
+    # bit, as the Delta of a jacobian_at evaluation needs. A prepared
+    # march run again is the same march, and so is the batch with its
+    # operands in the rows' shape (March.at with rows), which the default
+    # FACTOR_BLOCK allows here and blocks of 1 and 7 numbers refuse,
+    # leaving the per-site broadcast; the rotations' factors gathered by
+    # index are those of the rotated bonds. One March of the chain,
+    # prepared anew at each lam, derivs and history in turn, gives the
+    # bits of a fresh discriminant every time.
     def bits(rows):
         return [(row.shape, row.tobytes()) for row in rows]
 
@@ -281,6 +284,7 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
         op = random_operator(rng, n)
         index = transfer.rotations(n)
         rotated = op.hopping[index], op.onsite[index]
+        reused = transfer.March(op.hopping)
         for lam in (rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5, 2),
                     rng.uniform(-3.5, 3.5, (3, 3))):
             for derivs in (0, 1, 2):
@@ -288,23 +292,23 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
                     marched = set()
                     for block in (default, 1, 7):
                         monkeypatch.setattr(transfer, "FACTOR_BLOCK", block)
-                        one = transfer._march_values(op.hopping, op.onsite, lam, derivs, history)
-                        batch = transfer._march_values(*rotated, np.asarray(lam)[..., None],
-                                                       derivs, history)
+                        prepared = transfer.March(op.hopping).at(lam, derivs)
+                        one = prepared.run(op.onsite, history)
+                        batch = transfer.March(rotated[0]).at(np.asarray(lam)[..., None],
+                                                              derivs).run(rotated[1], history)
                         assert len(one) == (n + 2 if history else 2)
                         assert bits(one) == bits(row[..., -1] for row in batch)
-                        prepared = transfer._prepare(transfer._bonds(op.hopping), lam, derivs)
-                        assert bits(transfer._march_values(op.hopping, op.onsite, lam, history=history,
-                                                           prepared=prepared)) == bits(one)
-                        prepared = transfer._prepare(transfer._bonds(rotated[0]),
-                                                     np.asarray(lam)[..., None], derivs)
-                        rows = transfer._in_rows(prepared)
-                        if block in (default, 1):  # room for the N rows, and for none
-                            assert (rows is prepared) == (block == 1)
-                        for prepared in (prepared, rows):
-                            again = transfer._march_values(*rotated, np.asarray(lam)[..., None],
-                                                           history=history, prepared=prepared)
-                            assert bits(again) == bits(batch)
+                        assert bits(prepared.run(op.onsite, history)) == bits(one)
+                        for march in (transfer.March(rotated[0]), transfer.March(op.hopping, index)):
+                            for rows in (False, True):
+                                again = march.at(np.asarray(lam)[..., None], derivs, rows)
+                                laid_out = np.shape(again.lam) == again.start.shape[1:]
+                                if block in (default, 1):  # room for the N rows, and for none
+                                    assert laid_out == (rows and block == default)
+                                assert bits(again.run(rotated[1], history)) == bits(batch)
+                        rows = reused.at(lam, derivs).run(op.onsite, history)
+                        fresh = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
+                        assert bits([rows[-1][:, 0] + rows[-2][:, 1]]) == bits([fresh])
                         marched.add((tuple(bits(one)), tuple(bits(batch))))
                     assert len(marched) == 1
 
@@ -343,13 +347,13 @@ def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
     # vectors gives the bits of fresh calls, and its start rows, which
     # every call reads, cannot be written.
     rng = np.random.default_rng(19)
-    preparations, prepare = [], transfer._prepare
+    preparations, at = [], transfer.March.at
 
     def kept(*args, **kwargs):
-        preparations.append(prepare(*args, **kwargs))
+        preparations.append(at(*args, **kwargs))
         return preparations[-1]
 
-    monkeypatch.setattr(transfer, "_prepare", kept)
+    monkeypatch.setattr(transfer.March, "at", kept)
     for n in (1, 2, 5, 13):
         op = random_operator(rng, n)
         for lam in (rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5, 4)):
@@ -359,7 +363,7 @@ def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
             for j in range(n):
                 column = -transfer.monodromy(op.shifted(j + 1), lam)[0][1, 0] / op.hopping[j]
                 assert np.array_equal(grad[..., j], column)
-            start = preparations[-1][-1]
+            start = preparations[-1].start
             with pytest.raises(ValueError, match="read-only"):
                 start[1, 0, 0] = 2.0
             for _ in range(50):
@@ -432,7 +436,7 @@ def test_public_marches_refuse_an_energy_that_is_not_finite(monkeypatch, bad):
     def refuse(*args, **kwargs):
         raise AssertionError("march")
 
-    monkeypatch.setattr(transfer, "_march_values", refuse)
+    monkeypatch.setattr(transfer.March, "run", refuse)
     op = PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3])
     for lam in (bad, np.array([0.3, bad])):
         for call in (lambda: transfer.discriminant(op.hopping, op.onsite, lam),
@@ -454,22 +458,24 @@ def test_blind_preparation_holds_at_most_factor_block_numbers_per_operand(monkey
     def numbers(operand):
         return sum(map(np.size, operand)) if isinstance(operand, list) else np.size(operand)
 
-    seen, march = [], transfer._march_values
+    seen, run = [], transfer.March.run
 
-    def kept(*args, prepared=None, **kwargs):
-        seen.append(prepared)
-        return march(*args, prepared=prepared, **kwargs)
+    def kept(march, *args, **kwargs):
+        seen.append(march)
+        return run(march, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_march_values", kept)
+    monkeypatch.setattr(transfer.March, "run", kept)
     rng = np.random.default_rng(35)
     for n in (1, 2, 7, 24, 25, 26, 40):
         op = random_operator(rng, n)
         transfer.jacobian_at(op.hopping, chebyshev_nodes(op.gershgorin, n))(op.onsite)
-        column, a, back, up, lam, derivs, block, start = seen[-1]
-        rows = np.shape(lam) == start.shape[1:]
+        march = seen[-1]
+        rows = np.shape(march.lam) == march.start.shape[1:]
         assert rows == (2 * n * n * (n + 1) <= transfer.FACTOR_BLOCK) == (n <= 25)
-        assert max(map(numbers, (a, back, up, lam, start))) <= transfer.FACTOR_BLOCK
-        assert block * max(np.size(lam), np.prod(start.shape[3:])) <= transfer.FACTOR_BLOCK
+        operands = (march.a, march.back, march.up, march.lam, march.start)
+        assert max(map(numbers, operands)) <= transfer.FACTOR_BLOCK
+        assert march.block * max(np.size(march.lam), np.prod(march.start.shape[3:])) \
+            <= transfer.FACTOR_BLOCK
 
 
 def test_rotation_index_is_built_once_per_period_and_read_only():
