@@ -158,17 +158,15 @@ def _cell_edges(cell, m):
     return np.sort(np.concatenate([edges, edges[inner]]))
 
 
-def _evaluator(op, shift, scale, level, march=None):
+def _evaluator(op, shift, scale, level, march):
     """g(lam, i, derivs) for the searches (see _multisect and _newton): the
     rows of g = scale[i] Delta^(shift[i]) - level[i], Delta^(s) the s-th
     lam-derivative of Delta, and of its first derivs derivatives, for the
     brackets i on the last axis of lam; shift may be one for all. Each
     call is one march, elementwise, so a bracket's values do not depend
-    on which others are evaluated with it. march, op's transfer.March,
-    is built here unless a solve that built it once hands it in.
+    on which others are evaluated with it. march is op's transfer.March,
+    built once per solve and shared by its evaluators.
     """
-    if march is None:
-        march = transfer.March(op.hopping)
 
     def rows(lam, derivs, top):
         prev, cur = march.at(lam, derivs).run(op.onsite)

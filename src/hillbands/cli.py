@@ -8,10 +8,12 @@
     hillbands classes --values 0,1 --period 4
     hillbands neighbors --onsite 0,0.7,-0.3 --count 2 --seed 1
 
-Every subcommand accepts --json for machine-readable output: one line of
-compact JSON written by orjson, each number in the shortest form that
-parses back to the same double (pipe it through python -m json.tool to
-indent it).
+Each subcommand is a function of the parsed arguments that returns its
+payload, plain JSON types only. Under --json the payload is written as
+one line of compact JSON by orjson, each number in the shortest form
+that parses back to the same double (pipe it through python -m json.tool
+to indent it); without it, the subcommand's renderer writes the payload
+as text, so the text is the payload rendered.
 
 The argv of a request is decoded in one pass (_decode) when it is a
 subcommand followed only by its own options, each spelled in full and
@@ -61,15 +63,16 @@ def _chain(args):
     return PeriodicJacobi(a, b)
 
 
-def _emit(args, payload, text):
-    """Write the payload under --json, else the text; both are zero-argument
-    callables, and only the one written is called. JSON goes out compact,
-    on one line, from orjson: each float in its shortest round-trip form,
-    a non-finite one as null."""
-    if args.json:
-        sys.stdout.write(orjson.dumps(payload(), option=orjson.OPT_APPEND_NEWLINE).decode())
-    else:
-        sys.stdout.write(text() + "\n")
+def _json_line(payload):
+    """The payload as one line of compact JSON from orjson, its newline
+    included: each float in its shortest round-trip form, a non-finite
+    one as null."""
+    return orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE).decode()
+
+
+def _floats(values):
+    """A returned list of floats, comma-separated, at 10 digits."""
+    return ", ".join(f"{v:.10g}" for v in values)
 
 
 def _gap_table(record):
@@ -91,114 +94,104 @@ def _gap_table(record):
 
 
 def _cmd_bands(args):
-    bs = BandStructure(_chain(args), method=args.method)
-    _emit(args, bs.to_dict, lambda: _gap_table(bs.to_dict()))
+    return BandStructure(_chain(args), method=args.method).to_dict()
 
 
 def _cmd_dispersion(args):
     if args.samples < 0:
         raise ValueError(f"samples must be nonnegative, not {args.samples}")
-    bs = BandStructure(_chain(args))
     thetas = np.linspace(0.0, np.pi, args.samples)
-    energies = bs.dispersion(thetas)
+    energies = BandStructure(_chain(args)).dispersion(thetas)
+    return {"theta": thetas.tolist(), "bands": energies.tolist()}
 
-    def text():
-        lines = ["theta " + " ".join(f"band{j}" for j in range(energies.shape[0]))]
-        for k, theta in enumerate(thetas):
-            lines.append(f"{theta:.6f} " + " ".join(f"{e:.8f}" for e in energies[:, k]))
-        return "\n".join(lines)
 
-    _emit(args, lambda: {"theta": thetas.tolist(), "bands": energies.tolist()}, text)
+def _dispersion_text(payload):
+    lines = ["theta " + " ".join(f"band{j}" for j in range(len(payload["bands"])))]
+    for theta, energies in zip(payload["theta"], zip(*payload["bands"])):
+        lines.append(f"{theta:.6f} " + " ".join(f"{e:.8f}" for e in energies))
+    return "\n".join(lines)
 
 
 def _cmd_dos(args):
-    bs = BandStructure(_chain(args))
-    energies, rho, ids = dos_curve(bs, points=args.points)
-
-    def text():
-        lines = ["energy dos ids"]
-        for row in zip(energies, rho, ids):
-            lines.append("{:.8f} {:.8f} {:.8f}".format(*row))
-        return "\n".join(lines)
-
-    _emit(args, lambda: {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()},
-          text)
+    energies, rho, ids = dos_curve(BandStructure(_chain(args)), points=args.points)
+    return {"energy": energies.tolist(), "dos": rho.tolist(), "ids": ids.tolist()}
 
 
-def _chain_text(op):
-    """The onsite and hopping lines of a returned chain, at 10 digits."""
-    return ("onsite:  " + ", ".join(f"{b:.10g}" for b in op.onsite)
-            + "\nhopping: " + ", ".join(f"{a:.10g}" for a in op.hopping))
+def _dos_text(payload):
+    lines = ["energy dos ids"]
+    for row in zip(payload["energy"], payload["dos"], payload["ids"]):
+        lines.append("{:.8f} {:.8f} {:.8f}".format(*row))
+    return "\n".join(lines)
+
+
+def _chain_payload(op):
+    """The hopping and onsite lists of a returned chain."""
+    return {"hopping": op.hopping.tolist(), "onsite": op.onsite.tolist()}
+
+
+def _chain_text(payload):
+    """The onsite and hopping lines of a returned chain."""
+    return f"onsite:  {_floats(payload['onsite'])}\nhopping: {_floats(payload['hopping'])}"
 
 
 def _cmd_inverse(args):
-    op = inverse.recover_onsite(np.asarray(args.coeffs), args.hopping)
-    _emit(args, lambda: {"hopping": op.hopping.tolist(), "onsite": op.onsite.tolist()},
-          lambda: _chain_text(op))
+    return _chain_payload(inverse.recover_onsite(np.asarray(args.coeffs), args.hopping))
 
 
 def _cmd_edges(args):
     disc, op = inverse.recover_operator_from_edges(args.periodic, args.antiperiodic, args.hopping)
-    product = float(np.exp(disc.log_hopping_product))
-    _emit(args,
-          lambda: {
-              "hopping_product": product,
-              "discriminant_chebyshev": disc.to_dict(),
-              "hopping": op.hopping.tolist(),
-              "onsite": op.onsite.tolist(),
-          },
-          lambda: f"hopping product: {product:.10g}\n" + _chain_text(op))
+    return {
+        "hopping_product": float(np.exp(disc.log_hopping_product)),
+        "discriminant_chebyshev": disc.to_dict(),
+        **_chain_payload(op),
+    }
+
+
+def _edges_text(payload):
+    return f"hopping product: {payload['hopping_product']:.10g}\n" + _chain_text(payload)
 
 
 def _cmd_classes(args):
     classes = isospectral.enumerate_onsite_classes(
         args.values, args.period, hopping=args.hopping)
-    alphabet = list(dict.fromkeys(args.values))  # as read: each distinct value once
+    return {
+        "alphabet": list(dict.fromkeys(args.values)),  # as read: each distinct value once
+        "period": args.period,
+        "class_count": len(classes),
+        "classes": [
+            {"size": c.size, "members": [list(m) for m in c.members]}
+            for c in classes
+        ],
+    }
 
-    def payload():
-        return {
-            "alphabet": alphabet,
-            "period": args.period,
-            "class_count": len(classes),
-            "classes": [
-                {"size": c.size, "members": [list(m) for m in c.members]}
-                for c in classes
-            ],
-        }
 
-    def text():
-        lines = [f"{len(classes)} isospectral classes over "
-                 f"{len(alphabet)}^{args.period} patterns"]
-        for i, c in enumerate(classes):
-            shown = ", ".join(str(list(m)) for m in c.members[:4])
-            more = "" if c.size <= 4 else f" (+{c.size - 4} more)"
-            lines.append(f"class {i}: size {c.size}: {shown}{more}")
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+def _classes_text(payload):
+    lines = [f"{payload['class_count']} isospectral classes over "
+             f"{len(payload['alphabet'])}^{payload['period']} patterns"]
+    for i, c in enumerate(payload["classes"]):
+        shown = ", ".join(str(m) for m in c["members"][:4])
+        more = "" if c["size"] <= 4 else f" (+{c['size'] - 4} more)"
+        lines.append(f"class {i}: size {c['size']}: {shown}{more}")
+    return "\n".join(lines)
 
 
 def _cmd_neighbors(args):
     op = _chain(args)
     found = isospectral.isospectral_neighbors(
         op, count=args.count, step=args.step, seed=args.seed)
+    return [
+        {**_chain_payload(nb), "orbit_distance": isospectral.orbit_distance(op, nb)}
+        for nb in found
+    ]
 
-    def payload():
-        return [
-            {"hopping": nb.hopping.tolist(), "onsite": nb.onsite.tolist(),
-             "orbit_distance": isospectral.orbit_distance(op, nb)}
-            for nb in found
-        ]
 
-    def text():
-        lines = []
-        for i, nb in enumerate(found):
-            lines.append(f"neighbor {i}:")
-            lines.append("  hopping: " + ", ".join(f"{a:.10g}" for a in nb.hopping))
-            lines.append("  onsite:  " + ", ".join(f"{b:.10g}" for b in nb.onsite))
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+def _neighbors_text(payload):
+    lines = []
+    for i, nb in enumerate(payload):
+        lines.append(f"neighbor {i}:")
+        lines.append("  hopping: " + _floats(nb["hopping"]))
+        lines.append("  onsite:  " + _floats(nb["onsite"]))
+    return "\n".join(lines)
 
 
 _CHAIN = {
@@ -209,73 +202,70 @@ _CHAIN = {
 }
 _JSON = {"--json": dict(action="store_true", default=False, help="emit JSON instead of text")}
 
-# Every subcommand: its help line, the function that serves it, and its
-# options, each flag with its add_argument keywords. build_parser makes
-# argparse's parser from this table and _decode reads the same table, so
-# the two paths cannot disagree on an option.
+# Every subcommand: its help line, the function that returns its payload,
+# its options, each flag with its add_argument keywords, and the function
+# that renders its payload as text. _parser makes argparse's parser from
+# this table and _decode reads the same table, so the two paths cannot
+# disagree on an option.
 _COMMANDS = {
     "bands": ("band edges, widths and gaps", _cmd_bands, {
         **_CHAIN,
         "--method": dict(choices=("eig", "bisection"), default="eig"),
-        **_JSON}),
+        **_JSON}, _gap_table),
     "dispersion": ("band energies over Bloch phase", _cmd_dispersion, {
         **_CHAIN,
         "--samples": dict(type=int, default=64),
-        **_JSON}),
+        **_JSON}, _dispersion_text),
     "dos": ("density of states curve", _cmd_dos, {
         **_CHAIN,
         "--points": dict(type=int, default=256),
-        **_JSON}),
+        **_JSON}, _dos_text),
     "inverse": ("recover onsite energies from discriminant coefficients", _cmd_inverse, {
         "--coeffs": dict(type=_csv_floats, required=True,
                          help="ascending discriminant coefficients, length N+1"),
         "--hopping": dict(type=_csv_floats, required=True),
-        **_JSON}),
+        **_JSON}, _chain_text),
     "edges": ("rebuild a chain from periodic and antiperiodic eigenvalues", _cmd_edges, {
         "--periodic": dict(type=_csv_floats, required=True),
         "--antiperiodic": dict(type=_csv_floats, required=True),
         "--hopping": dict(type=_csv_floats, default=None,
                           help="bond strengths to solve the sites for; without them, the "
                                "chain with its Dirichlet eigenvalues at the gap midpoints"),
-        **_JSON}),
+        **_JSON}, _edges_text),
     "classes": ("enumerate isospectral onsite classes over a finite alphabet", _cmd_classes, {
         "--values": dict(type=_csv_floats, required=True),
         "--period": dict(type=int, required=True),
         "--hopping": dict(type=_csv_floats, default=(1.0,)),
-        **_JSON}),
+        **_JSON}, _classes_text),
     "neighbors": ("walk the continuous isospectral family of a chain", _cmd_neighbors, {
         **_CHAIN,
         "--count": dict(type=int, default=1),
         "--step": dict(type=float, default=0.1,
                        help="angle in radians moved on the divisor circles per neighbour"),
         "--seed": dict(type=int, default=None),
-        **_JSON}),
+        **_JSON}, _neighbors_text),
 }
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The parser main gives every argv that _decode leaves, made from
+    _COMMANDS once per process, on first use.
+
+    Parsing keeps no state in it: every call gets a fresh namespace, and
+    the defaults are immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="hillbands",
         description="Band structure of 1-D periodic tight-binding chains "
                     "via the Hill discriminant.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, options) in _COMMANDS.items():
+    for name, (summary, func, options, render) in _COMMANDS.items():
         p = subs.add_parser(name, help=summary)
         for flag, spec in options.items():
             p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, render=render)
     return parser
-
-
-@functools.cache
-def _parser():
-    """The parser main gives every argv that _decode leaves, built once
-    per process, on first use.
-
-    Parsing keeps no state in it: every call gets a fresh namespace, and
-    the defaults are immutable.
-    """
-    return build_parser()
 
 
 def _decode(argv):
@@ -288,7 +278,7 @@ def _decode(argv):
     to answer, help and usage errors included."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, func, options = _COMMANDS[argv[0]]
+    _, func, options, render = _COMMANDS[argv[0]]
     given = {}
     rest = iter(argv[1:])
     for arg in rest:
@@ -318,7 +308,7 @@ def _decode(argv):
         if flag not in given and spec.get("required"):
             return None
         setattr(args, flag[2:].replace("-", "_"), given.get(flag, spec.get("default")))
-    args.func = func
+    args.func, args.render = func, render
     return args
 
 
@@ -328,7 +318,11 @@ def main(argv=None):
     if args is None:
         args = _parser().parse_args(argv)
     try:
-        args.func(args)
+        payload = args.func(args)
+        if args.json:
+            sys.stdout.write(_json_line(payload))
+        else:
+            sys.stdout.write(args.render(payload) + "\n")
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

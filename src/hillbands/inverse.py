@@ -96,11 +96,15 @@ class Discriminant:
     def chebyshev(self):
         """Delta as a numpy Chebyshev series on interval. Its coefficients
         are the DCT-I of the node values: the real FFT of their even
-        extension, with the first and last halved."""
+        extension, with the first and last halved. The extension is scaled
+        by a power of two below 1 / (8N) first, and the result back: that
+        changes no bit, but keeps the FFT's sums finite where node values
+        near the float range add up past it."""
         v, n = self.values, self.values.size - 1
         c = v.copy()
         if n > 0:
-            c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+            scale = 2.0 ** -((2 * n).bit_length() + 2)
+            c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]]) * scale).real / (n * scale)
             c[[0, -1]] *= 0.5
         return Chebyshev(c, domain=self.interval)
 
@@ -319,14 +323,15 @@ def discriminant_from_edges(periodic, antiperiodic):
         raise ValueError("need equally many periodic and antiperiodic eigenvalues")
     if not (np.isfinite(per).all() and np.isfinite(anti).all()):
         raise ValueError("edge values must be finite")
-    n, gaps = per.size, per[:, None] - anti
-    far = gaps[np.argmax(np.min(np.abs(gaps), axis=1))]
-    if np.prod(np.sign(far)) <= 0:  # a zero gap, as of coincident edges, is sign 0
-        raise ValueError("edge data is inconsistent: nonpositive hopping product")
-    interval = (min(per[0], anti[0]), max(per[-1], anti[-1]))
-    x = chebyshev_nodes(interval, n)[:, None]
-    # Discriminant refuses what is not finite first: such node values fail the checks below too.
+    n, interval = per.size, (min(per[0], anti[0]), max(per[-1], anti[-1]))
+    # Discriminant refuses what is not finite first, as are the node values of a hull wider than
+    # the largest double, whose edge distances and nodes overflow: they fail the checks below too.
     with np.errstate(over="ignore", invalid="ignore"):
+        gaps = per[:, None] - anti
+        far = gaps[np.argmax(np.min(np.abs(gaps), axis=1))]
+        if np.prod(np.sign(far)) <= 0:  # a zero gap, as of coincident edges, is sign 0
+            raise ValueError("edge data is inconsistent: nonpositive hopping product")
+        x = chebyshev_nodes(interval, n)[:, None]
         log_product = np.sum(np.log(np.abs(far))) - np.log(4.0)
         pa = np.exp(log_product)
         p0, ppi = np.prod(x - per, axis=1), np.prod(x - anti, axis=1)

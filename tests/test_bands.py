@@ -475,7 +475,7 @@ def _coarse_brackets(op):
     mu = np.concatenate([[lo], op.dirichlet_eigenvalues(), [hi]])
     orient = (-1.0) ** (n - 1 - np.arange(n))
     sign, level = np.repeat(orient, 2), np.tile([-2.0, 2.0], n)
-    left, right = bands._multisect(bands._evaluator(op, 0, sign, level),
+    left, right = bands._multisect(bands._evaluator(op, 0, sign, level, transfer.March(op.hopping)),
                                    np.repeat(mu[:-1], 2), np.repeat(mu[1:], 2), bands.COARSE)
     return orient, sign, level, left, right
 
@@ -512,10 +512,11 @@ def test_searches_are_elementwise():
         shift = np.concatenate([shift, [0, 0, 0]])
         sign = np.concatenate([sign, [1.0, -1.0, 1.0]])
         level = np.concatenate([level, [-2.0, 2.0, -2.0]])
+        march = transfer.March(op.hopping)
 
         def evaluator(j):
             orders = shift[j]
-            return bands._evaluator(op, orders if orders.any() else 0, sign[j], level[j])
+            return bands._evaluator(op, orders if orders.any() else 0, sign[j], level[j], march)
 
         def counted(lam, i, derivs):
             rounds[i] += 1
@@ -558,9 +559,10 @@ def _extremum_everywhere(op):
     coarse edge brackets and by multisection where it did not."""
     n = op.period
     orient, sign, level, left, right = _coarse_brackets(op)
+    march = transfer.March(op.hopping)
     edges = 0.5 * (left + right)
     middle = 0.5 * (edges[0::2] + edges[1::2])
-    slope = bands._evaluator(op, 1, -orient[:-1], np.zeros(n - 1))
+    slope = bands._evaluator(op, 1, -orient[:-1], np.zeros(n - 1), march)
     crit = bands._newton(slope, middle[:-1], middle[1:])
     peak, rounding = transfer.discriminant_rounding(op, crit)
     shut = np.abs(peak) - 2.0 <= rounding
@@ -569,11 +571,11 @@ def _extremum_everywhere(op):
     certified = (below < above) & (np.abs(value) - 2.0 > rounding)
     fast = np.flatnonzero(certified & ~shut)
     fast = np.concatenate([[0], 2 * fast + 1, 2 * fast + 2, [2 * n - 1]])
-    edges[fast] = bands._newton(bands._evaluator(op, 0, sign[fast], level[fast]),
+    edges[fast] = bands._newton(bands._evaluator(op, 0, sign[fast], level[fast], march),
                                 left[fast], right[fast])
     narrow = np.flatnonzero(~certified & ~shut)
     narrow = np.concatenate([2 * narrow + 1, 2 * narrow + 2])
-    left, right = bands._multisect(bands._evaluator(op, 0, sign[narrow], level[narrow]),
+    left, right = bands._multisect(bands._evaluator(op, 0, sign[narrow], level[narrow], march),
                                    left[narrow], right[narrow], bands.ROUNDS)
     edges[narrow] = 0.5 * (left + right)
     edges[1:-1:2][shut] = edges[2::2][shut] = crit[shut]

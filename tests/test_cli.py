@@ -3,7 +3,6 @@ import contextlib
 import io
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +109,60 @@ def test_gap_report_text_is_pinned():
     )
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["dispersion", "--onsite", "0,0.5", "--samples", "3"],
+     "theta band0 band1\n"
+     "0.000000 -1.76556444 2.26556444\n"
+     "1.570796 -1.18614066 1.68614066\n"
+     "3.141593 0.00000000 0.50000000\n"),
+    (["dispersion", "--onsite", "0,0.5", "--samples", "0"],
+     "theta band0 band1\n"),
+    (["dos", "--onsite", "0.3", "--hopping", "0.9", "--points", "4"],
+     "energy dos ids\n"
+     "-1.68000000 0.00000000 0.00000000\n"
+     "-0.36000000 0.19007725 0.38049895\n"
+     "0.96000000 0.19007725 0.61950105\n"
+     "2.28000000 0.00000000 1.00000000\n"),
+    (["inverse", "--coeffs=-2.16,0,1", "--hopping", "1,1"],
+     "onsite:  -0.4, 0.4\n"
+     "hopping: 1, 1\n"),
+    (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5"],
+     "hopping product: 0.1875\n"
+     "onsite:  2, 2\n"
+     "hopping: 0.25, 0.75\n"),
+    (["classes", "--values", "0,1", "--period", "5"],
+     "8 isospectral classes over 2^5 patterns\n"
+     "class 0: size 5: [0.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0], "
+     "[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0, 1.0] (+1 more)\n"
+     "class 1: size 5: [0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0, 0.0], "
+     "[1.0, 0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0] (+1 more)\n"
+     "class 2: size 5: [0.0, 1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0, 1.0], "
+     "[1.0, 0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0, 0.0] (+1 more)\n"
+     "class 3: size 5: [0.0, 0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, 0.0], "
+     "[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0] (+1 more)\n"
+     "class 4: size 5: [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0], "
+     "[0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0, 0.0] (+1 more)\n"
+     "class 5: size 5: [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0], "
+     "[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0] (+1 more)\n"
+     "class 6: size 1: [1.0, 1.0, 1.0, 1.0, 1.0]\n"
+     "class 7: size 1: [0.0, 0.0, 0.0, 0.0, 0.0]\n"),
+    (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "2", "--seed", "1"],
+     "neighbor 0:\n"
+     "  hopping: 0.9832638283, 1.021579625, 0.9955377084\n"
+     "  onsite:  -0.01352180645, 0.7023721363, -0.2888503299\n"
+     "neighbor 1:\n"
+     "  hopping: 0.9971131332, 1.007354686, 0.9955730979\n"
+     "  onsite:  0.0186780057, 0.6939602065, -0.3126382122\n"),
+    (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "0"],
+     "\n"),
+], ids=lambda value: "-".join(a for a in value if a.isalpha()) if isinstance(value, list) else None)
+def test_every_subcommands_text_is_pinned(capsys, argv, text):
+    # The whole output, literally, as test_gap_report_text_is_pinned pins
+    # that of bands: no samples print the header alone, and no neighbours
+    # one empty line.
+    assert run_cli(capsys, *argv) == (0, text, "")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
 @example(5e-324)
@@ -118,10 +171,7 @@ def test_gap_report_text_is_pinned():
 @example(1.7976931348623157e308)
 @settings(max_examples=300, deadline=None)
 def test_emit_writes_floats_that_parse_back_to_the_same_bits(x):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(SimpleNamespace(json=True), lambda: {"x": x, "xs": [x, -x]}, None)
-    payload = strict_json(out.getvalue())
+    payload = strict_json(cli._json_line({"x": x, "xs": [x, -x]}))
     assert bits(payload) == {"x": x.hex(), "xs": [x.hex(), (-x).hex()]}
 
 
@@ -315,6 +365,26 @@ def test_edges_refuses_node_values_that_overflow(capsys):
         assert "of the 641 node values of Delta are not finite" in err
 
 
+def test_edges_writes_the_series_of_node_values_near_the_float_range(capsys):
+    # A repeated dimer, N = 592: its node values reach 1.5e307, and their
+    # sums in the series' FFT would overflow. The series is finite, the
+    # bits of that of the node values scaled by 2**-64, and both modes
+    # answer with no warning (which the test settings make an error).
+    op = PeriodicJacobi(np.full(592, 0.5), np.tile([1.5, -1.5], 296))
+    per, anti = op.floquet_eigenvalues([0.0, np.pi])
+    argv = ["edges", f"--periodic={','.join(map(repr, per.tolist()))}",
+            f"--antiperiodic={','.join(map(repr, anti.tolist()))}"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    series = strict_json(out)["discriminant_chebyshev"]
+    disc = inverse.discriminant_from_edges(per, anti)
+    assert np.max(np.abs(disc.values)) > 1e307
+    small = Discriminant(disc.interval, np.ldexp(disc.values, -64), 0.0)
+    assert bits(series["coefficients"]) == bits(np.ldexp(small.chebyshev.coef, 64).tolist())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("hopping product: ")
+
+
 @pytest.mark.parametrize("n", [128, 384])
 def test_edges_refuses_edges_that_do_not_determine_the_hopping_product(capsys, n):
     op = random_operator(np.random.default_rng(0), n)
@@ -417,6 +487,16 @@ def test_error_paths_exit_nonzero(capsys):
         (["classes", "--values", "0,1e-310", "--period", "3", "--hopping", "1e-310"], SUBNORMAL),
         (["neighbors", "--onsite", "0,1e-310,0", "--hopping", "1e-310"], SUBNORMAL),
         (["dos", "--onsite", "0,1e-310,0", "--hopping", "1e-310", "--points", "4"], SUBNORMAL),
+        # On a hull wider than the largest double the nodes and the edge
+        # distances overflow: the refusal comes with no RuntimeWarning.
+        (["edges", "--periodic=1e308,-1e308", "--antiperiodic=0,1"],
+         "3 of the 3 node values of Delta are not finite"),
+        (["edges", "--periodic=1e308,1.5e308", "--antiperiodic=1.2e308,1.7e308"],
+         "3 of the 3 node values of Delta are not finite"),
+        (["edges", "--periodic=1.7e308,1.7e308", "--antiperiodic=-1.7e308,-1.7e308", "--hopping=1,1"],
+         "3 of the 3 node values of Delta are not finite"),
+        (["edges", "--periodic=1.7e308", "--antiperiodic=-1.7e308", "--json"],
+         "2 of the 2 node values of Delta are not finite"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
