@@ -359,30 +359,19 @@ class BandStructure:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         return self.operator.floquet_eigenvalues(thetas.ravel()).T
 
-    def density_of_states(self, lam):
-        """Per-site DOS |Delta'| / (N pi sqrt(4 - Delta^2)), elementwise.
+    def densities(self, lam):
+        """The per-site DOS and the IDS at lam, elementwise, from one march:
+        (dos, ids), two floats for a scalar lam.
 
-        Zero off the spectrum; integrates to exactly 1/N over each band.
-        Diverges like an inverse square root at open-gap edges and at the
+        The DOS is |Delta'| / (N pi sqrt(4 - Delta^2)). It is zero off the
+        spectrum and integrates to exactly 1/N over each band. It diverges
+        like an inverse square root at open-gap edges and at the
         spectrum's two ends, and is inf on them; at the one point of a
-        closed gap it is finite. Computed with the IDS by one march (see
-        _densities).
-        """
-        return self._densities(lam)[0]
-
-    def integrated_density(self, lam):
-        """Fraction of states at or below lam, in [0, 1], elementwise.
-
-        A point on an upper band edge counts the band as filled; a point
-        on a lower edge counts as inside the band. So the IDS is exactly
-        j / N on the lower edge of band j and (j + 1) / N on its upper
-        edge. Computed with the DOS by one march (see _densities), slope
-        rows included.
-        """
-        return self._densities(lam)[1]
-
-    def _densities(self, lam):
-        """The DOS and the IDS at lam, elementwise, from one march.
+        closed gap it is finite. The IDS is the fraction of states at or
+        below lam, in [0, 1]. A point on an upper band edge counts the
+        band as filled; a point on a lower edge counts as inside the band.
+        So the IDS is exactly j / N on the lower edge of band j and
+        (j + 1) / N on its upper edge.
 
         M and M' come from one march of the recurrence over the points
         in the spectrum, as contains decides it from the edges; at all
@@ -442,8 +431,9 @@ class BandStructure:
             -(split * split + 4.0 * m[0, 1] * m[1, 0]),
             4.0 - delta * delta,
         ))
-        slope = np.where(shut, np.sqrt(np.abs(dm[0, 0] * dm[1, 1] - dm[0, 1] * dm[1, 0])),
-                         np.abs(dm[0, 0] + dm[1, 1]))
+        slope = np.abs(dm[0, 0] + dm[1, 1])
+        d = dm[:, :, shut]  # det M' only where it is read: it overflows first on weak bonds
+        slope[shut] = np.sqrt(np.abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]))
         rho = np.zeros(lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho[inside] = np.where(
@@ -487,4 +477,4 @@ def dos_curve(structure, points=512):
     lo, hi = structure.edges[0], structure.edges[-1]
     margin = 0.05 * (hi - lo if hi > lo else 1.0)
     energies = np.linspace(lo - margin, hi + margin, points)
-    return (energies, *structure._densities(energies))
+    return (energies, *structure.densities(energies))

@@ -37,16 +37,9 @@ from .operators import PeriodicJacobi
 
 def _csv_floats(text):
     """The floats of a comma-separated list, by float() token by token;
-    tokens that are empty or whitespace are skipped. One pass over the
-    tokens when none is empty, the usual case; the slower loop only when
-    that pass raises, to skip empty tokens and name a bad list."""
-    tokens = text.split(",")
+    tokens that are empty or whitespace are skipped."""
     try:
-        return list(map(float, tokens))
-    except ValueError:
-        pass
-    try:
-        return [float(tok) for tok in tokens if tok.strip() != ""]
+        return list(map(float, filter(str.strip, text.split(","))))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 

@@ -28,6 +28,7 @@ its own rounding; power-basis coefficients lose accuracy exponentially
 with N. It is also the payload of `hillbands edges --json`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -357,7 +358,10 @@ def chain_from_divisor(edges, mu, sheet, log_hopping_product):
     eigenvectors are w_j = exp(sheet_j h_j) A / prod_{i != j}|mu_j - mu_i|
     over their sum, a_{N-1}^2. Lanczos on diag(mu) from sqrt(w) gives the
     sites N - 1 .. 1, A gives a_0, and the trace, sum(b) = sum(E) / 2,
-    gives b_0.
+    gives b_0. Lanczos runs on mu scaled by the power of two that brings
+    max|E| into [1/2, 1), and its bonds and sites are scaled back: both
+    scalings are exact, and the norms of the loop, square roots of sums
+    of squares, neither overflow nor underflow on edges far from 1.
 
     Raises ValueError if a mu_j is outside the closure of gap j, a sheet
     entry is not +-1, or a weight is not finite or underflows, as the
@@ -384,15 +388,18 @@ def chain_from_divisor(edges, mu, sheet, log_hopping_product):
         raise ValueError("a Dirichlet weight underflows")
     a, b = np.ones(n), np.empty(n)
     basis, q = np.zeros((n - 1, n - 1)), np.sqrt(w / np.sum(w))
+    scale = math.frexp(max(-edges[0], edges[-1]))[1]  # of max|E|, the edges being sorted
+    nu = np.ldexp(mu, -scale)
     for k in range(n - 1):  # row k of the Lanczos matrix is site N - 1 - k
         basis[:, k] = q
-        b[n - 1 - k] = q @ (mu * q)
+        b[n - 1 - k] = q @ (nu * q)
         if k < n - 2:
-            r = mu * q
+            r = nu * q
             for _ in range(2):  # full reorthogonalisation, twice
                 r -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ r)
             a[n - 2 - k] = np.linalg.norm(r)
             q = r / a[n - 2 - k]
+    a[1:-1], b[1:] = np.ldexp(a[1:-1], scale), np.ldexp(b[1:], scale)
     if n > 1:
         a[-1] = np.exp(0.5 * (np.max(log_w) + np.log(np.sum(w))))
     a[0] = np.exp(log_hopping_product - np.sum(np.log(a[1:])))

@@ -28,7 +28,6 @@ only the site loop (March.run). The public functions refuse a lam that
 is not finite before any march.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -39,15 +38,11 @@ FACTOR_BLOCK = 1 << 15  # site factors formed per broadcast in the value march
 class March:
     """A march of the recurrence on fixed bonds, prepared in two parts.
 
-    March(hopping, index=None) holds what the bonds alone fix: the bonds
-    a, of shape (N,) for one chain or (N,) + chains for a batch, and
-    their factors back = a_{k-1} / a_k and up = 1 / a_k (Python floats
-    for one chain). With index, an integer array over the sites, the
-    factors are those of the chain's bonds gathered by index, the same
-    numbers as the factors of the bonds a[index] (see jacobian_at).
+    March(hopping) holds what the bonds alone fix: the bonds a, of shape
+    (N,) for one chain or (N,) + chains for a batch, and their factors
+    back = a_{k-1} / a_k and up = 1 / a_k (Python floats for one chain).
     Raises ValueError, naming the bond, when a factor overflows the
-    float range, as that of a subnormal bond does; with index it is the
-    chain's own bond that is named.
+    float range, as that of a subnormal bond does.
 
     at(lam, derivs) adds what lam fixes as well, and run(onsite) marches
     the sites: every march of these bonds may share the first part, and
@@ -56,7 +51,7 @@ class March:
 
     __slots__ = ("a", "back", "up", "lam", "derivs", "block", "start")
 
-    def __init__(self, hopping, index=None):
+    def __init__(self, hopping):
         a = np.asarray(hopping, dtype=float)
         n = a.shape[0]
         try:
@@ -68,8 +63,6 @@ class March:
                 f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = {bond:g} "
                 f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range"
             ) from None
-        if index is not None:
-            a, back, up = a[index], back[index], up[index]
         if a.size == n:  # one chain: Python-float factors
             back, up = back.ravel().tolist(), up.ravel().tolist()
         self.a, self.back, self.up = a, back, up
@@ -187,15 +180,10 @@ def _overflowing_bond(a):
                 return k, y
 
 
-@functools.cache
 def rotations(period):
-    """Index of the N rotations of a chain, shape (N, N), read-only: site
-    k of rotation j is site (j + 1 + k) mod N, so rotation N - 1 is the
-    chain. Built once per period and kept for the life of the process,
-    N^2 integers per period."""
-    index = (np.arange(period)[:, None] + np.arange(1, period + 1)) % period
-    index.setflags(write=False)
-    return index
+    """Index of the N rotations of a chain, shape (N, N): site k of
+    rotation j is site (j + 1 + k) mod N, so rotation N - 1 is the chain."""
+    return (np.arange(period)[:, None] + np.arange(1, period + 1)) % period
 
 
 def jacobian_at(hopping, lam):
@@ -223,7 +211,8 @@ def jacobian_at(hopping, lam):
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
     lam = _energies(lam)[..., None]
-    march = March(a, index).at(lam, rows=True)
+    March(a)  # a bond whose factor overflows, named by its index in the chain
+    march = March(a[index]).at(lam, rows=True)  # the same divisions as the chain's factors
     a = np.broadcast_to(a, lam.shape[:-1] + a.shape).copy()  # in the Jacobian's shape
 
     def jacobian(onsite):

@@ -255,7 +255,7 @@ def test_one_closed_gap_rule(method):
         states = [line.split()[-1] for line in cli._gap_table(bs.to_dict()).splitlines()[-(op.period - 1):]]
         assert np.array_equal(np.array(bs.to_dict()["gap_widths"]) > 0.0, is_open)
         assert np.array_equal(~bs.contains(mids), is_open)
-        assert np.array_equal(bs.density_of_states(mids) == 0.0, is_open)
+        assert np.array_equal(bs.densities(mids)[0] == 0.0, is_open)
         assert np.array_equal(np.array(states) == "open", is_open)
 
 
@@ -785,8 +785,8 @@ def test_integrated_density_at_band_edges(generic_bs):
     # IDS rises from j / N at band j's lower edge to (j + 1) / N at its upper.
     n = generic_bs.operator.period
     for j, (lower, upper) in enumerate(generic_bs.edges.reshape(-1, 2)):
-        assert round(generic_bs.integrated_density(lower), 6) == round(j / n, 6)
-        assert round(generic_bs.integrated_density(upper), 6) == round((j + 1) / n, 6)
+        assert round(generic_bs.densities(lower)[1], 6) == round(j / n, 6)
+        assert round(generic_bs.densities(upper)[1], 6) == round((j + 1) / n, 6)
 
 
 @pytest.mark.parametrize("method", ["eig", "bisection"])
@@ -803,7 +803,7 @@ def test_integrated_density_is_exact_at_every_band_edge(method):
     for op in chains:
         bs = BandStructure(op, method)
         count = np.ceil(np.arange(2 * op.period) / 2) / op.period
-        assert np.max(np.abs(bs.integrated_density(bs.edges) - count)) <= 1e-15
+        assert np.max(np.abs(bs.densities(bs.edges)[1] - count)) <= 1e-15
 
 
 def test_dispersion_reproduces_floquet(generic_op, generic_bs):
@@ -922,38 +922,37 @@ def test_density_of_states_normalization(generic_bs):
     n = generic_bs.operator.period
     for lower, upper in generic_bs.edges.reshape(-1, 2):
         mass, err = quad(
-            generic_bs.density_of_states, lower, upper, limit=400
+            lambda lam: generic_bs.densities(lam)[0], lower, upper, limit=400
         )
         assert mass == pytest.approx(1.0 / n, abs=5e-7)
 
 
 def test_density_of_states_zero_outside(generic_bs):
     lam = generic_bs.edges[-1] + 0.5
-    assert generic_bs.density_of_states(lam) == 0.0
+    assert generic_bs.densities(lam)[0] == 0.0
     lower, upper = generic_bs.edges[1:-1:2], generic_bs.edges[2::2]
     for mid in (0.5 * (lower + upper))[upper > lower]:
-        assert generic_bs.density_of_states(mid) == 0.0
+        assert generic_bs.densities(mid)[0] == 0.0
 
 
 def test_integrated_density_limits_and_monotone(generic_bs):
     edges = generic_bs.edges
-    assert generic_bs.integrated_density(edges[0] - 1.0) == 0.0
-    assert generic_bs.integrated_density(edges[-1] + 1e-9) == pytest.approx(1.0)
+    assert generic_bs.densities(edges[0] - 1.0)[1] == 0.0
+    assert generic_bs.densities(edges[-1] + 1e-9)[1] == pytest.approx(1.0)
     grid = np.linspace(edges[0] - 0.2, edges[-1] + 0.2, 301)
-    vals = generic_bs.integrated_density(grid)
+    vals = generic_bs.densities(grid)[1]
     assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_a_nan_energy_is_refused_and_infinite_ones_keep_their_limits(generic_bs):
     # A nan energy was once read as past every edge: IDS 1.0, DOS 0.0
     # and outside the spectrum, even at tol = 1.
-    for call in (generic_bs.integrated_density, generic_bs.density_of_states,
-                 generic_bs.contains, lambda lam: generic_bs.contains(lam, tol=1.0)):
+    for call in (generic_bs.densities, generic_bs.contains,
+                 lambda lam: generic_bs.contains(lam, tol=1.0)):
         for lam in (np.nan, [0.0, np.nan]):
             with pytest.raises(ValueError, match="energies must not be nan"):
                 call(lam)
-    ids = generic_bs.integrated_density(np.array([-np.inf, np.inf]))
-    dos = generic_bs.density_of_states(np.array([-np.inf, np.inf]))
+    dos, ids = generic_bs.densities(np.array([-np.inf, np.inf]))
     assert ids.tolist() == [0.0, 1.0] and dos.tolist() == [0.0, 0.0]
     assert not generic_bs.contains(np.array([-np.inf, np.inf])).any()
 
@@ -964,7 +963,7 @@ def test_integrated_density_gap_plateaus(generic_bs):
         if not upper > lower:
             continue
         mid = 0.5 * (lower + upper)
-        assert generic_bs.integrated_density(mid) == pytest.approx((j + 1) / n)
+        assert generic_bs.densities(mid)[1] == pytest.approx((j + 1) / n)
 
 
 def test_integrated_density_matches_truncation_counting(generic_op, generic_bs):
@@ -977,7 +976,7 @@ def test_integrated_density_matches_truncation_counting(generic_op, generic_bs):
     edges = generic_bs.edges
     for lam in np.linspace(edges[0] + 0.1, edges[-1] - 0.1, 9):
         empirical = np.searchsorted(vals, lam) / total
-        assert generic_bs.integrated_density(lam) == pytest.approx(
+        assert generic_bs.densities(lam)[1] == pytest.approx(
             empirical, abs=5e-3
         )
 
@@ -1010,8 +1009,29 @@ def test_integrated_density_matches_band_loop():
         bs = BandStructure(op)
         grid = np.concatenate([bs.edges, np.linspace(bs.edges[0] - 0.3, bs.edges[-1] + 0.3, 97)])
         expected = [reference(bs, lam) for lam in grid]
-        assert np.array_equal(bs.integrated_density(grid), expected)
-        assert bs.integrated_density(grid[3]) == expected[3]
+        assert np.array_equal(bs.densities(grid)[1], expected)
+        assert bs.densities(grid[3])[1] == expected[3]
+
+
+def test_dos_curve_of_a_chain_scaled_by_a_power_of_two_is_the_same_curve_scaled():
+    # Scaling a chain by s = 2^e scales its edges and energies by s, M' by
+    # 1 / s and leaves M alone, all exactly: the DOS scales by 1 / s and
+    # the IDS keeps its bits. det M', read only at a closed gap's point,
+    # was once formed at every point and overflowed with a warning below
+    # about s = 2^-510.
+    rng = np.random.default_rng(510)
+    for n in (2, 3, 5, 8, 13, 24):
+        op = random_operator(rng, n)
+        shift = 1 - int(np.frexp(max(map(abs, op.gershgorin)))[1])  # reach into [1, 2)
+        a, b = np.ldexp(op.hopping, shift), np.ldexp(op.onsite, shift)
+        energies, rho, ids = dos_curve(BandStructure(PeriodicJacobi(a, b), "bisection"), 128)
+        for power in (-510, -600, -1000):
+            scaled = BandStructure(PeriodicJacobi(np.ldexp(a, power), np.ldexp(b, power)),
+                                   "bisection")
+            at, rho_at, ids_at = dos_curve(scaled, 128)
+            assert np.array_equal(at, np.ldexp(energies, power))
+            assert np.array_equal(rho_at, np.ldexp(rho, -power))
+            assert np.array_equal(ids_at, ids)
 
 
 def test_harper_dos_curve_climbs_from_0_to_1_over_a_finite_nonnegative_dos():
@@ -1030,7 +1050,7 @@ def test_free_integrated_density_closed_form():
     # absolute agreement is the honest conditioning floor there.
     for lam in np.linspace(b - 2 * a + 1e-6, b + 2 * a - 1e-6, 11):
         expected = np.arccos(np.clip((b - lam) / (2 * a), -1, 1)) / np.pi
-        assert bs.integrated_density(lam) == pytest.approx(expected, abs=1e-7)
+        assert bs.densities(lam)[1] == pytest.approx(expected, abs=1e-7)
 
 
 def test_band_structure_shortcut():
@@ -1094,7 +1114,7 @@ def test_uniform_chain_dos_and_ids_match_closed_forms(period):
     bs = BandStructure(PeriodicJacobi.free(period, a, b))
     grid = np.linspace(b - 2 * a - 0.1, b + 2 * a + 0.1, 2001)
     ids = np.arccos(np.clip((b - grid) / (2 * a), -1.0, 1.0)) / np.pi
-    assert np.max(np.abs(bs.integrated_density(grid) - ids)) <= 1e-10
+    assert np.max(np.abs(bs.densities(grid)[1] - ids)) <= 1e-10
     far = np.abs(np.abs(grid - b) - 2 * a) > 1e-10
     assert np.array_equal(bs.contains(grid)[far], (np.abs(grid - b) <= 2 * a)[far])
 
@@ -1105,8 +1125,8 @@ def test_uniform_chain_dos_and_ids_match_closed_forms(period):
     inside = np.abs(grid - b) < 2 * a
     far = inside & (np.min(np.abs(grid[:, None] - levels), axis=1) >= 1e-6)
     exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (grid[far] - b) ** 2))
-    assert np.all(np.abs(bs.density_of_states(grid)[far] - exact) <= 1e-9 * exact)
-    assert np.all(bs.density_of_states(grid)[~inside] == 0.0)
+    assert np.all(np.abs(bs.densities(grid)[0][far] - exact) <= 1e-9 * exact)
+    assert np.all(bs.densities(grid)[0][~inside] == 0.0)
 
 
 @pytest.mark.parametrize("method", ["eig", "bisection"])
@@ -1119,7 +1139,7 @@ def test_uniform_dos_at_the_closed_gap_levels(method):
         bs = BandStructure(PeriodicJacobi.free(n, a, b), method)
         j = np.arange(1, n)
         levels = b + 2 * a * np.cos(np.pi * j / n)
-        rho, ids = bs._densities(levels)
+        rho, ids = bs.densities(levels)
         exact = 1.0 / (np.pi * np.sqrt(4 * a * a - (levels - b) ** 2))
         assert np.all(rho > 0.0)
         assert np.max(np.abs(rho - exact) / exact) <= 1e-11
@@ -1239,9 +1259,9 @@ def test_repeated_cell_dos_beside_the_closed_gap_points(method):
         lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
         shut = lower[lower == upper]
         assert shut.size == p * (m - 1)
-        at = bs.density_of_states(shut)
+        at = bs.densities(shut)[0]
         for side in (-np.inf, np.inf):
-            rho = bs.density_of_states(np.nextafter(shut, side))
+            rho = bs.densities(np.nextafter(shut, side))[0]
             assert np.all(rho > 0.0)
             assert np.max(np.abs(rho - at)) <= 1e-11
 
@@ -1259,7 +1279,7 @@ def test_dos_is_infinite_on_every_edge_but_a_closed_gaps_point(method):
     for op, shut in chains:
         bs = BandStructure(op, method)
         edges = bs.edges
-        rho = bs.density_of_states(edges)
+        rho = bs.densities(edges)[0]
         closed = np.zeros(edges.size, dtype=bool)
         closed[1:-1] = np.repeat(edges[1:-1:2] == edges[2::2], 2)
         assert shut is None or np.count_nonzero(closed) == 2 * shut
@@ -1320,7 +1340,7 @@ def test_dos_matches_exact_arithmetic_inside_every_band():
             [np.linspace(lower, upper, 10)[1:-1] for lower, upper in bs.edges.reshape(-1, 2)]
         )
         exact = np.array([_exact_density(bs.operator, x) for x in lam])
-        assert np.all(np.abs(bs.density_of_states(lam) - exact) <= 1e-9 * exact)
+        assert np.all(np.abs(bs.densities(lam)[0] - exact) <= 1e-9 * exact)
 
 
 def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op):
@@ -1330,7 +1350,6 @@ def test_dos_ids_and_membership_never_build_coefficients(monkeypatch, generic_op
     monkeypatch.setattr(Discriminant, "from_operator", classmethod(refuse))
     bs = BandStructure(generic_op)
     grid = np.linspace(bs.edges[0] - 0.5, bs.edges[-1] + 0.5, 41)
-    bs.density_of_states(grid)
-    bs.integrated_density(grid)
+    bs.densities(grid)
     bs.contains(grid)
     dos_curve(bs, points=33)

@@ -2,7 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -981,3 +984,26 @@ def test_edges_goes_through_recover_operator_from_edges(capsys, monkeypatch):
             "onsite": op.onsite.tolist(),
         })
     assert seen == [None, [0.25, 0.75]]
+
+
+def test_readme_transcripts_are_the_output_and_every_example_runs(capsys):
+    # README's transcripts are what the program writes, byte for byte, the
+    # cli docstring's examples answer, and README's library example holds
+    # to its closing check.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w*)\n(.*?)```", readme, re.S)
+    transcripts = [body for _, body in blocks if body.startswith("$ hillbands ")]
+    assert len(transcripts) == 3
+    for body in transcripts:
+        command, expected = body.split("\n", 1)
+        assert run_cli(capsys, *shlex.split(command)[2:]) == (0, expected, "")
+    examples = [line.split()[1:] for line in cli.__doc__.splitlines()
+                if line.lstrip().startswith("hillbands ")]
+    assert len(examples) == len(cli._COMMANDS)
+    for argv in examples:
+        assert run_cli(capsys, *argv)[0] == 0
+    (library,) = [body for language, body in blocks if language == "python"]
+    *steps, check = library.strip().splitlines()
+    scope = {}
+    exec("\n".join(steps), scope)
+    assert eval(check, scope) is True

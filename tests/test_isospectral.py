@@ -259,3 +259,18 @@ def test_neighbors_raise_where_the_weights_underflow():
     op = random_operator(np.random.default_rng(0), 512)
     with pytest.raises(ValueError, match="underflows"):
         isospectral_neighbors(op, seed=0)
+
+
+def test_neighbors_of_chains_far_from_unit_scale_keep_the_edges():
+    # Lanczos's norms once squared bonds near 1e-181 to 0, or near 1e300
+    # to inf, and the walk failed with "coefficients must be finite" on
+    # chains whose bands it had solved.
+    rng = np.random.default_rng(600)
+    for n in (3, 5, 8):
+        op = random_operator(rng, n)
+        for power in (-1000, -600, 600, 1000):
+            scaled = PeriodicJacobi(np.ldexp(op.hopping, power), np.ldexp(op.onsite, power))
+            edges = band_edges_eig(scaled)
+            for nb in isospectral_neighbors(scaled, count=2, seed=n):
+                error = np.max(np.abs(band_edges_eig(nb) - edges))
+                assert error <= 1e-12 * np.max(np.abs(edges))

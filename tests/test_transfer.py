@@ -271,8 +271,7 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
     # march run again is the same march, and so is the batch with its
     # operands in the rows' shape (March.at with rows), which the default
     # FACTOR_BLOCK allows here and blocks of 1 and 7 numbers refuse,
-    # leaving the per-site broadcast; the rotations' factors gathered by
-    # index are those of the rotated bonds. One March of the chain,
+    # leaving the per-site broadcast. One March of the chain,
     # prepared anew at each lam, derivs and history in turn, gives the
     # bits of a fresh discriminant every time.
     def bits(rows):
@@ -299,13 +298,13 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
                         assert len(one) == (n + 2 if history else 2)
                         assert bits(one) == bits(row[..., -1] for row in batch)
                         assert bits(prepared.run(op.onsite, history)) == bits(one)
-                        for march in (transfer.March(rotated[0]), transfer.March(op.hopping, index)):
-                            for rows in (False, True):
-                                again = march.at(np.asarray(lam)[..., None], derivs, rows)
-                                laid_out = np.shape(again.lam) == again.start.shape[1:]
-                                if block in (default, 1):  # room for the N rows, and for none
-                                    assert laid_out == (rows and block == default)
-                                assert bits(again.run(rotated[1], history)) == bits(batch)
+                        march = transfer.March(rotated[0])
+                        for rows in (False, True):
+                            again = march.at(np.asarray(lam)[..., None], derivs, rows)
+                            laid_out = np.shape(again.lam) == again.start.shape[1:]
+                            if block in (default, 1):  # room for the N rows, and for none
+                                assert laid_out == (rows and block == default)
+                            assert bits(again.run(rotated[1], history)) == bits(batch)
                         rows = reused.at(lam, derivs).run(op.onsite, history)
                         fresh = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
                         assert bits([rows[-1][:, 0] + rows[-2][:, 1]]) == bits([fresh])
@@ -478,11 +477,9 @@ def test_blind_preparation_holds_at_most_factor_block_numbers_per_operand(monkey
             <= transfer.FACTOR_BLOCK
 
 
-def test_rotation_index_is_built_once_per_period_and_read_only():
+def test_rotation_index_ends_with_the_chain():
     for n in (1, 2, 7):
-        index = transfer.rotations(n)
-        assert transfer.rotations(n) is index and not index.flags.writeable
-        assert np.array_equal(index[-1], np.arange(n))  # rotation N - 1 is the chain
+        assert np.array_equal(transfer.rotations(n)[-1], np.arange(n))  # rotation N - 1 is the chain
 
 
 @pytest.mark.parametrize("period", range(1, 13))
