@@ -167,21 +167,17 @@ def _evaluator(op, shift, scale, level, march):
     on which others are evaluated with it. march is op's transfer.March,
     built once per solve and shared by its evaluators.
     """
-
-    def rows(lam, derivs, top):
-        prev, cur = march.at(lam, derivs).run(op.onsite)
-        return cur[top:, 0] + prev[top:, 1]
-
     uniform = np.ndim(shift) == 0  # one shift for all brackets: the rows are a slice
     shift = int(shift) if uniform else np.asarray(shift)
 
     def g(lam, i, derivs):
         if uniform:
-            values = rows(lam, shift + derivs, shift)
+            values = march.at(lam, shift + derivs).trace(op.onsite)[shift:]
         else:
             own = shift[i]
             take = own + np.arange(derivs + 1).reshape((-1,) + (1,) * np.ndim(lam))
-            values = np.take_along_axis(rows(lam, int(own.max()) + derivs, 0), take, axis=0)
+            values = np.take_along_axis(march.at(lam, int(own.max()) + derivs).trace(op.onsite),
+                                        take, axis=0)
         values *= scale[i]
         values[0] -= level[i]
         return values

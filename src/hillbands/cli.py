@@ -68,6 +68,11 @@ def _floats(values):
     return ", ".join(f"{v:.10g}" for v in values)
 
 
+def _columns(header, columns):
+    """The header line, then one line per row of the columns at _floats' 10 digits."""
+    return "\n".join([header] + [" ".join(f"{v:.10g}" for v in row) for row in zip(*columns)])
+
+
 def _gap_table(record):
     """Plain-text table of the bands and gaps of a BandStructure.to_dict
     record; a gap is open when its edges differ."""
@@ -99,10 +104,9 @@ def _cmd_dispersion(args):
 
 
 def _dispersion_text(payload):
-    lines = ["theta " + " ".join(f"band{j}" for j in range(len(payload["bands"])))]
-    for theta, energies in zip(payload["theta"], zip(*payload["bands"])):
-        lines.append(f"{theta:.6f} " + " ".join(f"{e:.8f}" for e in energies))
-    return "\n".join(lines)
+    bands = payload["bands"]
+    return _columns("theta " + " ".join(f"band{j}" for j in range(len(bands))),
+                    [payload["theta"], *bands])
 
 
 def _cmd_dos(args):
@@ -111,10 +115,7 @@ def _cmd_dos(args):
 
 
 def _dos_text(payload):
-    lines = ["energy dos ids"]
-    for row in zip(payload["energy"], payload["dos"], payload["ids"]):
-        lines.append("{:.8f} {:.8f} {:.8f}".format(*row))
-    return "\n".join(lines)
+    return _columns("energy dos ids", [payload["energy"], payload["dos"], payload["ids"]])
 
 
 def _chain_payload(op):

@@ -154,8 +154,8 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     RuntimeError
         If no gap is open, as on the constant chain: the family is a point.
     ValueError
-        If count is negative, step is not finite, seed is a negative
-        integer, or a weight of a divisor is not finite or underflows.
+        If count is negative, step or an angle it reaches is not finite,
+        seed is a negative integer, or a divisor's weight is not finite or underflows.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, not {count}")
@@ -178,7 +178,10 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
     out = []
     for _ in range(count):
         direction = rng.standard_normal(phi.size)
-        phi = phi + step * direction / np.linalg.norm(direction)
+        with np.errstate(over="ignore"):  # an overflow is refused below, by the step
+            phi = phi + step * direction / np.linalg.norm(direction)
+        if not np.isfinite(phi).all():
+            raise ValueError(f"step {step} takes an angle beyond the float range")
         mu[open_] = np.clip(mid + half * np.cos(phi), lower[open_], upper[open_])
         sheet[open_] = np.where(np.sin(phi) < 0.0, -1.0, 1.0)
         out.append(chain_from_divisor(edges, mu, sheet, log_product))

@@ -24,8 +24,9 @@ whose bonds never change, builds its cell's March once for all its
 marches (bands._cell_edges); the onsite Jacobian of a solve, whose
 bonds and nodes never change, prepares both once (jacobian_at), with
 the operands in the shape of the rows, so that each evaluation runs
-only the site loop (March.run). The public functions refuse a lam that
-is not finite before any march.
+only the site loop (March.run). March.at refuses a lam that is not
+finite, before any site is marched. Only this module reads a march's
+rows: March.trace gives Delta and its derivatives to the others.
 """
 
 import math
@@ -81,9 +82,12 @@ class March:
         in it from one broadcast per run, so every ufunc of a site step
         multiplies operands of one shape: NumPy's contiguous path, with
         the same values as the broadcast one. Only a preparation that
-        serves many runs repays the copies (see jacobian_at).
+        serves many runs repays the copies (see jacobian_at). Raises
+        ValueError when lam is not finite: the march would answer nan.
         """
         a, back, lam = self.a, self.back, np.asarray(lam, dtype=float)
+        if not np.isfinite(lam).all():
+            raise ValueError("energies lam must be finite")
         n = a.shape[0]
         shape = lam.shape if a.ndim == 1 else np.broadcast_shapes(lam.shape, a.shape[1:])
         column = (n,) + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:]
@@ -159,14 +163,11 @@ class March:
             ) from None
         return rows if history else [prev, cur]
 
-
-def _energies(lam):
-    """lam as a float array, refused with a ValueError before any site is
-    marched if an entry is not finite: the march would answer nan."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.isfinite(lam).all():
-        raise ValueError("energies lam must be finite")
-    return lam
+    def trace(self, onsite):
+        """Delta = tr M from one run of the sites onsite, of shape (derivs + 1,)
+        + shape: row j is its j-th lam-derivative."""
+        prev, cur = self.run(onsite)
+        return cur[:, 0] + prev[:, 1]
 
 
 def _overflowing_bond(a):
@@ -210,7 +211,7 @@ def jacobian_at(hopping, lam):
     """
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
-    lam = _energies(lam)[..., None]
+    lam = np.asarray(lam, dtype=float)[..., None]
     March(a)  # a bond whose factor overflows, named by its index in the chain
     march = March(a[index]).at(lam, rows=True)  # the same divisions as the chain's factors
     a = np.broadcast_to(a, lam.shape[:-1] + a.shape).copy()  # in the Jacobian's shape
@@ -226,7 +227,6 @@ def monodromy(op, lam):
     """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
     from one value march with the derivative rows; ValueError on overflow
     or a lam that is not finite."""
-    lam = _energies(lam)
     prev, cur = March(op.hopping).at(lam, 1).run(op.onsite)
     m = np.stack([cur, prev])
     return m[:, 0], m[:, 1]
@@ -244,9 +244,7 @@ def discriminant(hopping, onsite, lam, derivs=0):
     broadcast against the chains. Raises ValueError when lam is not
     finite, or when the march overflows the float range.
     """
-    lam = _energies(lam)
-    prev, cur = March(hopping).at(lam, derivs).run(onsite)
-    return cur[:, 0] + prev[:, 1]
+    return March(hopping).at(lam, derivs).trace(onsite)
 
 
 def discriminant_rounding(op, lam):
@@ -275,7 +273,7 @@ def discriminant_rounding(op, lam):
     chain or its reversal is named by its index in the chain, as
     discriminant names it.
     """
-    lam = _energies(lam)
+    lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
     n = op.period
     both = np.empty((2, n, 2))  # bonds, then sites; the chain, then its reversal

@@ -115,17 +115,17 @@ def test_gap_report_text_is_pinned():
 @pytest.mark.parametrize("argv, text", [
     (["dispersion", "--onsite", "0,0.5", "--samples", "3"],
      "theta band0 band1\n"
-     "0.000000 -1.76556444 2.26556444\n"
-     "1.570796 -1.18614066 1.68614066\n"
-     "3.141593 0.00000000 0.50000000\n"),
+     "0 -1.765564437 2.265564437\n"
+     "1.570796327 -1.186140662 1.686140662\n"
+     "3.141592654 0 0.5\n"),
     (["dispersion", "--onsite", "0,0.5", "--samples", "0"],
      "theta band0 band1\n"),
     (["dos", "--onsite", "0.3", "--hopping", "0.9", "--points", "4"],
      "energy dos ids\n"
-     "-1.68000000 0.00000000 0.00000000\n"
-     "-0.36000000 0.19007725 0.38049895\n"
-     "0.96000000 0.19007725 0.61950105\n"
-     "2.28000000 0.00000000 1.00000000\n"),
+     "-1.68 0 0\n"
+     "-0.36 0.1900772535 0.3804989541\n"
+     "0.96 0.1900772535 0.6195010459\n"
+     "2.28 0 1\n"),
     (["inverse", "--coeffs=-2.16,0,1", "--hopping", "1,1"],
      "onsite:  -0.4, 0.4\n"
      "hopping: 1, 1\n"),
@@ -853,9 +853,9 @@ def test_dispersion_text_matches_json(capsys):
         "--samples", "7")
     assert lines[0].split() == ["theta", "band0", "band1", "band2"]
     rows = [line.split() for line in lines[1:]]
-    assert [row[0] for row in rows] == printed(payload["theta"], ".6f")
+    assert [row[0] for row in rows] == printed(payload["theta"], ".10g")
     for j, band in enumerate(payload["bands"]):
-        assert [row[1 + j] for row in rows] == printed(band, ".8f")
+        assert [row[1 + j] for row in rows] == printed(band, ".10g")
 
 
 def test_dos_text_matches_json(capsys):
@@ -864,7 +864,21 @@ def test_dos_text_matches_json(capsys):
     assert lines[0] == "energy dos ids"
     columns = list(zip(*(line.split() for line in lines[1:])))
     for column, key in zip(columns, ("energy", "dos", "ids")):
-        assert list(column) == printed(payload[key], ".8f")
+        assert list(column) == printed(payload[key], ".10g")
+
+
+@pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+@pytest.mark.parametrize("argv, columns", [
+    (["dos", "--points", "9"], lambda payload: [payload["energy"], payload["dos"], payload["ids"]]),
+    (["dispersion", "--samples", "5"], lambda payload: [payload["theta"], *payload["bands"]]),
+], ids=["dos", "dispersion"])
+def test_dos_and_dispersion_text_keep_ten_digits_far_from_unit_scale(capsys, scale, argv, columns):
+    # Each row is the payload's row at 10 significant digits, so the text
+    # of a chain at 1e-300 or 1e300 keeps its values, in short lines.
+    lines, payload = run_both(capsys, *argv, "--onsite", f"{scale},0", "--hopping", scale)
+    columns = columns(payload)
+    assert lines[1:] == [" ".join(printed(row, ".10g")) for row in zip(*columns)]
+    assert len(lines) > 1 and max(map(len, lines)) <= 60
 
 
 def _values(line, label):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,22 @@ def test_neighbors_reject_a_step_that_is_not_finite():
     for step in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="step must be finite"):
             isospectral_neighbors(op, step=step, seed=0)
+
+
+@pytest.mark.parametrize("onsite, step, count, seeds", [
+    ([0.0, 1.0], 1e308, 3, (1,)),
+    ([0.0, 1.0, 0.4], 1.7e308, 1, (3, 5)),
+])
+def test_neighbors_refuse_a_finite_step_whose_angles_overflow(onsite, step, count, seeds):
+    # A finite step near the float range once overflowed the angles (in
+    # the sum, or in step * direction before its division by the norm),
+    # warned in cos and sin, and was reported as a divisor point outside
+    # its gap. It is refused, by name, before any chain is built.
+    op = PeriodicJacobi(np.ones(len(onsite)), onsite)
+    for seed in seeds:
+        message = re.escape(f"step {step} takes an angle beyond the float range")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            isospectral_neighbors(op, count=count, step=step, seed=seed)
 
 
 def test_neighbors_reject_a_negative_count(monkeypatch):

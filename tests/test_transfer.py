@@ -308,6 +308,7 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
                         rows = reused.at(lam, derivs).run(op.onsite, history)
                         fresh = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
                         assert bits([rows[-1][:, 0] + rows[-2][:, 1]]) == bits([fresh])
+                        assert bits([reused.at(lam, derivs).trace(op.onsite)]) == bits([fresh])
                         marched.add((tuple(bits(one)), tuple(bits(batch))))
                     assert len(marched) == 1
 
@@ -443,7 +444,8 @@ def test_public_marches_refuse_an_energy_that_is_not_finite(monkeypatch, bad):
                      lambda: transfer.monodromy(op, lam),
                      lambda: transfer.jacobian_at(op.hopping, lam),
                      lambda: transfer.jacobian_at(op.hopping, lam)(op.onsite),
-                     lambda: transfer.discriminant_rounding(op, lam)):
+                     lambda: transfer.discriminant_rounding(op, lam),
+                     lambda: transfer.March(op.hopping).at(lam)):
             with pytest.raises(ValueError, match="^energies lam must be finite$"):
                 call()
 
