@@ -7,14 +7,15 @@ pi. Both routes are implemented: the Hermitian band-matrix eigensolver
 route and a bracketed search on the discriminant between Dirichlet
 eigenvalues, multisection finished by Newton steps; they must agree, and
 the acceptance suite holds them to that. Both, and the DOS march, work
-on the chain's cell (see PeriodicJacobi.cell).
+on the chain's cell (see PeriodicJacobi.cell). Only the bisection
+search and the DOS march import transfer, so the eig route loads no
+march.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from . import transfer
 from .operators import PeriodicJacobi
 
 
@@ -116,6 +117,8 @@ def band_edges_bisection(op):
 
 def _cell_edges(cell, m):
     """The edges of cell repeated m times, by band_edges_bisection's search."""
+    from . import transfer
+
     n = cell.period
     lo, hi = cell.gershgorin
     mu = np.concatenate([[lo], cell.dirichlet_eigenvalues(), [hi]])
@@ -405,6 +408,8 @@ class BandStructure:
         there would turn the rounding of Delta into noise of order its
         square root, and reads exactly j / N.
         """
+        from . import transfer
+
         lam = np.asarray(lam, dtype=float)
         cell = self.operator.cell
         n = cell.period

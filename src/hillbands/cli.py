@@ -21,16 +21,20 @@ given once, as --name=value, as --name value with a value that does not
 begin with "-", or as a bare flag. Every other argv, help and usage
 errors included, is argparse's to read and answer. Both read one table
 of the subcommands' options, _COMMANDS.
+
+A module is imported where it is first needed: inverse and isospectral
+in the commands that call them, argparse in _parser and in _csv_floats'
+refusal. So a request loads only what its subcommand runs, and bands,
+dispersion and dos requests decoded by _decode never load argparse.
 """
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import orjson
 
-from . import inverse, isospectral
 from .bands import BandStructure, dos_curve
 from .operators import PeriodicJacobi
 
@@ -41,6 +45,8 @@ def _csv_floats(text):
     try:
         return list(map(float, filter(str.strip, text.split(","))))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
@@ -129,10 +135,14 @@ def _chain_text(payload):
 
 
 def _cmd_inverse(args):
+    from . import inverse
+
     return _chain_payload(inverse.recover_onsite(np.asarray(args.coeffs), args.hopping))
 
 
 def _cmd_edges(args):
+    from . import inverse
+
     disc, op = inverse.recover_operator_from_edges(args.periodic, args.antiperiodic, args.hopping)
     return {
         "hopping_product": float(np.exp(disc.log_hopping_product)),
@@ -146,6 +156,8 @@ def _edges_text(payload):
 
 
 def _cmd_classes(args):
+    from . import isospectral
+
     classes = isospectral.enumerate_onsite_classes(
         args.values, args.period, hopping=args.hopping)
     return {
@@ -170,6 +182,8 @@ def _classes_text(payload):
 
 
 def _cmd_neighbors(args):
+    from . import isospectral
+
     op = _chain(args)
     found = isospectral.isospectral_neighbors(
         op, count=args.count, step=args.step, seed=args.seed)
@@ -249,6 +263,8 @@ def _parser():
     Parsing keeps no state in it: every call gets a fresh namespace, and
     the defaults are immutable.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hillbands",
         description="Band structure of 1-D periodic tight-binding chains "
@@ -263,13 +279,14 @@ def _parser():
 
 
 def _decode(argv):
-    """The namespace _parser().parse_args(argv) returns, for the argv that
-    requests send: a subcommand, then only options of its own, each spelled
-    out in full, given once, and written --name=value, --name value (a
-    value that does not begin with "-") or, for a flag, --name; every value
-    converts by its option's type and is one of its choices, and every
-    required option is given. None for any other argv, which is argparse's
-    to answer, help and usage errors included."""
+    """A SimpleNamespace of the attributes _parser().parse_args(argv) sets,
+    for the argv that requests send: a subcommand, then only options of
+    its own, each spelled out in full, given once, and written
+    --name=value, --name value (a value that does not begin with "-") or,
+    for a flag, --name; every value converts by its option's type and is
+    one of its choices, and every required option is given. None for any
+    other argv, which is argparse's to answer, help and usage errors
+    included."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, func, options, render = _COMMANDS[argv[0]]
@@ -292,12 +309,12 @@ def _decode(argv):
         if "type" in spec:
             try:
                 value = spec["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except Exception:  # argparse reads the value again, and reports or raises
                 return None
         if "choices" in spec and value not in spec["choices"]:
             return None
         given[flag] = value
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     for flag, spec in options.items():
         if flag not in given and spec.get("required"):
             return None

@@ -41,10 +41,11 @@ def _dihedral(op):
 
 def dihedral_orbit(op):
     """Distinct chains reachable by shifts and reflection (rows of _dihedral,
-    first of each key kept), told apart by parameters rounded to 12 decimals."""
+    first of each key kept), told apart by their exact parameters, which
+    are permutations of op's own (-0.0 and 0.0 are one value)."""
     hopping, onsite = _dihedral(op)
     first = {}
-    for i, key in enumerate(np.round(np.hstack([hopping, onsite]), 12).tolist()):
+    for i, key in enumerate(np.hstack([hopping, onsite]).tolist()):
         first.setdefault(tuple(key), i)
     return [PeriodicJacobi(hopping[i], onsite[i]) for i in first.values()]
 

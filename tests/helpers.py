@@ -73,6 +73,13 @@ def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5))
     )
 
 
+def harper_chain(period, f_prev, phi):
+    """The Fibonacci approximant a = 1, b_n = 0.8 cos(2 pi f_prev n / period + phi)
+    of the almost-Mathieu chain."""
+    sites = np.arange(period)
+    return PeriodicJacobi(np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi))
+
+
 def long_edge_data():
     """Periodic and antiperiodic edges of a random N = 640 chain (seed
     [640, 0], a ~ U(0.4, 1.8), b ~ U(-1.5, 1.5)), where the products of

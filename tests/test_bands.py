@@ -24,6 +24,7 @@ from hillbands import (
 
 from helpers import (
     exact_discriminant,
+    harper_chain,
     make_chain,
     power_coefficients,
     random_operator,
@@ -126,11 +127,6 @@ def test_real_roots_matches_companion_oracle(onsite, seed):
     assert np.allclose(found, band_edges_eig(op), atol=1e-6)
 
 
-def _harper(period, f_prev, phi):
-    sites = np.arange(period)
-    return PeriodicJacobi(np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi))
-
-
 def _scale(op):
     return max(1.0, np.max(np.abs(op.onsite)) + 2.0 * np.max(op.hopping))
 
@@ -140,7 +136,7 @@ def test_harper_bisection_matches_eig(period, f_prev):
     # Fibonacci approximants of the almost-Mathieu chain have open gaps
     # as narrow as 1e-8, which the closed-gap test must leave open.
     for phi in (0.3, 2.1):
-        op = _harper(period, f_prev, phi)
+        op = harper_chain(period, f_prev, phi)
         err = np.max(np.abs(band_edges_bisection(op) - band_edges_eig(op)))
         assert err <= 1e-9 * _scale(op)
 
@@ -166,7 +162,7 @@ def test_edges_keep_the_free_invariants_on_random_chains(route):
 
 @pytest.mark.parametrize("period, f_prev", [(89, 55), (144, 89), (233, 144)])
 def test_eig_edges_keep_the_free_invariants_on_harper_chains(period, f_prev):
-    op = _harper(period, f_prev, 0.3)
+    op = harper_chain(period, f_prev, 0.3)
     assert_free_invariants(op, band_edges_eig(op))
 
 
@@ -175,7 +171,7 @@ def test_eig_edges_keep_the_free_invariants_on_harper_chains(period, f_prev):
     "2e-9; its worse invariant misses by 6.7 / 5.4 / 1.1 tolerances at N = 89 / 144 / 233"))
 def test_bisection_edges_keep_the_free_invariants_on_harper_chains():
     for period, f_prev in ((89, 55), (144, 89), (233, 144)):
-        op = _harper(period, f_prev, 0.3)
+        op = harper_chain(period, f_prev, 0.3)
         assert_free_invariants(op, band_edges_bisection(op))
 
 
@@ -245,7 +241,7 @@ def test_one_closed_gap_rule(method):
     # widths and the text report all read that one fact, down to the Harper
     # gaps of 2e-13 that the eig route leaves open.
     rng = np.random.default_rng(808)
-    chains = [_harper(n, f_prev, 0.3) for n, f_prev in ((89, 55), (144, 89), (233, 144), (377, 233))]
+    chains = [harper_chain(n, f_prev, 0.3) for n, f_prev in ((89, 55), (144, 89), (233, 144), (377, 233))]
     chains += [random_operator(rng, 64) for _ in range(10)]
     for op in chains + _uniform_chains() + _repeated_cells():
         bs = BandStructure(op, method)
@@ -300,7 +296,7 @@ def test_multisection_matches_halving_reference(monkeypatch):
         PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
         for n in (3, 8, 17, 24)
     ]
-    harper = [_harper(89, 55, phi) for phi in (0.3, 2.1)]
+    harper = [harper_chain(89, 55, phi) for phi in (0.3, 2.1)]
     multisected = [band_edges_bisection(op) for op in chains + harper]
     monkeypatch.setattr(bands, "_multisect", _halving)
     for op, edges in zip(chains, multisected):
@@ -371,7 +367,7 @@ def test_bisection_march_budget(monkeypatch):
     for n in (24, 100, 400):
         assert marches(PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2)) <= 6
     for phi in (0.3, 2.1):
-        assert marches(_harper(144, 89, phi)) <= 23
+        assert marches(harper_chain(144, 89, phi)) <= 23
 
 
 def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
@@ -402,7 +398,7 @@ def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
     cell = random_operator(rng, 3)
     chains += [PeriodicJacobi.free(24, 0.9, -0.2),
                PeriodicJacobi(np.tile(cell.hopping, 4), np.tile(cell.onsite, 4)),
-               _harper(89, 55, 0.3), _harper(144, 89, 0.3)]
+               harper_chain(89, 55, 0.3), harper_chain(144, 89, 0.3)]
     expected = [5, 7, 7, 7, 7, 8, 8, 8, 7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 5, 8, 19, 19]
     monkeypatch.setattr(transfer.March, "__init__", built_counted)
     monkeypatch.setattr(transfer.March, "run", march_counted)
@@ -490,7 +486,7 @@ def test_searches_are_elementwise():
     # chain, whose evaluator has one shift for all, and a Harper N = 89
     # chain, whose evaluator mixes Delta for the edges with Delta' for
     # the gap extrema.
-    for op in (random_operator(np.random.default_rng(24), 24), _harper(89, 55, 0.3)):
+    for op in (random_operator(np.random.default_rng(24), 24), harper_chain(89, 55, 0.3)):
         n = op.period
         orient, sign, level, left, right = _coarse_brackets(op)
         shift = np.zeros(2 * n, dtype=int)
@@ -642,7 +638,7 @@ def test_harper_edges_match_extremum_reference(period, f_prev, phi):
     # Only some Harper gaps are certified; the route searches the
     # extremum of the rest alone. The edges agree within the multisection
     # tolerance and every gap state is the same.
-    op = _harper(period, f_prev, phi)
+    op = harper_chain(period, f_prev, phi)
     edges, reference = band_edges_bisection(op), _extremum_everywhere(op)
     assert np.all(np.abs(edges - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
     assert np.array_equal(edges[2::2] > edges[1:-1:2], reference[2::2] > reference[1:-1:2])
@@ -688,7 +684,7 @@ def test_bisection_at_small_scales_matches_eig():
     # gaps keep their conditioning allowance (see _conditioning), taken
     # at scale 1.
     rng = np.random.default_rng(14)
-    harper = _harper(89, 55, 0.3)
+    harper = harper_chain(89, 55, 0.3)
     cases = [(random_operator(rng, 3), 0.0), (random_operator(rng, 8), 0.0),
              (PeriodicJacobi.free(7, 0.9, -0.2), 0.0),
              (harper, _conditioning(harper, band_edges_eig(harper)))]
@@ -798,7 +794,7 @@ def test_integrated_density_is_exact_at_every_band_edge(method):
     rng = np.random.default_rng(3)
     cell = random_operator(rng, 2)
     chains = [random_operator(np.random.default_rng([n, 7]), n) for n in range(2, 25)]
-    chains += [_harper(89, 55, 0.3), PeriodicJacobi.free(12, 0.9, -0.2),
+    chains += [harper_chain(89, 55, 0.3), PeriodicJacobi.free(12, 0.9, -0.2),
                PeriodicJacobi(np.tile(cell.hopping, 6), np.tile(cell.onsite, 6))]
     for op in chains:
         bs = BandStructure(op, method)
@@ -891,7 +887,7 @@ def test_dos_curve_refuses_negative_points():
 
 
 def test_dos_curve_marches_only_in_band_points(monkeypatch):
-    bs = BandStructure(_harper(89, 55, 0.7))
+    bs = BandStructure(harper_chain(89, 55, 0.7))
     marched = []
     run = transfer.March.run
 
@@ -1035,7 +1031,7 @@ def test_dos_curve_of_a_chain_scaled_by_a_power_of_two_is_the_same_curve_scaled(
 
 
 def test_harper_dos_curve_climbs_from_0_to_1_over_a_finite_nonnegative_dos():
-    energies, rho, ids = dos_curve(BandStructure(_harper(89, 55, 0.3)), points=512)
+    energies, rho, ids = dos_curve(BandStructure(harper_chain(89, 55, 0.3)), points=512)
     assert ids[0] == 0.0 and ids[-1] == 1.0 and np.all(np.diff(ids) >= 0.0)
     assert np.all(np.isfinite(rho) & (rho >= 0.0))
 
@@ -1273,7 +1269,7 @@ def test_dos_is_infinite_on_every_edge_but_a_closed_gaps_point(method):
     # or a large finite value. At the one point of a closed gap the DOS
     # keeps its finite limit sqrt(det M').
     cell = PeriodicJacobi([1.1, 0.7], [0.3, -0.5])
-    chains = [(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), 0), (_harper(89, 55, 0.7), None),
+    chains = [(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), 0), (harper_chain(89, 55, 0.7), None),
               (PeriodicJacobi(np.tile(cell.hopping, 3), np.tile(cell.onsite, 3)), 4),
               (PeriodicJacobi.free(4, 0.9, -0.2), 3)]
     for op, shut in chains:

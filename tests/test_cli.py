@@ -112,7 +112,8 @@ def test_gap_report_text_is_pinned():
     )
 
 
-@pytest.mark.parametrize("argv, text", [
+# Each subcommand's whole text output for an argv, literally.
+PINNED_TEXTS = [
     (["dispersion", "--onsite", "0,0.5", "--samples", "3"],
      "theta band0 band1\n"
      "0 -1.765564437 2.265564437\n"
@@ -158,7 +159,10 @@ def test_gap_report_text_is_pinned():
      "  onsite:  0.0186780057, 0.6939602065, -0.3126382122\n"),
     (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "0"],
      "\n"),
-], ids=lambda value: "-".join(a for a in value if a.isalpha()) if isinstance(value, list) else None)
+]
+
+
+@pytest.mark.parametrize("argv, text", PINNED_TEXTS, ids=[shlex.join(argv) for argv, _ in PINNED_TEXTS])
 def test_every_subcommands_text_is_pinned(capsys, argv, text):
     # The whole output, literally, as test_gap_report_text_is_pinned pins
     # that of bands: no samples print the header alone, and no neighbours
@@ -781,13 +785,22 @@ def test_bands_does_not_import_scipy_optimize():
 
 
 def test_import_hillbands_resolves_all_and_loads_neither_scipy_fft_nor_scipy_optimize():
+    # The names of __all__ and the submodules inverse, isospectral and
+    # transfer, some of them imported on first access, are the defining
+    # modules' own objects.
     script = (
         "import sys\n"
         "import hillbands\n"
-        "missing = [name for name in hillbands.__all__ if not hasattr(hillbands, name)]\n"
-        "print(missing, [m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules])\n"
+        "names = [name for name in hillbands.__all__ if name != '__version__']\n"
+        "modules = ['inverse', 'isospectral', 'transfer']\n"
+        "found = {name: getattr(hillbands, name) for name in names + modules}\n"
+        "wrong = [name for name in names\n"
+        "         if found[name] is not getattr(sys.modules[found[name].__module__], name)]\n"
+        "wrong += [m for m in modules if found[m] is not sys.modules['hillbands.' + m]]\n"
+        "print(wrong, [m for m in ('scipy.fft', 'scipy.optimize') if m in sys.modules],\n"
+        "      hasattr(hillbands, 'missing'))\n"
     )
-    assert fresh(script) == "[] []"
+    assert fresh(script) == "[] [] False"
 
 
 def _loaded_after_every_subcommand(modules, more=()):
@@ -814,6 +827,31 @@ def _loaded_after_every_subcommand(modules, more=()):
         f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     )
     return fresh(script)
+
+
+DEFERRED = ("hillbands.inverse", "hillbands.isospectral", "hillbands.transfer", "numpy.polynomial",
+            "argparse")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (SUBCOMMANDS[0], []),
+    (SUBCOMMANDS[2], []),
+    (SUBCOMMANDS[3], ["hillbands.transfer"]),
+    (SUBCOMMANDS[1], ["hillbands.transfer"]),
+], ids=["bands", "dispersion", "dos", "bands-bisection"])
+def test_a_request_loads_only_the_modules_its_subcommand_runs(argv, loaded):
+    # Of DEFERRED, a fresh interpreter that has served argv as text and
+    # as JSON holds only the modules loaded: transfer for the marches of
+    # dos and of the bisection route, none for eig edges and Bloch spectra.
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main({argv!r} + extra) for extra in ([], ['--json'])]\n"
+        "assert codes == [0, 0], codes\n"
+        f"print([m for m in {DEFERRED!r} if m in sys.modules])\n"
+    )
+    assert fresh(script) == repr(loaded)
 
 
 def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():

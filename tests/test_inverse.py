@@ -16,6 +16,7 @@ from hillbands.inverse import chain_from_divisor, chebyshev_nodes
 from helpers import (
     edge_error,
     free_discriminant,
+    harper_chain,
     long_edge_data,
     power_coefficients,
     random_operator,
@@ -577,6 +578,30 @@ def test_chain_from_divisor_takes_the_edges_in_any_layout():
             if n <= 5:
                 assert np.allclose(found.hopping, op.hopping, rtol=0.0, atol=1e-11)
                 assert np.allclose(found.onsite, op.onsite, rtol=0.0, atol=1e-11)
+
+
+def test_chain_from_its_own_divisor_on_eig_edges():
+    # The eigensolvers put a chain's own mu_j up to 2.2e-14 outside its
+    # eig gap on these chains; that is within N eps max|E|, the edges'
+    # rounding, so mu_j is moved onto the nearer edge. Twice as far out
+    # is refused.
+    chains = [random_operator(np.random.default_rng([n, s]), n) for n in (64, 128) for s in range(4)]
+    chains += [harper_chain(89, 55, 0.3), harper_chain(144, 89, 0.3)]
+    for op in chains:
+        edges, (mu, sheet) = band_edges_eig(op), _own_divisor(op)
+        lower, upper = edges[1:-1:2], edges[2::2]
+        log_product = np.sum(np.log(op.hopping))
+        found = chain_from_divisor(edges, mu, sheet, log_product)
+        assert edge_error(found, edges) <= 1e-13
+        moved = np.clip(mu, lower, upper)
+        assert np.all(np.abs(found.dirichlet_eigenvalues() - moved)
+                      <= 1e-13 * np.maximum(1.0, np.abs(moved)))
+        slack = op.period * np.finfo(float).eps * np.max(np.abs(edges))
+        for j, beyond in ((0, lower[0] - 2 * slack), (-1, upper[-1] + 2 * slack)):
+            far = mu.copy()
+            far[j] = beyond
+            with pytest.raises(ValueError, match="closure of gap"):
+                chain_from_divisor(edges, far, sheet, log_product)
 
 
 def test_chain_from_divisor_refuses_an_odd_edge_count():

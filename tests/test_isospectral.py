@@ -40,6 +40,14 @@ def test_orbit_size_generic_and_symmetric():
     assert len(dihedral_orbit(constant)) == 1
 
 
+def test_orbit_size_does_not_depend_on_scale():
+    # Members are told apart by their exact values, not rounded to a
+    # fixed number of decimals, which merged all six at scale 1e-13.
+    sizes = [len(dihedral_orbit(PeriodicJacobi(np.ones(3), scale * np.array([0.0, 1.0, 2.5]))))
+             for scale in (1e-13, 1.0, 1e13)]
+    assert sizes == [6, 6, 6]
+
+
 def test_orbit_distance():
     op = PeriodicJacobi([1.0, 0.7, 1.2], [0.5, -0.1, 0.3])
     for member in dihedral_orbit(op):
