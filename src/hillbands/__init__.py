@@ -1,8 +1,9 @@
 """Band structure of 1-D periodic tight-binding chains via the Hill discriminant.
 
-The submodules inverse, isospectral and transfer, and the names taken
-from the first two, are imported on first attribute access (PEP 562),
-so a process that runs none of them does not load them.
+__all__ is the one list of exports. The submodules inverse, isospectral
+and transfer, and each name of __all__ not defined here, are imported on
+first attribute access (PEP 562), the name from inverse, else from
+isospectral, so a process that runs none of them does not load them.
 """
 
 import importlib
@@ -31,21 +32,14 @@ __all__ = [
     "__version__",
 ]
 
-# The names of __all__ that each submodule defines, imported on first use.
-_DEFERRED = {
-    "inverse": ("Discriminant", "chain_from_divisor", "discriminant_from_edges",
-                "recover_onsite", "recover_operator_from_edges"),
-    "isospectral": ("IsospectralClass", "dihedral_orbit", "enumerate_onsite_classes",
-                    "isospectral_neighbors", "orbit_distance"),
-}
-
-
 def __getattr__(name):
     """The submodule inverse, isospectral or transfer, or a name of __all__
-    that one of the first two defines, imported on first access."""
+    from the first of inverse and isospectral that defines it, imported on
+    first access."""
     if name in ("inverse", "isospectral", "transfer"):
         return importlib.import_module(f".{name}", __name__)
-    for module, names in _DEFERRED.items():
-        if name in names:
-            return getattr(importlib.import_module(f".{module}", __name__), name)
+    for source in ("inverse", "isospectral") if name in __all__ else ():
+        module = importlib.import_module(f".{source}", __name__)
+        if hasattr(module, name):
+            return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,8 +56,9 @@ class Discriminant:
     """Delta by its values at chebyshev_nodes(interval, N), exact to
     rounding inside interval = (lo, hi) and extrapolated outside, with
     log(prod a), which stays finite where prod a leaves the float range.
-    An empty interval, node values not in one dimension, or a node value
-    or log(prod a) not finite, is refused with a ValueError.
+    An interval end not finite, an empty interval, node values not in one
+    dimension, or a node value or log(prod a) not finite, is refused with
+    a ValueError.
     """
 
     interval: tuple
@@ -66,6 +67,8 @@ class Discriminant:
 
     def __post_init__(self):
         lo, hi = (float(x) for x in self.interval)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval [{lo}, {hi}] has an end that is not finite")
         if not lo < hi:
             raise ValueError(f"interval [{lo}, {hi}] is empty")
         values = np.array(self.values, dtype=float, ndmin=1)
@@ -297,9 +300,11 @@ def discriminant_from_edges(periodic, antiperiodic):
     Parameters
     ----------
     periodic : array_like
-        The N eigenvalues at Bloch phase 0, i.e. the zeros of Delta - 2.
+        The N eigenvalues at Bloch phase 0, i.e. the zeros of Delta - 2,
+        in any order and shape.
     antiperiodic : array_like
-        The N eigenvalues at Bloch phase pi, the zeros of Delta + 2.
+        The N eigenvalues at Bloch phase pi, the zeros of Delta + 2, in
+        any order and shape.
         Its monic polynomial must exceed the periodic one by 4 prod(a) at the
         N + 1 nodes, to 1e-8 of the latter's maximum. Every edge must be finite.
 
@@ -316,8 +321,8 @@ def discriminant_from_edges(periodic, antiperiodic):
         periods), or if errors of N eps max|E| in the edges move log(prod a)
         by over 1e-6 to first order, as once bands are narrower than rounding.
     """
-    per = np.sort(np.asarray(periodic, dtype=float))
-    anti = np.sort(np.asarray(antiperiodic, dtype=float))
+    per = np.sort(np.asarray(periodic, dtype=float), axis=None)
+    anti = np.sort(np.asarray(antiperiodic, dtype=float), axis=None)
     if per.size == 0 or anti.size == 0:
         raise ValueError("need at least one edge of each kind, periodic and antiperiodic")
     if per.size != anti.size:
@@ -367,15 +372,22 @@ def chain_from_divisor(edges, mu, sheet, log_hopping_product):
     rounding of computed edges, is moved onto the nearer edge: a chain's
     own Dirichlet eigenvalues lie up to 77 ulps outside its eig edges.
 
-    Raises ValueError if a mu_j is farther outside the closure of gap j,
-    a sheet entry is not +-1, or a weight is not finite or underflows, as
-    the weights of long chains with tall gaps do.
+    Raises ValueError if an edge, a mu_j or log_hopping_product is not
+    finite, a mu_j is farther outside the closure of gap j, a sheet entry
+    is not +-1, or a weight is not finite or underflows, as the weights
+    of long chains with tall gaps do.
     """
     edges = np.sort(np.asarray(edges, dtype=float), axis=None)
     mu, sheet = np.asarray(mu, dtype=float).reshape(-1), np.asarray(sheet, dtype=float).reshape(-1)
     n = edges.size // 2
     if edges.size != 2 * n or mu.shape != (n - 1,) or sheet.shape != (n - 1,):
         raise ValueError(f"need 2N edges and N - 1 divisor points, N = {n}")
+    if not np.isfinite(edges).all():
+        raise ValueError("edge values must be finite")
+    if not np.isfinite(mu).all():
+        raise ValueError("divisor points mu_j must be finite")
+    if not np.isfinite(log_hopping_product):
+        raise ValueError(f"log(prod a) = {log_hopping_product} is not finite")
     lower, upper = edges[1:-1:2], edges[2::2]
     slack = n * np.finfo(float).eps * max(-edges[0], edges[-1])
     if not np.all((lower - mu <= slack) & (mu - upper <= slack)):
@@ -419,10 +431,12 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
     as (Discriminant, PeriodicJacobi).
 
     discriminant_from_edges checks the data and gives the hopping
-    product. The chain is recover_onsite's at the given bonds, one per
-    edge of each kind, else chain_from_divisor's of the sorted 2N edges at
-    the gap midpoints on sheet +1, whose bonds are in general not uniform.
+    product. The edges may come in any order and shape. The chain is
+    recover_onsite's at the given bonds, one per edge of each kind, else
+    chain_from_divisor's of the sorted 2N edges at the gap midpoints on
+    sheet +1, whose bonds are in general not uniform.
     """
+    periodic, antiperiodic = np.ravel(periodic), np.ravel(antiperiodic)
     disc = discriminant_from_edges(periodic, antiperiodic)
     if hopping is not None:
         n, m = np.size(periodic), np.size(hopping)

@@ -183,7 +183,7 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
             phi = phi + step * direction / np.linalg.norm(direction)
         if not np.isfinite(phi).all():
             raise ValueError(f"step {step} takes an angle beyond the float range")
-        mu[open_] = np.clip(mid + half * np.cos(phi), lower[open_], upper[open_])
+        mu[open_] = mid + half * np.cos(phi)  # chain_from_divisor clips its rounding
         sheet[open_] = np.where(np.sin(phi) < 0.0, -1.0, 1.0)
         out.append(chain_from_divisor(edges, mu, sheet, log_product))
     return out

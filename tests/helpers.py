@@ -190,6 +190,23 @@ def exact_discriminant(op, lam):
     return cur[0] + prev[1], dcur[0] + dprev[1]
 
 
+def theta_average_heights(op, lam, M):
+    """The mean over theta_m = 2 pi m / M, m = 0..M-1, of
+    sum_j log|lam - E_j(theta_m)|, E_j(theta) the Bloch eigenvalues of
+    floquet_eigenvalues, minus log(prod a), elementwise in lam.
+
+    Since prod_j (lam - E_j(theta)) = (prod a) (Delta(lam) - 2 cos theta),
+    this is the trapezoid rule for the mean of log|Delta - 2 cos theta|,
+    which is arccosh(|Delta| / 2) where |Delta| >= 2. The sum equals
+    log|2 T_M(Delta / 2) - 2| / M exactly, so at a height h the rule is
+    off by about exp(-M h) / M. An oracle for the heights that never
+    runs the march."""
+    lam = np.asarray(lam, dtype=float)
+    spectra = op.floquet_eigenvalues(2.0 * np.pi * np.arange(M) / M)
+    logs = np.log(np.abs(lam[..., None, None] - spectra)).sum(axis=-1).mean(axis=-1)
+    return logs - np.sum(np.log(op.hopping))
+
+
 def record_marches(monkeypatch):
     """Log every march of the recurrence from now on, as (batched, chain):
     batched when the march ran the N rotations of a chain, and chain the

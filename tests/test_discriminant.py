@@ -176,6 +176,10 @@ def test_node_values_and_log_product_must_be_finite():
             Discriminant((-2.0, 2.0), [2.0, bad, 2.0], 0.0)
         with pytest.raises(ValueError, match="log\\(prod a\\) = .* is not finite"):
             Discriminant((-2.0, 2.0), [2.0, -2.0, 2.0], bad)
+        # An interval end too: it would give .chebyshev an infinite domain.
+        for interval in ((bad, 1.0), (-1.0, bad)):
+            with pytest.raises(ValueError, match="has an end that is not finite"):
+                Discriminant(interval, [1.0, 2.0], 0.0)
 
 
 def held(coefficients, interval=(-1.0, 2.0)):

@@ -514,6 +514,25 @@ def test_recover_operator_from_edges_returns_the_discriminant_of_the_data():
         assert edge_error(op, per + anti) <= 1e-12
 
 
+def test_edge_data_in_one_row_is_the_same_as_in_one_dimension():
+    # Edges shaped (1, N), in no order, give the Discriminant and the chain
+    # of the same edges in 1-D, to the bit, with and without hoppings.
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 5):
+        op = random_operator(rng, n)
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])[:, ::-1]
+        flat = discriminant_from_edges(per, anti)
+        row = discriminant_from_edges(per[None, :], anti[None, :])
+        assert row.interval == flat.interval and row.log_hopping_product == flat.log_hopping_product
+        assert np.array_equal(row.values, flat.values)
+        for hopping in (None, op.hopping):
+            _, expected = recover_operator_from_edges(per, anti, hopping)
+            disc, found = recover_operator_from_edges(per[None, :], anti[None, :], hopping)
+            assert np.array_equal(disc.values, flat.values)
+            assert np.array_equal(found.hopping, expected.hopping)
+            assert np.array_equal(found.onsite, expected.onsite)
+
+
 def _repeated_cell(rng, cell, copies):
     op = random_operator(rng, cell)
     return PeriodicJacobi(np.tile(op.hopping, copies), np.tile(op.onsite, copies))
@@ -656,6 +675,17 @@ def test_chain_from_divisor_rejects_bad_divisors():
             chain_from_divisor(np.concatenate([per, anti]), mu, bad, log_product)
     with pytest.raises(ValueError):
         chain_from_divisor(np.concatenate([per, anti]), mu[:1], sheet[:1], log_product)
+    # Input that is not finite is named, not taken for a bad weight or divisor.
+    for bad in (np.nan, np.inf, -np.inf):
+        for end in (0, -1):
+            edges = np.concatenate([per, anti])
+            edges[end] = bad
+            with pytest.raises(ValueError, match="edge values must be finite"):
+                chain_from_divisor(edges, mu, sheet, log_product)
+        with pytest.raises(ValueError, match="divisor points mu_j must be finite"):
+            chain_from_divisor(np.concatenate([per, anti]), [mu[0], bad], sheet, log_product)
+        with pytest.raises(ValueError, match="log\\(prod a\\) = .* is not finite"):
+            chain_from_divisor(np.concatenate([per, anti]), mu, sheet, bad)
 
 
 def test_chain_from_divisor_refuses_a_weight_that_is_not_finite():

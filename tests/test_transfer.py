@@ -15,6 +15,7 @@ from helpers import (
     monodromy_polynomials,
     power_coefficients,
     random_operator,
+    theta_average_heights,
 )
 
 
@@ -212,6 +213,28 @@ def test_rounding_bound_is_one_march_equal_to_two(monkeypatch):
             assert len(calls) == 1
             assert np.shape(delta) == np.shape(bound) == np.shape(points)
             assert np.array_equal(delta, reference[0]) and np.array_equal(bound, reference[1])
+
+
+def test_theta_average_meets_the_march_within_its_rounding_bound():
+    # At every open gap's midpoint of the corpus chains, N = 8, 24 and 64,
+    # s = 0..4, the theta-average of the Bloch spectra, which never runs
+    # the march, is arccosh(|Delta| / 2) within the march's rounding bound
+    # carried through arccosh, plus 4 N eps max(1, h) for the sum of logs.
+    # At M = 128 every height h has M h >= 36, so the trapezoid rule's
+    # exp(-M h) / M is below that.
+    M, eps = 128, np.finfo(float).eps
+    for n in (8, 24, 64):
+        for s in range(5):
+            op = random_operator(np.random.default_rng([n, s]), n)
+            edges = band_edges_eig(op)
+            lower, upper = edges[1:-1:2], edges[2::2]
+            mid = 0.5 * (lower + upper)[upper > lower]
+            delta, rounding = transfer.discriminant_rounding(op, mid)
+            height = np.arccosh(np.abs(delta) / 2.0)
+            average = theta_average_heights(op, mid, M)
+            assert np.all(M * average >= 36.0)
+            bound = rounding / np.sqrt(delta**2 - 4.0) + 4 * n * eps * np.maximum(1.0, height)
+            assert np.all(np.abs(average - height) <= bound)
 
 
 def _weak_bond_chain(period):
