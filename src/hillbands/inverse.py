@@ -57,8 +57,8 @@ class Discriminant:
     rounding inside interval = (lo, hi) and extrapolated outside, with
     log(prod a), which stays finite where prod a leaves the float range.
     An interval end not finite, an empty interval, node values not in one
-    dimension, or a node value or log(prod a) not finite, is refused with
-    a ValueError.
+    dimension or none at all, or a node value or log(prod a) not finite,
+    is refused with a ValueError.
     """
 
     interval: tuple
@@ -74,6 +74,8 @@ class Discriminant:
         values = np.array(self.values, dtype=float, ndmin=1)
         if values.ndim != 1:
             raise ValueError(f"node values of Delta of shape {values.shape} are not one-dimensional")
+        if values.size == 0:
+            raise ValueError("the table of node values of Delta is empty")
         bad = np.count_nonzero(~np.isfinite(values))
         if bad:
             raise ValueError(f"{bad} of the {values.size} node values of Delta are not finite")

@@ -123,11 +123,6 @@ class PeriodicJacobi:
         self.gershgorin = (lo, hi)
 
     @classmethod
-    def free(cls, period, hopping=1.0, onsite=0.0):
-        """Constant-coefficient chain: all bonds equal, all sites equal."""
-        return cls(np.full(period, hopping), np.full(period, onsite))
-
-    @classmethod
     def odd(cls, q):
         """A chain of the paper's odd class from its free values q_1..q_k.
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 from numpy.polynomial import Polynomial
 
@@ -73,6 +74,23 @@ def random_operator(rng, period, hop_range=(0.4, 1.8), onsite_range=(-1.5, 1.5))
     )
 
 
+def corpus_chain(n, s):
+    """Chain s of period n of the corpus: a ~ U(0.4, 1.8), then
+    b ~ U(-1.5, 1.5), drawn from default_rng([n, s])."""
+    return random_operator(np.random.default_rng([n, s]), n)
+
+
+def free_chain(period, hopping=1.0, onsite=0.0):
+    """The uniform chain: every bond `hopping`, every site `onsite`."""
+    return PeriodicJacobi(np.full(period, hopping), np.full(period, onsite))
+
+
+def uniform_chain(rng, n):
+    """A uniform chain of period n, its bond from U(0.4, 1.8) drawn from
+    rng before its site from U(-1.5, 1.5)."""
+    return free_chain(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+
+
 def harper_chain(period, f_prev, phi):
     """The Fibonacci approximant a = 1, b_n = 0.8 cos(2 pi f_prev n / period + phi)
     of the almost-Mathieu chain."""
@@ -80,14 +98,23 @@ def harper_chain(period, f_prev, phi):
     return PeriodicJacobi(np.ones(period), 0.8 * np.cos(2 * np.pi * f_prev * sites / period + phi))
 
 
+def tiled(cell, m):
+    """The chain of cell repeated m times."""
+    return PeriodicJacobi(np.tile(cell.hopping, m), np.tile(cell.onsite, m))
+
+
+def odd_values(k, max_q):
+    """The free values q_1..q_k of an odd chain (PeriodicJacobi.odd):
+    default_rng(k).uniform(-1, 1, k), scaled to max|q| = max_q."""
+    q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
+    return q * (max_q / np.max(np.abs(q)))
+
+
 def long_edge_data():
-    """Periodic and antiperiodic edges of a random N = 640 chain (seed
-    [640, 0], a ~ U(0.4, 1.8), b ~ U(-1.5, 1.5)), where the products of
-    edge distances behind Delta's node values overflow."""
-    rng = np.random.default_rng([640, 0])
-    a = rng.uniform(0.4, 1.8, 640)
-    b = rng.uniform(-1.5, 1.5, 640)
-    return PeriodicJacobi(a, b).floquet_eigenvalues([0.0, np.pi])
+    """Periodic and antiperiodic edges of the corpus chain N = 640, s = 0,
+    where the products of edge distances behind Delta's node values
+    overflow."""
+    return corpus_chain(640, 0).floquet_eigenvalues([0.0, np.pi])
 
 
 def floquet_matrix(op, theta):
@@ -188,6 +215,31 @@ def exact_discriminant(op, lam):
         dnxt = [u / a[k] + shift * du - back * dv for u, du, dv in zip(cur, dcur, dprev)]
         prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
     return cur[0] + prev[1], dcur[0] + dprev[1]
+
+
+def mp_discriminant(op, lam, digits):
+    """Delta at each point of lam, in C order, by the recurrence in mpmath
+    at `digits` decimal digits: a list of mpf. The chain's doubles and lam
+    are taken exactly. An oracle for the march that shares no code with it."""
+    with mpmath.workdps(digits):
+        a = [mpmath.mpf(x) for x in op.hopping.tolist()]
+        b = [mpmath.mpf(x) for x in op.onsite.tolist()]
+        out = []
+        for x in np.ravel(lam).tolist():
+            cur, prev = [1, 0], [0, 1]
+            for k in range(op.period):
+                shift, back = (x - b[k]) / a[k], a[k - 1] / a[k]
+                prev, cur = cur, [shift * u - back * v for u, v in zip(cur, prev)]
+            out.append(cur[0] + prev[1])
+    return out
+
+
+def mp_heights(op, lam, digits):
+    """arccosh(|Delta| / 2) at each point of lam, with Delta from
+    mp_discriminant at `digits` digits, rounded to doubles of lam's shape."""
+    with mpmath.workdps(digits):
+        heights = [float(mpmath.acosh(abs(d) / 2)) for d in mp_discriminant(op, lam, digits)]
+    return np.reshape(heights, np.shape(lam))
 
 
 def theta_average_heights(op, lam, M):

@@ -35,10 +35,13 @@ from hillbands.cli import main as cli_main
 
 from helpers import (
     floquet_matrix,
+    free_chain,
     free_discriminant,
     power_coefficients,
     random_operator,
+    tiled,
     truncated_matrix,
+    uniform_chain,
 )
 
 
@@ -81,7 +84,7 @@ def test_a02_free_chain_closed_form():
     for period in range(1, 11):
         # On its interval, the band [b - 2a, b + 2a], the Chebyshev
         # series of Delta is 2 T_N itself.
-        disc = Discriminant.from_operator(PeriodicJacobi.free(period, a, b))
+        disc = Discriminant.from_operator(free_chain(period, a, b))
         expected = np.zeros(period + 1)
         expected[period] = 2.0
         worst_coeff = max(
@@ -89,7 +92,7 @@ def test_a02_free_chain_closed_form():
             np.max(np.abs(disc.chebyshev.coef - expected)),
             np.max(np.abs(np.subtract(disc.interval, (b - 2 * a, b + 2 * a)))),
         )
-        bs = BandStructure(PeriodicJacobi.free(period, a, b))
+        bs = BandStructure(free_chain(period, a, b))
         analytic = np.sort(
             np.concatenate(
                 [[b - 2 * a, b + 2 * a]]
@@ -126,11 +129,8 @@ def test_a03_spectrum_membership():
 def test_a04_dual_route_band_edges():
     rng = np.random.default_rng(104)
     chains = [random_operator(rng, period) for period in (*range(2, 25), 32, 64)]
-    chains.append(PeriodicJacobi.free(6, hopping=0.9, onsite=0.1))
-    chains += [
-        PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
-        for period in range(1, 25)
-    ]
+    chains.append(free_chain(6, hopping=0.9, onsite=0.1))
+    chains += [uniform_chain(rng, period) for period in range(1, 25)]
     worst = 0.0
     for op in chains:
         worst = max(
@@ -307,14 +307,13 @@ def test_a12_chebyshev_identities():
     worst_tile = 0.0
     for cell, m in ((1, 3), (2, 2), (3, 2), (2, 3), (4, 2)):
         op = random_operator(rng, cell)
-        tiled = PeriodicJacobi(np.tile(op.hopping, m), np.tile(op.onsite, m))
         bloch = floquet_matrix(op, np.pi / 2.0)
         delta = [
             np.linalg.det(lam * np.eye(cell) - bloch).real / np.prod(op.hopping)
             for lam in x
         ]
         expected = 2.0 * chebyshev_t(m, np.asarray(delta) / 2.0)
-        got = Discriminant.from_operator(tiled).chebyshev(x)
+        got = Discriminant.from_operator(tiled(op, m)).chebyshev(x)
         worst_tile = max(
             worst_tile, np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
         )
@@ -337,7 +336,7 @@ def test_a13_root_isolation_oracle():
     doubles = True
     for period in range(2, 13):
         a, b = 0.6 + 0.1 * period, 0.05 * period - 0.3
-        edges = band_edges_bisection(PeriodicJacobi.free(period, a, b))
+        edges = band_edges_bisection(free_chain(period, a, b))
         interior = [b + 2 * a * np.cos(k * np.pi / period) for k in range(1, period)]
         analytic = np.sort(np.concatenate([[b - 2 * a, b + 2 * a], interior, interior]))
         worst = max(worst, np.max(np.abs(edges - analytic)))

@@ -23,15 +23,20 @@ from hillbands import (
 )
 
 from helpers import (
+    corpus_chain,
     exact_discriminant,
+    free_chain,
     harper_chain,
     make_chain,
+    odd_values,
     power_coefficients,
     random_operator,
     record_marches,
     run_cli,
     strict_json,
+    tiled,
     truncated_matrix,
+    uniform_chain,
 )
 
 
@@ -75,14 +80,14 @@ def test_dual_route_edges_agree():
         bis_edges = band_edges_bisection(op)
         assert np.allclose(eig_edges, bis_edges, atol=1e-10)
     for period in range(1, 25):
-        op = PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+        op = uniform_chain(rng, period)
         assert np.allclose(band_edges_eig(op), band_edges_bisection(op), atol=1e-10)
 
 
 def test_real_roots_double_root_reported_twice():
     # Free chain, period 2: Delta = lam^2 - 2, so Delta + 2 has a double
     # zero at 0 and Delta - 2 simple zeros at -+2.
-    found = band_edges_bisection(PeriodicJacobi.free(2))
+    found = band_edges_bisection(free_chain(2))
     assert found.size == 4
     assert np.allclose(found, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
@@ -90,7 +95,7 @@ def test_real_roots_double_root_reported_twice():
 def test_real_roots_two_double_roots():
     # Free chain, period 3: Delta = lam^3 - 3 lam, double zeros of
     # Delta -+ 2 at -1 and 1.
-    found = band_edges_bisection(PeriodicJacobi.free(3))
+    found = band_edges_bisection(free_chain(3))
     assert found.size == 6
     assert np.allclose(found, [-2.0, -1.0, -1.0, 1.0, 1.0, 2.0], atol=1e-12)
 
@@ -156,7 +161,7 @@ def assert_free_invariants(op, edges):
 def test_edges_keep_the_free_invariants_on_random_chains(route):
     for n in (2, 3, 4, 8, 16, 24, 64, 128, 256):
         for s in range(5):
-            op = random_operator(np.random.default_rng([n, s]), n)
+            op = corpus_chain(n, s)
             assert_free_invariants(op, route(op))
 
 
@@ -175,23 +180,12 @@ def test_bisection_edges_keep_the_free_invariants_on_harper_chains():
         assert_free_invariants(op, band_edges_bisection(op))
 
 
-def _odd_values(k, s):
-    """q_1..q_k drawn by default_rng(k) from U(-1, 1), scaled to max|q| = s."""
-    q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
-    return q * (s / np.max(np.abs(q)))
-
-
-def _odd(k, s):
-    """A chain of the paper's odd class (PeriodicJacobi.odd) on _odd_values."""
-    return PeriodicJacobi.odd(_odd_values(k, s))
-
-
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_odd_constructor_is_the_odd_class(k):
     # The class by its definition, site by site: a = 1, N = 2k, site n
     # holds q_n for n = 1..k and site 1 - n (mod 2k) holds -q_n. Negation
     # is exact, so this pins every bit.
-    q = _odd_values(k, 1e-4)
+    q = odd_values(k, 1e-4)
     op = PeriodicJacobi.odd(q)
     assert op.period == 2 * k
     assert np.array_equal(op.hopping, np.ones(2 * k))
@@ -212,7 +206,7 @@ def test_odd_chains_are_symmetric_and_routes_agree(k, s):
     # none is, so the bisection route searches their extrema in the one
     # Newton search with the outer edges, finds them open and multisects
     # their edges, which are near-double zeros (see _conditioning).
-    op = _odd(k, s)
+    op = PeriodicJacobi.odd(odd_values(k, s))
     lam = np.linspace(*op.gershgorin, 101)
     delta, = transfer.discriminant(op.hopping, op.onsite, lam)
     mirror, = transfer.discriminant(op.hopping, op.onsite, -lam)
@@ -224,15 +218,14 @@ def test_odd_chains_are_symmetric_and_routes_agree(k, s):
 
 
 def _uniform_chains():
-    return [PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)] + [
-        PeriodicJacobi.free(5, hopping=0.8)]
+    return [free_chain(n, hopping=0.9, onsite=-0.2) for n in (60, 100, 400)] + [
+        free_chain(5, hopping=0.8)]
 
 
 def _repeated_cells():
     rng = np.random.default_rng(2024)
     cells = [random_operator(rng, 3) for _ in range(20)]
-    return [PeriodicJacobi(np.tile(c.hopping, r), np.tile(c.onsite, r))
-            for c in cells for r in (2, 3, 5)]
+    return [tiled(c, r) for c in cells for r in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("method", ["eig", "bisection"])
@@ -292,10 +285,7 @@ def _halving(g, lo, hi, passes):
 def test_multisection_matches_halving_reference(monkeypatch):
     rng = np.random.default_rng(41)
     chains = [random_operator(rng, n) for n in (1, 2, 5, 13, 24)]
-    chains += [
-        PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
-        for n in (3, 8, 17, 24)
-    ]
+    chains += [uniform_chain(rng, n) for n in (3, 8, 17, 24)]
     harper = [harper_chain(89, 55, phi) for phi in (0.3, 2.1)]
     multisected = [band_edges_bisection(op) for op in chains + harper]
     monkeypatch.setattr(bands, "_multisect", _halving)
@@ -365,7 +355,7 @@ def test_bisection_march_budget(monkeypatch):
 
     assert marches(random_operator(np.random.default_rng(24), 24)) <= 9
     for n in (24, 100, 400):
-        assert marches(PeriodicJacobi.free(n, hopping=0.9, onsite=-0.2)) <= 6
+        assert marches(free_chain(n, hopping=0.9, onsite=-0.2)) <= 6
     for phi in (0.3, 2.1):
         assert marches(harper_chain(144, 89, phi)) <= 23
 
@@ -396,8 +386,7 @@ def test_bisection_forms_the_cells_bond_factors_once(monkeypatch):
     rng = np.random.default_rng(34)
     chains = [random_operator(rng, n) for n in range(1, 25)]
     cell = random_operator(rng, 3)
-    chains += [PeriodicJacobi.free(24, 0.9, -0.2),
-               PeriodicJacobi(np.tile(cell.hopping, 4), np.tile(cell.onsite, 4)),
+    chains += [free_chain(24, 0.9, -0.2), tiled(cell, 4),
                harper_chain(89, 55, 0.3), harper_chain(144, 89, 0.3)]
     expected = [5, 7, 7, 7, 7, 8, 8, 8, 7, 8, 7, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 5, 8, 19, 19]
     monkeypatch.setattr(transfer.March, "__init__", built_counted)
@@ -439,7 +428,7 @@ def test_uniform_outer_edges_on_the_gershgorin_ends():
     rng = np.random.default_rng(92)
     for n in range(2, 25):
         a, b = rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5)
-        edges = band_edges_bisection(PeriodicJacobi.free(n, a, b))
+        edges = band_edges_bisection(free_chain(n, a, b))
         outer = np.array([b - 2.0 * a, b + 2.0 * a])
         assert np.all(np.abs(edges[[0, -1]] - outer) <= 1e-14 * np.maximum(1.0, np.abs(outer)))
 
@@ -610,8 +599,7 @@ def test_uniform_chains_are_the_closed_form_from_one_site(monkeypatch):
     # Delta''), and its edges are the levels b + 2a cos(pi k / N), each
     # inner one twice, both edges of a gap the repetition closes.
     rng = np.random.default_rng(91)
-    chains = [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
-              for n in range(3, 25)]
+    chains = [uniform_chain(rng, n) for n in range(3, 25)]
     marches = []
     run = transfer.March.run
 
@@ -651,8 +639,7 @@ def test_repeated_cell_gaps_close_exactly():
     # its rounding exceeds any fixed multiple of N eps.
     rng = np.random.default_rng(0)
     for _ in range(200):
-        cell = random_operator(rng, 3)
-        op = PeriodicJacobi(np.tile(cell.hopping, 3), np.tile(cell.onsite, 3))
+        op = tiled(random_operator(rng, 3), 3)
         edges = band_edges_bisection(op)
         widths = edges[2::2] - edges[1:-1:2]
         assert np.all(widths[[0, 1, 3, 4, 6, 7]] == 0.0)
@@ -668,8 +655,7 @@ def test_repeated_cells_by_bisection_match_eig():
     rng = np.random.default_rng(2525)
     draws = [(int(rng.integers(1, 6)), int(rng.integers(2, 41))) for _ in range(150)]
     for p, m in draws:
-        cell = random_operator(rng, p)
-        op = PeriodicJacobi(np.tile(cell.hopping, m), np.tile(cell.onsite, m))
+        op = tiled(random_operator(rng, p), m)
         edges = band_edges_bisection(op)
         assert np.max(np.abs(edges - band_edges_eig(op))) <= 1e-12 * _scale(op)
         assert np.count_nonzero(edges[2::2] == edges[1:-1:2]) == p * (m - 1)
@@ -686,7 +672,7 @@ def test_bisection_at_small_scales_matches_eig():
     rng = np.random.default_rng(14)
     harper = harper_chain(89, 55, 0.3)
     cases = [(random_operator(rng, 3), 0.0), (random_operator(rng, 8), 0.0),
-             (PeriodicJacobi.free(7, 0.9, -0.2), 0.0),
+             (free_chain(7, 0.9, -0.2), 0.0),
              (harper, _conditioning(harper, band_edges_eig(harper)))]
     for s in (1e-14, 1e-100, 1e-200, 1e-300):
         for base, allowance in cases:
@@ -701,7 +687,7 @@ def test_bisection_at_small_scales_matches_eig():
 
 
 def test_dual_route_with_closed_gaps():
-    op = PeriodicJacobi.free(5, hopping=0.8, onsite=0.2)
+    op = free_chain(5, hopping=0.8, onsite=0.2)
     eig_edges = band_edges_eig(op)
     bis_edges = band_edges_bisection(op)
     assert np.allclose(eig_edges, bis_edges, atol=1e-9)
@@ -710,7 +696,7 @@ def test_dual_route_with_closed_gaps():
 
 
 def test_free_operator_single_interval():
-    op = PeriodicJacobi.free(4, hopping=0.7, onsite=-0.1)
+    op = free_chain(4, hopping=0.7, onsite=-0.1)
     bs = BandStructure(op)
     assert bs.edges[0] == pytest.approx(-0.1 - 1.4, abs=1e-10)
     assert bs.edges[-1] == pytest.approx(-0.1 + 1.4, abs=1e-10)
@@ -762,7 +748,7 @@ def test_closed_gaps_of_uniform_chains_are_in_the_spectrum():
     # The eig route leaves slivers of a few ulp between the edges of a
     # closed gap; a level inside one is still in the spectrum.
     for period, a, b in ((60, 0.9, -0.2), (100, 0.9, -0.2), (64, 1.347, -1.318)):
-        bs = BandStructure(PeriodicJacobi.free(period, a, b))
+        bs = BandStructure(free_chain(period, a, b))
         levels = b + 2 * a * np.cos(np.pi * np.arange(1, period) / period)
         assert np.all(bs.contains(levels))
 
@@ -793,9 +779,8 @@ def test_integrated_density_is_exact_at_every_band_edge(method):
     # on the random N = 22 chain.
     rng = np.random.default_rng(3)
     cell = random_operator(rng, 2)
-    chains = [random_operator(np.random.default_rng([n, 7]), n) for n in range(2, 25)]
-    chains += [harper_chain(89, 55, 0.3), PeriodicJacobi.free(12, 0.9, -0.2),
-               PeriodicJacobi(np.tile(cell.hopping, 6), np.tile(cell.onsite, 6))]
+    chains = [corpus_chain(n, 7) for n in range(2, 25)]
+    chains += [harper_chain(89, 55, 0.3), free_chain(12, 0.9, -0.2), tiled(cell, 6)]
     for op in chains:
         bs = BandStructure(op, method)
         count = np.ceil(np.arange(2 * op.period) / 2) / op.period
@@ -817,7 +802,7 @@ def test_dispersion_of_uniform_chain_matches_closed_form():
     # b + 2a cos((theta + 2 pi m) / N).
     n, a, b = 400, 0.9, -0.2
     thetas = np.array([0.0, 0.37, np.pi / 2, np.pi])
-    table = BandStructure(PeriodicJacobi.free(n, a, b)).dispersion(thetas)
+    table = BandStructure(free_chain(n, a, b)).dispersion(thetas)
     m = np.arange(n)[:, None]
     expected = np.sort(b + 2 * a * np.cos((thetas + 2 * np.pi * m) / n), axis=0)
     assert np.max(np.abs(table - expected)) <= 1e-12 * max(1.0, abs(b) + 2 * a)
@@ -1001,7 +986,7 @@ def test_integrated_density_matches_band_loop():
         return filled / n
 
     rng = np.random.default_rng(37)
-    for op in (random_operator(rng, 5), PeriodicJacobi.free(4, hopping=0.9, onsite=0.3)):
+    for op in (random_operator(rng, 5), free_chain(4, hopping=0.9, onsite=0.3)):
         bs = BandStructure(op)
         grid = np.concatenate([bs.edges, np.linspace(bs.edges[0] - 0.3, bs.edges[-1] + 0.3, 97)])
         expected = [reference(bs, lam) for lam in grid]
@@ -1040,7 +1025,7 @@ def test_free_integrated_density_closed_form():
     # For the uniform chain the per-site state count below b + 2a cos-angle
     # is arccos((b - lambda) / 2a) / pi, independent of the chosen period.
     a, b = 0.9, 0.3
-    bs = BandStructure(PeriodicJacobi.free(4, hopping=a, onsite=b))
+    bs = BandStructure(free_chain(4, hopping=a, onsite=b))
     # The grid includes the exact band-touching point b, where arccos
     # turns roundoff in Delta into sqrt(eps)-level phase noise; 1e-7
     # absolute agreement is the honest conditioning floor there.
@@ -1081,7 +1066,7 @@ def test_to_dict_reads_the_edges_as_the_band_and_gap_records_do():
     # max(0.0, upper - lower).
     rng = np.random.default_rng(93)
     chains = [random_operator(rng, n) for n in (1, 2, 7, 64)]
-    chains += [PeriodicJacobi.free(n, 0.9, -0.2) for n in (1, 5, 60)] + _repeated_cells()[:3]
+    chains += [free_chain(n, 0.9, -0.2) for n in (1, 5, 60)] + _repeated_cells()[:3]
     for op in chains:
         for method in ("eig", "bisection"):
             bs = BandStructure(op, method)
@@ -1107,7 +1092,7 @@ def test_uniform_chain_dos_and_ids_match_closed_forms(period):
     # Per site, the uniform chain has IDS arccos((b - lam) / 2a) / pi and
     # DOS 1 / (pi sqrt(4a^2 - (lam - b)^2)) on [b - 2a, b + 2a].
     a, b = 0.9, -0.2
-    bs = BandStructure(PeriodicJacobi.free(period, a, b))
+    bs = BandStructure(free_chain(period, a, b))
     grid = np.linspace(b - 2 * a - 0.1, b + 2 * a + 0.1, 2001)
     ids = np.arccos(np.clip((b - grid) / (2 * a), -1.0, 1.0)) / np.pi
     assert np.max(np.abs(bs.densities(grid)[1] - ids)) <= 1e-10
@@ -1132,7 +1117,7 @@ def test_uniform_dos_at_the_closed_gap_levels(method):
     # there, so the DOS is the closed form to rounding, never 0, and the
     # IDS is 1 - j / N.
     for n, a, b in ((60, 0.9, -0.2), (100, 0.9, -0.2), (400, 0.9, -0.2), (64, 1.347, -1.318)):
-        bs = BandStructure(PeriodicJacobi.free(n, a, b), method)
+        bs = BandStructure(free_chain(n, a, b), method)
         j = np.arange(1, n)
         levels = b + 2 * a * np.cos(np.pi * j / n)
         rho, ids = bs.densities(levels)
@@ -1144,9 +1129,8 @@ def test_uniform_dos_at_the_closed_gap_levels(method):
 
 def _uniform_chain(n):
     if n > 24:
-        return PeriodicJacobi.free(n, 0.9, -0.2)
-    rng = np.random.default_rng(n)
-    return PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
+        return free_chain(n, 0.9, -0.2)
+    return uniform_chain(np.random.default_rng(n), n)
 
 
 UNIFORM_PERIODS = list(range(2, 25)) + [60, 100, 400]
@@ -1251,7 +1235,7 @@ def test_repeated_cell_dos_beside_the_closed_gap_points(method):
     # its band, so the DOS there is positive and matches the point's.
     for p, m in ((2, 50), (3, 5), (3, 20)):
         cell = random_operator(np.random.default_rng(2024), p)
-        bs = BandStructure(PeriodicJacobi(np.tile(cell.hopping, m), np.tile(cell.onsite, m)), method)
+        bs = BandStructure(tiled(cell, m), method)
         lower, upper = bs.edges[1:-1:2], bs.edges[2::2]
         shut = lower[lower == upper]
         assert shut.size == p * (m - 1)
@@ -1270,8 +1254,7 @@ def test_dos_is_infinite_on_every_edge_but_a_closed_gaps_point(method):
     # keeps its finite limit sqrt(det M').
     cell = PeriodicJacobi([1.1, 0.7], [0.3, -0.5])
     chains = [(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), 0), (harper_chain(89, 55, 0.7), None),
-              (PeriodicJacobi(np.tile(cell.hopping, 3), np.tile(cell.onsite, 3)), 4),
-              (PeriodicJacobi.free(4, 0.9, -0.2), 3)]
+              (tiled(cell, 3), 4), (free_chain(4, 0.9, -0.2), 3)]
     for op, shut in chains:
         bs = BandStructure(op, method)
         edges = bs.edges
@@ -1300,8 +1283,9 @@ def test_repeated_cells_solve_and_march_only_the_cell(monkeypatch, capsys):
     rng = np.random.default_rng(2025)
     for p, m in ((2, 200), (3, 8), (4, 5)):
         cell = random_operator(rng, p)
-        chain = ["--onsite=" + ",".join(map(repr, np.tile(cell.onsite, m).tolist())),
-                 "--hopping=" + ",".join(map(repr, np.tile(cell.hopping, m).tolist())), "--json"]
+        op = tiled(cell, m)
+        chain = ["--onsite=" + ",".join(map(repr, op.onsite.tolist())),
+                 "--hopping=" + ",".join(map(repr, op.hopping.tolist())), "--json"]
         solved.clear()
         marched.clear()
         operators._real_spectrum.cache_clear()

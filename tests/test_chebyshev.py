@@ -13,14 +13,14 @@ import numpy.polynomial.chebyshev as C
 import pytest
 from numpy.polynomial import Polynomial
 
-from hillbands import Discriminant, PeriodicJacobi, transfer
+from hillbands import Discriminant, transfer
 from hillbands.inverse import chebyshev_nodes
 
-from helpers import free_discriminant
+from helpers import free_chain, free_discriminant
 
 
 def chebyshev_chain(n):
-    return PeriodicJacobi.free(n, 0.5, 0.0)
+    return free_chain(n, 0.5, 0.0)
 
 
 def power(disc):
@@ -119,4 +119,4 @@ def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         free_discriminant(-1)
     with pytest.raises(ValueError):
-        PeriodicJacobi.free(0)
+        free_chain(0)

@@ -18,6 +18,7 @@ from hillbands.cli import _gap_table, main
 from helpers import (
     bits,
     fresh,
+    harper_chain,
     long_edge_data,
     make_chain,
     power_coefficients,
@@ -183,9 +184,9 @@ def test_emit_writes_floats_that_parse_back_to_the_same_bits(x):
 
 
 def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
-    harper = (0.8 * np.cos(2 * np.pi * 55 * np.arange(89) / 89 + 0.3)).tolist()
-    onsite = "--onsite=" + ",".join(map(repr, harper))
-    bs = BandStructure(PeriodicJacobi(np.ones(89), harper))
+    harper = harper_chain(89, 55, 0.3)
+    onsite = "--onsite=" + ",".join(map(repr, harper.onsite.tolist()))
+    bs = BandStructure(harper)
     thetas = np.linspace(0.0, np.pi, 8)
     code, out, err = run_cli(capsys, "dispersion", onsite, "--samples", "8", "--json")
     assert code == 0 and err == ""
@@ -199,10 +200,11 @@ def test_harper_dispersion_and_dos_json_are_the_library_values(capsys):
 
 
 def test_harper_bands_json_is_the_library_value(capsys):
-    harper = (0.8 * np.cos(2 * np.pi * 55 * np.arange(89) / 89 + 0.3)).tolist()
-    code, out, err = run_cli(capsys, "bands", "--onsite=" + ",".join(map(repr, harper)), "--json")
+    harper = harper_chain(89, 55, 0.3)
+    code, out, err = run_cli(capsys, "bands", "--onsite=" + ",".join(map(repr, harper.onsite.tolist())),
+                             "--json")
     assert code == 0 and err == ""
-    assert bits(strict_json(out)) == bits(BandStructure(PeriodicJacobi(np.ones(89), harper)).to_dict())
+    assert bits(strict_json(out)) == bits(BandStructure(harper).to_dict())
 
 
 # One request of each subcommand; every one is also served as text, in

@@ -10,6 +10,7 @@ from hillbands.inverse import chebyshev_nodes
 from helpers import (
     exact_discriminant,
     floquet_matrix,
+    free_chain,
     free_discriminant,
     monic_coefficients,
     power_coefficients,
@@ -42,7 +43,7 @@ def test_characteristic_polynomial_identity():
 
 
 def test_free_matches_from_operator():
-    op = PeriodicJacobi.free(6, hopping=0.9, onsite=-0.4)
+    op = free_chain(6, hopping=0.9, onsite=-0.4)
     built = Discriminant.from_operator(op)
     closed = free_discriminant(6, hopping=0.9, onsite=-0.4)
     assert built.interval == closed.interval
@@ -129,7 +130,7 @@ def test_uniform_chain_matches_twice_chebyshev_t(period):
     # N^2 eps max|Delta| at the band ends, where |Delta'| = N^2 / a.
     eps = np.finfo(float).eps
     for a, b, slack in ((1.0, 0.0, 0.0), (0.9, -0.2, eps * period**2), (1.347, -1.318, eps * period**2)):
-        disc = Discriminant.from_operator(PeriodicJacobi.free(period, a, b))
+        disc = Discriminant.from_operator(free_chain(period, a, b))
         top = np.max(np.abs(disc.values))
         nodes = chebyshev_nodes(disc.interval, period)
         grid = np.linspace(*disc.interval, 4001)
@@ -151,7 +152,7 @@ def test_random_chains_match_exact_arithmetic_at_the_nodes():
 
 def test_log_hopping_product_outlives_the_float_range():
     for a in (10.0, 0.1):
-        disc = Discriminant.from_operator(PeriodicJacobi.free(400, a, 0.3))
+        disc = Discriminant.from_operator(free_chain(400, a, 0.3))
         assert disc.log_hopping_product == pytest.approx(400 * np.log(a), rel=1e-14)
 
 
@@ -162,9 +163,13 @@ def test_empty_interval_rejected():
 
 def test_node_values_must_be_one_dimensional():
     # A table of node values was accepted, and failed only in .chebyshev
-    # with numpy's "Coefficient array is not 1-d".
+    # with numpy's "Coefficient array is not 1-d"; an empty one failed in
+    # .to_dict and recover_onsite with "Coefficient array is empty".
     for values in ([[1.0, 2.0], [3.0, 4.0]], np.zeros((3, 1)), np.zeros((1, 1, 2))):
         with pytest.raises(ValueError, match="of shape .* are not one-dimensional"):
+            Discriminant((0.0, 1.0), values, 0.0)
+    for values in ([], np.zeros(0)):
+        with pytest.raises(ValueError, match="table of node values of Delta is empty"):
             Discriminant((0.0, 1.0), values, 0.0)
 
 
@@ -212,7 +217,7 @@ def test_monic():
 def test_from_roots_expands_product():
     # Free chain, period 3: (prod a) Delta = lam^3 - 3 lam
     # = (lam + sqrt 3) lam (lam - sqrt 3).
-    c = monic_coefficients(Discriminant.from_operator(PeriodicJacobi.free(3)))
+    c = monic_coefficients(Discriminant.from_operator(free_chain(3)))
     assert np.allclose(c, [0.0, -3.0, 0.0, 1.0])
 
 

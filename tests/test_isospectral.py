@@ -16,7 +16,7 @@ from hillbands import (
     transfer,
 )
 
-from helpers import edge_error, power_coefficients, random_operator, record_marches
+from helpers import edge_error, free_chain, power_coefficients, random_operator, record_marches
 
 
 def test_orbit_members_share_discriminant():
@@ -150,7 +150,7 @@ def test_neighbors_deterministic_with_seed():
 
 def test_neighbors_period_one_has_no_freedom():
     # No gap at N = 1, and every gap closed on the constant chain.
-    for op in (PeriodicJacobi([1.0], [0.5]), PeriodicJacobi.free(6, 0.9, -0.2)):
+    for op in (PeriodicJacobi([1.0], [0.5]), free_chain(6, 0.9, -0.2)):
         with pytest.raises(RuntimeError, match="no gap is open"):
             isospectral_neighbors(op, seed=0)
 

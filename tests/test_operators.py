@@ -13,11 +13,14 @@ from hillbands import PeriodicJacobi, band_edges_eig, bands, operators
 from helpers import (
     dirichlet_matrix,
     floquet_matrix,
+    free_chain,
     fresh,
     random_operator,
     run_cli,
     strict_json,
+    tiled,
     truncated_matrix,
+    uniform_chain,
 )
 
 
@@ -51,13 +54,6 @@ def test_arrays_are_read_only():
 def test_invalid_inputs_rejected(hopping, onsite):
     with pytest.raises(ValueError):
         PeriodicJacobi(hopping, onsite)
-
-
-def test_free_constructor():
-    op = PeriodicJacobi.free(4, hopping=0.7, onsite=-0.2)
-    assert np.allclose(op.hopping, 0.7)
-    assert np.allclose(op.onsite, -0.2)
-    assert op.period == 4
 
 
 def test_floquet_matrix_is_hermitian():
@@ -106,13 +102,9 @@ def _chain(kind, period):
         )
     if kind == "repeated":
         # A 2-site cell where the period is even, a 1-site one otherwise.
-        return _tiled(random_operator(rng, 2 - period % 2), period // (2 - period % 2))
+        return tiled(random_operator(rng, 2 - period % 2), period // (2 - period % 2))
     # Uniform: every closed gap makes a double eigenvalue at theta = 0 or pi.
-    return PeriodicJacobi.free(period, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
-
-
-def _tiled(cell, times):
-    return PeriodicJacobi(np.tile(cell.hopping, times), np.tile(cell.onsite, times))
+    return uniform_chain(rng, period)
 
 
 @pytest.mark.parametrize("kind", ["random", "harper", "uniform", "repeated"])
@@ -181,7 +173,7 @@ def test_chains_at_the_float_range_limit_match_dense_and_past_it_are_refused(cap
     limit = operators.MAX_REACH
     rng = np.random.default_rng(8)
     units = [random_operator(rng, n) for n in (2, 3, 5) for _ in range(3)]
-    units += [PeriodicJacobi([1.0, 1.0], [2.0, -2.0]), PeriodicJacobi.free(3),
+    units += [PeriodicJacobi([1.0, 1.0], [2.0, -2.0]), free_chain(3),
               PeriodicJacobi([1.0], [0.0]), PeriodicJacobi([1e-300, 1e-300], [4.0, -4.0])]
     for unit in units:
         reach = np.max(np.abs(unit.onsite)) + 2.0 * np.max(unit.hopping)
@@ -216,7 +208,7 @@ def test_floquet_eigenvalues_over_a_phase_array():
     # A phase given twice, or -0.37 and 0.37, which fold onto the same
     # phases of a repeated cell, reads the same bits as given alone.
     thetas = np.array([[0.0, 0.37, -0.37], [np.pi / 2, np.pi, 0.37]])
-    for op in (random_operator(rng, 7), _tiled(random_operator(rng, 3), 4), random_operator(rng, 1)):
+    for op in (random_operator(rng, 7), tiled(random_operator(rng, 3), 4), random_operator(rng, 1)):
         table = op.floquet_eigenvalues(thetas)
         assert table.shape == (2, 3, op.period)
         for index, theta in np.ndenumerate(thetas):
@@ -231,7 +223,7 @@ def test_a_phase_that_is_not_finite_is_refused_before_any_solve(monkeypatch):
 
     monkeypatch.setattr(operators, "_solve", refuse)
     operators._real_spectrum.cache_clear()
-    for op in (PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), PeriodicJacobi.free(4, 0.9, -0.2),
+    for op in (PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]), free_chain(4, 0.9, -0.2),
                PeriodicJacobi([1.0], [0.3])):
         for theta in (np.nan, np.inf, -np.inf, [0.0, np.nan], [[np.pi], [np.inf]]):
             with pytest.raises(ValueError, match="Bloch phases must be finite"):
@@ -255,7 +247,7 @@ def test_each_distinct_phase_is_solved_once(monkeypatch):
     monkeypatch.setattr(operators, "_solve", counted)
     rng = np.random.default_rng(33)
     for p, m in ((2, 305), (3, 5), (3, 20), (2, 50)):
-        op = _tiled(random_operator(rng, p), m)
+        op = tiled(random_operator(rng, p), m)
         operators._real_spectrum.cache_clear()
         solved.clear()
         band_edges_eig(op)
@@ -265,17 +257,17 @@ def test_each_distinct_phase_is_solved_once(monkeypatch):
 def test_cell_is_the_least_repeating_prefix():
     rng = np.random.default_rng(31)
     two, three = random_operator(rng, 2), random_operator(rng, 3)
-    assert _tiled(two, 6).cell == two
+    assert tiled(two, 6).cell == two
     # A 4-site cell that is itself 2-periodic reduces to its 2-site cell.
-    assert _tiled(_tiled(two, 2), 3).cell == two
-    assert _tiled(three, 5).cell == three
-    assert PeriodicJacobi.free(12, 0.9, -0.2).cell == PeriodicJacobi([0.9], [-0.2])
+    assert tiled(tiled(two, 2), 3).cell == two
+    assert tiled(three, 5).cell == three
+    assert free_chain(12, 0.9, -0.2).cell == PeriodicJacobi([0.9], [-0.2])
 
 
 def test_a_chain_that_repeats_no_shorter_cell_is_its_own_cell():
     rng = np.random.default_rng(32)
     chains = [random_operator(rng, 1), random_operator(rng, 13), random_operator(rng, 24)]
-    for op in (_tiled(random_operator(rng, 2), 6), PeriodicJacobi.free(12, 0.9, -0.2)):
+    for op in (tiled(random_operator(rng, 2), 6), free_chain(12, 0.9, -0.2)):
         for changed in (0, 1):
             coefficients = [op.hopping.copy(), op.onsite.copy()]
             coefficients[changed][5] = np.nextafter(coefficients[changed][5], np.inf)
@@ -364,7 +356,7 @@ def test_writing_to_a_returned_spectrum_changes_no_later_answer():
     # The uniform chain's gaps are all closed, so band_edges_eig writes
     # its closed gaps into the edges in place. Its spectra
     # come from its one-site cell, which has no memo entry.
-    for op in (random_operator(np.random.default_rng(26), 6), PeriodicJacobi.free(6, 0.9, -0.2)):
+    for op in (random_operator(np.random.default_rng(26), 6), free_chain(6, 0.9, -0.2)):
         memo.cache_clear()
         spectra = op.floquet_eigenvalues([0.0, np.pi])
         edges = band_edges_eig(op)

@@ -15,11 +15,7 @@ import pytest
 import hillbands
 from hillbands import BandStructure, PeriodicJacobi, band_edges_bisection, band_edges_eig
 
-
-def _odd_values(k, max_q):
-    """k free values from default_rng(k).uniform(-1, 1, k), scaled to max|q|."""
-    q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
-    return max_q * q / np.max(np.abs(q))
+from helpers import odd_values
 
 
 def _r_bounded(k, max_q):
@@ -60,7 +56,7 @@ def test_a_the_height_map_is_a_local_isomorphism_on_the_odd_class():
     # central-difference Jacobian of slit_heights serves until item 1c's
     # envelope formula lands.
     for k in (2, 4, 8):
-        q, step = _odd_values(k, 1e-3), 1e-10
+        q, step = odd_values(k, 1e-3), 1e-10
         jacobian = np.column_stack([(_heights(q + step * e) - _heights(q - step * e)) / (2.0 * step)
                                     for e in np.eye(k)])
         singular = np.linalg.svd(jacobian, compute_uv=False)
@@ -77,7 +73,7 @@ def test_b_the_heights_follow_the_first_order_law():
     for k in (2, 4, 8):
         deviations = []
         for max_q in scales:
-            q = _odd_values(k, max_q)
+            q = odd_values(k, max_q)
             law = _first_order_heights(PeriodicJacobi.odd(q))
             deviations.append(np.max(np.abs(_heights(q) / law - 1.0)))
         assert _slope(scales, deviations) == pytest.approx(2.0, abs=0.1)
@@ -111,11 +107,11 @@ def test_d_gap_centres_and_widths_follow_the_small_q_asymptotics():
     # O(q^3), over max|q| = 0.1 .. 0.01, against the edges of both routes.
     scales = np.geomspace(0.1, 0.01, 4)
     for k in (2, 4, 8):
-        predicted = [np.sort(hillbands.odd_asymptotics(_odd_values(k, max_q))[0]) for max_q in scales]
+        predicted = [np.sort(hillbands.odd_asymptotics(odd_values(k, max_q))[0]) for max_q in scales]
         for route in (band_edges_eig, band_edges_bisection):
             centre, width = [], []
             for max_q, guess in zip(scales, predicted):
-                edges = route(PeriodicJacobi.odd(_odd_values(k, max_q)))
+                edges = route(PeriodicJacobi.odd(odd_values(k, max_q)))
                 lo, hi, guess_lo, guess_hi = edges[1:-1:2], edges[2::2], guess[1:-1:2], guess[2::2]
                 centre.append(np.max(np.abs((lo + hi) - (guess_lo + guess_hi))) / 2.0)
                 width.append(np.max(np.abs((hi - lo) - (guess_hi - guess_lo))))

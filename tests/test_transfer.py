@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,20 @@ from hillbands import Discriminant, PeriodicJacobi, band_edges_bisection, band_e
 from hillbands.inverse import chebyshev_nodes
 
 from helpers import (
+    corpus_chain,
     dirichlet_matrix,
     exact_discriminant,
+    free_chain,
+    harper_chain,
     monodromy_polynomials,
+    mp_discriminant,
+    mp_heights,
+    odd_values,
     power_coefficients,
     random_operator,
     theta_average_heights,
+    tiled,
+    uniform_chain,
 )
 
 
@@ -112,7 +121,7 @@ def test_rounding_bound_covers_the_exact_discriminant():
     chains = [random_operator(rng, period) for period in (1, 2, 5, 9, 16, 24)]
     for copies in (2, 3, 5):
         cell = random_operator(rng, 3)
-        chains.append(PeriodicJacobi(np.tile(cell.hopping, copies), np.tile(cell.onsite, copies)))
+        chains.append(tiled(cell, copies))
     for op in chains:
         edges = band_edges_eig(op)
         lam = np.concatenate(
@@ -144,12 +153,10 @@ def test_rounding_bound_matches_the_site_loop():
     # The products of all sites are summed over the stacked rows; the
     # loop over sites is the reference, to 1e-13 relative.
     rng = np.random.default_rng(31)
-    sites = np.arange(144)
     chains = [random_operator(rng, period) for period in (1, 2, 5, 64)]
-    chains += [random_operator(np.random.default_rng(24), 24), PeriodicJacobi.free(60, 0.9, -0.2),
-               PeriodicJacobi(np.ones(144), 0.8 * np.cos(2 * np.pi * 89 * sites / 144 + 0.3))]
-    cell = random_operator(rng, 3)
-    chains.append(PeriodicJacobi(np.tile(cell.hopping, 5), np.tile(cell.onsite, 5)))
+    chains += [random_operator(np.random.default_rng(24), 24), free_chain(60, 0.9, -0.2),
+               harper_chain(144, 89, 0.3)]
+    chains.append(tiled(random_operator(rng, 3), 5))
     for op in chains:
         edges = band_edges_eig(op)
         lam = np.concatenate([edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)])
@@ -188,11 +195,8 @@ def test_rounding_bound_is_one_march_equal_to_two(monkeypatch):
     # Delta and the bound are those of two marches to the bit, for an
     # array of lam and for a scalar.
     rng = np.random.default_rng(33)
-    chains = [PeriodicJacobi(np.ones(n), 0.8 * np.cos(2 * np.pi * f * np.arange(n) / n + 0.3))
-              for n, f in ((89, 55), (144, 89), (233, 144))]
-    for k in (2, 4, 8):
-        q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
-        chains.append(PeriodicJacobi.odd(1e-4 * q / np.max(np.abs(q))))
+    chains = [harper_chain(n, f, 0.3) for n, f in ((89, 55), (144, 89), (233, 144))]
+    chains += [PeriodicJacobi.odd(odd_values(k, 1e-4)) for k in (2, 4, 8)]
     chains += [random_operator(rng, n) for n in range(1, 65)]
     calls = []
     run = transfer.March.run
@@ -215,6 +219,12 @@ def test_rounding_bound_is_one_march_equal_to_two(monkeypatch):
             assert np.array_equal(delta, reference[0]) and np.array_equal(bound, reference[1])
 
 
+def _open_gap_midpoints(op):
+    edges = band_edges_eig(op)
+    lower, upper = edges[1:-1:2], edges[2::2]
+    return 0.5 * (lower + upper)[upper > lower]
+
+
 def test_theta_average_meets_the_march_within_its_rounding_bound():
     # At every open gap's midpoint of the corpus chains, N = 8, 24 and 64,
     # s = 0..4, the theta-average of the Bloch spectra, which never runs
@@ -225,16 +235,42 @@ def test_theta_average_meets_the_march_within_its_rounding_bound():
     M, eps = 128, np.finfo(float).eps
     for n in (8, 24, 64):
         for s in range(5):
-            op = random_operator(np.random.default_rng([n, s]), n)
-            edges = band_edges_eig(op)
-            lower, upper = edges[1:-1:2], edges[2::2]
-            mid = 0.5 * (lower + upper)[upper > lower]
+            op = corpus_chain(n, s)
+            mid = _open_gap_midpoints(op)
             delta, rounding = transfer.discriminant_rounding(op, mid)
             height = np.arccosh(np.abs(delta) / 2.0)
             average = theta_average_heights(op, mid, M)
             assert np.all(M * average >= 36.0)
             bound = rounding / np.sqrt(delta**2 - 4.0) + 4 * n * eps * np.maximum(1.0, height)
             assert np.all(np.abs(average - height) <= bound)
+
+
+def test_march_and_theta_average_heights_meet_mp80():
+    # At the same 465 midpoints, against arccosh(|Delta| / 2) with Delta by
+    # the recurrence at 80 digits: the march's height lies within its
+    # rounding bound carried through arccosh, with no slack added, and the
+    # theta-average at M = 128 within 4 N eps max(1, h). The 80-digit
+    # Delta is itself held to the exact rational one at N = 3, 8 and 16.
+    for n in (3, 8, 16):
+        for s in range(5):
+            op = corpus_chain(n, s)
+            mid = _open_gap_midpoints(op)
+            for d, x in zip(mp_discriminant(op, mid, 80), mid):
+                exact = exact_discriminant(op, x)[0]
+                with mpmath.workdps(100):
+                    exact = mpmath.mpf(exact.numerator) / exact.denominator
+                    assert abs(d - exact) <= abs(exact) * mpmath.mpf(10) ** -70
+    M, eps = 128, np.finfo(float).eps
+    for n in (8, 24, 64):
+        for s in range(5):
+            op = corpus_chain(n, s)
+            mid = _open_gap_midpoints(op)
+            oracle = mp_heights(op, mid, 80)
+            delta, rounding = transfer.discriminant_rounding(op, mid)
+            march = np.arccosh(np.abs(delta) / 2.0)
+            assert np.all(np.abs(march - oracle) <= rounding / np.sqrt(delta**2 - 4.0))
+            average = theta_average_heights(op, mid, M)
+            assert np.all(np.abs(average - oracle) <= 4 * n * eps * np.maximum(1.0, oracle))
 
 
 def _weak_bond_chain(period):
@@ -352,10 +388,8 @@ def test_fused_delta_equals_the_value_march():
     # with the same operations: its Delta is discriminant's, to the bit.
     rng = np.random.default_rng(12)
     chains = [random_operator(rng, n) for n in range(1, 25)]
-    chains += [PeriodicJacobi.free(n, rng.uniform(0.4, 1.8), rng.uniform(-1.5, 1.5))
-               for n in range(1, 25)]
-    for n, f_prev in ((89, 55), (144, 89)):
-        chains.append(PeriodicJacobi(np.ones(n), 0.8 * np.cos(2 * np.pi * f_prev * np.arange(n) / n + 0.3)))
+    chains += [uniform_chain(rng, n) for n in range(1, 25)]
+    chains += [harper_chain(n, f_prev, 0.3) for n, f_prev in ((89, 55), (144, 89))]
     for op in chains:
         lo, hi = op.gershgorin
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
