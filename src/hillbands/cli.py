@@ -24,8 +24,9 @@ of the subcommands' options, _COMMANDS.
 
 A module is imported where it is first needed: inverse and isospectral
 in the commands that call them, argparse in _parser and in _csv_floats'
-refusal. So a request loads only what its subcommand runs, and bands,
-dispersion and dos requests decoded by _decode never load argparse.
+refusal, orjson in _json_line. So a request loads only what its
+subcommand runs, bands, dispersion and dos requests decoded by _decode
+never load argparse, and a text request never loads orjson.
 """
 
 import functools
@@ -33,7 +34,6 @@ import sys
 from types import SimpleNamespace
 
 import numpy as np
-import orjson
 
 from .bands import BandStructure, dos_curve
 from .operators import PeriodicJacobi
@@ -65,7 +65,10 @@ def _chain(args):
 def _json_line(payload):
     """The payload as one line of compact JSON from orjson, its newline
     included: each float in its shortest round-trip form, a non-finite
-    one as null."""
+    one as null. orjson is imported here, on the one path that writes
+    JSON, since it loads 15 modules a text request does not need."""
+    import orjson
+
     return orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE).decode()
 
 
@@ -143,12 +146,16 @@ def _cmd_inverse(args):
 def _cmd_edges(args):
     from . import inverse
 
-    disc, op = inverse.recover_operator_from_edges(args.periodic, args.antiperiodic, args.hopping)
-    return {
+    disc, op, distance = inverse.recover_operator_from_edges(
+        args.periodic, args.antiperiodic, args.hopping)
+    payload = {
         "hopping_product": float(np.exp(disc.log_hopping_product)),
         "discriminant_chebyshev": disc.to_dict(),
         **_chain_payload(op),
     }
+    if distance is not None:  # the sites were solved for and polished on the edges
+        payload["edge_distance"] = {"before": distance[0], "after": distance[1]}
+    return payload
 
 
 def _edges_text(payload):

@@ -201,7 +201,7 @@ def test_a08_edge_data_reconstruction():
         abs(np.exp(disc.log_hopping_product) - np.prod(op.hopping)),
         1e-10,
     )
-    _, found = recover_operator_from_edges(per, anti)
+    _, found, _ = recover_operator_from_edges(per, anti)
     err = max(
         np.max(np.abs(np.sort(found.floquet_eigenvalues(0.0)) - np.sort(per))),
         np.max(np.abs(np.sort(found.floquet_eigenvalues(np.pi)) - np.sort(anti))),

@@ -856,6 +856,22 @@ def test_a_request_loads_only_the_modules_its_subcommand_runs(argv, loaded):
     assert fresh(script) == repr(loaded)
 
 
+def test_orjson_loads_only_to_write_json():
+    # A fresh interpreter that has served every subcommand as text holds
+    # no orjson; once it serves one request with --json, it does.
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli\n"
+        "seen = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {SUBCOMMANDS!r} + [{SUBCOMMANDS[0]!r} + ['--json']]:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "        seen.append('orjson' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    assert fresh(script) == repr([False] * len(SUBCOMMANDS) + [True])
+
+
 def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
     assert _loaded_after_every_subcommand(("scipy.optimize", "scipy.linalg")) == "[]"
 
@@ -1030,13 +1046,16 @@ def test_edges_goes_through_recover_operator_from_edges(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5",
                                  *extra, "--json")
         assert code == 0 and err == ""
-        disc, op = recover([1.0, 3.0], [1.5, 2.5], [0.25, 0.75] if extra else None)
-        assert bits(strict_json(out)) == bits({
+        disc, op, distance = recover([1.0, 3.0], [1.5, 2.5], [0.25, 0.75] if extra else None)
+        expected = {
             "hopping_product": float(np.exp(disc.log_hopping_product)),
             "discriminant_chebyshev": disc.to_dict(),
             "hopping": op.hopping.tolist(),
             "onsite": op.onsite.tolist(),
-        })
+        }
+        if extra:
+            expected["edge_distance"] = {"before": distance[0], "after": distance[1]}
+        assert bits(strict_json(out)) == bits(expected)
     assert seen == [None, [0.25, 0.75]]
 
 

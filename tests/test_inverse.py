@@ -395,6 +395,73 @@ def test_lm_is_scipy_leastsq_to_the_bit(monkeypatch):
     assert str(ours.value) == str(theirs.value)
 
 
+def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
+    # The power coefficients of corpus_chain(n, s), n = 3..8, s = 0..4,
+    # solved blind in one process at ftol 1e-14 and at FTOL: every target
+    # succeeds with the same onsite bytes, since a start that reaches a
+    # zero residual never meets the ftol test, while the starts that stall
+    # stop sooner, so the evaluations fall by at least a fifth. So do the
+    # unattainable target's, every one of whose 64 starts fails.
+    targets = [(power_coefficients(op), op.hopping)
+               for op in (corpus_chain(n, s) for n in range(3, 9) for s in range(5))]
+    solve, counts = inverse.least_squares, []
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        counts.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(inverse, "least_squares", counted)
+    runs = []
+    for ftol in (1e-14, inverse.FTOL):
+        monkeypatch.setattr(inverse, "FTOL", ftol)
+        del counts[:]
+        found = [recover_onsite(*target).onsite.tobytes() for target in targets]
+        corpus = sum(counts)
+        del counts[:]
+        with pytest.raises(RuntimeError, match="no start out of 64 converged"):
+            recover_onsite([-1.0, 0.0, 1.0], [1.0, 1.0])
+        runs.append((found, corpus, sum(counts)))
+    (reference, reference_nfev, reference_unattainable), (found, nfev, unattainable) = runs
+    assert found == reference
+    assert nfev <= 0.8 * reference_nfev
+    assert unattainable < reference_unattainable
+
+
+def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
+    # Edge data of corpus_chain(n, s), s = 1000..1004, inverted at the
+    # chain's own bonds, at N = 8, 10 and 12, and at N = 16 for s = 1001,
+    # its one success (the four failures take 9 s): the same targets
+    # succeed as before the polish, and Gauss-Newton takes each answer's
+    # eig edges from as far as 8.7e-8 to within 1e-14 max(1, |E|) of the
+    # data. edges --json reports both distances, the first that of
+    # recover_onsite's answer.
+    solved = []
+    for n, s in [(n, s) for n in (8, 10, 12) for s in range(1000, 1005)] + [(16, 1001)]:
+        op = corpus_chain(n, s)
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])
+        try:
+            _, found, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
+        except RuntimeError:
+            continue
+        solved.append((n, s))
+        assert np.array_equal(found.hopping, op.hopping)
+        assert edge_error(found, np.concatenate([per, anti])) <= 1e-14
+        assert after <= 1e-14 and after <= before
+    assert solved == [(8, 1000), (8, 1001), (8, 1002), (8, 1003), (8, 1004), (10, 1000),
+                      (10, 1001), (10, 1002), (10, 1004), (12, 1001), (12, 1002), (12, 1003),
+                      (12, 1004), (16, 1001)]
+    edges = op.floquet_eigenvalues([0.0, np.pi])
+    per, anti, hopping = (",".join(map(repr, x.tolist())) for x in (*edges, op.hopping))
+    code, out, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}",
+                             f"--hopping={hopping}", "--json")
+    assert code == 0 and err == ""
+    distance = strict_json(out)["edge_distance"]
+    unpolished = recover_onsite(discriminant_from_edges(*edges), op.hopping)
+    assert distance["before"] == pytest.approx(edge_error(unpolished, edges.ravel()), rel=1e-3)
+    assert distance["before"] > 1e-8 and distance["after"] <= 1e-14
+
+
 def test_discriminant_from_edges_round_trip():
     rng = np.random.default_rng(53)
     op = random_operator(rng, 5)
@@ -476,7 +543,7 @@ def test_recover_operator_from_edges_uniform_hopping():
     op = PeriodicJacobi(op.hopping, onsite)
     per = op.floquet_eigenvalues(0.0)
     anti = op.floquet_eigenvalues(np.pi)
-    _, found = recover_operator_from_edges(per, anti)
+    _, found, _ = recover_operator_from_edges(per, anti)
     assert np.allclose(band_edges_eig(found), np.sort(np.concatenate([per, anti])), atol=1e-8)
 
 
@@ -507,7 +574,7 @@ def test_recover_operator_from_edges_names_a_wrong_hopping_count(monkeypatch):
 def test_recover_operator_from_edges_returns_the_discriminant_of_the_data():
     per, anti = [1.0, 3.0], [1.5, 2.5]
     for hopping in (None, [0.25, 0.75]):
-        disc, op = recover_operator_from_edges(per, anti, hopping)
+        disc, op, _ = recover_operator_from_edges(per, anti, hopping)
         expected = discriminant_from_edges(per, anti)
         assert disc.interval == expected.interval
         assert disc.log_hopping_product == expected.log_hopping_product
@@ -527,8 +594,8 @@ def test_edge_data_in_one_row_is_the_same_as_in_one_dimension():
         assert row.interval == flat.interval and row.log_hopping_product == flat.log_hopping_product
         assert np.array_equal(row.values, flat.values)
         for hopping in (None, op.hopping):
-            _, expected = recover_operator_from_edges(per, anti, hopping)
-            disc, found = recover_operator_from_edges(per[None, :], anti[None, :], hopping)
+            _, expected, _ = recover_operator_from_edges(per, anti, hopping)
+            disc, found, _ = recover_operator_from_edges(per[None, :], anti[None, :], hopping)
             assert np.array_equal(disc.values, flat.values)
             assert np.array_equal(found.hopping, expected.hopping)
             assert np.array_equal(found.onsite, expected.onsite)
@@ -670,7 +737,7 @@ def test_edges_without_hoppings_on_random_chains():
         rng = np.random.default_rng(seed)
         op = random_operator(rng, 2 + (seed - 500) % 31)
         per, anti = op.floquet_eigenvalues([0.0, np.pi])
-        _, found = recover_operator_from_edges(per, anti)
+        _, found, _ = recover_operator_from_edges(per, anti)
         assert edge_error(found, np.concatenate([per, anti])) <= 1e-12
 
 
@@ -679,7 +746,7 @@ def test_edges_without_hoppings_on_uniform_chains():
     # closed gap, at height 0: the uniform chain comes back.
     for n in range(1, 33):
         per, anti = free_chain(n, 0.9, -0.2).floquet_eigenvalues([0.0, np.pi])
-        _, found = recover_operator_from_edges(per, anti)
+        _, found, _ = recover_operator_from_edges(per, anti)
         assert np.all(np.abs(found.hopping - 0.9) <= 1e-12)
         assert np.all(np.abs(found.onsite + 0.2) <= 1e-12)
 
