@@ -19,7 +19,9 @@ runs only the site loop. With no starting point, a seeded multistart
 runs one solve per start until one converges. Band-edge data determines the
 discriminant directly: (prod a)(Delta + 2), the monic polynomial of the
 antiperiodic eigenvalues, is 4 prod(a) at each periodic one, so one edge
-gives log(prod a); Delta is the mean of the two over prod(a).
+gives log(prod a); Delta is the mean of the two over prod(a). A chain
+solved for at given bonds is then polished on the edges by the same
+solver, its Jacobian read from the same march at the edges (_polish).
 
 A target is a Discriminant: Delta, a degree-N polynomial with leading
 coefficient 1/(a_0 ... a_{N-1}), held by its values at the N + 1
@@ -38,12 +40,11 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polynomial as P
 
 from . import transfer
-from .operators import PeriodicJacobi, _bloch_eigenpairs, _minpack
+from .operators import PeriodicJacobi, _minpack
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
 FTOL = 1e-7  # recover_onsite: MINPACK's ftol, the least relative fall of the sum of squares per step
-POLISH_STEPS = 3  # recover_operator_from_edges: most Gauss-Newton steps on the edge residual
 
 
 def chebyshev_nodes(interval, degree):
@@ -441,29 +442,40 @@ def chain_from_divisor(edges, mu, sheet, log_hopping_product):
 
 
 def _polish(op, periodic, antiperiodic):
-    """op after up to POLISH_STEPS Gauss-Newton steps in its sites on the
-    edge residual, with the largest edge distance before and after.
+    """op after one Levenberg-Marquardt solve in its sites on the edge
+    residual, with the largest edge distance before and after.
 
     The residual is the sorted eigenvalues of J(0) and J(pi) less the
-    sorted periodic and antiperiodic data, each over max(1, |datum|), and
-    dE_i/db_n = psi_i(n)^2 (Hellmann-Feynman); the edge distance is its
-    max-norm. A step is kept only if it lowers the distance, and the
-    first that does not ends the polish.
+    sorted periodic and antiperiodic data, each over max(1, |datum|); the
+    edge distance is its max-norm. Its Jacobian is Hellmann-Feynman's,
+    dE_i/db_n = psi_i(n)^2 = (d Delta / d b_n) / sum_m d Delta / d b_m at
+    E_i, the sum being -Delta'(E_i): the rows of transfer.jacobian_at at
+    the eigenvalues, each over its sum, from the march that gives Delta
+    there. A row whose sum is zero, as at a closed gap whose two edges a
+    repeated cell makes equal to the bit, is left zero: a double
+    eigenvalue is not differentiable in the sites. The solve stops on
+    recover_onsite's tests, and its answer is kept only if it lowers the
+    edge distance.
     """
     data = np.stack([np.sort(periodic), np.sort(antiperiodic)])
     weight = 1.0 / np.maximum(1.0, np.abs(data))
-    a, b = op.hopping, op.onsite
-    w, squares = _bloch_eigenpairs(a, b)
-    before = distance = np.max(np.abs(w - data) * weight)
-    for _ in range(POLISH_STEPS):
-        jacobian = (squares * weight[..., None]).reshape(-1, a.size)
-        trial = b - np.linalg.lstsq(jacobian, ((w - data) * weight).ravel(), rcond=None)[0]
-        w_trial, squares_trial = _bloch_eigenpairs(a, trial)
-        trial_distance = np.max(np.abs(w_trial - data) * weight)
-        if not trial_distance < distance:
-            break
-        b, w, squares, distance = trial, w_trial, squares_trial, trial_distance
-    return PeriodicJacobi(a, b), (float(before), float(distance))
+    a = op.hopping
+
+    def evaluate(b):
+        w = PeriodicJacobi(a, b).floquet_eigenvalues([0.0, np.pi])
+        grad = transfer.jacobian_at(a, w)(b)[1]
+        total = np.sum(grad, axis=-1, keepdims=True)
+        rows = np.divide(grad, total, out=np.zeros_like(grad), where=total != 0.0)
+        return ((w - data) * weight).ravel(), (rows * weight[..., None]).reshape(-1, a.size)
+
+    fun, jac = fused(evaluate)
+    before = np.max(np.abs(fun(op.onsite)))
+    res = least_squares(fun, op.onsite, jac=jac, xtol=1e-14, ftol=FTOL, gtol=1e-15,
+                        max_nfev=60 * a.size)
+    after = np.max(np.abs(res.fun))
+    if not after < before:
+        return op, (float(before), float(before))
+    return PeriodicJacobi(a, res.x), (float(before), float(after))
 
 
 def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
@@ -479,6 +491,13 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
     is chain_from_divisor's of the sorted 2N edges at the gap midpoints
     on sheet +1, whose bonds are in general not uniform, and distance is
     None: no polish runs.
+
+    Where two chains with these bonds and edges meet, the edges move by
+    the square of the sites' change, so they fix the sites only to about
+    sqrt(eps): sites 2 + d, 2 - d and 2 - d, 2 + d at bonds 0.25, 0.75
+    have the same edges, and the edges 1, 3 and 1.5, 2.5 of sites 2, 2
+    give sites 1.999999998, 2.000000002 at edge distance 0. Fixing them
+    better needs data beyond the edges, such as the Dirichlet eigenvalues.
     """
     periodic, antiperiodic = np.ravel(periodic), np.ravel(antiperiodic)
     disc = discriminant_from_edges(periodic, antiperiodic)

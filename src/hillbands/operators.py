@@ -278,28 +278,6 @@ def _solve(solver, band):
     return w
 
 
-def _bloch_eigenpairs(a, b):
-    """The eigenvalues of J(0) and J(pi), rows 0 and 1 of a (2, N) array,
-    and the squared eigenvectors, psi_i(n)^2 at [row, i, n], which are
-    dE_i/db_n: ?sbevd with vectors on _folded_band, whose positions are
-    read back in site order."""
-    n = a.size
-    if n == 1:
-        return np.array([[b[0] + 2.0 * a[0]], [b[0] - 2.0 * a[0]]]), np.ones((2, 1, 1))
-    band = _folded_band(a, b)
-    open_corner = band[1, 0]
-    site = np.empty(n, dtype=int)  # the site at each folded position: 0, N-1, 1, N-2, ...
-    site[0::2], site[1::2] = np.arange(n - n // 2), np.arange(n - 1, n - n // 2 - 1, -1)
-    w, squares = np.empty((2, n)), np.empty((2, n, n))
-    for row, cos_theta in enumerate((1.0, -1.0)):
-        band[1, 0] = open_corner + a[-1] * cos_theta
-        w[row], v, info = dsbevd(band, compute_v=1, lower=1, overwrite_ab=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"band eigensolver failed (info {info})")
-        squares[row][:, site] = (v**2).T
-    return w, squares
-
-
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _real_spectrum(coefficients):
     """Sorted spectra of J(0) and J(pi), rows 0 and 1 of a (2, N) array.

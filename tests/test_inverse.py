@@ -155,12 +155,25 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
     # starts that end on several refused trials; even then lmder takes
     # each Jacobian at the x of its latest residual call, and the start is
     # judged on the residual lmder returns, so one memo slot serves it.
+    # Edge data runs two solves: recover_onsite's at its nodes, then the
+    # edge polish's at the chain's Bloch eigenvalues, which starts from
+    # the first solve's answer, a chain that solve marched too. A march is
+    # therefore keyed on its points as well as its chain; within one solve
+    # the points are fixed (recover_onsite) or follow the chain (the
+    # polish), so each solve is still held to one march per iterate.
     rng = np.random.default_rng(97)
     chains = [random_operator(rng, n) for n in (2, 3, 4, 5)]
     chains += [random_operator(np.random.default_rng(seed), n) for seed, n in ((97, 7), (92, 4))]
     uniform = PeriodicJacobi(np.full(4, 0.9), rng.uniform(-1.5, 1.5, 4))
     periodic, antiperiodic = uniform.floquet_eigenvalues([0.0, np.pi])
     log = record_marches(monkeypatch)
+    points, logged = [], transfer.March.run
+
+    def run(march, onsite, *args, **kwargs):
+        points.append(march.lam.tobytes())
+        return logged(march, onsite, *args, **kwargs)
+
+    monkeypatch.setattr(transfer.March, "run", run)
     solves = [lambda op=op: recover_onsite(power_coefficients(op), op.hopping) for op in chains]
     solves += [
         lambda: recover_onsite(power_coefficients(chains[3]), chains[3].hopping,
@@ -168,11 +181,11 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
         lambda: recover_operator_from_edges(periodic, antiperiodic, uniform.hopping),
     ]
     for solve in solves:
-        del log[:]
+        del log[:], points[:]
         solve()
         assert len(log) > 2
         assert all(batched for batched, _ in log)
-        assert len({chain for _, chain in log}) == len(log)
+        assert len(set(zip(points, (chain for _, chain in log)))) == len(log)
 
 
 def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
@@ -460,6 +473,40 @@ def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
     unpolished = recover_onsite(discriminant_from_edges(*edges), op.hopping)
     assert distance["before"] == pytest.approx(edge_error(unpolished, edges.ravel()), rel=1e-3)
     assert distance["before"] > 1e-8 and distance["after"] <= 1e-14
+
+
+def closed_gap_chains():
+    """Uniform chains N = 2..10 at a = 0.7 and 1.3, b = 0.3, and
+    corpus cells of p = 2..4 sites, s = 0..2, repeated 2 and 3 times."""
+    chains = [free_chain(n, a, 0.3) for n in range(2, 11) for a in (0.7, 1.3)]
+    return chains + [tiled(corpus_chain(p, s), m) for p in (2, 3, 4) for m in (2, 3)
+                     for s in range(3)]
+
+
+def test_edge_inverse_reaches_the_edges_of_chains_with_closed_gaps():
+    # Uniform chains, every gap closed, and cells repeated m times, with
+    # the gaps that the repetition closes. A closed gap's two edges are a
+    # double eigenvalue, which the sites move as |x| moves at 0, not
+    # smoothly; recover_onsite's answers sit up to 1.5e-6 off these edges.
+    # The polish takes every chain to within 1e-9 of them (worst 1.7e-10,
+    # a uniform chain of 4 sites; the last digits vary from run to run
+    # with LAPACK's rounding).
+    for op in closed_gap_chains():
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])
+        _, found, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
+        assert np.array_equal(found.hopping, op.hopping)
+        assert after <= before and after <= 1e-9
+        assert edge_error(found, np.concatenate([per, anti])) <= 1e-9
+
+
+def test_edge_polish_keeps_a_chain_on_its_own_edges():
+    # Started at the chain whose Bloch eigenvalues are the data, the
+    # polish keeps it at distance 0, though at some of these chains (the
+    # uniform chain of 3 sites at a = 0.7, say) a Jacobian row sums to
+    # zero to the bit and is left zero.
+    for op in closed_gap_chains():
+        per, anti = op.floquet_eigenvalues([0.0, np.pi])
+        assert inverse._polish(op, per, anti) == (op, (0.0, 0.0))
 
 
 def test_discriminant_from_edges_round_trip():

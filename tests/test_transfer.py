@@ -14,6 +14,7 @@ from helpers import (
     corpus_chain,
     dirichlet_matrix,
     exact_discriminant,
+    floquet_matrix,
     free_chain,
     harper_chain,
     monodromy_polynomials,
@@ -534,6 +535,21 @@ def test_blind_preparation_holds_at_most_factor_block_numbers_per_operand(monkey
         assert max(map(numbers, operands)) <= transfer.FACTOR_BLOCK
         assert march.block * max(np.size(march.lam), np.prod(march.start.shape[3:])) \
             <= transfer.FACTOR_BLOCK
+
+
+def test_onsite_jacobian_over_its_sum_is_the_squared_bloch_eigenvector():
+    # Hellmann-Feynman: at a Bloch eigenvalue E_i, dE_i/db_n = psi_i(n)^2,
+    # which is d Delta / d b_n over its sum over n, that sum being
+    # -Delta'(E_i). Checked against dense eigh's eigenvectors at theta = 0
+    # and pi on corpus chains N = 2..24 (worst 1.2e-13).
+    for n in range(2, 25):
+        for s in range(5):
+            op = corpus_chain(n, s)
+            for theta in (0.0, np.pi):
+                w, v = np.linalg.eigh(floquet_matrix(op, theta))
+                grad = transfer.jacobian_at(op.hopping, w)(op.onsite)[1]
+                rows = grad / np.sum(grad, axis=-1, keepdims=True)
+                assert np.max(np.abs(rows - np.abs(v.T) ** 2)) <= 1e-12
 
 
 def test_rotation_index_ends_with_the_chain():
