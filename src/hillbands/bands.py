@@ -419,7 +419,7 @@ class BandStructure:
         ids[...] = (k // 2) / self.operator.period
         at = lam[inside]
         k = edges.searchsorted(at, side="right")  # the cell's edge count
-        m, dm = transfer.monodromy(cell, at)
+        m, dm = transfer.March(cell.hopping).at(at, 1).monodromy(cell.onsite)
         # Odd k puts lam in a band; lam on the upper edge of the band
         # below as well is the one point of a closed gap.
         shut = (k % 2 == 1) & (edges[k - 2] == at)

@@ -40,7 +40,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polynomial as P
 
 from . import transfer
-from .operators import PeriodicJacobi, _minpack
+from .operators import PeriodicJacobi, _minpack, _real_spectrum
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
@@ -98,7 +98,7 @@ class Discriminant:
         of long random chains."""
         interval = op.gershgorin if interval is None else interval
         nodes = chebyshev_nodes(interval, op.period)
-        values = transfer.discriminant(op.hopping, op.onsite, nodes)[0]
+        values = transfer.March(op.hopping).at(nodes).trace(op.onsite)[0]
         return cls(interval, values, np.sum(np.log(op.hopping)))
 
     @cached_property
@@ -451,7 +451,9 @@ def _polish(op, periodic, antiperiodic):
     dE_i/db_n = psi_i(n)^2 = (d Delta / d b_n) / sum_m d Delta / d b_m at
     E_i, the sum being -Delta'(E_i): the rows of transfer.jacobian_at at
     the eigenvalues, each over its sum, from the march that gives Delta
-    there. A row whose sum is zero, as at a closed gap whose two edges a
+    there. An iterate that is its own cell takes its eigenvalues from
+    the memo's solver without an entry, so the polish keeps the memo's
+    chains. A row whose sum is zero, as at a closed gap whose two edges a
     repeated cell makes equal to the bit, is left zero: a double
     eigenvalue is not differentiable in the sites. The solve stops on
     recover_onsite's tests, and its answer is kept only if it lowers the
@@ -462,7 +464,11 @@ def _polish(op, periodic, antiperiodic):
     a = op.hopping
 
     def evaluate(b):
-        w = PeriodicJacobi(a, b).floquet_eigenvalues([0.0, np.pi])
+        iterate = PeriodicJacobi(a, b)
+        if iterate.cell is iterate and a.size > 1:  # solved outside the Bloch-spectrum memo
+            w = _real_spectrum.__wrapped__(iterate.hopping.tobytes() + iterate.onsite.tobytes())
+        else:
+            w = iterate.floquet_eigenvalues([0.0, np.pi])
         grad = transfer.jacobian_at(a, w)(b)[1]
         total = np.sum(grad, axis=-1, keepdims=True)
         rows = np.divide(grad, total, out=np.zeros_like(grad), where=total != 0.0)

@@ -107,13 +107,13 @@ def enumerate_onsite_classes(values, period, hopping=1.0):
     lowest = PeriodicJacobi(hopping, np.full(period, min(values)))  # checks the bonds
     reach = 2.0 * np.max(hopping)
     nodes = chebyshev_nodes((min(values) - reach, max(values) + reach), period)
-    scale = max(1.0, np.max(np.abs(transfer.discriminant(hopping, lowest.onsite, nodes)[0])))
+    scale = max(1.0, np.max(np.abs(transfer.March(hopping).at(nodes).trace(lowest.onsite)[0])))
     patterns = itertools.product(values, repeat=period)
     groups = {}
     while chunk := list(itertools.islice(patterns, CHUNK)):
         onsite = np.array(chunk).T  # sites first, one pattern per column
         bonds = np.broadcast_to(hopping[:, None], onsite.shape)
-        delta = transfer.discriminant(bonds, onsite, nodes[:, None])[0]
+        delta = transfer.March(bonds).at(nodes[:, None]).trace(onsite)[0]
         for pattern, key in zip(chunk, np.round(delta.T / scale, DECIMALS)):
             groups.setdefault(tuple(key), []).append(pattern)
     classes = [
@@ -172,7 +172,8 @@ def isospectral_neighbors(op, count=1, step=0.1, seed=None):
         raise RuntimeError("no isospectral freedom at this chain: no gap is open")
     mid, half = 0.5 * (lower + upper)[open_], 0.5 * (upper - lower)[open_]
     mu = op.dirichlet_eigenvalues()
-    sheet = np.where(np.abs(transfer.monodromy(op, mu)[0][1, 1]) > 1.0, 1.0, -1.0)
+    m = transfer.March(op.hopping).at(mu).monodromy(op.onsite)[0]
+    sheet = np.where(np.abs(m[1, 1]) > 1.0, 1.0, -1.0)
     phi = sheet[open_] * np.arccos(np.clip((mu[open_] - mid) / half, -1.0, 1.0))
     mu, sheet = lower.copy(), np.ones(lower.size)  # closed gaps: the closed point
     log_product = float(np.sum(np.log(op.hopping)))

@@ -10,23 +10,26 @@ with a_{-1} = a_{N-1}. The monodromy M(lam) carries (u_0, u_{-1}) to
 starts. det M = 1 identically, and the Hill discriminant is tr M.
 
 This is the only place the recurrence runs: one loop over arrays of
-lam, for one chain or a batch of chains. The node values of Delta, the
-classes of an alphabet and the onsite Jacobian of a chain with its
-Delta (a batch of its N rotations) all come from it. Its rows carry
-lam-derivatives only for callers that need Delta' (the DOS, the edges'
-Newton steps) or Delta'' (the Newton steps onto the gap extrema), and
-it keeps every row only for the rounding-error bound of Delta (a batch
-of the chain and its reversal). A March holds what a march does not
-owe to the site values, in two parts: what the bonds alone fix, their
-factors with the check that none overflows, and what lam fixes as
-well, the shapes and the start rows (March.at). A bisection solve,
-whose bonds never change, builds its cell's March once for all its
-marches (bands._cell_edges); the onsite Jacobian of a solve, whose
-bonds and nodes never change, prepares both once (jacobian_at), with
-the operands in the shape of the rows, so that each evaluation runs
-only the site loop (March.run). March.at refuses a lam that is not
-finite, before any site is marched. Only this module reads a march's
-rows: March.trace gives Delta and its derivatives to the others.
+lam, for one chain or a batch of chains. Delta and M come from
+March(hopping).at(lam, derivs), then .trace(onsite) or
+.monodromy(onsite), each with its first derivs lam-derivatives on a
+leading axis; the classes of an alphabet are a batch of such traces,
+and the onsite Jacobian of a chain with its Delta is a batch of its N
+rotations (jacobian_at). Rows carry lam-derivatives only for callers
+that need Delta' (the DOS, the edges' Newton steps) or Delta'' (the
+Newton steps onto the gap extrema), and a march keeps every row only
+for the rounding-error bound of Delta (a batch of the chain and its
+reversal).
+A March holds what a march does not owe to the site values, in two
+parts: what the bonds alone fix, their factors with the check that
+none overflows, and what lam fixes as well, the shapes and the start
+rows (March.at). A bisection solve, whose bonds never change, builds
+its cell's March once for all its marches (bands._cell_edges); the
+onsite Jacobian of a solve, whose bonds and nodes never change,
+prepares both once (jacobian_at), with the operands in the shape of
+the rows, so that each evaluation runs only the site loop (March.run).
+March.at refuses a lam that is not finite, before any site is marched.
+Only this module reads a march's rows.
 """
 
 import math
@@ -169,6 +172,13 @@ class March:
         prev, cur = self.run(onsite)
         return cur[:, 0] + prev[:, 1]
 
+    def monodromy(self, onsite):
+        """M from one run of the sites onsite, of shape (derivs + 1, 2, 2)
+        + shape: entry j is its j-th lam-derivative, and M[0] carries
+        (u_0, u_{-1}) to (u_N, u_{N-1})."""
+        prev, cur = self.run(onsite)
+        return np.stack([cur, prev], axis=1)
+
 
 def _overflowing_bond(a):
     """The first bond k, and a_k, whose factor a_{k-1} / a_k or 1 / a_k
@@ -201,13 +211,13 @@ def jacobian_at(hopping, lam):
 
     All N rotations are marched together, as one batch, and rotation
     N - 1, the chain itself, gives Delta with the same operations as
-    discriminant, so to the bit. The batch's March, prepared at lam in
-    the rows' shape (see March.at: N <= 25 at N + 1 points), and the
-    bonds in the Jacobian's shape for its readout are formed here, once;
-    each call gathers the rotated sites and runs the march. Raises
-    ValueError when lam is not finite, or when an entry overflows the
-    float range: a bond's factor here, named by its index in the chain,
-    as discriminant names it; a site's in the call.
+    March.trace of the chain alone, so to the bit. The batch's March,
+    prepared at lam in the rows' shape (see March.at: N <= 25 at N + 1
+    points), and the bonds in the Jacobian's shape for its readout are
+    formed here, once; each call gathers the rotated sites and runs the
+    march. Raises ValueError when lam is not finite, or when an entry
+    overflows the float range: a bond's factor here, named by its index
+    in the chain, as March names it; a site's in the call.
     """
     a = np.asarray(hopping, dtype=float)
     index = rotations(a.size)
@@ -221,30 +231,6 @@ def jacobian_at(hopping, lam):
         return cur[0][..., -1] + prev[1][..., -1], -prev[0] / a
 
     return jacobian
-
-
-def monodromy(op, lam):
-    """M(lam) and dM/dlam for an array of lam, each of shape (2, 2) + lam.shape,
-    from one value march with the derivative rows; ValueError on overflow
-    or a lam that is not finite."""
-    prev, cur = March(op.hopping).at(lam, 1).run(op.onsite)
-    m = np.stack([cur, prev])
-    return m[:, 0], m[:, 1]
-
-
-def discriminant(hopping, onsite, lam, derivs=0):
-    """Delta(lam) and its first derivs lam-derivatives by the recurrence,
-    elementwise, from one march: row j of the result is the j-th
-    derivative, so Delta alone is row 0. At derivs = 0 the march carries
-    no derivative rows.
-
-    hopping and onsite have shape (N,) for one chain, or (N,) + chains
-    for a batch: sites first, and chain axes that broadcast against lam.
-    The result has shape (derivs + 1,) + shape, shape being lam
-    broadcast against the chains. Raises ValueError when lam is not
-    finite, or when the march overflows the float range.
-    """
-    return March(hopping).at(lam, derivs).trace(onsite)
 
 
 def discriminant_rounding(op, lam):
@@ -270,8 +256,8 @@ def discriminant_rounding(op, lam):
     them, in place where the rows are spent. Raises
     ValueError when lam is not finite, or when the march or the bound
     overflows the float range; a bond whose factor overflows in the
-    chain or its reversal is named by its index in the chain, as
-    discriminant names it.
+    chain or its reversal is named by its index in the chain, as March
+    names it.
     """
     lam = np.asarray(lam, dtype=float)
     a, b = op.hopping, op.onsite
@@ -283,7 +269,7 @@ def discriminant_rounding(op, lam):
     try:
         march = March(both[0].reshape(chains))
     except ValueError:  # named as the chain's bond, not the reversal's
-        March(a)  # a factor of the chain itself, in discriminant's words
+        March(a)  # a factor of the chain itself, in March's words
         k, bond = _overflowing_bond(both[0, :, 1])  # the reversal's a_{j+1} / a_j alone
         j = (n - 2 - k) % n
         raise ValueError(

@@ -259,6 +259,12 @@ def theta_average_heights(op, lam, M):
     return logs - np.sum(np.log(op.hopping))
 
 
+def monodromy(op, lam, derivs=0):
+    """M of op at lam and its first derivs lam-derivatives, on a leading
+    axis, by the plain march of the chain alone: the reference for M."""
+    return transfer.March(op.hopping).at(lam, derivs).monodromy(op.onsite)
+
+
 def record_marches(monkeypatch):
     """Log every march of the recurrence from now on, as (batched, chain):
     batched when the march ran the N rotations of a chain, and chain the
@@ -289,7 +295,7 @@ def two_march_solvers(monkeypatch):
 
     def two_marches(hopping, lam):
         jacobian = jacobian_at(hopping, lam)
-        return lambda onsite: (transfer.discriminant(hopping, onsite, lam)[0], jacobian(onsite)[1])
+        return lambda onsite: (transfer.March(hopping).at(lam).trace(onsite)[0], jacobian(onsite)[1])
 
     def unfused(evaluate):
         return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])

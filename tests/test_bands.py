@@ -208,8 +208,8 @@ def test_odd_chains_are_symmetric_and_routes_agree(k, s):
     # their edges, which are near-double zeros (see _conditioning).
     op = PeriodicJacobi.odd(odd_values(k, s))
     lam = np.linspace(*op.gershgorin, 101)
-    delta, = transfer.discriminant(op.hopping, op.onsite, lam)
-    mirror, = transfer.discriminant(op.hopping, op.onsite, -lam)
+    delta, = transfer.March(op.hopping).at(lam).trace(op.onsite)
+    mirror, = transfer.March(op.hopping).at(-lam).trace(op.onsite)
     assert np.all(np.abs(mirror - delta) <= 1e-13 * np.maximum(1.0, np.abs(delta)))
     eig, bis = band_edges_eig(op), band_edges_bisection(op)
     assert np.all(np.abs(eig + eig[::-1]) <= 1e-13 * _scale(op))
@@ -302,7 +302,7 @@ def _conditioning(op, reference):
     rounding(Delta) / |Delta'| of the edge, and each method may stop
     anywhere in that interval: that allowance at the reference edges,
     capped."""
-    _, slope = transfer.discriminant(op.hopping, op.onsite, reference, 1)
+    _, slope = transfer.March(op.hopping).at(reference, 1).trace(op.onsite)
     _, rounding = transfer.discriminant_rounding(op, reference)
     with np.errstate(divide="ignore"):
         return np.minimum(2.0 * rounding / np.abs(slope), 1e-9 * _scale(op))
@@ -715,7 +715,7 @@ def test_gap_midpoints_outside_spectrum(generic_bs):
     op = generic_bs.operator
     lower, upper = generic_bs.edges[1:-1:2], generic_bs.edges[2::2]
     for mid in (0.5 * (lower + upper))[upper > lower]:
-        assert abs(transfer.discriminant(op.hopping, op.onsite, mid)[0]) > 2.0
+        assert abs(transfer.March(op.hopping).at(mid).trace(op.onsite)[0]) > 2.0
         assert not generic_bs.contains(mid)
     assert not generic_bs.contains(generic_bs.edges[0] - 1.0)
     assert not generic_bs.contains(generic_bs.edges[-1] + 1.0)
@@ -980,7 +980,7 @@ def test_integrated_density_matches_band_loop():
             if lam == lower:
                 return filled / n
             phase_lower = 0.0 if (n - j) % 2 == 0 else np.pi
-            delta = transfer.discriminant(bs.operator.hopping, bs.operator.onsite, lam)[0]
+            delta = transfer.March(bs.operator.hopping).at(lam).trace(bs.operator.onsite)[0]
             phase = np.arccos(np.clip(delta / 2.0, -1.0, 1.0))
             return (filled + abs(phase - phase_lower) / np.pi) / n
         return filled / n

@@ -16,7 +16,7 @@ from numpy.polynomial import Polynomial
 from hillbands import Discriminant, transfer
 from hillbands.inverse import chebyshev_nodes
 
-from helpers import free_chain, free_discriminant
+from helpers import free_chain, free_discriminant, monodromy
 
 
 def chebyshev_chain(n):
@@ -36,12 +36,12 @@ def u_series(n):
 def t_values(n, x):
     """T_n(x) by the recurrence of the period-n chain."""
     chain = chebyshev_chain(n)
-    return 0.5 * transfer.discriminant(chain.hopping, chain.onsite, x)[0]
+    return 0.5 * transfer.March(chain.hopping).at(x).trace(chain.onsite)[0]
 
 
 def u_values(n, x):
     """U_n(x), the corner entry M[1, 0] of the period-(n + 1) chain."""
-    return transfer.monodromy(chebyshev_chain(n + 1), x)[0][1, 0]
+    return monodromy(chebyshev_chain(n + 1), x)[0][1, 0]
 
 
 @pytest.mark.parametrize("n", range(9))

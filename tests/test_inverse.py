@@ -8,6 +8,7 @@ from hillbands import (
     band_edges_eig,
     discriminant_from_edges,
     inverse,
+    operators,
     recover_onsite,
     recover_operator_from_edges,
     transfer,
@@ -21,6 +22,7 @@ from helpers import (
     free_discriminant,
     harper_chain,
     long_edge_data,
+    monodromy,
     power_coefficients,
     random_operator,
     record_marches,
@@ -445,7 +447,7 @@ def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
     # Edge data of corpus_chain(n, s), s = 1000..1004, inverted at the
     # chain's own bonds, at N = 8, 10 and 12, and at N = 16 for s = 1001,
     # its one success (the four failures take 9 s): the same targets
-    # succeed as before the polish, and Gauss-Newton takes each answer's
+    # succeed as before the polish, and its LM solve takes each answer's
     # eig edges from as far as 8.7e-8 to within 1e-14 max(1, |E|) of the
     # data. edges --json reports both distances, the first that of
     # recover_onsite's answer.
@@ -473,6 +475,28 @@ def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
     unpolished = recover_onsite(discriminant_from_edges(*edges), op.hopping)
     assert distance["before"] == pytest.approx(edge_error(unpolished, edges.ravel()), rel=1e-3)
     assert distance["before"] > 1e-8 and distance["after"] <= 1e-14
+
+
+def test_edge_polish_keeps_the_memo_of_edges():
+    # Each iterate of the polish is solved outside the Bloch-spectrum
+    # memo: a half-full memo keeps its size and every chain in it,
+    # through the polish of a random chain and of a uniform one.
+    memo = operators._real_spectrum
+    targets = [corpus_chain(8, 1000), free_chain(10, 0.7, 0.3)]
+    edges = [op.floquet_eigenvalues([0.0, np.pi]) for op in targets]
+    rng = np.random.default_rng(47)
+    cached = [random_operator(rng, 6) for _ in range(operators.MEMO_ENTRIES // 2)]
+    memo.cache_clear()
+    for op in cached:
+        op.floquet_eigenvalues([0.0, np.pi])
+    for op, (per, anti) in zip(targets, edges):
+        _, _, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
+        assert after < before
+    assert memo.cache_info().currsize == len(cached)
+    misses = memo.cache_info().misses
+    for op in cached:
+        op.floquet_eigenvalues([0.0, np.pi])
+    assert memo.cache_info().misses == misses
 
 
 def closed_gap_chains():
@@ -663,7 +687,7 @@ def test_onsite_jacobian_matches_per_column_minors():
         nodes = chebyshev_nodes(op.gershgorin, n)
         expected = np.zeros((n + 1, n))
         for j in range(n):
-            minor = transfer.monodromy(op.shifted(j + 1), nodes)[0][1, 0]
+            minor = monodromy(op.shifted(j + 1), nodes)[0][1, 0]
             expected[:, j] = -minor / op.hopping[j]
         _, grad = transfer.jacobian_at(op.hopping, nodes)(op.onsite)
         err = np.max(np.abs(grad - expected))
@@ -672,7 +696,7 @@ def test_onsite_jacobian_matches_per_column_minors():
 
 def _own_divisor(op):
     mu = op.dirichlet_eigenvalues()
-    sheet = np.where(np.abs(transfer.monodromy(op, mu)[0][1, 1]) > 1.0, 1.0, -1.0)
+    sheet = np.where(np.abs(monodromy(op, mu)[0][1, 1]) > 1.0, 1.0, -1.0)
     return mu, sheet
 
 

@@ -204,13 +204,18 @@ def test_enumeration_reads_a_repeated_value_once():
 
 def test_neighbors_march_once(monkeypatch):
     # The only march of a walk is the one that reads the start's sheets
-    # at its Dirichlet eigenvalues; every member is linear algebra.
+    # at its Dirichlet eigenvalues, with no derivative row, since the
+    # sheets read M alone; every member is linear algebra.
     rng = np.random.default_rng(72)
     for n in (3, 6, 9):
         op = random_operator(rng, n)
-        log = record_marches(monkeypatch)
+        log, derivs = record_marches(monkeypatch), []
+        run = transfer.March.run
+        monkeypatch.setattr(transfer.March, "run",
+                            lambda march, *args: derivs.append(march.derivs) or run(march, *args))
         isospectral_neighbors(op, count=3, seed=n)
         assert log == [(False, op.hopping.tobytes() + op.onsite.tobytes())]
+        assert derivs == [0]
         monkeypatch.undo()
 
 

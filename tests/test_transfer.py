@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,6 +19,7 @@ from helpers import (
     floquet_matrix,
     free_chain,
     harper_chain,
+    monodromy,
     monodromy_polynomials,
     mp_discriminant,
     mp_heights,
@@ -38,7 +41,7 @@ def test_monodromy_advances_recurrence():
     for n in range(3):
         a_prev = a[(n - 1) % 3]
         u.append(((lam - b[n]) * u[-1] - a_prev * u[-2]) / a[n])
-    m, _ = transfer.monodromy(op, lam)
+    m = monodromy(op, lam)[0]
     assert m @ np.array([1.0, 0.5]) == pytest.approx(np.array([u[-1], u[-2]]))
 
 
@@ -46,7 +49,7 @@ def test_monodromy_det_is_one():
     rng = np.random.default_rng(2)
     for period in (1, 2, 5, 9):
         op = random_operator(rng, period)
-        m, _ = transfer.monodromy(op, np.array([-1.7, 0.0, 2.3]))
+        m = monodromy(op, np.array([-1.7, 0.0, 2.3]))[0]
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert det == pytest.approx(np.ones(3), abs=1e-12)
 
@@ -57,12 +60,45 @@ def test_monodromy_coefficients_match_values():
     op = random_operator(rng, 6)
     entries = monodromy_polynomials(op)
     lams = np.linspace(-3, 3, 11)
-    values, slopes = transfer.monodromy(op, lams)
+    values, slopes = monodromy(op, lams, 1)
     for i in range(2):
         for j in range(2):
             c = entries[i][j]
             assert c(lams) == pytest.approx(values[i, j], rel=1e-10, abs=1e-10)
             assert c.deriv()(lams) == pytest.approx(slopes[i, j], rel=1e-10, abs=1e-10)
+
+
+def test_only_transfer_reads_a_march():
+    # Every other module reaches the recurrence by March(...).at(...)
+    # and its .trace or .monodromy; no module runs a march or calls the
+    # wrappers these replaced.
+    source = Path(transfer.__file__).parent
+    assert not hasattr(transfer, "discriminant") and not hasattr(transfer, "monodromy")
+    for path in sorted(source.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"transfer\.(discriminant|monodromy)\b", text), path.name
+        if path.name != "transfer.py":
+            assert ".run(" not in text, path.name
+
+
+def test_monodromy_readout_is_one_march():
+    # March.monodromy stacks the rows of one run: entry 0 is the same M
+    # at every derivs, and each entry's diagonal sums to that row of
+    # March.trace to the bit, on one chain and on a batch.
+    rng = np.random.default_rng(5)
+    for period in (1, 2, 5, 13):
+        op = random_operator(rng, period)
+        batch = rng.uniform(0.4, 1.8, (period, 3)), rng.uniform(-1.5, 1.5, (period, 3))
+        for hopping, onsite, lam in ((op.hopping, op.onsite, np.linspace(-3, 3, 7)),
+                                     (*batch, np.linspace(-3, 3, 7)[:, None])):
+            plain = transfer.March(hopping).at(lam).monodromy(onsite)
+            shape = np.broadcast_shapes(lam.shape, hopping.shape[1:])
+            for derivs in (0, 1, 2):
+                march = transfer.March(hopping).at(lam, derivs)
+                m = march.monodromy(onsite)
+                assert m.shape == (derivs + 1, 2, 2) + shape
+                assert np.array_equal(m[0], plain[0])
+                assert np.array_equal(m[:, 0, 0] + m[:, 1, 1], march.trace(onsite))
 
 
 def test_discriminant_coefficients_degree_and_leading():
@@ -89,7 +125,7 @@ def test_dirichlet_minor_roots_match_submatrix():
     roots = np.sort(monodromy_polynomials(shifted)[1][0].roots().real)
     assert np.allclose(roots, expected, atol=1e-9)
     # The value march vanishes there to the rounding of its entries.
-    m, _ = transfer.monodromy(shifted, expected)
+    m = monodromy(shifted, expected)[0]
     assert np.all(np.abs(m[1, 0]) <= 1e-12 * np.max(np.abs(m), axis=(0, 1)))
 
 
@@ -102,11 +138,11 @@ def test_dirichlet_minor_roots_match_submatrix():
 def test_trace_equals_discriminant_polynomial(period, lam, seed):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, period)
-    m, _ = transfer.monodromy(op, lam)
-    delta, slope = transfer.discriminant(op.hopping, op.onsite, lam, 1)
-    rows = transfer.discriminant(op.hopping, op.onsite, lam, 2)
+    m = monodromy(op, lam)[0]
+    delta, slope = transfer.March(op.hopping).at(lam, 1).trace(op.onsite)
+    rows = transfer.March(op.hopping).at(lam, 2).trace(op.onsite)
     c = power_coefficients(op)
-    assert transfer.discriminant(op.hopping, op.onsite, lam)[0] == delta
+    assert transfer.March(op.hopping).at(lam).trace(op.onsite)[0] == delta
     # Each derivative row is marched as without the rows above it.
     assert rows[0] == delta and rows[1] == slope
     assert delta == pytest.approx(np.trace(m), rel=1e-15, abs=1e-15)
@@ -129,7 +165,7 @@ def test_rounding_bound_covers_the_exact_discriminant():
             [edges, 0.5 * (edges[1:-1:2] + edges[2::2]), rng.uniform(-3.5, 3.5, 4)]
         )
         delta, bound = transfer.discriminant_rounding(op, lam)
-        assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
+        assert np.array_equal(delta, transfer.March(op.hopping).at(lam).trace(op.onsite)[0])
         error = [abs(Fraction(d) - exact_discriminant(op, x)[0]) for d, x in zip(delta, lam)]
         assert all(e <= Fraction(b) for e, b in zip(error, bound))
 
@@ -283,13 +319,13 @@ def test_monodromy_overflow_raises():
     # |M| grows like prod|lam - b| / prod a, past 1e308 at N = 300.
     op = _weak_bond_chain(300)
     with pytest.raises(ValueError, match="overflow"):
-        transfer.monodromy(op, np.array([0.0, 1.7]))
+        transfer.March(op.hopping).at(np.array([0.0, 1.7])).monodromy(op.onsite)
     # A denormal bond overflows the site factors before the first step.
     with pytest.raises(ValueError, match="overflow"):
-        transfer.discriminant([1e-310, 1.0], [0.0, 0.5], 0.3)
+        transfer.March([1e-310, 1.0]).at(0.3).trace([0.0, 0.5])
     # The rounding bound can pass the float range where the march does not.
     op = _weak_bond_chain(241)
-    transfer.discriminant(op.hopping, op.onsite, np.array([1.7]))
+    transfer.March(op.hopping).at(np.array([1.7])).trace(op.onsite)
     with pytest.raises(ValueError, match="overflow"):
         transfer.discriminant_rounding(op, np.array([1.7]))
 
@@ -313,11 +349,11 @@ def test_batched_value_march_equals_single_chains():
     for period in (1, 2, 5, 13):
         hopping = rng.uniform(0.4, 1.8, (period, 3, 4))
         onsite = rng.uniform(-1.5, 1.5, (period, 3, 4))
-        batch = transfer.discriminant(hopping, onsite, lam[:, None, None])[0]
+        batch = transfer.March(hopping).at(lam[:, None, None]).trace(onsite)[0]
         assert batch.shape == (9, 3, 4)
         for i in range(3):
             for j in range(4):
-                single = transfer.discriminant(hopping[:, i, j], onsite[:, i, j], lam)[0]
+                single = transfer.March(hopping[:, i, j]).at(lam).trace(onsite[:, i, j])[0]
                 assert np.array_equal(batch[:, i, j], single)
 
 
@@ -366,7 +402,7 @@ def test_march_rows_are_the_same_bits_on_every_path(monkeypatch):
                                 assert laid_out == (rows and block == default)
                             assert bits(again.run(rotated[1], history)) == bits(batch)
                         rows = reused.at(lam, derivs).run(op.onsite, history)
-                        fresh = transfer.discriminant(op.hopping, op.onsite, lam, derivs)
+                        fresh = transfer.March(op.hopping).at(lam, derivs).trace(op.onsite)
                         assert bits([rows[-1][:, 0] + rows[-2][:, 1]]) == bits([fresh])
                         assert bits([reused.at(lam, derivs).trace(op.onsite)]) == bits([fresh])
                         marched.add((tuple(bits(one)), tuple(bits(batch))))
@@ -379,14 +415,14 @@ def test_one_chain_bond_ratio_overflow_raises():
     # for one chain and for a batch of two.
     a, b = np.array([1e300, 1e-10]), np.zeros(2)
     with pytest.raises(ValueError, match="overflow"):
-        transfer.discriminant(a, b, 0.3)
+        transfer.March(a).at(0.3).trace(b)
     with pytest.raises(ValueError, match="overflow"):
-        transfer.discriminant(np.stack([a, [1.0, 1.0]], axis=1), np.zeros((2, 2)), 0.3)
+        transfer.March(np.stack([a, [1.0, 1.0]], axis=1)).at(0.3).trace(np.zeros((2, 2)))
 
 
 def test_fused_delta_equals_the_value_march():
     # Rotation N - 1 of the Jacobian's batch is the chain itself, marched
-    # with the same operations: its Delta is discriminant's, to the bit.
+    # with the same operations: its Delta is March.trace's, to the bit.
     rng = np.random.default_rng(12)
     chains = [random_operator(rng, n) for n in range(1, 25)]
     chains += [uniform_chain(rng, n) for n in range(1, 25)]
@@ -396,11 +432,11 @@ def test_fused_delta_equals_the_value_march():
         lam = np.concatenate([chebyshev_nodes((lo, hi), op.period), rng.uniform(lo, hi, 5)])
         delta, grad = transfer.jacobian_at(op.hopping, lam)(op.onsite)
         assert delta.shape == lam.shape and grad.shape == lam.shape + (op.period,)
-        assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
+        assert np.array_equal(delta, transfer.March(op.hopping).at(lam).trace(op.onsite)[0])
 
 
 def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
-    # Delta is discriminant's and column j is -M[1, 0] / a_j of rotation
+    # Delta is March.trace's and column j is -M[1, 0] / a_j of rotation
     # j marched alone, both to the bit; one closure over many onsite
     # vectors gives the bits of fresh calls, and its start rows, which
     # every call reads, cannot be written.
@@ -417,9 +453,9 @@ def test_prepared_jacobian_is_the_one_chain_marches_to_the_bit(monkeypatch):
         for lam in (rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5, 4)):
             jacobian = transfer.jacobian_at(op.hopping, lam)
             delta, grad = jacobian(op.onsite)
-            assert np.array_equal(delta, transfer.discriminant(op.hopping, op.onsite, lam)[0])
+            assert np.array_equal(delta, transfer.March(op.hopping).at(lam).trace(op.onsite)[0])
             for j in range(n):
-                column = -transfer.monodromy(op.shifted(j + 1), lam)[0][1, 0] / op.hopping[j]
+                column = -monodromy(op.shifted(j + 1), lam)[0][1, 0] / op.hopping[j]
                 assert np.array_equal(grad[..., j], column)
             start = preparations[-1].start
             with pytest.raises(ValueError, match="read-only"):
@@ -451,12 +487,12 @@ def test_prepared_jacobian_names_an_overflowing_bond_and_site():
 def test_rotated_batch_names_the_chains_own_bond(hopping, k):
     # jacobian_at marches the chain's N rotations as one batch; a bond
     # whose factor overflows is named by its index in the chain, in
-    # discriminant's words, not by its place in a rotation.
+    # March's words, not by its place in a rotation.
     n = len(hopping)
     message = (f"transfer recurrence overflowed at bond {k} of period {n}: a_{k} = 1e-310 "
                f"puts a_{(k - 1) % n} / a_{k} or 1 / a_{k} beyond the float range")
     lam, onsite = np.array([0.3, 1.7]), np.zeros(n)
-    for call in (lambda: transfer.discriminant(hopping, onsite, lam),
+    for call in (lambda: transfer.March(hopping).at(lam).trace(onsite),
                  lambda: transfer.jacobian_at(hopping, lam),
                  lambda: transfer.jacobian_at(hopping, lam)(onsite)):
         with pytest.raises(ValueError) as error:
@@ -474,14 +510,14 @@ def test_rounding_bound_names_the_chains_own_bond(hopping, message):
     # discriminant_rounding marches the chain with its reversal, whose
     # bonds run backward; a bond whose factor overflows is named by its
     # index in the chain. A factor of the chain itself is named in
-    # discriminant's words; the reversal alone divides a_1 = 1e300 by
-    # a_0 = 1e-10, where discriminant answers.
+    # March's words; the reversal alone divides a_1 = 1e300 by
+    # a_0 = 1e-10, where the chain's own march answers.
     op, lam = PeriodicJacobi(hopping, np.zeros(len(hopping))), np.array([0.5])
     with pytest.raises(ValueError) as error:
         transfer.discriminant_rounding(op, lam)
     assert str(error.value) == message
     try:
-        assert np.all(np.isfinite(transfer.discriminant(op.hopping, op.onsite, lam)))
+        assert np.all(np.isfinite(transfer.March(op.hopping).at(lam).trace(op.onsite)))
     except ValueError as refused:
         assert str(refused) == message
 
@@ -497,9 +533,9 @@ def test_public_marches_refuse_an_energy_that_is_not_finite(monkeypatch, bad):
     monkeypatch.setattr(transfer.March, "run", refuse)
     op = PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3])
     for lam in (bad, np.array([0.3, bad])):
-        for call in (lambda: transfer.discriminant(op.hopping, op.onsite, lam),
-                     lambda: transfer.discriminant(op.hopping, op.onsite, lam, 2),
-                     lambda: transfer.monodromy(op, lam),
+        for call in (lambda: transfer.March(op.hopping).at(lam).trace(op.onsite),
+                     lambda: transfer.March(op.hopping).at(lam, 2).trace(op.onsite),
+                     lambda: transfer.March(op.hopping).at(lam, 1).monodromy(op.onsite),
                      lambda: transfer.jacobian_at(op.hopping, lam),
                      lambda: transfer.jacobian_at(op.hopping, lam)(op.onsite),
                      lambda: transfer.discriminant_rounding(op, lam),
@@ -567,7 +603,7 @@ def test_coefficient_jacobian_matches_central_differences(period):
     nodes = chebyshev_nodes(op.gershgorin, period)
 
     def coefficients(x):
-        return transfer.discriminant(op.hopping, x, nodes)[0]
+        return transfer.March(op.hopping).at(nodes).trace(x)[0]
 
     _, analytic = transfer.jacobian_at(op.hopping, nodes)(op.onsite)
     assert analytic.shape == (period + 1, period)
