@@ -16,12 +16,13 @@ Jacobian there, both from one march of the chain's rotations, which
 `fused` runs once per iterate for both. What the bonds and the nodes
 fix is formed once per solve (`transfer.jacobian_at`), so an iterate
 runs only the site loop. With no starting point, a seeded multistart
-runs one solve per start until one converges. Band-edge data determines the
-discriminant directly: (prod a)(Delta + 2), the monic polynomial of the
-antiperiodic eigenvalues, is 4 prod(a) at each periodic one, so one edge
-gives log(prod a); Delta is the mean of the two over prod(a). A chain
-solved for at given bonds is then polished on the edges by the same
-solver, its Jacobian read from the same march at the edges (_polish).
+runs one `_lm` solve per start until one converges. Band-edge data
+determines the discriminant directly: (prod a)(Delta + 2), the monic
+polynomial of the antiperiodic eigenvalues, is 4 prod(a) at each
+periodic one, so one edge gives log(prod a); Delta is the mean of the
+two over prod(a). A chain solved for at given bonds is then polished
+on the edges by one more `_lm` solve, its Jacobian read from the same
+march at the edges (_polish).
 
 A target is a Discriminant: Delta, a degree-N polynomial with leading
 coefficient 1/(a_0 ... a_{N-1}), held by its values at the N + 1
@@ -44,7 +45,7 @@ from .operators import PeriodicJacobi, _minpack, _real_spectrum
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
-FTOL = 1e-7  # recover_onsite: MINPACK's ftol, the least relative fall of the sum of squares per step
+FTOL = 1e-7  # _lm, every solve: MINPACK's ftol, the least relative fall of the sum of squares per step
 
 
 def chebyshev_nodes(interval, degree):
@@ -169,6 +170,22 @@ def fused(evaluate):
     return (lambda x: both(x)[0]), (lambda x: both(x)[1])
 
 
+def _lm(fun, jac, x0):
+    """`least_squares` from x0 on the tests of every solve here: xtol 1e-14
+    on the step, gtol 1e-15, FTOL on the one-step relative fall of the sum
+    of squares, actual and predicted, and 60 evaluations per unknown. A
+    solve that converges to a zero residual does so quadratically, its sum
+    of squares falling by nearly all of itself at each step, so FTOL never
+    fires: it ends on xtol after the same iterates, with the same bits, as
+    under ftol 1e-14 (on 1082 targets and 4660 blind starts, none changed
+    up to ftol 1e-6). One that stalls at a non-zero minimum ends once a
+    step lowers its sum of squares by less than FTOL, not after polishing
+    the minimum to 1e-14. `least_squares` and FTOL are looked up at each
+    call, since the tests and the benchmark's tracer replace them."""
+    return least_squares(fun, x0, jac=jac, xtol=1e-14, ftol=FTOL, gtol=1e-15,
+                         max_nfev=60 * np.size(x0))
+
+
 def recover_onsite(target, hopping, initial=None):
     """Find onsite energies reproducing a target discriminant.
 
@@ -189,17 +206,8 @@ def recover_onsite(target, hopping, initial=None):
         assigned to sites in random orders. A solve is accepted when the
         residual `lmder` returns with its answer has max-norm below TOL on
         the monic coefficients, each relative to its magnitude floored at
-        1. Each start stops on MINPACK's tests: xtol 1e-14 on the step,
-        gtol 1e-15, and FTOL on the one-step relative fall of the sum of
-        squares, actual and predicted. A start that converges to a zero
-        residual does so quadratically, its sum of squares falling by
-        nearly all of itself at each step, so FTOL never fires: it ends
-        on xtol after the same iterates, with the same bits, as under
-        ftol 1e-14 (on 1082 targets and 4660 starts, none changed up to
-        ftol 1e-6). A start that stalls at a non-zero minimum ends once a
-        step lowers its sum of squares by less than FTOL, not after
-        polishing the minimum to 1e-14. All starts share one `fused`
-        memo and one
+        1. Each start is one `_lm` solve, which stops on its tests. All
+        starts share one `fused` memo and one
         `transfer.jacobian_at` of the bonds at the nodes: the rotated
         bonds, their factors (in the march's row shape up to N = 25) and
         the march's start rows are formed once per call, as are the
@@ -286,15 +294,7 @@ def recover_onsite(target, hopping, initial=None):
 
     fun, jac = fused(evaluate)
     for start in starts:
-        res = least_squares(
-            fun,
-            start,
-            jac=jac,
-            xtol=1e-14,
-            ftol=FTOL,
-            gtol=1e-15,
-            max_nfev=60 * n,
-        )
+        res = _lm(fun, jac, start)
         if np.max(np.abs(res.fun)) < TOL:
             return PeriodicJacobi(a, res.x)
     if initial is not None:
@@ -455,9 +455,8 @@ def _polish(op, periodic, antiperiodic):
     the memo's solver without an entry, so the polish keeps the memo's
     chains. A row whose sum is zero, as at a closed gap whose two edges a
     repeated cell makes equal to the bit, is left zero: a double
-    eigenvalue is not differentiable in the sites. The solve stops on
-    recover_onsite's tests, and its answer is kept only if it lowers the
-    edge distance.
+    eigenvalue is not differentiable in the sites. The solve is one `_lm`
+    run, and its answer is kept only if it lowers the edge distance.
     """
     data = np.stack([np.sort(periodic), np.sort(antiperiodic)])
     weight = 1.0 / np.maximum(1.0, np.abs(data))
@@ -476,8 +475,7 @@ def _polish(op, periodic, antiperiodic):
 
     fun, jac = fused(evaluate)
     before = np.max(np.abs(fun(op.onsite)))
-    res = least_squares(fun, op.onsite, jac=jac, xtol=1e-14, ftol=FTOL, gtol=1e-15,
-                        max_nfev=60 * a.size)
+    res = _lm(fun, jac, op.onsite)
     after = np.max(np.abs(res.fun))
     if not after < before:
         return op, (float(before), float(before))

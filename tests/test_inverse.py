@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -408,6 +411,58 @@ def test_lm_is_scipy_leastsq_to_the_bit(monkeypatch):
     with pytest.raises(ValueError) as theirs:
         leastsq(fun, far, Dfun=jac, full_output=True)
     assert str(ours.value) == str(theirs.value)
+
+
+def test_edge_polish_is_scipy_leastsq_to_the_bit(monkeypatch):
+    # The polish's solve, the last of recover_operator_from_edges with
+    # hoppings and the one on the 2N edge residual, replayed from its
+    # start by leastsq with its tests and budget: the same x, evaluation
+    # count and fvec, on three corpus chains at their own bonds.
+    from scipy.optimize import leastsq
+
+    calls = []
+    solve = inverse.least_squares
+
+    def recorded(fun, x0, jac, **kwargs):
+        calls.append((fun, np.array(x0), jac, kwargs))
+        return solve(fun, x0, jac, **kwargs)
+
+    monkeypatch.setattr(inverse, "least_squares", recorded)
+    for n, s in ((8, 1000), (10, 1000), (12, 1002)):
+        op = corpus_chain(n, s)
+        del calls[:]
+        recover_operator_from_edges(*op.floquet_eigenvalues([0.0, np.pi]), op.hopping)
+        fun, x0, jac, kwargs = calls[-1]
+        assert fun(x0).size == 2 * n
+        res = solve(fun, x0, jac, **kwargs)
+        x, _, out, _, _ = leastsq(fun, x0, Dfun=jac, full_output=True, ftol=kwargs["ftol"],
+                                  xtol=kwargs["xtol"], gtol=kwargs["gtol"],
+                                  maxfev=kwargs["max_nfev"])
+        assert res.nfev > 1
+        assert res.x.tobytes() == x.tobytes()
+        assert res.nfev == out["nfev"]
+        assert res.fun.tobytes() == out["fvec"].tobytes()
+
+
+def test_least_squares_is_called_in_lm_alone():
+    # Every Levenberg-Marquardt run goes through inverse._lm, which owns
+    # the stopping tests: the package calls least_squares once, there,
+    # and the two solvers hold no stopping literal.
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and "least_squares"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+    source = Path(inverse.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
+    functions = {node.name: node for node in ast.walk(trees["inverse.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    assert sum(len(calls(tree)) for tree in trees.values()) == 1
+    assert len(calls(functions["_lm"])) == 1
+    for name in ("recover_onsite", "_polish"):
+        nodes = list(ast.walk(functions[name]))
+        held = {node.arg for node in nodes if isinstance(node, ast.keyword)}
+        held |= {node.value for node in nodes if isinstance(node, ast.Constant)}
+        assert not held & {"xtol", "ftol", "gtol", "max_nfev", 1e-14, 1e-15}, name
 
 
 def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
