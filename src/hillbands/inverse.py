@@ -16,11 +16,14 @@ Jacobian there, both from one march of the chain's rotations, which
 `fused` runs once per iterate for both. What the bonds and the nodes
 fix is formed once per solve (`transfer.jacobian_at`), so an iterate
 runs only the site loop. With no starting point, a seeded multistart
-runs one `_lm` solve per start until one converges. Band-edge data
-determines the discriminant directly: (prod a)(Delta + 2), the monic
-polynomial of the antiperiodic eigenvalues, is 4 prod(a) at each
-periodic one, so one edge gives log(prod a); Delta is the mean of the
-two over prod(a). A chain solved for at given bonds is then polished
+draws its starts on the sphere that every chain with the target's Delta
+and bonds lies on (the zeros of Delta are the spectrum of J(pi/2), so
+they fix sum b and sum b^2), scores them all by one batched value
+march, and runs one `_lm` solve per start, best score first, until one
+converges. Band-edge data determines the discriminant directly:
+(prod a)(Delta + 2), the monic polynomial of the antiperiodic
+eigenvalues, is 4 prod(a) at each periodic one, so one edge gives
+log(prod a); Delta is the mean of the two over prod(a). A chain solved for at given bonds is then polished
 on the edges by one more `_lm` solve, its Jacobian read from the same
 march at the edges (_polish).
 
@@ -201,21 +204,26 @@ def recover_onsite(target, hopping, initial=None):
     initial : array_like, optional
         N finite starting onsite energies for one Levenberg-Marquardt
         solve. When omitted, a seeded (so deterministic) multistart of
-        up to STARTS such solves runs instead: the target's roots, which
-        the onsite energies approach in the small-hopping limit, are
-        assigned to sites in random orders. A solve is accepted when the
-        residual `lmder` returns with its answer has max-norm below TOL on
-        the monic coefficients, each relative to its magnitude floored at
-        1. Each start is one `_lm` solve, which stops on its tests. All
-        starts share one `fused` memo and one
-        `transfer.jacobian_at` of the bonds at the nodes: the rotated
-        bonds, their factors (in the march's row shape up to N = 25) and
-        the march's start rows are formed once per call, as are the
-        target's first N coefficients and their scales in the shapes of
-        the residual and its Jacobian; each evaluation gathers the
-        rotated sites, forms (lam - b) / a and runs the N-step site loop,
-        and every array operation after it is between operands of one
-        shape.
+        up to STARTS such solves runs instead. Its candidates, drawn at
+        once, are the target's zeros, which the onsite energies approach
+        in the small-hopping limit, in order, then in random orders with
+        2% noise, each moved onto the sphere of the two invariants of
+        J(pi/2) that the zeros fix, sum b and sum b^2 (_sphere_starts).
+        One march of all the candidates as a batch at the nodes scores
+        each by the max-norm of its residual, and the solves run from
+        the candidates in ascending order of that score (a stable sort).
+        A solve is accepted when the residual `lmder` returns with its
+        answer has max-norm below TOL on the monic coefficients, each
+        relative to its magnitude floored at 1. Each start is one `_lm`
+        solve, which stops on its tests. All starts share one `fused`
+        memo and one `transfer.jacobian_at` of the bonds at the nodes:
+        the rotated bonds, their factors (in the march's row shape up to
+        N = 25) and the march's start rows are formed once per call, as
+        are the target's first N coefficients and their scales in the
+        shapes of the residual and its Jacobian; each evaluation gathers
+        the rotated sites, forms (lam - b) / a and runs the N-step site
+        loop, and every array operation after it is between operands of
+        one shape.
 
     Returns
     -------
@@ -235,9 +243,12 @@ def recover_onsite(target, hopping, initial=None):
         finite values in one dimension, before any march; if
         the target does not fit the hoppings; if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
-        do at long periods once prod a does; or, on a blind solve, if
-        the target's zeros are not all real: a discriminant's are, so
-        no chain has such a target.
+        do at long periods once prod a does; or, on a blind solve and
+        before any march, if the target's zeros are not all real: a
+        discriminant's are, so no chain has such a target; or if, at
+        N >= 2, sum z^2 - 2 sum a^2 over its zeros z and the bonds a is
+        below (sum z)^2 / N by more than rounding: no real chain with
+        these bonds has sum b = sum z and sum b^2 = sum z^2 - 2 sum a^2.
     """
     a = PeriodicJacobi(hopping, np.zeros(np.size(hopping))).hopping  # checks the bonds
     n = a.size
@@ -278,10 +289,8 @@ def recover_onsite(target, hopping, initial=None):
         raise ValueError(
             "the target's zeros are not all real, so no chain has this discriminant"
         )
-    else:  # the zeros in order, then seeded random orders of them with 2% noise
-        spread, rng = max(guess[-1] - guess[0], 1.0), np.random.default_rng(0)
-        starts = (guess if k == 0 else rng.permutation(guess)
-                  + rng.normal(scale=0.02 * spread, size=n) for k in range(STARTS))
+    else:
+        starts = _sphere_starts(guess, a)
 
     # Column j of the point Jacobian is minus the characteristic
     # polynomial of the open chain with site j deleted, at the nodes.
@@ -292,6 +301,10 @@ def recover_onsite(target, hopping, initial=None):
         delta, grad = jacobian(b)
         return (to_monic @ delta - head) / scale, to_monic @ grad / scales
 
+    if initial is None:  # every candidate scored by one march, the best solved first
+        march = transfer.March(np.repeat(a[:, None], STARTS, axis=1)).at(nodes[:, None])
+        residual = (to_monic @ march.trace(starts.T)[0] - head[:, None]) / scale[:, None]
+        starts = starts[np.argsort(np.max(np.abs(residual), axis=0), kind="stable")]
     fun, jac = fused(evaluate)
     for start in starts:
         res = _lm(fun, jac, start)
@@ -307,6 +320,48 @@ def recover_onsite(target, hopping, initial=None):
         "with the prescribed hoppings, or the library's recover_onsite(..., initial=...) "
         "may converge from a start near a solution"
     )
+
+
+def _sphere_starts(zeros, a):
+    """The STARTS candidate sites of a blind solve at bonds a, one per
+    row, for a target with the sorted real zeros: the zeros in order, then
+    seeded random orders of them with noise of 2% of their spread, each
+    moved onto the sphere that every chain with this Delta lies on.
+
+    The zeros are the spectrum of J(pi/2), so each chain with this Delta
+    and these bonds has tr J(pi/2) = sum b = sum z and, for N >= 2,
+    tr J(pi/2)^2 = sum b^2 + 2 sum a^2 = sum z^2. A candidate keeps its
+    mean at sum z / N, and its deviations from its mean are scaled to
+    the squared length R^2 = sum (z - mean z)^2 - 2 sum a^2. By
+    Cauchy-Schwarz R^2 >= 0 on a chain, so a target with R^2 below
+    -4e-8 N max(1, max|z|)^2 is refused with a ValueError: the zeros are
+    taken as real to d = 1e-8 max(1, max|z|), and moving each by d moves
+    R^2 by up to 2 d sum|z - mean z| <= 4 d N max|z| to first order.
+    An R^2 within that slack of 0, on either side, counts as 0, and every
+    candidate is the mean: a chain whose sites are all equal has R^2 = 0,
+    and the rounding of R^2 would put its starts about sqrt(eps) off it.
+    At N = 1 the second invariant has no bond term, and the candidates
+    are left as drawn.
+    """
+    n, mean = zeros.size, np.mean(zeros)
+    deviation = zeros - mean
+    radius2 = deviation @ deviation - 2.0 * (a @ a)
+    slack = 4e-8 * n * max(1.0, np.max(np.abs(zeros))) ** 2
+    if n > 1 and radius2 < -slack:
+        raise ValueError(
+            f"sum z^2 - 2 sum a^2 over the target's zeros z and the hoppings a is below "
+            f"(sum z)^2 / N by {-radius2:.3g}, so no chain with these hoppings has this "
+            "discriminant"
+        )
+    rng, spread = np.random.default_rng(0), max(zeros[-1] - zeros[0], 1.0)
+    starts = np.vstack([zeros, rng.permuted(np.tile(zeros, (STARTS - 1, 1)), axis=1)
+                        + rng.normal(scale=0.02 * spread, size=(STARTS - 1, n))])
+    if n == 1:
+        return starts
+    if radius2 <= slack:
+        return np.full_like(starts, mean)
+    starts -= np.mean(starts, axis=1, keepdims=True)  # no row is 0: R^2 > 0 or noise
+    return mean + starts * (math.sqrt(radius2) / np.linalg.norm(starts, axis=1, keepdims=True))
 
 
 def discriminant_from_edges(periodic, antiperiodic):

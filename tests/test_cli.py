@@ -469,7 +469,8 @@ def test_error_paths_exit_nonzero(capsys):
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "nan"], "step must be finite"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--step", "inf"], "step must be finite"),
         (["inverse", "--coeffs=nan,0,1", "--hopping", "1,1"], "target coefficients must be finite"),
-        (["inverse", "--coeffs=-1,0,1", "--hopping", "1,1"], "no start out of 64 converged"),
+        (["inverse", "--coeffs=-1,0,1", "--hopping", "1,1"],
+         "sum z^2 - 2 sum a^2 over the target's zeros z and the hoppings a is below (sum z)^2 / N"),
         (["classes", "--values", "0,1", "--period", "-2"], "period must be at least one"),
         (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),

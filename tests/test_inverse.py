@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from hillbands import (
     Discriminant,
@@ -91,11 +92,43 @@ def test_recover_onsite_validates_input():
         recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
 
 
+def unattainable_target():
+    """Delta of corpus_chain(3, 0) with its constant coefficient moved so
+    that its local maximum is 1, with the chain's bonds. Its zeros stay
+    real and its sum and sum of squares those of a chain, but |Delta| >= 2
+    at every critical point of a discriminant, so no chain has it."""
+    op = corpus_chain(3, 0)
+    coeffs = power_coefficients(op)
+    delta = Polynomial(coeffs)
+    critical = delta.deriv().roots().real
+    coeffs[0] -= np.max(delta(critical)) - 1.0
+    return coeffs, op.hopping
+
+
 def test_blind_solve_reports_an_unattainable_target():
-    # Delta = lam^2 - 1 at a = (1, 1) has real zeros, but b0 + b1 = 0 with
-    # b0 b1 = 1 has no real solution, so every start fails.
+    # Every one of the 64 starts fails on a target that passes both
+    # refusals before the march.
+    coeffs, hopping = unattainable_target()
+    assert np.all(np.isreal(Polynomial(coeffs).roots()))
     with pytest.raises(RuntimeError, match="no start out of 64 converged"):
-        recover_onsite([-1.0, 0.0, 1.0], [1.0, 1.0])
+        recover_onsite(coeffs, hopping)
+
+
+def test_blind_solve_refuses_a_target_off_the_invariant_sphere(monkeypatch):
+    # Delta = lam^2 - 1 at a = (1, 1) has real zeros +-1, but b0 + b1 = 0
+    # with b0 b1 = 1 has no real solution: sum z^2 - 2 sum a^2 = -2 is
+    # below (sum z)^2 / N = 0, which no real chain allows. It is refused
+    # before any march and any Levenberg-Marquardt call; so is a target at
+    # N = 3 whose zeros are too close together for its bonds.
+    def refuse(*args, **kwargs):
+        raise AssertionError("march or solve")
+
+    monkeypatch.setattr(transfer.March, "run", refuse)
+    monkeypatch.setattr(inverse, "least_squares", refuse)
+    for coeffs, hopping in (([-1.0, 0.0, 1.0], [1.0, 1.0]),
+                            (Polynomial.fromroots([-1.0, 0.0, 1.0]).coef, [1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match=r"sum z\^2 - 2 sum a\^2 .* is below \(sum z\)\^2 / N"):
+            recover_onsite(coeffs, hopping)
 
 
 @pytest.mark.filterwarnings("error")
@@ -196,8 +229,9 @@ def test_recover_onsite_marches_once_per_iterate(monkeypatch):
 def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
     # The rotated bonds, their factors and the start rows are formed once
     # per recover_onsite call; each distinct LM iterate then runs one
-    # march, the site loop alone. The chain drawn first from seed 97
-    # (N = 7) has starts that end on refused trials.
+    # march, the site loop alone. The one other preparation and march of
+    # the call score all the starts at once. The chain drawn first from
+    # seed 97 (N = 7) has starts that end on refused trials.
     op = random_operator(np.random.default_rng(97), 7)
     prepared, iterates = [], set()
     prepare, solve = transfer.March.at, inverse.least_squares
@@ -223,8 +257,8 @@ def test_blind_solve_prepares_once_and_marches_once_per_iterate(monkeypatch):
         iterates.clear()
         del log[:]
         recover_onsite(power_coefficients(op), op.hopping)
-        assert len(prepared) == 1
-        assert len(log) == len(iterates) > 2
+        assert len(prepared) == 2
+        assert len(log) == len(iterates) + 1 > 3
 
 
 def test_blind_inversion_matches_two_march_reference(monkeypatch):
@@ -311,16 +345,104 @@ def test_blind_solve_recovers_random_chains_up_to_period_8():
             assert edge_error(found, band_edges_eig(op)) <= 1e-10, (n, s)
 
 
+def test_blind_solve_recovers_every_corpus_chain_of_period_10():
+    # corpus_chain(10, s), s = 0..19, from Discriminant.from_operator:
+    # starts on the invariant sphere, best first, solve all twenty (random
+    # orders of the zeros solved 17), with the eig edges to 1e-10.
+    for s in range(20):
+        op = corpus_chain(10, s)
+        found = recover_onsite(Discriminant.from_operator(op), op.hopping)
+        assert edge_error(found, band_edges_eig(op)) <= 1e-10, s
+
+
+def test_blind_solve_of_one_site():
+    # At N = 1 the zero of Delta = (lam - b) / a is the site, and
+    # tr J(pi/2)^2 = b^2 has no bond term, so the sphere of N >= 2, on
+    # which sum b^2 = z^2 - 2 a^2 < z^2 = (sum z)^2 / N, would refuse it.
+    for a, b in ((0.7, 0.3), (1.3, -2.0), (1e-3, 40.0)):
+        op = PeriodicJacobi([a], [b])
+        for target in (Discriminant.from_operator(op), [-b / a, 1.0 / a]):
+            assert recover_onsite(target, [a]).onsite == pytest.approx([b], rel=1e-12)
+
+
+def test_blind_solve_on_a_sphere_of_radius_zero():
+    # (lam - 0.5)^2 at bonds 1e-6 has a double zero, so R^2 = -4e-12 is
+    # inside the slack and counts as 0: every start is the mean, the
+    # sites 0.5, 0.5, which with nothing to scale would divide 0 by 0. They
+    # miss the target's constant coefficient by 2e-12, below TOL; the
+    # solve ends within 2.3e-9 of them (sites that a double zero fixes to
+    # about sqrt(TOL)).
+    found = recover_onsite(np.array([0.25, -1.0, 1.0]) / 1e-12, [1e-6, 1e-6])
+    assert found.onsite == pytest.approx([0.5, 0.5], abs=1e-8)
+
+
+def test_blind_starts_of_a_chain_with_equal_sites_are_the_chain(monkeypatch):
+    # Equal sites b put R^2 = sum (z - mean z)^2 - 2 sum a^2 at 0, where
+    # its rounding would set the starts about sqrt(eps) off the chain: R^2
+    # within the slack counts as 0, so the first start is the chain's own
+    # sites, to rounding. Uniform chains, N = 2..10, and equal sites on
+    # corpus bonds.
+    starts, solve = [], inverse.least_squares
+
+    def spied(fun, x0, jac, **kwargs):
+        starts.append(np.array(x0))
+        return solve(fun, x0, jac, **kwargs)
+
+    monkeypatch.setattr(inverse, "least_squares", spied)
+    chains = [free_chain(n, a, 0.3) for n in range(2, 11) for a in (0.7, 1.3)]
+    chains += [PeriodicJacobi(corpus_chain(n, 0).hopping, np.full(n, -0.4)) for n in range(2, 9)]
+    for op in chains:
+        del starts[:]
+        recover_onsite(Discriminant.from_operator(op), op.hopping)
+        assert np.max(np.abs(starts[0] - op.onsite)) <= 1e-14, op
+
+
+def test_blind_starts_lie_on_the_invariant_sphere_best_first(monkeypatch):
+    # The zeros z of Delta are the spectrum of J(pi/2), so every chain
+    # with this Delta and these bonds has tr J(pi/2) = sum b = sum z and
+    # tr J(pi/2)^2 = sum b^2 + 2 sum a^2 = sum z^2, both sums read here
+    # from the target's two leading coefficients. Every start of a blind
+    # solve lies on that sphere to 1e-12, and the starts come in
+    # ascending order of the scaled residual whose max-norm TOL tests:
+    # on the power coefficients of corpus_chain(n, s), n = 3..8,
+    # s = 0..4, and on the unattainable target, which runs all 64.
+    starts, solve = [], inverse.least_squares
+
+    def spied(fun, x0, jac, **kwargs):
+        starts[-1].append((np.array(x0), np.max(np.abs(fun(x0)))))
+        return solve(fun, x0, jac, **kwargs)
+
+    monkeypatch.setattr(inverse, "least_squares", spied)
+    targets = [(power_coefficients(op), op.hopping)
+               for op in (corpus_chain(n, s) for n in range(3, 9) for s in range(5))]
+    for coeffs, hopping in targets + [unattainable_target()]:
+        starts.append([])
+        try:
+            recover_onsite(coeffs, hopping)
+        except RuntimeError:
+            assert len(starts[-1]) == inverse.STARTS
+        monic = coeffs / coeffs[-1]
+        total, squares = -monic[-2], monic[-2] ** 2 - 2.0 * monic[-3]
+        for x0, _ in starts[-1]:
+            assert abs(np.sum(x0) - total) <= 1e-12 * np.sqrt(x0.size * squares)
+            assert abs(x0 @ x0 + 2.0 * (hopping @ hopping) - squares) <= 1e-12 * squares
+        scores = np.array([score for _, score in starts[-1]])
+        assert np.all(np.diff(scores) >= -1e-12 * scores[1:])
+    assert len(starts[-1]) == inverse.STARTS and sum(map(len, starts)) > len(starts) + 64
+
+
 def test_blind_inverse_through_the_cli_on_the_benchmarks_first_fixed_targets(capsys):
-    # The benchmark's fixed blind-inverse targets, block 0: from
-    # default_rng([7919, 0]), for N = 3..7 in turn, the bonds from
-    # U(0.4, 1.8) and then the sites from U(-1.5, 1.5). The N = 5 and 7
-    # chains are inverted from the power coefficients of Delta at their
-    # bonds; the answer's edges are the source chain's within
+    # The benchmark's fixed blind-inverse targets of blocks 0..4, those
+    # that every 40-second run serves: from default_rng([7919, k]), for
+    # N = 3..7 in turn, the bonds from U(0.4, 1.8) and then the sites from
+    # U(-1.5, 1.5). Each chain is inverted from the power coefficients of
+    # Delta at its bonds; the answer's edges are the source chain's within
     # 1e-9 (max|b| + 2 max a).
-    rng = np.random.default_rng([7919, 0])
-    targets = [random_operator(rng, n) for n in range(3, 8)]
-    for op in targets[2::2]:
+    targets = []
+    for block in range(5):
+        rng = np.random.default_rng([7919, block])
+        targets += [random_operator(rng, n) for n in range(3, 8)]
+    for op in targets:
         coeffs, hopping = (",".join(map(repr, x.tolist())) for x in (power_coefficients(op), op.hopping))
         code, out, err = run_cli(capsys, "inverse", f"--coeffs={coeffs}", f"--hopping={hopping}", "--json")
         assert code == 0 and err == ""
@@ -472,6 +594,7 @@ def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
     # zero residual never meets the ftol test, while the starts that stall
     # stop sooner, so the evaluations fall by at least a fifth. So do the
     # unattainable target's, every one of whose 64 starts fails.
+    coeffs, hopping = unattainable_target()
     targets = [(power_coefficients(op), op.hopping)
                for op in (corpus_chain(n, s) for n in range(3, 9) for s in range(5))]
     solve, counts = inverse.least_squares, []
@@ -490,7 +613,7 @@ def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
         corpus = sum(counts)
         del counts[:]
         with pytest.raises(RuntimeError, match="no start out of 64 converged"):
-            recover_onsite([-1.0, 0.0, 1.0], [1.0, 1.0])
+            recover_onsite(coeffs, hopping)
         runs.append((found, corpus, sum(counts)))
     (reference, reference_nfev, reference_unattainable), (found, nfev, unattainable) = runs
     assert found == reference
@@ -500,14 +623,15 @@ def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
 
 def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
     # Edge data of corpus_chain(n, s), s = 1000..1004, inverted at the
-    # chain's own bonds, at N = 8, 10 and 12, and at N = 16 for s = 1001,
-    # its one success (the four failures take 9 s): the same targets
-    # succeed as before the polish, and its LM solve takes each answer's
-    # eig edges from as far as 8.7e-8 to within 1e-14 max(1, |E|) of the
-    # data. edges --json reports both distances, the first that of
-    # recover_onsite's answer.
+    # chain's own bonds, at N = 8, 10 and 12, and at N = 16 for s = 1000
+    # and 1001, its two successes (the three failures take 6 s): the
+    # blind solve's starts on the invariant sphere add (12, 1000) and
+    # (16, 1000) to the successes of random start orders, and the
+    # polish's LM solve takes each answer's eig edges from as far as
+    # 8.7e-8 to within 1e-14 max(1, |E|) of the data. edges --json
+    # reports both distances, the first that of recover_onsite's answer.
     solved = []
-    for n, s in [(n, s) for n in (8, 10, 12) for s in range(1000, 1005)] + [(16, 1001)]:
+    for n, s in [(n, s) for n in (8, 10, 12) for s in range(1000, 1005)] + [(16, 1000), (16, 1001)]:
         op = corpus_chain(n, s)
         per, anti = op.floquet_eigenvalues([0.0, np.pi])
         try:
@@ -519,8 +643,8 @@ def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
         assert edge_error(found, np.concatenate([per, anti])) <= 1e-14
         assert after <= 1e-14 and after <= before
     assert solved == [(8, 1000), (8, 1001), (8, 1002), (8, 1003), (8, 1004), (10, 1000),
-                      (10, 1001), (10, 1002), (10, 1004), (12, 1001), (12, 1002), (12, 1003),
-                      (12, 1004), (16, 1001)]
+                      (10, 1001), (10, 1002), (10, 1004), (12, 1000), (12, 1001), (12, 1002),
+                      (12, 1003), (12, 1004), (16, 1000), (16, 1001)]
     edges = op.floquet_eigenvalues([0.0, np.pi])
     per, anti, hopping = (",".join(map(repr, x.tolist())) for x in (*edges, op.hopping))
     code, out, err = run_cli(capsys, "edges", f"--periodic={per}", f"--antiperiodic={anti}",
@@ -566,10 +690,11 @@ def test_edge_inverse_reaches_the_edges_of_chains_with_closed_gaps():
     # Uniform chains, every gap closed, and cells repeated m times, with
     # the gaps that the repetition closes. A closed gap's two edges are a
     # double eigenvalue, which the sites move as |x| moves at 0, not
-    # smoothly; recover_onsite's answers sit up to 1.5e-6 off these edges.
-    # The polish takes every chain to within 1e-9 of them (worst 1.7e-10,
-    # a uniform chain of 4 sites; the last digits vary from run to run
-    # with LAPACK's rounding).
+    # smoothly; recover_onsite's answers sit up to 1.9e-6 off these edges.
+    # The polish takes every chain to within 1e-9 of them (worst 1.9e-14,
+    # a tiled chain; it was 1.7e-10 on a uniform chain of 4 sites, whose
+    # last digits varied from one process to the next, before the blind
+    # starts of a chain with equal sites were put on the chain itself).
     for op in closed_gap_chains():
         per, anti = op.floquet_eigenvalues([0.0, np.pi])
         _, found, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
