@@ -543,8 +543,9 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
 
     discriminant_from_edges checks the data and gives the hopping
     product. The edges may come in any order and shape. The chain is
-    recover_onsite's at the given bonds, one per edge of each kind,
-    polished on the edges by _polish, and distance is the largest
+    recover_onsite's at the given bonds, one per edge of each kind and
+    with the edges' hopping product to 1e-6 (else refused, both products
+    named), polished on the edges by _polish, and distance is the largest
     distance of its Bloch eigenvalues at 0 and pi from the data, each
     over max(1, |datum|), before and after the polish. Without bonds it
     is chain_from_divisor's of the sorted 2N edges at the gap midpoints
@@ -564,6 +565,12 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
         n, m = np.size(periodic), np.size(hopping)
         if m != n:
             raise ValueError(f"need {n} hoppings for {n} edges of each kind, not {m}")
+        a = PeriodicJacobi(hopping, np.zeros(n)).hopping  # checks the bonds
+        # recover_onsite's 1e-6 on the leading coefficient, read on log(prod a)
+        logs = float(np.sum(np.log(a))), disc.log_hopping_product
+        if not math.log1p(-1e-6) <= logs[0] - logs[1] <= math.log1p(1e-6):
+            shown = [f"{math.exp(x):.6g}" if abs(x) < 700.0 else f"e^{x:.6g}" for x in logs]
+            raise ValueError("the hoppings' product {} is not the edges' hopping product {}".format(*shown))
         return disc, *_polish(recover_onsite(disc, hopping), periodic, antiperiodic)
     edges = np.sort(np.concatenate([periodic, antiperiodic]))
     mid = 0.5 * (edges[1:-1:2] + edges[2::2])

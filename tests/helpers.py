@@ -57,7 +57,8 @@ def bits(x):
 
 def fresh(script):
     """Run script in a fresh interpreter that imports hillbands from src;
-    returns its last line of output."""
+    returns its last line of output. The script must exit 0 and write
+    nothing to stderr, not even a warning."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
@@ -65,6 +66,7 @@ def fresh(script):
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
+    assert done.stderr == "", done.stderr
     return done.stdout.strip().splitlines()[-1]
 
 
@@ -108,6 +110,35 @@ def odd_values(k, max_q):
     default_rng(k).uniform(-1, 1, k), scaled to max|q| = max_q."""
     q = np.random.default_rng(k).uniform(-1.0, 1.0, k)
     return q * (max_q / np.max(np.abs(q)))
+
+
+def odd_members_k2(q):
+    """The free values of every odd chain of period 4 (k = 2) with the
+    spectrum of PeriodicJacobi.odd(q), one row each, in order of angle.
+
+    At a = 1, Delta = lam^4 + c_2 lam^2 + c_0 is even and monic, and c_2
+    is fixed by tr J(pi/2)^2 = 2 |q|^2 + 8, so the members are the points
+    q' of the circle |q'| = |q| where Delta(0) is q's: every sign change
+    of Delta(0) - Delta_q(0) over 4096 angles, from one batched march,
+    bisected 60 times, all brackets in one march a round.
+    """
+    radius = np.hypot(*q)
+    at_zero = transfer.March(np.ones(4)).at(0.0).trace(PeriodicJacobi.odd(q).onsite)[0]
+
+    def excess(t):  # Delta(0) - Delta_q(0) at the angles t
+        x, y = radius * np.cos(t), radius * np.sin(t)
+        return transfer.March(np.ones((4, t.size))).at(0.0).trace(np.stack([-x, x, y, -y]))[0] - at_zero
+
+    t = np.linspace(0.0, 2.0 * np.pi, 4097)
+    sign = np.signbit(excess(t))
+    change = np.flatnonzero(sign[:-1] != sign[1:])
+    lo, hi, low_sign = t[change], t[change + 1], sign[change]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = np.signbit(excess(mid)) == low_sign
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    mid = 0.5 * (lo + hi)
+    return radius * np.column_stack([np.cos(mid), np.sin(mid)])
 
 
 def long_edge_data():

@@ -207,7 +207,9 @@ def test_harper_bands_json_is_the_library_value(capsys):
     assert bits(strict_json(out)) == bits(BandStructure(harper).to_dict())
 
 
-# One request of each subcommand; every one is also served as text, in
+# One request of each subcommand, then the requests of a repeated cell,
+# of a chain near the bottom of the float range and of a period-4
+# inverse; every one is also served as text, in
 # _loaded_after_every_subcommand.
 SUBCOMMANDS = [
     ["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2"],
@@ -220,10 +222,16 @@ SUBCOMMANDS = [
     ["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "0.25,0.75"],
     ["classes", "--values", "0,1", "--period", "4"],
     ["neighbors", "--onsite", "0,0.7,-0.3", "--count", "2", "--seed", "1"],
+    ["dos", "--onsite", "0,0.5,0,0.5", "--points", "9"],
+    ["neighbors", "--onsite", "0,7e-182,-3e-182", "--hopping", "1e-181", "--seed", "1"],
+    ["inverse", "--coeffs=2.4767361111111112,1.087962962962963,-4.62962962962963,-0.462962962962963,"
+     "1.1574074074074074", "--hopping", "1,0.8,1.2,0.9"],
 ]
+SUBCOMMAND_IDS = ["bands", "bands-bisection", "dispersion", "dos", "inverse", "edges0", "edges1", "classes",
+                  "neighbors", "dos-repeated-cell", "neighbors-at-1e-181", "inverse-period-4"]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(a for a in argv if a.isalpha()))
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
 def test_every_subcommand_writes_one_line_of_strict_json(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 0 and err == ""
@@ -475,6 +483,8 @@ def test_error_paths_exit_nonzero(capsys):
         (["classes", "--values=", "--period", "2"], "alphabet must not be empty"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--count", "-1"], "count must be nonnegative"),
         (["neighbors", "--onsite", "0,0.7,-0.3", "--seed", "-3"], "seed must be nonnegative"),
+        (["neighbors", "--onsite", "0,1", "--step", "1e308", "--count", "3", "--seed", "1"],
+         "step 1e+308 takes an angle beyond the float range"),
         (["bands", "--onsite="], "period must be at least one"),
         (["neighbors", "--onsite="], "period must be at least one"),
         (["edges", "--periodic=", "--antiperiodic="], "need at least one edge of each kind"),
@@ -483,6 +493,10 @@ def test_error_paths_exit_nonzero(capsys):
          "need 2 hoppings for 2 edges of each kind, not 1"),
         (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1,1,1"],
          "need 2 hoppings for 2 edges of each kind, not 3"),
+        (["edges", "--periodic", "2.5", "--antiperiodic", "-1.5", "--hopping", "2"],
+         "the hoppings' product 2 is not the edges' hopping product 1"),
+        (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.5", "--hopping", "1e200,1e200"],
+         "the hoppings' product e^921.034 is not the edges' hopping product 0.1875"),
         (["edges", "--periodic", "1.5,2.5", "--antiperiodic", "1,3"], "nonpositive hopping product"),
         (["edges", "--periodic", "1,3", "--antiperiodic", "1,3"], "nonpositive hopping product"),
         (["edges", "--periodic", "1,3", "--antiperiodic", "1.5,2.6"], "difference is not constant"),
@@ -810,7 +824,8 @@ def _loaded_after_every_subcommand(modules, more=()):
     """The modules of modules that a fresh interpreter holds after serving
     every subcommand, bands on both routes, text and JSON, the requests
     of SUBCOMMANDS and the requests more; as printed, a list. Every
-    request must exit 0."""
+    request must exit 0 with a first line on stdout, and fresh refuses
+    any output on stderr."""
     script = (
         "import contextlib, io, sys\n"
         "from hillbands import cli\n"
@@ -824,9 +839,11 @@ def _loaded_after_every_subcommand(modules, more=()):
         "            ['classes', '--values', '0,1', '--period', '4'],\n"
         "            ['neighbors', '--onsite', '0,0.7,-0.3', '--seed', '1'],\n"
         f"            *{SUBCOMMANDS + list(more)!r}]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(argv + extra) for argv in requests for extra in ([], ['--json'])]\n"
-        "assert codes == [0] * len(codes), codes\n"
+        "def serve(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        return cli.main(argv), out.getvalue().partition('\\n')[0] != ''\n"
+        "answers = [serve(argv + extra) for argv in requests for extra in ([], ['--json'])]\n"
+        "assert answers == [(0, True)] * len(answers), answers\n"
         f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     )
     return fresh(script)
@@ -1081,3 +1098,15 @@ def test_readme_transcripts_are_the_output_and_every_example_runs(capsys):
     scope = {}
     exec("\n".join(steps), scope)
     assert eval(check, scope) is True
+
+
+def test_ci_runs_the_installed_script_at_most_four_times():
+    # Every command-line check is a tier-1 row (SUBCOMMANDS, PINNED_TEXTS,
+    # test_error_paths_exit_nonzero): CI's one step on the installed
+    # script is a smoke of at most four commands, with no loop.
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    scripts = [step.partition("run:")[2] for step in re.split(r"\n +- ", workflow)]
+    ((smoke, runs),) = [(script, runs) for script in scripts
+                        if (runs := re.findall(r"(?:^|\$\(|[|;&]) *hillbands\b", script, re.M))]
+    assert len(runs) <= 4
+    assert not re.search(r"^ *(for|while|until)\b", smoke, re.M)

@@ -16,7 +16,15 @@ from hillbands import (
     transfer,
 )
 
-from helpers import edge_error, free_chain, power_coefficients, random_operator, record_marches
+from helpers import (
+    edge_error,
+    free_chain,
+    odd_members_k2,
+    odd_values,
+    power_coefficients,
+    random_operator,
+    record_marches,
+)
 
 
 def test_orbit_members_share_discriminant():
@@ -304,3 +312,20 @@ def test_neighbors_of_chains_far_from_unit_scale_keep_the_edges():
             for nb in isospectral_neighbors(scaled, count=2, seed=n):
                 error = np.max(np.abs(band_edges_eig(nb) - edges))
                 assert error <= 1e-12 * np.max(np.abs(edges))
+
+
+@pytest.mark.parametrize("max_q", [1e-3, 1e-2, 0.1, 0.3])
+def test_an_odd_spectrum_at_k_2_has_exactly_four_odd_potentials(max_q):
+    # Claim (c), counted completely at k = 2: of the odd chains on the
+    # circle |q'| = |q| that every member lies on, exactly 2^k = 4 have
+    # the input's Delta(0), pairwise at least 0.1 max|q| apart, the input
+    # among them to 1e-12, each with the input's eig edges to 1e-11.
+    q = odd_values(2, max_q)
+    members = odd_members_k2(q)
+    assert members.shape == (4, 2)
+    apart = np.max(np.abs(members[:, None] - members), axis=2) + np.eye(4) * max_q
+    assert np.min(apart) >= 0.1 * max_q
+    assert np.min(np.max(np.abs(members - q), axis=1)) <= 1e-12
+    edges = band_edges_eig(PeriodicJacobi.odd(q))
+    for member in members:
+        assert np.max(np.abs(band_edges_eig(PeriodicJacobi.odd(member)) - edges)) <= 1e-11
