@@ -24,9 +24,11 @@ of the subcommands' options, _COMMANDS.
 
 A module is imported where it is first needed: inverse and isospectral
 in the commands that call them, argparse in _parser and in _csv_floats'
-refusal, orjson in _json_line. So a request loads only what its
-subcommand runs, bands, dispersion and dos requests decoded by _decode
-never load argparse, and a text request never loads orjson.
+refusal, orjson in main before the argv is read, when it holds --json,
+so that _csv_floats reads its float lists by orjson too. So a request
+loads only what its subcommand runs, bands, dispersion and dos requests
+decoded by _decode never load argparse, and a text request never loads
+orjson.
 """
 
 import functools
@@ -40,8 +42,26 @@ from .operators import PeriodicJacobi
 
 
 def _csv_floats(text):
-    """The floats of a comma-separated list, by float() token by token;
-    tokens that are empty or whitespace are skipped."""
+    """The floats of a comma-separated list, as float() reads it token by
+    token; tokens that are empty or whitespace are skipped.
+
+    Once orjson is loaded, as main loads it for a request that writes
+    JSON, the list is first read as one JSON array, about ten times
+    faster for hundreds of floats, and kept when every element is a
+    float. orjson reads each number of JSON's grammar, a subset of
+    float()'s, to the same double. Every other list, ints such as -0
+    included, takes float()'s path, so the values and refusals are the
+    same on both.
+    """
+    orjson = sys.modules.get("orjson")
+    if orjson is not None:
+        try:
+            values = orjson.loads(f"[{text}]")
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if set(map(type, values)) <= {float}:
+                return values
     try:
         return list(map(float, filter(str.strip, text.split(","))))
     except ValueError:
@@ -65,8 +85,9 @@ def _chain(args):
 def _json_line(payload):
     """The payload as one line of compact JSON from orjson, its newline
     included: each float in its shortest round-trip form, a non-finite
-    one as null. orjson is imported here, on the one path that writes
-    JSON, since it loads 15 modules a text request does not need."""
+    one as null. orjson is imported only on the paths that write JSON,
+    since it loads 15 modules a text request does not need: main has
+    imported it for --json, but not for an abbreviation argparse reads."""
     import orjson
 
     return orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE).decode()
@@ -332,6 +353,8 @@ def _decode(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if "--json" in argv:
+        import orjson  # noqa: F401 -- for _csv_floats, before the float lists are read
     args = _decode(argv)
     if args is None:
         args = _parser().parse_args(argv)

@@ -2,12 +2,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 import struct
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from hillbands.cli import _gap_table, main
 
 from helpers import (
     bits,
+    corpus_chain,
     fresh,
     harper_chain,
     long_edge_data,
@@ -25,6 +29,7 @@ from helpers import (
     random_operator,
     run_cli,
     strict_json,
+    uniform_chain,
 )
 
 
@@ -744,6 +749,128 @@ def test_csv_floats_is_float_token_by_token_skipping_empty_tokens(text):
         assert exact(cli._csv_floats(text)) == exact(expected)
 
 
+# The formats in which a double reaches the command line: repr, as the
+# benchmark writes it, and printf's at too few, enough and too many digits.
+FORMATS = [repr, "%.17g".__mod__, "%.20e".__mod__, "%.25g".__mod__, "%.16g".__mod__]
+DOUBLES = st.integers(0, 2**64 - 1).map(lambda n: struct.unpack("<d", struct.pack("<Q", n))[0])
+
+
+@st.composite
+def long_mantissas(draw):
+    """A decimal of 1 to 60 random digits, its point anywhere among them,
+    times a power of ten in -345..310."""
+    digits = draw(st.from_regex(r"[1-9][0-9]{0,59}", fullmatch=True))
+    point = draw(st.integers(1, len(digits)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}.{digits[point:] or '0'}e{draw(st.integers(-345, 310))}"
+
+
+@st.composite
+def near_halfway(draw):
+    """The exact decimal halfway between a positive double and the next one
+    up, or one unit away in its last digit."""
+    x = abs(draw(DOUBLES.filter(lambda x: abs(x) < 1.7976931348623157e308)))
+    with localcontext() as context:
+        context.prec = 1200  # more than the 768 digits of any such midpoint
+        _, digits, exponent = ((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2).as_tuple()
+    nudged = int("".join(map(str, digits))) + draw(st.sampled_from([-1, 0, 1]))
+    return f"{nudged}e{exponent}"
+
+
+FLOAT_TEXTS = st.one_of(*[DOUBLES.map(fmt) for fmt in FORMATS], long_mantissas(), near_halfway())
+
+
+@given(st.lists(FLOAT_TEXTS, min_size=1, max_size=8))
+@example(["0.1", "-0.0", "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308"])
+@example(["9007199254740993", "9007199254740993.0", "1e23", "8.98846567431158e307"])
+@settings(max_examples=500, deadline=None)
+def test_a_json_request_reads_each_float_to_the_bits_float_reads(tokens):
+    # orjson is loaded, as main loads it for --json: _csv_floats reads the
+    # list by orjson when every element is a float, and each token that
+    # orjson reads as a float is float()'s double, bit for bit.
+    assert exact(cli._csv_floats(",".join(tokens))) == exact(list(map(float, tokens)))
+    for token in tokens:
+        with contextlib.suppress(orjson.JSONDecodeError):  # inf, nan: not JSON
+            value = orjson.loads(token)
+            if type(value) is float:
+                assert exact(value) == exact(float(token)), token
+
+
+def test_orjson_reads_a_hundred_thousand_random_doubles_to_the_bits_float_reads():
+    rng = np.random.default_rng(50)
+    doubles = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    for fmt in FORMATS:
+        tokens = list(map(fmt, doubles[np.isfinite(doubles)].tolist()))
+        values = orjson.loads(f"[{','.join(tokens)}]")
+        read = [(value, token) for value, token in zip(values, tokens) if type(value) is float]
+        assert len(read) > 0.99 * len(tokens)  # the rest are %.16g's ints
+        assert exact([value for value, _ in read]) == exact([float(token) for _, token in read])
+
+
+def _refuse_json(text):
+    raise orjson.JSONDecodeError("refused, so that float() reads every list", text, 0)
+
+
+INF, NAN = float("inf"), float("nan")
+CSV_TABLE = [
+    ("-0", [-0.0]), ("1", [1.0]), ("-0.0", [-0.0]), ("1e400", [INF]), ("1.7976931348623159e308", [INF]),
+    ("1.5e-400", [0.0]), ("2.4703282292062328e-324", [5e-324]), ("inf", [INF]), ("nan", [NAN]),
+    (".5", [0.5]), ("+1.5", [1.5]), ("1_0.5", [10.5]), ("\u0661.\u0665", [1.5]), ("true", None),
+    ('"1.5"', None), ("[1.5]", None), ("", []), (" ", []), ("1,,2", [1.0, 2.0]), ("1,2,", [1.0, 2.0]),
+    (" 1 , 2 ", [1.0, 2.0]), ("\ud800", None),
+]
+
+
+@pytest.mark.parametrize("text, expected", CSV_TABLE, ids=[ascii(text) for text, _ in CSV_TABLE])
+def test_csv_floats_reads_the_same_floats_or_refuses_the_same_by_orjson_and_by_float(
+        monkeypatch, text, expected):
+    # expected None: the list is refused, with its text in the message.
+    def read():
+        try:
+            return exact(cli._csv_floats(text))
+        except argparse.ArgumentTypeError as refused:
+            return str(refused)
+
+    answer = f"not a comma-separated float list: {text!r}" if expected is None else exact(expected)
+    assert read() == answer
+    monkeypatch.setattr(orjson, "loads", _refuse_json)
+    assert read() == answer
+
+
+def _csv(values):
+    """values written with repr, as the benchmark writes them."""
+    return ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def test_json_requests_answer_the_same_bytes_by_orjson_and_by_float(capsys, monkeypatch):
+    # Every request, as argv with --json, gives the same exit code, stdout
+    # and stderr whether orjson or float() reads its lists; the lists the
+    # benchmark writes are read by orjson.
+    large = [harper_chain(610, 377, 0.3), uniform_chain(np.random.default_rng(50), 400)]
+    requests = SUBCOMMANDS + [
+        [kind, f"--onsite={_csv(op.onsite)}", f"--hopping={_csv(op.hopping)}", *extra]
+        for op in large
+        for kind, extra in [("bands", []), ("dos", ["--points", "512"]), ("dispersion", ["--samples", "8"])]
+    ]
+    op = corpus_chain(5, 0)
+    requests.append(["inverse", f"--coeffs={_csv(power_coefficients(op))}", f"--hopping={_csv(op.hopping)}"])
+    read, loads = set(), orjson.loads
+
+    def spy(text):
+        values = loads(text)
+        if set(map(type, values)) <= {float}:
+            read.add(text)
+        return values
+
+    monkeypatch.setattr(orjson, "loads", spy)
+    answers = [run_cli(capsys, *argv, "--json") for argv in requests]
+    assert all(code == 0 for code, _, _ in answers)
+    written = {f"[{arg.partition('=')[2]}]" for argv in requests[len(SUBCOMMANDS):] for arg in argv[1:3]}
+    assert len(written) == 6 and written <= read
+    monkeypatch.setattr(orjson, "loads", _refuse_json)
+    assert [run_cli(capsys, *argv, "--json") for argv in requests] == answers
+
+
 def test_requests_are_decoded_without_argparse(capsys, monkeypatch):
     # The forms the benchmark sends, --name=value lists and --name value
     # scalars, never reach argparse: a request that fell back would pay
@@ -888,6 +1015,23 @@ def test_orjson_loads_only_to_write_json():
         "print(seen)\n"
     )
     assert fresh(script) == repr([False] * len(SUBCOMMANDS) + [True])
+
+
+def test_a_json_request_loads_orjson_before_its_lists_are_read():
+    # In a fresh interpreter, a text request decodes its argv without
+    # orjson, and a --json request with orjson loaded, so that
+    # _csv_floats reads the lists by it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from hillbands import cli\n"
+        "seen, decode = [], cli._decode\n"
+        "cli._decode = lambda argv: seen.append('orjson' in sys.modules) or decode(argv)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main({SUBCOMMANDS[0]!r} + extra) for extra in ([], ['--json'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "print(seen)\n"
+    )
+    assert fresh(script) == "[False, True]"
 
 
 def test_every_subcommand_leaves_scipy_optimize_and_scipy_linalg_unimported():
