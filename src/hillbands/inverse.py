@@ -44,7 +44,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polynomial as P
 
 from . import transfer
-from .operators import PeriodicJacobi, _minpack, _real_spectrum
+from .operators import PeriodicJacobi, _minpack, bloch_spectra
 
 TOL = 1e-11  # recover_onsite: max-norm residual of the scaled monic coefficients
 STARTS = 64  # recover_onsite: Levenberg-Marquardt starts of a blind solve
@@ -506,12 +506,15 @@ def _polish(op, periodic, antiperiodic):
     dE_i/db_n = psi_i(n)^2 = (d Delta / d b_n) / sum_m d Delta / d b_m at
     E_i, the sum being -Delta'(E_i): the rows of transfer.jacobian_at at
     the eigenvalues, each over its sum, from the march that gives Delta
-    there. An iterate that is its own cell takes its eigenvalues from
-    the memo's solver without an entry, so the polish keeps the memo's
-    chains. A row whose sum is zero, as at a closed gap whose two edges a
-    repeated cell makes equal to the bit, is left zero: a double
-    eigenvalue is not differentiable in the sites. The solve is one `_lm`
-    run, and its answer is kept only if it lowers the edge distance.
+    there. An iterate of N >= 2 sites that is its own cell takes its
+    eigenvalues from operators.bloch_spectra, which keeps no memo, so
+    the polish leaves the memo of band edges, which operators alone keys
+    and fills, as it found it; any other iterate takes them from
+    floquet_eigenvalues. A row whose sum is zero, as at a closed gap
+    whose two edges a repeated cell makes equal to the bit, is left
+    zero: a double eigenvalue is not differentiable in the sites. The
+    solve is one `_lm` run, and its answer is kept only if it lowers the
+    edge distance.
     """
     data = np.stack([np.sort(periodic), np.sort(antiperiodic)])
     weight = 1.0 / np.maximum(1.0, np.abs(data))
@@ -520,7 +523,7 @@ def _polish(op, periodic, antiperiodic):
     def evaluate(b):
         iterate = PeriodicJacobi(a, b)
         if iterate.cell is iterate and a.size > 1:  # solved outside the Bloch-spectrum memo
-            w = _real_spectrum.__wrapped__(iterate.hopping.tobytes() + iterate.onsite.tobytes())
+            w = bloch_spectra(iterate.hopping, iterate.onsite)
         else:
             w = iterate.floquet_eigenvalues([0.0, np.pi])
         grad = transfer.jacobian_at(a, w)(b)[1]

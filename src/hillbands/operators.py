@@ -20,6 +20,11 @@ very objects scipy.linalg.lapack exports, so every answer is the same
 to the bit. The blind inverse takes MINPACK's lmder from
 scipy.optimize._minpack the same way, by _minpack(), on its first
 solve, so no request imports scipy.optimize or scipy.linalg.
+
+Every band-matrix solve of a Bloch Hamiltonian is bloch_spectra's. The
+memo of band edges (_real_spectrum) and its key belong to this module
+alone; a caller that needs edges without filling it, as inverse's edge
+polish does, calls bloch_spectra.
 """
 
 import importlib.machinery
@@ -173,11 +178,12 @@ class PeriodicJacobi:
         1, N-2, 2, ..., in which every bond, the closing one included,
         joins sites at most two apart. J(theta) is then a Hermitian band
         matrix of half-bandwidth 2, stored as its 3 x N lower band and
-        solved by LAPACK's band solver in O(N^2): real ?sbevd when theta
-        is a multiple of pi, complex ?hbevd otherwise. The dense matrix
-        is never formed, and between phases only the closing-bond entry
-        changes. Each distinct phase is solved once, however often it
-        occurs. An array of phases gives shape theta.shape + (N,).
+        solved by LAPACK's band solver in O(N^2) (bloch_spectra): real
+        ?sbevd when theta is a multiple of pi, complex ?hbevd otherwise.
+        The dense matrix is never formed, and between phases only the
+        closing-bond entry changes. Each distinct phase is solved once,
+        however often it occurs. An array of phases gives shape
+        theta.shape + (N,).
 
         The real spectra, the band edges, come from a per-process memo
         (_real_spectrum), keyed by the cell: a cell's two are computed
@@ -207,12 +213,7 @@ class PeriodicJacobi:
             else:
                 rest.setdefault(phase, []).append(i)
         if rest:
-            band = _folded_band(a, b)
-            open_corner = band[1, 0]
-            complex_band = band.astype(complex, order="F")
-            for phase, rows in rest.items():
-                complex_band[1, 0] = open_corner + a[-1] * np.exp(1j * phase)
-                w = _solve(zhbevd, complex_band)
+            for w, rows in zip(bloch_spectra(a, b, list(rest)), rest.values()):
                 for i in rows:  # an int index; a list index adds a third to a small solve
                     out[i] = w
         return out.reshape(theta.shape + (n,))
@@ -278,23 +279,37 @@ def _solve(solver, band):
     return w
 
 
+def bloch_spectra(hopping, onsite, phases=(0.0, np.pi)):
+    """Sorted eigenvalues of J(theta), one row per phase (by default the
+    band edges, theta = 0 and pi), solved on every call: no memo. The
+    chain has N >= 2 sites and is its own cell (see PeriodicJacobi.cell).
+    The band is folded once and each phase sets only its closing-bond
+    entry (1, 0): a_{N-1} cos theta for real ?sbevd if the first phase is
+    a multiple of pi, a_{N-1} e^{i theta} for complex ?hbevd if not, so
+    the phases are all multiples of pi or none is (an O(1) choice).
+    """
+    band = _folded_band(hopping, onsite)
+    open_corner, real = band[1, 0], phases[0] % np.pi == 0.0
+    band, solver = (band, dsbevd) if real else (band.astype(complex, order="F"), zhbevd)
+    w = np.empty((len(phases), hopping.size))
+    for row, phase in enumerate(phases):
+        band[1, 0] = open_corner + hopping[-1] * (np.cos(phase) if real else np.exp(1j * phase))
+        w[row] = _solve(solver, band)
+    return w
+
+
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _real_spectrum(coefficients):
-    """Sorted spectra of J(0) and J(pi), rows 0 and 1 of a (2, N) array.
+    """Sorted spectra of J(0) and J(pi), rows 0 and 1 of a (2, N) array:
+    bloch_spectra's, kept per process.
 
     coefficients is the bytes of the chain's float64 hoppings followed
     by its onsite energies, so equal chains share an entry and a change
     of one ulp misses. An entry holds about 4N doubles, key included.
     The array is read-only, since the memo hands it to every caller.
-    The chain has N >= 2 sites and is its own cell: one folded band, and
-    one real band-matrix solve at each closing bond +-a_{N-1}.
+    The chain has N >= 2 sites and is its own cell. Only
+    floquet_eigenvalues builds the key.
     """
-    a, b = np.frombuffer(coefficients).reshape(2, -1)
-    band = _folded_band(a, b)
-    open_corner = band[1, 0]
-    w = np.empty((2, a.size))
-    for row, cos_theta in enumerate((1.0, -1.0)):
-        band[1, 0] = open_corner + a[-1] * cos_theta
-        w[row] = _solve(dsbevd, band)
+    w = bloch_spectra(*np.frombuffer(coefficients).reshape(2, -1))
     w.setflags(write=False)
     return w

@@ -55,17 +55,22 @@ def bits(x):
     return x
 
 
-def fresh(script):
-    """Run script in a fresh interpreter that imports hillbands from src;
-    returns its last line of output. The script must exit 0 and write
-    nothing to stderr, not even a warning."""
+def interpreter(*args, cwd=None):
+    """The finished run of a fresh interpreter with these arguments that
+    imports hillbands from src, its stdout and stderr as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def fresh(script):
+    """Run script in a fresh interpreter that imports hillbands from src;
+    returns its last line of output. The script must exit 0 and write
+    nothing to stderr, not even a warning."""
+    done = interpreter("-c", script)
+    done.check_returncode()
     assert done.stderr == "", done.stderr
     return done.stdout.strip().splitlines()[-1]
 

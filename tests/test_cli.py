@@ -23,6 +23,7 @@ from helpers import (
     corpus_chain,
     fresh,
     harper_chain,
+    interpreter,
     long_edge_data,
     make_chain,
     power_coefficients,
@@ -1254,3 +1255,39 @@ def test_ci_runs_the_installed_script_at_most_four_times():
                         if (runs := re.findall(r"(?:^|\$\(|[|;&]) *hillbands\b", script, re.M))]
     assert len(runs) <= 4
     assert not re.search(r"^ *(for|while|until)\b", smoke, re.M)
+
+
+@pytest.mark.parametrize("argv, status, stdout, stderr", [
+    (["bands", "--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2"], 0, "period 3 chain", ""),
+    (["edges", "--periodic", "nan,3", "--antiperiodic", "1.5,2.5"], 1, "", "error: edge values must be finite\n"),
+    (["bands", "--onsite", "0,x"], 2, "", "usage: hillbands bands "),
+], ids=["bands", "edges-nan", "bands-bad-list"])
+def test_python_m_hillbands_cli_answers_the_smoke_as_the_installed_script(argv, status, stdout, stderr):
+    # The CI smoke's three cases through the module entry in a fresh
+    # interpreter: the exit status, the start of stdout (empty on a
+    # refusal) and the start of stderr (empty on success).
+    done = interpreter("-m", "hillbands.cli", *argv)
+    assert done.returncode == status, done.stderr
+    assert done.stdout.startswith(stdout) and bool(done.stdout) == bool(stdout)
+    assert done.stderr.startswith(stderr) and bool(done.stderr) == bool(stderr)
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    # Under the repo's pytest configuration, which turns warnings into
+    # errors, a failing @given test must count as one failure and show
+    # its example, not end the run in an INTERNALERROR from hypothesis'
+    # report hook.
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_below_five(x):\n"
+        "    assert x < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = interpreter("-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+                       "test_property.py", cwd=tmp_path)
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output
+    assert "1 failed" in output

@@ -1,7 +1,10 @@
+import ast
 import importlib.machinery
 import math
 import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +372,45 @@ def test_writing_to_a_returned_spectrum_changes_no_later_answer():
         if op.cell is op:
             fresh = memo.__wrapped__(_key(op))
             assert np.array_equal(op.floquet_eigenvalues([0.0, np.pi]), fresh)
+
+
+def test_only_operators_solves_a_bloch_hamiltonian_and_keys_its_memo():
+    # Every band-matrix solve is bloch_spectra's: no other module names
+    # the memo, its solver, its byte key, the band or a LAPACK routine,
+    # and operators sets the band's closing-bond entry (1, 0) in one loop.
+    source = Path(operators.__file__)
+    named = re.compile(r"\b(_real_spectrum|__wrapped__|dsbevd|zhbevd|_folded_band)\b|(hopping|onsite)\.tobytes\(")
+    for path in sorted(source.parent.glob("*.py")):
+        if path != source:
+            assert not named.search(path.read_text()), path.name
+    tree = ast.parse(source.read_text())
+    corners = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+               and isinstance(node.ctx, ast.Store) and ast.unparse(node).endswith("[1, 0]")]
+    loops = [loop for loop in ast.walk(tree) if isinstance(loop, ast.For)
+             and any(corner in ast.walk(loop) for corner in corners)]
+    assert len(corners) == len(loops) == 1
+
+
+CHAIN = ["--onsite", "0,0.5,-0.3", "--hopping", "1,0.8,1.2"]
+
+
+@pytest.mark.parametrize("name, solve, argv, message", [
+    ("dsterf", PeriodicJacobi.dirichlet_eigenvalues, ["bands", *CHAIN, "--method", "bisection"],
+     "tridiagonal eigensolver failed (info 1)"),
+    ("dsbevd", lambda op: op.floquet_eigenvalues(np.pi), ["bands", *CHAIN], "band eigensolver failed (info 1)"),
+    ("zhbevd", lambda op: op.floquet_eigenvalues(0.5), ["dispersion", *CHAIN], "band eigensolver failed (info 1)"),
+], ids=["dsterf", "dsbevd", "zhbevd"])
+def test_a_lapack_failure_is_a_linalgerror_and_a_command_line_error(capsys, monkeypatch, name, solve, argv,
+                                                                      message):
+    # Each routine answers as it does but with LAPACK's info 1. A
+    # LinAlgError is a ValueError, so the command line reports it on one
+    # line and exits 1.
+    routine = getattr(operators, name)
+    monkeypatch.setattr(operators, name, lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1))
+    memo.cache_clear()
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape(message)):
+        solve(PeriodicJacobi([1.0, 0.8, 1.2], [0.0, 0.5, -0.3]))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_dirichlet_matrix_drops_first_site():
