@@ -198,9 +198,10 @@ def recover_onsite(target, hopping, initial=None):
         The goal, either a Discriminant or its ascending coefficients
         (length N + 1). The leading coefficient must equal
         1 / prod(hopping) up to roundoff: the hopping gauge is an input
-        here, not an unknown.
+        here, not an unknown. A Discriminant's log(prod a) is the one
+        its band edges fix, the edges' hopping product.
     hopping : array_like
-        Positive bond strengths, held fixed.
+        Positive bond strengths, held fixed, one per edge of each kind.
     initial : array_like, optional
         N finite starting onsite energies for one Levenberg-Marquardt
         solve. When omitted, a seeded (so deterministic) multistart of
@@ -238,10 +239,14 @@ def recover_onsite(target, hopping, initial=None):
         If no start converges; unattainable coefficient vectors fail
         this way.
     ValueError
-        If a hopping, or a coefficient of a target given as an array, is
+        If a Discriminant target is not of degree N = len(hopping), first;
+        if a hopping, or a coefficient of a target given as an array, is
         not finite, or a hopping is not positive, or initial is not N
-        finite values in one dimension, before any march; if
-        the target does not fit the hoppings; if the power-basis
+        finite values in one dimension, before any march; if the
+        hoppings' product is not a Discriminant target's to 1e-6 (both
+        named); if the target does not fit the hoppings, its leading
+        coefficient included, which also catches the error of the
+        power-basis conversion at long periods; if the power-basis
         coefficients of (prod a) * Delta leave the float range, as they
         do at long periods once prod a does; or, on a blind solve and
         before any march, if the target's zeros are not all real: a
@@ -250,9 +255,16 @@ def recover_onsite(target, hopping, initial=None):
         below (sum z)^2 / N by more than rounding: no real chain with
         these bonds has sum b = sum z and sum b^2 = sum z^2 - 2 sum a^2.
     """
-    a = PeriodicJacobi(hopping, np.zeros(np.size(hopping))).hopping  # checks the bonds
-    n = a.size
+    n = np.size(hopping)
+    if isinstance(target, Discriminant) and target.values.size != n + 1:
+        raise ValueError("need {0} hoppings for {0} edges of each kind, not {1}".format(
+            target.values.size - 1, n))
+    a = PeriodicJacobi(hopping, np.zeros(n)).hopping  # checks the bonds
     if isinstance(target, Discriminant):
+        logs = float(np.sum(np.log(a))), target.log_hopping_product
+        if not math.log1p(-1e-6) <= logs[0] - logs[1] <= math.log1p(1e-6):
+            shown = [f"{math.exp(x):.6g}" if abs(x) < 700.0 else f"e^{x:.6g}" for x in logs]
+            raise ValueError("the hoppings' product {} is not the edges' hopping product {}".format(*shown))
         target = target.chebyshev.convert(kind=Polynomial).coef
     elif not np.all(np.isfinite(target)):
         raise ValueError("target coefficients must be finite")
@@ -507,14 +519,14 @@ def _polish(op, periodic, antiperiodic):
     E_i, the sum being -Delta'(E_i): the rows of transfer.jacobian_at at
     the eigenvalues, each over its sum, from the march that gives Delta
     there. An iterate of N >= 2 sites that is its own cell takes its
-    eigenvalues from operators.bloch_spectra, which keeps no memo, so
-    the polish leaves the memo of band edges, which operators alone keys
-    and fills, as it found it; any other iterate takes them from
-    floquet_eigenvalues. A row whose sum is zero, as at a closed gap
-    whose two edges a repeated cell makes equal to the bit, is left
-    zero: a double eigenvalue is not differentiable in the sites. The
-    solve is one `_lm` run, and its answer is kept only if it lowers the
-    edge distance.
+    eigenvalues from operators.bloch_spectra, which keeps no memo, and
+    leaves the memo of band edges, which operators alone keys and fills,
+    as it found it; any other iterate, such as a repeated cell, takes
+    them from floquet_eigenvalues, through the memo. A row whose sum is
+    zero, as at a closed gap whose two edges a repeated cell makes equal
+    to the bit, is left zero: a double eigenvalue is not differentiable
+    in the sites. The solve is one `_lm` run, and its answer is kept only
+    if it lowers the edge distance.
     """
     data = np.stack([np.sort(periodic), np.sort(antiperiodic)])
     weight = 1.0 / np.maximum(1.0, np.abs(data))
@@ -546,14 +558,13 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
 
     discriminant_from_edges checks the data and gives the hopping
     product. The edges may come in any order and shape. The chain is
-    recover_onsite's at the given bonds, one per edge of each kind and
-    with the edges' hopping product to 1e-6 (else refused, both products
-    named), polished on the edges by _polish, and distance is the largest
-    distance of its Bloch eigenvalues at 0 and pi from the data, each
-    over max(1, |datum|), before and after the polish. Without bonds it
-    is chain_from_divisor's of the sorted 2N edges at the gap midpoints
-    on sheet +1, whose bonds are in general not uniform, and distance is
-    None: no polish runs.
+    recover_onsite's at the given bonds, which checks their count, each
+    bond and their product, polished on the edges by _polish, and
+    distance is the largest distance of its Bloch eigenvalues at 0 and
+    pi from the data, each over max(1, |datum|), before and after the
+    polish. Without bonds it is chain_from_divisor's of the sorted 2N
+    edges at the gap midpoints on sheet +1, whose bonds are in general
+    not uniform, and distance is None: no polish runs.
 
     Where two chains with these bonds and edges meet, the edges move by
     the square of the sites' change, so they fix the sites only to about
@@ -565,15 +576,6 @@ def recover_operator_from_edges(periodic, antiperiodic, hopping=None):
     periodic, antiperiodic = np.ravel(periodic), np.ravel(antiperiodic)
     disc = discriminant_from_edges(periodic, antiperiodic)
     if hopping is not None:
-        n, m = np.size(periodic), np.size(hopping)
-        if m != n:
-            raise ValueError(f"need {n} hoppings for {n} edges of each kind, not {m}")
-        a = PeriodicJacobi(hopping, np.zeros(n)).hopping  # checks the bonds
-        # recover_onsite's 1e-6 on the leading coefficient, read on log(prod a)
-        logs = float(np.sum(np.log(a))), disc.log_hopping_product
-        if not math.log1p(-1e-6) <= logs[0] - logs[1] <= math.log1p(1e-6):
-            shown = [f"{math.exp(x):.6g}" if abs(x) < 700.0 else f"e^{x:.6g}" for x in logs]
-            raise ValueError("the hoppings' product {} is not the edges' hopping product {}".format(*shown))
         return disc, *_polish(recover_onsite(disc, hopping), periodic, antiperiodic)
     edges = np.sort(np.concatenate([periodic, antiperiodic]))
     mid = 0.5 * (edges[1:-1:2] + edges[2::2])

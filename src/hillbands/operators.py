@@ -23,8 +23,10 @@ solve, so no request imports scipy.optimize or scipy.linalg.
 
 Every band-matrix solve of a Bloch Hamiltonian is bloch_spectra's. The
 memo of band edges (_real_spectrum) and its key belong to this module
-alone; a caller that needs edges without filling it, as inverse's edge
-polish does, calls bloch_spectra.
+alone; a caller that needs edges without filling it calls bloch_spectra,
+as inverse's edge polish does for an iterate that is its own cell of
+N >= 2 sites. Its other iterates, such as an exactly repeated cell, go
+through floquet_eigenvalues and so fill the memo.
 """
 
 import importlib.machinery

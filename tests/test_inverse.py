@@ -86,10 +86,10 @@ def test_recover_onsite_accepts_raw_coefficients():
 def test_recover_onsite_validates_input():
     op = PeriodicJacobi([1.0, 1.0], [0.4, -0.4])
     disc = Discriminant.from_operator(op)
-    with pytest.raises(ValueError):
-        recover_onsite(disc, [1.0, 1.0, 1.0])  # degree/period mismatch
-    with pytest.raises(ValueError):
-        recover_onsite(disc, [2.0, 1.0])  # leading coefficient inconsistent
+    with pytest.raises(ValueError, match="need 2 hoppings for 2 edges of each kind, not 3"):
+        recover_onsite(disc, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="the hoppings' product 2 is not the edges' hopping product 1"):
+        recover_onsite(disc, [2.0, 1.0])
 
 
 def unattainable_target():
@@ -587,6 +587,20 @@ def test_least_squares_is_called_in_lm_alone():
         assert not held & {"xtol", "ftol", "gtol", "max_nfev", 1e-14, 1e-15}, name
 
 
+def test_bond_rules_are_stated_in_recover_onsite_alone():
+    # The count, the bonds and their product of a Discriminant target are
+    # checked once, in recover_onsite: the edge inverse only routes to it.
+    def names(node):
+        return [ast.unparse(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+    tree = ast.parse(Path(inverse.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    called = {ast.unparse(node.func) for node in ast.walk(functions["recover_operator_from_edges"])
+              if isinstance(node, ast.Call)}
+    assert not called & {"PeriodicJacobi", "np.log", "math.log1p"}
+    assert names(functions["recover_onsite"]).count("math.log1p") == names(tree).count("math.log1p") > 0
+
+
 def test_failing_starts_stop_at_ftol_and_successes_keep_their_bits(monkeypatch):
     # The power coefficients of corpus_chain(n, s), n = 3..8, s = 0..4,
     # solved blind in one process at ftol 1e-14 and at FTOL: every target
@@ -659,9 +673,11 @@ def test_edge_inverse_polishes_every_success_on_its_edges(capsys):
 def test_edge_polish_keeps_the_memo_of_edges():
     # Each iterate of the polish is solved outside the Bloch-spectrum
     # memo: a half-full memo keeps its size and every chain in it,
-    # through the polish of a random chain and of a uniform one.
+    # through the polish of a random chain, of a uniform one and of two
+    # repeated cells, whose answers at given bonds are their own cells.
     memo = operators._real_spectrum
-    targets = [corpus_chain(8, 1000), free_chain(10, 0.7, 0.3)]
+    targets = [corpus_chain(8, 1000), free_chain(10, 0.7, 0.3), tiled(corpus_chain(3, 0), 2),
+               tiled(corpus_chain(2, 1), 3)]
     edges = [op.floquet_eigenvalues([0.0, np.pi]) for op in targets]
     rng = np.random.default_rng(47)
     cached = [random_operator(rng, 6) for _ in range(operators.MEMO_ENTRIES // 2)]
@@ -669,8 +685,8 @@ def test_edge_polish_keeps_the_memo_of_edges():
     for op in cached:
         op.floquet_eigenvalues([0.0, np.pi])
     for op, (per, anti) in zip(targets, edges):
-        _, _, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
-        assert after < before
+        _, found, (before, after) = recover_operator_from_edges(per, anti, op.hopping)
+        assert after < before and found.cell is found
     assert memo.cache_info().currsize == len(cached)
     misses = memo.cache_info().misses
     for op in cached:
